@@ -9,6 +9,7 @@ package mem
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -16,22 +17,40 @@ import (
 // 32-bit word and addresses are byte addresses aligned to 4.
 const WordBytes = 4
 
-// Memory is a flat byte-addressed global memory backed by 32-bit words.
+// pageWords is the granule of the stray table and of the committed
+// prefix's growth (4 KiB). The prefix always ends on a page boundary or at
+// the end of the window, so a stray page never straddles it.
+const pageWords = 1024
+
+// Memory is a flat byte-addressed global memory of 32-bit words. Host
+// memory is committed in proportion to use: words is a zeroed prefix that
+// always covers every allocated byte, and the rest of the addressable
+// window — which a correct kernel never touches — is served page by page
+// from a sparse side table, so an access there keeps its flat-memory
+// semantics (reads see 0 until written, writes stick, atomics work)
+// without the window ever being backed in full.
+//
 // Concurrent access from different compute-unit goroutines is safe only on
-// disjoint words or through the Atomic methods.
+// disjoint words or through the Atomic methods. Alloc replaces words and
+// must not run concurrently with any access (allocation is host-side work
+// between launches).
 type Memory struct {
-	words []uint32
+	words []uint32 // committed prefix
+	size  uint32   // addressable window in bytes
 	brk   uint32
+
+	mu    sync.Mutex
+	stray map[uint32]*[pageWords]uint32 // by page number; pages past words only
 }
 
-// NewMemory returns a memory of the given byte capacity (rounded down to a
-// whole word).
+// NewMemory returns a memory addressing the given number of bytes (rounded
+// down to a whole word). Nothing is committed until Alloc or a store asks.
 func NewMemory(bytes uint32) *Memory {
-	return &Memory{words: make([]uint32, bytes/WordBytes)}
+	return &Memory{size: bytes &^ (WordBytes - 1)}
 }
 
 // Size returns the capacity in bytes.
-func (m *Memory) Size() uint32 { return uint32(len(m.words)) * WordBytes }
+func (m *Memory) Size() uint32 { return m.size }
 
 // Alloc reserves n bytes (rounded up to words, 256-byte aligned like real
 // device allocators) and returns the base byte address.
@@ -42,52 +61,109 @@ func (m *Memory) Alloc(n uint32) (uint32, error) {
 		return 0, fmt.Errorf("mem: out of device memory (%d bytes requested, %d in use)", n, m.brk)
 	}
 	m.brk = base + n
+	m.commit((int(m.brk) + WordBytes - 1) / WordBytes)
 	return base, nil
 }
 
-// Reset discards all allocations.
-func (m *Memory) Reset() { m.brk = 0 }
+// commit grows the committed prefix to at least need words: doubling, in
+// whole pages, capped at the window. Stray pages the prefix now covers move
+// into it, so words stored past the old prefix keep their values.
+func (m *Memory) commit(need int) {
+	if need <= len(m.words) {
+		return
+	}
+	n := max(need, 2*len(m.words))
+	n = min((n+pageWords-1)/pageWords*pageWords, int(m.size/WordBytes))
+	grown := make([]uint32, n)
+	copy(grown, m.words)
+	for p, pg := range m.stray {
+		if at := int(p) * pageWords; at < n {
+			copy(grown[at:], pg[:])
+			delete(m.stray, p)
+		}
+	}
+	m.words = grown
+}
 
 // InUse returns the number of allocated bytes.
 func (m *Memory) InUse() uint32 { return m.brk }
 
-func (m *Memory) check(addr uint32) (int, error) {
+// check validates addr against the addressable window (alignment first,
+// the order faults have always surfaced in) and returns its word index.
+func (m *Memory) check(addr uint32) (uint32, error) {
 	if addr%WordBytes != 0 {
 		return 0, fmt.Errorf("mem: unaligned access at 0x%x", addr)
 	}
-	i := int(addr / WordBytes)
-	if i >= len(m.words) {
+	if addr >= m.size {
 		return 0, fmt.Errorf("mem: access at 0x%x beyond device memory (%d bytes)", addr, m.Size())
 	}
-	return i, nil
+	return addr / WordBytes, nil
 }
 
-// Load reads the word at the byte address.
-func (m *Memory) Load(addr uint32) (uint32, error) {
+// strayWord returns the slot of stray-window word i, or nil when its page
+// was never written and create is false. The caller holds m.mu.
+func (m *Memory) strayWord(i uint32, create bool) *uint32 {
+	pg := m.stray[i/pageWords]
+	if pg == nil {
+		if !create {
+			return nil
+		}
+		if m.stray == nil {
+			m.stray = make(map[uint32]*[pageWords]uint32)
+		}
+		pg = new([pageWords]uint32)
+		m.stray[i/pageWords] = pg
+	}
+	return &pg[i%pageWords]
+}
+
+// strayAccess is the slow path of every single-word accessor: the access
+// missed the committed prefix, so it faults (unaligned, beyond the device)
+// or lands in the stray window. It returns the word's old value and, when
+// f is non-nil, replaces it with f(old).
+func (m *Memory) strayAccess(addr uint32, f func(old uint32) uint32) (uint32, error) {
 	i, err := m.check(addr)
 	if err != nil {
 		return 0, err
 	}
-	return m.words[i], nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p := m.strayWord(i, f != nil)
+	if p == nil {
+		return 0, nil
+	}
+	old := *p
+	if f != nil {
+		*p = f(old)
+	}
+	return old, nil
+}
+
+// Load reads the word at the byte address.
+func (m *Memory) Load(addr uint32) (uint32, error) {
+	if i := int(addr / WordBytes); addr%WordBytes == 0 && i < len(m.words) {
+		return m.words[i], nil
+	}
+	return m.strayAccess(addr, nil)
 }
 
 // Store writes the word at the byte address.
 func (m *Memory) Store(addr uint32, v uint32) error {
-	i, err := m.check(addr)
-	if err != nil {
-		return err
+	if i := int(addr / WordBytes); addr%WordBytes == 0 && i < len(m.words) {
+		m.words[i] = v
+		return nil
 	}
-	m.words[i] = v
-	return nil
+	_, err := m.strayAccess(addr, func(uint32) uint32 { return v })
+	return err
 }
 
 // Atomic applies f atomically to the word at addr and returns the old
 // value. It is implemented with a CAS loop so arbitrary read-modify-write
 // operations compose with concurrent compute units.
 func (m *Memory) Atomic(addr uint32, f func(old uint32) uint32) (uint32, error) {
-	i, err := m.check(addr)
-	if err != nil {
-		return 0, err
+	i := int(addr / WordBytes)
+	if addr%WordBytes != 0 || i >= len(m.words) {
+		return m.strayAccess(addr, f)
 	}
 	p := &m.words[i]
 	for {
@@ -108,10 +184,14 @@ func (m *Memory) Gather(addrs []uint32, dst []uint32) error {
 	for l, a := range addrs {
 		i := int(a / WordBytes)
 		if a%WordBytes != 0 || i >= len(words) {
-			_, err := m.check(a)
-			return err
+			v, err := m.strayAccess(a, nil)
+			if err != nil {
+				return err
+			}
+			dst[l] = v
+		} else {
+			dst[l] = words[i]
 		}
-		dst[l] = words[i]
 	}
 	return nil
 }
@@ -123,34 +203,69 @@ func (m *Memory) Scatter(addrs []uint32, src []uint32) error {
 	for l, a := range addrs {
 		i := int(a / WordBytes)
 		if a%WordBytes != 0 || i >= len(words) {
-			_, err := m.check(a)
-			return err
+			v := src[l]
+			if _, err := m.strayAccess(a, func(uint32) uint32 { return v }); err != nil {
+				return err
+			}
+		} else {
+			words[i] = src[l]
 		}
-		words[i] = src[l]
 	}
 	return nil
 }
+
+// span validates a bulk transfer of n words at addr (verb names it in the
+// overrun error) and splits it at the committed boundary: the first `in`
+// words live in m.words from index i, the rest in the stray window.
+func (m *Memory) span(verb string, addr uint32, n int) (i, in int, err error) {
+	w, err := m.check(addr)
+	if err != nil {
+		return 0, 0, err
+	}
+	i = int(w)
+	if i+n > int(m.size/WordBytes) {
+		return 0, 0, fmt.Errorf("mem: %s of %d words at 0x%x overruns device memory", verb, n, addr)
+	}
+	return i, max(0, min(n, len(m.words)-i)), nil
+}
+
+// WriteWords copies src into device memory starting at addr.
 func (m *Memory) WriteWords(addr uint32, src []uint32) error {
-	i, err := m.check(addr)
+	i, in, err := m.span("write", addr, len(src))
 	if err != nil {
 		return err
 	}
-	if i+len(src) > len(m.words) {
-		return fmt.Errorf("mem: write of %d words at 0x%x overruns device memory", len(src), addr)
+	if in > 0 {
+		copy(m.words[i:], src[:in])
 	}
-	copy(m.words[i:], src)
+	if rest := src[in:]; len(rest) > 0 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for k, v := range rest {
+			*m.strayWord(uint32(i+in+k), true) = v
+		}
+	}
 	return nil
 }
 
 // ReadWords copies device words into dst starting at addr.
 func (m *Memory) ReadWords(addr uint32, dst []uint32) error {
-	i, err := m.check(addr)
+	i, in, err := m.span("read", addr, len(dst))
 	if err != nil {
 		return err
 	}
-	if i+len(dst) > len(m.words) {
-		return fmt.Errorf("mem: read of %d words at 0x%x overruns device memory", len(dst), addr)
+	if in > 0 {
+		copy(dst[:in], m.words[i:])
 	}
-	copy(dst, m.words[i:i+len(dst)])
+	if rest := dst[in:]; len(rest) > 0 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for k := range rest {
+			rest[k] = 0
+			if p := m.strayWord(uint32(i+in+k), false); p != nil {
+				rest[k] = *p
+			}
+		}
+	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"gpucmp/internal/arch"
@@ -29,7 +31,7 @@ func TestAggregateNanos(t *testing.T) {
 // TestExecNanosAccumulates pins the wiring: every launch, on every engine
 // and under either parallelism setting, adds a positive contribution to
 // the device's cumulative ExecNanos. (The max-vs-sum split itself is
-// covered by TestAggregateNanos — on a single-CPU host Launch downgrades
+// covered by TestAggregateNanos — under GOMAXPROCS=1 Launch downgrades
 // Parallel, so the parallel aggregation cannot be timed end to end here.)
 func TestExecNanosAccumulates(t *testing.T) {
 	b := kir.NewKernel("nanos_probe")
@@ -61,6 +63,136 @@ func TestExecNanosAccumulates(t *testing.T) {
 				}
 				last = now
 			}
+		}
+	}
+}
+
+// TestNewDeviceCost pins that constructing a device commits almost nothing:
+// global memory is an addressable window, not a host allocation, so the
+// fixed cost is the 64 KiB constant segment. fuzz.Check builds ten devices
+// per program, so an eager backing store is what its throughput measures.
+func TestNewDeviceCost(t *testing.T) {
+	for _, a := range arch.All() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := newDev(t, a)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: NewDevice allocated %d bytes, want < 1 MiB", a.Name, got)
+		}
+		if d.Global.Size() == 0 || d.Global.InUse() != 0 {
+			t.Errorf("%s: fresh global memory: size %d, in use %d", a.Name, d.Global.Size(), d.Global.InUse())
+		}
+	}
+}
+
+// strayKIR reads and writes 4 MiB past its only buffer: a kernel bug the
+// flat memory model tolerates (reads see zeros, writes stick), so every
+// engine must tolerate it identically.
+func strayKIR() *kir.Kernel {
+	b := kir.NewKernel("stray")
+	out := b.GlobalBuffer("out", kir.U32)
+	gid := b.Declare("gid", b.GlobalIDX())
+	far := b.Declare("far", kir.Add(gid, kir.U(1<<20)))
+	b.Store(out, gid, kir.Add(b.Load(out, far), gid))
+	b.Store(out, far, kir.Add(gid, kir.U(1)))
+	b.Atomic(out, kir.U(2<<20), kir.AtomicAdd, kir.U(1))
+	return b.MustBuild()
+}
+
+// TestLaunchSetUpSizedToGrid: a grid smaller than the device builds
+// compute-unit state only for the units that receive a block, and nothing
+// observable changes — trace and memory equal the reference engine's on
+// every engine, sequential and parallel, including for accesses past the
+// committed memory.
+func TestLaunchSetUpSizedToGrid(t *testing.T) {
+	a := arch.GTX280()
+	const blocks, blockSize, n = 3, 64, 3 * 64
+	if blocks >= a.ComputeUnits {
+		t.Fatalf("test needs a grid below the %d compute units", a.ComputeUnits)
+	}
+	type result struct {
+		tr    *Trace
+		image []uint32
+		far   []uint32
+	}
+	for _, kc := range []struct {
+		kernel *kir.Kernel
+		bufs   []int // words per buffer argument
+	}{
+		{stressKIR(), []int{n, n, 1}},
+		{strayKIR(), []int{n}},
+	} {
+		pk := compile(t, kc.kernel, compiler.OpenCL())
+		run := func(eng Engine, parallel bool) result {
+			d := newDev(t, a)
+			d.Engine, d.Reference, d.Parallel = eng, eng == EngineReference, parallel
+			var args []uint32
+			for _, words := range kc.bufs {
+				buf := make([]uint32, words)
+				for i := range buf {
+					buf[i] = uint32(i*2654435761) % 251
+				}
+				args = append(args, uploadU32(t, d, buf))
+			}
+			tr, err := d.Launch(pk, Dim3{X: blocks, Y: 1}, Dim3{X: blockSize, Y: 1}, args)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", pk.Name, eng, err)
+			}
+			if eng != EngineReference && (len(d.arenas) != blocks || len(d.cus) != blocks) {
+				t.Errorf("%s on %s: %d arenas and %d unit states for a %d-block grid",
+					pk.Name, eng, len(d.arenas), len(d.cus), blocks)
+			}
+			r := result{tr: tr, image: make([]uint32, d.Global.InUse()/4), far: make([]uint32, n+1)}
+			if err := d.Global.ReadWords(0, r.image); err != nil {
+				t.Fatal(err)
+			}
+			// The words strayKIR touches past its buffer (zeros for stress).
+			if err := d.Global.ReadWords(args[0]+(4<<20), r.far[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Global.ReadWords(args[0]+(8<<20), r.far[n:]); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		ref := run(EngineReference, false)
+		if pk.Name == "stray" && (ref.far[0] != 1 || ref.far[n] != n) {
+			t.Fatalf("stray kernel did not land past its buffer: far[0]=%d counter=%d", ref.far[0], ref.far[n])
+		}
+		for _, eng := range []Engine{EngineReference, EngineFast, EngineThreaded} {
+			for _, parallel := range []bool{false, true} {
+				got := run(eng, parallel)
+				if !reflect.DeepEqual(got.tr, ref.tr) {
+					t.Errorf("%s on %s parallel=%v: trace differs:\nref: %s\ngot: %s",
+						pk.Name, eng, parallel, ref.tr.Summary(), got.tr.Summary())
+				}
+				if !reflect.DeepEqual(got.image, ref.image) || !reflect.DeepEqual(got.far, ref.far) {
+					t.Errorf("%s on %s parallel=%v: memory differs from the reference engine", pk.Name, eng, parallel)
+				}
+			}
+		}
+	}
+}
+
+// TestLaunchSetUpGrowsToDevice: set-up follows the largest grid seen and
+// stops at the device's compute-unit count.
+func TestLaunchSetUpGrowsToDevice(t *testing.T) {
+	a := arch.GTX280()
+	d := newDev(t, a)
+	pk := compile(t, stressKIR(), compiler.CUDA())
+	const blockSize = 64
+	n := (a.ComputeUnits + 7) * blockSize
+	args := []uint32{uploadU32(t, d, make([]uint32, n)), uploadU32(t, d, make([]uint32, n)), uploadU32(t, d, []uint32{0})}
+	for _, step := range []struct{ grid, want int }{
+		{2, 2}, {a.ComputeUnits + 7, a.ComputeUnits}, {1, a.ComputeUnits},
+	} {
+		if _, err := d.Launch(pk, Dim3{X: step.grid, Y: 1}, Dim3{X: blockSize, Y: 1}, args); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.arenas) != step.want || len(d.cus) != step.want {
+			t.Errorf("after a %d-block grid: %d arenas, %d unit states, want %d",
+				step.grid, len(d.arenas), len(d.cus), step.want)
 		}
 	}
 }

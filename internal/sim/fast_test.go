@@ -15,16 +15,17 @@ import (
 // with an out-of-bounds store while every other work-group spins forever.
 // With an unbounded step budget the only way Launch can return is sibling
 // cancellation: the failing unit's error must trip the shared abort flag
-// and reclaim the spinning units at their next checkpoint.
+// and reclaim the spinning units at their next checkpoint. Each spinning
+// group stores to its own word, so the kernel itself is race-free.
 func cancelProbeKIR() *kir.Kernel {
 	b := kir.NewKernel("cancel_probe")
 	out := b.GlobalBuffer("out", kir.U32)
 	b.IfElse(kir.Eq(kir.Bi(kir.CtaidX), kir.U(0)), func() {
-		// 4*(1<<26) bytes past the buffer base: beyond any backing store.
+		// 4*(1<<26) bytes past the buffer base: beyond the addressable window.
 		b.Store(out, kir.U(1<<26), kir.U(1))
 	}, func() {
 		b.For("i", kir.U(0), kir.U(1), kir.U(0), func(i kir.Expr) {
-			b.Store(out, kir.U(0), i)
+			b.Store(out, kir.Bi(kir.CtaidX), i)
 		})
 	})
 	return b.MustBuild()

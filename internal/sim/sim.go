@@ -150,31 +150,28 @@ func (d *Device) Cancel() { d.cancelled.Store(true) }
 // Cancelled reports whether Cancel has been called.
 func (d *Device) Cancelled() bool { return d.cancelled.Load() }
 
-// DefaultBackingBytes caps the host allocation backing a simulated device's
-// global memory. The modelled capacity (Table IV) can reach 6 GB, far more
-// than any benchmark here touches; the backing store is what the simulator
-// actually commits.
+// DefaultBackingBytes is the addressable window of a simulated device's
+// global memory: allocations and stray accesses below it succeed, anything
+// above faults. The modelled capacity (Table IV) can reach 6 GB, far more
+// than any benchmark here touches, so the window is what bounds a launch.
+// It is not a host allocation: mem.Memory commits host memory only for
+// what is allocated or stored to.
 const DefaultBackingBytes = 128 << 20
 
-// NewDevice builds a simulated device with the default backing store.
+// NewDevice builds a simulated device. Its global memory addresses
+// DefaultBackingBytes (clamped to the device's modelled capacity) and
+// starts with nothing committed, so a device costs what its launches use.
 func NewDevice(a *arch.Device) (*Device, error) {
-	return NewDeviceWithMemory(a, DefaultBackingBytes)
-}
-
-// NewDeviceWithMemory builds a simulated device whose global memory is
-// backed by at most backingBytes of host memory (clamped to the device's
-// modelled capacity).
-func NewDeviceWithMemory(a *arch.Device, backingBytes uint32) (*Device, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	capacity := uint64(a.MemoryGB * float64(1<<30))
-	if uint64(backingBytes) > capacity {
-		backingBytes = uint32(capacity)
+	window := uint32(DefaultBackingBytes)
+	if capacity := uint64(a.MemoryGB * float64(1<<30)); capacity < uint64(window) {
+		window = uint32(capacity)
 	}
 	return &Device{
 		Arch:       a,
-		Global:     mem.NewMemory(backingBytes),
+		Global:     mem.NewMemory(window),
 		constSeg:   make([]uint32, constSegBytes/4),
 		constBrk:   paramAreaBytes,
 		Parallel:   true,
@@ -286,7 +283,12 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 	// Mirror arguments into the param area of the constant segment.
 	copy(d.constSeg[:len(args)], args)
 
+	// Blocks are dealt to compute units round-robin (unit i runs blocks i,
+	// i+numCU, ...), so only the first min(numCU, blocks) units ever receive
+	// one; state is built, and a goroutine started, for those alone.
 	numCU := d.Arch.ComputeUnits
+	totalBlocks := grid.Count()
+	active := min(numCU, totalBlocks)
 	eng := d.engine()
 	useFast := eng != EngineReference
 	var dk *decodedKernel
@@ -296,10 +298,10 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 		if eng == EngineThreaded {
 			prog = d.tcache.get(k, dk)
 		}
-		for len(d.arenas) < numCU {
+		for len(d.arenas) < active {
 			d.arenas = append(d.arenas, &cuArena{})
 		}
-		for len(d.cus) < numCU {
+		for len(d.cus) < active {
 			d.cus = append(d.cus, newCUState(d, len(d.cus)))
 		}
 	}
@@ -307,7 +309,7 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 	// trips it, and sibling units observe it between blocks and at watchdog
 	// checkpoints instead of running the rest of the grid to completion.
 	abort := new(atomic.Bool)
-	cus := make([]*cuState, numCU)
+	cus := make([]*cuState, active)
 	for i := range cus {
 		if useFast {
 			cus[i] = d.cus[i]
@@ -320,13 +322,12 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 		}
 		cus[i].abort = abort
 	}
-	totalBlocks := grid.Count()
 
 	// Per-unit busy time feeds the ExecNanos aggregation below: the static
 	// b += numCU block partition (no work stealing) keeps each unit's
 	// workload — and therefore the simulated results — byte-deterministic,
 	// and lets the critical path be read off as max-per-unit time.
-	perNanos := make([]int64, numCU)
+	perNanos := make([]int64, active)
 	runCU := func(ci int, cu *cuState) error {
 		t0 := time.Now()
 		defer func() { perNanos[ci] = time.Since(t0).Nanoseconds() }()
@@ -350,11 +351,11 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 		return nil
 	}
 
-	usedParallel := d.Parallel && runtime.NumCPU() > 1 && totalBlocks > 1
+	usedParallel := d.Parallel && runtime.GOMAXPROCS(0) > 1 && totalBlocks > 1
 	var launchErr error
 	if usedParallel {
 		var wg sync.WaitGroup
-		errs := make([]error, numCU)
+		errs := make([]error, active)
 		for i := range cus {
 			wg.Add(1)
 			go func(i int) {

@@ -12,12 +12,13 @@ import (
 
 // hangKIR builds a kernel that never terminates: a for loop with step 0
 // whose induction variable stays below the limit forever. The store keeps
-// the loop alive through the optimiser.
+// the loop alive through the optimiser; each work-group spins on its own
+// word, so concurrent compute units never write the same host word.
 func hangKIR() *kir.Kernel {
 	b := kir.NewKernel("hang")
 	out := b.GlobalBuffer("out", kir.U32)
 	b.For("i", kir.U(0), kir.U(1), kir.U(0), func(i kir.Expr) {
-		b.Store(out, kir.U(0), i)
+		b.Store(out, kir.Bi(kir.CtaidX), i)
 	})
 	return b.MustBuild()
 }
@@ -27,7 +28,7 @@ func TestWatchdogStepBudget(t *testing.T) {
 		pk := compile(t, hangKIR(), p)
 		d := newDev(t, arch.GTX480())
 		d.StepBudget = 50_000
-		out := uploadU32(t, d, make([]uint32, 1))
+		out := uploadU32(t, d, make([]uint32, 2))
 		_, err := d.Launch(pk, Dim3{X: 2, Y: 1}, Dim3{X: 32, Y: 1}, []uint32{out})
 		if !errors.Is(err, ErrWatchdog) {
 			t.Fatalf("%s: Launch of non-terminating kernel: err = %v, want ErrWatchdog", p.Name, err)

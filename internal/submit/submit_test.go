@@ -430,7 +430,7 @@ func TestRunWatchdog(t *testing.T) {
 	}
 }
 
-// TestRunOOBFault stores far beyond the backing allocation; the sim must
+// TestRunOOBFault stores beyond the addressable window; the sim must
 // return a typed runtime error, which Run folds into a "fault" DeviceRun
 // rather than an error (or a panic).
 func TestRunOOBFault(t *testing.T) {
@@ -454,6 +454,54 @@ func TestRunOOBFault(t *testing.T) {
 	for _, run := range rep.Runs {
 		if run.Status != "fault" {
 			t.Errorf("%s/%s status = %q (%s), want fault", run.Toolchain, run.Device, run.Status, run.Reason)
+		}
+	}
+}
+
+// TestRunNoMemoryReuseAcrossTenants pins what tenant isolation rests on:
+// every run gets fresh device memory, never a pooled or recycled backing.
+// The first submission stores a marker 4 MiB past its buffer (inside the
+// addressable window, so it sticks — the run reads it back); the second,
+// on the same device model, loads that address and must read 0.
+func TestRunNoMemoryReuseAcrossTenants(t *testing.T) {
+	const far, marker = 1 << 20, 0xbeef
+	build := func(name string, plant bool) *kir.Kernel {
+		b := kir.NewKernel(name)
+		out := b.GlobalBuffer("out", kir.U32)
+		if plant {
+			b.Store(out, kir.U(far), kir.U(marker))
+		}
+		b.Store(out, b.GlobalIDX(), b.Load(out, kir.U(far)))
+		k, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	lim := DefaultLimits()
+	for _, tc := range []struct {
+		name  string
+		plant bool
+		want  uint32
+	}{{"planter", true, marker}, {"snooper", false, 0}} {
+		sub, err := Parse(wire(t, build(tc.name, tc.plant), nil), lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneDevice(t, sub)
+		rep, err := Run(context.Background(), sub, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range rep.Runs {
+			if run.Status != "ok" {
+				t.Fatalf("%s %s/%s status = %q (%s)", tc.name, run.Toolchain, run.Device, run.Status, run.Reason)
+			}
+			for i, w := range run.Out {
+				if w != tc.want {
+					t.Errorf("%s %s/%s out[%d] = %#x, want %#x", tc.name, run.Toolchain, run.Device, i, w, tc.want)
+				}
+			}
 		}
 	}
 }
