@@ -52,7 +52,7 @@ type deviceRow struct {
 
 // flip is one device pair whose order differs between the two rankings.
 type flip struct {
-	Faster string `json:"faster_compute_only"` // wins on kernel time...
+	Faster string `json:"faster_compute_only"`  // wins on kernel time...
 	Slower string `json:"faster_transfer_incl"` // ...but loses once copies count
 }
 

@@ -54,9 +54,9 @@ type Record struct {
 	Engine    string `json:"engine"`   // "reference", "fast" or "threaded"
 	Parallel  bool   `json:"parallel"` // per-CU engine parallelism
 
-	WallSeconds  float64 `json:"wall_seconds"`  // best of -reps runs
-	WarpInstrs   int64   `json:"warp_instrs"`   // per run
-	MWIPerSec    float64 `json:"mwi_per_sec"`   // warp-instruction throughput
+	WallSeconds  float64 `json:"wall_seconds"` // best of -reps runs
+	WarpInstrs   int64   `json:"warp_instrs"`  // per run
+	MWIPerSec    float64 `json:"mwi_per_sec"`  // warp-instruction throughput
 	AllocsPerRun uint64  `json:"allocs_per_run"`
 	AllocsPerMWI float64 `json:"allocs_per_mwi"` // heap allocations per million warp-instrs
 

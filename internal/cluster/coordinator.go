@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -222,47 +223,50 @@ func (c *Coordinator) breakerFor(shard string) *sched.Breaker {
 }
 
 // latencyTracker keeps a sliding window of recent end-to-end routed
-// latencies for the hedge-delay quantile.
+// latencies for the hedge-delay quantile. forward arms a hedge timer for
+// every routed request, so the quantile is on the request path: the window
+// is kept ordered as observations arrive and reading a quantile is an
+// index.
 type latencyTracker struct {
-	mu  sync.Mutex
-	buf [512]time.Duration
-	n   uint64 // total observations; buf[n % len] is the write slot
+	mu     sync.Mutex
+	buf    [512]time.Duration // arrival order; buf[n % len] is the write slot
+	sorted [512]time.Duration // the same samples in ascending order
+	n      uint64             // total observations
 }
 
+// observe records d, replacing the oldest sample once the window is full:
+// at most two binary searches and two moves within a 4 KiB array.
 func (t *latencyTracker) observe(d time.Duration) {
 	t.mu.Lock()
-	t.buf[t.n%uint64(len(t.buf))] = d
+	defer t.mu.Unlock()
+	slot := t.n % uint64(len(t.buf))
+	size := int(min(t.n, uint64(len(t.buf))))
+	if size == len(t.buf) {
+		i, _ := slices.BinarySearch(t.sorted[:size], t.buf[slot])
+		copy(t.sorted[i:], t.sorted[i+1:size])
+		size--
+	}
+	i, _ := slices.BinarySearch(t.sorted[:size], d)
+	copy(t.sorted[i+1:size+1], t.sorted[i:size])
+	t.sorted[i] = d
+	t.buf[slot] = d
 	t.n++
-	t.mu.Unlock()
 }
 
 // quantile returns the q-quantile over the window, or false until enough
 // samples (32) exist to make the estimate meaningful.
 func (t *latencyTracker) quantile(q float64) (time.Duration, bool) {
 	t.mu.Lock()
-	n := int(t.n)
-	if n > len(t.buf) {
-		n = len(t.buf)
-	}
+	defer t.mu.Unlock()
+	n := int(min(t.n, uint64(len(t.buf))))
 	if n < 32 {
-		t.mu.Unlock()
 		return 0, false
-	}
-	window := make([]time.Duration, n)
-	copy(window, t.buf[:n])
-	t.mu.Unlock()
-	// Insertion sort: n <= 512 and this is off the per-request fast path
-	// (only hedge-timer arming calls it).
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && window[j] < window[j-1]; j-- {
-			window[j], window[j-1] = window[j-1], window[j]
-		}
 	}
 	i := int(q * float64(n))
 	if i >= n {
 		i = n - 1
 	}
-	return window[i], true
+	return t.sorted[i], true
 }
 
 func (c *Coordinator) hedgeDelay() time.Duration {
@@ -448,7 +452,7 @@ func (c *Coordinator) send(ctx context.Context, shard, method, pathq string, hea
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	b, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -459,6 +463,18 @@ func (c *Coordinator) send(ctx context.Context, shard, method, pathq string, hea
 		}
 	}
 	return out, nil
+}
+
+// readBody buffers a worker reply, at most maxProxyBody of it. A reply
+// that declares its length (every /run reply does) is read into one buffer
+// of that size; only a chunked one pays io.ReadAll's regrowth.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxProxyBody {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
 }
 
 // proxyCall is one in-flight forwarded request any number of identical

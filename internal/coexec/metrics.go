@@ -38,10 +38,14 @@ func (m *Metrics) bump(device string, f func(*DeviceCounts)) {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) addShard(device string)    { m.bump(device, func(c *DeviceCounts) { c.Shards++ }) }
-func (m *Metrics) addRetry(device string)    { m.bump(device, func(c *DeviceCounts) { c.Retries++ }) }
-func (m *Metrics) addRedist(device string)   { m.bump(device, func(c *DeviceCounts) { c.Redistributions++ }) }
-func (m *Metrics) addTransfer(device string) { m.bump(device, func(c *DeviceCounts) { c.TransferErrors++ }) }
+func (m *Metrics) addShard(device string) { m.bump(device, func(c *DeviceCounts) { c.Shards++ }) }
+func (m *Metrics) addRetry(device string) { m.bump(device, func(c *DeviceCounts) { c.Retries++ }) }
+func (m *Metrics) addRedist(device string) {
+	m.bump(device, func(c *DeviceCounts) { c.Redistributions++ })
+}
+func (m *Metrics) addTransfer(device string) {
+	m.bump(device, func(c *DeviceCounts) { c.TransferErrors++ })
+}
 func (m *Metrics) addStraggler(device string) {
 	m.bump(device, func(c *DeviceCounts) { c.Stragglers++ })
 }

@@ -49,7 +49,7 @@ func retI() ptx.Instruction { return ptx.NewInstruction(ptx.OpRet) }
 func TestCopyPropWithinBlock(t *testing.T) {
 	k := &ptx.Kernel{Name: "cp", Toolchain: "cuda", NumRegs: 8}
 	k.Instrs = []ptx.Instruction{
-		movRR(1, 0),   // r1 = r0
+		movRR(1, 0),     // r1 = r0
 		addRRR(2, 1, 1), // r2 = r1 + r1 — both slots forward to r0
 		stG(3, 2),
 		retI(),
@@ -80,7 +80,7 @@ func TestCopyPropStopsAtBranchTarget(t *testing.T) {
 	k.Instrs = []ptx.Instruction{
 		setp,
 		bra,
-		movRR(1, 0),   // only executed on the fall-through path
+		movRR(1, 0),     // only executed on the fall-through path
 		addRRR(2, 1, 1), // branch target: must keep reading r1
 		stG(3, 2),
 		retI(),
@@ -125,7 +125,7 @@ func TestCopyPropJoinIsLeader(t *testing.T) {
 	bra.Join = 4 // distinct join point
 	k.Instrs = []ptx.Instruction{
 		bra,
-		movRR(1, 0), // fall-through block
+		movRR(1, 0),     // fall-through block
 		addRRR(2, 1, 1), // same block: forwarded
 		movRI(6, 9),     // Target block: leader (clears table)
 		addRRR(7, 1, 1), // Join block: leader again — r1 must survive

@@ -96,8 +96,8 @@ type Setup struct {
 	BackEnd       string   // step 6: PTXAS for both
 	BackEndPasses []string // step 6: the back-end pass pipeline, in order
 	ProblemScale  int      // step 7: problem parameters
-	WorkGroupSize int    // step 7: algorithmic parameters
-	Device        string // step 8
+	WorkGroupSize int      // step 7: algorithmic parameters
+	Device        string   // step 8
 }
 
 // DescribeSetup builds a Setup for one toolchain's native benchmark run.

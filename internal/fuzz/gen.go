@@ -567,7 +567,7 @@ func (g *gen) intExpr(depth int, t kir.Type) kir.Expr {
 	case 8:
 		switch g.r.Intn(3) {
 		case 0:
-			return kir.Not(g.intExpr(depth - 1, t))
+			return kir.Not(g.intExpr(depth-1, t))
 		case 1:
 			return kir.Neg(g.intExpr(depth-1, t))
 		default:

@@ -144,8 +144,8 @@ func TestDecodeTypedErrors(t *testing.T) {
 		{"unknown op", KernelJSON{Name: "k",
 			Body: []StmtJSON{{Kind: "decl", Name: "x", Value: &ExprJSON{
 				Kind: "bin", Op: "**",
-				L:    &ExprJSON{Kind: "int", Type: "u32"},
-				R:    &ExprJSON{Kind: "int", Type: "u32"}}}}}},
+				L: &ExprJSON{Kind: "int", Type: "u32"},
+				R: &ExprJSON{Kind: "int", Type: "u32"}}}}}},
 		{"missing subtree", KernelJSON{Name: "k",
 			Body: []StmtJSON{{Kind: "store", Buf: "out"}}}},
 	}

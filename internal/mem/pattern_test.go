@@ -12,7 +12,7 @@ func randCase(r *rand.Rand) (addrs []uint32, mask uint64, seg uint32) {
 	w := []int{1, 4, 16, 32, 64}[r.Intn(5)]
 	addrs = make([]uint32, w)
 	seg = []uint32{0, 4, 32, 64, 128}[r.Intn(5)]
-	base := uint32(r.Intn(1 << 16) * 4)
+	base := uint32(r.Intn(1<<16) * 4)
 	switch r.Intn(8) {
 	case 6: // periodic row repeats (a 2-D block's row-local index)
 		pl := r.Intn(w) + 1

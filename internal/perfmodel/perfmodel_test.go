@@ -202,7 +202,7 @@ func TestTransferTimeOn(t *testing.T) {
 
 	// A zero TransferBWFactor must behave as 1.0, not divide by zero.
 	bare := &Toolchain{Name: "bare"}
-	if v := TransferTimeOn(gpu, bare, 1 << 20); math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
+	if v := TransferTimeOn(gpu, bare, 1<<20); math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
 		t.Errorf("zero TransferBWFactor mishandled: %g", v)
 	}
 }

@@ -3,78 +3,116 @@ package sched
 import (
 	"container/list"
 	"encoding/json"
-	"hash/fnv"
+	"hash/crc32"
+
+	"gpucmp/internal/bench"
 )
 
+// Encoded is a completed benchmark job as the scheduler caches it and hands
+// it out: the result and the bytes that are served for it. Both may be
+// shared with other callers and with the cache: treat them as immutable.
+type Encoded struct {
+	Result *bench.Result
+	// JSON is Result exactly as the POST /run reply embeds it: the value
+	// of the top-level "result" member of a two-space-indented document.
+	JSON []byte
+}
+
+// Encode renders res the way a cache entry holds it. It fails when
+// encoding/json cannot represent the result (a NaN or infinite value).
+func Encode(res *bench.Result) (*Encoded, error) {
+	b, err := json.MarshalIndent(res, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return &Encoded{Result: res, JSON: b}, nil
+}
+
 // lruCache is a plain LRU over completed results, guarded by the
-// scheduler's mutex (it has no locking of its own). Values are shared
-// pointers (*bench.Result for benchmark jobs, the task's return value for
-// generic DoTask work): callers must treat a cached value as immutable.
-// Each entry carries a checksum of its result so readers can detect a
-// corrupted entry and evict it instead of serving it.
+// scheduler's mutex (it has no locking of its own).
 type lruCache struct {
 	cap   int
-	order *list.List // front = most recently used; values are *lruEntry
+	order *list.List // front = most recently used; values are *entry
 	byKey map[string]*list.Element
 }
 
-type lruEntry struct {
+// entry is what every result cache (main, stale, per-tenant) holds: the
+// value handed to callers, the encoding made of it once when its execution
+// completed, and a checksum of that encoding. For benchmark jobs val is an
+// *Encoded whose JSON is enc, so the checksum covers the very bytes a
+// client receives. An entry is never modified after it is stored — a key is
+// updated by swapping in a new entry — so a reader may verify one it
+// fetched under the scheduler's mutex after releasing the mutex.
+type entry struct {
 	key string
-	res any
-	sum uint64 // resultChecksum at store time; 0 = unverifiable
+	val any
+	enc []byte
+	sum uint32
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func newEntry(key string, val any, enc []byte) *entry {
+	return &entry{key: key, val: val, enc: enc, sum: crc32.Checksum(enc, castagnoli)}
+}
+
+// intact reports whether the stored encoding still matches its checksum.
+func (e *entry) intact() bool { return crc32.Checksum(e.enc, castagnoli) == e.sum }
+
+// corruptFlip is XORed into a stored checksum by the fault injector's
+// corrupt-cache fault, guaranteeing a mismatch on the next read.
+const corruptFlip = 0xdeadbeef
+
+// corrupted returns a copy of e whose checksum cannot match. The value and
+// its encoding stay shared and untouched, so callers already holding them
+// are unaffected.
+func (e *entry) corrupted() *entry {
+	c := *e
+	c.sum ^= corruptFlip
+	return &c
 }
 
 func newLRU(capacity int) *lruCache {
 	return &lruCache{cap: capacity, order: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-func (c *lruCache) get(key string) (any, uint64, bool) {
+// get returns key's entry, or nil. A nil cache holds nothing.
+func (c *lruCache) get(key string) *entry {
+	if c == nil {
+		return nil
+	}
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, 0, false
+		return nil
 	}
 	c.order.MoveToFront(el)
-	e := el.Value.(*lruEntry)
-	return e.res, e.sum, true
+	return el.Value.(*entry)
 }
 
-func (c *lruCache) add(key string, res any, sum uint64) {
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*lruEntry)
-		e.res, e.sum = res, sum
+func (c *lruCache) add(e *entry) {
+	if el, ok := c.byKey[e.key]; ok {
+		el.Value = e
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&lruEntry{key: key, res: res, sum: sum})
+	c.byKey[e.key] = c.order.PushFront(e)
 	for c.order.Len() > c.cap {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.byKey, last.Value.(*lruEntry).key)
+		delete(c.byKey, last.Value.(*entry).key)
 	}
 }
 
-func (c *lruCache) remove(key string) {
-	if el, ok := c.byKey[key]; ok {
-		c.order.Remove(el)
-		delete(c.byKey, key)
+// remove drops e if it is still what the cache holds under its key, and
+// reports whether it did.
+func (c *lruCache) remove(e *entry) bool {
+	el, ok := c.byKey[e.key]
+	if !ok || el.Value.(*entry) != e {
+		return false
 	}
+	c.order.Remove(el)
+	delete(c.byKey, e.key)
+	return true
 }
 
 func (c *lruCache) len() int { return c.order.Len() }
-
-// corruptFlip is XORed into a stored checksum by the fault injector's
-// corrupt-cache fault, guaranteeing a mismatch on the next read.
-const corruptFlip = 0xdeadbeefdeadbeef
-
-// resultChecksum fingerprints a result via its canonical JSON encoding
-// (results are served as JSON, so the encoding covers every field that
-// reaches a client). Returns 0 — "unverifiable" — if encoding fails.
-func resultChecksum(res any) uint64 {
-	b, err := json.Marshal(res)
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}

@@ -255,7 +255,7 @@ func TestStaleStoreServesLastKnownGood(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := s.Stale(j.Key())
-	if !ok || got != want {
+	if !ok || got.Result != want {
 		t.Fatalf("Stale = %v/%v, want the executed result", got, ok)
 	}
 }

@@ -13,6 +13,7 @@ package sched
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -149,8 +150,8 @@ type task struct {
 	key    string
 	tenant string                             // generic tasks only
 	fn     func(context.Context) (any, error) // non-nil marks a generic task
-	done   chan struct{}                      // closed when res/err (or val/err) are final
-	res    *bench.Result
+	done   chan struct{}                      // closed when enc/err (or val/err) are final
+	enc    *Encoded
 	val    any
 	err    error
 
@@ -252,31 +253,31 @@ func (s *Scheduler) Close() {
 // shared with other callers and with the cache: treat it as immutable.
 // ctx cancels this caller's wait, not the execution itself.
 func (s *Scheduler) Run(ctx context.Context, j Job) (*bench.Result, error) {
-	res, _, err := s.Do(ctx, j)
-	return res, err
+	e, _, err := s.Do(ctx, j)
+	if e == nil {
+		return nil, err
+	}
+	return e.Result, nil
 }
 
-// Do is Run plus how the job was served.
-func (s *Scheduler) Do(ctx context.Context, j Job) (*bench.Result, Outcome, error) {
+// Do is Run plus the bytes the result is served as and how the job was
+// served. A result encoding/json cannot represent (a NaN or infinite
+// value) comes back with a Permanent error, no JSON and the Result still
+// set — in-process callers can use it, nothing can serve it — and is not
+// cached.
+func (s *Scheduler) Do(ctx context.Context, j Job) (*Encoded, Outcome, error) {
 	key := j.Key()
 
 	s.mu.Lock()
+	e := s.cached(s.cache, key)
 	if s.closed {
 		s.mu.Unlock()
-		return nil, Miss, fmt.Errorf("sched: scheduler is closed")
+		return nil, Miss, errClosed
 	}
-	if s.cache != nil {
-		if v, sum, ok := s.cache.get(key); ok {
-			res := v.(*bench.Result)
-			if sum == 0 || sum == resultChecksum(res) {
-				s.mu.Unlock()
-				s.metrics.cacheHits.Add(1)
-				return res, Hit, nil
-			}
-			// Corrupted entry: evict it and fall through to re-execute.
-			s.cache.remove(key)
-			s.metrics.cacheCorruptions.Add(1)
-		}
+	if e != nil {
+		s.mu.Unlock()
+		s.metrics.cacheHits.Add(1)
+		return e.val.(*Encoded), Hit, nil
 	}
 	if t, ok := s.flight[key]; ok {
 		t.waiters++
@@ -298,10 +299,38 @@ func (s *Scheduler) Do(ctx context.Context, j Job) (*bench.Result, Outcome, erro
 	return s.wait(ctx, t, Miss)
 }
 
-func (s *Scheduler) wait(ctx context.Context, t *task, o Outcome) (*bench.Result, Outcome, error) {
+var errClosed = errors.New("sched: scheduler is closed")
+
+// cached returns the entry c holds under key once its checksum has been
+// verified over the stored bytes, or nil. The caller holds s.mu and holds
+// it again on return, so finding nothing cached and then joining or
+// starting an execution stay one critical section; in between, s.mu is
+// released while the checksum runs — entries are immutable, so concurrent
+// hits never wait for each other's hashing. A corrupted entry is evicted
+// and counted (once, by whichever reader removes it) and the lookup starts
+// over. A nil cache holds nothing.
+func (s *Scheduler) cached(c *lruCache, key string) *entry {
+	for {
+		e := c.get(key)
+		if e == nil {
+			return nil
+		}
+		s.mu.Unlock()
+		ok := e.intact()
+		s.mu.Lock()
+		if ok {
+			return e
+		}
+		if c.remove(e) {
+			s.metrics.cacheCorruptions.Add(1)
+		}
+	}
+}
+
+func (s *Scheduler) wait(ctx context.Context, t *task, o Outcome) (*Encoded, Outcome, error) {
 	select {
 	case <-t.done:
-		return t.res, o, t.err
+		return t.enc, o, t.err
 	case <-ctx.Done():
 		s.leave(t)
 		return nil, o, ctx.Err()
@@ -367,19 +396,15 @@ func (s *Scheduler) RunAll(ctx context.Context, jobs []Job) ([]*bench.Result, er
 
 // Stale returns the last known good result for a key, if any — the
 // degraded-serving fallback when the live path is unavailable. Stale
-// entries carry checksums too, so a corrupted entry reads as absent.
-func (s *Scheduler) Stale(key string) (*bench.Result, bool) {
+// entries are verified like any other, so a corrupted one reads as absent.
+func (s *Scheduler) Stale(key string) (*Encoded, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, sum, ok := s.stale.get(key)
-	if !ok {
+	e := s.cached(s.stale, key)
+	s.mu.Unlock()
+	if e == nil {
 		return nil, false
 	}
-	res := v.(*bench.Result)
-	if sum != 0 && sum != resultChecksum(res) {
-		return nil, false
-	}
-	return res, true
+	return e.val.(*Encoded), true
 }
 
 // DoTask runs an arbitrary deterministic function on the worker pool with
@@ -400,21 +425,16 @@ func (s *Scheduler) DoTask(ctx context.Context, tenant, metric, key string, fn f
 	full := "tenant/" + tenant + "|" + key
 
 	s.mu.Lock()
+	e := s.cached(s.tenants[tenant], full)
 	if s.closed {
 		s.mu.Unlock()
-		return nil, Miss, fmt.Errorf("sched: scheduler is closed")
+		return nil, Miss, errClosed
 	}
-	if c := s.tenants[tenant]; c != nil {
-		if v, sum, ok := c.get(full); ok {
-			if sum == 0 || sum == resultChecksum(v) {
-				s.mu.Unlock()
-				s.metrics.cacheHits.Add(1)
-				s.metrics.tenantHit(tenant)
-				return v, Hit, nil
-			}
-			c.remove(full)
-			s.metrics.cacheCorruptions.Add(1)
-		}
+	if e != nil {
+		s.mu.Unlock()
+		s.metrics.cacheHits.Add(1)
+		s.metrics.tenantHit(tenant)
+		return e.val, Hit, nil
 	}
 	if t, ok := s.flight[full]; ok {
 		t.waiters++
@@ -516,48 +536,66 @@ func (s *Scheduler) worker() {
 			continue
 		}
 		start := time.Now()
-		t.res, t.err = s.execute(t.job, t.key, t.abandon)
+		res, err := s.execute(t.job, t.key, t.abandon)
 		s.metrics.observe(t.job.Benchmark, time.Since(start))
 		s.metrics.inFlight.Add(-1)
 		s.metrics.jobsRun.Add(1)
-		if t.err == nil && t.res != nil {
-			var wi, li int64
-			for _, tr := range t.res.Traces {
-				wi += tr.Dyn.Total
-				li += tr.LaneInstrs
-			}
-			s.metrics.warpInstrs.Add(wi)
-			s.metrics.laneInstrs.Add(li)
-		}
-
-		s.mu.Lock()
-		if s.flight[t.key] == t {
-			// An abandoned task was already unlinked — and its key may now
-			// belong to a fresh task — so only remove our own registration.
-			delete(s.flight, t.key)
-		}
-		// Cache every completed execution, including deterministic FL and
-		// ABT outcomes (they are as reproducible as OK ones). Infra
-		// errors — bad names, timeouts, panics — are not cached, so a
-		// transient failure is retried on the next request.
-		if t.err == nil {
-			sum := resultChecksum(t.res)
-			if s.cache != nil {
-				cached := sum
-				if s.opts.Injector.CorruptStore(t.key) {
-					// An injected corruption flips the stored checksum, not
-					// the shared result, so waiters holding the pointer are
-					// unaffected; the next cache read detects the mismatch.
-					cached ^= corruptFlip
-				}
-				s.cache.add(t.key, t.res, cached)
-			}
-			// Remember the last known good result for degraded serving.
-			s.stale.add(t.key, t.res, sum)
-		}
-		s.mu.Unlock()
-		close(t.done)
+		s.complete(t, res, err)
 	}
+}
+
+// complete settles a benchmark task with the outcome of its execution:
+// encode, cache, release the waiters.
+func (s *Scheduler) complete(t *task, res *bench.Result, err error) {
+	if err == nil && res != nil {
+		var wi, li int64
+		for _, tr := range res.Traces {
+			wi += tr.Dyn.Total
+			li += tr.LaneInstrs
+		}
+		s.metrics.warpInstrs.Add(wi)
+		s.metrics.laneInstrs.Add(li)
+	}
+	// Cache every completed execution, including deterministic FL and
+	// ABT outcomes (they are as reproducible as OK ones). Infra
+	// errors — bad names, timeouts, panics — are not cached, so a
+	// transient failure is retried on the next request.
+	var good *entry
+	if err == nil {
+		// The one encoding of this result: made here, on the worker
+		// goroutine and outside s.mu, and served from then on.
+		if t.enc, err = Encode(res); err == nil {
+			good = newEntry(t.key, t.enc, t.enc.JSON)
+		} else {
+			// Nothing can serve this result and no read could verify it,
+			// so it is not cached; in-process callers still get it.
+			t.enc = &Encoded{Result: res}
+			err = wrapClass(Permanent, fmt.Errorf("sched: job %s: result cannot be served: %w", t.key, err))
+		}
+	}
+	t.err = err
+
+	s.mu.Lock()
+	if s.flight[t.key] == t {
+		// An abandoned task was already unlinked — and its key may now
+		// belong to a fresh task — so only remove our own registration.
+		delete(s.flight, t.key)
+	}
+	if good != nil {
+		if s.cache != nil {
+			cached := good
+			if s.opts.Injector.CorruptStore(t.key) {
+				// An injected corruption flips the stored checksum; the
+				// next cache read detects the mismatch.
+				cached = good.corrupted()
+			}
+			s.cache.add(cached)
+		}
+		// Remember the last known good result for degraded serving.
+		s.stale.add(good)
+	}
+	s.mu.Unlock()
+	close(t.done)
 }
 
 // runTenantTask executes one generic DoTask submission with panic
@@ -591,14 +629,23 @@ func (s *Scheduler) runTenantTask(t *task) {
 	cancel()
 	s.metrics.observe(t.job.Benchmark, time.Since(start))
 	s.metrics.tasksRun.Add(1)
+	// A tenant value is handed out as a Go value, not as bytes; its
+	// encoding exists for the checksum every later hit verifies. A value
+	// that cannot be encoded cannot be verified, so it is not cached.
+	var good *entry
+	if t.err == nil {
+		if enc, err := json.Marshal(t.val); err == nil {
+			good = newEntry(t.key, t.val, enc)
+		}
+	}
 
 	s.mu.Lock()
 	if s.flight[t.key] == t {
 		delete(s.flight, t.key)
 	}
-	if t.err == nil {
+	if good != nil {
 		if c := s.tenantCacheLocked(t.tenant); c != nil {
-			c.add(t.key, t.val, resultChecksum(t.val))
+			c.add(good)
 		}
 	}
 	s.mu.Unlock()

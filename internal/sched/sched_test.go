@@ -153,15 +153,14 @@ func TestDisabledCacheReruns(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
-	a, b, d := &bench.Result{Benchmark: "a"}, &bench.Result{Benchmark: "b"}, &bench.Result{Benchmark: "d"}
-	c.add("a", a, 0)
-	c.add("b", b, 0)
+	c.add(newEntry("a", nil, nil))
+	c.add(newEntry("b", nil, nil))
 	c.get("a") // a is now most recent
-	c.add("d", d, 0)
-	if _, _, ok := c.get("b"); ok {
+	c.add(newEntry("d", nil, nil))
+	if c.get("b") != nil {
 		t.Error("b should have been evicted (least recently used)")
 	}
-	if _, _, ok := c.get("a"); !ok {
+	if c.get("a") == nil {
 		t.Error("a should have survived")
 	}
 	if c.len() != 2 {

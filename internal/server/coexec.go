@@ -47,7 +47,7 @@ type coexecRequest struct {
 	Kill            map[string]int `json:"kill,omitempty"` // deterministic mid-run device loss
 }
 
-// coexecResponse mirrors runResponse: the report plus how it was served,
+// coexecResponse mirrors the /run reply: the report plus how it was served,
 // with the run's degraded state lifted to the top level so clients can
 // treat it uniformly with /run degradation.
 type coexecResponse struct {

@@ -277,18 +277,54 @@ func (s *Server) handleCompilerPasses(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// runResponse is the POST /run reply: the result plus how it was served.
-// Degraded marks a result that did NOT come from a live (or cached-live)
-// simulation: an analytical estimate or a stale last-known-good entry,
-// served because the live path was unavailable.
-type runResponse struct {
-	Result *bench.Result `json:"result"`
-	Cached bool          `json:"cached"`
-	Served string        `json:"served"` // "miss", "hit", "shared" or "degraded"
-
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradedMode  string `json:"degraded_mode,omitempty"`  // "estimate" or "stale"
-	DegradedCause string `json:"degraded_cause,omitempty"` // why the live path failed
+// writeRun writes the POST /run reply for a scheduled result: the result
+// plus how it was served, in the two-space-indented form every endpoint
+// uses.
+//
+//	{
+//	  "result": { ... },
+//	  "cached": true,              exactly when served is "hit"
+//	  "served": "hit",             "miss", "hit", "shared" or "degraded"
+//	  "degraded": true,            the rest only on a degraded reply:
+//	  "degraded_mode": "stale",    "estimate" or "stale"
+//	  "degraded_cause": "..."      why the live path failed
+//	}
+//
+// A degraded reply marks a result that did NOT come from a live (or
+// cached-live) simulation: an analytical estimate or a stale
+// last-known-good entry, served because the live path was unavailable.
+//
+// The result is not encoded here: res.JSON was made once, when the
+// execution completed, in exactly the form this document embeds, so the
+// reply is those bytes between a fixed head and a few appended members.
+// served and degradedMode come from fixed vocabularies and need no
+// escaping; the cause is free text and gets it.
+func writeRun(w http.ResponseWriter, res *sched.Encoded, served, degradedMode, degradedCause string) {
+	const head = "{\n  \"result\": "
+	b := make([]byte, 0, len(head)+len(res.JSON)+160+len(degradedCause))
+	b = append(b, head...)
+	b = append(b, res.JSON...)
+	b = append(b, ",\n  \"cached\": "...)
+	b = strconv.AppendBool(b, served == "hit")
+	b = append(b, ",\n  \"served\": \""...)
+	b = append(b, served...)
+	b = append(b, '"')
+	if degradedMode != "" {
+		b = append(b, ",\n  \"degraded\": true,\n  \"degraded_mode\": \""...)
+		b = append(b, degradedMode...)
+		b = append(b, '"')
+		if degradedCause != "" {
+			cause, _ := json.Marshal(degradedCause) // a string always encodes
+			b = append(b, ",\n  \"degraded_cause\": "...)
+			b = append(b, cause...)
+		}
+	}
+	b = append(b, "\n}\n"...)
+	w.Header().Set("X-Cache", served)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b) //nolint:errcheck // client went away; nothing to do
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -338,8 +374,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("X-Cache", outcome.String())
-	writeJSON(w, http.StatusOK, runResponse{Result: res, Cached: outcome == sched.Hit, Served: outcome.String()})
+	writeRun(w, res, outcome.String(), "", "")
 }
 
 // serveDegraded is the tail of the degradation ladder (retry and breaker
@@ -353,32 +388,26 @@ func (s *Server) serveDegraded(w http.ResponseWriter, job sched.Job, cause error
 		if a, aerr := arch.Resolve(job.Device); aerr == nil {
 			tc := perfmodel.ToolchainFor(job.Toolchain)
 			if v, ok := perfmodel.Estimate(a, tc, spec.Metric); ok {
-				s.degradedEstimates.Add(1)
-				est := &bench.Result{
+				est, err := sched.Encode(&bench.Result{
 					Benchmark: job.Benchmark,
 					Toolchain: job.Toolchain,
 					Device:    job.Device,
 					Metric:    spec.Metric,
 					Value:     v,
 					Correct:   true,
-				}
-				w.Header().Set("X-Cache", "degraded")
-				writeJSON(w, http.StatusOK, runResponse{
-					Result: est, Served: "degraded",
-					Degraded: true, DegradedMode: "estimate", DegradedCause: cause.Error(),
 				})
-				return
+				if err == nil {
+					s.degradedEstimates.Add(1)
+					writeRun(w, est, "degraded", "estimate", cause.Error())
+					return
+				}
 			}
 		}
 	}
 	// Rung 2: stale last-known-good result.
 	if res, ok := s.sched.Stale(job.Key()); ok {
 		s.degradedStale.Add(1)
-		w.Header().Set("X-Cache", "degraded")
-		writeJSON(w, http.StatusOK, runResponse{
-			Result: res, Served: "degraded",
-			Degraded: true, DegradedMode: "stale", DegradedCause: cause.Error(),
-		})
+		writeRun(w, res, "degraded", "stale", cause.Error())
 		return
 	}
 	// Rung 3: nothing can be served. 503 with a Retry-After hint — the

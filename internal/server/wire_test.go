@@ -1,0 +1,318 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"gpucmp/internal/bench"
+	"gpucmp/internal/fault"
+	"gpucmp/internal/ptx"
+	"gpucmp/internal/sched"
+)
+
+// runResponse is the POST /run reply as a Go value. The handler does not
+// build one — it writes the cached encoding of the result between a fixed
+// head and tail (writeRun) — so this struct, encoded by json.Encoder with
+// the two-space indent every other endpoint uses, is the reference the wire
+// tests hold those bytes to, and what the other tests decode replies into.
+type runResponse struct {
+	Result *bench.Result `json:"result"`
+	Cached bool          `json:"cached"`
+	Served string        `json:"served"`
+
+	Degraded      bool   `json:"degraded,omitempty"`
+	DegradedMode  string `json:"degraded_mode,omitempty"`
+	DegradedCause string `json:"degraded_cause,omitempty"`
+}
+
+// reference is what writeJSON would have put on the wire for v.
+func reference(t *testing.T, v runResponse) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func mustEncode(t testing.TB, res *bench.Result) *sched.Encoded {
+	t.Helper()
+	e, err := sched.Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestWriteRunMatchesEncoder holds the assembled reply to the encoder's
+// output over the result shapes and serving markers that change the
+// document's structure.
+func TestWriteRunMatchesEncoder(t *testing.T) {
+	ok := &bench.Result{
+		Benchmark: "Reduce", Toolchain: "opencl", Device: "GeForce GTX480",
+		Metric: "GB/sec", Value: 93.25, KernelSeconds: 1.5e-05, EndToEndSeconds: 0.25,
+		TransferSeconds: 1e-3, Transfer: &bench.TransferParams{PCIeGBps: 5.5, LatencySeconds: 1e-5},
+		Correct: true,
+		Kernels: []bench.KernelReport{{
+			Name: "reduce<float>&co", Toolchain: "opencl", Instrs: 42, NumRegs: 9,
+			PassStats: []ptx.PassStat{{}},
+			Remarks:   []ptx.Remark{{}},
+		}},
+	}
+	results := map[string]*bench.Result{
+		"ok":            ok,
+		"FL":            {Benchmark: "RdxS", Toolchain: "opencl", Device: "Cell/BE", Metric: "MElements/sec", Value: 3},
+		"ABT":           {Benchmark: "FFT", Toolchain: "opencl", Device: "Cell/BE", Metric: "GFlops/sec", Err: errors.New("launch: <out of resources> & \"quotes\"\n\u2028")},
+		"no kernels":    {Benchmark: "BFS", Toolchain: "cuda", Device: "GeForce GTX280", Metric: "sec", Value: 0.5, Correct: true, Kernels: []bench.KernelReport{}},
+		"zero value":    {},
+		"empty reports": {Correct: true, Kernels: []bench.KernelReport{{PassStats: []ptx.PassStat{}, Remarks: []ptx.Remark{}}}},
+	}
+	markers := []runResponse{
+		{Served: "miss"},
+		{Served: "hit", Cached: true},
+		{Served: "shared"},
+		{Served: "degraded", Degraded: true, DegradedMode: "stale", DegradedCause: "sched: circuit breaker open for device <GTX480> & \"co\"\n"},
+		{Served: "degraded", Degraded: true, DegradedMode: "estimate", DegradedCause: "watchdog"},
+		{Served: "degraded", Degraded: true, DegradedMode: "stale"},
+	}
+	for name, res := range results {
+		for _, m := range markers {
+			m.Result = res
+			want := reference(t, m)
+			rec := httptest.NewRecorder()
+			writeRun(rec, mustEncode(t, res), m.Served, m.DegradedMode, m.DegradedCause)
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Errorf("%s served %s/%s:\n got %q\nwant %q", name, m.Served, m.DegradedMode, got, want)
+			}
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s: status %d", name, rec.Code)
+			}
+			h := rec.Header()
+			if h.Get("Content-Type") != "application/json" || h.Get("X-Cache") != m.Served ||
+				h.Get("Content-Length") != strconv.Itoa(len(want)) {
+				t.Errorf("%s served %s: headers %v", name, m.Served, h)
+			}
+		}
+	}
+}
+
+// postRaw posts a job to /run and returns the reply untouched.
+func postRaw(t *testing.T, url string, job sched.Job) (*http.Response, []byte) {
+	t.Helper()
+	body, err := json.Marshal(job)
+	if err != nil {
+		t.Error(err) // not Fatal: callers post from other goroutines too
+		return nil, nil
+	}
+	resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return nil, nil
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Error(err)
+	}
+	return resp, raw
+}
+
+// checkWire holds one /run reply, byte for byte and header for header, to
+// the encoder's rendering of want.
+func checkWire(t *testing.T, what string, resp *http.Response, body []byte, want runResponse) {
+	t.Helper()
+	if resp == nil {
+		return
+	}
+	ref := reference(t, want)
+	if !bytes.Equal(body, ref) {
+		t.Errorf("%s: body differs from the encoder's\n got %.200q…\nwant %.200q…", what, body, ref)
+	}
+	if resp.StatusCode != http.StatusOK ||
+		resp.Header.Get("Content-Type") != "application/json" ||
+		resp.Header.Get("X-Cache") != want.Served ||
+		resp.ContentLength != int64(len(ref)) {
+		t.Errorf("%s: status %d, Content-Length %d (want %d), headers %v",
+			what, resp.StatusCode, resp.ContentLength, len(ref), resp.Header)
+	}
+}
+
+// TestRunWireGolden drives real jobs through the handler and checks that a
+// miss, a hit, a shared join and the stale rung each put on the wire
+// exactly what json.Encoder produces for the same runResponse.
+func TestRunWireGolden(t *testing.T) {
+	t.Run("miss and hit", func(t *testing.T) {
+		ts, s := newTestServer(t)
+		for _, name := range []string{"Reduce", "MxM", "FFT", "BFS"} {
+			job := sched.Job{Benchmark: name, Device: "GeForce GTX480", Toolchain: "opencl", Config: bench.Config{Scale: 16}}
+			missResp, miss := postRaw(t, ts.URL, job)
+			hitResp, hit := postRaw(t, ts.URL, job)
+			e, ok := s.Stale(job.Key())
+			if !ok {
+				t.Fatalf("%s: nothing stored", name)
+			}
+			checkWire(t, name+" miss", missResp, miss, runResponse{Result: e.Result, Served: "miss"})
+			checkWire(t, name+" hit", hitResp, hit, runResponse{Result: e.Result, Served: "hit", Cached: true})
+		}
+	})
+
+	t.Run("shared", func(t *testing.T) {
+		// Every launch stalls, so the second identical request finds the
+		// first one in flight.
+		inj := fault.New(1, fault.Schedule{SlowRate: 1, SlowDelay: 300 * time.Millisecond})
+		s := sched.New(sched.Options{Workers: 2, Injector: inj})
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(New(s).Handler())
+		t.Cleanup(ts.Close)
+		job := sched.Job{Benchmark: "Reduce", Device: "GeForce GTX480", Toolchain: "opencl", Config: bench.Config{Scale: 16}}
+
+		var wg sync.WaitGroup
+		resps := make([]*http.Response, 2)
+		bodies := make([][]byte, 2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[0], bodies[0] = postRaw(t, ts.URL, job)
+		}()
+		// The second request goes out once the first is in flight.
+		for s.Metrics().Snapshot().CacheMisses == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		resps[1], bodies[1] = postRaw(t, ts.URL, job)
+		wg.Wait()
+		e, ok := s.Stale(job.Key())
+		if !ok || t.Failed() {
+			t.Fatal("nothing stored")
+		}
+		served := map[string]bool{}
+		for i, resp := range resps {
+			xc := resp.Header.Get("X-Cache")
+			served[xc] = true
+			checkWire(t, xc, resp, bodies[i], runResponse{Result: e.Result, Served: xc})
+		}
+		if !served["miss"] || !served["shared"] {
+			t.Errorf("served %v, want one miss and one shared join", served)
+		}
+	})
+
+	t.Run("stale", func(t *testing.T) {
+		// Find a job whose first launch is clean (it fills the stale
+		// store) and whose second hangs; "sec" has no analytical estimate,
+		// so the watchdog failure is served from the stale rung.
+		const seed = 5
+		schedule := fault.Schedule{HangRate: 0.5}
+		probe := fault.New(seed, schedule)
+		var job sched.Job
+		for scale := 16; ; scale++ {
+			if scale == 64 {
+				t.Fatalf("seed %d yields no clean-then-hang job", seed)
+			}
+			job = sched.Job{Benchmark: "Sobel", Device: "GeForce GTX480", Toolchain: "opencl", Config: bench.Config{Scale: scale}}
+			if probe.Launch(job.Key()) == nil && probe.Launch(job.Key()) != nil {
+				break
+			}
+		}
+		s := sched.New(sched.Options{
+			Workers: 1, CacheSize: -1, JobTimeout: 300 * time.Millisecond,
+			Breaker: sched.BreakerConfig{Disabled: true}, Injector: fault.New(seed, schedule),
+		})
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(New(s).Handler())
+		t.Cleanup(ts.Close)
+
+		liveResp, live := postRaw(t, ts.URL, job)
+		staleResp, stale := postRaw(t, ts.URL, job)
+		e, ok := s.Stale(job.Key())
+		if !ok {
+			t.Fatal("nothing stored")
+		}
+		checkWire(t, "live", liveResp, live, runResponse{Result: e.Result, Served: "miss"})
+		var got runResponse
+		if err := json.Unmarshal(stale, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(got.DegradedCause, "deadline") {
+			t.Errorf("cause = %q, want the watchdog's", got.DegradedCause)
+		}
+		checkWire(t, "stale", staleResp, stale, runResponse{
+			Result: e.Result, Served: "degraded",
+			Degraded: true, DegradedMode: "stale", DegradedCause: got.DegradedCause,
+		})
+	})
+}
+
+// discard is the least a ResponseWriter can be, so that what
+// AllocsPerRun counts is writeRun's own work.
+type discard struct{ h http.Header }
+
+func (d discard) Header() http.Header         { return d.h }
+func (d discard) WriteHeader(int)             {}
+func (d discard) Write(b []byte) (int, error) { return len(b), nil }
+
+// sizedResult is a result whose encoding is about n bytes.
+func sizedResult(n int) *bench.Result {
+	res := &bench.Result{Benchmark: "FFT", Toolchain: "cuda", Device: "GeForce GTX480", Metric: "GFlops/sec", Value: 1, Correct: true}
+	for i := 0; i < n/100; i++ {
+		res.Kernels = append(res.Kernels, bench.KernelReport{Name: "k" + strings.Repeat("x", 20), Toolchain: "cuda"})
+	}
+	return res
+}
+
+// TestWriteRunAllocsDoNotGrowWithResult pins the reply assembly to a small
+// constant number of allocations — the reply buffer and the header values —
+// whatever the result's size: no encoder runs on a hit.
+func TestWriteRunAllocsDoNotGrowWithResult(t *testing.T) {
+	for _, n := range []int{10 << 10, 143 << 10} {
+		e := mustEncode(t, sizedResult(n))
+		w := discard{h: http.Header{}}
+		allocs := testing.AllocsPerRun(100, func() { writeRun(w, e, "hit", "", "") })
+		if allocs > 6 {
+			t.Errorf("%d-byte result: %.0f allocations per reply, want a constant <= 6", len(e.JSON), allocs)
+		}
+	}
+}
+
+// BenchmarkRunHit is POST /run for a cached key through the routed handler
+// into a recorder: decode and validate the job, Scheduler.Do, write the
+// reply. No sockets.
+func BenchmarkRunHit(b *testing.B) {
+	for _, bc := range []struct{ name, benchmark string }{
+		{"10KB", "St2D"},
+		{"FFT", "FFT"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := sched.New(sched.Options{})
+			defer s.Close()
+			h := New(s).Handler()
+			body, _ := json.Marshal(sched.Job{Benchmark: bc.benchmark, Device: "GeForce GTX480", Toolchain: "cuda", Config: bench.Config{Scale: 16}})
+			post := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+				return rec
+			}
+			if rec := post(); rec.Code != http.StatusOK {
+				b.Fatalf("warm-up: %d %s", rec.Code, rec.Body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := post()
+				if rec.Header().Get("X-Cache") != "hit" {
+					b.Fatalf("X-Cache = %q", rec.Header().Get("X-Cache"))
+				}
+				b.SetBytes(int64(rec.Body.Len()))
+			}
+		})
+	}
+}

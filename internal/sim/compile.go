@@ -42,10 +42,10 @@ import (
 type uKind uint8
 
 const (
-	uALUFull uKind = iota // any unguarded ALU op via execALUFast
-	uALUGuard             // guarded ALU op: guard mask + count fixup
-	uMemFull              // unguarded memory op via execMemFast
-	uMemGuard             // guarded memory op
+	uALUFull  uKind = iota // any unguarded ALU op via execALUFast
+	uALUGuard              // guarded ALU op: guard mask + count fixup
+	uMemFull               // unguarded memory op via execMemFast
+	uMemGuard              // guarded memory op
 
 	// Specialised memory arms (compilemem.go): register-addressed,
 	// unguarded shared/global accesses with full-mask classification.

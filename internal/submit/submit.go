@@ -275,13 +275,13 @@ type DeviceRun struct {
 // compiler story per toolchain, the execution matrix, and a line diff of
 // the two personalities' generated PTX.
 type Report struct {
-	Kernel      string              `json:"kernel"`
-	Grid        int                 `json:"grid"`
-	Block       int                 `json:"block"`
+	Kernel      string               `json:"kernel"`
+	Grid        int                  `json:"grid"`
+	Block       int                  `json:"block"`
 	Compile     []bench.KernelReport `json:"compile"`
-	Runs        []DeviceRun         `json:"runs"`
-	PTXDiff     []string            `json:"ptx_diff,omitempty"`
-	Watchdogged bool                `json:"watchdogged,omitempty"`
+	Runs        []DeviceRun          `json:"runs"`
+	PTXDiff     []string             `json:"ptx_diff,omitempty"`
+	Watchdogged bool                 `json:"watchdogged,omitempty"`
 }
 
 // Run compiles the submission with both personalities and executes it on
