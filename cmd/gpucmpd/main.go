@@ -8,9 +8,6 @@
 // launch. POST /coexec splits one workload across several modelled
 // devices with transfer-inclusive scheduling and survives mid-run
 // device loss (see -inject-transfer-rate / -inject-device-lost-rate).
-// -sim-engine selects the interpreter implementation (threaded, fast or
-// reference — all bit-identical, threaded fastest) for live A/B runs;
-// /metrics reports per-engine retirement and fusion counters either way.
 //
 //	gpucmpd -addr :8480 &
 //	curl localhost:8480/healthz
@@ -45,7 +42,6 @@ import (
 	"gpucmp/internal/fault"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/server"
-	"gpucmp/internal/sim"
 	"gpucmp/internal/submit"
 )
 
@@ -77,15 +73,8 @@ func main() {
 	injectTransferRate := flag.Float64("inject-transfer-rate", 0, "serving mode: fraction of POST /coexec shard launches failed with a transfer error (0 disables)")
 	injectDeviceLostRate := flag.Float64("inject-device-lost-rate", 0, "serving mode: fraction of POST /coexec shard launches that kill the whole device (0 disables)")
 	injectMaxPerKey := flag.Int("inject-max-per-key", 3, "serving mode: per-shard cap on injected coexec transfer errors (device losses are never capped)")
-	drainNotice := flag.Duration("drain-notice", 0, "on SIGINT/SIGTERM, hold readiness down this long before closing listeners (lets coordinator probes evict us first)")
-	simEngine := flag.String("sim-engine", sim.DefaultEngine().String(), "interpreter engine for simulated devices: threaded, fast or reference (all bit-identical; threaded is fastest)")
+	drainNotice := flag.Duration("drain-notice", 0, "on SIGINT/SIGTERM, hold readiness down this long before closing listeners (lets coordinator probes evict us first: allow three probe intervals)")
 	flag.Parse()
-
-	eng, ok := sim.ParseEngine(*simEngine)
-	if !ok {
-		log.Fatalf("gpucmpd: -sim-engine %q: want threaded, fast or reference", *simEngine)
-	}
-	sim.SetDefaultEngine(eng)
 
 	if *pprofAddr != "" {
 		// pprof gets its own listener so profiling endpoints never ride on

@@ -1,17 +1,16 @@
 // Command simbench measures the simulator's own execution speed — not the
 // modelled GPU performance, but how fast the host interprets kernels. Each
-// paper benchmark runs per device under a grid of interpreter profiles:
-// the retained reference interpreter, the predecoded fast engine and the
-// threaded (superinstruction-fusing, block-compiling) engine, the latter
-// two both sequentially and with per-CU engine parallelism. Wall time,
-// warp-instruction throughput, heap-allocation cost and the threaded
+// paper benchmark runs per device under three interpreter profiles: the
+// retained reference interpreter, and the production (threaded) engine
+// both sequentially and with per-CU engine parallelism. Wall time,
+// warp-instruction throughput, heap-allocation cost and the production
 // engine's superinstruction hit rate are recorded per cell. The output is
 // the evidence file for the interpreter-optimisation work: BENCH_sim.json
-// (schema v2) carries per-cell numbers plus per-profile geometric means.
+// (schema v3) carries per-cell numbers plus per-profile geometric means.
 //
-// CI runs a short profile (-scale 4 -engine threaded -reps 1) as a smoke
-// gate with -minspeedup and -maxallocs thresholds; the committed
-// BENCH_sim.json is produced by the default profile.
+// CI runs a short profile (-scale 4 -reps 2) as a smoke gate with
+// -minspeedup and -maxallocs thresholds; the committed BENCH_sim.json is
+// produced by the default profile.
 package main
 
 import (
@@ -40,8 +39,6 @@ type profile struct {
 
 var allProfiles = []profile{
 	{"reference", sim.EngineReference, false},
-	{"fast-seq", sim.EngineFast, false},
-	{"fast-par", sim.EngineFast, true},
 	{"threaded-seq", sim.EngineThreaded, false},
 	{"threaded-par", sim.EngineThreaded, true},
 }
@@ -51,7 +48,7 @@ type Record struct {
 	Benchmark string `json:"benchmark"`
 	Device    string `json:"device"`
 	Profile   string `json:"profile"`  // e.g. "threaded-seq"
-	Engine    string `json:"engine"`   // "reference", "fast" or "threaded"
+	Engine    string `json:"engine"`   // "reference" or "threaded"
 	Parallel  bool   `json:"parallel"` // per-CU engine parallelism
 
 	WallSeconds  float64 `json:"wall_seconds"` // best of -reps runs
@@ -70,16 +67,13 @@ type Record struct {
 
 // Summary aggregates the grid per profile.
 type Summary struct {
-	Schema   int    `json:"schema"` // 2
+	Schema   int    `json:"schema"` // 3
 	Profile  string `json:"profile"`
 	HostCPUs int    `json:"host_cpus"`
 
 	// GeomeanSpeedup is each profile's geometric-mean speedup over the
 	// reference interpreter across all completed cells.
 	GeomeanSpeedup map[string]float64 `json:"geomean_speedup"`
-	// ThreadedOverFast is the headline ratio: threaded-seq geomean speedup
-	// divided by fast-seq geomean speedup (only when both profiles ran).
-	ThreadedOverFast float64 `json:"threaded_over_fast_geomean,omitempty"`
 	// Speedups holds per-cell speedups over reference: profile -> cell.
 	Speedups map[string]map[string]float64 `json:"speedups"`
 	// AllocsGeo is each profile's geomean heap allocations per million
@@ -90,7 +84,7 @@ type Summary struct {
 	SuperinstrHitRateMean map[string]float64 `json:"superinstr_hit_rate_mean,omitempty"`
 }
 
-// Output is the BENCH_sim.json document (schema v2).
+// Output is the BENCH_sim.json document (schema v3).
 type Output struct {
 	Summary Summary  `json:"summary"`
 	Records []Record `json:"records"`
@@ -121,7 +115,6 @@ func run(spec bench.Spec, dev *arch.Device, cfg bench.Config, p profile) (float6
 		return 0, 0, 0, super, fmt.Errorf("driver exposes no simulated device")
 	}
 	sd.Engine = p.engine
-	sd.Reference = p.engine == sim.EngineReference
 	sd.Parallel = p.parallel
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -164,12 +157,14 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
+// headline is the profile a bare -minspeedup / -maxallocs number gates.
+const headline = "threaded-seq"
+
 // gateSpec is a per-profile threshold flag: either a bare number applied
-// to the headline profile (threaded-seq when it runs, else fast-seq), or a
-// comma list of profile=value pairs.
+// to the headline profile, or a comma list of profile=value pairs.
 type gateSpec map[string]float64
 
-func parseGates(s, headline string) (gateSpec, error) {
+func parseGates(s string) (gateSpec, error) {
 	g := gateSpec{}
 	if s == "" || s == "0" {
 		return g, nil
@@ -199,9 +194,8 @@ func main() {
 	reps := flag.Int("reps", 3, "runs per cell; best wall time wins")
 	out := flag.String("out", "BENCH_sim.json", "output path ('-' for stdout)")
 	only := flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
-	engine := flag.String("engine", "", "restrict to one optimised engine: fast or threaded (reference always runs as the baseline)")
 	par := flag.String("engine-parallelism", "", "restrict parallelism: on or off (default: both)")
-	minSpeedup := flag.String("minspeedup", "", "fail if a profile's geomean speedup over reference is below this; bare number gates the headline profile, or profile=value,...")
+	minSpeedup := flag.String("minspeedup", "", "fail if a profile's geomean speedup over reference is below this; bare number gates threaded-seq, or profile=value,...")
 	maxAllocs := flag.String("maxallocs", "", "fail if a profile's geomean allocs per million warp-instrs exceeds this; same syntax as -minspeedup")
 	requirePar := flag.Bool("requirepar", false, "fail unless threaded-par beats threaded-seq (geomean wall time); skipped with a warning on a single-CPU host")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -227,28 +221,16 @@ func main() {
 
 	profiles := []profile{allProfiles[0]} // reference is always the baseline
 	for _, p := range allProfiles[1:] {
-		if *engine != "" && p.engine.String() != *engine {
-			continue
-		}
 		if *par == "off" && p.parallel || *par == "on" && !p.parallel {
 			continue
 		}
 		profiles = append(profiles, p)
 	}
-	if len(profiles) == 1 {
-		log.Fatalf("simbench: no optimised profiles selected (engine=%q, engine-parallelism=%q)", *engine, *par)
-	}
-	headline := "fast-seq"
-	for _, p := range profiles {
-		if p.name == "threaded-seq" || p.name == "threaded-par" && headline == "fast-seq" {
-			headline = p.name
-		}
-	}
-	minGate, err := parseGates(*minSpeedup, headline)
+	minGate, err := parseGates(*minSpeedup)
 	if err != nil {
 		log.Fatalf("simbench: -minspeedup: %v", err)
 	}
-	maxGate, err := parseGates(*maxAllocs, headline)
+	maxGate, err := parseGates(*maxAllocs)
 	if err != nil {
 		log.Fatalf("simbench: -maxallocs: %v", err)
 	}
@@ -256,7 +238,7 @@ func main() {
 	devices := []*arch.Device{arch.GTX280(), arch.GTX480(), arch.HD5870()}
 
 	var o Output
-	o.Summary.Schema = 2
+	o.Summary.Schema = 3
 	o.Summary.Profile = fmt.Sprintf("scale=%d reps=%d", *scale, *reps)
 	o.Summary.HostCPUs = runtime.NumCPU()
 	o.Summary.GeomeanSpeedup = map[string]float64{}
@@ -357,18 +339,12 @@ func main() {
 	for name, xs := range hitRates {
 		o.Summary.SuperinstrHitRateMean[name] = math.Round(mean(xs)*1000) / 1000
 	}
-	if f, t := o.Summary.GeomeanSpeedup["fast-seq"], o.Summary.GeomeanSpeedup["threaded-seq"]; f > 0 && t > 0 {
-		o.Summary.ThreadedOverFast = math.Round(t/f*1000) / 1000
-	}
 
 	fmt.Println()
 	for _, p := range profiles[1:] {
 		n := len(speedups[p.name])
 		fmt.Printf("%-13s geomean speedup %6.3fx over %d cells; allocs/MWI geomean %.1f\n",
 			p.name, o.Summary.GeomeanSpeedup[p.name], n, o.Summary.AllocsGeo[p.name])
-	}
-	if o.Summary.ThreadedOverFast > 0 {
-		fmt.Printf("threaded-seq over fast-seq: %.3fx\n", o.Summary.ThreadedOverFast)
 	}
 
 	data, err := json.MarshalIndent(&o, "", "  ")

@@ -24,8 +24,8 @@ import (
 type Config struct {
 	// Workers are the worker gpucmpd base URLs (e.g.
 	// "http://127.0.0.1:8481"). They seed the ring; the readiness probe
-	// loop removes workers whose /healthz/ready stops answering 200 and
-	// re-adds them when they recover.
+	// loop removes workers whose /healthz/ready keeps failing to answer
+	// 200 and re-adds them when they recover.
 	Workers []string
 	// VirtualNodes per ring member (default DefaultVirtualNodes).
 	VirtualNodes int
@@ -110,6 +110,9 @@ type Coordinator struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	probeWG  sync.WaitGroup
+	// misses counts each worker's consecutive failed readiness probes; only
+	// probeOnce touches it.
+	misses map[string]int
 }
 
 // New builds a coordinator over the configured workers. Every worker
@@ -127,6 +130,7 @@ func New(cfg Config) *Coordinator {
 		breakers: make(map[string]*sched.Breaker),
 		flight:   make(map[string]*proxyCall),
 		stop:     make(chan struct{}),
+		misses:   make(map[string]int),
 	}
 	for _, w := range cfg.Workers {
 		c.ring.Add(w)
@@ -172,27 +176,40 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 // Metrics exposes the fleet snapshot.
 func (c *Coordinator) Metrics() Snapshot { return c.snapshot() }
 
+// probeMisses is how many consecutive failed readiness probes evict a
+// worker. One miss is not evidence: a probe's timeout is the probe interval
+// itself, so on a loaded host healthy workers miss single ticks.
+const probeMisses = 3
+
 // probeOnce checks every configured worker's readiness endpoint and
-// reconciles ring membership: a worker that stops being ready (draining,
-// crashed, partitioned) is removed — the coordinator stops routing to it
-// and its arcs fall to their ring successors — and re-added when it
-// answers 200 again.
+// reconciles ring membership: a worker that keeps failing its probe
+// (draining, crashed, partitioned) is removed — the coordinator stops
+// routing to it and its arcs fall to their ring successors — and re-added
+// the first time it answers 200 again. The last member is never removed on
+// probe evidence alone: an empty ring refuses every request, while breakers
+// and failover already cover a worker that is really dead.
 func (c *Coordinator) probeOnce() {
+	ready := make([]bool, len(c.cfg.Workers))
 	var wg sync.WaitGroup
-	for _, w := range c.cfg.Workers {
+	for i, w := range c.cfg.Workers {
 		wg.Add(1)
-		go func(w string) {
+		go func(i int, w string) {
 			defer wg.Done()
-			ready := c.probe(w)
-			switch {
-			case ready && !c.ring.Contains(w):
-				c.ring.Add(w)
-			case !ready && c.ring.Contains(w):
-				c.ring.Remove(w)
-			}
-		}(w)
+			ready[i] = c.probe(w)
+		}(i, w)
 	}
 	wg.Wait()
+	for i, w := range c.cfg.Workers {
+		if ready[i] {
+			c.misses[w] = 0
+			c.ring.Add(w)
+			continue
+		}
+		c.misses[w]++
+		if c.misses[w] >= probeMisses && c.ring.Len() > 1 {
+			c.ring.Remove(w)
+		}
+	}
 }
 
 func (c *Coordinator) probe(worker string) bool {

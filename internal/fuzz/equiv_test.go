@@ -1,15 +1,14 @@
 package fuzz
 
-// Engine-equivalence gate: every optimised interpreter (the predecoded
-// fast engine and the fused/block-compiled threaded engine) must be
-// observationally indistinguishable from the retained reference engine.
-// Every corpus program — including the hang corpus, which exercises the
-// watchdog — replays on all engines across every device and both compiler
-// personalities, and everything observable must match bit for bit: the
-// dynamic trace, the entire allocated global memory and constant segment
-// contents, and the error taxonomy (identical strings sequentially,
-// identical error class in parallel, where which compute unit's error
-// surfaces first is a legitimate race).
+// Engine-equivalence gate: the production interpreter (predecoded, fused,
+// block-compiled) must be observationally indistinguishable from the
+// retained reference engine. Every corpus program — including the hang
+// corpus, which exercises the watchdog — replays on both engines across
+// every device and both compiler personalities, and everything observable
+// must match bit for bit: the dynamic trace, the entire allocated global
+// memory and constant segment contents, and the error taxonomy (identical
+// strings sequentially, identical error class in parallel, where which
+// compute unit's error surfaces first is a legitimate race).
 
 import (
 	"errors"
@@ -26,10 +25,8 @@ import (
 	"gpucmp/internal/sim"
 )
 
-// equivEngines is the set of optimised engines checked against the
-// reference; extending the taxonomy means adding a line here and nothing
-// else.
-var equivEngines = []sim.Engine{sim.EngineFast, sim.EngineThreaded}
+// equivEngines is the set of engines checked against the reference.
+var equivEngines = []sim.Engine{sim.EngineThreaded}
 
 // equivCorpusFiles returns every corpus program, including the hang
 // corpus that the ordinary replay test skips.
@@ -72,7 +69,6 @@ func runEngineK(t *testing.T, p *Program, pk *ptx.Kernel, a *arch.Device, engine
 		t.Fatal(err)
 	}
 	dev.Engine = engine
-	dev.Reference = engine == sim.EngineReference
 	dev.Parallel = parallel
 	dev.StepBudget = budget
 	var args []uint32
@@ -176,8 +172,8 @@ func TestCorpusEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestCorpusEngineEquivalenceParallel replays the corpus with each
-// optimised engine's parallel compute units against the sequential
+// TestCorpusEngineEquivalenceParallel replays the corpus with the
+// production engine's parallel compute units against the sequential
 // reference. Successful launches must still match bit for bit (per-CU
 // statistic shards merge in a fixed order, so parallelism is invisible);
 // failing launches must fail in the same error class (which compute

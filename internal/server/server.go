@@ -603,6 +603,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE gpucmpd_compile_cache_misses_total counter\n")
 	fmt.Fprintf(w, "gpucmpd_compile_cache_misses_total %d\n", misses)
 	es := sim.GlobalEngineStats()
+	simEngines := []sim.Engine{sim.EngineThreaded, sim.EngineReference}
 	fmt.Fprintf(w, "# HELP gpucmpd_sim_superinstr_hits_total Fused-segment dispatches executed by the threaded sim engine.\n")
 	fmt.Fprintf(w, "# TYPE gpucmpd_sim_superinstr_hits_total counter\n")
 	fmt.Fprintf(w, "gpucmpd_sim_superinstr_hits_total %d\n", es.SuperinstrHits)
@@ -612,20 +613,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP gpucmpd_sim_block_compiles_total Hot fused segments compiled to micro-op form.\n")
 	fmt.Fprintf(w, "# TYPE gpucmpd_sim_block_compiles_total counter\n")
 	fmt.Fprintf(w, "gpucmpd_sim_block_compiles_total %d\n", es.BlockCompiles)
-	fmt.Fprintf(w, "# HELP gpucmpd_sim_threaded_cache_entries Threaded-program cache entries across live devices.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_sim_threaded_cache_entries gauge\n")
-	fmt.Fprintf(w, "gpucmpd_sim_threaded_cache_entries %d\n", es.ThreadedCacheSize)
 	fmt.Fprintf(w, "# HELP gpucmpd_sim_threaded_cache_evictions_total Threaded-program cache evictions.\n")
 	fmt.Fprintf(w, "# TYPE gpucmpd_sim_threaded_cache_evictions_total counter\n")
 	fmt.Fprintf(w, "gpucmpd_sim_threaded_cache_evictions_total %d\n", es.ThreadedCacheEvictions)
 	fmt.Fprintf(w, "# HELP gpucmpd_sim_engine_warp_instrs_total Warp instructions retired, by interpreter engine.\n")
 	fmt.Fprintf(w, "# TYPE gpucmpd_sim_engine_warp_instrs_total counter\n")
-	for _, eng := range []sim.Engine{sim.EngineThreaded, sim.EngineFast, sim.EngineReference} {
+	for _, eng := range simEngines {
 		fmt.Fprintf(w, "gpucmpd_sim_engine_warp_instrs_total{engine=%q} %d\n", eng, es.WarpInstrs[eng.String()])
 	}
 	fmt.Fprintf(w, "# HELP gpucmpd_sim_engine_lane_instrs_total Lane (thread) instructions retired, by interpreter engine.\n")
 	fmt.Fprintf(w, "# TYPE gpucmpd_sim_engine_lane_instrs_total counter\n")
-	for _, eng := range []sim.Engine{sim.EngineThreaded, sim.EngineFast, sim.EngineReference} {
+	for _, eng := range simEngines {
 		fmt.Fprintf(w, "gpucmpd_sim_engine_lane_instrs_total{engine=%q} %d\n", eng, es.LaneInstrs[eng.String()])
 	}
 	fmt.Fprintf(w, "# HELP gpucmpd_job_seconds Job wall latency per benchmark.\n")

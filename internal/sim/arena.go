@@ -24,12 +24,12 @@ type cuArena struct {
 	blk    fblock
 }
 
-// fblock is the fast engine's per-work-group shared state (the counterpart
-// of blockCtx). It is embedded in the arena and re-initialised per block.
+// fblock is the production engine's per-work-group shared state (the
+// counterpart of blockCtx). It is embedded in the arena and re-initialised
+// per block.
 type fblock struct {
 	cu             *cuState
-	dk             *decodedKernel
-	prog           *tProgram // fused program; nil when the plain fast engine runs
+	prog           *tProgram
 	k              *ptx.Kernel
 	grid, block    Dim3
 	ctaidX, ctaidY uint32
@@ -49,8 +49,8 @@ type fblock struct {
 	warps []fwarp
 }
 
-// fwarp is the fast engine's per-warp state (the counterpart of warpCtx),
-// recycled from the arena across blocks.
+// fwarp is the production engine's per-warp state (the counterpart of
+// warpCtx), recycled from the arena across blocks.
 type fwarp struct {
 	b          *fblock
 	warpBase   int

@@ -28,10 +28,10 @@ import (
 //
 // Execution shapes outside an arm's fast path (uniform sources, guarded
 // ops, tid/spec operands, exotic kinds) fall back to execALUFast, so the
-// arithmetic either is textually identical to the fast engine or reads
+// arithmetic either is textually identical to the interpreted path or reads
 // identical values lane by lane — which keeps the engines bit-identical.
 // Uniformity bookkeeping can be conservatively weaker here (a vector arm
-// clears the destination's uniform bit where the fast engine may have set
+// clears the destination's uniform bit where execALUFast may have set
 // it); the bit is advisory, so that can cost speed but never results.
 //
 // Partially-masked executions never reach the compiled path at all:

@@ -1,15 +1,12 @@
 package sim
 
-import (
-	"sync"
-
-	"gpucmp/internal/ptx"
-)
+import "gpucmp/internal/ptx"
 
 // This file lowers a ptx.Kernel once per (device, kernel) pair into a
-// dense table of decodedOp — the predecoded program the fast interpreter
-// in fast.go executes. Decoding resolves everything the reference
-// interpreter re-derives on every dynamic instruction: which top-level
+// dense table of decodedOp — the predecoded program the production
+// interpreter executes (fuse.go groups it into segments, threaded.go runs
+// them). Decoding resolves everything the reference interpreter
+// re-derives on every dynamic instruction: which top-level
 // handler runs (branch / barrier / ret / memory / ALU), which memory space
 // a load or store dispatches to, the exact op x type execution kind (so
 // the inner loop switches once per warp instruction instead of once per
@@ -135,29 +132,6 @@ type decodedOp struct {
 // decodedKernel is the predecoded program for one kernel.
 type decodedKernel struct {
 	ops []decodedOp
-}
-
-// decodeCache is the per-device kernel -> decoded-program cache. Kernels
-// are immutable once compiled (the compile cache hands out shared
-// pointers), so pointer identity is a sound key; keeping the cache on the
-// Device bounds its lifetime to the device's.
-type decodeCache struct {
-	mu sync.Mutex
-	m  map[*ptx.Kernel]*decodedKernel
-}
-
-func (c *decodeCache) get(k *ptx.Kernel) *decodedKernel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if dk, ok := c.m[k]; ok {
-		return dk
-	}
-	if c.m == nil {
-		c.m = make(map[*ptx.Kernel]*decodedKernel)
-	}
-	dk := decodeKernel(k)
-	c.m[k] = dk
-	return dk
 }
 
 func decodeOperand(o ptx.Operand) dOperand {

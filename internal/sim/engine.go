@@ -2,70 +2,30 @@ package sim
 
 import "sync/atomic"
 
-// Engine selects the interpreter implementation a Device uses. All engines
-// are observationally identical — same results, traces, error strings and
-// watchdog verdicts — which the full-corpus equivalence gate in
-// internal/fuzz pins. They differ only in host-side speed:
+// Engine selects the interpreter a Device uses. There are two, over one
+// semantics — same results, traces, error strings and watchdog verdicts,
+// which the full-corpus equivalence gate in internal/fuzz pins:
 //
-//   - EngineReference is the pre-optimization interpreter (warp.go), kept
-//     as the bit-identity oracle and the speedup baseline.
-//   - EngineFast adds predecoding, per-CU arenas and uniformity tracking
-//     (fast.go) — the PR 5 engine.
-//   - EngineThreaded goes past predecode to threaded code: straight-line
-//     op sequences are fused into superinstructions with a single dispatch
-//     (fuse.go), and hot fused blocks are compiled into specialised Go
-//     closures over the arena state (compile.go).
+//   - EngineThreaded, the zero value, is the production interpreter:
+//     predecoded ops (decode.go), per-CU arenas (arena.go), uniformity
+//     tracking (fast.go), straight-line runs fused into superinstructions
+//     with a single dispatch (fuse.go, threaded.go), and hot fused
+//     segments compiled into specialised Go closures (compile.go).
+//   - EngineReference is the pre-optimization interpreter (warp.go,
+//     memops.go), frozen as the bit-identity oracle and the speedup
+//     baseline.
 type Engine uint8
 
 const (
-	EngineThreaded Engine = iota // default: fused + block-compiled
-	EngineFast
+	EngineThreaded Engine = iota
 	EngineReference
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineFast:
-		return "fast"
-	case EngineReference:
+	if e == EngineReference {
 		return "reference"
-	default:
-		return "threaded"
 	}
-}
-
-// ParseEngine maps the CLI spelling to an Engine.
-func ParseEngine(s string) (Engine, bool) {
-	switch s {
-	case "threaded":
-		return EngineThreaded, true
-	case "fast":
-		return EngineFast, true
-	case "reference":
-		return EngineReference, true
-	}
-	return EngineThreaded, false
-}
-
-// defaultEngine is the engine NewDevice installs; settable process-wide so
-// a daemon can A/B engines live (gpucmpd -sim-engine).
-var defaultEngine atomic.Uint32
-
-// SetDefaultEngine changes the engine future NewDevice calls install.
-// Existing devices are unaffected.
-func SetDefaultEngine(e Engine) { defaultEngine.Store(uint32(e)) }
-
-// DefaultEngine returns the engine NewDevice currently installs.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
-
-// engine returns the effective engine of the device: the legacy Reference
-// switch (kept because the oracle role predates the Engine knob) wins over
-// the Engine field.
-func (d *Device) engine() Engine {
-	if d.Reference {
-		return EngineReference
-	}
-	return d.Engine
+	return "threaded"
 }
 
 // EngineStats is a snapshot of the process-wide interpreter counters. The
@@ -81,9 +41,8 @@ type EngineStats struct {
 	// BlockCompiles counts fused segments compiled into closures after
 	// crossing the hotness threshold.
 	BlockCompiles int64 `json:"block_compiles"`
-	// ThreadedCacheSize / ThreadedCacheEvictions describe the per-device
-	// (kernel, device) threaded-program caches, summed over live devices.
-	ThreadedCacheSize      int64 `json:"threaded_cache_size"`
+	// ThreadedCacheEvictions counts programs dropped from the bounded
+	// per-device program caches (fuse.go).
 	ThreadedCacheEvictions int64 `json:"threaded_cache_evictions"`
 
 	// Per-engine retirement counters: warp and lane instructions executed
@@ -97,11 +56,10 @@ var engineGlobals struct {
 	superHits     atomic.Int64
 	superOps      atomic.Int64
 	blockCompiles atomic.Int64
-	tcacheSize    atomic.Int64
-	tcacheEvicts  atomic.Int64
+	progEvicts    atomic.Int64
 
-	warpInstrs [3]atomic.Int64 // indexed by Engine
-	laneInstrs [3]atomic.Int64
+	warpInstrs [2]atomic.Int64 // indexed by Engine
+	laneInstrs [2]atomic.Int64
 }
 
 // GlobalEngineStats snapshots the process-wide interpreter counters.
@@ -111,8 +69,7 @@ func GlobalEngineStats() EngineStats {
 		SuperinstrHits:         g.superHits.Load(),
 		SuperinstrOps:          g.superOps.Load(),
 		BlockCompiles:          g.blockCompiles.Load(),
-		ThreadedCacheSize:      g.tcacheSize.Load(),
-		ThreadedCacheEvictions: g.tcacheEvicts.Load(),
+		ThreadedCacheEvictions: g.progEvicts.Load(),
 		WarpInstrs:             map[string]int64{},
 		LaneInstrs:             map[string]int64{},
 	}

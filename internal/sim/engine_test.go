@@ -8,6 +8,7 @@ import (
 	"gpucmp/internal/arch"
 	"gpucmp/internal/compiler"
 	"gpucmp/internal/kir"
+	"gpucmp/internal/ptx"
 )
 
 // TestAggregateNanos is the regression test for the ExecNanos aggregation
@@ -41,11 +42,10 @@ func TestExecNanosAccumulates(t *testing.T) {
 	})
 	pk := compile(t, b.MustBuild(), compiler.CUDA())
 
-	for _, eng := range []Engine{EngineThreaded, EngineFast, EngineReference} {
+	for _, eng := range []Engine{EngineThreaded, EngineReference} {
 		for _, parallel := range []bool{false, true} {
 			d := newDev(t, arch.GTX480())
 			d.Engine = eng
-			d.Reference = eng == EngineReference
 			d.Parallel = parallel
 			addr := uploadU32(t, d, make([]uint32, 1024))
 			last := d.ExecNanos()
@@ -126,7 +126,7 @@ func TestLaunchSetUpSizedToGrid(t *testing.T) {
 		pk := compile(t, kc.kernel, compiler.OpenCL())
 		run := func(eng Engine, parallel bool) result {
 			d := newDev(t, a)
-			d.Engine, d.Reference, d.Parallel = eng, eng == EngineReference, parallel
+			d.Engine, d.Parallel = eng, parallel
 			var args []uint32
 			for _, words := range kc.bufs {
 				buf := make([]uint32, words)
@@ -160,7 +160,7 @@ func TestLaunchSetUpSizedToGrid(t *testing.T) {
 		if pk.Name == "stray" && (ref.far[0] != 1 || ref.far[n] != n) {
 			t.Fatalf("stray kernel did not land past its buffer: far[0]=%d counter=%d", ref.far[0], ref.far[n])
 		}
-		for _, eng := range []Engine{EngineReference, EngineFast, EngineThreaded} {
+		for _, eng := range []Engine{EngineReference, EngineThreaded} {
 			for _, parallel := range []bool{false, true} {
 				got := run(eng, parallel)
 				if !reflect.DeepEqual(got.tr, ref.tr) {
@@ -194,5 +194,48 @@ func TestLaunchSetUpGrowsToDevice(t *testing.T) {
 			t.Errorf("after a %d-block grid: %d arenas, %d unit states, want %d",
 				step.grid, len(d.arenas), len(d.cus), step.want)
 		}
+	}
+}
+
+// TestProgramCache pins the one per-device program cache: a kernel is
+// decoded and fused on its first launch only, and the cache holds at most
+// programCacheCap programs, evicting one (and counting it) per overflow.
+func TestProgramCache(t *testing.T) {
+	d := newDev(t, arch.GTX480())
+	pk := compile(t, stressKIR(), compiler.CUDA())
+	const n = 64
+	args := []uint32{uploadU32(t, d, make([]uint32, n)), uploadU32(t, d, make([]uint32, n)), uploadU32(t, d, []uint32{0})}
+	launch := func(k *ptx.Kernel) {
+		t.Helper()
+		if _, err := d.Launch(k, Dim3{X: 1, Y: 1}, Dim3{X: n, Y: 1}, args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	launch(pk)
+	first := d.progs.m[pk]
+	if first == nil || first.dk == nil || len(first.segs) == 0 {
+		t.Fatalf("first launch cached no fused program: %+v", first)
+	}
+	launch(pk)
+	if len(d.progs.m) != 1 || d.progs.m[pk] != first {
+		t.Fatalf("second launch rebuilt the program: %d entries, reused=%v", len(d.progs.m), d.progs.m[pk] == first)
+	}
+
+	// Kernels are keyed by pointer, so copies are distinct kernels.
+	evicted := GlobalEngineStats().ThreadedCacheEvictions
+	for i := 1; i < programCacheCap; i++ {
+		k := *pk
+		launch(&k)
+	}
+	if got := GlobalEngineStats().ThreadedCacheEvictions - evicted; len(d.progs.m) != programCacheCap || got != 0 {
+		t.Fatalf("at capacity: %d entries, %d evictions, want %d and 0", len(d.progs.m), got, programCacheCap)
+	}
+	k := *pk
+	launch(&k)
+	if got := GlobalEngineStats().ThreadedCacheEvictions - evicted; len(d.progs.m) != programCacheCap || got != 1 {
+		t.Fatalf("one past capacity: %d entries, %d evictions, want %d and 1", len(d.progs.m), got, programCacheCap)
+	}
+	if d.progs.m[&k] == nil {
+		t.Fatal("the newest program is not the one cached")
 	}
 }

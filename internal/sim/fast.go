@@ -5,16 +5,16 @@ import (
 	"math"
 	"math/bits"
 
-	"gpucmp/internal/mem"
 	"gpucmp/internal/ptx"
 )
 
-// This file is the optimised execution engine: it runs the predecoded
-// program from decode.go over the per-CU arena from arena.go. It is
+// This file is the production engine's block set-up and per-op execution:
+// it runs the predecoded program from decode.go over the per-CU arena from
+// arena.go (the warp loop that dispatches the ops is in threaded.go). It is
 // observationally identical to the reference interpreter in warp.go — same
 // results, same traces, same error strings, same watchdog verdicts — and
 // that equivalence is pinned by the corpus-replay gate in internal/fuzz.
-// Three things make it fast:
+// Three things make the per-op work fast:
 //
 //  1. The op x type switch runs once per warp instruction (execALUFast)
 //     instead of once per lane, and operands are aliased in place instead
@@ -33,7 +33,7 @@ import (
 //     what the reference derives per lane) and perform a single backing
 //     access; non-uniform accesses classify the warp in one pass through
 //     the mem.*Fast routines.
-func (cu *cuState) runBlockFast(dk *decodedKernel, prog *tProgram, k *ptx.Kernel, grid, block Dim3, bx, by int) error {
+func (cu *cuState) runBlockFast(prog *tProgram, k *ptx.Kernel, grid, block Dim3, bx, by int) error {
 	W := cu.dev.Arch.SIMDWidth
 	if W > 64 {
 		return fmt.Errorf("sim: SIMD width %d exceeds the 64-lane model limit", W)
@@ -41,7 +41,6 @@ func (cu *cuState) runBlockFast(dk *decodedKernel, prog *tProgram, k *ptx.Kernel
 	ar := cu.arena
 	fb := &ar.blk
 	fb.cu = cu
-	fb.dk = dk
 	fb.prog = prog
 	fb.k = k
 	fb.grid, fb.block = grid, block
@@ -109,7 +108,7 @@ func (cu *cuState) runBlockFast(dk *decodedKernel, prog *tProgram, k *ptx.Kernel
 		}
 		w.fullMask = mask
 		w.tidUni[0], w.tidUni[1] = uniX, uniY
-		w.frames = append(w.frames[:0], frame{pc: 0, mask: mask, reconv: len(dk.ops)})
+		w.frames = append(w.frames[:0], frame{pc: 0, mask: mask, reconv: len(prog.dk.ops)})
 		w.atBarrier, w.done = false, false
 	}
 
@@ -126,13 +125,7 @@ func (cu *cuState) runBlockFast(dk *decodedKernel, prog *tProgram, k *ptx.Kernel
 			if w.atBarrier {
 				continue
 			}
-			var err error
-			if prog != nil {
-				err = w.runThreaded()
-			} else {
-				err = w.run()
-			}
-			if err != nil {
+			if err := w.runThreaded(); err != nil {
 				return err
 			}
 		}
@@ -241,99 +234,6 @@ func (w *fwarp) guardMask(d *decodedOp, mask uint64) uint64 {
 		}
 	}
 	return out
-}
-
-// run executes the warp over the predecoded program until it completes or
-// reaches a barrier. Control flow, step accounting and error strings
-// mirror warpCtx.run exactly.
-func (w *fwarp) run() error {
-	fb := w.b
-	ops := fb.dk.ops
-	cu := fb.cu
-	for len(w.frames) > 0 {
-		fi := len(w.frames) - 1
-		f := w.frames[fi]
-		if f.pc >= len(ops) || f.pc == f.reconv || f.mask == 0 {
-			w.frames = w.frames[:fi]
-			continue
-		}
-		fb.steps++
-		if fb.budget > 0 && fb.steps > fb.budget {
-			return fmt.Errorf("sim: %s: block (%d,%d) exceeded the %d warp-instruction step budget: %w",
-				fb.k.Name, fb.ctaidX, fb.ctaidY, fb.budget, ErrWatchdog)
-		}
-		if fb.steps%CheckpointInterval == 0 {
-			if cu.dev.cancelled.Load() {
-				return fmt.Errorf("sim: %s: cancelled at step %d: %w", fb.k.Name, fb.steps, ErrWatchdog)
-			}
-			if fb.abort != nil && fb.abort.Load() {
-				return errAborted
-			}
-		}
-
-		d := &ops[f.pc]
-		active := f.mask
-		if d.guard >= 0 {
-			active = w.guardMask(d, f.mask)
-		}
-		lanes := mem.ActiveLanes(active)
-
-		switch d.kind {
-		case dkBra:
-			cu.countOp(ptx.OpBra, ptx.SpaceNone, lanes)
-			cu.branches++
-			taken := active
-			if d.guard < 0 {
-				taken = f.mask
-			}
-			switch {
-			case taken == f.mask:
-				w.frames[fi].pc = int(d.target)
-			case taken == 0:
-				w.frames[fi].pc = f.pc + 1
-			default:
-				cu.divergent++
-				w.frames[fi].pc = int(d.join)
-				w.frames = append(w.frames,
-					frame{pc: f.pc + 1, mask: f.mask &^ taken, reconv: int(d.join)},
-					frame{pc: int(d.target), mask: taken, reconv: int(d.join)},
-				)
-			}
-
-		case dkBar:
-			cu.countOp(ptx.OpBar, ptx.SpaceNone, lanes)
-			cu.barriers++
-			w.frames[fi].pc = f.pc + 1
-			w.atBarrier = true
-			return nil
-
-		case dkRet:
-			cu.countOp(ptx.OpRet, ptx.SpaceNone, lanes)
-			for i := range w.frames {
-				w.frames[i].mask &^= active
-			}
-			w.frames[fi].pc = f.pc + 1
-
-		case dkMem:
-			cu.countOp(d.op, d.space, lanes)
-			if active != 0 {
-				if err := w.execMemFast(d, active); err != nil {
-					in := &fb.k.Instrs[f.pc]
-					return fmt.Errorf("sim: %s: pc %d (%s): %w", fb.k.Name, f.pc, in.Mnemonic(), err)
-				}
-			}
-			w.frames[fi].pc = f.pc + 1
-
-		default: // dkALU
-			cu.countOp(d.op, ptx.SpaceNone, lanes)
-			if active != 0 {
-				w.execALUFast(d, active)
-			}
-			w.frames[fi].pc = f.pc + 1
-		}
-	}
-	w.done = true
-	return nil
 }
 
 // execALUFast evaluates one ALU instruction. The switch is hoisted out of

@@ -37,13 +37,12 @@ func cancelProbeKIR() *kir.Kernel {
 // instead of returning the error. Both engines must observe the abort.
 func TestLaunchErrorCancelsSiblings(t *testing.T) {
 	pk := compile(t, cancelProbeKIR(), compiler.CUDA())
-	for _, eng := range []Engine{EngineThreaded, EngineFast, EngineReference} {
+	for _, eng := range []Engine{EngineThreaded, EngineReference} {
 		eng := eng
 		t.Run(eng.String(), func(t *testing.T) {
 			d := newDev(t, arch.GTX480())
 			d.Parallel = true
 			d.Engine = eng
-			d.Reference = eng == EngineReference
 			d.StepBudget = 0 // unbounded: the watchdog cannot save us
 			out := uploadU32(t, d, make([]uint32, 64))
 
@@ -96,10 +95,10 @@ func stressKIR() *kir.Kernel {
 }
 
 // TestParallelMatchesSequentialStress pins the bit-identical contract at
-// the optimised engines' hot paths under -race: each of fast and threaded,
-// sequential and parallel, must produce the same memory image and a
-// DeepEqual trace as the sequential reference engine for a kernel with
-// divergence, shared memory, barriers and atomics.
+// the production engine's hot paths under -race: sequential and parallel,
+// it must produce the same memory image and a DeepEqual trace as the
+// sequential reference engine for a kernel with divergence, shared memory,
+// barriers and atomics.
 func TestParallelMatchesSequentialStress(t *testing.T) {
 	const (
 		blocks    = 33 // not a multiple of the unit count: uneven tails
@@ -114,7 +113,6 @@ func TestParallelMatchesSequentialStress(t *testing.T) {
 		d := newDev(t, arch.GTX480())
 		d.Parallel = parallel
 		d.Engine = eng
-		d.Reference = eng == EngineReference
 		pk := compile(t, stressKIR(), compiler.OpenCL())
 		inAddr := uploadU32(t, d, in)
 		outAddr := uploadU32(t, d, make([]uint32, n))
@@ -135,19 +133,17 @@ func TestParallelMatchesSequentialStress(t *testing.T) {
 		return tr, outv, ctrv[0]
 	}
 	trRef, outRef, ctrRef := run(false, EngineReference)
-	for _, eng := range []Engine{EngineFast, EngineThreaded} {
-		for _, parallel := range []bool{false, true} {
-			tr, out, ctr := run(parallel, eng)
-			label := eng.String()
-			if parallel {
-				label += "/parallel"
-			}
-			if !reflect.DeepEqual(out, outRef) || ctr != ctrRef {
-				t.Fatalf("%s engine output differs from reference engine", label)
-			}
-			if !reflect.DeepEqual(tr, trRef) {
-				t.Fatalf("%s trace differs:\nref: %s\ngot: %s", label, trRef.Summary(), tr.Summary())
-			}
+	for _, parallel := range []bool{false, true} {
+		tr, out, ctr := run(parallel, EngineThreaded)
+		label := EngineThreaded.String()
+		if parallel {
+			label += "/parallel"
+		}
+		if !reflect.DeepEqual(out, outRef) || ctr != ctrRef {
+			t.Fatalf("%s engine output differs from reference engine", label)
+		}
+		if !reflect.DeepEqual(tr, trRef) {
+			t.Fatalf("%s trace differs:\nref: %s\ngot: %s", label, trRef.Summary(), tr.Summary())
 		}
 	}
 	if trRef.DivergentBranches == 0 || trRef.Mem.AtomicOps == 0 || trRef.Mem.SharedAccesses == 0 {

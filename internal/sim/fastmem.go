@@ -8,7 +8,7 @@ import (
 	"gpucmp/internal/ptx"
 )
 
-// Fast-engine memory path. Counter accounting, cache-walk order, bounds
+// Production memory path. Counter accounting, cache-walk order, bounds
 // checks and error strings mirror memops.go exactly. The structural
 // difference is how the warp's address pattern is classified: a uniform
 // base register short-circuits the whole derivation (one segment, one

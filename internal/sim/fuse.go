@@ -7,8 +7,8 @@ import (
 	"gpucmp/internal/ptx"
 )
 
-// This file builds the threaded engine's fused program: straight-line runs
-// of predecoded ALU and memory ops are grouped into superinstruction
+// This file builds the production interpreter's program: straight-line
+// runs of predecoded ALU and memory ops are grouped into superinstruction
 // segments that execute under a single dispatch (threaded.go), and hot
 // segments are compiled into closure sequences (compile.go). Fusion is a
 // pure analysis over []decodedOp — it never changes what executes, only
@@ -21,10 +21,9 @@ const (
 	// prologue code executed once per warp never pays the compile.
 	compileThreshold = 8
 
-	// threadedCacheCap bounds the per-device fused-program cache, mirroring
-	// the predecode cache's role but with an explicit ceiling because fused
-	// programs additionally pin compiled closures.
-	threadedCacheCap = 256
+	// programCacheCap bounds the per-device program cache: an entry pins
+	// its decoded ops and every closure compiled for its hot segments.
+	programCacheCap = 256
 )
 
 // tSeg is one fused superinstruction: the ops in [start, end) are all
@@ -49,25 +48,28 @@ type tSeg struct {
 	nUnguarded int32
 }
 
-// tProgram is the fused form of one decoded kernel on one device. segAt
-// maps a pc to the segment starting there (-1 otherwise); the interpreter
-// consults it once per dispatch.
+// tProgram is one kernel lowered for one device: the predecoded ops (dk)
+// and their grouping into segments. segAt maps a pc to the segment
+// starting there (-1 otherwise); the interpreter consults it once per
+// dispatch.
 type tProgram struct {
 	dk    *decodedKernel
 	segs  []tSeg
 	segAt []int32
 }
 
-// threadedCache caches fused programs per kernel, keyed by pointer
-// identity like the predecode cache (kernels are immutable and shared).
-// It is bounded: at capacity an arbitrary entry is evicted, counted in the
-// process-wide engine stats so a fleet can see churn on /metrics.
-type threadedCache struct {
+// programCache is the per-device kernel -> program cache, looked up once
+// per launch. Kernels are immutable once compiled (the compile cache hands
+// out shared pointers), so pointer identity is a sound key; keeping the
+// cache on the Device bounds its lifetime to the device's. At capacity an
+// arbitrary entry is evicted, counted in the process-wide engine stats so
+// a fleet can see churn on /metrics.
+type programCache struct {
 	mu sync.Mutex
 	m  map[*ptx.Kernel]*tProgram
 }
 
-func (c *threadedCache) get(k *ptx.Kernel, dk *decodedKernel) *tProgram {
+func (c *programCache) get(k *ptx.Kernel) *tProgram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p, ok := c.m[k]; ok {
@@ -76,17 +78,15 @@ func (c *threadedCache) get(k *ptx.Kernel, dk *decodedKernel) *tProgram {
 	if c.m == nil {
 		c.m = make(map[*ptx.Kernel]*tProgram)
 	}
-	if len(c.m) >= threadedCacheCap {
+	if len(c.m) >= programCacheCap {
 		for key := range c.m {
 			delete(c.m, key)
-			engineGlobals.tcacheSize.Add(-1)
-			engineGlobals.tcacheEvicts.Add(1)
+			engineGlobals.progEvicts.Add(1)
 			break
 		}
 	}
-	p := fuseKernel(dk)
+	p := fuseKernel(decodeKernel(k))
 	c.m[k] = p
-	engineGlobals.tcacheSize.Add(1)
 	return p
 }
 

@@ -72,8 +72,8 @@ type Device struct {
 	// Parallel controls whether compute units run on separate goroutines.
 	Parallel bool
 
-	// Engine selects the interpreter implementation (threaded, fast or
-	// reference); NewDevice installs the process default (DefaultEngine).
+	// Engine selects the interpreter: the zero value is the production
+	// engine, EngineReference the oracle (see engine.go).
 	Engine Engine
 
 	// StepBudget bounds the warp instructions one work-group may execute
@@ -82,24 +82,16 @@ type Device struct {
 	// and of how blocks are scheduled across compute units.
 	StepBudget uint64
 
-	// Reference selects the pre-optimization interpreter (warp.go) instead
-	// of the predecoded fast engine (fast.go). Both produce bit-identical
-	// results and traces; the reference engine exists as the equivalence
-	// oracle and the speedup baseline for simbench.
-	Reference bool
-
 	// cancelled is the host-side kill switch, set by Cancel and polled at
 	// watchdog checkpoints inside the warp interpreter loop.
 	cancelled atomic.Bool
 
-	// dec caches predecoded programs per kernel; tcache the fused threaded
-	// programs built on top of them; arenas hold each compute unit's
-	// reusable block-execution state and cus the reusable per-unit
-	// cache/counter shards (fast/threaded engines only — the reference
-	// engine builds fresh state per launch, as the pre-optimization code
-	// did).
-	dec    decodeCache
-	tcache threadedCache
+	// progs caches each kernel's predecoded, fused program; arenas hold
+	// each compute unit's reusable block-execution state and cus the
+	// reusable per-unit cache/counter shards (production engine only — the
+	// reference engine builds fresh state per launch, as the
+	// pre-optimization code did).
+	progs  programCache
 	arenas []*cuArena
 	cus    []*cuState
 
@@ -175,7 +167,6 @@ func NewDevice(a *arch.Device) (*Device, error) {
 		constSeg:   make([]uint32, constSegBytes/4),
 		constBrk:   paramAreaBytes,
 		Parallel:   true,
-		Engine:     DefaultEngine(),
 		StepBudget: DefaultStepBudget,
 	}, nil
 }
@@ -289,15 +280,11 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 	numCU := d.Arch.ComputeUnits
 	totalBlocks := grid.Count()
 	active := min(numCU, totalBlocks)
-	eng := d.engine()
+	eng := d.Engine
 	useFast := eng != EngineReference
-	var dk *decodedKernel
 	var prog *tProgram
 	if useFast {
-		dk = d.dec.get(k)
-		if eng == EngineThreaded {
-			prog = d.tcache.get(k, dk)
-		}
+		prog = d.progs.get(k)
 		for len(d.arenas) < active {
 			d.arenas = append(d.arenas, &cuArena{})
 		}
@@ -339,7 +326,7 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 			by := b / grid.X
 			var err error
 			if useFast {
-				err = cu.runBlockFast(dk, prog, k, grid, block, bx, by)
+				err = cu.runBlockFast(prog, k, grid, block, bx, by)
 			} else {
 				err = cu.runBlock(k, grid, block, bx, by, args)
 			}

@@ -24,7 +24,7 @@ func simBenchKernel() *kir.Kernel {
 	return b.MustBuild()
 }
 
-func benchInterp(b *testing.B, parallel, reference bool) {
+func benchInterp(b *testing.B, parallel bool, eng Engine) {
 	pk, err := compiler.Compile(simBenchKernel(), compiler.CUDA())
 	if err != nil {
 		b.Fatal(err)
@@ -34,7 +34,7 @@ func benchInterp(b *testing.B, parallel, reference bool) {
 		b.Fatal(err)
 	}
 	dev.Parallel = parallel
-	dev.Reference = reference
+	dev.Engine = eng
 	const threads = 64 * 1024
 	addr, _ := dev.Global.Alloc(4 * threads)
 	b.ReportAllocs()
@@ -51,35 +51,8 @@ func benchInterp(b *testing.B, parallel, reference bool) {
 	b.ReportMetric(float64(warpInstrs), "warpinstrs")
 }
 
-func BenchmarkInterpreterSequential(b *testing.B) { benchInterp(b, false, false) }
-func BenchmarkInterpreterParallel(b *testing.B)   { benchInterp(b, true, false) }
-
-// benchInterpEngine pins a specific engine, so the fast-vs-threaded gap is
-// measurable on one machine regardless of the process default.
-func benchInterpEngine(b *testing.B, eng Engine) {
-	pk, err := compiler.Compile(simBenchKernel(), compiler.CUDA())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dev, err := NewDevice(arch.GTX480())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dev.Parallel = false
-	dev.Engine = eng
-	const threads = 64 * 1024
-	addr, _ := dev.Global.Alloc(4 * threads)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dev.Launch(pk, Dim3{X: threads / 256, Y: 1}, Dim3{X: 256, Y: 1}, []uint32{addr}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInterpreterFastSequential(b *testing.B)     { benchInterpEngine(b, EngineFast) }
-func BenchmarkInterpreterThreadedSequential(b *testing.B) { benchInterpEngine(b, EngineThreaded) }
+func BenchmarkInterpreterSequential(b *testing.B) { benchInterp(b, false, EngineThreaded) }
+func BenchmarkInterpreterParallel(b *testing.B)   { benchInterp(b, true, EngineThreaded) }
 
 // straightLineKernel is a fully unrolled mad chain — one giant basic block,
 // the best case for superinstruction fusion and the shape of the MaxFlops
@@ -100,7 +73,7 @@ func straightLineKernel() *kir.Kernel {
 	return bb.MustBuild()
 }
 
-func benchStraightLine(b *testing.B, eng Engine) {
+func BenchmarkStraightLineThreaded(b *testing.B) {
 	pk, err := compiler.Compile(straightLineKernel(), compiler.CUDA())
 	if err != nil {
 		b.Fatal(err)
@@ -110,7 +83,6 @@ func benchStraightLine(b *testing.B, eng Engine) {
 		b.Fatal(err)
 	}
 	dev.Parallel = false
-	dev.Engine = eng
 	const threads = 64 * 1024
 	addr, _ := dev.Global.Alloc(4 * threads)
 	b.ReportAllocs()
@@ -122,19 +94,16 @@ func benchStraightLine(b *testing.B, eng Engine) {
 	}
 }
 
-func BenchmarkStraightLineFast(b *testing.B)     { benchStraightLine(b, EngineFast) }
-func BenchmarkStraightLineThreaded(b *testing.B) { benchStraightLine(b, EngineThreaded) }
-
 // The Reference variants run the retained pre-optimization engine on the
 // same workload, so `go test -bench Interpreter` prints the speedup of the
-// predecoded engine directly.
-func BenchmarkInterpreterReferenceSequential(b *testing.B) { benchInterp(b, false, true) }
-func BenchmarkInterpreterReferenceParallel(b *testing.B)   { benchInterp(b, true, true) }
+// production engine directly.
+func BenchmarkInterpreterReferenceSequential(b *testing.B) { benchInterp(b, false, EngineReference) }
+func BenchmarkInterpreterReferenceParallel(b *testing.B)   { benchInterp(b, true, EngineReference) }
 
 // benchDivergent measures the engines on a branch-divergent, shared-memory
 // workload where the uniform fast path cannot trigger for the divergent
-// region — the worst case for the new engine.
-func benchDivergent(b *testing.B, reference bool) {
+// region — the worst case for the production engine.
+func benchDivergent(b *testing.B, eng Engine) {
 	bb := kir.NewKernel("div")
 	in := bb.GlobalBuffer("in", kir.U32)
 	out := bb.GlobalBuffer("out", kir.U32)
@@ -163,7 +132,7 @@ func benchDivergent(b *testing.B, reference bool) {
 		b.Fatal(err)
 	}
 	dev.Parallel = false
-	dev.Reference = reference
+	dev.Engine = eng
 	const threads = 16 * 1024
 	inAddr, _ := dev.Global.Alloc(4 * threads)
 	outAddr, _ := dev.Global.Alloc(4 * threads)
@@ -176,8 +145,8 @@ func benchDivergent(b *testing.B, reference bool) {
 	}
 }
 
-func BenchmarkDivergentFast(b *testing.B)      { benchDivergent(b, false) }
-func BenchmarkDivergentReference(b *testing.B) { benchDivergent(b, true) }
+func BenchmarkDivergentThreaded(b *testing.B)  { benchDivergent(b, EngineThreaded) }
+func BenchmarkDivergentReference(b *testing.B) { benchDivergent(b, EngineReference) }
 
 // BenchmarkLaunchOverhead measures the fixed per-launch cost of the
 // simulator (setup, scheduling, trace merge) with a trivial kernel.

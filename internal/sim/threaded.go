@@ -7,23 +7,25 @@ import (
 	"gpucmp/internal/ptx"
 )
 
-// The threaded engine: runThreaded is run() from fast.go plus
-// superinstruction dispatch. When a frame's pc sits on a fused segment the
+// runThreaded executes the warp over the fused program until it completes
+// or reaches a barrier. Control flow, step accounting and error strings
+// mirror warpCtx.run exactly. When a frame's pc sits on a fused segment the
 // warp executes the whole segment under one dispatch — one frame lookup,
 // one bulk steps update, one pc store — instead of once per op. Hot
 // segments additionally execute through compiled closures (compile.go).
 //
 // Watchdog accounting stays exact: steps advances by the segment length in
-// one add, but a segment that would cross the step budget or a
-// CheckpointInterval boundary is executed op by op through runSegSlow,
-// which reproduces the per-instruction budget check, cancellation poll and
-// error strings of run() verbatim. ErrWatchdog therefore fires on exactly
-// the same dynamic instruction as the fast and reference engines — the
+// one add, but a segment that would cross the step budget, or a
+// CheckpointInterval boundary with a kill flag raised, is not dispatched
+// in bulk. Its ops retire one at a time through the single-op path below,
+// the only copy of the per-instruction budget check, cancellation poll and
+// error strings outside the oracle. ErrWatchdog therefore fires on exactly
+// the same dynamic instruction as under the reference engine — the
 // property the corpus hang-replay gate in internal/fuzz pins.
 func (w *fwarp) runThreaded() error {
 	fb := w.b
-	ops := fb.dk.ops
 	prog := fb.prog
+	ops := prog.dk.ops
 	segAt := prog.segAt
 	cu := fb.cu
 	fullW := ^uint64(0) >> (64 - uint(fb.W))
@@ -43,17 +45,10 @@ func (w *fwarp) runThreaded() error {
 				// The bulk range crosses a checkpoint. Poll the flags now:
 				// when neither is raised the in-segment poll would have been
 				// a no-op and the bulk path is indistinguishable; when one
-				// is, replay op by op so the verdict lands on the exact
-				// boundary step with the exact error string.
+				// is, the launch dies on the boundary step.
 				slow = cu.dev.cancelled.Load() || fb.abort != nil && fb.abort.Load()
 			}
-			if slow {
-				// The bulk range would hit the budget (or a raised flag):
-				// take the exact per-op path for this one dispatch.
-				if err := w.runSegSlow(seg, f.mask); err != nil {
-					return err
-				}
-			} else {
+			if !slow {
 				fb.steps += n
 				var err error
 				if f.mask == fullW && f.mask == w.fullMask {
@@ -65,7 +60,7 @@ func (w *fwarp) runThreaded() error {
 					// compiles at all).
 					cs := seg.compiled.Load()
 					if cs == nil && seg.hits.Add(1) == compileThreshold {
-						fresh := compileSeg(fb.dk, seg, fb.W)
+						fresh := compileSeg(prog.dk, seg, fb.W)
 						if seg.compiled.CompareAndSwap(nil, fresh) {
 							cu.blockCompiles++
 						}
@@ -84,9 +79,13 @@ func (w *fwarp) runThreaded() error {
 				}
 				cu.superRuns++
 				cu.superOps += int64(n)
+				w.frames[fi].pc = int(seg.end)
+				continue
 			}
-			w.frames[fi].pc = int(seg.end)
-			continue
+			// The budget runs out, or a raised flag meets its checkpoint,
+			// inside this segment. Fall through: segAt is -1 past a segment's
+			// first op, so its ops retire one at a time below and the verdict
+			// lands on the exact step with the exact error string.
 		}
 
 		fb.steps++
@@ -170,14 +169,14 @@ func (w *fwarp) runThreaded() error {
 
 // runSegInterp executes one fused segment under a constant frame mask with
 // the per-op watchdog work already paid in bulk by the caller. Execution
-// and guard handling are op-for-op identical to run(); counting is batched
-// — the dynamic-mix deltas are per warp instruction and therefore
-// mask-independent (tSeg.counts), and the lane-instruction total of the
-// unguarded ops is nUnguarded x ActiveLanes(mask) — so only guarded ops
-// still account lanes individually.
+// and guard handling are op-for-op identical to runThreaded's single-op
+// path; counting is batched — the dynamic-mix deltas are per warp
+// instruction and therefore mask-independent (tSeg.counts), and the
+// lane-instruction total of the unguarded ops is nUnguarded x
+// ActiveLanes(mask) — so only guarded ops still account lanes individually.
 func (w *fwarp) runSegInterp(seg *tSeg, mask uint64) error {
 	fb := w.b
-	ops := fb.dk.ops
+	ops := fb.prog.dk.ops
 	cu := fb.cu
 	for _, cd := range seg.counts {
 		cu.dynOps[cd.idx] += cd.n
@@ -208,51 +207,6 @@ func (w *fwarp) runSegInterp(seg *tSeg, mask uint64) error {
 			}
 		} else if active != 0 {
 			w.execALUFast(d, active)
-		}
-	}
-	return nil
-}
-
-// runSegSlow is the exact-watchdog fallback: the segment's ops execute one
-// at a time with the same steps/budget/checkpoint sequence as run(), so a
-// budget kill or cancellation lands on the same dynamic instruction with
-// the same error string it would under the other engines.
-func (w *fwarp) runSegSlow(seg *tSeg, mask uint64) error {
-	fb := w.b
-	ops := fb.dk.ops
-	cu := fb.cu
-	for pc := int(seg.start); pc < int(seg.end); pc++ {
-		fb.steps++
-		if fb.budget > 0 && fb.steps > fb.budget {
-			return fmt.Errorf("sim: %s: block (%d,%d) exceeded the %d warp-instruction step budget: %w",
-				fb.k.Name, fb.ctaidX, fb.ctaidY, fb.budget, ErrWatchdog)
-		}
-		if fb.steps%CheckpointInterval == 0 {
-			if cu.dev.cancelled.Load() {
-				return fmt.Errorf("sim: %s: cancelled at step %d: %w", fb.k.Name, fb.steps, ErrWatchdog)
-			}
-			if fb.abort != nil && fb.abort.Load() {
-				return errAborted
-			}
-		}
-		d := &ops[pc]
-		active := mask
-		if d.guard >= 0 {
-			active = w.guardMask(d, mask)
-		}
-		if d.kind == dkMem {
-			cu.countOp(d.op, d.space, mem.ActiveLanes(active))
-			if active != 0 {
-				if err := w.execMemFast(d, active); err != nil {
-					in := &fb.k.Instrs[pc]
-					return fmt.Errorf("sim: %s: pc %d (%s): %w", fb.k.Name, pc, in.Mnemonic(), err)
-				}
-			}
-		} else {
-			cu.countOp(d.op, ptx.SpaceNone, mem.ActiveLanes(active))
-			if active != 0 {
-				w.execALUFast(d, active)
-			}
 		}
 	}
 	return nil

@@ -147,7 +147,7 @@ type cuState struct {
 	index int
 
 	// abort is the shared per-launch kill switch (see Launch); arena is
-	// this unit's reusable block-execution state (fast engine only).
+	// this unit's reusable block-execution state (production engine only).
 	abort *atomic.Bool
 	arena *cuArena
 
@@ -197,9 +197,9 @@ func newCUState(d *Device, idx int) *cuState {
 }
 
 // reset returns a compute unit to the state a freshly-built one starts in
-// — zero counters, cold caches — so the fast engine can reuse units (and
-// their cache backing arrays) across launches without changing anything
-// observable.
+// — zero counters, cold caches — so the production engine can reuse units
+// (and their cache backing arrays) across launches without changing
+// anything observable.
 func (cu *cuState) reset() {
 	cu.dynOps = [512]int64{}
 	cu.laneInstrs, cu.barriers, cu.branches, cu.divergent = 0, 0, 0, 0
