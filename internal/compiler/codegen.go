@@ -153,7 +153,16 @@ type gen struct {
 	// instruction in the body would clobber it on the back edge before an
 	// earlier emitted use re-reads it. Such releases are deferred until
 	// emission returns to the register's allocation nesting level.
+	//
+	// A register can also outlive the loop it was allocated in: a temporary
+	// of the loop condition that a CSE entry made at the enclosing level
+	// still holds. Its allocation depth then says nothing about a sibling
+	// loop at the same depth, so exitLoop notes the enclosing level in
+	// outlived (-1 = none) and a CSE hit — the only way such a register is
+	// read again — moves the register there before the reader can be
+	// emitted inside another loop.
 	allocDepth  []int
+	outlived    []int
 	loopDepth   int
 	pendRelease map[int][]ptx.Reg
 
@@ -224,6 +233,7 @@ func (g *gen) alloc() ptx.Reg {
 		if g.state[r] == 1 {
 			g.state[r] = 0
 			g.allocDepth[r] = g.loopDepth
+			g.outlived[r] = -1
 			return r
 		}
 	}
@@ -235,6 +245,7 @@ func (g *gen) alloc() ptx.Reg {
 	g.state = append(g.state, 0)
 	g.vers = append(g.vers, 0)
 	g.allocDepth = append(g.allocDepth, g.loopDepth)
+	g.outlived = append(g.outlived, -1)
 	return r
 }
 
@@ -245,6 +256,11 @@ func (g *gen) enterLoop() { g.loopDepth++ }
 
 func (g *gen) exitLoop() {
 	g.loopDepth--
+	for r, d := range g.allocDepth {
+		if d > g.loopDepth {
+			g.outlived[r] = g.loopDepth
+		}
+	}
 	pend := g.pendRelease[g.loopDepth]
 	delete(g.pendRelease, g.loopDepth)
 	for _, r := range pend {
@@ -322,6 +338,9 @@ func (g *gen) cseLookup(key string) (value, bool) {
 	e, ok := g.cse[key]
 	if !ok || g.vers[e.reg] != e.ver {
 		return value{}, false
+	}
+	if d := g.outlived[e.reg]; d >= 0 {
+		g.allocDepth[e.reg], g.outlived[e.reg] = d, -1
 	}
 	owned := g.claim(e.reg)
 	if !owned && g.deferred[e.reg] {

@@ -456,6 +456,7 @@ func (g *gen) rolledLoopSpilled(varName string, t kir.Type, cond kir.Expr, body 
 	}
 
 	g.enterLoop()
+	g.redefineLoopCarried(varName, body)
 	head := len(g.out)
 	pv := g.lower(cond, ptx.NoReg)
 	if pv.op.IsImm || pv.op.IsSpec {
@@ -511,10 +512,26 @@ func (g *gen) rolledLoopSpilled(varName string, t kir.Type, cond kir.Expr, body 
 	g.exitLoop()
 }
 
+// redefineLoopCarried is the head of a rolled loop as value numbering must
+// see it: the back edge re-enters here with the loop variable and every
+// variable the body assigns already overwritten, although those writes are
+// emitted further down. Bumping their register versions now retires every
+// CSE entry made before the loop that is held in one of them or was
+// computed from one of them, so the body cannot reuse a value that is only
+// right on the first trip.
+func (g *gen) redefineLoopCarried(varName string, body []kir.Stmt) {
+	for name, r := range g.vars {
+		if name == varName || kir.AssignsVar(body, name) {
+			g.vers[r]++
+		}
+	}
+}
+
 // rolledLoop emits head/test/body/step/back-edge for an already-bound loop
 // variable.
 func (g *gen) rolledLoop(varName string, t kir.Type, cond kir.Expr, body []kir.Stmt, step kir.Expr) {
 	g.enterLoop()
+	g.redefineLoopCarried(varName, body)
 	head := len(g.out)
 	pv := g.lower(cond, ptx.NoReg)
 	if pv.op.IsImm || pv.op.IsSpec {

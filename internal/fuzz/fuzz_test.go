@@ -13,12 +13,16 @@ import (
 // generated kernels, each run through the reference interpreter and both
 // personalities on every modelled device, all outputs bit-identical.
 // Seeds are distributed over a worker pool so the sweep stays well inside
-// the CI time budget.
+// the CI time budget. Half come from the prefix CI's fixed-seed campaign
+// also starts at, half from a window far away from it: 204000039 sat there
+// undiscovered (the loop-carried CSE miscompile) while 1–200 stayed green.
 func TestFreshSeedsAllDevices(t *testing.T) {
-	seeds := 200
+	windows := []uint64{1, 204000000}
+	perWindow := 100
 	if testing.Short() {
-		seeds = 25
+		perWindow = 13
 	}
+	seeds := len(windows) * perWindow
 	cfg := DefaultConfig()
 
 	var (
@@ -47,8 +51,10 @@ func TestFreshSeedsAllDevices(t *testing.T) {
 			}
 		}()
 	}
-	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		jobs <- seed
+	for _, first := range windows {
+		for i := 0; i < perWindow; i++ {
+			jobs <- first + uint64(i)
+		}
 	}
 	close(jobs)
 	wg.Wait()

@@ -238,9 +238,9 @@ func TestLaunchProgramBridgesToShrinker(t *testing.T) {
 	target := want[0]
 	// Shrink requires a deterministic predicate. Deleting a guard can turn
 	// the race-free reduce kernel into one with racing global writes, and
-	// this predicate stays sound anyway because kir.Run's turnstile gives
-	// every block one fixed sequential interleaving — a racy candidate has
-	// a defined, reproducible word 0.
+	// this predicate stays sound anyway because kir.Run steps every block
+	// through one fixed sequential interleaving — a racy candidate has a
+	// defined, reproducible word 0.
 	interesting := func(cand *Program) bool {
 		out, err := Reference(cand)
 		return err == nil && len(out) > 0 && out[0] == target

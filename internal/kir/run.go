@@ -1,15 +1,15 @@
 package kir
 
-// A host reference executor: runs a kernel directly from the IR, one
-// goroutine per work-item with a cyclic barrier, no compiler or simulator
-// involved. It defines the semantics of the IR — the compiled+simulated
-// pipeline is differentially tested against it — and doubles as a plain
-// CPU fallback for running kernels.
+// A host reference executor: runs a kernel directly from the IR on the
+// calling goroutine, stepping each work-item of a block to its next
+// barrier in thread order, no compiler or simulator involved. It defines
+// the semantics of the IR — the compiled+simulated pipeline is
+// differentially tested against it — and doubles as a plain CPU fallback
+// for running kernels.
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrWatchdog is returned when a work-item exceeds RunConfig.StepBudget:
@@ -35,8 +35,9 @@ type RunConfig struct {
 	StepBudget uint64
 }
 
-// Run executes the kernel over the whole grid. Blocks run sequentially;
-// the work-items of a block run concurrently and synchronise at barriers.
+// Run executes the kernel over the whole grid, one block after another on
+// the calling goroutine. It keeps no state outside its arguments, so
+// concurrent calls on disjoint buffers are safe.
 func Run(k *Kernel, cfg RunConfig) error {
 	if cfg.GridX <= 0 || cfg.GridY <= 0 || cfg.BlockX <= 0 || cfg.BlockY <= 0 {
 		return fmt.Errorf("kir: Run: non-positive launch dimensions")
@@ -53,254 +54,112 @@ func Run(k *Kernel, cfg RunConfig) error {
 			return fmt.Errorf("kir: Run: missing scalar %q", p.Name)
 		}
 	}
-
-	threads := cfg.BlockX * cfg.BlockY
 	for by := 0; by < cfg.GridY; by++ {
 		for bx := 0; bx < cfg.GridX; bx++ {
-			shared := map[string][]uint32{}
-			for _, a := range k.SharedArrays {
-				shared[a.Name] = make([]uint32, a.Count)
-			}
-			bar := newHostBarrier(threads)
-			errs := make([]error, threads)
-			var wg sync.WaitGroup
-			// mu serialises shared/global writes and atomics; the barrier's
-			// turnstile additionally fixes their order, so a block always
-			// executes as the same sequential interleaving.
-			var mu sync.Mutex
-			for t := 0; t < threads; t++ {
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					ev := &runEval{
-						k: k, cfg: cfg, shared: shared, bar: bar, mu: &mu, tIdx: t,
-						tidX: uint32(t % cfg.BlockX), tidY: uint32(t / cfg.BlockX),
-						ctaX: uint32(bx), ctaY: uint32(by),
-						vars: map[string]uint32{},
-						local: func() map[string][]uint32 {
-							m := map[string][]uint32{}
-							for _, a := range k.LocalArrays {
-								m[a.Name] = make([]uint32, a.Count)
-							}
-							return m
-						}(),
-					}
-					ev.budget = cfg.StepBudget
-					defer func() {
-						if r := recover(); r != nil {
-							if err, ok := r.(error); ok && errors.Is(err, ErrWatchdog) {
-								errs[t] = fmt.Errorf("kir: Run: block (%d,%d) thread %d (tid %d,%d) killed after %d steps: %w",
-									bx, by, t, ev.tidX, ev.tidY, ev.steps, ErrWatchdog)
-							} else {
-								errs[t] = fmt.Errorf("kir: Run: block (%d,%d) thread %d (tid %d,%d): %v",
-									bx, by, t, ev.tidX, ev.tidY, r)
-							}
-							bar.abort(t, fmt.Sprint(r))
-						} else {
-							bar.leave(t)
-						}
-					}()
-					bar.start(t)
-					ev.stmts(k.Body)
-				}(t)
-			}
-			wg.Wait()
-			// Prefer the error of the thread that broke the barrier: the
-			// victims' "barrier abandoned" panics only restate it.
-			if at := bar.abortedBy(); at >= 0 && errs[at] != nil {
-				return errs[at]
-			}
-			for _, err := range errs {
-				if err != nil {
-					return err
-				}
+			if err := runBlock(k, cfg, bx, by); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// hostBarrier is a reusable (cyclic) barrier for n goroutines that
-// doubles as a deterministic turnstile: exactly one thread holds the
-// execution floor at any moment, and the floor passes in thread order —
-// a thread runs until it arrives at a barrier, returns from the kernel,
-// or dies, then the lowest-numbered runnable thread goes next. A block
-// therefore executes as one fixed sequential interleaving, which makes
-// the host oracle deterministic even for kernels with data races (the
-// runEval mutex serialises individual accesses; the turnstile fixes
-// their order) — racing writes get a defined, reproducible result
-// instead of a scheduler-dependent one, so differential comparisons and
-// the shrinker's predicate re-checks never flap. Barrier divergence —
-// some threads waiting at a barrier the others already returned past —
-// is detected and reported instead of deadlocking.
-type hostBarrier struct {
-	mu       sync.Mutex
-	conds    []sync.Cond // one per thread: handoffs wake exactly the floor-taker
-	n        int
-	turn     int // thread currently holding the floor
-	gen      int
-	arrived  []bool // arrived at the barrier this generation
-	waiting  int
-	gone     []bool // returned from the kernel body (or died)
-	departed int
-	broken   bool
-	breaker  int    // thread that broke the barrier, -1 if none
-	cause    string // why the barrier broke
-}
-
-func newHostBarrier(n int) *hostBarrier {
-	b := &hostBarrier{n: n, breaker: -1,
-		arrived: make([]bool, n), gone: make([]bool, n),
-		conds: make([]sync.Cond, n)}
-	for i := range b.conds {
-		b.conds[i].L = &b.mu
+// runBlock executes one block as a fixed sequential interleaving: in every
+// barrier generation thread 0, 1, 2 … is stepped in turn to its next
+// barrier or to the end of the kernel, and once all have arrived the next
+// generation starts again from thread 0. Racing writes therefore get one
+// defined, reproducible result instead of a scheduler-dependent one, so
+// differential comparisons and the shrinker's predicate re-checks never
+// flap. The first work-item to die ends the run with its error. Barrier
+// divergence — some threads waiting at a barrier the others returned past —
+// ends it too, reported in the name of the lowest waiting thread.
+func runBlock(k *Kernel, cfg RunConfig, bx, by int) (err error) {
+	shared := map[string][]uint32{}
+	for _, a := range k.SharedArrays {
+		shared[a.Name] = make([]uint32, a.Count)
 	}
-	return b
-}
-
-// start blocks thread t until it is handed the floor for the first time
-// (thread 0 holds it initially).
-func (b *hostBarrier) start(t int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.turn != t && !b.broken {
-		b.conds[t].Wait()
-	}
-	if b.broken {
-		panic(b.cause)
-	}
-}
-
-// nextRunnableLocked returns the smallest thread index >= from that has
-// neither departed nor arrived at the current generation, or -1. Within
-// a generation the floor only ever moves upward, so scanning from the
-// caller's successor is exhaustive.
-func (b *hostBarrier) nextRunnableLocked(from int) int {
-	for i := from; i < b.n; i++ {
-		if !b.gone[i] && !b.arrived[i] {
-			return i
+	threads := make([]runEval, cfg.BlockX*cfg.BlockY)
+	for t := range threads {
+		local := map[string][]uint32{}
+		for _, a := range k.LocalArrays {
+			local[a.Name] = make([]uint32, a.Count)
+		}
+		threads[t] = runEval{
+			cfg: cfg, shared: shared, local: local,
+			tidX: uint32(t % cfg.BlockX), tidY: uint32(t / cfg.BlockX),
+			ctaX: uint32(bx), ctaY: uint32(by),
+			vars:   map[string]uint32{},
+			stack:  []frame{{stmts: k.Body}},
+			budget: cfg.StepBudget,
 		}
 	}
-	return -1
-}
-
-// wait is the barrier arrival of thread t, which must hold the floor.
-// The floor passes to the next runnable thread; once every live thread
-// has arrived the generation flips and the floor returns to the lowest
-// live thread.
-func (b *hostBarrier) wait(t int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.broken {
-		panic(b.cause)
+	who := func(t int) string {
+		return fmt.Sprintf("kir: Run: block (%d,%d) thread %d (tid %d,%d)", bx, by, t, threads[t].tidX, threads[t].tidY)
 	}
-	gen := b.gen
-	b.arrived[t] = true
-	b.waiting++
-	if b.waiting+b.departed == b.n {
-		if b.departed > 0 {
-			// Everyone still alive is at the barrier but departed threads
-			// will never arrive: classic barrier divergence.
-			b.breakLocked(-1, fmt.Sprintf(
-				"barrier divergence: %d thread(s) wait at a barrier that %d thread(s) already exited the kernel without reaching",
-				b.waiting, b.departed))
-			panic(b.cause)
+	t := 0 // the thread being stepped: a panic out of resume is its death
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
 		}
-		b.waiting = 0
-		for i := range b.arrived {
-			b.arrived[i] = false
+		if e, ok := r.(error); ok && errors.Is(e, ErrWatchdog) {
+			err = fmt.Errorf("%s killed after %d steps: %w", who(t), threads[t].steps, ErrWatchdog)
+			return
 		}
-		b.gen++
-		b.turn = b.nextRunnableLocked(0)
-		if b.turn == t {
-			return // lowest live thread: keep the floor into the new generation
+		err = fmt.Errorf("%s: %v", who(t), r)
+	}()
+	for {
+		waiting, lowest, lastWaits := 0, 0, false
+		for t = range threads {
+			if lastWaits = threads[t].resume(); lastWaits {
+				if waiting == 0 {
+					lowest = t
+				}
+				waiting++
+			}
 		}
-		b.conds[b.turn].Signal()
-	} else {
-		b.turn = b.nextRunnableLocked(t + 1)
-		b.conds[b.turn].Signal()
-	}
-	for !(gen != b.gen && b.turn == t) && !b.broken {
-		b.conds[t].Wait()
-	}
-	if b.broken {
-		panic(b.cause)
-	}
-}
-
-// leave records that a thread returned from the kernel body and passes
-// the floor on. If the remaining threads are all parked at a barrier,
-// they can never be released, so the barrier breaks naming the diverging
-// thread.
-func (b *hostBarrier) leave(t int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.gone[t] = true
-	b.departed++
-	if b.broken {
-		return
-	}
-	if b.waiting > 0 && b.waiting+b.departed == b.n {
-		b.breakLocked(t, fmt.Sprintf(
-			"barrier divergence: thread %d returned from the kernel while %d thread(s) wait at a barrier",
-			t, b.waiting))
-		return
-	}
-	if next := b.nextRunnableLocked(t + 1); next >= 0 {
-		b.turn = next
-		b.conds[next].Signal()
+		switch exited := len(threads) - waiting; {
+		case waiting == 0:
+			return nil
+		case exited == 0:
+			// Everyone arrived: next generation.
+		case lastWaits:
+			return fmt.Errorf("%s: barrier divergence: %d thread(s) wait at a barrier that %d thread(s) already exited the kernel without reaching",
+				who(lowest), waiting, exited)
+		default:
+			return fmt.Errorf("%s: barrier divergence: thread %d returned from the kernel while %d thread(s) wait at a barrier",
+				who(lowest), len(threads)-1, waiting)
+		}
 	}
 }
 
-// abort releases everyone after a thread dies so Run can report the error
-// instead of deadlocking. t is the failing thread, cause its panic value.
-func (b *hostBarrier) abort(t int, cause string) {
-	b.mu.Lock()
-	b.breakLocked(t, fmt.Sprintf("barrier abandoned by thread %d: %s", t, cause))
-	b.mu.Unlock()
-}
-
-// breakLocked marks the barrier broken (first breaker wins) and wakes all
-// waiters. Callers must hold b.mu.
-func (b *hostBarrier) breakLocked(t int, cause string) {
-	if b.broken {
-		return
-	}
-	b.broken = true
-	b.breaker = t
-	b.cause = cause
-	for i := range b.conds {
-		b.conds[i].Signal()
-	}
-}
-
-// abortedBy returns the thread index that broke the barrier, or -1.
-func (b *hostBarrier) abortedBy() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.breaker
+// frame is one level of a work-item's continuation: the statement list it
+// is inside and where to go on in it. Barriers are statements and
+// expressions never block, so a stack of frames beside vars is everything
+// needed to suspend a thread at a barrier and resume it later.
+type frame struct {
+	stmts []Stmt
+	next  int
+	loop  *ForStmt // non-nil when stmts is loop.Body: its end steps and re-tests
 }
 
 type runEval struct {
-	k      *Kernel
 	cfg    RunConfig
 	shared map[string][]uint32
 	local  map[string][]uint32
-	bar    *hostBarrier
-	mu     *sync.Mutex
-	tIdx   int // block-local thread index (the turnstile identity)
 
 	tidX, tidY uint32
 	ctaX, ctaY uint32
 	vars       map[string]uint32
+	stack      []frame
 
 	steps  uint64
 	budget uint64 // 0 = unbounded
 }
 
 // step charges one executed statement (or loop iteration) against the
-// budget, panicking with ErrWatchdog once it is exhausted; the per-thread
-// recover in Run converts the panic into a typed error.
+// budget, panicking with ErrWatchdog once it is exhausted; the recover in
+// runBlock converts the panic into a typed error.
 func (e *runEval) step() {
 	e.steps++
 	if e.budget > 0 && e.steps > e.budget {
@@ -318,15 +177,33 @@ func (e *runEval) buffer(name string) []uint32 {
 	return e.cfg.Buffers[name]
 }
 
-func (e *runEval) isSharedOrGlobal(name string) bool {
-	if _, ok := e.local[name]; ok {
-		return false
-	}
-	return true
+// enter pushes a nested statement list; loop is its ForStmt when the list
+// is a loop body.
+func (e *runEval) enter(stmts []Stmt, loop *ForStmt) {
+	e.stack = append(e.stack, frame{stmts: stmts, loop: loop})
 }
 
-func (e *runEval) stmts(stmts []Stmt) {
-	for _, s := range stmts {
+// resume runs the work-item from where it last stopped until it arrives at
+// a barrier (true) or returns from the kernel (false). A dying work-item
+// panics.
+func (e *runEval) resume() (atBarrier bool) {
+	for len(e.stack) > 0 {
+		f := &e.stack[len(e.stack)-1]
+		if f.next == len(f.stmts) {
+			if l := f.loop; l != nil {
+				e.vars[l.Var] += e.expr(l.Step)
+				if e.less(l.T, e.vars[l.Var], e.expr(l.Limit)) {
+					e.step() // charge empty-body iterations too (step 0 never terminates)
+					f.next = 0
+					continue
+				}
+				delete(e.vars, l.Var)
+			}
+			e.stack = e.stack[:len(e.stack)-1]
+			continue
+		}
+		s := f.stmts[f.next]
+		f.next++ // f is dead once a case below calls enter
 		e.step()
 		switch s := s.(type) {
 		case *DeclStmt:
@@ -340,13 +217,7 @@ func (e *runEval) stmts(stmts []Stmt) {
 			if int(idx) >= len(buf) {
 				panic(fmt.Sprintf("store to %s[%d] out of range (%d)", s.Buf, idx, len(buf)))
 			}
-			if e.isSharedOrGlobal(s.Buf) {
-				e.mu.Lock()
-				buf[idx] = val
-				e.mu.Unlock()
-			} else {
-				buf[idx] = val
-			}
+			buf[idx] = val
 		case *AtomicStmt:
 			buf := e.buffer(s.Buf)
 			idx := e.expr(s.Index)
@@ -354,7 +225,6 @@ func (e *runEval) stmts(stmts []Stmt) {
 			if int(idx) >= len(buf) {
 				panic(fmt.Sprintf("atomic on %s[%d] out of range (%d)", s.Buf, idx, len(buf)))
 			}
-			e.mu.Lock()
 			old := buf[idx]
 			switch s.Op {
 			case AtomicAdd:
@@ -368,30 +238,30 @@ func (e *runEval) stmts(stmts []Stmt) {
 			case AtomicExch:
 				buf[idx] = val
 			}
-			e.mu.Unlock()
 			if s.Result != "" {
 				e.vars[s.Result] = old
 			}
 		case *IfStmt:
 			if e.expr(s.Cond) != 0 {
-				e.stmts(s.Then)
+				e.enter(s.Then, nil)
 			} else {
-				e.stmts(s.Else)
+				e.enter(s.Else, nil)
 			}
 		case *ForStmt:
 			e.vars[s.Var] = e.expr(s.Init)
-			for e.less(s.T, e.vars[s.Var], e.expr(s.Limit)) {
-				e.step() // charge empty-body iterations too (step 0 never terminates)
-				e.stmts(s.Body)
-				e.vars[s.Var] += e.expr(s.Step)
+			if e.less(s.T, e.vars[s.Var], e.expr(s.Limit)) {
+				e.step()
+				e.enter(s.Body, s)
+			} else {
+				delete(e.vars, s.Var)
 			}
-			delete(e.vars, s.Var)
 		case *BarrierStmt:
-			e.bar.wait(e.tIdx)
+			return true
 		default:
 			panic(fmt.Sprintf("unknown statement %T", s))
 		}
 	}
+	return false
 }
 
 func (e *runEval) less(t Type, a, b uint32) bool {
@@ -440,18 +310,11 @@ func (e *runEval) BuiltinVal(k BuiltinKind) uint32 {
 	return 0
 }
 
-// LoadWord resolves Buf[idx], taking the block lock for shared and global
-// memory (EvalEnv).
+// LoadWord resolves Buf[idx] (EvalEnv).
 func (e *runEval) LoadWord(bufName string, idx uint32) uint32 {
 	buf := e.buffer(bufName)
 	if int(idx) >= len(buf) {
 		panic(fmt.Sprintf("load from %s[%d] out of range (%d)", bufName, idx, len(buf)))
-	}
-	if e.isSharedOrGlobal(bufName) {
-		e.mu.Lock()
-		v := buf[idx]
-		e.mu.Unlock()
-		return v
 	}
 	return buf[idx]
 }

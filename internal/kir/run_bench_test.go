@@ -1,9 +1,9 @@
 package kir
 
-// Benchmark of the host reference executor. It is not expected to be fast
-// — one goroutine per work-item and a tree-walking evaluator — but its
-// throughput is the baseline that puts the simulator's interpreter numbers
-// (internal/sim benchmarks, cmd/simbench) in context.
+// Benchmarks of the host reference executor. It is not expected to be fast
+// — a tree-walking evaluator over name-keyed maps — but its throughput is
+// the baseline that puts the simulator's interpreter numbers (internal/sim
+// benchmarks, cmd/simbench) in context.
 
 import "testing"
 
@@ -32,4 +32,29 @@ func BenchmarkRunReferenceExecutor(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(threads*66)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mstmt/s")
+}
+
+// BenchmarkRunReferenceExecutorBarriers is the barrier-heavy sibling: each
+// work-item is suspended and resumed 7 times per launch inside a loop, the
+// path every reduction- or scan-shaped fuzz program takes.
+func BenchmarkRunReferenceExecutorBarriers(b *testing.B) {
+	k := loopReduceKernel()
+	const blocks = 16
+	in := make([]uint32, blocks*64)
+	for i := range in {
+		in[i] = uint32(i)
+	}
+	cfg := RunConfig{
+		GridX: blocks, GridY: 1, BlockX: 8, BlockY: 8,
+		Buffers: map[string][]uint32{"in": in, "out": make([]uint32, blocks)},
+		Scalars: map[string]uint32{"n": 6},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Run(k, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(blocks*64*7)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mbarrier/s")
 }

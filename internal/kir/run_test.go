@@ -54,7 +54,7 @@ func TestRunVecAdd(t *testing.T) {
 }
 
 // TestRunBarrierReduction: cross-thread communication through shared memory
-// with barriers works under the goroutine executor.
+// with barriers works under the reference executor.
 func TestRunBarrierReduction(t *testing.T) {
 	const blockSize = 64
 	b := NewKernel("reduce")
