@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"gpucmp/internal/kir"
 	"gpucmp/internal/ptx"
@@ -136,6 +137,47 @@ type cseEntry struct {
 	t     kir.Type
 }
 
+// cseKey names one value-numbered expression: which instruction shape it
+// is, the fields of that instruction that decide its value, and its
+// operands as they stood when it was lowered. Two keys are equal exactly
+// when the two expressions would emit the same instruction over the same
+// operand values, which is all the table needs; a comparable struct says
+// that without formatting a string per expression node. Every field is four
+// bytes wide so the struct has no padding and hashes as plain memory.
+type cseKey struct {
+	kind cseKind
+	op   int32 // opcode (bin, un), comparison (setp), destination type (cvt) or space (ld)
+	typ  int32 // operand type (bin, setp, un) or source type (cvt)
+	l, r cseOperand
+	off  int32 // ld: byte offset
+}
+
+type cseKind uint32
+
+const (
+	cseBin cseKind = iota + 1
+	cseSetp
+	cseUn
+	cseCvt
+	cseLd
+	cseMovSpecial
+)
+
+// cseOperand is one source operand inside a cseKey. A register is named by
+// number and version: the version counts the writes emitted so far, so a
+// key made before a redefinition never equals one made after it.
+type cseOperand struct {
+	tag uint32 // cseImm, cseSpec or cseReg
+	val uint32 // immediate bits, special register, or register number
+	ver int32  // registers only
+}
+
+const (
+	cseImm uint32 = iota + 1
+	cseSpec
+	cseReg
+)
+
 type gen struct {
 	p   Personality
 	k   *kir.Kernel
@@ -176,8 +218,8 @@ type gen struct {
 	sharedBytes int
 	localBytes  int
 
-	cse        map[string]cseEntry
-	cseQueue   []string        // insertion order, for pressure eviction
+	cse        map[cseKey]cseEntry
+	cseQueue   []cseKey        // insertion order, for pressure eviction
 	protectVer map[ptx.Reg]int // regs kept alive because a CSE entry holds them
 	deferred   map[ptx.Reg]bool
 	depth      int
@@ -198,7 +240,7 @@ func newGen(k *kir.Kernel, p Personality) *gen {
 		paramReg:    make(map[string]ptx.Reg),
 		sharedOff:   make(map[string]int32),
 		localOff:    make(map[string]int32),
-		cse:         make(map[string]cseEntry),
+		cse:         make(map[cseKey]cseEntry),
 		protectVer:  make(map[ptx.Reg]int),
 		deferred:    make(map[ptx.Reg]bool),
 		pendRelease: make(map[int][]ptx.Reg),
@@ -319,19 +361,19 @@ func (g *gen) emit(in ptx.Instruction) int {
 	return len(g.out) - 1
 }
 
-func (g *gen) opKey(o ptx.Operand) string {
+func (g *gen) opKey(o ptx.Operand) cseOperand {
 	switch {
 	case o.IsImm:
-		return fmt.Sprintf("#%x", o.Imm)
+		return cseOperand{tag: cseImm, val: o.Imm}
 	case o.IsSpec:
-		return "$" + o.Spec.String()
+		return cseOperand{tag: cseSpec, val: uint32(o.Spec)}
 	default:
-		return fmt.Sprintf("r%dv%d", o.Reg, g.vers[o.Reg])
+		return cseOperand{tag: cseReg, val: uint32(o.Reg), ver: int32(g.vers[o.Reg])}
 	}
 }
 
 // cseLookup returns a cached register for the key if still valid.
-func (g *gen) cseLookup(key string) (value, bool) {
+func (g *gen) cseLookup(key cseKey) (value, bool) {
 	if !g.p.CSE {
 		return value{}, false
 	}
@@ -356,7 +398,7 @@ func (g *gen) cseLookup(key string) (value, bool) {
 	return value{op: ptx.R(e.reg), owned: owned, t: e.t}, true
 }
 
-func (g *gen) cseStore(key string, r ptx.Reg, t kir.Type) {
+func (g *gen) cseStore(key cseKey, r ptx.Reg, t kir.Type) {
 	if !g.p.CSE {
 		return
 	}
@@ -381,7 +423,10 @@ func (g *gen) evictOldestCSE() {
 			continue
 		}
 		delete(g.cse, key)
-		g.rem.Addf(PhaseFrontEnd, "CSE evicted r%d under register pressure (window %d)", e.reg, g.p.MaxCSERegs)
+		// One remark per eviction, and a tight window evicts at almost every
+		// store: concatenated, not formatted.
+		g.rem.add(PhaseFrontEnd, "CSE evicted r"+strconv.Itoa(int(e.reg))+
+			" under register pressure (window "+strconv.Itoa(g.p.MaxCSERegs)+")")
 		g.unprotect(e)
 		return
 	}
@@ -554,7 +599,7 @@ func (g *gen) lowerBuiltin(e *kir.Builtin, hint ptx.Reg) value {
 	default:
 		g.errf("unknown builtin %v", e.Kind)
 	}
-	key := "mov$" + sp.String()
+	key := cseKey{kind: cseMovSpecial, l: g.opKey(ptx.Sp(sp))}
 	if v, ok := g.cseLookup(key); ok && hint == ptx.NoReg {
 		return v
 	}
@@ -703,7 +748,7 @@ func (g *gen) lowerBin(e *kir.Bin, hint ptx.Reg) value {
 
 // binInstr emits a two-source instruction with CSE.
 func (g *gen) binInstr(op ptx.Opcode, st ptx.ScalarType, l, r value, hint ptx.Reg, rt kir.Type) value {
-	key := fmt.Sprintf("%d.%d(%s,%s)", op, st, g.opKey(l.op), g.opKey(r.op))
+	key := cseKey{kind: cseBin, op: int32(op), typ: int32(st), l: g.opKey(l.op), r: g.opKey(r.op)}
 	if v, ok := g.cseLookup(key); ok && hint == ptx.NoReg {
 		g.releaseVal(l)
 		g.releaseVal(r)
@@ -732,7 +777,7 @@ func (g *gen) lowerCmp(e *kir.Bin, hint ptx.Reg) value {
 		st = scalarType(lt)
 	}
 	cmp := cmpTable[e.Op]
-	key := fmt.Sprintf("setp%d.%d(%s,%s)", cmp, st, g.opKey(l.op), g.opKey(r.op))
+	key := cseKey{kind: cseSetp, op: int32(cmp), typ: int32(st), l: g.opKey(l.op), r: g.opKey(r.op)}
 	if v, ok := g.cseLookup(key); ok && hint == ptx.NoReg {
 		g.releaseVal(l)
 		g.releaseVal(r)
@@ -773,7 +818,7 @@ func (g *gen) lowerUn(e *kir.Un, hint ptx.Reg) value {
 	} else {
 		op = unOpTable[e.Op]
 	}
-	key := fmt.Sprintf("un%d.%d(%s)", op, st, g.opKey(x.op))
+	key := cseKey{kind: cseUn, op: int32(op), typ: int32(st), l: g.opKey(x.op)}
 	if v, ok := g.cseLookup(key); ok && hint == ptx.NoReg {
 		g.releaseVal(x)
 		v.t = rt
@@ -834,7 +879,7 @@ func (g *gen) lowerCast(e *kir.Cast, hint ptx.Reg) value {
 			return x
 		}
 	}
-	key := fmt.Sprintf("cvt%d.%d(%s)", to, from, g.opKey(x.op))
+	key := cseKey{kind: cseCvt, op: int32(to), typ: int32(from), l: g.opKey(x.op)}
 	if v, ok := g.cseLookup(key); ok && hint == ptx.NoReg {
 		g.releaseVal(x)
 		v.t = e.To
@@ -921,7 +966,7 @@ func (g *gen) lowerLoad(e *kir.Load, hint ptx.Reg) value {
 	elem, _ := g.k.ElemType(e.Buf)
 	// Read-only spaces are safe to CSE; mutable spaces are not.
 	cacheable := space == ptx.SpaceConst || space == ptx.SpaceTex || space == ptx.SpaceParam
-	key := fmt.Sprintf("ld%d(%s,%d)", space, g.opKey(addr.op), off)
+	key := cseKey{kind: cseLd, op: int32(space), l: g.opKey(addr.op), off: off}
 	if cacheable && hint == ptx.NoReg {
 		if v, ok := g.cseLookup(key); ok {
 			g.releaseVal(addr)

@@ -26,7 +26,15 @@ func (r *Remarks) Addf(phase, format string, args ...any) {
 	if r == nil {
 		return
 	}
-	r.list = append(r.list, ptx.Remark{Phase: phase, Message: fmt.Sprintf(format, args...)})
+	r.add(phase, fmt.Sprintf(format, args...))
+}
+
+// add appends one remark whose message is already built.
+func (r *Remarks) add(phase, message string) {
+	if r == nil {
+		return
+	}
+	r.list = append(r.list, ptx.Remark{Phase: phase, Message: message})
 }
 
 // List returns the collected remarks in emission order.

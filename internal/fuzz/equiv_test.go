@@ -12,6 +12,7 @@ package fuzz
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,6 +49,20 @@ func equivCorpusFiles(t *testing.T) []string {
 		t.Fatal("hang corpus is empty")
 	}
 	return files
+}
+
+// loadProgram decodes one corpus file.
+func loadProgram(t *testing.T, path string) *Program {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Decode(data)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return p
 }
 
 // equivRun is one engine execution: the trace, a dump of all observable
@@ -179,29 +194,40 @@ func TestCorpusEngineEquivalence(t *testing.T) {
 // failing launches must fail in the same error class (which compute
 // unit's error surfaces first is a race once sibling cancellation is in
 // play).
+//
+// Freshly generated programs ride along after the corpus. Execute launches
+// on its caller, so nothing else runs a generated program's two work-groups
+// on two goroutines, and under -race this is where such a program meets the
+// race detector.
 func TestCorpusEngineEquivalenceParallel(t *testing.T) {
+	type input struct {
+		name   string
+		p      *Program
+		budget uint64
+	}
+	var inputs []input
 	for _, path := range equivCorpusFiles(t) {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
+		inputs = append(inputs, input{filepath.Base(path), loadProgram(t, path), equivBudget(path)})
+	}
+	for _, w := range []struct{ first, n uint64 }{{1, 100}, {204000000, 50}} {
+		for seed := w.first; seed < w.first+w.n; seed++ {
+			inputs = append(inputs, input{fmt.Sprintf("gen%d", seed), Generate(seed, DefaultConfig()), simStepBudget})
+		}
+	}
+	for _, in := range inputs {
+		in := in
+		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			budget := equivBudget(path)
+			p := in.p
 			for _, pers := range Toolchains() {
 				pk, err := compiler.Compile(p.Kernel, pers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, a := range arch.All() {
-					ref := runEngineK(t, p, pk, a, sim.EngineReference, false, budget)
+					ref := runEngineK(t, p, pk, a, sim.EngineReference, false, in.budget)
 					for _, eng := range equivEngines {
-						got := runEngineK(t, p, pk, a, eng, true, budget)
+						got := runEngineK(t, p, pk, a, eng, true, in.budget)
 						label := pers.Name + "/" + a.Name + "/" + eng.String()
 						switch {
 						case ref.err != nil && got.err != nil:

@@ -81,12 +81,17 @@ func RunCompiled(p *Program, pers compiler.Personality, a *arch.Device) ([]uint3
 	return Execute(p, pk, a)
 }
 
-// Execute runs an already-compiled kernel for the program on one device.
+// Execute runs an already-compiled kernel for the program on one device,
+// on the calling goroutine: an oracle program is two work-groups of some
+// thousand warp instructions, which cannot repay a goroutine per compute
+// unit and the wake-up of a parked processor to run it. The parallel engine
+// is held to the sequential one by TestCorpusEngineEquivalenceParallel.
 func Execute(p *Program, pk *ptx.Kernel, a *arch.Device) ([]uint32, *sim.Trace, error) {
 	dev, err := sim.NewDevice(a)
 	if err != nil {
 		return nil, nil, err
 	}
+	dev.Parallel = false
 	dev.StepBudget = simStepBudget
 	var args []uint32
 	var outAddr uint32

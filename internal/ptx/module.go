@@ -50,18 +50,17 @@ type Kernel struct {
 	WarpWidthAssumption int
 }
 
-// Validate checks structural invariants: branch targets in range, register
-// indices within NumRegs, and parameter references in range.
+// Validate checks structural invariants: every opcode is a defined one, a
+// branch's target and join lie in [0, len(Instrs)], and every register an
+// instruction names (destination, guard predicate, register sources) is
+// NoReg or within [0, NumRegs). It does not look at Params or at the offsets
+// of parameter loads. A valid kernel validates without allocating: messages
+// are formatted only on the way out with an error.
 func (k *Kernel) Validate() error {
 	n := len(k.Instrs)
-	checkReg := func(r Reg, pc int, what string) error {
-		if r == NoReg {
-			return nil
-		}
-		if r < 0 || int(r) >= k.NumRegs {
-			return fmt.Errorf("ptx: %s: pc %d: %s register %d out of range [0,%d)", k.Name, pc, what, r, k.NumRegs)
-		}
-		return nil
+	regOK := func(r Reg) bool { return r == NoReg || (r >= 0 && int(r) < k.NumRegs) }
+	regErr := func(pc int, what string, r Reg) error {
+		return fmt.Errorf("ptx: %s: pc %d: %s register %d out of range [0,%d)", k.Name, pc, what, r, k.NumRegs)
 	}
 	for pc := range k.Instrs {
 		in := &k.Instrs[pc]
@@ -76,17 +75,15 @@ func (k *Kernel) Validate() error {
 				return fmt.Errorf("ptx: %s: pc %d: join %d out of range", k.Name, pc, in.Join)
 			}
 		}
-		if err := checkReg(in.Dst, pc, "dst"); err != nil {
-			return err
+		if !regOK(in.Dst) {
+			return regErr(pc, "dst", in.Dst)
 		}
-		if err := checkReg(in.GuardPred, pc, "guard"); err != nil {
-			return err
+		if !regOK(in.GuardPred) {
+			return regErr(pc, "guard", in.GuardPred)
 		}
-		for i, s := range in.Src {
-			if !s.IsImm && !s.IsSpec {
-				if err := checkReg(s.Reg, pc, fmt.Sprintf("src%d", i)); err != nil {
-					return err
-				}
+		for i := range in.Src {
+			if s := &in.Src[i]; !s.IsImm && !s.IsSpec && !regOK(s.Reg) {
+				return regErr(pc, fmt.Sprintf("src%d", i), s.Reg)
 			}
 		}
 	}

@@ -54,23 +54,31 @@ func (r Remark) String() string { return r.Phase + ": " + r.Message }
 // renumber registers, so this — not NumRegs, which is the allocator's
 // high-water mark — is the quantity that shrinks when dead code goes away.
 func (k *Kernel) UsedRegs() int {
-	seen := make(map[Reg]bool)
+	seen := make([]bool, max(k.NumRegs, 0))
+	n := 0
 	mark := func(r Reg) {
-		if r != NoReg {
+		if r < 0 { // NoReg
+			return
+		}
+		if int(r) >= len(seen) { // a hand-built kernel that understates NumRegs
+			seen = append(seen, make([]bool, int(r)+1-len(seen))...)
+		}
+		if !seen[r] {
 			seen[r] = true
+			n++
 		}
 	}
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		mark(in.Dst)
 		mark(in.GuardPred)
-		for _, s := range in.Src {
-			if !s.IsImm && !s.IsSpec {
+		for j := range in.Src {
+			if s := &in.Src[j]; !s.IsImm && !s.IsSpec {
 				mark(s.Reg)
 			}
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // DiffTable renders the instruction-mix rows on which two censuses differ,

@@ -101,20 +101,51 @@ func TestKernelValidate(t *testing.T) {
 	if err := k.Validate(); err != nil {
 		t.Fatalf("valid kernel rejected: %v", err)
 	}
-	bad := buildTestKernel()
-	bad.Instrs[0].Dst = 100
-	if bad.Validate() == nil {
-		t.Error("out-of-range dst accepted")
+	// Whole messages, as they read before Validate stopped formatting on
+	// the success path.
+	for _, tc := range []struct {
+		name   string
+		mutate func(k *Kernel)
+		want   string
+	}{
+		{"out-of-range dst", func(k *Kernel) { k.Instrs[0].Dst = 100 },
+			"ptx: k: pc 0: dst register 100 out of range [0,8)"},
+		{"out-of-range branch target", func(k *Kernel) { k.Instrs[2].Target = 99 },
+			"ptx: k: pc 2: branch target 99 out of range"},
+		{"negative join", func(k *Kernel) { k.Instrs[2].Join = -1 },
+			"ptx: k: pc 2: join -1 out of range"},
+		{"negative src register", func(k *Kernel) { k.Instrs[1].Src[0] = R(-2) },
+			"ptx: k: pc 1: src0 register -2 out of range [0,8)"},
+		{"guard at NumRegs", func(k *Kernel) { k.Instrs[1].GuardPred = 8 },
+			"ptx: k: pc 1: guard register 8 out of range [0,8)"},
+		{"undefined opcode", func(k *Kernel) { k.Instrs[1].Op = numOpcodes },
+			"ptx: k: pc 1: invalid opcode"},
+	} {
+		bad := buildTestKernel()
+		tc.mutate(bad)
+		if err := bad.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate = %v, want %s", tc.name, err, tc.want)
+		}
 	}
-	bad2 := buildTestKernel()
-	bad2.Instrs[2].Target = 99
-	if bad2.Validate() == nil {
-		t.Error("out-of-range branch target accepted")
+}
+
+// TestValidateAllocatesNothing: the compiler validates every kernel it
+// returns, so a valid kernel must cost a scan and nothing else.
+func TestValidateAllocatesNothing(t *testing.T) {
+	k := &Kernel{Name: "long", NumRegs: 16}
+	for i := 0; i < 1000; i++ {
+		mad := NewInstruction(OpMad)
+		mad.Typ = F32
+		mad.Dst = Reg(i % 16)
+		mad.GuardPred = Reg((i + 1) % 16)
+		mad.Src[0], mad.Src[1], mad.Src[2] = R(Reg((i+2)%16)), R(Reg((i+3)%16)), ImmU(uint32(i))
+		k.Instrs = append(k.Instrs, mad)
 	}
-	bad3 := buildTestKernel()
-	bad3.Instrs[1].Src[0] = R(-2)
-	if bad3.Validate() == nil {
-		t.Error("negative src register accepted")
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = k.Validate() }); n != 0 {
+		t.Errorf("a valid 1000-instruction kernel validates with %.0f allocations, want 0", n)
 	}
 }
 

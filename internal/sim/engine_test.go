@@ -68,9 +68,10 @@ func TestExecNanosAccumulates(t *testing.T) {
 }
 
 // TestNewDeviceCost pins that constructing a device commits almost nothing:
-// global memory is an addressable window, not a host allocation, so the
-// fixed cost is the 64 KiB constant segment. fuzz.Check builds ten devices
-// per program, so an eager backing store is what its throughput measures.
+// global memory is an addressable window, not a host allocation (the
+// constant segment's share is TestNewDeviceCommitsNoConstants). fuzz.Check
+// builds ten devices per program, so an eager backing store is what its
+// throughput measures.
 func TestNewDeviceCost(t *testing.T) {
 	for _, a := range arch.All() {
 		var before, after runtime.MemStats

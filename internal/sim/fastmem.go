@@ -248,22 +248,22 @@ func (w *fwarp) fconst(d *decodedOp, active uint64) error {
 	}
 	cs := cu.dev.constSeg
 	if uni {
-		i := uaddr / 4
-		if int(i) >= len(cs) {
+		v, ok := constWord(cs, uaddr)
+		if !ok {
 			return fmt.Errorf("constant access at 0x%x beyond segment", uaddr)
 		}
-		w.writeLanes(d.dst, active, cs[i])
+		w.writeLanes(d.dst, active, v)
 		return nil
 	}
 	dst := w.regs[int(d.dst)*W : int(d.dst)*W+W]
 	w.clearUni(d.dst)
 	for mm := active; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
-		i := w.addrBuf[l] / 4
-		if int(i) >= len(cs) {
+		v, ok := constWord(cs, w.addrBuf[l])
+		if !ok {
 			return fmt.Errorf("constant access at 0x%x beyond segment", w.addrBuf[l])
 		}
-		dst[l] = cs[i]
+		dst[l] = v
 	}
 	return nil
 }

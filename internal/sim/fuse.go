@@ -145,22 +145,30 @@ func fuseKernel(dk *decodedKernel) *tProgram {
 	}
 	scan(func(i, j int) { nseg++ })
 	p.segs = make([]tSeg, 0, nseg)
+	var sc segScratch
 	scan(func(i, j int) {
 		p.segAt[i] = int32(len(p.segs))
 		p.segs = p.segs[:len(p.segs)+1]
 		s := &p.segs[len(p.segs)-1]
 		s.start, s.end = int32(i), int32(j)
-		s.counts, s.nUnguarded = segCounts(ops[i:j])
+		s.counts, s.nUnguarded = sc.counts(ops[i:j])
 	})
 	return p
 }
 
-// segCounts precomputes a segment's dynamic-instruction-mix deltas (the
-// same dynOps bucket scheme as cuState.countOp) and its unguarded-op
-// count.
-func segCounts(ops []decodedOp) ([]countDelta, int32) {
-	var acc [512]int64 // same shape as cuState.dynOps
-	var idxs []int32
+// segScratch is the working table behind tSeg.counts, shared by every
+// segment of one fuseKernel: a short kernel has dozens of segments of a few
+// ops each, so the table is cleared by the indices a segment touched, not
+// as a whole.
+type segScratch struct {
+	acc  [512]int64 // same shape as cuState.dynOps
+	idxs []int32    // buckets the current segment touched, in first-use order
+}
+
+// counts precomputes a segment's dynamic-instruction-mix deltas (the same
+// dynOps bucket scheme as cuState.countOp) and its unguarded-op count.
+func (sc *segScratch) counts(ops []decodedOp) ([]countDelta, int32) {
+	sc.idxs = sc.idxs[:0]
 	nUnguarded := int32(0)
 	for i := range ops {
 		d := &ops[i]
@@ -168,17 +176,18 @@ func segCounts(ops []decodedOp) ([]countDelta, int32) {
 		if d.kind == dkMem {
 			idx |= int32(d.space)
 		}
-		if acc[idx] == 0 {
-			idxs = append(idxs, idx)
+		if sc.acc[idx] == 0 {
+			sc.idxs = append(sc.idxs, idx)
 		}
-		acc[idx]++
+		sc.acc[idx]++
 		if d.guard < 0 {
 			nUnguarded++
 		}
 	}
-	counts := make([]countDelta, len(idxs))
-	for i, idx := range idxs {
-		counts[i] = countDelta{idx: idx, n: acc[idx]}
+	counts := make([]countDelta, len(sc.idxs))
+	for i, idx := range sc.idxs {
+		counts[i] = countDelta{idx: idx, n: sc.acc[idx]}
+		sc.acc[idx] = 0
 	}
 	return counts, nUnguarded
 }

@@ -170,11 +170,11 @@ func (w *warpCtx) constLoad(in *ptx.Instruction, active uint64, addr *[64]uint32
 		if active&(1<<uint(l)) == 0 {
 			continue
 		}
-		i := addr[l] / 4
-		if int(i) >= len(cs) {
+		v, ok := constWord(cs, addr[l])
+		if !ok {
 			return fmt.Errorf("constant access at 0x%x beyond segment", addr[l])
 		}
-		dst[l] = cs[i]
+		dst[l] = v
 	}
 	return nil
 }

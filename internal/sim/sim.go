@@ -52,9 +52,12 @@ type Dim3 struct{ X, Y int }
 // Count returns X*Y.
 func (d Dim3) Count() int { return d.X * d.Y }
 
-// constSegBytes is the size of the constant segment; the first
-// paramAreaBytes of it mirror the kernel arguments (OpenCL-style front-ends
-// read arguments from there).
+// constSegBytes is the size of the constant segment's addressable window;
+// the first paramAreaBytes of it mirror the kernel arguments (OpenCL-style
+// front-ends read arguments from there). Like global memory the window is
+// not a host allocation: Device.constSeg commits the parameter area and
+// grows to cover what ConstWrite is given, and constWord reads the rest of
+// the window as the zeros an eagerly allocated segment would hold.
 const (
 	constSegBytes  = 64 * 1024
 	paramAreaBytes = 256
@@ -164,7 +167,7 @@ func NewDevice(a *arch.Device) (*Device, error) {
 	return &Device{
 		Arch:       a,
 		Global:     mem.NewMemory(window),
-		constSeg:   make([]uint32, constSegBytes/4),
+		constSeg:   make([]uint32, paramAreaBytes/4),
 		constBrk:   paramAreaBytes,
 		Parallel:   true,
 		StepBudget: DefaultStepBudget,
@@ -182,13 +185,29 @@ func (d *Device) ConstAlloc(n uint32) (uint32, error) {
 	return base, nil
 }
 
-// ConstWrite copies words into the constant segment.
+// ConstWrite copies words into the constant segment, committing it up to
+// the end of the write.
 func (d *Device) ConstWrite(off uint32, src []uint32) error {
-	if off%4 != 0 || int(off/4)+len(src) > len(d.constSeg) {
-		return fmt.Errorf("sim: constant write out of range")
+	end := int(off/4) + len(src)
+	if off%4 != 0 || end > constSegBytes/4 {
+		return fmt.Errorf("sim: constant write out of range: %w", ErrInvalidConfig)
+	}
+	if end > len(d.constSeg) {
+		d.constSeg = append(d.constSeg, make([]uint32, end-len(d.constSeg))...)
 	}
 	copy(d.constSeg[off/4:], src)
 	return nil
+}
+
+// constWord loads the word at a byte address of the constant segment: the
+// committed value, 0 for the part of the window nothing was written to, and
+// ok == false past the window.
+func constWord(cs []uint32, addr uint32) (v uint32, ok bool) {
+	i := addr / 4
+	if int(i) < len(cs) {
+		return cs[i], true
+	}
+	return 0, i < constSegBytes/4
 }
 
 // ConstReset discards constant-segment allocations (not the param area).
