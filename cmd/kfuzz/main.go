@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -106,8 +107,12 @@ func main() {
 		}
 	}
 
-	fmt.Printf("kfuzz: seeds %d..%d (%d run) in %.1fs\n",
-		*seed, *seed+uint64(*n)-1, ran, time.Since(start).Seconds())
+	// Throughput and the cores it was measured on: Check runs a program's
+	// compiles and executions side by side, so one without the other says
+	// nothing. CI copies this line into the job summary.
+	elapsed := time.Since(start).Seconds()
+	fmt.Printf("kfuzz: seeds %d..%d (%d run) in %.1fs, %.0f programs/s, GOMAXPROCS %d\n",
+		*seed, *seed+uint64(*n)-1, ran, elapsed, float64(ran)/elapsed, runtime.GOMAXPROCS(0))
 	fmt.Print(camp.Summary())
 	if failed {
 		os.Exit(1)

@@ -3,8 +3,10 @@ package fuzz
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
+	"sync"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/compiler"
@@ -188,35 +190,135 @@ func Toolchains() []compiler.Personality {
 // divergence is reported with its trace, source and disassembly. Devices
 // that cannot launch the kernel for resource reasons (the paper's ABT
 // rows) are recorded as skipped, not failed; any other error is returned.
+//
+// The reference, the compiles and the executions share nothing but the
+// read-only program, so they run side by side and are folded afterwards in
+// the order a sequential loop would have met them: the Result and every
+// error are what that loop returned. What it would not have run — the work
+// behind a failing compile or execution — is now done and discarded.
 func Check(p *Program, devices []*arch.Device) (*Result, error) {
+	return check(p, devices, compiler.Compile, Execute)
+}
+
+// caught is a panic recovered on one of check's goroutines, kept with the
+// stack it died on until the fold re-raises it on the caller.
+type caught struct {
+	val   any
+	stack []byte
+}
+
+// raise re-panics on the calling goroutine, naming what died for which seed.
+func (c *caught) raise(seed uint64, what string) {
+	panic(fmt.Sprintf("fuzz: seed %d: %s: panic: %v\n\n%s", seed, what, c.val, c.stack))
+}
+
+// guard runs f and returns the panic it died of, if any.
+func guard(f func()) (c *caught) {
+	defer func() {
+		if v := recover(); v != nil {
+			c = &caught{v, debug.Stack()}
+		}
+	}()
+	f()
+	return nil
+}
+
+// compileFunc and executeFunc are the signatures of compiler.Compile and
+// Execute, the two steps check fans out.
+type (
+	compileFunc func(*kir.Kernel, compiler.Personality) (*ptx.Kernel, error)
+	executeFunc func(*Program, *ptx.Kernel, *arch.Device) ([]uint32, *sim.Trace, error)
+)
+
+// check is Check with its two steps passed in, so that the fold tests can
+// plant an outcome per toolchain and per (toolchain, device); everything
+// else passes compiler.Compile and Execute.
+func check(p *Program, devices []*arch.Device, compile compileFunc, execute executeFunc) (*Result, error) {
 	if len(devices) == 0 {
 		devices = arch.All()
 	}
-	want, err := Reference(p)
+	toolchains := Toolchains()
+	type build struct {
+		pk   *ptx.Kernel
+		err  error
+		died *caught
+	}
+	type run struct {
+		got  []uint32
+		tr   *sim.Trace
+		err  error
+		died *caught
+	}
+	// Every goroutine writes its own element; wg.Wait orders the writes
+	// before the fold's reads.
+	builds := make([]build, len(toolchains))
+	runs := make([]run, len(toolchains)*len(devices))
+
+	// A compile runs beside the reference, but its executions wait for the
+	// reference's verdict: a program the interpreter rejects or kills (a
+	// shrink candidate that hangs) must not cost ten watchdog budgets more.
+	var (
+		wg      sync.WaitGroup
+		refOK   bool
+		refDone = make(chan struct{}) // closed once refOK is final
+	)
+	wg.Add(len(toolchains))
+	for ti, pers := range toolchains {
+		go func() {
+			defer wg.Done()
+			b := &builds[ti]
+			b.died = guard(func() { b.pk, b.err = compile(p.Kernel, pers) })
+			if <-refDone; !refOK || b.pk == nil {
+				return
+			}
+			wg.Add(len(devices)) // this goroutine's own count keeps the group open
+			for di, a := range devices {
+				go func() {
+					defer wg.Done()
+					r := &runs[ti*len(devices)+di]
+					r.died = guard(func() { r.got, r.tr, r.err = execute(p, b.pk, a) })
+				}()
+			}
+		}()
+	}
+	want, err := func() ([]uint32, error) {
+		defer close(refDone) // also when Reference panics: the compiles must not wait forever
+		want, err := Reference(p)
+		refOK = err == nil
+		return want, err
+	}()
+	wg.Wait()
+
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Seed: p.Seed}
-	for _, pers := range Toolchains() {
-		pk, err := compiler.Compile(p.Kernel, pers)
-		if err != nil {
-			return nil, fmt.Errorf("fuzz: seed %d: compile %s: %w", p.Seed, pers.Name, err)
+	for ti, pers := range toolchains {
+		b := &builds[ti]
+		if b.died != nil {
+			b.died.raise(p.Seed, "compile "+pers.Name)
 		}
-		for _, a := range devices {
-			got, tr, err := Execute(p, pk, a)
-			if err != nil {
-				if errors.Is(err, sim.ErrOutOfResources) {
+		if b.err != nil {
+			return nil, fmt.Errorf("fuzz: seed %d: compile %s: %w", p.Seed, pers.Name, b.err)
+		}
+		for di, a := range devices {
+			r := &runs[ti*len(devices)+di]
+			if r.died != nil {
+				r.died.raise(p.Seed, pers.Name+" on "+a.Name)
+			}
+			if r.err != nil {
+				if errors.Is(r.err, sim.ErrOutOfResources) {
 					res.Skipped = append(res.Skipped,
-						fmt.Sprintf("%s/%s: %v", pers.Name, a.Name, err))
+						fmt.Sprintf("%s/%s: %v", pers.Name, a.Name, r.err))
 					continue
 				}
 				return nil, fmt.Errorf("fuzz: seed %d: %s on %s: %w\n%s",
-					p.Seed, pers.Name, a.Name, err, pk.Disassemble())
+					p.Seed, pers.Name, a.Name, r.err, b.pk.Disassemble())
 			}
 			res.Executions++
-			res.WarpInstrs += tr.Dyn.Total
-			res.LaneInstrs += tr.LaneInstrs
-			if d := diff(p, pers.Name, a.Name, got, want, tr, pk); d != nil {
+			res.WarpInstrs += r.tr.Dyn.Total
+			res.LaneInstrs += r.tr.LaneInstrs
+			if d := diff(p, pers.Name, a.Name, r.got, want, r.tr, b.pk); d != nil {
 				res.Divergence = d
 				return res, nil
 			}
