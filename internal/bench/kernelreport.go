@@ -21,6 +21,8 @@ type KernelReport struct {
 
 	PassStats []ptx.PassStat `json:"pass_stats,omitempty"`
 	Remarks   []ptx.Remark   `json:"remarks,omitempty"`
+
+	src *ptx.Kernel // what ReportKernel summarised; see Source
 }
 
 // ReportKernel summarises one compiled kernel.
@@ -35,8 +37,16 @@ func ReportKernel(pk *ptx.Kernel) KernelReport {
 		ConstBytes:  pk.ConstBytes,
 		PassStats:   pk.PassStats,
 		Remarks:     pk.Remarks,
+		src:         pk,
 	}
 }
+
+// Source returns the kernel a report from ReportKernel summarises, nil for
+// one decoded from JSON or built by hand. A report is a pure function of
+// its (immutable) source, so what is derived from it — its encoding — can
+// be kept on the kernel (ptx.Kernel.Memo). Treat a sourced report as
+// immutable too.
+func (r *KernelReport) Source() *ptx.Kernel { return r.src }
 
 // KernelReports returns the compiler reports for every kernel a driver
 // built, in build order. Like Breakdowns it reaches under the Driver

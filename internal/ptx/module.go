@@ -3,6 +3,7 @@ package ptx
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Param describes one kernel parameter. Pointer parameters carry the state
@@ -48,6 +49,9 @@ type Kernel struct {
 	// a device with a different SIMD width produces wrong results rather
 	// than an error — the Table VI "FL" entries.
 	WarpWidthAssumption int
+
+	// derived is the kernel's *memo (see Memo), created on first use.
+	derived atomic.Value
 }
 
 // Validate checks structural invariants: every opcode is a defined one, a

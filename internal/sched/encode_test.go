@@ -1,0 +1,192 @@
+package sched
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"gpucmp/internal/arch"
+	"gpucmp/internal/bench"
+	"gpucmp/internal/ptx"
+)
+
+// runSequential executes one grid cell the way a worker does, with the
+// device's compute units run in order: scales with a tail (23) have kernels
+// that read past their buffers (ROADMAP item 1), which is a data race
+// across parallel units and not what this file tests.
+func runSequential(t *testing.T, j Job) *bench.Result {
+	t.Helper()
+	spec, err := bench.SpecByName(j.Benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := arch.Resolve(j.Device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := bench.NewDriver(j.Toolchain, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench.SimDevice(d).Parallel = false
+	res, err := spec.Run(d, j.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkEncode holds Encode's bytes to json.MarshalIndent's, twice, so the
+// second pass reads every sourced report from its kernel's memo.
+func checkEncode(t *testing.T, what string, res *bench.Result) {
+	t.Helper()
+	want, err := json.MarshalIndent(res, "  ", "  ")
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		e, err := Encode(res)
+		if err != nil {
+			t.Fatalf("%s pass %d: %v", what, pass, err)
+		}
+		if !bytes.Equal(e.JSON, want) {
+			t.Fatalf("%s pass %d: Encode differs from MarshalIndent\n got %q\nwant %q", what, pass, e.JSON, want)
+		}
+		if e.Result != res {
+			t.Fatalf("%s: Encoded.Result is not the result encoded", what)
+		}
+	}
+}
+
+// memoised reports whether a report's encoding is on its kernel.
+func memoised(pk *ptx.Kernel) bool {
+	absent := new(int)
+	return pk.Memo(reportKey{}, func() any { return absent }) != absent
+}
+
+// TestEncodeMatchesMarshalIndentGrid: every cell of the measurement grid at
+// three scales, one with a tail, encodes to exactly what MarshalIndent
+// makes of it, and the encoding of every report is left on its kernel.
+func TestEncodeMatchesMarshalIndentGrid(t *testing.T) {
+	reports := 0
+	for _, scale := range []int{16, 23, 64} {
+		for _, j := range GridJobs(scale) {
+			what := fmt.Sprintf("%s/%s/%s@%d", j.Benchmark, j.Device, j.Toolchain, scale)
+			res := runSequential(t, j)
+			checkEncode(t, what, res)
+			for _, kr := range res.Kernels {
+				if pk := kr.Source(); pk == nil || !memoised(pk) {
+					t.Fatalf("%s: kernel %s: report has no source or its encoding was not kept", what, kr.Name)
+				}
+			}
+			reports += len(res.Kernels)
+		}
+	}
+	if reports == 0 {
+		t.Fatal("the grid produced no kernel reports")
+	}
+}
+
+// reportedKernel is a hand-built kernel whose remarks need escaping.
+func reportedKernel(name string) *ptx.Kernel {
+	return &ptx.Kernel{
+		Name: name, Toolchain: "opencl", NumRegs: 3, SharedBytes: 16,
+		Instrs:    make([]ptx.Instruction, 4),
+		PassStats: []ptx.PassStat{{Pass: "dce", InstrsBefore: 5, InstrsAfter: 4, Removed: 1}},
+		Remarks: []ptx.Remark{
+			{Phase: "frontend<&>", Message: "a<b && c>\"d\" \x00\x01\x1f\t\r\n    \xff"},
+			{Phase: "", Message: ""},
+		},
+	}
+}
+
+// TestEncodeMatchesMarshalIndentShapes covers the shapes the grid has none
+// of: no kernels at all, reports without a source kernel (decoded from
+// JSON, built by hand, mixed with sourced ones), remarks that need escaping,
+// and results encoding/json refuses.
+func TestEncodeMatchesMarshalIndentShapes(t *testing.T) {
+	sourced := bench.ReportKernel(reportedKernel("k<1>"))
+	fft := runSequential(t, Job{Benchmark: "FFT", Device: "GeForce GTX480", Toolchain: "cuda", Config: bench.Config{Scale: 64}})
+	raw, err := json.Marshal(fft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := new(bench.Result)
+	if err := json.Unmarshal(raw, decoded); err != nil {
+		t.Fatal(err)
+	}
+	if len(decoded.Kernels) == 0 || decoded.Kernels[0].Source() != nil {
+		t.Fatal("a decoded result should carry reports without a source kernel")
+	}
+	base := bench.Result{Benchmark: "Reduce", Toolchain: "opencl", Device: "GeForce GTX480", Metric: "GB/sec", Value: 2.5, Correct: true}
+	with := func(mod func(r *bench.Result)) *bench.Result {
+		r := base
+		mod(&r)
+		return &r
+	}
+	for name, res := range map[string]*bench.Result{
+		"no kernels":    with(func(r *bench.Result) {}),
+		"empty kernels": with(func(r *bench.Result) { r.Kernels = []bench.KernelReport{} }),
+		"zero result":   {},
+		"aborted": with(func(r *bench.Result) {
+			r.Err = errors.New("launch <x> & \"y\"\n")
+			r.Kernels = []bench.KernelReport{sourced}
+		}),
+		"decoded": decoded,
+		"by hand": with(func(r *bench.Result) {
+			r.Kernels = []bench.KernelReport{{Name: "h", Remarks: []ptx.Remark{{Message: "<&>\x02"}}}}
+		}),
+		"empty report":     with(func(r *bench.Result) { r.Kernels = []bench.KernelReport{{}} }),
+		"escaped, sourced": with(func(r *bench.Result) { r.Kernels = []bench.KernelReport{sourced, sourced} }),
+		"mixed":            with(func(r *bench.Result) { r.Kernels = append([]bench.KernelReport{sourced}, decoded.Kernels...) }),
+	} {
+		checkEncode(t, name, res)
+	}
+
+	// A result encoding/json refuses is still an error, and leaves nothing
+	// on its kernels.
+	fresh := reportedKernel("nan")
+	for name, res := range map[string]*bench.Result{
+		"NaN": with(func(r *bench.Result) { r.Value = math.NaN() }),
+		"NaN with kernels": with(func(r *bench.Result) {
+			r.Value = math.NaN()
+			r.Kernels = []bench.KernelReport{bench.ReportKernel(fresh)}
+		}),
+		"-Inf time": with(func(r *bench.Result) { r.KernelSeconds = math.Inf(-1) }),
+	} {
+		if _, want := json.MarshalIndent(res, "  ", "  "); want == nil {
+			t.Fatalf("%s: MarshalIndent accepted it", name)
+		}
+		if e, err := Encode(res); err == nil {
+			t.Errorf("%s: Encode = %q, want an error", name, e.JSON)
+		}
+	}
+	if memoised(fresh) {
+		t.Error("a failed Encode left report bytes on the kernel")
+	}
+}
+
+// TestEncodeAllocsDoNotGrowWithReports: once its kernels have been encoded,
+// a result's allocations are the head's and the output's, however many
+// reports it carries.
+func TestEncodeAllocsDoNotGrowWithReports(t *testing.T) {
+	kr := bench.ReportKernel(reportedKernel("k"))
+	allocs := func(n int) float64 {
+		res := &bench.Result{Benchmark: "FFT", Toolchain: "cuda", Device: "GeForce GTX480", Metric: "GFlops/sec", Value: 1, Correct: true}
+		for i := 0; i < n; i++ {
+			res.Kernels = append(res.Kernels, kr)
+		}
+		if _, err := Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() { Encode(res) }) //nolint:errcheck // checked above
+	}
+	one, many := allocs(1), allocs(200)
+	if many > one {
+		t.Errorf("Encode allocates %.0f times for 200 reports, %.0f for one: want no growth", many, one)
+	}
+	t.Logf("%.0f allocations per Encode, for 1 or 200 reports", one)
+}

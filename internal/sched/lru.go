@@ -18,14 +18,79 @@ type Encoded struct {
 	JSON []byte
 }
 
-// Encode renders res the way a cache entry holds it. It fails when
-// encoding/json cannot represent the result (a NaN or infinite value).
+// The layout of JSON around its kernel reports, as
+// json.MarshalIndent(res, "  ", "  ") renders them: "kernels" is the last
+// member of the result object, and each report is an element of that array,
+// two levels below the result's own "  " prefix.
+const (
+	resultClose  = "\n  }"
+	kernelsOpen  = ",\n    \"kernels\": [\n      "
+	reportSep    = ",\n      "
+	kernelsClose = "\n    ]" + resultClose
+	reportPrefix = "      "
+)
+
+// Encode renders res the way a cache entry holds it: byte for byte
+// json.MarshalIndent(res, "  ", "  "). It fails when encoding/json cannot
+// represent the result (a NaN or infinite value).
+//
+// Most of a result's bytes are its kernel reports, which depend only on the
+// kernels (bench.KernelReport.Source). Encode marshals the rest of the
+// result, then splices in each report's encoding, made once per kernel at
+// this exact indentation and kept on the kernel.
 func Encode(res *bench.Result) (*Encoded, error) {
-	b, err := json.MarshalIndent(res, "  ", "  ")
+	head := *res
+	head.Kernels = nil
+	b, err := json.MarshalIndent(&head, "  ", "  ")
 	if err != nil {
 		return nil, err
 	}
-	return &Encoded{Result: res, JSON: b}, nil
+	if len(res.Kernels) == 0 {
+		return &Encoded{Result: res, JSON: b}, nil
+	}
+	b = b[:len(b)-len(resultClose)]
+	reports := make([][]byte, len(res.Kernels))
+	n := len(b) + len(kernelsOpen) + len(kernelsClose) + (len(reports)-1)*len(reportSep)
+	for i := range res.Kernels {
+		if reports[i], err = reportJSON(&res.Kernels[i]); err != nil {
+			return nil, err
+		}
+		n += len(reports[i])
+	}
+	out := make([]byte, 0, n)
+	out = append(out, b...)
+	out = append(out, kernelsOpen...)
+	for i, r := range reports {
+		if i > 0 {
+			out = append(out, reportSep...)
+		}
+		out = append(out, r...)
+	}
+	out = append(out, kernelsClose...)
+	return &Encoded{Result: res, JSON: out}, nil
+}
+
+// reportKey is the ptx.Kernel.Memo key of a kernel report's encoding.
+type reportKey struct{}
+
+// reportJSON encodes one kernel report as it sits inside Encode's output,
+// once per source kernel.
+func reportJSON(r *bench.KernelReport) ([]byte, error) {
+	pk := r.Source()
+	if pk == nil {
+		return json.MarshalIndent(r, reportPrefix, "  ")
+	}
+	v := pk.Memo(reportKey{}, func() any {
+		b, err := json.MarshalIndent(r, reportPrefix, "  ")
+		if err != nil {
+			return err
+		}
+		return b
+	})
+	if err, ok := v.(error); ok {
+		return nil, err
+	}
+	return v.([]byte), nil
 }
 
 // lruCache is a plain LRU over completed results, guarded by the

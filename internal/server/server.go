@@ -613,9 +613,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP gpucmpd_sim_block_compiles_total Hot fused segments compiled to micro-op form.\n")
 	fmt.Fprintf(w, "# TYPE gpucmpd_sim_block_compiles_total counter\n")
 	fmt.Fprintf(w, "gpucmpd_sim_block_compiles_total %d\n", es.BlockCompiles)
-	fmt.Fprintf(w, "# HELP gpucmpd_sim_threaded_cache_evictions_total Threaded-program cache evictions.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_sim_threaded_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_sim_threaded_cache_evictions_total %d\n", es.ThreadedCacheEvictions)
 	fmt.Fprintf(w, "# HELP gpucmpd_sim_engine_warp_instrs_total Warp instructions retired, by interpreter engine.\n")
 	fmt.Fprintf(w, "# TYPE gpucmpd_sim_engine_warp_instrs_total counter\n")
 	for _, eng := range simEngines {

@@ -248,7 +248,6 @@ func TestMetricsExposition(t *testing.T) {
 		"gpucmpd_sim_superinstr_hits_total",
 		"gpucmpd_sim_superinstr_ops_total",
 		"gpucmpd_sim_block_compiles_total",
-		"gpucmpd_sim_threaded_cache_evictions_total",
 		`gpucmpd_sim_engine_warp_instrs_total{engine="threaded"}`,
 		`gpucmpd_sim_engine_lane_instrs_total{engine="reference"}`,
 	} {
@@ -256,7 +255,8 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics missing %q\n%s", want, text)
 		}
 	}
-	for _, gone := range []string{"gpucmpd_sim_threaded_cache_entries", `engine="fast"`} {
+	// Programs live with their kernels, so there is no cache to evict from.
+	for _, gone := range []string{"gpucmpd_sim_threaded_cache_entries", "gpucmpd_sim_threaded_cache_evictions_total", `engine="fast"`} {
 		if strings.Contains(string(text), gone) {
 			t.Errorf("/metrics still carries %q", gone)
 		}

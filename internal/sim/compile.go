@@ -8,7 +8,7 @@ import (
 )
 
 // The block compiler: a hot fused segment is lowered once per (kernel,
-// device) into a compact micro-op array that a single switch-threaded
+// SIMD width) into a compact micro-op array that a single switch-threaded
 // executor runs when the warp is fully populated and fully active — the
 // dominant shape in every benchmark. The lowering wins over the generic
 // interpreter in four ways:
@@ -132,8 +132,8 @@ type compiledSeg struct {
 	W        int
 }
 
-// compileSeg lowers one fused segment. W is the device SIMD width — fixed
-// for the (kernel, device) cache this program lives in.
+// compileSeg lowers one fused segment. W is the SIMD width the program was
+// built for (progKey).
 func compileSeg(dk *decodedKernel, seg *tSeg, W int) *compiledSeg {
 	// The dynamic-mix deltas were precomputed at fuse time (tSeg.counts —
 	// mask-independent, shared with the interpreted path); only the

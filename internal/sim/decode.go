@@ -2,7 +2,7 @@ package sim
 
 import "gpucmp/internal/ptx"
 
-// This file lowers a ptx.Kernel once per (device, kernel) pair into a
+// This file lowers a ptx.Kernel once per (kernel, SIMD width) into a
 // dense table of decodedOp — the predecoded program the production
 // interpreter executes (fuse.go groups it into segments, threaded.go runs
 // them). Decoding resolves everything the reference interpreter

@@ -41,9 +41,6 @@ type EngineStats struct {
 	// BlockCompiles counts fused segments compiled into closures after
 	// crossing the hotness threshold.
 	BlockCompiles int64 `json:"block_compiles"`
-	// ThreadedCacheEvictions counts programs dropped from the bounded
-	// per-device program caches (fuse.go).
-	ThreadedCacheEvictions int64 `json:"threaded_cache_evictions"`
 
 	// Per-engine retirement counters: warp and lane instructions executed
 	// by completed launches, keyed by engine name.
@@ -56,7 +53,6 @@ var engineGlobals struct {
 	superHits     atomic.Int64
 	superOps      atomic.Int64
 	blockCompiles atomic.Int64
-	progEvicts    atomic.Int64
 
 	warpInstrs [2]atomic.Int64 // indexed by Engine
 	laneInstrs [2]atomic.Int64
@@ -66,12 +62,11 @@ var engineGlobals struct {
 func GlobalEngineStats() EngineStats {
 	g := &engineGlobals
 	s := EngineStats{
-		SuperinstrHits:         g.superHits.Load(),
-		SuperinstrOps:          g.superOps.Load(),
-		BlockCompiles:          g.blockCompiles.Load(),
-		ThreadedCacheEvictions: g.progEvicts.Load(),
-		WarpInstrs:             map[string]int64{},
-		LaneInstrs:             map[string]int64{},
+		SuperinstrHits: g.superHits.Load(),
+		SuperinstrOps:  g.superOps.Load(),
+		BlockCompiles:  g.blockCompiles.Load(),
+		WarpInstrs:     map[string]int64{},
+		LaneInstrs:     map[string]int64{},
 	}
 	for e := EngineThreaded; e <= EngineReference; e++ {
 		if n := g.warpInstrs[e].Load(); n != 0 {

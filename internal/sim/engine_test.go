@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"gpucmp/internal/arch"
@@ -198,45 +199,159 @@ func TestLaunchSetUpGrowsToDevice(t *testing.T) {
 	}
 }
 
-// TestProgramCache pins the one per-device program cache: a kernel is
-// decoded and fused on its first launch only, and the cache holds at most
-// programCacheCap programs, evicting one (and counting it) per overflow.
-func TestProgramCache(t *testing.T) {
-	d := newDev(t, arch.GTX480())
-	pk := compile(t, stressKIR(), compiler.CUDA())
-	const n = 64
-	args := []uint32{uploadU32(t, d, make([]uint32, n)), uploadU32(t, d, make([]uint32, n)), uploadU32(t, d, []uint32{0})}
-	launch := func(k *ptx.Kernel) {
-		t.Helper()
-		if _, err := d.Launch(k, Dim3{X: 1, Y: 1}, Dim3{X: n, Y: 1}, args); err != nil {
-			t.Fatal(err)
+// stressRun is one launch of stressKIR on a fresh device: the trace and the
+// whole committed global memory.
+type stressRun struct {
+	dev   *Device
+	tr    *Trace
+	image []uint32
+}
+
+func runStress(t *testing.T, a *arch.Device, pk *ptx.Kernel, parallel bool) stressRun {
+	const blocks, blockSize = 33, 64
+	d, err := NewDevice(a)
+	if err != nil {
+		t.Error(err) // not Fatal: callers run on other goroutines too
+		return stressRun{}
+	}
+	d.Parallel = parallel
+	var args []uint32
+	for _, words := range []int{blocks * blockSize, blocks * blockSize, 1} {
+		buf := make([]uint32, words)
+		for i := range buf {
+			buf[i] = uint32(i*2654435761) % 251
+		}
+		addr, err := d.Global.Alloc(uint32(4 * words))
+		if err == nil {
+			err = d.Global.WriteWords(addr, buf)
+		}
+		if err != nil {
+			t.Error(err)
+			return stressRun{}
+		}
+		args = append(args, addr)
+	}
+	tr, err := d.Launch(pk, Dim3{X: blocks, Y: 1}, Dim3{X: blockSize, Y: 1}, args)
+	if err != nil {
+		t.Errorf("%s: %v", a.Name, err)
+		return stressRun{}
+	}
+	r := stressRun{dev: d, tr: tr, image: make([]uint32, d.Global.InUse()/4)}
+	if err := d.Global.ReadWords(0, r.image); err != nil {
+		t.Error(err)
+	}
+	return r
+}
+
+// compiledSegs counts the segments of p a launch has block-compiled.
+func compiledSegs(p *tProgram) int64 {
+	var n int64
+	for i := range p.segs {
+		if p.segs[i].compiled.Load() != nil {
+			n++
 		}
 	}
-	launch(pk)
-	first := d.progs.m[pk]
-	if first == nil || first.dk == nil || len(first.segs) == 0 {
-		t.Fatalf("first launch cached no fused program: %+v", first)
+	return n
+}
+
+// TestProgramSharing pins where a program lives: with the kernel, once per
+// SIMD width. Devices of one width run one program and compile each of its
+// segments once between them; another width gets its own; a kernel copied
+// by value and edited never runs its original's program.
+func TestProgramSharing(t *testing.T) {
+	pk := compile(t, stressKIR(), compiler.CUDA())
+	gt280 := runStress(t, arch.GTX280(), pk, false)
+	gt480 := runStress(t, arch.GTX480(), pk, false)
+	if t.Failed() {
+		t.FailNow()
 	}
-	launch(pk)
-	if len(d.progs.m) != 1 || d.progs.m[pk] != first {
-		t.Fatalf("second launch rebuilt the program: %d entries, reused=%v", len(d.progs.m), d.progs.m[pk] == first)
+	p32 := programFor(pk, 32)
+	for _, r := range []stressRun{gt280, gt480} {
+		if r.dev.arenas[0].blk.prog != p32 {
+			t.Errorf("%s did not run the kernel's width-32 program", r.dev.Arch.Name)
+		}
+	}
+	_, _, c280 := gt280.dev.DeviceEngineStats()
+	_, _, c480 := gt480.dev.DeviceEngineStats()
+	if n := compiledSegs(p32); n == 0 || c280+c480 != n {
+		t.Errorf("block compiles %d on GTX280 + %d on GTX480, want the %d compiled segments once", c280, c480, n)
 	}
 
-	// Kernels are keyed by pointer, so copies are distinct kernels.
-	evicted := GlobalEngineStats().ThreadedCacheEvictions
-	for i := 1; i < programCacheCap; i++ {
-		k := *pk
-		launch(&k)
+	hd := runStress(t, arch.HD5870(), pk, false)
+	if t.Failed() {
+		t.FailNow()
 	}
-	if got := GlobalEngineStats().ThreadedCacheEvictions - evicted; len(d.progs.m) != programCacheCap || got != 0 {
-		t.Fatalf("at capacity: %d entries, %d evictions, want %d and 0", len(d.progs.m), got, programCacheCap)
+	p64 := programFor(pk, 64)
+	if p64 == p32 || hd.dev.arenas[0].blk.prog != p64 {
+		t.Error("HD5870 (width 64) did not get a program of its own")
 	}
-	k := *pk
-	launch(&k)
-	if got := GlobalEngineStats().ThreadedCacheEvictions - evicted; len(d.progs.m) != programCacheCap || got != 1 {
-		t.Fatalf("one past capacity: %d entries, %d evictions, want %d and 1", len(d.progs.m), got, programCacheCap)
+	if _, _, c := hd.dev.DeviceEngineStats(); c == 0 || c != compiledSegs(p64) {
+		t.Errorf("HD5870 compiled %d segments, its program holds %d", c, compiledSegs(p64))
 	}
-	if d.progs.m[&k] == nil {
-		t.Fatal("the newest program is not the one cached")
+
+	// A copy made after the original ran, with one immediate edited: it must
+	// decode its own instructions, not reuse the original's program.
+	edited := *pk
+	edited.Instrs = append([]ptx.Instruction(nil), pk.Instrs...)
+	found := false
+	for i := range edited.Instrs {
+		in := &edited.Instrs[i]
+		if in.Op == ptx.OpAdd && in.Src[1].IsImm && in.Src[1].Imm == 7 { // (tid + 7) % 64
+			in.Src[1].Imm = 9
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Fatalf("no add of immediate 7 in:\n%s", pk.Disassemble())
+	}
+	copied := runStress(t, arch.GTX480(), &edited, false)
+	again := runStress(t, arch.GTX480(), pk, false)
+	if t.Failed() {
+		t.FailNow()
+	}
+	if programFor(&edited, 32) == p32 || copied.dev.arenas[0].blk.prog == p32 {
+		t.Error("the edited copy ran its original's program")
+	}
+	if reflect.DeepEqual(copied.image, gt480.image) {
+		t.Error("editing the copy's immediate changed nothing it computed")
+	}
+	if !reflect.DeepEqual(again.image, gt480.image) || !reflect.DeepEqual(again.tr, gt480.tr) {
+		t.Error("the original computes something else after its copy ran")
+	}
+}
+
+// TestProgramSharedAcrossDevicesConcurrently: one kernel launched at once
+// on every modelled device, each launch parallel across its units, equals
+// sequential launches of a separately compiled twin on fresh devices, in
+// trace and in the whole of global memory. Run it under -race.
+func TestProgramSharedAcrossDevicesConcurrently(t *testing.T) {
+	twin := compile(t, stressKIR(), compiler.OpenCL())
+	want := map[string]stressRun{}
+	for _, a := range arch.All() {
+		want[a.Name] = runStress(t, a, twin, false)
+	}
+	pk := compile(t, stressKIR(), compiler.OpenCL())
+	got := make([]stressRun, len(arch.All()))
+	var wg sync.WaitGroup
+	for i, a := range arch.All() {
+		wg.Add(1)
+		go func(i int, a *arch.Device) {
+			defer wg.Done()
+			got[i] = runStress(t, a, pk, true)
+		}(i, a)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, a := range arch.All() {
+		w := want[a.Name]
+		if !reflect.DeepEqual(got[i].tr, w.tr) {
+			t.Errorf("%s: trace differs:\n got %s\nwant %s", a.Name, got[i].tr.Summary(), w.tr.Summary())
+		}
+		if !reflect.DeepEqual(got[i].image, w.image) {
+			t.Errorf("%s: global memory differs", a.Name)
+		}
 	}
 }

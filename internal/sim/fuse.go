@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"gpucmp/internal/ptx"
@@ -14,17 +13,13 @@ import (
 // pure analysis over []decodedOp — it never changes what executes, only
 // how often the interpreter's outer loop runs.
 
-const (
-	// compileThreshold is how many times a fused segment must execute on a
-	// device before it is compiled into closures. Low enough that every
-	// loop body compiles almost immediately; high enough that straight-line
-	// prologue code executed once per warp never pays the compile.
-	compileThreshold = 8
-
-	// programCacheCap bounds the per-device program cache: an entry pins
-	// its decoded ops and every closure compiled for its hot segments.
-	programCacheCap = 256
-)
+// compileThreshold is how many full-width executions a fused segment needs
+// before it is compiled into closures. The program is shared, so they are
+// counted across every device, launch and request that runs the kernel at
+// this width. Low enough that every loop body compiles almost immediately;
+// high enough that straight-line prologue code executed once per warp never
+// pays the compile.
+const compileThreshold = 8
 
 // tSeg is one fused superinstruction: the ops in [start, end) are all
 // straight-line (no branch, barrier or ret, and no branch target inside),
@@ -48,8 +43,8 @@ type tSeg struct {
 	nUnguarded int32
 }
 
-// tProgram is one kernel lowered for one device: the predecoded ops (dk)
-// and their grouping into segments. segAt maps a pc to the segment
+// tProgram is one kernel lowered for one SIMD width: the predecoded ops
+// (dk) and their grouping into segments. segAt maps a pc to the segment
 // starting there (-1 otherwise); the interpreter consults it once per
 // dispatch.
 type tProgram struct {
@@ -58,36 +53,18 @@ type tProgram struct {
 	segAt []int32
 }
 
-// programCache is the per-device kernel -> program cache, looked up once
-// per launch. Kernels are immutable once compiled (the compile cache hands
-// out shared pointers), so pointer identity is a sound key; keeping the
-// cache on the Device bounds its lifetime to the device's. At capacity an
-// arbitrary entry is evicted, counted in the process-wide engine stats so
-// a fleet can see churn on /metrics.
-type programCache struct {
-	mu sync.Mutex
-	m  map[*ptx.Kernel]*tProgram
-}
+// progKey is the ptx.Kernel.Memo key of a program. Nothing in a program
+// depends on the device but its SIMD width (compileSeg lowers for it; the
+// compiled memory arms read the rest of the Arch at run time), so devices
+// of one width share one program and its hit counters: the tSeg atomics and
+// the CAS that publishes a compiled segment make concurrent units on
+// different devices as safe as units on one.
+type progKey struct{ width int }
 
-func (c *programCache) get(k *ptx.Kernel) *tProgram {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.m[k]; ok {
-		return p
-	}
-	if c.m == nil {
-		c.m = make(map[*ptx.Kernel]*tProgram)
-	}
-	if len(c.m) >= programCacheCap {
-		for key := range c.m {
-			delete(c.m, key)
-			engineGlobals.progEvicts.Add(1)
-			break
-		}
-	}
-	p := fuseKernel(decodeKernel(k))
-	c.m[k] = p
-	return p
+// programFor returns k's program for SIMD width w, decoded and fused on
+// first use and kept as long as k is.
+func programFor(k *ptx.Kernel, w int) *tProgram {
+	return k.Memo(progKey{w}, func() any { return fuseKernel(decodeKernel(k)) }).(*tProgram)
 }
 
 // fusable reports whether an op may live inside a superinstruction: ALU

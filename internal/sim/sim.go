@@ -89,12 +89,11 @@ type Device struct {
 	// watchdog checkpoints inside the warp interpreter loop.
 	cancelled atomic.Bool
 
-	// progs caches each kernel's predecoded, fused program; arenas hold
-	// each compute unit's reusable block-execution state and cus the
-	// reusable per-unit cache/counter shards (production engine only — the
-	// reference engine builds fresh state per launch, as the
-	// pre-optimization code did).
-	progs  programCache
+	// arenas hold each compute unit's reusable block-execution state and
+	// cus the reusable per-unit cache/counter shards (production engine
+	// only — the reference engine builds fresh state per launch, as the
+	// pre-optimization code did). The program they run belongs to the
+	// kernel, not the device (programFor).
 	arenas []*cuArena
 	cus    []*cuState
 
@@ -303,7 +302,7 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 	useFast := eng != EngineReference
 	var prog *tProgram
 	if useFast {
-		prog = d.progs.get(k)
+		prog = programFor(k, d.Arch.SIMDWidth)
 		for len(d.arenas) < active {
 			d.arenas = append(d.arenas, &cuArena{})
 		}

@@ -343,6 +343,9 @@ func executeOne(ctx context.Context, s *Submission, pk *ptx.Kernel, a *arch.Devi
 		return DeviceRun{Status: "skipped", Reason: err.Error()}
 	}
 	dev.StepBudget = lim.StepBudget
+	// Sequential units give a kernel with a cross-block race one defined,
+	// cacheable result; a race-free kernel gets the same bits either way.
+	dev.Parallel = false
 	if ctx != nil {
 		defer context.AfterFunc(ctx, dev.Cancel)()
 	}

@@ -389,6 +389,49 @@ func TestRunCUDASkipsNonNVIDIA(t *testing.T) {
 	}
 }
 
+// TestRunCrossBlockRaceIsDeterministic submits a kernel every work-item of
+// every block of which read-modify-writes out[0] without an atomic: under
+// parallel compute units the result would depend on their interleaving.
+// Run launches sequentially, so five runs are byte-identical (and, under
+// -race, free of reports).
+func TestRunCrossBlockRaceIsDeterministic(t *testing.T) {
+	b := kir.NewKernel("racy")
+	out := b.GlobalBuffer("out", kir.U32)
+	b.For("i", kir.U(0), kir.U(32), kir.U(1), func(i kir.Expr) {
+		b.Store(out, kir.U(0), kir.Add(b.Load(out, kir.U(0)), kir.Add(i, b.GlobalIDX())))
+	})
+	k, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := DefaultLimits()
+	sub, err := Parse(wire(t, k, func(m map[string]any) { m["grid"], m["block"] = 16, 64 }), lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for i := 0; i < 5; i++ {
+		rep, err := Run(context.Background(), sub, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range rep.Runs {
+			if run.Status != "ok" {
+				t.Fatalf("%s/%s status = %q (%s)", run.Toolchain, run.Device, run.Status, run.Reason)
+			}
+		}
+		runs, err := json.Marshal(rep.Runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = runs
+		} else if string(runs) != string(first) {
+			t.Fatalf("run %d differs from run 0:\n%s\n%s", i, runs, first)
+		}
+	}
+}
+
 // TestRunWatchdog submits a kernel whose loop step is data-dependent and
 // zero at run time — exactly the shape the static gauntlet cannot refuse
 // — and asserts the step budget kills it instead of hanging the worker.
