@@ -101,10 +101,15 @@ func RunBFS(d Driver, cfg Config) (*Result, error) {
 		return abort(d, "BFS", metric, err), nil
 	}
 	edgesBuf, _ := allocWrite(d, g.Edges)
-	frontierInit := make([]uint32, nodes)
+	// kir.LAnd does not short-circuit, so both kernels' tail work-items
+	// (tid >= nodes) load frontier[tid] and updating[tid]: those two arrays
+	// span the whole grid, and their tail stays 0.
+	block := sim.Dim3{X: 256, Y: 1}
+	grid := sim.Dim3{X: (nodes + 255) / 256, Y: 1}
+	frontierInit := make([]uint32, grid.X*block.X)
 	frontierInit[src] = 1
 	frontierBuf, _ := allocWrite(d, frontierInit)
-	updatingBuf, _ := allocZero(d, nodes)
+	updatingBuf, _ := allocZero(d, grid.X*block.X)
 	visitedInit := make([]uint32, nodes)
 	visitedInit[src] = 1
 	visitedBuf, _ := allocWrite(d, visitedInit)
@@ -115,8 +120,6 @@ func RunBFS(d Driver, cfg Config) (*Result, error) {
 	}
 
 	d.ResetTimer()
-	block := sim.Dim3{X: 256, Y: 1}
-	grid := sim.Dim3{X: (nodes + 255) / 256, Y: 1}
 	for iter := 0; iter < nodes; iter++ {
 		if err := d.Write(doneBuf, []uint32{0}); err != nil {
 			return abort(d, "BFS", metric, err), nil

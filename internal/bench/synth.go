@@ -47,6 +47,7 @@ func RunMaxFlops(d Driver, cfg Config) (*Result, error) {
 	if threads < block {
 		block = threads
 	}
+	threads -= threads % block // the kernel has no bounds guard: whole blocks only
 
 	k := maxFlopsKernel(interleaved, rounds)
 	mod, err := d.Build(k)
@@ -102,6 +103,7 @@ func RunDeviceMemory(d Driver, cfg Config) (*Result, error) {
 	if threads < block {
 		block = threads
 	}
+	threads -= threads % block // the kernel has no bounds guard: whole blocks only
 	words := threads * iters
 
 	k := deviceMemoryKernel(iters)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -767,8 +769,7 @@ func (c *Coordinator) handleKernels(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	lim := submit.DefaultLimits()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, lim.MaxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, submit.DefaultLimits().MaxBody))
 	if err != nil {
 		status, code := http.StatusBadRequest, codeBadJSON
 		var mbe *http.MaxBytesError
@@ -778,14 +779,12 @@ func (c *Coordinator) handleKernels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, fmt.Errorf("bad /kernels body: %w", err))
 		return
 	}
-	// Route by submission content key so identical kernels land on the
-	// same shard (and hit its tenant cache); a body the coordinator
-	// cannot parse still gets forwarded — the worker owns the full
-	// defense ladder and its rejection travels back typed.
-	key := "kernels|" + hashBody(body)
-	if sub, perr := submit.Parse(body, lim); perr == nil {
-		key = "kernels|" + sub.ContentKey()
-	}
+	// Route by the body's SHA-256, never by its decoded program: only the
+	// worker, which owns the defence ladder, parses an untrusted body. A
+	// byte-identical resubmission lands on the same shard (and hits its
+	// tenant cache); two different bodies never share an upstream reply.
+	sum := sha256.Sum256(body)
+	key := "kernels|" + hex.EncodeToString(sum[:])
 	tenant := r.Header.Get("X-Tenant")
 	resp, ferr := c.doShared(r.Context(), http.MethodPost, "/kernels", r.Header, body, key, tenant+"|"+key)
 	c.reply(w, resp, ferr)
@@ -812,9 +811,4 @@ func (c *Coordinator) handleProxyByPath(w http.ResponseWriter, r *http.Request) 
 	}
 	resp, ferr := c.doShared(r.Context(), http.MethodGet, pathq, r.Header, nil, pathq, "get|"+pathq)
 	c.reply(w, resp, ferr)
-}
-
-// hashBody is the routing key fallback for unparseable bodies.
-func hashBody(b []byte) string {
-	return strconv.FormatUint(hash64(string(b)), 16)
 }

@@ -351,6 +351,37 @@ func TestEfficiencyStudy(t *testing.T) {
 	}
 }
 
+// TestGridTailsStayInBounds runs the three benchmarks whose kernels have no
+// bounds guard at scales whose sizes are not a multiple of the block, on
+// every device and toolchain. DeviceMemory and MaxFlops must launch whole
+// blocks only, and BFS must size the arrays its tail work-items load to the
+// grid: otherwise the tail reads and writes the next allocation, which the
+// race detector reports when another compute unit writes it.
+func TestGridTailsStayInBounds(t *testing.T) {
+	for _, name := range []string{"BFS", "DeviceMemory", "MaxFlops"} {
+		spec, err := bench.SpecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []int{17, 20} {
+			for _, a := range arch.All() {
+				for _, toolchain := range []string{"cuda", "opencl"} {
+					if toolchain == "cuda" && a.Vendor != "NVIDIA" {
+						continue
+					}
+					r, err := Direct(a, toolchain, spec, bench.Config{Scale: scale})
+					if err != nil {
+						t.Fatalf("%s/%s/%s scale %d: %v", name, a.Name, toolchain, scale, err)
+					}
+					if r.Err != nil || !r.Correct {
+						t.Errorf("%s/%s/%s scale %d: err %v, correct %v", name, a.Name, toolchain, scale, r.Err, r.Correct)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDeterministicSimulation: the parallel block executor must produce
 // identical traces and times across repeated runs.
 func TestDeterministicSimulation(t *testing.T) {

@@ -2,7 +2,7 @@ package ptx
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // ScalarType is the operand interpretation of an instruction. All registers
@@ -99,15 +99,23 @@ func ImmU(v uint32) Operand { return Operand{IsImm: true, Imm: v} }
 func ImmI(v int32) Operand { return Operand{IsImm: true, Imm: uint32(v)} }
 
 // String renders the operand as PTX text.
-func (o Operand) String() string {
+func (o Operand) String() string { return string(o.appendTo(nil)) }
+
+// appendTo appends the operand's PTX text to b.
+func (o Operand) appendTo(b []byte) []byte {
 	switch {
 	case o.IsImm:
-		return fmt.Sprintf("0x%x", o.Imm)
+		return strconv.AppendUint(append(b, "0x"...), uint64(o.Imm), 16)
 	case o.IsSpec:
-		return o.Spec.String()
+		return append(b, o.Spec.String()...)
 	default:
-		return fmt.Sprintf("%%r%d", o.Reg)
+		return appendReg(b, "%r", o.Reg)
 	}
+}
+
+// appendReg appends a register name: prefix ("%r" or "%p") and index.
+func appendReg(b []byte, prefix string, r Reg) []byte {
+	return strconv.AppendInt(append(b, prefix...), int64(r), 10)
 }
 
 // Instruction is one virtual-ISA instruction. Loads and stores address
@@ -152,74 +160,87 @@ func (in *Instruction) IsMemory() bool {
 }
 
 // Mnemonic returns the dotted PTX-style mnemonic, e.g. "ld.global.f32".
-func (in *Instruction) Mnemonic() string {
-	var b strings.Builder
-	b.WriteString(in.Op.String())
+func (in *Instruction) Mnemonic() string { return string(in.appendMnemonic(nil)) }
+
+func (in *Instruction) appendMnemonic(b []byte) []byte {
+	b = append(b, in.Op.String()...)
 	switch in.Op {
 	case OpLd, OpSt:
-		b.WriteByte('.')
-		b.WriteString(in.Space.String())
+		b = append(append(b, '.'), in.Space.String()...)
 	case OpTex:
-		b.WriteString(".1d")
+		b = append(b, ".1d"...)
 	case OpAtom:
-		b.WriteByte('.')
-		b.WriteString(in.Space.String())
-		b.WriteByte('.')
-		b.WriteString(in.Atom.String())
+		b = append(append(b, '.'), in.Space.String()...)
+		b = append(append(b, '.'), in.Atom.String()...)
 	case OpSetp:
-		b.WriteByte('.')
-		b.WriteString(in.Cmp.String())
+		b = append(append(b, '.'), in.Cmp.String()...)
 	case OpBar:
-		b.WriteString(".sync")
+		b = append(b, ".sync"...)
 	}
 	switch in.Op {
 	case OpBra, OpBar, OpRet:
 	case OpCvt:
-		b.WriteByte('.')
-		b.WriteString(in.Typ.String())
-		b.WriteByte('.')
-		b.WriteString(in.SrcTyp.String())
+		b = append(append(b, '.'), in.Typ.String()...)
+		b = append(append(b, '.'), in.SrcTyp.String()...)
 	default:
-		b.WriteByte('.')
-		b.WriteString(in.Typ.String())
+		b = append(append(b, '.'), in.Typ.String()...)
 	}
-	return b.String()
+	return b
 }
 
 // String renders the instruction as one line of PTX-like assembly.
-func (in *Instruction) String() string {
-	var b strings.Builder
+func (in *Instruction) String() string { return string(in.appendTo(make([]byte, 0, 48))) }
+
+// appendTo appends the instruction's line of assembly, without a newline,
+// to b.
+func (in *Instruction) appendTo(b []byte) []byte {
 	if in.GuardPred != NoReg {
+		b = append(b, '@')
 		if in.GuardNeg {
-			fmt.Fprintf(&b, "@!%%p%d ", in.GuardPred)
-		} else {
-			fmt.Fprintf(&b, "@%%p%d ", in.GuardPred)
+			b = append(b, '!')
 		}
+		b = append(appendReg(b, "%p", in.GuardPred), ' ')
 	}
-	b.WriteString(in.Mnemonic())
+	b = in.appendMnemonic(b)
 	switch in.Op {
 	case OpBra:
-		fmt.Fprintf(&b, " L%d, J%d", in.Target, in.Join)
+		b = strconv.AppendInt(append(b, " L"...), int64(in.Target), 10)
+		b = strconv.AppendInt(append(b, ", J"...), int64(in.Join), 10)
 	case OpBar, OpRet:
 	case OpLd, OpTex:
-		fmt.Fprintf(&b, " %%r%d, [%s+%d]", in.Dst, in.Src[0], in.Off)
+		b = appendReg(append(b, ' '), "%r", in.Dst)
+		b = in.appendAddr(append(b, ", "...))
 	case OpSt:
-		fmt.Fprintf(&b, " [%s+%d], %s", in.Src[0], in.Off, in.Src[1])
+		b = in.appendAddr(append(b, ' '))
+		b = in.Src[1].appendTo(append(b, ", "...))
 	case OpAtom:
-		fmt.Fprintf(&b, " %%r%d, [%s+%d], %s", in.Dst, in.Src[0], in.Off, in.Src[1])
+		b = appendReg(append(b, ' '), "%r", in.Dst)
+		b = in.appendAddr(append(b, ", "...))
+		b = in.Src[1].appendTo(append(b, ", "...))
 	case OpSetp:
-		fmt.Fprintf(&b, " %%p%d, %s, %s", in.Dst, in.Src[0], in.Src[1])
+		b = appendReg(append(b, ' '), "%p", in.Dst)
+		b = in.Src[0].appendTo(append(b, ", "...))
+		b = in.Src[1].appendTo(append(b, ", "...))
 	case OpSelp:
-		fmt.Fprintf(&b, " %%r%d, %s, %s, %%p%d", in.Dst, in.Src[0], in.Src[1], in.Src[2].Reg)
+		b = appendReg(append(b, ' '), "%r", in.Dst)
+		b = in.Src[0].appendTo(append(b, ", "...))
+		b = in.Src[1].appendTo(append(b, ", "...))
+		b = appendReg(append(b, ", "...), "%p", in.Src[2].Reg)
 	default:
-		fmt.Fprintf(&b, " %%r%d", in.Dst)
+		b = appendReg(append(b, ' '), "%r", in.Dst)
 		for _, s := range in.Src {
 			if !s.IsImm && s.Reg == NoReg {
 				break
 			}
-			b.WriteString(", ")
-			b.WriteString(s.String())
+			b = s.appendTo(append(b, ", "...))
 		}
 	}
-	return b.String()
+	return b
+}
+
+// appendAddr appends a memory operand, "[base+off]".
+func (in *Instruction) appendAddr(b []byte) []byte {
+	b = in.Src[0].appendTo(append(b, '['))
+	b = strconv.AppendInt(append(b, '+'), int64(in.Off), 10)
+	return append(b, ']')
 }

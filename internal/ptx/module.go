@@ -2,7 +2,7 @@ package ptx
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -97,20 +97,32 @@ func (k *Kernel) Validate() error {
 // Disassemble renders the kernel as PTX-like text, one instruction per line
 // with pc labels, as consumed by cmd/ptxstat for side-by-side inspection.
 func (k *Kernel) Disassemble() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, ".entry %s  // toolchain=%s regs=%d shared=%dB local=%dB\n",
-		k.Name, k.Toolchain, k.NumRegs, k.SharedBytes, k.LocalBytes)
+	b := make([]byte, 0, 128+40*len(k.Instrs))
+	b = append(append(b, ".entry "...), k.Name...)
+	b = append(append(b, "  // toolchain="...), k.Toolchain...)
+	b = strconv.AppendInt(append(b, " regs="...), int64(k.NumRegs), 10)
+	b = strconv.AppendInt(append(b, " shared="...), int64(k.SharedBytes), 10)
+	b = strconv.AppendInt(append(b, "B local="...), int64(k.LocalBytes), 10)
+	b = append(b, "B\n"...)
 	for _, p := range k.Params {
-		kind := p.Type.String()
+		b = append(b, "  .param "...)
 		if p.Pointer {
-			kind = "ptr." + p.Space.String()
+			b = append(append(b, "ptr."...), p.Space.String()...)
+		} else {
+			b = append(b, p.Type.String()...)
 		}
-		fmt.Fprintf(&b, "  .param %s %s\n", kind, p.Name)
+		b = append(append(append(b, ' '), p.Name...), '\n')
 	}
 	for pc := range k.Instrs {
-		fmt.Fprintf(&b, "L%-4d %s\n", pc, k.Instrs[pc].String())
+		// The label is left-justified in five columns ("L7   "), then a space.
+		start := len(b)
+		b = strconv.AppendInt(append(b, 'L'), int64(pc), 10)
+		for len(b)-start < 5 {
+			b = append(b, ' ')
+		}
+		b = append(k.Instrs[pc].appendTo(append(b, ' ')), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
 // StaticStats counts the kernel's instructions per opcode/class without
