@@ -141,13 +141,13 @@ type Config struct {
 	// TranP note: 2.411 vs 0.215 GB/s).
 	NaiveTranspose bool `json:"naive_transpose,omitempty"`
 
-	// Pattern, when non-empty, runs the benchmark from pattern-generated
-	// kernels instead of the frozen hand-written ones: the value is a
-	// pattern.Schedule mangle (e.g. "b256.c1.u0.f1.r1.t0.k0") selecting the
-	// lowering. Only the benchmarks in PatternBenchNames accept it. The
-	// mangle is embedded in generated kernel names, so distinct schedules
-	// never alias in the compile cache, and it participates in the
-	// scheduler's job key.
+	// Pattern selects the kernel source of the benchmarks in
+	// PatternBenchNames: "" is the benchmark's default source (the
+	// canonical lowering for MxM, Reduce and Scan, the hand-written kernel
+	// for St2D and Sobel); otherwise the value is a pattern.Schedule mangle
+	// (e.g. "b256.c1.u0.f1.r1.t0.k0") selecting the lowering. The mangle is
+	// embedded in generated kernel names, so distinct schedules never alias
+	// in the compile cache, and it participates in the scheduler's job key.
 	Pattern string `json:"pattern,omitempty"`
 }
 

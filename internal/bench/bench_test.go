@@ -128,6 +128,63 @@ func TestCellAborts(t *testing.T) {
 	}
 }
 
+var errInjectedAlloc = errors.New("injected allocation failure")
+
+// allocFailDriver counts Allocs and fails the failAt-th one (1-based; 0
+// never fails).
+type allocFailDriver struct {
+	Driver
+	failAt, allocs int
+}
+
+func (d *allocFailDriver) Alloc(bytes uint32) (Buf, error) {
+	d.allocs++
+	if d.allocs == d.failAt {
+		return Buf{}, errInjectedAlloc
+	}
+	return d.Driver.Alloc(bytes)
+}
+
+// TestAllocFailureAborts: whichever allocation fails, every benchmark
+// reports ABT carrying that error — not FL, not OK, and not a panic from
+// using a buffer that was never allocated.
+func TestAllocFailureAborts(t *testing.T) {
+	for _, tc := range []string{"cuda", "opencl"} {
+		for _, spec := range Registry() {
+			tc, spec := tc, spec
+			t.Run(tc+"/"+spec.Name, func(t *testing.T) {
+				t.Parallel()
+				run := func(failAt int) (res *Result, allocs int) {
+					t.Helper()
+					inner, err := NewDriver(tc, arch.GTX480())
+					if err != nil {
+						t.Fatal(err)
+					}
+					d := &allocFailDriver{Driver: inner, failAt: failAt}
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("alloc #%d failing: panic: %v", failAt, p)
+						}
+					}()
+					if res, err = spec.Run(d, testCfg(tc, 64)); err != nil {
+						t.Fatal(err)
+					}
+					return res, d.allocs
+				}
+				_, total := run(0)
+				if total == 0 {
+					t.Fatal("benchmark allocated nothing")
+				}
+				for k := 1; k <= total; k++ {
+					if res, _ := run(k); !errors.Is(res.Err, errInjectedAlloc) {
+						t.Errorf("alloc #%d of %d failing: status %s, err %v", k, total, res.Status(), res.Err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestHD5870RunsEverythingExceptRdxS: Table VI row 1.
 func TestHD5870Portability(t *testing.T) {
 	for _, spec := range Registry() {

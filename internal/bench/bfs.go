@@ -100,7 +100,10 @@ func RunBFS(d Driver, cfg Config) (*Result, error) {
 	if err != nil {
 		return abort(d, "BFS", metric, err), nil
 	}
-	edgesBuf, _ := allocWrite(d, g.Edges)
+	edgesBuf, err := allocWrite(d, g.Edges)
+	if err != nil {
+		return abort(d, "BFS", metric, err), nil
+	}
 	// kir.LAnd does not short-circuit, so both kernels' tail work-items
 	// (tid >= nodes) load frontier[tid] and updating[tid]: those two arrays
 	// span the whole grid, and their tail stays 0.
@@ -108,12 +111,24 @@ func RunBFS(d Driver, cfg Config) (*Result, error) {
 	grid := sim.Dim3{X: (nodes + 255) / 256, Y: 1}
 	frontierInit := make([]uint32, grid.X*block.X)
 	frontierInit[src] = 1
-	frontierBuf, _ := allocWrite(d, frontierInit)
-	updatingBuf, _ := allocZero(d, grid.X*block.X)
+	frontierBuf, err := allocWrite(d, frontierInit)
+	if err != nil {
+		return abort(d, "BFS", metric, err), nil
+	}
+	updatingBuf, err := allocZero(d, grid.X*block.X)
+	if err != nil {
+		return abort(d, "BFS", metric, err), nil
+	}
 	visitedInit := make([]uint32, nodes)
 	visitedInit[src] = 1
-	visitedBuf, _ := allocWrite(d, visitedInit)
-	costBuf, _ := allocZero(d, nodes)
+	visitedBuf, err := allocWrite(d, visitedInit)
+	if err != nil {
+		return abort(d, "BFS", metric, err), nil
+	}
+	costBuf, err := allocZero(d, nodes)
+	if err != nil {
+		return abort(d, "BFS", metric, err), nil
+	}
 	doneBuf, err := allocZero(d, 1)
 	if err != nil {
 		return abort(d, "BFS", metric, err), nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/kir"
 	"gpucmp/internal/ptx"
 )
 
@@ -59,7 +60,7 @@ func TestKernelReportsBuildOrderDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Build(FFTKernel(), MxMKernel()); err != nil {
+		if _, err := d.Build(append([]*kir.Kernel{FFTKernel()}, canonicalKernels(t, "MxM")...)...); err != nil {
 			t.Fatal(err)
 		}
 		var out []string

@@ -110,14 +110,26 @@ func RunMD(d Driver, cfg Config) (*Result, error) {
 	if err != nil {
 		return abort(d, "MD", metric, err), nil
 	}
-	py, _ := allocWriteF(d, sys.Y)
-	pz, _ := allocWriteF(d, sys.Z)
+	py, err := allocWriteF(d, sys.Y)
+	if err != nil {
+		return abort(d, "MD", metric, err), nil
+	}
+	pz, err := allocWriteF(d, sys.Z)
+	if err != nil {
+		return abort(d, "MD", metric, err), nil
+	}
 	nb, err := allocWrite(d, sys.Neighbors)
 	if err != nil {
 		return abort(d, "MD", metric, err), nil
 	}
-	ofx, _ := allocZero(d, atoms)
-	ofy, _ := allocZero(d, atoms)
+	ofx, err := allocZero(d, atoms)
+	if err != nil {
+		return abort(d, "MD", metric, err), nil
+	}
+	ofy, err := allocZero(d, atoms)
+	if err != nil {
+		return abort(d, "MD", metric, err), nil
+	}
 	ofz, err := allocZero(d, atoms)
 	if err != nil {
 		return abort(d, "MD", metric, err), nil
@@ -136,8 +148,14 @@ func RunMD(d Driver, cfg Config) (*Result, error) {
 	if err != nil {
 		return abort(d, "MD", metric, err), nil
 	}
-	gy, _ := readF32(d, ofy, atoms)
-	gz, _ := readF32(d, ofz, atoms)
+	gy, err := readF32(d, ofy, atoms)
+	if err != nil {
+		return abort(d, "MD", metric, err), nil
+	}
+	gz, err := readF32(d, ofz, atoms)
+	if err != nil {
+		return abort(d, "MD", metric, err), nil
+	}
 	wx, wy, wz := mdRef(sys)
 	correct := true
 	for i := 0; i < atoms; i++ {

@@ -1,45 +1,8 @@
 package bench
 
-import (
-	"gpucmp/internal/kir"
-	"gpucmp/internal/sim"
-	"gpucmp/internal/workload"
-)
+import "gpucmp/internal/workload"
 
 const mxmTile = 16
-
-// MxMKernel builds the shared-memory tiled SGEMM (C = A*B, square n).
-func MxMKernel() *kir.Kernel {
-	b := kir.NewKernel("sgemm")
-	a := b.GlobalBuffer("A", kir.F32)
-	bb := b.GlobalBuffer("B", kir.F32)
-	c := b.GlobalBuffer("C", kir.F32)
-	n := b.ScalarParam("n", kir.U32)
-	as := b.SharedArray("As", kir.F32, mxmTile*mxmTile)
-	bs := b.SharedArray("Bs", kir.F32, mxmTile*mxmTile)
-
-	tx := kir.Bi(kir.TidX)
-	ty := kir.Bi(kir.TidY)
-	row := b.Declare("row", b.GlobalIDY())
-	col := b.Declare("col", b.GlobalIDX())
-	acc := b.Declare("acc", kir.F(0))
-	tiles := b.Declare("tiles", kir.Div(n, kir.U(mxmTile)))
-	b.For("t", kir.U(0), tiles, kir.U(1), func(t kir.Expr) {
-		b.Store(as, kir.Add(kir.Mul(ty, kir.U(mxmTile)), tx),
-			b.Load(a, kir.Add(kir.Mul(row, n), kir.Add(kir.Mul(t, kir.U(mxmTile)), tx))))
-		b.Store(bs, kir.Add(kir.Mul(ty, kir.U(mxmTile)), tx),
-			b.Load(bb, kir.Add(kir.Mul(kir.Add(kir.Mul(t, kir.U(mxmTile)), ty), n), col)))
-		b.Barrier()
-		b.For("k", kir.U(0), kir.U(mxmTile), kir.U(1), func(k kir.Expr) {
-			b.Assign(acc, kir.Add(acc, kir.Mul(
-				b.Load(as, kir.Add(kir.Mul(ty, kir.U(mxmTile)), k)),
-				b.Load(bs, kir.Add(kir.Mul(k, kir.U(mxmTile)), tx)))))
-		})
-		b.Barrier()
-	})
-	b.Store(c, kir.Add(kir.Mul(row, n), col), acc)
-	return b.MustBuild()
-}
 
 // mxmRef computes the reference product with the same tile-ordered float
 // accumulation as the kernel (k-major within the row).
@@ -58,45 +21,23 @@ func mxmRef(a, bm []float32, n int) []float32 {
 }
 
 // RunMxM measures dense matrix multiplication in GFlops/sec (Table II).
+// The kernel is the pattern lowering of a MatMulProg; the canonical
+// schedule is the shared-memory tiled SGEMM with 16x16 tiles.
 func RunMxM(d Driver, cfg Config) (*Result, error) {
-	if cfg.Pattern != "" {
-		return runPatternMxM(d, cfg)
-	}
 	const metric = "GFlops/sec"
-	n := cfg.scale(256)
-	if n < mxmTile {
-		n = mxmTile
-	}
-	n = (n / mxmTile) * mxmTile
-
+	shape, _ := PatternShape("MxM", cfg)
+	n := shape.N
 	rng := workload.NewRNG(41)
 	av := rng.Floats(n*n, -1, 1)
 	bv := rng.Floats(n*n, -1, 1)
 
-	k := MxMKernel()
-	mod, err := d.Build(k)
+	l, bufs, err := runLowered(d, "MxM", cfg, map[string][]uint32{"A": f32Words(av), "B": f32Words(bv)})
 	if err != nil {
-		return abort(d, "MxM", metric, err), nil
-	}
-	ab, err := allocWriteF(d, av)
-	if err != nil {
-		return abort(d, "MxM", metric, err), nil
-	}
-	bbuf, _ := allocWriteF(d, bv)
-	cb, err := allocZero(d, n*n)
-	if err != nil {
-		return abort(d, "MxM", metric, err), nil
-	}
-
-	d.ResetTimer()
-	block := sim.Dim3{X: mxmTile, Y: mxmTile}
-	grid := sim.Dim3{X: n / mxmTile, Y: n / mxmTile}
-	if err := d.Launch(mod, "sgemm", grid, block, B(ab), B(bbuf), B(cb), V(uint32(n))); err != nil {
 		return abort(d, "MxM", metric, err), nil
 	}
 	kernelSecs := d.KernelTime()
 
-	got, err := readF32(d, cb, n*n)
+	got, err := readF32(d, bufs[l.Out], n*n)
 	if err != nil {
 		return abort(d, "MxM", metric, err), nil
 	}
@@ -108,7 +49,6 @@ func RunMxM(d Driver, cfg Config) (*Result, error) {
 			break
 		}
 	}
-
 	flops := 2 * float64(n) * float64(n) * float64(n)
 	return result(d, "MxM", metric, flops/kernelSecs/1e9, correct), nil
 }

@@ -1,249 +1,61 @@
 package bench
 
-// The pattern parity gate: run a benchmark's frozen hand-written kernels
-// and its pattern-generated lowering on identical inputs through the full
+// The pattern parity check for the two benchmarks that keep a hand-written
+// kernel beside their pattern program: run St2D's or Sobel's hand kernel
+// and its pattern lowering on identical inputs through the full
 // compiler+simulator stack, and hand back both raw output buffers for
 // bitwise comparison. At the canonical schedule the lowering reproduces
-// the hand-written kernel's float association exactly, so the outputs
-// must match bit for bit on every device — the property cmd/patternbench
-// and the CI smoke enforce.
+// the hand-written kernel's float association exactly, so the outputs must
+// match bit for bit on every device. (MxM, Reduce and Scan have no hand
+// kernel: their lowering is their only kernel source.)
 
 import (
 	"fmt"
 
 	"gpucmp/internal/arch"
-	"gpucmp/internal/pattern"
-	"gpucmp/internal/sim"
 	"gpucmp/internal/workload"
 )
 
-// PatternParity runs benchmark name twice on fresh drivers — hand-written
-// kernels and the pattern lowering at cfg.Pattern (canonical when empty) —
-// and returns the two raw output buffers. For St2D and Sobel the parity
-// unit is a single stencil application (the benchmark's multi-step
-// ping-pong is the same kernel iterated, so step parity implies run
-// parity).
+// PatternParity runs St2D or Sobel twice on fresh drivers — the
+// hand-written kernel and the pattern lowering at cfg.Pattern (canonical
+// when empty) — and returns the two raw output buffers. The parity unit is
+// a single stencil application (St2D's multi-step ping-pong is the same
+// kernel iterated, so step parity implies run parity). The hand Sobel
+// kernel keeps its filter where the schedule's ConstCoeff flag puts the
+// lowering's, so like is compared with like.
 func PatternParity(toolchain string, a *arch.Device, name string, cfg Config) (hand, pat []uint32, err error) {
-	p, ok := PatternProgram(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("bench: %s has no pattern program", name)
-	}
-	s := pattern.Canonical(p)
-	if cfg.Pattern != "" {
-		if s, err = pattern.ParseSchedule(cfg.Pattern); err != nil {
-			return nil, nil, err
-		}
-	}
-	shape, _ := PatternShape(name, cfg)
-	l, err := pattern.Lower(p, s, shape)
+	l, err := patternLower(name, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	handCfg := cfg
+	handCfg.Pattern = ""
+	handCfg.UseConstant = l.Sched.ConstCoeff
+	patCfg := cfg
+	patCfg.Pattern = l.Sched.Mangle()
 
-	inputs, outInit := parityInputs(name, shape)
-	hand, err = handRaw(toolchain, a, name, s, shape)
-	if err != nil {
+	run := func(cfg Config) ([]uint32, error) {
+		d, err := NewDriver(toolchain, a)
+		if err != nil {
+			return nil, err
+		}
+		w, h := l.Shape.W, l.Shape.H
+		var out []float32
+		switch name {
+		case "St2D":
+			out, err = st2dSteps(d, cfg, workload.GrayImage(w, h, 37), w, h, 1)
+		case "Sobel":
+			out, err = sobelOutput(d, cfg, workload.GrayImage(w, h, 11), w, h)
+		default:
+			return nil, fmt.Errorf("bench: %s has no hand-written kernel", name)
+		}
+		return f32Words(out), err
+	}
+	if hand, err = run(handCfg); err != nil {
 		return nil, nil, fmt.Errorf("hand path: %w", err)
 	}
-	pat, err = loweredRaw(toolchain, a, l, inputs, outInit)
-	if err != nil {
+	if pat, err = run(patCfg); err != nil {
 		return nil, nil, fmt.Errorf("pattern path: %w", err)
 	}
 	return hand, pat, nil
-}
-
-// parityInputs builds the benchmark's inputs (same seeds as the Run*
-// functions) keyed by the pattern program's buffer names.
-func parityInputs(name string, shape pattern.Shape) (map[string][]uint32, []uint32) {
-	switch name {
-	case "MxM":
-		n := shape.N
-		rng := workload.NewRNG(41)
-		return map[string][]uint32{
-			"A": f32Words(rng.Floats(n*n, -1, 1)),
-			"B": f32Words(rng.Floats(n*n, -1, 1)),
-		}, nil
-	case "Reduce":
-		return map[string][]uint32{"in": f32Words(workload.NewRNG(13).Floats(shape.N, 0, 1))}, nil
-	case "Scan":
-		return map[string][]uint32{"in": workload.NewRNG(47).Keys(shape.N, 1000)}, nil
-	case "St2D":
-		img := f32Words(workload.GrayImage(shape.W, shape.H, 37))
-		return map[string][]uint32{"in": img}, img // borders pass through
-	case "Sobel":
-		return map[string][]uint32{"img": f32Words(workload.GrayImage(shape.W, shape.H, 11))}, nil
-	}
-	return nil, nil
-}
-
-// loweredRaw executes a lowered pattern program on a fresh driver and
-// returns the raw words of its output buffer.
-func loweredRaw(toolchain string, a *arch.Device, l *pattern.Lowered, inputs map[string][]uint32, outInit []uint32) ([]uint32, error) {
-	d, err := NewDriver(toolchain, a)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := d.Build(l.Kernels...)
-	if err != nil {
-		return nil, err
-	}
-	bufs, err := allocLoweredBufs(d, l, inputs, outInit)
-	if err != nil {
-		return nil, err
-	}
-	for _, ln := range l.Launches {
-		if err := launchOne(d, mod, bufs, ln); err != nil {
-			return nil, err
-		}
-	}
-	return readWords(d, bufs[l.Out], l.Buf(l.Out).Words)
-}
-
-// handRaw executes the frozen hand-written kernel sequence on a fresh
-// driver with the parity inputs and returns the raw output words.
-func handRaw(toolchain string, a *arch.Device, name string, s pattern.Schedule, shape pattern.Shape) ([]uint32, error) {
-	d, err := NewDriver(toolchain, a)
-	if err != nil {
-		return nil, err
-	}
-	switch name {
-	case "MxM":
-		n := shape.N
-		rng := workload.NewRNG(41)
-		av := rng.Floats(n*n, -1, 1)
-		bv := rng.Floats(n*n, -1, 1)
-		mod, err := d.Build(MxMKernel())
-		if err != nil {
-			return nil, err
-		}
-		ab, err := allocWriteF(d, av)
-		if err != nil {
-			return nil, err
-		}
-		bb, err := allocWriteF(d, bv)
-		if err != nil {
-			return nil, err
-		}
-		cb, err := allocZero(d, n*n)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Launch(mod, "sgemm",
-			sim.Dim3{X: n / mxmTile, Y: n / mxmTile}, sim.Dim3{X: mxmTile, Y: mxmTile},
-			B(ab), B(bb), B(cb), V(uint32(n))); err != nil {
-			return nil, err
-		}
-		return readWords(d, cb, n*n)
-
-	case "Reduce":
-		n := shape.N
-		in := workload.NewRNG(13).Floats(n, 0, 1)
-		mod, err := d.Build(ReduceKernel())
-		if err != nil {
-			return nil, err
-		}
-		inBuf, err := allocWriteF(d, in)
-		if err != nil {
-			return nil, err
-		}
-		groups := (n + reduceBlock - 1) / reduceBlock
-		outBuf, err := allocZero(d, groups)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Launch(mod, "reduce",
-			sim.Dim3{X: groups, Y: 1}, sim.Dim3{X: reduceBlock, Y: 1},
-			B(inBuf), B(outBuf), V(uint32(n))); err != nil {
-			return nil, err
-		}
-		return readWords(d, outBuf, groups)
-
-	case "Scan":
-		n := shape.N
-		groups := n / scanBlock
-		keys := workload.NewRNG(47).Keys(n, 1000)
-		mod, err := d.Build(scanBlockKernel(), scanSumsKernel(), scanAddKernel())
-		if err != nil {
-			return nil, err
-		}
-		inBuf, err := allocWrite(d, keys)
-		if err != nil {
-			return nil, err
-		}
-		outBuf, err := allocZero(d, n)
-		if err != nil {
-			return nil, err
-		}
-		sumBuf, err := allocZero(d, groups)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Launch(mod, "scanBlock",
-			sim.Dim3{X: groups, Y: 1}, sim.Dim3{X: scanBlock, Y: 1},
-			B(inBuf), B(outBuf), B(sumBuf)); err != nil {
-			return nil, err
-		}
-		if err := d.Launch(mod, "scanSums",
-			sim.Dim3{X: 1, Y: 1}, sim.Dim3{X: 1, Y: 1},
-			B(sumBuf), V(uint32(groups))); err != nil {
-			return nil, err
-		}
-		if err := d.Launch(mod, "uniformAdd",
-			sim.Dim3{X: groups, Y: 1}, sim.Dim3{X: scanBlock, Y: 1},
-			B(outBuf), B(sumBuf)); err != nil {
-			return nil, err
-		}
-		return readWords(d, outBuf, n)
-
-	case "St2D":
-		w, h := shape.W, shape.H
-		img := workload.GrayImage(w, h, 37)
-		mod, err := d.Build(St2DKernel())
-		if err != nil {
-			return nil, err
-		}
-		src, err := allocWriteF(d, img)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := allocWriteF(d, img) // borders pass through
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Launch(mod, "stencil9",
-			sim.Dim3{X: (w + 15) / 16, Y: (h + 15) / 16}, sim.Dim3{X: 16, Y: 16},
-			B(src), B(dst), V(uint32(w)), V(uint32(h))); err != nil {
-			return nil, err
-		}
-		return readWords(d, dst, w*h)
-
-	case "Sobel":
-		w, h := shape.W, shape.H
-		img := workload.GrayImage(w, h, 11)
-		// The schedule's ConstCoeff flag is the pattern spelling of the
-		// hand-written kernel's constFilter variant: compare like with like.
-		mod, err := d.Build(SobelKernel(s.ConstCoeff))
-		if err != nil {
-			return nil, err
-		}
-		imgBuf, err := allocWriteF(d, img)
-		if err != nil {
-			return nil, err
-		}
-		filtBuf, err := allocWriteF(d, sobelFilterX)
-		if err != nil {
-			return nil, err
-		}
-		outBuf, err := allocZero(d, w*h)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Launch(mod, "sobel",
-			sim.Dim3{X: (w + 15) / 16, Y: (h + 15) / 16}, sim.Dim3{X: 16, Y: 16},
-			B(imgBuf), B(filtBuf), B(outBuf), V(uint32(w)), V(uint32(h))); err != nil {
-			return nil, err
-		}
-		return readWords(d, outBuf, w*h)
-	}
-	return nil, fmt.Errorf("bench: %s has no hand parity path", name)
 }

@@ -1,13 +1,16 @@
 package bench
 
 // The kernel-source seam: five paper benchmarks (MxM, Reduce, Scan, St2D,
-// Sobel) can run from pattern-generated kernels instead of the frozen
-// hand-written ones. Config.Pattern selects the schedule; the canonical
-// schedule's lowering mirrors the hand-written kernel's floating-point
-// association exactly, so its device output is bitwise identical — the
-// parity gate cmd/patternbench enforces. Other schedules are the rewrite
-// rules the autotuner searches; each run still passes the benchmark's own
-// correctness check against the host reference.
+// Sobel) are pattern programs, and Config.Pattern selects the schedule
+// they are lowered at. MxM, Reduce and Scan have no other kernel source:
+// an empty Config.Pattern is their canonical schedule. St2D and Sobel keep
+// their hand-written kernels for an empty Config.Pattern, because no
+// schedule compiles to the same instructions (DESIGN.md §10); their
+// canonical lowering still reproduces the hand kernel's floating-point
+// association, so its device output is bitwise identical (PatternParity).
+// Other schedules are the rewrite rules the autotuner searches; each run
+// still passes the benchmark's own correctness check against the host
+// reference.
 
 import (
 	"fmt"
@@ -16,7 +19,6 @@ import (
 	"gpucmp/internal/kir"
 	"gpucmp/internal/pattern"
 	"gpucmp/internal/sim"
-	"gpucmp/internal/workload"
 )
 
 // patternBenchNames lists the pattern-portable benchmarks in Registry
@@ -132,8 +134,9 @@ func PatternProgram(name string) (pattern.Program, bool) {
 	}
 }
 
-// PatternShape mirrors each hand-written Run*'s problem-size computation,
-// so hand and pattern variants always process identical data.
+// PatternShape is each pattern benchmark's problem size at cfg.Scale, so
+// every schedule, and St2D's and Sobel's hand kernels, process identical
+// data.
 func PatternShape(name string, cfg Config) (pattern.Shape, bool) {
 	switch name {
 	case "MxM":
@@ -199,285 +202,61 @@ func PatternCanonical(name string) (string, bool) {
 	return pattern.Canonical(p).Mangle(), true
 }
 
-// patternLower parses cfg.Pattern and lowers the benchmark's program.
+// patternLower lowers the benchmark's program at cfg.Pattern, or at its
+// canonical schedule when cfg.Pattern is empty.
 func patternLower(name string, cfg Config) (*pattern.Lowered, error) {
 	p, ok := PatternProgram(name)
 	if !ok {
 		return nil, fmt.Errorf("bench: %s has no pattern program", name)
 	}
-	s, err := pattern.ParseSchedule(cfg.Pattern)
-	if err != nil {
-		return nil, err
+	s := pattern.Canonical(p)
+	if cfg.Pattern != "" {
+		var err error
+		if s, err = pattern.ParseSchedule(cfg.Pattern); err != nil {
+			return nil, err
+		}
 	}
 	shape, _ := PatternShape(name, cfg)
 	return pattern.Lower(p, s, shape)
 }
 
-// allocLoweredBufs allocates and fills every buffer of a lowered program:
-// inputs from the caller's data, coefficient tables from their pinned
-// contents, the output from outInit (or zero), temps zeroed.
-func allocLoweredBufs(d Driver, l *pattern.Lowered, inputs map[string][]uint32, outInit []uint32) (map[string]Buf, error) {
-	bufs := map[string]Buf{}
+// runLowered lowers the benchmark at cfg.Pattern, builds its kernels,
+// uploads its buffers and runs every launch on a freshly reset clock.
+// Inputs come from the caller, keyed by the program's buffer names;
+// coefficient tables get their pinned contents; outputs and temps start
+// zeroed. The caller reads the result from bufs[l.Out].
+func runLowered(d Driver, name string, cfg Config, inputs map[string][]uint32) (l *pattern.Lowered, bufs map[string]Buf, err error) {
+	if l, err = patternLower(name, cfg); err != nil {
+		return nil, nil, err
+	}
+	mod, err := d.Build(l.Kernels...)
+	if err != nil {
+		return nil, nil, err
+	}
+	bufs = map[string]Buf{}
 	for _, bs := range l.Bufs {
 		words := make([]uint32, bs.Words)
 		switch bs.Role {
 		case pattern.RoleInput:
 			src := inputs[bs.Name]
 			if len(src) < bs.Words {
-				return nil, fmt.Errorf("bench: pattern input %q has %d words, need %d", bs.Name, len(src), bs.Words)
+				return nil, nil, fmt.Errorf("bench: pattern input %q has %d words, need %d", bs.Name, len(src), bs.Words)
 			}
 			copy(words, src)
 		case pattern.RoleCoeff:
 			copy(words, bs.Init)
-		case pattern.RoleOutput:
-			if outInit != nil {
-				if len(outInit) != bs.Words {
-					return nil, fmt.Errorf("bench: pattern out init has %d words, need %d", len(outInit), bs.Words)
-				}
-				copy(words, outInit)
-			}
 		}
-		b, err := allocWrite(d, words)
-		if err != nil {
-			return nil, err
+		if bufs[bs.Name], err = allocWrite(d, words); err != nil {
+			return nil, nil, err
 		}
-		bufs[bs.Name] = b
-	}
-	return bufs, nil
-}
-
-// runPatternMxM is the pattern path of RunMxM: same data, same reference
-// check, same metric, pattern-generated kernels.
-func runPatternMxM(d Driver, cfg Config) (*Result, error) {
-	const metric = "GFlops/sec"
-	l, err := patternLower("MxM", cfg)
-	if err != nil {
-		return abort(d, "MxM", metric, err), nil
-	}
-	n := l.Shape.N
-	rng := workload.NewRNG(41)
-	av := rng.Floats(n*n, -1, 1)
-	bv := rng.Floats(n*n, -1, 1)
-
-	mod, err := d.Build(l.Kernels...)
-	if err != nil {
-		return abort(d, "MxM", metric, err), nil
-	}
-	bufs, err := allocLoweredBufs(d, l, map[string][]uint32{"A": f32Words(av), "B": f32Words(bv)}, nil)
-	if err != nil {
-		return abort(d, "MxM", metric, err), nil
 	}
 	d.ResetTimer()
 	for _, ln := range l.Launches {
 		if err := launchOne(d, mod, bufs, ln); err != nil {
-			return abort(d, "MxM", metric, err), nil
+			return nil, nil, err
 		}
 	}
-	kernelSecs := d.KernelTime()
-
-	got, err := readF32(d, bufs[l.Out], n*n)
-	if err != nil {
-		return abort(d, "MxM", metric, err), nil
-	}
-	want := mxmRef(av, bv, n)
-	correct := true
-	for i := range want {
-		if !f32eq(got[i], want[i], 2e-2) {
-			correct = false
-			break
-		}
-	}
-	flops := 2 * float64(n) * float64(n) * float64(n)
-	return result(d, "MxM", metric, flops/kernelSecs/1e9, correct), nil
-}
-
-// runPatternReduce is the pattern path of RunReduce.
-func runPatternReduce(d Driver, cfg Config) (*Result, error) {
-	const metric = "GB/sec"
-	l, err := patternLower("Reduce", cfg)
-	if err != nil {
-		return abort(d, "Reduce", metric, err), nil
-	}
-	n := l.Shape.N
-	in := workload.NewRNG(13).Floats(n, 0, 1)
-
-	mod, err := d.Build(l.Kernels...)
-	if err != nil {
-		return abort(d, "Reduce", metric, err), nil
-	}
-	bufs, err := allocLoweredBufs(d, l, map[string][]uint32{"in": f32Words(in)}, nil)
-	if err != nil {
-		return abort(d, "Reduce", metric, err), nil
-	}
-	d.ResetTimer()
-	for _, ln := range l.Launches {
-		if err := launchOne(d, mod, bufs, ln); err != nil {
-			return abort(d, "Reduce", metric, err), nil
-		}
-	}
-	kernelSecs := d.KernelTime()
-
-	groups := l.Buf(l.Out).Words
-	partials, err := readF32(d, bufs[l.Out], groups)
-	if err != nil {
-		return abort(d, "Reduce", metric, err), nil
-	}
-	var got float64
-	for _, p := range partials {
-		got += float64(p)
-	}
-	var want float64
-	for _, v := range in {
-		want += float64(v)
-	}
-	diff := got - want
-	if diff < 0 {
-		diff = -diff
-	}
-	correct := diff <= 1e-3*(1+want)
-	return result(d, "Reduce", metric, float64(n)*4/kernelSecs/1e9, correct), nil
-}
-
-// runPatternScan is the pattern path of RunScan.
-func runPatternScan(d Driver, cfg Config) (*Result, error) {
-	const metric = "MElements/sec"
-	l, err := patternLower("Scan", cfg)
-	if err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-	n := l.Shape.N
-	keys := workload.NewRNG(47).Keys(n, 1000)
-
-	mod, err := d.Build(l.Kernels...)
-	if err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-	bufs, err := allocLoweredBufs(d, l, map[string][]uint32{"in": keys}, nil)
-	if err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-	d.ResetTimer()
-	for _, ln := range l.Launches {
-		if err := launchOne(d, mod, bufs, ln); err != nil {
-			return abort(d, "Scan", metric, err), nil
-		}
-	}
-	kernelSecs := d.KernelTime()
-
-	got, err := readWords(d, bufs[l.Out], n)
-	if err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-	correct := true
-	var acc uint32
-	for i, k := range keys {
-		if got[i] != acc {
-			correct = false
-			break
-		}
-		acc += k
-	}
-	return result(d, "Scan", metric, float64(n)/kernelSecs/1e6, correct), nil
-}
-
-// runPatternSt2D is the pattern path of RunSt2D: the single-step stencil
-// lowering is ping-ponged the same four steps as the hand-written runner.
-func runPatternSt2D(d Driver, cfg Config) (*Result, error) {
-	const metric = "sec"
-	const steps = 4
-	l, err := patternLower("St2D", cfg)
-	if err != nil {
-		return abort(d, "St2D", metric, err), nil
-	}
-	w, h := l.Shape.W, l.Shape.H
-	img := workload.GrayImage(w, h, 37)
-
-	mod, err := d.Build(l.Kernels...)
-	if err != nil {
-		return abort(d, "St2D", metric, err), nil
-	}
-	// Both buffers seeded with the image so borders pass through, exactly
-	// like the hand-written runner.
-	bufA, err := allocWriteF(d, img)
-	if err != nil {
-		return abort(d, "St2D", metric, err), nil
-	}
-	bufB, err := allocWriteF(d, img)
-	if err != nil {
-		return abort(d, "St2D", metric, err), nil
-	}
-
-	d.ResetTimer()
-	ln := l.Launches[0]
-	src, dst := bufA, bufB
-	for s := 0; s < steps; s++ {
-		bufs := map[string]Buf{"in": src, "out": dst}
-		if err := launchOne(d, mod, bufs, ln); err != nil {
-			return abort(d, "St2D", metric, err), nil
-		}
-		src, dst = dst, src
-	}
-	kernelSecs := d.KernelTime()
-
-	got, err := readF32(d, src, w*h)
-	if err != nil {
-		return abort(d, "St2D", metric, err), nil
-	}
-	want := img
-	for s := 0; s < steps; s++ {
-		want = st2dRef(want, w, h)
-	}
-	correct := true
-	for i := range want {
-		if !f32eq(got[i], want[i], 1e-3) {
-			correct = false
-			break
-		}
-	}
-	return result(d, "St2D", metric, kernelSecs, correct), nil
-}
-
-// runPatternSobel is the pattern path of RunSobel. The schedule's
-// ConstCoeff flag is the pattern-layer spelling of cfg.UseConstant.
-func runPatternSobel(d Driver, cfg Config) (*Result, error) {
-	const metric = "sec"
-	l, err := patternLower("Sobel", cfg)
-	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
-	}
-	w, h := l.Shape.W, l.Shape.H
-	img := workload.GrayImage(w, h, 11)
-
-	mod, err := d.Build(l.Kernels...)
-	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
-	}
-	bufs, err := allocLoweredBufs(d, l, map[string][]uint32{"img": f32Words(img)}, nil)
-	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
-	}
-	d.ResetTimer()
-	for _, ln := range l.Launches {
-		if err := launchOne(d, mod, bufs, ln); err != nil {
-			return abort(d, "Sobel", metric, err), nil
-		}
-	}
-
-	got, err := readF32(d, bufs[l.Out], w*h)
-	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
-	}
-	want := sobelRef(img, w, h)
-	correct := true
-	for i := range want {
-		if !f32eq(got[i], want[i], 1e-4) {
-			correct = false
-			break
-		}
-	}
-	res := result(d, "Sobel", metric, 0, correct)
-	res.Value = res.KernelSeconds
-	return res, nil
+	return l, bufs, nil
 }
 
 // launchOne runs one launch of a lowered program on the driver.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"gpucmp/internal/arch"
@@ -14,33 +16,106 @@ func gpuDevices() []*arch.Device {
 	return []*arch.Device{arch.GTX480(), arch.GTX280(), arch.HD5870()}
 }
 
-// TestPatternParityBitIdentical is the in-tree parity gate: on every GPU
-// device, every pattern-portable benchmark's canonical lowering must
-// reproduce the hand-written kernels' output bit for bit through the full
-// compiler+simulator stack.
+// toolchainsFor lists the runtimes a device supports (CUDA is NVIDIA-only).
+func toolchainsFor(a *arch.Device) []string {
+	if a.Vendor == "NVIDIA" {
+		return []string{"opencl", "cuda"}
+	}
+	return []string{"opencl"}
+}
+
+// TestPatternParityBitIdentical is the in-tree parity gate for the two
+// benchmarks that keep a hand-written kernel: on every GPU device, St2D's
+// and Sobel's canonical lowering must reproduce the hand-written kernel's
+// output bit for bit through the full compiler+simulator stack.
 func TestPatternParityBitIdentical(t *testing.T) {
-	cfg := Config{Scale: 64}
-	for _, name := range PatternBenchNames() {
+	for _, name := range []string{"Sobel", "St2D"} {
 		for _, a := range gpuDevices() {
-			toolchains := []string{"opencl"}
-			if a.Vendor == "NVIDIA" {
-				toolchains = append(toolchains, "cuda")
-			}
-			for _, tc := range toolchains {
+			for _, tc := range toolchainsFor(a) {
 				name, a, tc := name, a, tc
 				t.Run(name+"/"+a.Name+"/"+tc, func(t *testing.T) {
 					t.Parallel()
-					hand, pat, err := PatternParity(tc, a, name, cfg)
-					if err != nil {
-						t.Fatal(err)
+					for _, scale := range []int{64, 32} {
+						t.Run(fmt.Sprintf("scale%d", scale), func(t *testing.T) {
+							hand, pat, err := PatternParity(tc, a, name, Config{Scale: scale})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if len(hand) != len(pat) {
+								t.Fatalf("output sizes differ: hand %d, pattern %d", len(hand), len(pat))
+							}
+							for i := range hand {
+								if hand[i] != pat[i] {
+									t.Fatalf("word %d: hand %#x, pattern %#x", i, hand[i], pat[i])
+								}
+							}
+						})
 					}
-					if len(hand) != len(pat) {
-						t.Fatalf("output sizes differ: hand %d, pattern %d", len(hand), len(pat))
-					}
-					for i := range hand {
-						if hand[i] != pat[i] {
-							t.Fatalf("word %d: hand %#x, pattern %#x", i, hand[i], pat[i])
+				})
+			}
+		}
+	}
+}
+
+// TestNativeSourceIsCanonicalLowering pins "one kernel source" for MxM,
+// Reduce and Scan: on every device and toolchain, an empty Config.Pattern
+// and the canonical schedule's mangle run the same kernels — equal metric,
+// kernel time, warp instructions and kernel reports, names included.
+func TestNativeSourceIsCanonicalLowering(t *testing.T) {
+	warpInstrs := func(res *Result) int64 {
+		var n int64
+		for _, tr := range res.Traces {
+			n += tr.Dyn.Total
+		}
+		return n
+	}
+	for _, name := range []string{"MxM", "Reduce", "Scan"} {
+		canon, ok := PatternCanonical(name)
+		if !ok {
+			t.Fatalf("%s: no canonical schedule", name)
+		}
+		spec, err := SpecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range arch.All() {
+			for _, tc := range toolchainsFor(a) {
+				a, tc := a, tc
+				t.Run(name+"/"+a.Name+"/"+tc, func(t *testing.T) {
+					t.Parallel()
+					run := func(cfg Config) *Result {
+						t.Helper()
+						d, err := NewDriver(tc, a)
+						if err != nil {
+							t.Fatal(err)
 						}
+						res, err := spec.Run(d, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Err != nil {
+							t.Fatalf("pattern %q aborted: %v", cfg.Pattern, res.Err)
+						}
+						return res
+					}
+					native := run(Config{Scale: 16})
+					lowered := run(Config{Scale: 16, Pattern: canon})
+					if native.Value != lowered.Value || native.KernelSeconds != lowered.KernelSeconds {
+						t.Errorf("native value %v / %v s, canonical %v / %v s",
+							native.Value, native.KernelSeconds, lowered.Value, lowered.KernelSeconds)
+					}
+					if n, l := warpInstrs(native), warpInstrs(lowered); n != l {
+						t.Errorf("warp instructions: native %d, canonical %d", n, l)
+					}
+					if !reflect.DeepEqual(native.Kernels, lowered.Kernels) {
+						var nn, ln []string
+						for _, k := range native.Kernels {
+							nn = append(nn, k.Name)
+						}
+						for _, k := range lowered.Kernels {
+							ln = append(ln, k.Name)
+						}
+						t.Errorf("kernel reports differ: native %v, canonical %v", nn, ln)
 					}
 				})
 			}

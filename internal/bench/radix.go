@@ -136,6 +136,24 @@ func radixScatterKernel() *kir.Kernel {
 	return b.MustBuild()
 }
 
+// scanSumsKernel exclusive-scans the digit-major per-block counts in place
+// with one thread (the array is tiny: 16 digits x nblocks).
+func scanSumsKernel() *kir.Kernel {
+	b := kir.NewKernel("scanSums")
+	sums := b.GlobalBuffer("sums", kir.U32)
+	n := b.ScalarParam("n", kir.U32)
+	gid := b.Declare("gid", b.GlobalIDX())
+	b.If(kir.Eq(gid, kir.U(0)), func() {
+		acc := b.Declare("acc", kir.U(0))
+		b.For("i", kir.U(0), n, kir.U(1), func(i kir.Expr) {
+			v := b.Declare("v", b.Load(sums, i))
+			b.Store(sums, i, acc)
+			b.Assign(acc, kir.Add(acc, v))
+		})
+	})
+	return b.MustBuild()
+}
+
 // RunRdxS measures radix-sort throughput in MElements/sec (Table II). On
 // devices whose wavefront differs from the baked-in warp width of 32 the
 // sort completes but produces a wrongly ordered result ("FL").
@@ -156,7 +174,10 @@ func RunRdxS(d Driver, cfg Config) (*Result, error) {
 	if err != nil {
 		return abort(d, "RdxS", metric, err), nil
 	}
-	bufB, _ := allocZero(d, n)
+	bufB, err := allocZero(d, n)
+	if err != nil {
+		return abort(d, "RdxS", metric, err), nil
+	}
 	countBuf, err := allocZero(d, rdxDigits*nblocks)
 	if err != nil {
 		return abort(d, "RdxS", metric, err), nil

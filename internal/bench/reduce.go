@@ -1,82 +1,27 @@
 package bench
 
-import (
-	"gpucmp/internal/kir"
-	"gpucmp/internal/sim"
-	"gpucmp/internal/workload"
-)
+import "gpucmp/internal/workload"
 
 const reduceBlock = 256
 
-// ReduceKernel builds the SHOC-style tree reduction: each work-group loads
-// a tile into shared memory and halves it log2(block) times, emitting one
-// partial sum per group.
-func ReduceKernel() *kir.Kernel {
-	b := kir.NewKernel("reduce")
-	in := b.GlobalBuffer("in", kir.F32)
-	out := b.GlobalBuffer("out", kir.F32)
-	n := b.ScalarParam("n", kir.U32)
-	tile := b.SharedArray("tile", kir.F32, reduceBlock)
-	tid := kir.Bi(kir.TidX)
-
-	gid := b.Declare("gid", b.GlobalIDX())
-	v := b.Declare("v", kir.F(0))
-	b.If(kir.Lt(gid, n), func() {
-		b.Assign(v, b.Load(in, gid))
-	})
-	b.Store(tile, tid, v)
-	b.Barrier()
-	// 8 halving rounds for a 256-thread group: stride = 128 >> p.
-	b.For("p", kir.U(0), kir.U(8), kir.U(1), func(p kir.Expr) {
-		stride := kir.Shr(kir.U(reduceBlock/2), p)
-		b.If(kir.Lt(tid, stride), func() {
-			b.Store(tile, tid, kir.Add(b.Load(tile, tid), b.Load(tile, kir.Add(tid, stride))))
-		})
-		b.Barrier()
-	})
-	b.If(kir.Eq(tid, kir.U(0)), func() {
-		b.Store(out, kir.Bi(kir.CtaidX), b.Load(tile, kir.U(0)))
-	})
-	return b.MustBuild()
-}
-
-// RunReduce measures reduction bandwidth in GB/sec (Table II). The device
+// RunReduce measures reduction bandwidth in GB/sec (Table II). The kernel
+// is the pattern lowering of a ReduceProg; the canonical schedule is the
+// SHOC-style shared-memory tree reduction over 256-wide groups. The device
 // produces per-group partials; the final partial sum happens on the host,
 // as in SHOC.
 func RunReduce(d Driver, cfg Config) (*Result, error) {
-	if cfg.Pattern != "" {
-		return runPatternReduce(d, cfg)
-	}
 	const metric = "GB/sec"
-	n := cfg.scale(1 << 20)
-	if n < reduceBlock {
-		n = reduceBlock
-	}
+	shape, _ := PatternShape("Reduce", cfg)
+	n := shape.N
 	in := workload.NewRNG(13).Floats(n, 0, 1)
 
-	k := ReduceKernel()
-	mod, err := d.Build(k)
+	l, bufs, err := runLowered(d, "Reduce", cfg, map[string][]uint32{"in": f32Words(in)})
 	if err != nil {
-		return abort(d, "Reduce", metric, err), nil
-	}
-	inBuf, err := allocWriteF(d, in)
-	if err != nil {
-		return abort(d, "Reduce", metric, err), nil
-	}
-	groups := (n + reduceBlock - 1) / reduceBlock
-	outBuf, err := allocZero(d, groups)
-	if err != nil {
-		return abort(d, "Reduce", metric, err), nil
-	}
-
-	d.ResetTimer()
-	if err := d.Launch(mod, "reduce", sim.Dim3{X: groups, Y: 1}, sim.Dim3{X: reduceBlock, Y: 1},
-		B(inBuf), B(outBuf), V(uint32(n))); err != nil {
 		return abort(d, "Reduce", metric, err), nil
 	}
 	kernelSecs := d.KernelTime()
 
-	partials, err := readF32(d, outBuf, groups)
+	partials, err := readF32(d, bufs[l.Out], l.Buf(l.Out).Words)
 	if err != nil {
 		return abort(d, "Reduce", metric, err), nil
 	}
@@ -93,7 +38,5 @@ func RunReduce(d Driver, cfg Config) (*Result, error) {
 		diff = -diff
 	}
 	correct := diff <= 1e-3*(1+want)
-
-	res := result(d, "Reduce", metric, float64(n)*4/kernelSecs/1e9, correct)
-	return res, nil
+	return result(d, "Reduce", metric, float64(n)*4/kernelSecs/1e9, correct), nil
 }

@@ -6,6 +6,7 @@ import (
 	"gpucmp/internal/arch"
 	"gpucmp/internal/compiler"
 	"gpucmp/internal/kir"
+	"gpucmp/internal/pattern"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sim"
 	"gpucmp/internal/workload"
@@ -18,20 +19,20 @@ func TestDisassemblyRoundTripsAllKernels(t *testing.T) {
 	kernels := []*kir.Kernel{
 		SobelKernel(true), SobelKernel(false),
 		TranPKernel(false), TranPKernel(true),
-		ReduceKernel(),
 		FFTKernel(),
 		MDKernel(true), MDKernel(false),
 		SPMVScalarKernel(true), SPMVScalarKernel(false), SPMVVectorKernel(false),
 		St2DKernel(),
 		DXTCKernel(),
-		MxMKernel(),
 		FDTDKernel(true, true), FDTDKernel(false, true),
-		scanBlockKernel(), scanSumsKernel(), scanAddKernel(),
-		radixCountKernel(), radixScatterKernel(),
+		radixCountKernel(), scanSumsKernel(), radixScatterKernel(),
 		stnwLocalKernel(), stnwGlobalKernel(),
 		bfsVisitKernel(), bfsUpdateKernel(),
 		maxFlopsKernel(true, 4), maxFlopsKernel(false, 4),
 		deviceMemoryKernel(4),
+	}
+	for _, name := range []string{"Reduce", "MxM", "Scan"} {
+		kernels = append(kernels, canonicalKernels(t, name)...)
 	}
 	for _, src := range kernels {
 		for _, p := range []compiler.Personality{compiler.CUDA(), compiler.OpenCL()} {
@@ -58,6 +59,23 @@ func TestDisassemblyRoundTripsAllKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// canonicalKernels lowers a pattern benchmark's program at its canonical
+// schedule and default shape: the kernels its Run* builds when
+// Config.Pattern is empty.
+func canonicalKernels(t *testing.T, name string) []*kir.Kernel {
+	t.Helper()
+	p, ok := PatternProgram(name)
+	if !ok {
+		t.Fatalf("%s has no pattern program", name)
+	}
+	shape, _ := PatternShape(name, Config{})
+	l, err := pattern.Lower(p, pattern.Canonical(p), shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l.Kernels
 }
 
 // TestHostExecutorAgreesWithSimulator runs the FFT forward kernel through

@@ -1,134 +1,26 @@
 package bench
 
-import (
-	"gpucmp/internal/kir"
-	"gpucmp/internal/sim"
-	"gpucmp/internal/workload"
-)
+import "gpucmp/internal/workload"
 
 const scanBlock = 256
 
-// scanBlockKernel builds the work-efficient Blelloch exclusive scan over
-// one 256-element tile per work-group, emitting each group's total into
-// blockSums.
-func scanBlockKernel() *kir.Kernel {
-	b := kir.NewKernel("scanBlock")
-	in := b.GlobalBuffer("in", kir.U32)
-	out := b.GlobalBuffer("out", kir.U32)
-	sums := b.GlobalBuffer("sums", kir.U32)
-	tmp := b.SharedArray("tmp", kir.U32, scanBlock)
-	tid := kir.Bi(kir.TidX)
-
-	gid := b.Declare("gid", b.GlobalIDX())
-	b.Store(tmp, tid, b.Load(in, gid))
-	b.Barrier()
-
-	// Up-sweep: 8 rounds, d = 128 >> p, offset = 1 << p.
-	b.For("p", kir.U(0), kir.U(8), kir.U(1), func(p kir.Expr) {
-		dd := kir.Shr(kir.U(scanBlock/2), p)
-		off := kir.Shl(kir.U(1), p)
-		b.If(kir.Lt(tid, dd), func() {
-			ai := b.Declare("ai", kir.Sub(kir.Mul(off, kir.Add(kir.Mul(tid, kir.U(2)), kir.U(1))), kir.U(1)))
-			bi := b.Declare("bi", kir.Sub(kir.Mul(off, kir.Add(kir.Mul(tid, kir.U(2)), kir.U(2))), kir.U(1)))
-			b.Store(tmp, bi, kir.Add(b.Load(tmp, bi), b.Load(tmp, ai)))
-		})
-		b.Barrier()
-	})
-	b.If(kir.Eq(tid, kir.U(0)), func() {
-		b.Store(sums, kir.Bi(kir.CtaidX), b.Load(tmp, kir.U(scanBlock-1)))
-		b.Store(tmp, kir.U(scanBlock-1), kir.U(0))
-	})
-	b.Barrier()
-	// Down-sweep: d = 1 << q, offset = 128 >> q.
-	b.For("q", kir.U(0), kir.U(8), kir.U(1), func(q kir.Expr) {
-		dd := kir.Shl(kir.U(1), q)
-		off := kir.Shr(kir.U(scanBlock/2), q)
-		b.If(kir.Lt(tid, dd), func() {
-			ai := b.Declare("ai", kir.Sub(kir.Mul(off, kir.Add(kir.Mul(tid, kir.U(2)), kir.U(1))), kir.U(1)))
-			bi := b.Declare("bi", kir.Sub(kir.Mul(off, kir.Add(kir.Mul(tid, kir.U(2)), kir.U(2))), kir.U(1)))
-			t := b.Declare("t", b.Load(tmp, ai))
-			b.Store(tmp, ai, b.Load(tmp, bi))
-			b.Store(tmp, bi, kir.Add(b.Load(tmp, bi), t))
-		})
-		b.Barrier()
-	})
-	b.Store(out, gid, b.Load(tmp, tid))
-	return b.MustBuild()
-}
-
-// scanSumsKernel scans the per-block sums with one thread (the sums array
-// is tiny; this mirrors the small second-level pass of multi-level scans).
-func scanSumsKernel() *kir.Kernel {
-	b := kir.NewKernel("scanSums")
-	sums := b.GlobalBuffer("sums", kir.U32)
-	n := b.ScalarParam("n", kir.U32)
-	gid := b.Declare("gid", b.GlobalIDX())
-	b.If(kir.Eq(gid, kir.U(0)), func() {
-		acc := b.Declare("acc", kir.U(0))
-		b.For("i", kir.U(0), n, kir.U(1), func(i kir.Expr) {
-			v := b.Declare("v", b.Load(sums, i))
-			b.Store(sums, i, acc)
-			b.Assign(acc, kir.Add(acc, v))
-		})
-	})
-	return b.MustBuild()
-}
-
-// scanAddKernel adds each group's scanned base to its tile.
-func scanAddKernel() *kir.Kernel {
-	b := kir.NewKernel("uniformAdd")
-	out := b.GlobalBuffer("out", kir.U32)
-	sums := b.GlobalBuffer("sums", kir.U32)
-	gid := b.Declare("gid", b.GlobalIDX())
-	b.Store(out, gid, kir.Add(b.Load(out, gid), b.Load(sums, kir.Bi(kir.CtaidX))))
-	return b.MustBuild()
-}
-
 // RunScan measures exclusive prefix-sum throughput in MElements/sec
-// (Table II) using the three-kernel multi-level scan.
+// (Table II). The kernels are the pattern lowering of a ScanProg; the
+// canonical schedule is the three-kernel multi-level scan (Blelloch scan
+// per 256-element tile, a one-thread scan of the tile sums, a uniform add).
 func RunScan(d Driver, cfg Config) (*Result, error) {
-	if cfg.Pattern != "" {
-		return runPatternScan(d, cfg)
-	}
 	const metric = "MElements/sec"
-	n := cfg.scale(256 * 1024)
-	n = (n / scanBlock) * scanBlock
-	if n < scanBlock {
-		n = scanBlock
-	}
-	groups := n / scanBlock
+	shape, _ := PatternShape("Scan", cfg)
+	n := shape.N
 	keys := workload.NewRNG(47).Keys(n, 1000)
 
-	mod, err := d.Build(scanBlockKernel(), scanSumsKernel(), scanAddKernel())
+	l, bufs, err := runLowered(d, "Scan", cfg, map[string][]uint32{"in": keys})
 	if err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-	inBuf, err := allocWrite(d, keys)
-	if err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-	outBuf, _ := allocZero(d, n)
-	sumBuf, err := allocZero(d, groups)
-	if err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-
-	d.ResetTimer()
-	if err := d.Launch(mod, "scanBlock", sim.Dim3{X: groups, Y: 1}, sim.Dim3{X: scanBlock, Y: 1},
-		B(inBuf), B(outBuf), B(sumBuf)); err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-	if err := d.Launch(mod, "scanSums", sim.Dim3{X: 1, Y: 1}, sim.Dim3{X: 1, Y: 1},
-		B(sumBuf), V(uint32(groups))); err != nil {
-		return abort(d, "Scan", metric, err), nil
-	}
-	if err := d.Launch(mod, "uniformAdd", sim.Dim3{X: groups, Y: 1}, sim.Dim3{X: scanBlock, Y: 1},
-		B(outBuf), B(sumBuf)); err != nil {
 		return abort(d, "Scan", metric, err), nil
 	}
 	kernelSecs := d.KernelTime()
 
-	got, err := readWords(d, outBuf, n)
+	got, err := readWords(d, bufs[l.Out], n)
 	if err != nil {
 		return abort(d, "Scan", metric, err), nil
 	}
@@ -141,6 +33,5 @@ func RunScan(d Driver, cfg Config) (*Result, error) {
 		}
 		acc += k
 	}
-
 	return result(d, "Scan", metric, float64(n)/kernelSecs/1e6, correct), nil
 }

@@ -64,47 +64,51 @@ func sobelRef(img []float32, w, h int) []float32 {
 	return out
 }
 
-// RunSobel measures the Sobel benchmark (Table II metric: seconds). The
-// variant is selected by cfg.UseConstant.
-func RunSobel(d Driver, cfg Config) (*Result, error) {
+// sobelOutput filters img on the device and returns the output image. An
+// empty cfg.Pattern runs the hand-written kernel, whose filter placement is
+// cfg.UseConstant; a schedule runs the pattern lowering, whose ConstCoeff
+// flag is the pattern-layer spelling of the same choice.
+func sobelOutput(d Driver, cfg Config, img []float32, w, h int) ([]float32, error) {
 	if cfg.Pattern != "" {
-		return runPatternSobel(d, cfg)
+		l, bufs, err := runLowered(d, "Sobel", cfg, map[string][]uint32{"img": f32Words(img)})
+		if err != nil {
+			return nil, err
+		}
+		return readF32(d, bufs[l.Out], w*h)
 	}
-	const metric = "sec"
-	w := cfg.scale(1024)
-	h := cfg.scale(1024)
-	if w < 16 {
-		w, h = 16, 16
-	}
-	img := workload.GrayImage(w, h, 11)
-
-	k := SobelKernel(cfg.UseConstant)
-	mod, err := d.Build(k)
+	mod, err := d.Build(SobelKernel(cfg.UseConstant))
 	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
+		return nil, err
 	}
 	imgBuf, err := allocWriteF(d, img)
 	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
+		return nil, err
 	}
 	filtBuf, err := allocWriteF(d, sobelFilterX)
 	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
+		return nil, err
 	}
 	outBuf, err := allocZero(d, w*h)
 	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
+		return nil, err
 	}
-
 	d.ResetTimer()
-	block := sim.Dim3{X: 16, Y: 16}
-	grid := sim.Dim3{X: (w + 15) / 16, Y: (h + 15) / 16}
-	if err := d.Launch(mod, "sobel", grid, block,
+	if err := d.Launch(mod, "sobel", sim.Dim3{X: (w + 15) / 16, Y: (h + 15) / 16}, sim.Dim3{X: 16, Y: 16},
 		B(imgBuf), B(filtBuf), B(outBuf), V(uint32(w)), V(uint32(h))); err != nil {
-		return abort(d, "Sobel", metric, err), nil
+		return nil, err
 	}
+	return readF32(d, outBuf, w*h)
+}
 
-	got, err := readF32(d, outBuf, w*h)
+// RunSobel measures the Sobel benchmark (Table II metric: seconds). The
+// variant is selected by cfg.UseConstant, or by cfg.Pattern.
+func RunSobel(d Driver, cfg Config) (*Result, error) {
+	const metric = "sec"
+	shape, _ := PatternShape("Sobel", cfg)
+	w, h := shape.W, shape.H
+	img := workload.GrayImage(w, h, 11)
+
+	got, err := sobelOutput(d, cfg, img, w, h)
 	if err != nil {
 		return abort(d, "Sobel", metric, err), nil
 	}

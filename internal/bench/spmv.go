@@ -117,9 +117,18 @@ func RunSPMV(d Driver, cfg Config) (*Result, error) {
 	if err != nil {
 		return abort(d, "SPMV", metric, err), nil
 	}
-	cb, _ := allocWrite(d, mtx.ColIdx)
-	rb, _ := allocWrite(d, mtx.RowPtr)
-	xb, _ := allocWriteF(d, x)
+	cb, err := allocWrite(d, mtx.ColIdx)
+	if err != nil {
+		return abort(d, "SPMV", metric, err), nil
+	}
+	rb, err := allocWrite(d, mtx.RowPtr)
+	if err != nil {
+		return abort(d, "SPMV", metric, err), nil
+	}
+	xb, err := allocWriteF(d, x)
+	if err != nil {
+		return abort(d, "SPMV", metric, err), nil
+	}
 	yb, err := allocZero(d, rows)
 	if err != nil {
 		return abort(d, "SPMV", metric, err), nil

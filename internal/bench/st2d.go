@@ -57,49 +57,63 @@ func st2dRef(in []float32, w, h int) []float32 {
 	return out
 }
 
-// RunSt2D measures the two-dimensional nine-point stencil (Table II
-// metric: seconds) over several ping-pong iterations.
-func RunSt2D(d Driver, cfg Config) (*Result, error) {
+// st2dSteps runs steps stencil applications ping-ponged over two buffers
+// seeded with img (so borders pass through) and returns the last output.
+// An empty cfg.Pattern runs the hand-written kernel, a schedule the
+// single-step pattern lowering.
+func st2dSteps(d Driver, cfg Config, img []float32, w, h, steps int) ([]float32, error) {
+	var launch func(src, dst Buf) error
 	if cfg.Pattern != "" {
-		return runPatternSt2D(d, cfg)
+		l, err := patternLower("St2D", cfg)
+		if err != nil {
+			return nil, err
+		}
+		mod, err := d.Build(l.Kernels...)
+		if err != nil {
+			return nil, err
+		}
+		launch = func(src, dst Buf) error {
+			return launchOne(d, mod, map[string]Buf{"in": src, "out": dst}, l.Launches[0])
+		}
+	} else {
+		mod, err := d.Build(St2DKernel())
+		if err != nil {
+			return nil, err
+		}
+		grid := sim.Dim3{X: (w + 15) / 16, Y: (h + 15) / 16}
+		launch = func(src, dst Buf) error {
+			return d.Launch(mod, "stencil9", grid, sim.Dim3{X: 16, Y: 16},
+				B(src), B(dst), V(uint32(w)), V(uint32(h)))
+		}
 	}
-	const metric = "sec"
-	const steps = 4
-	w := cfg.scale(512)
-	h := cfg.scale(512)
-	if w < 32 {
-		w, h = 32, 32
-	}
-	img := workload.GrayImage(w, h, 37)
-
-	k := St2DKernel()
-	mod, err := d.Build(k)
+	src, err := allocWriteF(d, img)
 	if err != nil {
-		return abort(d, "St2D", metric, err), nil
+		return nil, err
 	}
-	bufA, err := allocWriteF(d, img)
+	dst, err := allocWriteF(d, img)
 	if err != nil {
-		return abort(d, "St2D", metric, err), nil
+		return nil, err
 	}
-	bufB, err := allocWriteF(d, img) // borders must match in both buffers
-	if err != nil {
-		return abort(d, "St2D", metric, err), nil
-	}
-
 	d.ResetTimer()
-	block := sim.Dim3{X: 16, Y: 16}
-	grid := sim.Dim3{X: (w + 15) / 16, Y: (h + 15) / 16}
-	src, dst := bufA, bufB
 	for s := 0; s < steps; s++ {
-		if err := d.Launch(mod, "stencil9", grid, block,
-			B(src), B(dst), V(uint32(w)), V(uint32(h))); err != nil {
-			return abort(d, "St2D", metric, err), nil
+		if err := launch(src, dst); err != nil {
+			return nil, err
 		}
 		src, dst = dst, src
 	}
-	kernelSecs := d.KernelTime()
+	return readF32(d, src, w*h)
+}
 
-	got, err := readF32(d, src, w*h)
+// RunSt2D measures the two-dimensional nine-point stencil (Table II
+// metric: seconds) over several ping-pong iterations.
+func RunSt2D(d Driver, cfg Config) (*Result, error) {
+	const metric = "sec"
+	const steps = 4
+	shape, _ := PatternShape("St2D", cfg)
+	w, h := shape.W, shape.H
+	img := workload.GrayImage(w, h, 37)
+
+	got, err := st2dSteps(d, cfg, img, w, h, steps)
 	if err != nil {
 		return abort(d, "St2D", metric, err), nil
 	}
@@ -114,6 +128,5 @@ func RunSt2D(d Driver, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	res := result(d, "St2D", metric, kernelSecs, correct)
-	return res, nil
+	return result(d, "St2D", metric, d.KernelTime(), correct), nil
 }

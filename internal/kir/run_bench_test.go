@@ -38,7 +38,7 @@ func BenchmarkRunReferenceExecutor(b *testing.B) {
 // work-item is suspended and resumed 7 times per launch inside a loop, the
 // path every reduction- or scan-shaped fuzz program takes.
 func BenchmarkRunReferenceExecutorBarriers(b *testing.B) {
-	k := loopReduceKernel()
+	k := loopTreeSumKernel()
 	const blocks = 16
 	in := make([]uint32, blocks*64)
 	for i := range in {

@@ -157,12 +157,12 @@ func TestRunErrorStringsPinned(t *testing.T) {
 	}
 }
 
-// loopReduceKernel sums a 64-thread block's inputs with a tree reduction
+// loopTreeSumKernel sums a 64-thread block's inputs with a tree reduction
 // whose barrier sits inside a rolled For inside an If, so a work-item is
 // suspended two levels deep with a live loop variable. It accumulates into
 // shared memory it never clears: a second block only gets the right sum if
 // its shared arrays start zeroed.
-func loopReduceKernel() *Kernel {
+func loopTreeSumKernel() *Kernel {
 	b := NewKernel("loopreduce")
 	in := b.GlobalBuffer("in", U32)
 	out := b.GlobalBuffer("out", U32)
@@ -188,7 +188,7 @@ func loopReduceKernel() *Kernel {
 
 func runLoopReduce(in []uint32) ([]uint32, error) {
 	out := make([]uint32, len(in)/64)
-	err := Run(loopReduceKernel(), RunConfig{GridX: len(out), GridY: 1, BlockX: 8, BlockY: 8,
+	err := Run(loopTreeSumKernel(), RunConfig{GridX: len(out), GridY: 1, BlockX: 8, BlockY: 8,
 		Buffers: map[string][]uint32{"in": in, "out": out},
 		Scalars: map[string]uint32{"n": 6}})
 	return out, err

@@ -1,11 +1,11 @@
 package pattern
 
 // Lowering turns one (program, schedule, shape) triple into concrete KIR
-// kernels plus the buffer set and launch sequence that runs them. The
-// generated kernels deliberately mirror the hand-written internal/bench
-// kernels at the canonical schedule — same guard shapes, same shared-memory
-// staging, same floating-point combination order — which is what makes the
-// hand-vs-pattern parity gate in cmd/patternbench bitwise.
+// kernels plus the buffer set and launch sequence that runs them. At the
+// canonical schedule the generated kernels are the MxM, Reduce and Scan
+// benchmark kernels of internal/bench, and mirror its hand-written St2D and
+// Sobel kernels — same guard shapes, same floating-point combination
+// order — which is what makes bench.PatternParity bitwise.
 //
 // Kernel names embed the schedule mangle, so two different schedules of the
 // same program can never alias each other in the process-wide compile cache

@@ -236,7 +236,7 @@ func TestRuleSoundness(t *testing.T) {
 }
 
 // TestScheduleIndependentKindsAgreeAcrossSpace pins the stronger property
-// the parity gate relies on for integer programs: schedules that only
+// integer programs have: schedules that only
 // reorganise work (everything except float reassociation) leave the
 // evaluator's answer untouched. For u32 programs even reassociating rules
 // are bitwise no-ops, so ALL schedules must agree with the canonical one.

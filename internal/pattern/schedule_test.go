@@ -111,9 +111,9 @@ func TestLowerRejectsIllegalSchedules(t *testing.T) {
 	}
 }
 
-// TestCanonicalReduceMatchesHandWrittenShape pins the structural claim the
-// parity gate rests on: at the canonical schedule the generated reduce
-// kernel has the hand-written kernel's shape — one shared tile of 256
+// TestCanonicalReduceMatchesHandWrittenShape pins the shape of the Reduce
+// benchmark's kernel, which is this lowering: at the canonical schedule it
+// keeps the SHOC hand-written kernel's shape — one shared tile of 256
 // words, log2(256) = 8 tree rounds, identity-guarded load.
 func TestCanonicalReduceMatchesHandWrittenShape(t *testing.T) {
 	p := &ReduceProg{Name: "r", Root: In("in", kir.F32), Combine: fnAddF()}
