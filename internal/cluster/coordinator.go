@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gpucmp/internal/metrics"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/submit"
 )
@@ -103,8 +104,7 @@ type Coordinator struct {
 	inFlight atomic.Int64
 	notReady atomic.Bool
 
-	brkMu    sync.Mutex
-	breakers map[string]*sched.Breaker
+	breakers *metrics.Keyed[sched.Breaker]
 
 	sfMu   sync.Mutex
 	flight map[string]*proxyCall
@@ -129,14 +129,14 @@ func New(cfg Config) *Coordinator {
 		metrics:  newMetrics(),
 		lat:      &latencyTracker{},
 		start:    time.Now(),
-		breakers: make(map[string]*sched.Breaker),
+		breakers: metrics.NewKeyed(0, func() *sched.Breaker { return sched.NewBreaker(cfg.Breaker) }),
 		flight:   make(map[string]*proxyCall),
 		stop:     make(chan struct{}),
 		misses:   make(map[string]int),
 	}
 	for _, w := range cfg.Workers {
 		c.ring.Add(w)
-		c.metrics.shard(w) // pre-register so /metrics shows every shard from the start
+		c.metrics.shards.Get(w) // pre-register so /metrics shows every shard from the start
 	}
 	return c
 }
@@ -228,17 +228,6 @@ func (c *Coordinator) probe(worker string) bool {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for keep-alive
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-func (c *Coordinator) breakerFor(shard string) *sched.Breaker {
-	c.brkMu.Lock()
-	defer c.brkMu.Unlock()
-	b, ok := c.breakers[shard]
-	if !ok {
-		b = sched.NewBreaker(c.cfg.Breaker)
-		c.breakers[shard] = b
-	}
-	return b
 }
 
 // latencyTracker keeps a sliding window of recent end-to-end routed
@@ -376,12 +365,12 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 				c.metrics.failovers.Add(1)
 			}
 			moved = true
-			br := c.breakerFor(shard)
+			br := c.breakers.Get(shard)
 			if ok, wait := br.Allow(); !ok {
 				lastErr = fmt.Errorf("cluster: %w for shard %s (retry in %v)", sched.ErrBreakerOpen, shard, wait)
 				continue
 			}
-			sc := c.metrics.shard(shard)
+			sc := c.metrics.shards.Get(shard)
 			sc.requests.Add(1)
 			if hedge {
 				sc.hedges.Add(1)
@@ -429,7 +418,7 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 				c.lat.observe(time.Since(start))
 				if r.hedge {
 					c.metrics.hedgeWins.Add(1)
-					c.metrics.shard(r.resp.shard).hedgeWins.Add(1)
+					c.metrics.shards.Get(r.resp.shard).hedgeWins.Add(1)
 				}
 				return r.resp, nil
 			}
@@ -620,7 +609,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	var breakers []sched.BreakerSnapshot
 	for _, wk := range c.cfg.Workers {
-		breakers = append(breakers, c.breakerFor(wk).Snapshot(wk))
+		breakers = append(breakers, c.breakers.Get(wk).Snapshot(wk))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         status,

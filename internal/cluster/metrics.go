@@ -1,15 +1,17 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"gpucmp/internal/metrics"
 	"gpucmp/internal/sched"
 )
+
+// depthBuckets are the queue-depth histogram's upper bounds, in requests
+// (a +Inf bucket follows).
+var depthBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // shardCounters is one worker's routing accounting.
 type shardCounters struct {
@@ -33,24 +35,17 @@ type Metrics struct {
 	dedupJoined atomic.Uint64 // requests served by an identical in-flight proxy call
 	noShard     atomic.Uint64 // requests that found an empty ring
 
-	mu     sync.Mutex
-	shards map[string]*shardCounters
-	depth  sched.Histogram // in-flight depth at admission, in "seconds" units (count)
+	shards *metrics.Keyed[shardCounters]
+
+	mu    sync.Mutex
+	depth *metrics.Histogram // in-flight requests at admission
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{shards: make(map[string]*shardCounters)}
-}
-
-func (m *Metrics) shard(name string) *shardCounters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.shards[name]
-	if !ok {
-		c = &shardCounters{}
-		m.shards[name] = c
+	return &Metrics{
+		shards: metrics.NewKeyed[shardCounters](0, nil),
+		depth:  metrics.NewHistogram(depthBuckets),
 	}
-	return c
 }
 
 // observeDepth records the coordinator's in-flight request count at one
@@ -90,10 +85,12 @@ type Snapshot struct {
 
 	Shards []ShardSnapshot             `json:"shards"`
 	Quotas []sched.TenantQuotaSnapshot `json:"quotas,omitempty"`
+
+	depth metrics.Histogram // the copy QueueDepth* came from, for /metrics
 }
 
-// snapshotLocked assembles the fleet snapshot; the coordinator fills in
-// ring membership and breaker state per shard.
+// snapshot copies the coordinator's metrics, with ring membership and
+// breaker state per shard.
 func (c *Coordinator) snapshot() Snapshot {
 	m := c.metrics
 	s := Snapshot{
@@ -109,23 +106,14 @@ func (c *Coordinator) snapshot() Snapshot {
 		Quotas:      c.quotas.Snapshot(),
 	}
 	m.mu.Lock()
-	names := make([]string, 0, len(m.shards))
-	for name := range m.shards {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	s.QueueDepthCount = m.depth.Count()
-	if s.QueueDepthCount > 0 {
-		s.QueueDepthP50 = m.depth.Quantile(0.50)
-		s.QueueDepthP99 = m.depth.Quantile(0.99)
-	}
-	counters := make([]*shardCounters, len(names))
-	for i, name := range names {
-		counters[i] = m.shards[name]
-	}
+	s.depth = m.depth.Clone()
 	m.mu.Unlock()
-	for i, name := range names {
-		sc := counters[i]
+	s.QueueDepthCount = s.depth.Count()
+	if s.QueueDepthCount > 0 {
+		s.QueueDepthP50 = s.depth.Quantile(0.50)
+		s.QueueDepthP99 = s.depth.Quantile(0.99)
+	}
+	m.shards.Each(func(name string, sc *shardCounters) {
 		s.Shards = append(s.Shards, ShardSnapshot{
 			Shard:     name,
 			Requests:  sc.requests.Load(),
@@ -133,9 +121,9 @@ func (c *Coordinator) snapshot() Snapshot {
 			Hedges:    sc.hedges.Load(),
 			HedgeWins: sc.hedgeWins.Load(),
 			InRing:    c.ring.Contains(name),
-			Breaker:   c.breakerFor(name).State().String(),
+			Breaker:   c.breakers.Get(name).State().String(),
 		})
-	}
+	})
 	return s
 }
 
@@ -143,100 +131,35 @@ func (c *Coordinator) snapshot() Snapshot {
 // matching the gpucmpd_* metric style of internal/server.
 func (c *Coordinator) writeProm(w io.Writer) {
 	s := c.snapshot()
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_routed_total Requests admitted and routed to a shard.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_routed_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_coord_routed_total %d\n", s.Routed)
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_shed_total Requests refused with 503: coordinator overloaded.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_shed_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_coord_shed_total %d\n", s.Shed)
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_quota_denied_total Requests refused with 429 by tenant quota.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_quota_denied_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_coord_quota_denied_total %d\n", s.QuotaDenied)
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_failovers_total Attempts moved to the next shard after a shard failure.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_failovers_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_coord_failovers_total %d\n", s.Failovers)
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_hedges_total Hedge attempts fired against slow shards.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_hedges_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_coord_hedges_total %d\n", s.Hedges)
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_hedge_wins_total Hedge attempts whose response won the race.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_hedge_wins_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_coord_hedge_wins_total %d\n", s.HedgeWins)
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_dedup_joined_total Requests served by an identical in-flight proxy call.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_dedup_joined_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_coord_dedup_joined_total %d\n", s.DedupJoined)
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_no_shard_total Requests that found an empty ring.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_no_shard_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_coord_no_shard_total %d\n", s.NoShard)
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_ring_members Workers currently on the routing ring.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_ring_members gauge\n")
-	fmt.Fprintf(w, "gpucmpd_coord_ring_members %d\n", s.RingMembers)
-
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_shard_requests_total Attempts sent per shard.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_shard_requests_total counter\n")
-	for _, sh := range s.Shards {
-		fmt.Fprintf(w, "gpucmpd_coord_shard_requests_total{shard=%q} %d\n", sh.Shard, sh.Requests)
-	}
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_shard_errors_total Failed attempts per shard.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_shard_errors_total counter\n")
-	for _, sh := range s.Shards {
-		fmt.Fprintf(w, "gpucmpd_coord_shard_errors_total{shard=%q} %d\n", sh.Shard, sh.Errors)
-	}
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_shard_hedges_total Hedge attempts per shard.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_shard_hedges_total counter\n")
-	for _, sh := range s.Shards {
-		fmt.Fprintf(w, "gpucmpd_coord_shard_hedges_total{shard=%q} %d\n", sh.Shard, sh.Hedges)
-	}
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_shard_in_ring Shard ring membership (1 = routing to it).\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_shard_in_ring gauge\n")
-	for _, sh := range s.Shards {
-		v := 0
-		if sh.InRing {
-			v = 1
-		}
-		fmt.Fprintf(w, "gpucmpd_coord_shard_in_ring{shard=%q} %d\n", sh.Shard, v)
-	}
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_breaker_state Per-shard breaker state (0=closed, 1=half-open, 2=open).\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_breaker_state gauge\n")
-	for _, sh := range s.Shards {
-		v := 0
-		switch sh.Breaker {
-		case "half-open":
-			v = 1
-		case "open":
-			v = 2
-		}
-		fmt.Fprintf(w, "gpucmpd_coord_breaker_state{shard=%q} %d\n", sh.Shard, v)
-	}
-
-	// Queue-depth histogram: in-flight proxied requests observed at each
-	// admission, bucketed on the shared latency-bucket scale (the bounds
-	// read as request counts here, not seconds).
-	c.metrics.mu.Lock()
-	bounds, cum := c.metrics.depth.Buckets()
-	sum, count := c.metrics.depth.Sum(), c.metrics.depth.Count()
-	c.metrics.mu.Unlock()
-	fmt.Fprintf(w, "# HELP gpucmpd_coord_queue_depth In-flight proxied requests observed at admission.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_coord_queue_depth histogram\n")
-	for i := range bounds {
-		le := "+Inf"
-		if i < len(bounds)-1 {
-			le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
-		}
-		fmt.Fprintf(w, "gpucmpd_coord_queue_depth_bucket{le=%q} %d\n", le, cum[i])
-	}
-	fmt.Fprintf(w, "gpucmpd_coord_queue_depth_sum %g\n", sum)
-	fmt.Fprintf(w, "gpucmpd_coord_queue_depth_count %d\n", count)
-
-	if len(s.Quotas) > 0 {
-		fmt.Fprintf(w, "# HELP gpucmpd_coord_quota_allowed_total Requests admitted by the tenant quota.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_coord_quota_allowed_total counter\n")
-		for _, q := range s.Quotas {
-			fmt.Fprintf(w, "gpucmpd_coord_quota_allowed_total{tenant=%q} %d\n", q.Tenant, q.Allowed)
-		}
-		fmt.Fprintf(w, "# HELP gpucmpd_coord_quota_denied_tenant_total Requests rejected by the tenant quota.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_coord_quota_denied_tenant_total counter\n")
-		for _, q := range s.Quotas {
-			fmt.Fprintf(w, "gpucmpd_coord_quota_denied_tenant_total{tenant=%q} %d\n", q.Tenant, q.Denied)
-		}
-	}
+	metrics.Write(w, []metrics.Family{ //nolint:errcheck // client went away; nothing to do
+		metrics.Counter("gpucmpd_coord_routed_total", "Requests admitted and routed to a shard.", metrics.Value(s.Routed)),
+		metrics.Counter("gpucmpd_coord_shed_total", "Requests refused with 503: coordinator overloaded.", metrics.Value(s.Shed)),
+		metrics.Counter("gpucmpd_coord_quota_denied_total", "Requests refused with 429 by tenant quota.", metrics.Value(s.QuotaDenied)),
+		metrics.Counter("gpucmpd_coord_failovers_total", "Attempts moved to the next shard after a shard failure.", metrics.Value(s.Failovers)),
+		metrics.Counter("gpucmpd_coord_hedges_total", "Hedge attempts fired against slow shards.", metrics.Value(s.Hedges)),
+		metrics.Counter("gpucmpd_coord_hedge_wins_total", "Hedge attempts whose response won the race.", metrics.Value(s.HedgeWins)),
+		metrics.Counter("gpucmpd_coord_dedup_joined_total", "Requests served by an identical in-flight proxy call.", metrics.Value(s.DedupJoined)),
+		metrics.Counter("gpucmpd_coord_no_shard_total", "Requests that found an empty ring.", metrics.Value(s.NoShard)),
+		metrics.Gauge("gpucmpd_coord_ring_members", "Workers currently on the routing ring.", metrics.Value(s.RingMembers)),
+		metrics.Counter("gpucmpd_coord_shard_requests_total", "Attempts sent per shard.",
+			metrics.Rows(s.Shards, "shard", func(sh ShardSnapshot) (string, uint64) { return sh.Shard, sh.Requests })...),
+		metrics.Counter("gpucmpd_coord_shard_errors_total", "Failed attempts per shard.",
+			metrics.Rows(s.Shards, "shard", func(sh ShardSnapshot) (string, uint64) { return sh.Shard, sh.Errors })...),
+		metrics.Counter("gpucmpd_coord_shard_hedges_total", "Hedge attempts per shard.",
+			metrics.Rows(s.Shards, "shard", func(sh ShardSnapshot) (string, uint64) { return sh.Shard, sh.Hedges })...),
+		metrics.Gauge("gpucmpd_coord_shard_in_ring", "Shard ring membership (1 = routing to it).",
+			metrics.Rows(s.Shards, "shard", func(sh ShardSnapshot) (string, int) {
+				if sh.InRing {
+					return sh.Shard, 1
+				}
+				return sh.Shard, 0
+			})...),
+		metrics.Gauge("gpucmpd_coord_breaker_state", "Per-shard breaker state (0=closed, 1=half-open, 2=open).",
+			metrics.Rows(s.Shards, "shard", func(sh ShardSnapshot) (string, int) { return sh.Shard, sched.BreakerGauge(sh.Breaker) })...),
+		metrics.Histograms("gpucmpd_coord_queue_depth", "In-flight proxied requests observed at admission.", metrics.Hist(&s.depth)),
+		metrics.Counter("gpucmpd_coord_quota_allowed_total", "Requests admitted by the tenant quota.",
+			metrics.Rows(s.Quotas, "tenant", func(q sched.TenantQuotaSnapshot) (string, uint64) { return q.Tenant, q.Allowed })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_coord_quota_denied_tenant_total", "Requests rejected by the tenant quota.",
+			metrics.Rows(s.Quotas, "tenant", func(q sched.TenantQuotaSnapshot) (string, uint64) { return q.Tenant, q.Denied })...).OmitEmpty(),
+	})
 }

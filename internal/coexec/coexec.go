@@ -436,7 +436,7 @@ func (r *runner) process(ctx context.Context, i, s int) bool {
 			// Survivor guard: the last living device shrugs the fault off —
 			// losing it would be process-fatal, outside the recovery model.
 		case fault.KindTransferError:
-			r.opts.Metrics.addTransfer(name)
+			r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.TransferErrors++ })
 			return r.retry(i, s, attempt, f.Err)
 		}
 	}
@@ -464,14 +464,14 @@ func (r *runner) process(ctx context.Context, i, s int) bool {
 		r.completed++
 		if r.firstDev[s] != i {
 			r.redistOn[i]++
-			r.opts.Metrics.addRedist(name)
+			r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.Redistributions++ })
 		}
 		if r.completed == len(r.shards) {
 			close(r.allDone)
 		}
 	}
 	r.mu.Unlock()
-	r.opts.Metrics.addShard(name)
+	r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.Shards++ })
 	return true
 }
 
@@ -525,7 +525,7 @@ func (r *runner) loseDeviceLocked(i, s int) bool {
 	r.lost = append(r.lost, r.opts.Devices[i].Name)
 	r.inflightAt[s] = time.Time{}
 	r.inflightDev[s] = -1
-	r.opts.Metrics.markLost(r.names[i])
+	r.opts.Metrics.bump(r.names[i], func(c *DeviceCounts) { c.Lost = 1 })
 	orphans := append([]int{s}, r.queues[i]...)
 	r.queues[i] = nil
 	for _, o := range orphans {
@@ -582,13 +582,9 @@ func (r *runner) retry(i, s, attempt int, cause error) bool {
 	}
 	r.retriesOn[i]++
 	r.mu.Unlock()
-	r.opts.Metrics.addRetry(name)
+	r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.Retries++ })
 
-	delay := r.opts.BaseDelay << uint(attempt)
-	if delay > r.opts.MaxDelay || delay <= 0 {
-		delay = r.opts.MaxDelay
-	}
-	t := time.NewTimer(delay)
+	t := time.NewTimer(fault.Backoff(r.opts.BaseDelay, r.opts.MaxDelay, attempt+1))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -642,7 +638,7 @@ func (r *runner) stragglerWatch() {
 				r.dups[s]++
 				r.stragglerCnt++
 				if dev >= 0 {
-					r.opts.Metrics.addStraggler(r.names[dev])
+					r.opts.Metrics.bump(r.names[dev], func(c *DeviceCounts) { c.Stragglers++ })
 					// Migrate the wedged device's unstarted backlog too.
 					for _, q := range r.queues[dev] {
 						r.pushLocked(r.targetLocked(dev), q)

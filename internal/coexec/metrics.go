@@ -1,6 +1,6 @@
 package coexec
 
-import "sync"
+import "gpucmp/internal/metrics"
 
 // DeviceCounts is one device's cumulative co-execution counters, exported
 // on /metrics by the server.
@@ -17,50 +17,24 @@ type DeviceCounts struct {
 // *Metrics is valid and records nothing, so callers can hold one
 // unconditionally (the fault.Injector convention).
 type Metrics struct {
-	mu      sync.Mutex
-	devices map[string]*DeviceCounts
+	devices *metrics.Keyed[DeviceCounts]
 }
 
 // NewMetrics returns an empty counter set.
-func NewMetrics() *Metrics { return &Metrics{devices: map[string]*DeviceCounts{}} }
+func NewMetrics() *Metrics { return &Metrics{devices: metrics.NewKeyed[DeviceCounts](0, nil)} }
 
+// bump applies f to device's counters.
 func (m *Metrics) bump(device string, f func(*DeviceCounts)) {
-	if m == nil {
-		return
+	if m != nil {
+		m.devices.Update(device, f)
 	}
-	m.mu.Lock()
-	c := m.devices[device]
-	if c == nil {
-		c = &DeviceCounts{}
-		m.devices[device] = c
-	}
-	f(c)
-	m.mu.Unlock()
 }
-
-func (m *Metrics) addShard(device string) { m.bump(device, func(c *DeviceCounts) { c.Shards++ }) }
-func (m *Metrics) addRetry(device string) { m.bump(device, func(c *DeviceCounts) { c.Retries++ }) }
-func (m *Metrics) addRedist(device string) {
-	m.bump(device, func(c *DeviceCounts) { c.Redistributions++ })
-}
-func (m *Metrics) addTransfer(device string) {
-	m.bump(device, func(c *DeviceCounts) { c.TransferErrors++ })
-}
-func (m *Metrics) addStraggler(device string) {
-	m.bump(device, func(c *DeviceCounts) { c.Stragglers++ })
-}
-func (m *Metrics) markLost(device string) { m.bump(device, func(c *DeviceCounts) { c.Lost = 1 }) }
 
 // Snapshot returns a copy of the counters keyed by device name.
 func (m *Metrics) Snapshot() map[string]DeviceCounts {
 	out := map[string]DeviceCounts{}
-	if m == nil {
-		return out
+	if m != nil {
+		m.devices.Each(func(device string, c *DeviceCounts) { out[device] = *c })
 	}
-	m.mu.Lock()
-	for name, c := range m.devices {
-		out[name] = *c
-	}
-	m.mu.Unlock()
 	return out
 }

@@ -2,9 +2,10 @@ package sched
 
 import (
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
+
+	"gpucmp/internal/fault"
 )
 
 // RetryPolicy bounds the scheduler's retries of Transient failures.
@@ -38,10 +39,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // derived from (key, attempt) so two runs of the same job stream sleep
 // identically — chaos runs stay reproducible.
 func (p RetryPolicy) backoff(key string, attempt int) time.Duration {
-	slot := p.BaseDelay << uint(attempt-1)
-	if slot > p.MaxDelay || slot <= 0 {
-		slot = p.MaxDelay
-	}
+	slot := fault.Backoff(p.BaseDelay, p.MaxDelay, attempt)
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	x := h.Sum64() ^ (uint64(attempt) * 0x9e3779b97f4a7c15)
@@ -88,6 +86,12 @@ const (
 	// to decide between closing and re-opening.
 	BreakerHalfOpen
 )
+
+// BreakerGauge encodes a BreakerSnapshot state for /metrics: 0 closed,
+// 1 half-open, 2 open.
+func BreakerGauge(state string) int { return breakerGauges[state] }
+
+var breakerGauges = map[string]int{BreakerHalfOpen.String(): 1, BreakerOpen.String(): 2}
 
 // String names the state for /healthz and logs.
 func (s BreakerState) String() string {
@@ -244,47 +248,27 @@ func (s *Scheduler) breakerFor(device string) *breaker {
 	if s.opts.Breaker.Disabled {
 		return nil
 	}
-	s.brkMu.Lock()
-	defer s.brkMu.Unlock()
-	b, ok := s.breakers[device]
-	if !ok {
-		b = &breaker{cfg: s.opts.Breaker, now: s.now}
-		s.breakers[device] = b
-	}
-	return b
+	return s.breakers.Get(device)
 }
 
 // Breakers snapshots every device breaker, sorted by device name, for
 // /healthz.
 func (s *Scheduler) Breakers() []BreakerSnapshot {
-	s.brkMu.Lock()
-	names := make([]string, 0, len(s.breakers))
-	for name := range s.breakers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	brs := make([]*breaker, len(names))
-	for i, name := range names {
-		brs[i] = s.breakers[name]
-	}
-	s.brkMu.Unlock()
-	out := make([]BreakerSnapshot, len(names))
-	for i, b := range brs {
-		out[i] = b.snapshot(names[i])
-	}
+	out := []BreakerSnapshot{}
+	s.breakers.Each(func(device string, b *breaker) { out = append(out, b.snapshot(device)) })
 	return out
 }
 
 // BreakerState returns the state of one device's breaker (BreakerClosed if
 // the device has never failed or breakers are disabled).
 func (s *Scheduler) BreakerState(device string) BreakerState {
-	s.brkMu.Lock()
-	b, ok := s.breakers[device]
-	s.brkMu.Unlock()
-	if !ok {
-		return BreakerClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
+	state := BreakerClosed
+	s.breakers.Each(func(name string, b *breaker) {
+		if name == device {
+			b.mu.Lock()
+			state = b.state
+			b.mu.Unlock()
+		}
+	})
+	return state
 }

@@ -1,11 +1,10 @@
 package sched
 
 import (
-	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"gpucmp/internal/metrics"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds (the last
@@ -14,81 +13,6 @@ import (
 var latencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 	0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300,
-}
-
-// numBuckets = len(latencyBuckets) + 1 for the +Inf overflow bucket.
-const numBuckets = 18
-
-// Histogram is a fixed-bucket latency histogram.
-type Histogram struct {
-	counts [numBuckets]uint64
-	sum    float64
-	n      uint64
-}
-
-func (h *Histogram) observe(seconds float64) {
-	i := sort.SearchFloat64s(latencyBuckets, seconds)
-	h.counts[i]++
-	h.sum += seconds
-	h.n++
-}
-
-// Observe records one latency in seconds. Histogram is not safe for
-// concurrent use on its own: the scheduler guards it with Metrics.mu, and
-// external users (internal/cluster) wrap it in their own lock.
-func (h *Histogram) Observe(seconds float64) { h.observe(seconds) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Sum returns total observed seconds.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// within the owning bucket; NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(h.n)
-	var seen float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if seen+float64(c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBuckets[i-1]
-			}
-			hi := lo * 2
-			if i < len(latencyBuckets) {
-				hi = latencyBuckets[i]
-			}
-			frac := (rank - seen) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		seen += float64(c)
-	}
-	return latencyBuckets[len(latencyBuckets)-1]
-}
-
-// Buckets returns (upper bound, cumulative count) pairs in Prometheus
-// style, ending with the +Inf bucket.
-func (h *Histogram) Buckets() ([]float64, []uint64) {
-	bounds := make([]float64, len(h.counts))
-	cum := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i]
-		cum[i] = total
-		if i < len(latencyBuckets) {
-			bounds[i] = latencyBuckets[i]
-		} else {
-			bounds[i] = math.Inf(1)
-		}
-	}
-	return bounds, cum
 }
 
 // Metrics is the scheduler's observability surface: monotonic counters,
@@ -124,64 +48,29 @@ type Metrics struct {
 	// Generic tenant tasks (the kernel-submission path).
 	tasksRun atomic.Uint64
 
-	mu        sync.Mutex
-	perName   map[string]*Histogram
-	perTenant map[string]*tenantCounters
+	perName   *metrics.Keyed[metrics.Histogram]
+	perTenant *metrics.Keyed[tenantCounters]
 }
 
-// tenantCounters is one tenant's DoTask accounting (guarded by Metrics.mu).
+// tenantCounters is one tenant's DoTask accounting (guarded by its table's lock).
 type tenantCounters struct {
 	tasks     uint64 // executions submitted on this tenant's behalf
 	cacheHits uint64 // served from the tenant's private cache
-}
-
-func newMetrics() *Metrics {
-	return &Metrics{
-		perName:   make(map[string]*Histogram),
-		perTenant: make(map[string]*tenantCounters),
-	}
 }
 
 // maxTenantCounters bounds the accounting map against tenant-name
 // flooding; past it, new tenants are folded into an "other" row.
 const maxTenantCounters = 1024
 
-func (m *Metrics) tenantCountersLocked(tenant string) *tenantCounters {
-	c, ok := m.perTenant[tenant]
-	if !ok {
-		if len(m.perTenant) >= maxTenantCounters {
-			tenant = "other"
-			if c, ok = m.perTenant[tenant]; ok {
-				return c
-			}
-		}
-		c = &tenantCounters{}
-		m.perTenant[tenant] = c
+func newMetrics() *Metrics {
+	return &Metrics{
+		perName:   metrics.NewKeyed(0, func() *metrics.Histogram { return metrics.NewHistogram(latencyBuckets) }),
+		perTenant: metrics.NewKeyed[tenantCounters](maxTenantCounters, nil),
 	}
-	return c
-}
-
-func (m *Metrics) tenantTask(tenant string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tenantCountersLocked(tenant).tasks++
-}
-
-func (m *Metrics) tenantHit(tenant string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tenantCountersLocked(tenant).cacheHits++
 }
 
 func (m *Metrics) observe(benchmark string, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.perName[benchmark]
-	if !ok {
-		h = &Histogram{}
-		m.perName[benchmark] = h
-	}
-	h.observe(d.Seconds())
+	m.perName.Update(benchmark, func(h *metrics.Histogram) { h.Observe(d.Seconds()) })
 }
 
 // BenchmarkLatency is one benchmark's latency summary.
@@ -254,49 +143,24 @@ func (m *Metrics) Snapshot() Snapshot {
 
 		TasksRun: m.tasksRun.Load(),
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	tenants := make([]string, 0, len(m.perTenant))
-	for name := range m.perTenant {
-		tenants = append(tenants, name)
-	}
-	sort.Strings(tenants)
-	for _, name := range tenants {
-		c := m.perTenant[name]
-		s.Tenants = append(s.Tenants, TenantActivity{
-			Tenant: name, Tasks: c.tasks, CacheHits: c.cacheHits,
-		})
-	}
-	names := make([]string, 0, len(m.perName))
-	for name := range m.perName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := m.perName[name]
-		mean := 0.0
-		if h.n > 0 {
-			mean = h.sum / float64(h.n)
-		}
+	m.perTenant.Each(func(name string, c *tenantCounters) {
+		s.Tenants = append(s.Tenants, TenantActivity{Tenant: name, Tasks: c.tasks, CacheHits: c.cacheHits})
+	})
+	m.perName.Each(func(name string, h *metrics.Histogram) {
 		s.Latency = append(s.Latency, BenchmarkLatency{
 			Benchmark: name,
-			Count:     h.n,
-			MeanSec:   mean,
+			Count:     h.Count(),
+			MeanSec:   h.Sum() / float64(h.Count()),
 			P50Sec:    h.Quantile(0.50),
 			P99Sec:    h.Quantile(0.99),
 		})
-	}
+	})
 	return s
 }
 
-// Histograms returns a copy of the per-benchmark histograms for the
-// Prometheus exposition in internal/server.
-func (m *Metrics) Histograms() map[string]Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]Histogram, len(m.perName))
-	for name, h := range m.perName {
-		out[name] = *h
-	}
+// Histograms returns a copy of the per-benchmark latency histograms.
+func (m *Metrics) Histograms() map[string]metrics.Histogram {
+	out := make(map[string]metrics.Histogram)
+	m.perName.Each(func(name string, h *metrics.Histogram) { out[name] = h.Clone() })
 	return out
 }

@@ -160,6 +160,11 @@ func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
 	if snaps[0].RetryAfterSec <= 0 {
 		t.Error("open breaker snapshot must report remaining cool-down")
 	}
+	for state, want := range map[string]int{"closed": 0, "half-open": 1, "open": 2} {
+		if got := BreakerGauge(state); got != want {
+			t.Errorf("BreakerGauge(%q) = %d, want %d", state, got, want)
+		}
+	}
 
 	// After the cool-down the breaker half-opens; the probe (fault budget
 	// for its key is fresh but MaxPerKey=1 consumes the first attempt...

@@ -24,6 +24,7 @@ import (
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 	"gpucmp/internal/fault"
+	"gpucmp/internal/metrics"
 	"gpucmp/internal/pattern"
 	"gpucmp/internal/sim"
 )
@@ -184,8 +185,7 @@ type Scheduler struct {
 	tenants map[string]*lruCache // per-tenant result caches for DoTask
 	quotas  *TenantQuotas
 
-	brkMu    sync.Mutex
-	breakers map[string]*breaker
+	breakers *metrics.Keyed[breaker]
 }
 
 // New starts a scheduler and its worker pool. Call Close to stop it.
@@ -207,16 +207,16 @@ func New(opts Options) *Scheduler {
 	}
 	opts.Breaker = opts.Breaker.withDefaults()
 	s := &Scheduler{
-		opts:     opts,
-		retry:    opts.Retry.withDefaults(),
-		queue:    make(chan *task, 64),
-		metrics:  newMetrics(),
-		now:      time.Now,
-		flight:   make(map[string]*task),
-		tenants:  make(map[string]*lruCache),
-		quotas:   NewTenantQuotas(opts.Quota),
-		breakers: make(map[string]*breaker),
+		opts:    opts,
+		retry:   opts.Retry.withDefaults(),
+		queue:   make(chan *task, 64),
+		metrics: newMetrics(),
+		now:     time.Now,
+		flight:  make(map[string]*task),
+		tenants: make(map[string]*lruCache),
+		quotas:  NewTenantQuotas(opts.Quota),
 	}
+	s.breakers = metrics.NewKeyed(0, func() *breaker { return &breaker{cfg: s.opts.Breaker, now: s.now} })
 	s.quotas.now = func() time.Time { return s.now() }
 	if opts.CacheSize > 0 {
 		s.cache = newLRU(opts.CacheSize)
@@ -433,7 +433,7 @@ func (s *Scheduler) DoTask(ctx context.Context, tenant, metric, key string, fn f
 	if e != nil {
 		s.mu.Unlock()
 		s.metrics.cacheHits.Add(1)
-		s.metrics.tenantHit(tenant)
+		s.metrics.perTenant.Update(tenant, func(c *tenantCounters) { c.cacheHits++ })
 		return e.val, Hit, nil
 	}
 	if t, ok := s.flight[full]; ok {
@@ -449,7 +449,7 @@ func (s *Scheduler) DoTask(ctx context.Context, tenant, metric, key string, fn f
 	s.mu.Unlock()
 
 	s.metrics.cacheMisses.Add(1)
-	s.metrics.tenantTask(tenant)
+	s.metrics.perTenant.Update(tenant, func(c *tenantCounters) { c.tasks++ })
 	s.metrics.queueDepth.Add(1)
 	s.queue <- t
 	s.subs.Done()

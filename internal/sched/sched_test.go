@@ -10,6 +10,7 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
+	"gpucmp/internal/metrics"
 )
 
 // fastJob is a small, quick experiment cell used throughout the tests.
@@ -341,9 +342,9 @@ func TestGridJobsDeterministicOrder(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := &Histogram{}
+	h := metrics.NewHistogram(latencyBuckets)
 	for i := 0; i < 100; i++ {
-		h.observe(0.003) // lands in the (0.0025, 0.005] bucket
+		h.Observe(0.003) // lands in the (0.0025, 0.005] bucket
 	}
 	p50 := h.Quantile(0.50)
 	if p50 < 0.0025 || p50 > 0.005 {
@@ -353,7 +354,7 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("Count = %d", h.Count())
 	}
 	bounds, cum := h.Buckets()
-	if len(bounds) != numBuckets || cum[len(cum)-1] != 100 {
+	if len(bounds) != len(latencyBuckets)+1 || cum[len(cum)-1] != 100 {
 		t.Errorf("Buckets: %d bounds, final cum %d", len(bounds), cum[len(cum)-1])
 	}
 }

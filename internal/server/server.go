@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,7 @@ import (
 	"gpucmp/internal/compiler"
 	"gpucmp/internal/core"
 	"gpucmp/internal/fault"
+	"gpucmp/internal/metrics"
 	"gpucmp/internal/perfmodel"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/sim"
@@ -449,200 +449,85 @@ func (s *Server) scaleOf(r *http.Request) (int, error) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	m := s.sched.Metrics()
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, s.sched.Metrics().Snapshot())
+		writeJSON(w, http.StatusOK, m.Snapshot())
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	snap := s.sched.Metrics().Snapshot()
-	fmt.Fprintf(w, "# HELP gpucmpd_jobs_total Jobs executed by the worker pool.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_jobs_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_jobs_total %d\n", snap.JobsRun)
-	fmt.Fprintf(w, "# HELP gpucmpd_cache_hits_total Result-cache hits.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_cache_hits_total %d\n", snap.CacheHits)
-	fmt.Fprintf(w, "# HELP gpucmpd_cache_misses_total Result-cache misses.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_cache_misses_total %d\n", snap.CacheMisses)
-	fmt.Fprintf(w, "# HELP gpucmpd_dedup_shared_total Requests served by an identical in-flight job.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_dedup_shared_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_dedup_shared_total %d\n", snap.DedupShared)
-	fmt.Fprintf(w, "# HELP gpucmpd_panics_total Jobs that panicked (isolated, not fatal).\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_panics_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_panics_total %d\n", snap.Panics)
-	fmt.Fprintf(w, "# HELP gpucmpd_timeouts_total Jobs that exceeded the job timeout.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_timeouts_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_timeouts_total %d\n", snap.Timeouts)
-	fmt.Fprintf(w, "# HELP gpucmpd_in_flight Jobs currently executing.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_in_flight gauge\n")
-	fmt.Fprintf(w, "gpucmpd_in_flight %d\n", snap.InFlight)
-	fmt.Fprintf(w, "# HELP gpucmpd_queue_depth Jobs queued but not yet executing.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_queue_depth gauge\n")
-	fmt.Fprintf(w, "gpucmpd_queue_depth %d\n", snap.QueueDepth)
-	fmt.Fprintf(w, "# HELP gpucmpd_retries_total Transient job failures retried.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_retries_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_retries_total %d\n", snap.Retries)
-	fmt.Fprintf(w, "# HELP gpucmpd_breaker_trips_total Circuit-breaker transitions to open.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_breaker_trips_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_breaker_trips_total %d\n", snap.BreakerTrips)
-	fmt.Fprintf(w, "# HELP gpucmpd_breaker_denials_total Jobs rejected by an open circuit breaker.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_breaker_denials_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_breaker_denials_total %d\n", snap.BreakerDenials)
-	fmt.Fprintf(w, "# HELP gpucmpd_watchdog_reclaims_total Timed-out attempts cancelled and reclaimed.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_watchdog_reclaims_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_watchdog_reclaims_total %d\n", snap.WatchdogReclaims)
-	fmt.Fprintf(w, "# HELP gpucmpd_watchdog_leaks_total Timed-out attempts abandoned after the reclaim grace.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_watchdog_leaks_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_watchdog_leaks_total %d\n", snap.WatchdogLeaks)
-	fmt.Fprintf(w, "# HELP gpucmpd_cache_corruptions_total Corrupted cache entries detected and evicted.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_cache_corruptions_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_cache_corruptions_total %d\n", snap.CacheCorruptions)
-	fmt.Fprintf(w, "# HELP gpucmpd_abandons_total Executions cancelled because every waiter went away.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_abandons_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_abandons_total %d\n", snap.Abandons)
-	fmt.Fprintf(w, "# HELP gpucmpd_warp_instrs_total Simulated warp instructions executed by completed jobs.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_warp_instrs_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_warp_instrs_total %d\n", snap.WarpInstrs)
-	fmt.Fprintf(w, "# HELP gpucmpd_lane_instrs_total Simulated lane (thread) instructions executed by completed jobs.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_lane_instrs_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_lane_instrs_total %d\n", snap.LaneInstrs)
-	fmt.Fprintf(w, "# HELP gpucmpd_degraded_total Requests served degraded, by fallback mode.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_degraded_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_degraded_total{mode=\"estimate\"} %d\n", s.degradedEstimates.Load())
-	fmt.Fprintf(w, "gpucmpd_degraded_total{mode=\"stale\"} %d\n", s.degradedStale.Load())
-	fmt.Fprintf(w, "# HELP gpucmpd_unavailable_total Requests that got 503: no fallback could serve them.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_unavailable_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_unavailable_total %d\n", s.unavailable.Load())
-	fmt.Fprintf(w, "# HELP gpucmpd_breaker_state Per-device breaker state (0=closed, 1=half-open, 2=open).\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_breaker_state gauge\n")
-	for _, b := range s.sched.Breakers() {
-		v := 0
-		switch b.State {
-		case "half-open":
-			v = 1
-		case "open":
-			v = 2
-		}
-		fmt.Fprintf(w, "gpucmpd_breaker_state{device=%q} %d\n", b.Device, v)
+	snap, hists := m.Snapshot(), m.Histograms()
+	var latency, quantiles []metrics.Sample
+	for _, name := range metrics.SortedKeys(hists) {
+		h := hists[name]
+		latency = append(latency, metrics.Hist(&h, "benchmark", name))
+		quantiles = append(quantiles,
+			metrics.Value(h.Quantile(0.50), "benchmark", name, "quantile", "0.5"),
+			metrics.Value(h.Quantile(0.99), "benchmark", name, "quantile", "0.99"))
 	}
-	fmt.Fprintf(w, "# HELP gpucmpd_tasks_total Generic tenant tasks (kernel submissions) executed.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_tasks_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_tasks_total %d\n", snap.TasksRun)
-	fmt.Fprintf(w, "# HELP gpucmpd_gauntlet_rejects_total Kernel submissions refused before execution.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_gauntlet_rejects_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_gauntlet_rejects_total %d\n", s.gauntletRejects.Load())
-	fmt.Fprintf(w, "# HELP gpucmpd_quota_denials_total Kernel submissions refused by tenant quota.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_quota_denials_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_quota_denials_total %d\n", s.quotaDenials.Load())
-	if len(snap.Tenants) > 0 {
-		fmt.Fprintf(w, "# HELP gpucmpd_tenant_tasks_total Executions submitted per tenant.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_tenant_tasks_total counter\n")
-		for _, t := range snap.Tenants {
-			fmt.Fprintf(w, "gpucmpd_tenant_tasks_total{tenant=%q} %d\n", t.Tenant, t.Tasks)
-		}
-		fmt.Fprintf(w, "# HELP gpucmpd_tenant_cache_hits_total Tenant-cache hits per tenant.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_tenant_cache_hits_total counter\n")
-		for _, t := range snap.Tenants {
-			fmt.Fprintf(w, "gpucmpd_tenant_cache_hits_total{tenant=%q} %d\n", t.Tenant, t.CacheHits)
-		}
-	}
-	if quotas := s.sched.Quotas().Snapshot(); len(quotas) > 0 {
-		fmt.Fprintf(w, "# HELP gpucmpd_tenant_quota_allowed_total Submissions admitted by the tenant quota.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_tenant_quota_allowed_total counter\n")
-		for _, q := range quotas {
-			fmt.Fprintf(w, "gpucmpd_tenant_quota_allowed_total{tenant=%q} %d\n", q.Tenant, q.Allowed)
-		}
-		fmt.Fprintf(w, "# HELP gpucmpd_tenant_quota_denied_total Submissions rejected by the tenant quota.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_tenant_quota_denied_total counter\n")
-		for _, q := range quotas {
-			fmt.Fprintf(w, "gpucmpd_tenant_quota_denied_total{tenant=%q} %d\n", q.Tenant, q.Denied)
-		}
-	}
-	if coex := s.coexecMetrics.Snapshot(); len(coex) > 0 {
-		devs := make([]string, 0, len(coex))
-		for d := range coex {
-			devs = append(devs, d)
-		}
-		sort.Strings(devs)
-		fmt.Fprintf(w, "# HELP gpucmpd_coexec_shards_total Co-execution shard attempts completed per device.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_coexec_shards_total counter\n")
-		for _, d := range devs {
-			fmt.Fprintf(w, "gpucmpd_coexec_shards_total{device=%q} %d\n", d, coex[d].Shards)
-		}
-		fmt.Fprintf(w, "# HELP gpucmpd_coexec_retries_total Co-execution shard attempts retried per device.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_coexec_retries_total counter\n")
-		for _, d := range devs {
-			fmt.Fprintf(w, "gpucmpd_coexec_retries_total{device=%q} %d\n", d, coex[d].Retries)
-		}
-		fmt.Fprintf(w, "# HELP gpucmpd_coexec_redistributions_total Shards completed on a device after first trying elsewhere.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_coexec_redistributions_total counter\n")
-		for _, d := range devs {
-			fmt.Fprintf(w, "gpucmpd_coexec_redistributions_total{device=%q} %d\n", d, coex[d].Redistributions)
-		}
-		fmt.Fprintf(w, "# HELP gpucmpd_coexec_transfer_errors_total Injected transfer faults observed per device.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_coexec_transfer_errors_total counter\n")
-		for _, d := range devs {
-			fmt.Fprintf(w, "gpucmpd_coexec_transfer_errors_total{device=%q} %d\n", d, coex[d].TransferErrors)
-		}
-		fmt.Fprintf(w, "# HELP gpucmpd_coexec_stragglers_total Straggler duplicates dispatched against a device.\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_coexec_stragglers_total counter\n")
-		for _, d := range devs {
-			fmt.Fprintf(w, "gpucmpd_coexec_stragglers_total{device=%q} %d\n", d, coex[d].Stragglers)
-		}
-		fmt.Fprintf(w, "# HELP gpucmpd_coexec_device_lost Device was lost mid-run at least once (0/1).\n")
-		fmt.Fprintf(w, "# TYPE gpucmpd_coexec_device_lost gauge\n")
-		for _, d := range devs {
-			fmt.Fprintf(w, "gpucmpd_coexec_device_lost{device=%q} %d\n", d, coex[d].Lost)
-		}
-	}
+	quotas := s.sched.Quotas().Snapshot()
+	coex := s.coexecMetrics.Snapshot()
+	devices := metrics.SortedKeys(coex)
 	hits, misses := compiler.CompileCacheStats()
-	fmt.Fprintf(w, "# HELP gpucmpd_compile_cache_hits_total Compiled-kernel cache hits.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_compile_cache_hits_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_compile_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "# HELP gpucmpd_compile_cache_misses_total Compiled-kernel cache misses.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_compile_cache_misses_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_compile_cache_misses_total %d\n", misses)
 	es := sim.GlobalEngineStats()
-	simEngines := []sim.Engine{sim.EngineThreaded, sim.EngineReference}
-	fmt.Fprintf(w, "# HELP gpucmpd_sim_superinstr_hits_total Fused-segment dispatches executed by the threaded sim engine.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_sim_superinstr_hits_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_sim_superinstr_hits_total %d\n", es.SuperinstrHits)
-	fmt.Fprintf(w, "# HELP gpucmpd_sim_superinstr_ops_total Warp instructions retired inside fused segments.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_sim_superinstr_ops_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_sim_superinstr_ops_total %d\n", es.SuperinstrOps)
-	fmt.Fprintf(w, "# HELP gpucmpd_sim_block_compiles_total Hot fused segments compiled to micro-op form.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_sim_block_compiles_total counter\n")
-	fmt.Fprintf(w, "gpucmpd_sim_block_compiles_total %d\n", es.BlockCompiles)
-	fmt.Fprintf(w, "# HELP gpucmpd_sim_engine_warp_instrs_total Warp instructions retired, by interpreter engine.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_sim_engine_warp_instrs_total counter\n")
-	for _, eng := range simEngines {
-		fmt.Fprintf(w, "gpucmpd_sim_engine_warp_instrs_total{engine=%q} %d\n", eng, es.WarpInstrs[eng.String()])
-	}
-	fmt.Fprintf(w, "# HELP gpucmpd_sim_engine_lane_instrs_total Lane (thread) instructions retired, by interpreter engine.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_sim_engine_lane_instrs_total counter\n")
-	for _, eng := range simEngines {
-		fmt.Fprintf(w, "gpucmpd_sim_engine_lane_instrs_total{engine=%q} %d\n", eng, es.LaneInstrs[eng.String()])
-	}
-	fmt.Fprintf(w, "# HELP gpucmpd_job_seconds Job wall latency per benchmark.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_job_seconds histogram\n")
-	hists := s.sched.Metrics().Histograms()
-	for _, l := range snap.Latency {
-		h := hists[l.Benchmark]
-		bounds, cum := h.Buckets()
-		for i := range bounds {
-			le := "+Inf"
-			if i < len(bounds)-1 {
-				le = strconv.FormatFloat(bounds[i], 'g', -1, 64)
-			}
-			fmt.Fprintf(w, "gpucmpd_job_seconds_bucket{benchmark=%q,le=%q} %d\n", l.Benchmark, le, cum[i])
-		}
-		fmt.Fprintf(w, "gpucmpd_job_seconds_sum{benchmark=%q} %g\n", l.Benchmark, h.Sum())
-		fmt.Fprintf(w, "gpucmpd_job_seconds_count{benchmark=%q} %d\n", l.Benchmark, h.Count())
-	}
-	fmt.Fprintf(w, "# HELP gpucmpd_job_quantile_seconds Estimated job-latency quantiles per benchmark.\n")
-	fmt.Fprintf(w, "# TYPE gpucmpd_job_quantile_seconds gauge\n")
-	for _, l := range snap.Latency {
-		fmt.Fprintf(w, "gpucmpd_job_quantile_seconds{benchmark=%q,quantile=\"0.5\"} %g\n", l.Benchmark, l.P50Sec)
-		fmt.Fprintf(w, "gpucmpd_job_quantile_seconds{benchmark=%q,quantile=\"0.99\"} %g\n", l.Benchmark, l.P99Sec)
-	}
+	engines := []string{sim.EngineThreaded.String(), sim.EngineReference.String()}
+
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	metrics.Write(w, []metrics.Family{ //nolint:errcheck // client went away; nothing to do
+		metrics.Counter("gpucmpd_jobs_total", "Jobs executed by the worker pool.", metrics.Value(snap.JobsRun)),
+		metrics.Counter("gpucmpd_cache_hits_total", "Result-cache hits.", metrics.Value(snap.CacheHits)),
+		metrics.Counter("gpucmpd_cache_misses_total", "Result-cache misses.", metrics.Value(snap.CacheMisses)),
+		metrics.Counter("gpucmpd_dedup_shared_total", "Requests served by an identical in-flight job.", metrics.Value(snap.DedupShared)),
+		metrics.Counter("gpucmpd_panics_total", "Jobs that panicked (isolated, not fatal).", metrics.Value(snap.Panics)),
+		metrics.Counter("gpucmpd_timeouts_total", "Jobs that exceeded the job timeout.", metrics.Value(snap.Timeouts)),
+		metrics.Gauge("gpucmpd_in_flight", "Jobs currently executing.", metrics.Value(snap.InFlight)),
+		metrics.Gauge("gpucmpd_queue_depth", "Jobs queued but not yet executing.", metrics.Value(snap.QueueDepth)),
+		metrics.Counter("gpucmpd_retries_total", "Transient job failures retried.", metrics.Value(snap.Retries)),
+		metrics.Counter("gpucmpd_breaker_trips_total", "Circuit-breaker transitions to open.", metrics.Value(snap.BreakerTrips)),
+		metrics.Counter("gpucmpd_breaker_denials_total", "Jobs rejected by an open circuit breaker.", metrics.Value(snap.BreakerDenials)),
+		metrics.Counter("gpucmpd_watchdog_reclaims_total", "Timed-out attempts cancelled and reclaimed.", metrics.Value(snap.WatchdogReclaims)),
+		metrics.Counter("gpucmpd_watchdog_leaks_total", "Timed-out attempts abandoned after the reclaim grace.", metrics.Value(snap.WatchdogLeaks)),
+		metrics.Counter("gpucmpd_cache_corruptions_total", "Corrupted cache entries detected and evicted.", metrics.Value(snap.CacheCorruptions)),
+		metrics.Counter("gpucmpd_abandons_total", "Executions cancelled because every waiter went away.", metrics.Value(snap.Abandons)),
+		metrics.Counter("gpucmpd_warp_instrs_total", "Simulated warp instructions executed by completed jobs.", metrics.Value(snap.WarpInstrs)),
+		metrics.Counter("gpucmpd_lane_instrs_total", "Simulated lane (thread) instructions executed by completed jobs.", metrics.Value(snap.LaneInstrs)),
+		metrics.Counter("gpucmpd_degraded_total", "Requests served degraded, by fallback mode.",
+			metrics.Value(s.degradedEstimates.Load(), "mode", "estimate"),
+			metrics.Value(s.degradedStale.Load(), "mode", "stale")),
+		metrics.Counter("gpucmpd_unavailable_total", "Requests that got 503: no fallback could serve them.", metrics.Value(s.unavailable.Load())),
+		metrics.Gauge("gpucmpd_breaker_state", "Per-device breaker state (0=closed, 1=half-open, 2=open).",
+			metrics.Rows(s.sched.Breakers(), "device", func(b sched.BreakerSnapshot) (string, int) { return b.Device, sched.BreakerGauge(b.State) })...),
+		metrics.Counter("gpucmpd_tasks_total", "Generic tenant tasks (kernel submissions) executed.", metrics.Value(snap.TasksRun)),
+		metrics.Counter("gpucmpd_gauntlet_rejects_total", "Kernel submissions refused before execution.", metrics.Value(s.gauntletRejects.Load())),
+		metrics.Counter("gpucmpd_quota_denials_total", "Kernel submissions refused by tenant quota.", metrics.Value(s.quotaDenials.Load())),
+		metrics.Counter("gpucmpd_tenant_tasks_total", "Executions submitted per tenant.",
+			metrics.Rows(snap.Tenants, "tenant", func(t sched.TenantActivity) (string, uint64) { return t.Tenant, t.Tasks })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_tenant_cache_hits_total", "Tenant-cache hits per tenant.",
+			metrics.Rows(snap.Tenants, "tenant", func(t sched.TenantActivity) (string, uint64) { return t.Tenant, t.CacheHits })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_tenant_quota_allowed_total", "Submissions admitted by the tenant quota.",
+			metrics.Rows(quotas, "tenant", func(q sched.TenantQuotaSnapshot) (string, uint64) { return q.Tenant, q.Allowed })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_tenant_quota_denied_total", "Submissions rejected by the tenant quota.",
+			metrics.Rows(quotas, "tenant", func(q sched.TenantQuotaSnapshot) (string, uint64) { return q.Tenant, q.Denied })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_coexec_shards_total", "Co-execution shard attempts completed per device.",
+			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].Shards })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_coexec_retries_total", "Co-execution shard attempts retried per device.",
+			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].Retries })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_coexec_redistributions_total", "Shards completed on a device after first trying elsewhere.",
+			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].Redistributions })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_coexec_transfer_errors_total", "Injected transfer faults observed per device.",
+			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].TransferErrors })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_coexec_stragglers_total", "Straggler duplicates dispatched against a device.",
+			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].Stragglers })...).OmitEmpty(),
+		metrics.Gauge("gpucmpd_coexec_device_lost", "Device was lost mid-run at least once (0/1).",
+			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].Lost })...).OmitEmpty(),
+		metrics.Counter("gpucmpd_compile_cache_hits_total", "Compiled-kernel cache hits.", metrics.Value(hits)),
+		metrics.Counter("gpucmpd_compile_cache_misses_total", "Compiled-kernel cache misses.", metrics.Value(misses)),
+		metrics.Counter("gpucmpd_sim_superinstr_hits_total", "Fused-segment dispatches executed by the threaded sim engine.", metrics.Value(es.SuperinstrHits)),
+		metrics.Counter("gpucmpd_sim_superinstr_ops_total", "Warp instructions retired inside fused segments.", metrics.Value(es.SuperinstrOps)),
+		metrics.Counter("gpucmpd_sim_block_compiles_total", "Hot fused segments compiled to micro-op form.", metrics.Value(es.BlockCompiles)),
+		metrics.Counter("gpucmpd_sim_engine_warp_instrs_total", "Warp instructions retired, by interpreter engine.",
+			metrics.Rows(engines, "engine", func(e string) (string, int64) { return e, es.WarpInstrs[e] })...),
+		metrics.Counter("gpucmpd_sim_engine_lane_instrs_total", "Lane (thread) instructions retired, by interpreter engine.",
+			metrics.Rows(engines, "engine", func(e string) (string, int64) { return e, es.LaneInstrs[e] })...),
+		metrics.Histograms("gpucmpd_job_seconds", "Job wall latency per benchmark.", latency...),
+		metrics.Gauge("gpucmpd_job_quantile_seconds", "Estimated job-latency quantiles per benchmark.", quantiles...),
+	})
 }
