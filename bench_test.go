@@ -28,17 +28,19 @@ import (
 // benchScale divides problem sizes so a full -bench=. sweep stays tractable.
 const benchScale = 2
 
-func nvidiaDevices() []*arch.Device {
-	return []*arch.Device{arch.GTX280(), arch.GTX480()}
+// figureDevices returns the devices the figure table runs id on.
+func figureDevices(id string) []*arch.Device {
+	f, _ := core.FigureByID(id)
+	return f.Devices()
 }
 
 func BenchmarkFig1_Bandwidth(b *testing.B) {
-	for _, dev := range nvidiaDevices() {
+	for _, dev := range figureDevices("fig1") {
 		b.Run(dev.Microarch.String(), func(b *testing.B) {
 			var r core.PeakResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = core.PeakBandwidth(dev, benchScale)
+				r, err = core.PeakBandwidth(core.Direct, dev, benchScale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -52,12 +54,12 @@ func BenchmarkFig1_Bandwidth(b *testing.B) {
 }
 
 func BenchmarkFig2_Flops(b *testing.B) {
-	for _, dev := range nvidiaDevices() {
+	for _, dev := range figureDevices("fig2") {
 		b.Run(dev.Microarch.String(), func(b *testing.B) {
 			var r core.PeakResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = core.PeakFlops(dev, benchScale)
+				r, err = core.PeakFlops(core.Direct, dev, benchScale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -70,7 +72,7 @@ func BenchmarkFig2_Flops(b *testing.B) {
 }
 
 func BenchmarkFig3_PR(b *testing.B) {
-	for _, dev := range nvidiaDevices() {
+	for _, dev := range figureDevices("fig3") {
 		for _, spec := range core.Fig3Benchmarks() {
 			spec := spec
 			dev := dev
@@ -78,7 +80,7 @@ func BenchmarkFig3_PR(b *testing.B) {
 				var c *core.Comparison
 				var err error
 				for i := 0; i < b.N; i++ {
-					c, err = core.CompareNative(dev, spec, benchScale)
+					c, err = core.CompareNative(core.Direct, dev, spec, benchScale)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -92,13 +94,13 @@ func BenchmarkFig3_PR(b *testing.B) {
 }
 
 func BenchmarkFig4_Texture(b *testing.B) {
-	for _, dev := range nvidiaDevices() {
+	for _, dev := range figureDevices("fig4") {
 		dev := dev
 		b.Run(dev.Microarch.String(), func(b *testing.B) {
 			var impacts []core.TextureImpact
 			var err error
 			for i := 0; i < b.N; i++ {
-				impacts, err = core.TextureStudy(dev, benchScale)
+				impacts, err = core.TextureStudy(core.Direct, dev, benchScale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -111,13 +113,13 @@ func BenchmarkFig4_Texture(b *testing.B) {
 }
 
 func BenchmarkFig5_TexturePR(b *testing.B) {
-	for _, dev := range nvidiaDevices() {
+	for _, dev := range figureDevices("fig5") {
 		dev := dev
 		b.Run(dev.Microarch.String(), func(b *testing.B) {
 			var rows []*core.Comparison
 			var err error
 			for i := 0; i < b.N; i++ {
-				rows, err = core.TexturePRStudy(dev, benchScale)
+				rows, err = core.TexturePRStudy(core.Direct, dev, benchScale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -130,13 +132,13 @@ func BenchmarkFig5_TexturePR(b *testing.B) {
 }
 
 func BenchmarkFig6_Unroll(b *testing.B) {
-	for _, dev := range nvidiaDevices() {
+	for _, dev := range figureDevices("fig6") {
 		dev := dev
 		b.Run(dev.Microarch.String(), func(b *testing.B) {
 			var u core.UnrollImpact
 			var err error
 			for i := 0; i < b.N; i++ {
-				u, err = core.UnrollStudyCUDA(dev, benchScale)
+				u, err = core.UnrollStudyCUDA(core.Direct, dev, benchScale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -149,13 +151,13 @@ func BenchmarkFig6_Unroll(b *testing.B) {
 }
 
 func BenchmarkFig7_UnrollPR(b *testing.B) {
-	for _, dev := range nvidiaDevices() {
+	for _, dev := range figureDevices("fig7") {
 		dev := dev
 		b.Run(dev.Microarch.String(), func(b *testing.B) {
 			var combos []core.UnrollCombo
 			var err error
 			for i := 0; i < b.N; i++ {
-				combos, err = core.UnrollCombos(dev, benchScale)
+				combos, err = core.UnrollCombos(core.Direct, dev, benchScale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -168,13 +170,13 @@ func BenchmarkFig7_UnrollPR(b *testing.B) {
 }
 
 func BenchmarkFig8_Constant(b *testing.B) {
-	for _, dev := range nvidiaDevices() {
+	for _, dev := range figureDevices("fig8") {
 		dev := dev
 		b.Run(dev.Microarch.String(), func(b *testing.B) {
 			var c core.ConstantImpact
 			var err error
 			for i := 0; i < b.N; i++ {
-				c, err = core.ConstantStudy(dev, benchScale)
+				c, err = core.ConstantStudy(core.Direct, dev, benchScale)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -201,8 +203,7 @@ func BenchmarkTable5_PTX(b *testing.B) {
 }
 
 func BenchmarkTable6_Port(b *testing.B) {
-	devices := []*arch.Device{arch.HD5870(), arch.Intel920(), arch.CellBE()}
-	for _, dev := range devices {
+	for _, dev := range figureDevices("tableVI") {
 		for _, spec := range core.Fig3Benchmarks() {
 			dev := dev
 			spec := spec

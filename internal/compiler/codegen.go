@@ -24,7 +24,7 @@ type Config struct {
 	Debug bool
 
 	// Observer, when set, receives each pass's before/after instruction
-	// census (cmd/ptxstat's per-pass mode). Observed compiles are not
+	// census (`paper passes`). Observed compiles are not
 	// cacheable: CompileCachedConfig rejects a non-nil Observer.
 	Observer func(pass Pass, before, after *ptx.Stats)
 }

@@ -141,7 +141,7 @@ type Pipeline struct {
 	Passes []Pass
 	Debug  bool
 	// Observer, when set, receives the full before/after instruction
-	// census of every pass (used by cmd/ptxstat's per-pass mode). It runs
+	// census of every pass (used by `paper passes`). It runs
 	// on the compiling goroutine.
 	Observer func(pass Pass, before, after *ptx.Stats)
 }

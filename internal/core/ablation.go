@@ -52,7 +52,7 @@ type GapClosingReport struct {
 	Closed      bool           `json:"closed"` // FinalPR inside the similarity band
 }
 
-// String renders the study as the step-by-step table faircompare prints.
+// String renders the study as the step-by-step table `paper fair` prints.
 func (r *GapClosingReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pass-level ablation of the %s kernel on %s\n", r.Kernel, r.Device)

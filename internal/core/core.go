@@ -57,7 +57,7 @@ func (c *Comparison) String() string {
 type Runner func(a *arch.Device, toolchain string, spec bench.Spec, cfg bench.Config) (*bench.Result, error)
 
 // Direct runs the cell on a freshly opened driver in the calling
-// goroutine — the Runner behind every non-With study function.
+// goroutine.
 func Direct(a *arch.Device, toolchain string, spec bench.Spec, cfg bench.Config) (*bench.Result, error) {
 	d, err := bench.NewDriver(toolchain, a)
 	if err != nil {
@@ -70,12 +70,7 @@ func Direct(a *arch.Device, toolchain string, spec bench.Spec, cfg bench.Config)
 // per-toolchain configurations (pass bench.NativeConfig values for the
 // paper's unmodified Fig. 3 comparison, or identical configs for a
 // controlled experiment).
-func Compare(a *arch.Device, spec bench.Spec, cfgCUDA, cfgCL bench.Config) (*Comparison, error) {
-	return CompareWith(Direct, a, spec, cfgCUDA, cfgCL)
-}
-
-// CompareWith is Compare through an explicit Runner.
-func CompareWith(run Runner, a *arch.Device, spec bench.Spec, cfgCUDA, cfgCL bench.Config) (*Comparison, error) {
+func Compare(run Runner, a *arch.Device, spec bench.Spec, cfgCUDA, cfgCL bench.Config) (*Comparison, error) {
 	rc, err := run(a, "cuda", spec, cfgCUDA)
 	if err != nil {
 		return nil, err
@@ -102,15 +97,10 @@ func CompareWith(run Runner, a *arch.Device, spec bench.Spec, cfgCUDA, cfgCL ben
 
 // CompareNative runs the paper's Fig. 3 comparison: each toolchain's
 // native, unmodified implementation.
-func CompareNative(a *arch.Device, spec bench.Spec, scale int) (*Comparison, error) {
-	return CompareNativeWith(Direct, a, spec, scale)
-}
-
-// CompareNativeWith is CompareNative through an explicit Runner.
-func CompareNativeWith(run Runner, a *arch.Device, spec bench.Spec, scale int) (*Comparison, error) {
+func CompareNative(run Runner, a *arch.Device, spec bench.Spec, scale int) (*Comparison, error) {
 	cu := bench.NativeConfig("cuda")
 	cu.Scale = scale
 	cl := bench.NativeConfig("opencl")
 	cl.Scale = scale
-	return CompareWith(run, a, spec, cu, cl)
+	return Compare(run, a, spec, cu, cl)
 }

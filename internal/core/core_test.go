@@ -32,7 +32,7 @@ func TestPRMetric(t *testing.T) {
 // reaches about 68.6% / 87.7% of TP_BW and beats CUDA by about 8.5% / 2.4%;
 // both toolchains reach the same achieved FLOPS.
 func TestPeakFractions(t *testing.T) {
-	bw280, err := PeakBandwidth(arch.GTX280(), 2)
+	bw280, err := PeakBandwidth(Direct, arch.GTX280(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPeakFractions(t *testing.T) {
 	if r := bw280.OpenCL / bw280.CUDA; math.Abs(r-1.085) > 0.03 {
 		t.Errorf("GTX280 OpenCL/CUDA BW ratio = %.3f, want ~1.085", r)
 	}
-	bw480, err := PeakBandwidth(arch.GTX480(), 2)
+	bw480, err := PeakBandwidth(Direct, arch.GTX480(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func TestPeakFractions(t *testing.T) {
 		t.Errorf("GTX480 OpenCL/CUDA BW ratio = %.3f, want ~1.024", r)
 	}
 
-	fl280, err := PeakFlops(arch.GTX280(), 2)
+	fl280, err := PeakFlops(Direct, arch.GTX280(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f := fl280.FractionOpenCL(); math.Abs(f-0.715) > 0.06 {
 		t.Errorf("GTX280 FLOPS fraction = %.3f, want ~0.715", f)
 	}
-	fl480, err := PeakFlops(arch.GTX480(), 2)
+	fl480, err := PeakFlops(Direct, arch.GTX480(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestPeakFractions(t *testing.T) {
 // memory outlier) but not on GTX480 (Fermi's cache equalises them), and
 // CUDA leads most other benchmarks.
 func TestFig3Shape(t *testing.T) {
-	rows280, err := NativePRSeries(arch.GTX280(), 3)
+	rows280, err := NativePRSeries(Direct, arch.GTX280(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows480, err := NativePRSeries(arch.GTX480(), 3)
+	rows480, err := NativePRSeries(Direct, arch.GTX480(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,8 @@ func TestFig3Shape(t *testing.T) {
 // TestTextureStudies checks Fig. 4 (texture removal hurts the CUDA MD and
 // SPMV) and Fig. 5 (after removal the toolchains are much closer).
 func TestTextureStudies(t *testing.T) {
-	for _, a := range []*arch.Device{arch.GTX280(), arch.GTX480()} {
-		impacts, err := TextureStudy(a, 2)
+	for _, a := range nvidia() {
+		impacts, err := TextureStudy(Direct, a, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestTextureStudies(t *testing.T) {
 	}
 	// Fig. 5: with texture removed from both, MD and SPMV land near parity
 	// (the paper's "similar performance" conclusion).
-	prs, err := TexturePRStudy(arch.GTX280(), 2)
+	prs, err := TexturePRStudy(Direct, arch.GTX280(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +147,14 @@ func TestTextureStudies(t *testing.T) {
 // TestUnrollStudies checks Fig. 6/7 directions: the pragma at point a does
 // not hurt CUDA, and the OpenCL build is the slower side of every combo.
 func TestUnrollStudies(t *testing.T) {
-	u, err := UnrollStudyCUDA(arch.GTX480(), 4)
+	u, err := UnrollStudyCUDA(Direct, arch.GTX480(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.Ratio() > 1.02 {
 		t.Errorf("Fig. 6: removing the pragma should not speed CUDA up (ratio %.3f)", u.Ratio())
 	}
-	combos, err := UnrollCombos(arch.GTX480(), 4)
+	combos, err := UnrollCombos(Direct, arch.GTX480(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestUnrollStudies(t *testing.T) {
 // TestConstantStudy checks Fig. 8: constant memory matters on GT200 and is
 // nearly irrelevant on Fermi.
 func TestConstantStudy(t *testing.T) {
-	c280, err := ConstantStudy(arch.GTX280(), 2)
+	c280, err := ConstantStudy(Direct, arch.GTX280(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c480, err := ConstantStudy(arch.GTX480(), 2)
+	c480, err := ConstantStudy(Direct, arch.GTX480(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +260,12 @@ func TestDynamicGlobalTrafficEqual(t *testing.T) {
 
 // TestPortabilityMatchesTableVI checks the status grid of Table VI.
 func TestPortabilityMatchesTableVI(t *testing.T) {
-	cells, err := PortabilityStudy(8)
+	f, _ := FigureByID("tableVI")
+	data, err := f.Study(Direct, f.Devices(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := data.([]PortabilityCell)
 	status := make(map[[2]string]string)
 	for _, c := range cells {
 		status[[2]string{c.Device, c.Benchmark}] = c.Status
@@ -292,7 +294,7 @@ func TestPortabilityMatchesTableVI(t *testing.T) {
 // TestComparisonStringAndCompare covers the Comparison plumbing.
 func TestComparisonStringAndCompare(t *testing.T) {
 	spec, _ := bench.SpecByName("TranP")
-	c, err := CompareNative(arch.GTX480(), spec, 16)
+	c, err := CompareNative(Direct, arch.GTX480(), spec, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +313,7 @@ func TestComparisonStringAndCompare(t *testing.T) {
 // run succeeded, and the portability score quantifies the Section V
 // performance-portability gap.
 func TestEfficiencyStudy(t *testing.T) {
-	effs, err := EfficiencyStudy(8)
+	effs, err := EfficiencyStudy(Direct, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

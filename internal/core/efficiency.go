@@ -38,7 +38,7 @@ func peakFor(a *arch.Device, metric string) float64 {
 // EfficiencyStudy runs the peak-normalisable benchmarks through OpenCL on
 // every device and reports achieved peak fractions — the quantitative form
 // of "OpenCL's portability does not extend to performance portability".
-func EfficiencyStudy(scale int) ([]Efficiency, error) {
+func EfficiencyStudy(run Runner, scale int) ([]Efficiency, error) {
 	var out []Efficiency
 	for _, a := range arch.All() {
 		for _, spec := range Fig3Benchmarks() {
@@ -48,7 +48,7 @@ func EfficiencyStudy(scale int) ([]Efficiency, error) {
 			}
 			cfg := bench.NativeConfig("opencl")
 			cfg.Scale = scale
-			r, err := Direct(a, "opencl", spec, cfg)
+			r, err := run(a, "opencl", spec, cfg)
 			if err != nil {
 				return nil, err
 			}

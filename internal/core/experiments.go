@@ -23,58 +23,31 @@ func (p PeakResult) FractionCUDA() float64 { return p.CUDA / p.Theoretical }
 // FractionOpenCL returns achieved/theoretical for the OpenCL bar.
 func (p PeakResult) FractionOpenCL() float64 { return p.OpenCL / p.Theoretical }
 
-func runBoth(run Runner, a *arch.Device, spec bench.Spec, scale int) (cu, cl *bench.Result, err error) {
+// peak runs one synthetic probe with both toolchains: a device's Fig. 1
+// or Fig. 2 bars against its theoretical peak.
+func peak(run Runner, a *arch.Device, probe string, theoretical float64, scale int) (PeakResult, error) {
+	spec, _ := bench.SpecByName(probe)
 	cfg := bench.Config{Scale: scale}
-	cu, err = run(a, "cuda", spec, cfg)
+	cu, err := run(a, "cuda", spec, cfg)
 	if err != nil {
-		return nil, nil, err
+		return PeakResult{}, err
 	}
-	cl, err = run(a, "opencl", spec, cfg)
+	cl, err := run(a, "opencl", spec, cfg)
 	if err != nil {
-		return nil, nil, err
+		return PeakResult{}, err
 	}
-	return cu, cl, nil
+	return PeakResult{Device: a.Name, Theoretical: theoretical, CUDA: cu.Value, OpenCL: cl.Value}, nil
 }
 
 // PeakBandwidth regenerates one device's Fig. 1 bars with the
 // DeviceMemory probe.
-func PeakBandwidth(a *arch.Device, scale int) (PeakResult, error) {
-	return PeakBandwidthWith(Direct, a, scale)
-}
-
-// PeakBandwidthWith is PeakBandwidth through an explicit Runner.
-func PeakBandwidthWith(run Runner, a *arch.Device, scale int) (PeakResult, error) {
-	spec, _ := bench.SpecByName("DeviceMemory")
-	cu, cl, err := runBoth(run, a, spec, scale)
-	if err != nil {
-		return PeakResult{}, err
-	}
-	return PeakResult{
-		Device:      a.Name,
-		Theoretical: a.TheoreticalPeakBandwidth(),
-		CUDA:        cu.Value,
-		OpenCL:      cl.Value,
-	}, nil
+func PeakBandwidth(run Runner, a *arch.Device, scale int) (PeakResult, error) {
+	return peak(run, a, "DeviceMemory", a.TheoreticalPeakBandwidth(), scale)
 }
 
 // PeakFlops regenerates one device's Fig. 2 bars with the MaxFlops probe.
-func PeakFlops(a *arch.Device, scale int) (PeakResult, error) {
-	return PeakFlopsWith(Direct, a, scale)
-}
-
-// PeakFlopsWith is PeakFlops through an explicit Runner.
-func PeakFlopsWith(run Runner, a *arch.Device, scale int) (PeakResult, error) {
-	spec, _ := bench.SpecByName("MaxFlops")
-	cu, cl, err := runBoth(run, a, spec, scale)
-	if err != nil {
-		return PeakResult{}, err
-	}
-	return PeakResult{
-		Device:      a.Name,
-		Theoretical: a.TheoreticalPeakFLOPS(),
-		CUDA:        cu.Value,
-		OpenCL:      cl.Value,
-	}, nil
+func PeakFlops(run Runner, a *arch.Device, scale int) (PeakResult, error) {
+	return peak(run, a, "MaxFlops", a.TheoreticalPeakFLOPS(), scale)
 }
 
 // Fig3Benchmarks lists the real-world benchmarks of the PR comparison
@@ -92,15 +65,10 @@ func Fig3Benchmarks() []bench.Spec {
 
 // NativePRSeries regenerates Fig. 3: the PR of every real-world benchmark
 // with each toolchain's native implementation on the given device.
-func NativePRSeries(a *arch.Device, scale int) ([]*Comparison, error) {
-	return NativePRSeriesWith(Direct, a, scale)
-}
-
-// NativePRSeriesWith is NativePRSeries through an explicit Runner.
-func NativePRSeriesWith(run Runner, a *arch.Device, scale int) ([]*Comparison, error) {
+func NativePRSeries(run Runner, a *arch.Device, scale int) ([]*Comparison, error) {
 	var out []*Comparison
 	for _, spec := range Fig3Benchmarks() {
-		c, err := CompareNativeWith(run, a, spec, scale)
+		c, err := CompareNative(run, a, spec, scale)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s on %s: %w", spec.Name, a.Name, err)
 		}
@@ -122,12 +90,7 @@ type TextureImpact struct {
 func (t TextureImpact) Ratio() float64 { return t.Without / t.With }
 
 // TextureStudy regenerates Fig. 4 for MD and SPMV on one device.
-func TextureStudy(a *arch.Device, scale int) ([]TextureImpact, error) {
-	return TextureStudyWith(Direct, a, scale)
-}
-
-// TextureStudyWith is TextureStudy through an explicit Runner.
-func TextureStudyWith(run Runner, a *arch.Device, scale int) ([]TextureImpact, error) {
+func TextureStudy(run Runner, a *arch.Device, scale int) ([]TextureImpact, error) {
 	var out []TextureImpact
 	for _, name := range []string{"MD", "SPMV"} {
 		spec, _ := bench.SpecByName(name)
@@ -146,17 +109,12 @@ func TextureStudyWith(run Runner, a *arch.Device, scale int) ([]TextureImpact, e
 
 // TexturePRStudy regenerates Fig. 5: the PR of MD and SPMV after removing
 // texture memory from the CUDA implementation (a fair step-4 comparison).
-func TexturePRStudy(a *arch.Device, scale int) ([]*Comparison, error) {
-	return TexturePRStudyWith(Direct, a, scale)
-}
-
-// TexturePRStudyWith is TexturePRStudy through an explicit Runner.
-func TexturePRStudyWith(run Runner, a *arch.Device, scale int) ([]*Comparison, error) {
+func TexturePRStudy(run Runner, a *arch.Device, scale int) ([]*Comparison, error) {
 	var out []*Comparison
 	for _, name := range []string{"MD", "SPMV"} {
 		spec, _ := bench.SpecByName(name)
 		cfg := bench.Config{Scale: scale, UseTexture: false}
-		c, err := CompareWith(run, a, spec, cfg, cfg)
+		c, err := Compare(run, a, spec, cfg, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -189,12 +147,7 @@ type UnrollImpact struct {
 func (u UnrollImpact) Ratio() float64 { return u.WithoutA / u.With }
 
 // UnrollStudyCUDA regenerates Fig. 6 on one device.
-func UnrollStudyCUDA(a *arch.Device, scale int) (UnrollImpact, error) {
-	return UnrollStudyCUDAWith(Direct, a, scale)
-}
-
-// UnrollStudyCUDAWith is UnrollStudyCUDA through an explicit Runner.
-func UnrollStudyCUDAWith(run Runner, a *arch.Device, scale int) (UnrollImpact, error) {
+func UnrollStudyCUDA(run Runner, a *arch.Device, scale int) (UnrollImpact, error) {
 	spec, _ := bench.SpecByName("FDTD")
 	with, err := runCUDA(run, a, spec, bench.Config{Scale: scale, UnrollA: true, UnrollB: true})
 	if err != nil {
@@ -219,12 +172,7 @@ type UnrollCombo struct {
 
 // UnrollCombos regenerates Fig. 7: pragma at b only, and pragma at both
 // points, for both toolchains.
-func UnrollCombos(a *arch.Device, scale int) ([]UnrollCombo, error) {
-	return UnrollCombosWith(Direct, a, scale)
-}
-
-// UnrollCombosWith is UnrollCombos through an explicit Runner.
-func UnrollCombosWith(run Runner, a *arch.Device, scale int) ([]UnrollCombo, error) {
+func UnrollCombos(run Runner, a *arch.Device, scale int) ([]UnrollCombo, error) {
 	spec, _ := bench.SpecByName("FDTD")
 	combos := []struct {
 		label   string
@@ -236,7 +184,7 @@ func UnrollCombosWith(run Runner, a *arch.Device, scale int) ([]UnrollCombo, err
 	var out []UnrollCombo
 	for _, cb := range combos {
 		cfg := bench.Config{Scale: scale, UnrollA: cb.unrollA, UnrollB: true}
-		c, err := CompareWith(run, a, spec, cfg, cfg)
+		c, err := Compare(run, a, spec, cfg, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -262,12 +210,7 @@ func (c ConstantImpact) Speedup() float64 { return c.WithoutConst / c.WithConst 
 // ConstantStudy regenerates Fig. 8 on one device: the same Sobel source
 // compiled with the filter in constant versus global memory — the
 // controlled comparison of the constant-memory choice itself.
-func ConstantStudy(a *arch.Device, scale int) (ConstantImpact, error) {
-	return ConstantStudyWith(Direct, a, scale)
-}
-
-// ConstantStudyWith is ConstantStudy through an explicit Runner.
-func ConstantStudyWith(run Runner, a *arch.Device, scale int) (ConstantImpact, error) {
+func ConstantStudy(run Runner, a *arch.Device, scale int) (ConstantImpact, error) {
 	spec, _ := bench.SpecByName("Sobel")
 	with, err := runCUDA(run, a, spec, bench.Config{Scale: scale, UseConstant: true})
 	if err != nil {
@@ -305,36 +248,25 @@ type PortabilityCell struct {
 	Status    string  `json:"status"` // OK, FL, ABT
 }
 
-// PortabilityStudy regenerates Table VI: every real-world benchmark run
-// through OpenCL on the non-NVIDIA devices, with minor modifications only
+// PortabilityStudy regenerates one device's row of Table VI: every
+// real-world benchmark run through OpenCL with minor modifications only
 // (the device-type change is inside the opencl package).
-func PortabilityStudy(scale int) ([]PortabilityCell, error) {
-	return PortabilityStudyWith(Direct, scale)
-}
-
-// PortabilityStudyWith is PortabilityStudy through an explicit Runner.
-func PortabilityStudyWith(run Runner, scale int) ([]PortabilityCell, error) {
-	devices := []*arch.Device{arch.HD5870(), arch.Intel920(), arch.CellBE()}
+func PortabilityStudy(run Runner, a *arch.Device, scale int) ([]PortabilityCell, error) {
 	var out []PortabilityCell
-	for _, a := range devices {
-		for _, spec := range Fig3Benchmarks() {
-			if spec.Name == "TranP" && a.Kind == arch.KindCPU {
-				// Section V: the CPU port drops the local-memory tile.
-			}
-			cfg := bench.NativeConfig("opencl")
-			cfg.Scale = scale
-			r, err := run(a, "opencl", spec, cfg)
-			if err != nil {
-				return nil, err
-			}
-			cell := PortabilityCell{
-				Benchmark: spec.Name, Device: a.Name, Metric: spec.Metric, Status: r.Status(),
-			}
-			if r.Err == nil {
-				cell.Value = r.Value
-			}
-			out = append(out, cell)
+	for _, spec := range Fig3Benchmarks() {
+		cfg := bench.NativeConfig("opencl")
+		cfg.Scale = scale
+		r, err := run(a, "opencl", spec, cfg)
+		if err != nil {
+			return nil, err
 		}
+		cell := PortabilityCell{
+			Benchmark: spec.Name, Device: a.Name, Metric: spec.Metric, Status: r.Status(),
+		}
+		if r.Err == nil {
+			cell.Value = r.Value
+		}
+		out = append(out, cell)
 	}
 	return out, nil
 }

@@ -95,7 +95,7 @@ func (k *Kernel) Validate() error {
 }
 
 // Disassemble renders the kernel as PTX-like text, one instruction per line
-// with pc labels, as consumed by cmd/ptxstat for side-by-side inspection.
+// with pc labels, as `paper -v tableV` prints for side-by-side inspection.
 func (k *Kernel) Disassemble() string {
 	b := make([]byte, 0, 128+40*len(k.Instrs))
 	b = append(append(b, ".entry "...), k.Name...)

@@ -10,7 +10,7 @@ import (
 // instruction and live-register counts on both sides of the pass plus the
 // pass-specific work counters. The compiler pipeline attaches one entry
 // per executed pass to Kernel.PassStats, in execution order, so any layer
-// holding a compiled kernel (the scheduler, the HTTP service, cmd/ptxstat)
+// holding a compiled kernel (the scheduler, the HTTP service, cmd/paper)
 // can report per-pass deltas without recompiling.
 type PassStat struct {
 	Pass         string `json:"pass"`

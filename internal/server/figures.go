@@ -5,17 +5,8 @@ import (
 	"net/http"
 	"strings"
 
-	"gpucmp/internal/arch"
 	"gpucmp/internal/core"
-	"gpucmp/internal/ptx"
 )
-
-// figureDevices are the devices the paper's figure experiments ran on: the
-// two NVIDIA testbeds (figures need the CUDA toolchain; Table VI covers
-// the rest).
-func figureDevices() []*arch.Device {
-	return []*arch.Device{arch.GTX280(), arch.GTX480()}
-}
 
 // figure is the /figures/{id} response envelope.
 type figure struct {
@@ -31,7 +22,7 @@ type figure struct {
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/figures/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("want /figures/{%s}", strings.Join(FigureIDs(), ",")))
+		writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("want /figures/{%s}", strings.Join(core.FigureIDs(), ",")))
 		return
 	}
 	scale, err := s.scaleOf(r)
@@ -39,150 +30,20 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	run := s.runner(r)
-
-	var (
-		title string
-		data  any
-	)
-	switch id {
-	case "fig1", "fig2":
-		title = "Fig. 1: achieved peak memory bandwidth"
-		study := core.PeakBandwidthWith
-		if id == "fig2" {
-			title = "Fig. 2: achieved peak FLOPS"
-			study = core.PeakFlopsWith
-		}
-		var out []core.PeakResult
-		for _, a := range figureDevices() {
-			p, err := study(run, a, scale)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, err)
-				return
-			}
-			out = append(out, p)
-		}
-		data = out
-	case "fig3":
-		title = "Fig. 3: PR of the real-world benchmarks, native implementations"
-		out := map[string][]*core.Comparison{}
-		for _, a := range figureDevices() {
-			series, err := core.NativePRSeriesWith(run, a, scale)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, err)
-				return
-			}
-			out[a.Name] = series
-		}
-		data = out
-	case "fig4":
-		title = "Fig. 4: texture-memory impact on the CUDA MD and SPMV"
-		var out []core.TextureImpact
-		for _, a := range figureDevices() {
-			impacts, err := core.TextureStudyWith(run, a, scale)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, err)
-				return
-			}
-			out = append(out, impacts...)
-		}
-		data = out
-	case "fig5":
-		title = "Fig. 5: PR of MD and SPMV with texture memory removed"
-		out := map[string][]*core.Comparison{}
-		for _, a := range figureDevices() {
-			series, err := core.TexturePRStudyWith(run, a, scale)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, err)
-				return
-			}
-			out[a.Name] = series
-		}
-		data = out
-	case "fig6":
-		title = "Fig. 6: FDTD pragma-unroll impact, CUDA"
-		var out []core.UnrollImpact
-		for _, a := range figureDevices() {
-			u, err := core.UnrollStudyCUDAWith(run, a, scale)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, err)
-				return
-			}
-			out = append(out, u)
-		}
-		data = out
-	case "fig7":
-		title = "Fig. 7: FDTD under matching unroll placements"
-		out := map[string][]core.UnrollCombo{}
-		for _, a := range figureDevices() {
-			combos, err := core.UnrollCombosWith(run, a, scale)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, err)
-				return
-			}
-			out[a.Name] = combos
-		}
-		data = out
-	case "fig8":
-		title = "Fig. 8: Sobel constant-memory impact"
-		var out []core.ConstantImpact
-		for _, a := range figureDevices() {
-			c, err := core.ConstantStudyWith(run, a, scale)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, codeInternal, err)
-				return
-			}
-			out = append(out, c)
-		}
-		data = out
-	case "tableV":
-		title = "Table V: PTX instruction census of the FFT forward kernel"
-		scale = 0 // static compile study; problem size does not apply
-		cu, cl, report, err := core.PTXStudy()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeInternal, err)
-			return
-		}
-		data = map[string]any{
-			"cuda":   statRows(cu),
-			"opencl": statRows(cl),
-			"report": report,
-		}
-	case "tableVI":
-		title = "Table VI: OpenCL portability across the non-NVIDIA devices"
-		cells, err := core.PortabilityStudyWith(run, scale)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, codeInternal, err)
-			return
-		}
-		data = cells
-	default:
+	f, ok := core.FigureByID(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, codeNotFound,
-			fmt.Errorf("unknown figure %q; known figures: %s", id, strings.Join(FigureIDs(), ", ")))
+			fmt.Errorf("unknown figure %q; known figures: %s", id, strings.Join(core.FigureIDs(), ", ")))
 		return
 	}
-	writeJSON(w, http.StatusOK, figure{Figure: id, Title: title, Scale: scale, Data: data})
-}
-
-// FigureIDs lists every artifact /figures/ can regenerate.
-func FigureIDs() []string {
-	return []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "tableV", "tableVI"}
-}
-
-// statRow is a JSON-friendly ptx.StatRow (ptx.Stats itself keys a map by
-// struct, which encoding/json cannot marshal).
-type statRow struct {
-	Instruction string `json:"instruction"`
-	Class       string `json:"class"`
-	Count       int64  `json:"count"`
-}
-
-func statRows(s *ptx.Stats) []statRow {
-	rows := s.Rows()
-	out := make([]statRow, 0, len(rows)+1)
-	for _, r := range rows {
-		out = append(out, statRow{Instruction: r.Key.String(), Class: r.Class.String(), Count: r.Count})
+	devices := f.Devices()
+	if devices == nil {
+		scale = 0 // a compile census: problem size does not apply
 	}
-	out = append(out, statRow{Instruction: "TOTAL", Class: "", Count: s.Total})
-	return out
+	data, err := f.Study(s.runner(r), devices, scale)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, codeInternal, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, figure{Figure: id, Title: f.Title, Scale: scale, Data: data})
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/core"
 	"gpucmp/internal/sched"
 )
 
@@ -211,13 +214,45 @@ func TestFigureEndpointsAndUnknownFigure(t *testing.T) {
 		t.Errorf("tableV should census parameter loads: %.200s", body)
 	}
 
-	resp, _ = get(t, ts.URL+"/figures/fig99")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown figure status = %d, want 404", resp.StatusCode)
-	}
 	resp, _ = get(t, ts.URL+"/figures/fig1?scale=bogus")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad scale status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFigureBodiesPinned pins every /figures/{id} body at scale 16 by its
+// SHA-256 (fig3's body is 2.2 MB), and the exact 404 body for an unknown
+// id. The bodies are deterministic, so a moved digest means a figure now
+// serves something else; a new entry in core's figure table fails here
+// until its digest is recorded.
+func TestFigureBodiesPinned(t *testing.T) {
+	digests := map[string]string{
+		"fig1":    "94ebd53ea6981425b4a57ccc481d2629e13765ebdf46d3a0925973e330657fce",
+		"fig2":    "03ef9d4b41d381856a35423e0040d94da89869e4c57bd5d1dc2153332895f3df",
+		"fig3":    "0973721e143c0c120cff056af4feb39ed62ff6c7262cdc88fe5b9e9e27e7d702",
+		"fig4":    "c7d764e3a298123df2088befd8b97ab9b1e727abb29919993749d35f50278fca",
+		"fig5":    "70c1a369e95e712968a76169b1877185e91c2cecca18db23c98ff0c36c665fa5",
+		"fig6":    "61dcce39732906b6af6d89a12a150825d397d40485a5ef8ca39ee182b660a8a7",
+		"fig7":    "1102d01cba82f0bb22d0436820e292aec0339aada17321d310a41e890c92c949",
+		"fig8":    "03b183fa017e9f77f2098507aa086b363357c837d82f8b3f3721b919a4979ad7",
+		"tableV":  "bb147430c0f9907991e58834f76bd6dac7333bd091b99d062198c68adb3d2561",
+		"tableVI": "1fd1cf1ad3b8eed343bcb7c669bdc4e33c1e4fd52115fbb498697f7c67993a84",
+	}
+	ts, _ := newTestServer(t)
+	for _, id := range core.FigureIDs() {
+		resp, body := get(t, ts.URL+"/figures/"+id+"?scale=16")
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("/figures/%s status = %d: %.200s", id, resp.StatusCode, body)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(body)); got != digests[id] {
+			t.Errorf("/figures/%s body digest = %s, want %q", id, got, digests[id])
+		}
+	}
+	resp, body := get(t, ts.URL+"/figures/fig99")
+	const want = "{\n  \"error\": \"unknown figure \\\"fig99\\\"; known figures: fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, tableV, tableVI\",\n  \"code\": \"not-found\"\n}\n"
+	if resp.StatusCode != http.StatusNotFound || string(body) != want {
+		t.Errorf("unknown figure: status %d, body %q; want 404, %q", resp.StatusCode, body, want)
 	}
 }
 

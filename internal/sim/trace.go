@@ -47,6 +47,31 @@ func (m *MemCounters) DRAMBytes(segBytes int) int64 {
 	return trans*int64(segBytes) + m.TexTrans*TexLineBytes
 }
 
+// Add accumulates c into m: the counters of several compute units or
+// launches summed into one.
+func (m *MemCounters) Add(c *MemCounters) {
+	m.GlobalLoadAccesses += c.GlobalLoadAccesses
+	m.GlobalStoreAccesses += c.GlobalStoreAccesses
+	m.GlobalLoadTrans += c.GlobalLoadTrans
+	m.GlobalStoreTrans += c.GlobalStoreTrans
+	m.L1Hits += c.L1Hits
+	m.L1Misses += c.L1Misses
+	m.L2Hits += c.L2Hits
+	m.L2Misses += c.L2Misses
+	m.TexAccesses += c.TexAccesses
+	m.TexHits += c.TexHits
+	m.TexMisses += c.TexMisses
+	m.TexTrans += c.TexTrans
+	m.ConstAccesses += c.ConstAccesses
+	m.ConstSerial += c.ConstSerial
+	m.ConstMisses += c.ConstMisses
+	m.SharedAccesses += c.SharedAccesses
+	m.SharedSerial += c.SharedSerial
+	m.LocalAccesses += c.LocalAccesses
+	m.LocalTrans += c.LocalTrans
+	m.AtomicOps += c.AtomicOps
+}
+
 // Trace is the dynamic execution record of one kernel launch.
 type Trace struct {
 	Kernel    string
@@ -115,28 +140,7 @@ func (t *Trace) merge(cu *cuState) {
 	t.Branches += cu.branches
 	t.DivergentBranches += cu.divergent
 
-	m := &t.Mem
-	c := &cu.mem
-	m.GlobalLoadAccesses += c.GlobalLoadAccesses
-	m.GlobalStoreAccesses += c.GlobalStoreAccesses
-	m.GlobalLoadTrans += c.GlobalLoadTrans
-	m.GlobalStoreTrans += c.GlobalStoreTrans
-	m.L1Hits += c.L1Hits
-	m.L1Misses += c.L1Misses
-	m.L2Hits += c.L2Hits
-	m.L2Misses += c.L2Misses
-	m.TexAccesses += c.TexAccesses
-	m.TexHits += c.TexHits
-	m.TexMisses += c.TexMisses
-	m.TexTrans += c.TexTrans
-	m.ConstAccesses += c.ConstAccesses
-	m.ConstSerial += c.ConstSerial
-	m.ConstMisses += c.ConstMisses
-	m.SharedAccesses += c.SharedAccesses
-	m.SharedSerial += c.SharedSerial
-	m.LocalAccesses += c.LocalAccesses
-	m.LocalTrans += c.LocalTrans
-	m.AtomicOps += c.AtomicOps
+	t.Mem.Add(&cu.mem)
 }
 
 // cuState is the private execution state of one compute unit: its caches
