@@ -252,15 +252,16 @@ func runLowered(d Driver, name string, cfg Config, inputs map[string][]uint32) (
 	}
 	d.ResetTimer()
 	for _, ln := range l.Launches {
-		if err := launchOne(d, mod, bufs, ln); err != nil {
+		if err := LaunchOne(d, mod, bufs, ln); err != nil {
 			return nil, nil, err
 		}
 	}
 	return l, bufs, nil
 }
 
-// launchOne runs one launch of a lowered program on the driver.
-func launchOne(d Driver, mod Module, bufs map[string]Buf, ln pattern.Launch) error {
+// LaunchOne runs one launch of a lowered program on the driver, binding
+// each buffer argument by name in bufs.
+func LaunchOne(d Driver, mod Module, bufs map[string]Buf, ln pattern.Launch) error {
 	args := make([]Arg, len(ln.Args))
 	for i, a := range ln.Args {
 		if a.IsVal {

@@ -73,7 +73,7 @@ func st2dSteps(d Driver, cfg Config, img []float32, w, h, steps int) ([]float32,
 			return nil, err
 		}
 		launch = func(src, dst Buf) error {
-			return launchOne(d, mod, map[string]Buf{"in": src, "out": dst}, l.Launches[0])
+			return LaunchOne(d, mod, map[string]Buf{"in": src, "out": dst}, l.Launches[0])
 		}
 	} else {
 		mod, err := d.Build(St2DKernel())

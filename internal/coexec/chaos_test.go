@@ -23,19 +23,21 @@ var chaosSchedule = fault.Schedule{
 // TestChaosBitIdentityAcrossSeeds is the acceptance gate of the package:
 // for every seed in the sweep, co-execution across three heterogeneous
 // devices under the injected fault schedule must produce output words
-// bit-identical to the single-device oracle, fail only with typed errors
-// (it never does here, by the completion-guarantee arithmetic), and leak
-// no goroutines.
+// bit-identical to the single-device oracle and to pattern.Eval on the
+// host, fail only with typed errors (it never does here, by the
+// completion-guarantee arithmetic), and leak no goroutines.
 func TestChaosBitIdentityAcrossSeeds(t *testing.T) {
 	before := runtime.NumGoroutine()
-	workloads := []Workload{VecAdd(24), SobelRows(64, 48), MxMRows(48)}
+	workloads := []Workload{vecAdd(24), sobel(64, 48), mxm(48)}
 	refs := make(map[string][]uint32, len(workloads))
+	hosts := make(map[string][]uint32, len(workloads))
 	for _, w := range workloads {
 		ref, _, err := Oracle(w, "cuda", arch.GTX480())
 		if err != nil {
 			t.Fatal(err)
 		}
 		refs[w.Name()] = ref
+		hosts[w.Name()] = hostEval(t, w)
 	}
 
 	const seeds = 24 // acceptance floor is 20
@@ -61,11 +63,18 @@ func TestChaosBitIdentityAcrossSeeds(t *testing.T) {
 				}
 				t.Fatalf("seed %d %s: recovery guarantee broken: %v", seed, w.Name(), err)
 			}
-			ref := refs[w.Name()]
+			ref, host := refs[w.Name()], hosts[w.Name()]
+			if len(out) != len(host) {
+				t.Fatalf("seed %d %s: merged %d words, host evaluator %d", seed, w.Name(), len(out), len(host))
+			}
 			for i := range ref {
 				if out[i] != ref[i] {
 					t.Fatalf("seed %d %s: word %d differs from oracle (%#x vs %#x)",
 						seed, w.Name(), i, out[i], ref[i])
+				}
+				if out[i] != host[i] {
+					t.Fatalf("seed %d %s: word %d differs from pattern.Eval (%#x vs %#x)",
+						seed, w.Name(), i, out[i], host[i])
 				}
 			}
 			counts := in.Counts()
@@ -102,7 +111,7 @@ func TestChaosBitIdentityAcrossSeeds(t *testing.T) {
 // guard must keep exactly one device alive and still complete the run.
 func TestChaosDeviceLossBounded(t *testing.T) {
 	before := runtime.NumGoroutine()
-	w := VecAdd(16)
+	w := vecAdd(16)
 	ref, _, err := Oracle(w, "cuda", arch.GTX480())
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +166,7 @@ func TestChaosDistinctSeedsDistinctSchedules(t *testing.T) {
 }
 
 func BenchmarkCoexecVecAdd(b *testing.B) {
-	w := VecAdd(64)
+	w := vecAdd(64)
 	opts := Options{Devices: []*arch.Device{arch.GTX480(), arch.GTX280(), arch.Intel920()}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

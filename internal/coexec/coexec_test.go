@@ -2,6 +2,9 @@ package coexec
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,6 +13,7 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/fault"
+	"gpucmp/internal/pattern"
 	"gpucmp/internal/sim"
 )
 
@@ -39,7 +43,71 @@ func fastOpts(devs ...*arch.Device) Options {
 }
 
 func testWorkloads() []Workload {
-	return []Workload{VecAdd(24), SobelRows(64, 48), MxMRows(48)}
+	return []Workload{vecAdd(24), sobel(64, 48), mxm(48)}
+}
+
+// hostEval is the workload's whole output computed by pattern.Eval on the
+// host, the oracle no device takes part in.
+func hostEval(t testing.TB, w Workload) []uint32 {
+	t.Helper()
+	p := w.(*program)
+	out, err := pattern.Eval(p.prog, p.sched, p.shape(p.units), pattern.EvalInputs{Bufs: p.inputs})
+	if err != nil {
+		t.Fatalf("%s: host eval: %v", w.Name(), err)
+	}
+	return out
+}
+
+// TestSchedulesFitEveryDevice: each workload's schedule is one of its
+// program's rewrite space, and its kernels use no shared memory, which the
+// Cell/BE's local store has no room for.
+func TestSchedulesFitEveryDevice(t *testing.T) {
+	for _, w := range testWorkloads() {
+		p := w.(*program)
+		inSpace := false
+		for _, s := range pattern.Space(p.prog) {
+			inSpace = inSpace || s == p.sched
+		}
+		if !inSpace {
+			t.Errorf("%s: schedule %s is not in its program's space", w.Name(), p.sched.Mangle())
+		}
+		l, err := pattern.Lower(p.prog, p.sched, p.shape(p.units))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range l.Kernels {
+			if len(k.SharedArrays) > 0 {
+				t.Errorf("%s: kernel %s declares shared memory", w.Name(), k.Name)
+			}
+		}
+	}
+}
+
+// TestNamedSizesMatchHost: Named takes any size >= 1, including ones no
+// block size divides and images with no interior, and a two-device split
+// of each matches the host evaluator.
+func TestNamedSizesMatchHost(t *testing.T) {
+	for _, name := range NamedWorkloads() {
+		for _, size := range []int{1, 2, 7, 20} {
+			w, err := Named(name, size)
+			if err != nil {
+				t.Fatalf("%s %d: %v", name, size, err)
+			}
+			out, _, err := Run(context.Background(), w, fastOpts(arch.GTX480(), arch.Intel920()))
+			if err != nil {
+				t.Fatalf("%s %d: %v", name, size, err)
+			}
+			host := hostEval(t, w)
+			if len(out) != len(host) {
+				t.Fatalf("%s %d: merged %d words, host evaluator %d", name, size, len(out), len(host))
+			}
+			for i := range host {
+				if out[i] != host[i] {
+					t.Fatalf("%s %d: word %d: %#x, host evaluator %#x", name, size, i, out[i], host[i])
+				}
+			}
+		}
+	}
 }
 
 // TestOracleBitIdenticalAcrossDevices is the foundation the whole package
@@ -67,6 +135,48 @@ func TestOracleBitIdenticalAcrossDevices(t *testing.T) {
 						t.Fatalf("%s: word %d differs: %#x vs %#x", a.Name, i, got[i], ref[i])
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestOracleDigestsPinned pins the single-device output of every size the
+// tests and cmd/coexecbench use, by SHA-256 of the little-endian words.
+func TestOracleDigestsPinned(t *testing.T) {
+	for _, c := range []struct {
+		w    Workload
+		want string
+	}{
+		{vecAdd(4), "279d4e1766efbd3bf03ce2ccea55f297e53f0bc627bdcaa37143d5519208e6c9"},
+		{vecAdd(8), "5ba1d40f17ed4e6c44ec613ef0524e158c228ac90b2f3914072aca4c3d340ede"},
+		{vecAdd(16), "3994020d1abab903581158e28042201ade301a1f015f00609d6c8dd37104e122"},
+		{vecAdd(24), "19ed3eb3f8c541c7421db5649d353f73f12dda8adbf6b8f94adefd208c58e1bc"},
+		{vecAdd(64), "21e9bfc110bc25c20906b9e05edf05220333cc302eb256441ee6bbde219d53b5"},
+		{vecAdd(128), "964b5b05d9250a24afda812c72a8556468b63e81d48f75291de1f79fa0bb526d"},
+		{vecAdd(512), "06defa18ce003fbc57d3f6739cebc1e57eaf0062b3d1dc8b7704eb8feb0f9ec2"},
+		{sobel(64, 48), "02948bb5df0c91233725b37ed0ef637a7a3f82e5f484726f0da4fd7b6a706b21"},
+		{sobel(64, 64), "4337cbe91b35d4dde26109bc8d719580f32af4bf63d9d2f9dd04c32d49561b9d"},
+		{sobel(256, 256), "fb0f37974083796035dfb6885d70e052ad73587c1edcd5a7aaee0fc47c45d805"},
+		{mxm(48), "7f7cfa89f2b52cc871780b1bac8a9752637fb52c57ed392c469b3b442ab4a67f"},
+		{mxm(96), "f888c673093f33a2b116267f868813bc44aedb26f8e0f471db0f4d2d2be275ad"},
+		{mxm(192), "e95963967d22cc33a1ebe9203d856bad5ca5405e6a6d4d44b0bb64d96d82f716"},
+	} {
+		c := c
+		name := fmt.Sprintf("%s/%dx%d", c.w.Name(), c.w.Units(), c.w.WordsPerUnit())
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			out, _, err := Oracle(c.w, "cuda", arch.GTX480())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var buf [4]byte
+			for _, word := range out {
+				binary.LittleEndian.PutUint32(buf[:], word)
+				h.Write(buf[:])
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+				t.Errorf("output digest %s, want %s", got, c.want)
 			}
 		})
 	}
@@ -127,7 +237,7 @@ func TestDeterministicKillRedistributes(t *testing.T) {
 	// A workload whose shards cost real simulation time, so both workers
 	// provably engage before the queue drains (tiny shards let one fast
 	// worker swallow the whole queue before the other is scheduled).
-	w := MxMRows(96)
+	w := mxm(96)
 	ref, _, err := Oracle(w, "cuda", arch.GTX480())
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +286,7 @@ func TestDeterministicKillRedistributes(t *testing.T) {
 // wrapping fault.ErrTransfer — never an untyped error.
 func TestPermanentShardFailureIsTyped(t *testing.T) {
 	before := runtime.NumGoroutine()
-	w := VecAdd(8)
+	w := vecAdd(8)
 	opts := fastOpts(arch.GTX480(), arch.GTX280())
 	opts.MaxAttempts = 3
 	opts.Injector = fault.New(1, fault.Schedule{TransferRate: 1.0}) // MaxPerKey 0 = unlimited
@@ -195,7 +305,7 @@ func TestPermanentShardFailureIsTyped(t *testing.T) {
 // MaxPerKey=3 must always recover, because the cap is spent per shard
 // globally — redistribution to a fresh device cannot re-arm it.
 func TestMaxPerKeyExemptionUnstarvesRecovery(t *testing.T) {
-	w := VecAdd(16)
+	w := vecAdd(16)
 	ref, _, err := Oracle(w, "cuda", arch.GTX480())
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +407,7 @@ func TestStragglerReassignment(t *testing.T) {
 // context error, and leak nothing.
 func TestCancellationKillsInFlightShards(t *testing.T) {
 	before := runtime.NumGoroutine()
-	w := MxMRows(192) // big enough that shards are still in flight when we cancel
+	w := mxm(192) // big enough that shards are still in flight when we cancel
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := fastOpts(arch.GTX480(), arch.GTX280(), arch.Intel920())
 	errCh := make(chan error, 1)
@@ -320,12 +430,12 @@ func TestCancellationKillsInFlightShards(t *testing.T) {
 
 // TestRunValidation covers the trivial error paths.
 func TestRunValidation(t *testing.T) {
-	if _, _, err := Run(context.Background(), VecAdd(4), Options{}); !errors.Is(err, ErrNoDevices) {
+	if _, _, err := Run(context.Background(), vecAdd(4), Options{}); !errors.Is(err, ErrNoDevices) {
 		t.Fatalf("want ErrNoDevices, got %v", err)
 	}
 	// A CUDA toolchain forced onto an AMD device must surface the open error.
 	opts := Options{Devices: []*arch.Device{arch.HD5870()}, Toolchains: []string{"cuda"}}
-	if _, _, err := Run(context.Background(), VecAdd(4), opts); err == nil {
+	if _, _, err := Run(context.Background(), vecAdd(4), opts); err == nil {
 		t.Fatal("CUDA on HD5870 must fail to open")
 	}
 }
@@ -338,7 +448,12 @@ func TestToolchainFor(t *testing.T) {
 }
 
 func ExampleRun() {
-	out, rep, err := Run(context.Background(), VecAdd(16),
+	w, err := Named("vecadd", 16)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	out, rep, err := Run(context.Background(), w,
 		Options{Devices: []*arch.Device{arch.GTX480(), arch.Intel920()}})
 	if err != nil {
 		fmt.Println("error:", err)

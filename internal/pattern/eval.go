@@ -59,6 +59,9 @@ func Eval(p Program, s Schedule, shape Shape, in EvalInputs) ([]uint32, error) {
 		}
 		if p.Kind() == KindMatMul {
 			need = shape.N * shape.N
+			if name == "A" && shape.H > 0 {
+				need = shape.H * shape.N
+			}
 		}
 		if len(in.Bufs[name]) < need {
 			return nil, fmt.Errorf("pattern: eval %s: input %q has %d words, need %d",
@@ -191,10 +194,13 @@ func Eval(p Program, s Schedule, shape Shape, in EvalInputs) ([]uint32, error) {
 		return out, nil
 
 	case *MatMulProg:
-		n := shape.N
+		n, rows := shape.N, shape.H
+		if rows == 0 {
+			rows = n
+		}
 		a, bm := in.Bufs["A"], in.Bufs["B"]
-		out := make([]uint32, n*n)
-		for row := 0; row < n; row++ {
+		out := make([]uint32, rows*n)
+		for row := 0; row < rows; row++ {
 			for col := 0; col < n; col++ {
 				acc := math.Float32bits(0)
 				for k := 0; k < n; k++ {

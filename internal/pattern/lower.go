@@ -687,14 +687,24 @@ func lowerStencil(l *Lowered, p *Stencil2DProg, s Schedule, shape Shape) error {
 	return nil
 }
 
+// lowerMatMul emits the square n x n product, or with Shape.H set, its
+// first H rows: A and C shrink to H x n, and an untiled kernel guards
+// row < h and col < n, so any H and n run on square blocks. Co-execution
+// lowers each shard this way, with A and C bound to the shard's rows.
 func lowerMatMul(l *Lowered, p *MatMulProg, s Schedule, shape Shape) error {
-	n := shape.N
+	n, rows := shape.N, shape.H
 	if n <= 0 {
 		return fmt.Errorf("pattern: lower %s: need N > 0", p.Name)
 	}
 	B := s.BlockX
-	if B <= 0 || n%B != 0 {
+	sharded := rows > 0
+	switch {
+	case sharded && s.Tile:
+		return fmt.Errorf("pattern: lower %s: a row-sharded matmul (Shape.H) does not tile", p.Name)
+	case !sharded && n%B != 0:
 		return fmt.Errorf("pattern: lower %s: matmul needs N %% block == 0 (n=%d, block=%d)", p.Name, n, B)
+	case !sharded:
+		rows = n
 	}
 
 	kname := fmt.Sprintf("%s_%s", p.Name, s.mangleIdent())
@@ -703,6 +713,12 @@ func lowerMatMul(l *Lowered, p *MatMulProg, s Schedule, shape Shape) error {
 	bm := b.GlobalBuffer("B", kir.F32)
 	c := b.GlobalBuffer("C", kir.F32)
 	np := b.ScalarParam("n", kir.U32)
+	args := []LaunchArg{BufArg("A"), BufArg("B"), BufArg("C"), ValArg(uint32(n))}
+	var hp kir.Expr
+	if sharded {
+		hp = b.ScalarParam("h", kir.U32)
+		args = append(args, ValArg(uint32(rows)))
+	}
 
 	if s.Tile {
 		as := b.SharedArray("As", kir.F32, B*B)
@@ -732,13 +748,20 @@ func lowerMatMul(l *Lowered, p *MatMulProg, s Schedule, shape Shape) error {
 		// schedules produce bit-identical results.
 		row := b.Declare("row", b.GlobalIDY())
 		col := b.Declare("col", b.GlobalIDX())
-		acc := b.Declare("acc", kir.F(0))
-		b.For("k", kir.U(0), np, kir.U(1), func(k kir.Expr) {
-			b.Assign(acc, kir.Add(acc, kir.Mul(
-				b.Load(a, kir.Add(kir.Mul(row, np), k)),
-				b.Load(bm, kir.Add(kir.Mul(k, np), col)))))
-		})
-		b.Store(c, kir.Add(kir.Mul(row, np), col), acc)
+		body := func() {
+			acc := b.Declare("acc", kir.F(0))
+			b.For("k", kir.U(0), np, kir.U(1), func(k kir.Expr) {
+				b.Assign(acc, kir.Add(acc, kir.Mul(
+					b.Load(a, kir.Add(kir.Mul(row, np), k)),
+					b.Load(bm, kir.Add(kir.Mul(k, np), col)))))
+			})
+			b.Store(c, kir.Add(kir.Mul(row, np), col), acc)
+		}
+		if sharded {
+			b.If(kir.LAnd(kir.Lt(row, hp), kir.Lt(col, np)), body)
+		} else {
+			body()
+		}
 	}
 	k, err := b.Build()
 	if err != nil {
@@ -746,16 +769,16 @@ func lowerMatMul(l *Lowered, p *MatMulProg, s Schedule, shape Shape) error {
 	}
 
 	l.Bufs = append(l.Bufs,
-		BufSpec{Name: "A", Words: n * n, Space: kir.Global, Role: RoleInput},
+		BufSpec{Name: "A", Words: rows * n, Space: kir.Global, Role: RoleInput},
 		BufSpec{Name: "B", Words: n * n, Space: kir.Global, Role: RoleInput},
-		BufSpec{Name: "C", Words: n * n, Space: kir.Global, Role: RoleOutput},
+		BufSpec{Name: "C", Words: rows * n, Space: kir.Global, Role: RoleOutput},
 	)
 	l.Kernels = append(l.Kernels, k)
 	l.Launches = append(l.Launches, Launch{
 		Kernel: kname,
-		GridX:  n / B, GridY: n / B,
+		GridX:  ceilDiv(n, B), GridY: ceilDiv(rows, B),
 		BlockX: B, BlockY: B,
-		Args: []LaunchArg{BufArg("A"), BufArg("B"), BufArg("C"), ValArg(uint32(n))},
+		Args: args,
 	})
 	l.Out = "C"
 	return nil

@@ -470,7 +470,8 @@ func (p *MatMulProg) Validate() error {
 }
 
 // Shape carries the concrete problem size a lowering is instantiated for:
-// N for the 1-D skeletons and the matrix dimension, W/H for stencils.
+// N for the 1-D skeletons and the matrix dimension, W/H for stencils. A
+// matmul with H set computes only the first H rows of C (0 means N).
 type Shape struct {
 	N int `json:"n,omitempty"`
 	W int `json:"w,omitempty"`

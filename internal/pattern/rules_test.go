@@ -276,3 +276,52 @@ func TestScheduleIndependentKindsAgreeAcrossSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestRowShardedMatMul: a matmul lowered with Shape.H computes the first H
+// rows of the square product bit for bit, for n a multiple of no block
+// size, and refuses the tiled schedules.
+func TestRowShardedMatMul(t *testing.T) {
+	const n, rows = 20, 7
+	rng := workload.NewRNG(5)
+	p := &MatMulProg{Name: "mm"}
+	in := EvalInputs{Bufs: map[string][]uint32{
+		"A": f32Bits(rng.Floats(n*n, -1, 1)), "B": f32Bits(rng.Floats(n*n, -1, 1))}}
+	square, err := Eval(p, Canonical(p), Shape{N: n}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := Shape{N: n, H: rows}
+	untiled := 0
+	for _, s := range Space(p) {
+		l, err := Lower(p, s, shape)
+		if s.Tile {
+			if err == nil {
+				t.Errorf("%s: a tiled row-sharded lowering was accepted", s.Mangle())
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: lower: %v", s.Mangle(), err)
+		}
+		untiled++
+		want, err := Eval(p, s, shape, in)
+		if err != nil {
+			t.Fatalf("%s: eval: %v", s.Mangle(), err)
+		}
+		got, err := RunLowered(l, in)
+		if err != nil {
+			t.Fatalf("%s: run: %v", s.Mangle(), err)
+		}
+		if len(got) != rows*n || len(want) != rows*n {
+			t.Fatalf("%s: %d kernel words, %d evaluator words, want %d", s.Mangle(), len(got), len(want), rows*n)
+		}
+		for i := range got {
+			if got[i] != want[i] || want[i] != square[i] {
+				t.Fatalf("%s: word %d: kernel %#x, evaluator %#x, square %#x", s.Mangle(), i, got[i], want[i], square[i])
+			}
+		}
+	}
+	if untiled == 0 {
+		t.Fatal("no untiled matmul schedule in the space")
+	}
+}

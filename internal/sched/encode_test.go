@@ -172,6 +172,18 @@ func TestEncodeMatchesMarshalIndentShapes(t *testing.T) {
 // TestEncodeAllocsDoNotGrowWithReports: once its kernels have been encoded,
 // a result's allocations are the head's and the output's, however many
 // reports it carries.
+//
+// It compares the fewest allocations of single calls, not a mean. The
+// head goes through json.MarshalIndent, which keeps its encode and scan
+// state in sync.Pools; under -race, sync.Pool.Put drops one item in four
+// at random, and the next call allocates fresh state. (Encoding a result
+// with no kernels took 6 allocations in each of 400 calls without -race;
+// with it, 6 to 19, and 6 in about a third of the calls.) A mean over 50
+// calls then moves by an allocation from run to run, enough to fail a
+// strict comparison about half the time. A dropped item, or a GC
+// emptying the pool, only ever adds allocations, so the fewest over 100
+// calls is the steady-state count and the comparison stays exact: one
+// allocation per report, or one per growth of a slice, still fails it.
 func TestEncodeAllocsDoNotGrowWithReports(t *testing.T) {
 	kr := bench.ReportKernel(reportedKernel("k"))
 	allocs := func(n int) float64 {
@@ -182,7 +194,11 @@ func TestEncodeAllocsDoNotGrowWithReports(t *testing.T) {
 		if _, err := Encode(res); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(50, func() { Encode(res) }) //nolint:errcheck // checked above
+		fewest := math.Inf(1)
+		for i := 0; i < 100; i++ {
+			fewest = math.Min(fewest, testing.AllocsPerRun(1, func() { Encode(res) })) //nolint:errcheck // checked above
+		}
+		return fewest
 	}
 	one, many := allocs(1), allocs(200)
 	if many > one {
