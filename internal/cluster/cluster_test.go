@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,6 +367,81 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(string(prom), metric) {
 			t.Errorf("prometheus output missing %q", metric)
+		}
+	}
+}
+
+// TestCoordinatorRepliesDeclareLength: a coordinator reply is a body it
+// already holds in full, so it goes out with a Content-Length, not
+// chunked, even when it is over net/http's 2 KB pre-chunking buffer (the
+// FFT reply is; fig1's is not).
+func TestCoordinatorRepliesDeclareLength(t *testing.T) {
+	w, _ := startWorker(t, nil)
+	cts, _ := startCoordinator(t, Config{Workers: []string{w.URL}, ProbeInterval: -1})
+	for _, req := range []struct {
+		method, path, body string
+		minBytes           int
+	}{
+		{http.MethodPost, "/run", runBody("FFT", 16), 2049},
+		{http.MethodGet, "/figures/fig1", "", 1},
+	} {
+		hr, err := http.NewRequest(req.method, cts.URL+req.path, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) < req.minBytes {
+			t.Fatalf("%s: status %d, %d bytes; want a 200 of at least %d", req.path, resp.StatusCode, len(body), req.minBytes)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for %d bytes; want the length declared",
+				req.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// TestOversizedReplyIsTyped502: a worker reply over the proxy limit is a
+// typed 502, not a truncated body. It is neither failed over nor counted
+// against the shard, since every shard would give the same reply.
+func TestOversizedReplyIsTyped502(t *testing.T) {
+	var calls atomic.Int32
+	oversized := func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Length", fmt.Sprint(maxProxyBody+1))
+		w.Write([]byte(`{"result":`)) //nolint:errcheck
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}
+	var workers []string
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(http.HandlerFunc(oversized))
+		t.Cleanup(ts.Close)
+		workers = append(workers, ts.URL)
+	}
+	cts, c := startCoordinator(t, Config{Workers: workers, ProbeInterval: -1, HedgeDisabled: true,
+		Breaker: sched.BreakerConfig{FailureThreshold: 1}})
+	status, body, _ := post(t, cts.URL+"/run", runBody("Reduce", 16))
+	var e struct {
+		Code string `json:"code"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil || status != http.StatusBadGateway || e.Code != codeReplyTooLarge {
+		t.Fatalf("status %d, body %s; want 502 %q", status, body, codeReplyTooLarge)
+	}
+	snap := c.Metrics()
+	if calls.Load() != 1 || snap.Failovers != 0 {
+		t.Errorf("%d worker calls, %d failovers; want 1 and 0", calls.Load(), snap.Failovers)
+	}
+	for _, sh := range snap.Shards {
+		if sh.Errors != 0 || sh.Breaker != "closed" {
+			t.Errorf("shard %s: %d errors, breaker %s; want 0 and closed", sh.Shard, sh.Errors, sh.Breaker)
 		}
 	}
 }

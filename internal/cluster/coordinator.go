@@ -381,6 +381,12 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 				resCh <- result{resp: resp, hedge: hedge}
 				return
 			}
+			if errors.Is(err, errReplyTooLarge) {
+				// The shard answered; the size belongs to the request.
+				br.Success()
+				resCh <- result{err: fmt.Errorf("cluster: shard %s: %w", shard, err), hedge: hedge}
+				return
+			}
 			if actx.Err() != nil {
 				// We lost the race (or the client left). The cancelled
 				// attempt says nothing about the shard's health, so it
@@ -422,6 +428,9 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 				}
 				return r.resp, nil
 			}
+			if errors.Is(r.err, errReplyTooLarge) {
+				return nil, r.err // a hedge would fetch the same reply
+			}
 			if firstErr == nil {
 				firstErr = r.err
 			}
@@ -460,7 +469,7 @@ func (c *Coordinator) send(ctx context.Context, shard, method, pathq string, hea
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := readBody(resp)
+	b, err := readBody(resp, maxProxyBody)
 	if err != nil {
 		return nil, err
 	}
@@ -473,16 +482,28 @@ func (c *Coordinator) send(ctx context.Context, shard, method, pathq string, hea
 	return out, nil
 }
 
-// readBody buffers a worker reply, at most maxProxyBody of it. A reply
-// that declares its length (every /run reply does) is read into one buffer
-// of that size; only a chunked one pays io.ReadAll's regrowth.
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= maxProxyBody {
+// errReplyTooLarge marks a worker reply over the proxy limit. It says
+// nothing about the shard's health and every shard would answer the same,
+// so forward neither fails it over nor counts it against the breaker.
+var errReplyTooLarge = errors.New("reply exceeds the coordinator's proxy limit")
+
+// readBody buffers a worker reply of at most limit bytes; a longer one is
+// errReplyTooLarge, never a truncated body. A reply that declares its
+// length (every /run reply does) is read into one buffer of that size;
+// only a chunked one pays io.ReadAll's regrowth.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n > limit {
+		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errReplyTooLarge, n, limit)
+	} else if n >= 0 {
 		b := make([]byte, n)
 		_, err := io.ReadFull(resp.Body, b)
 		return b, err
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(b)) > limit {
+		return nil, fmt.Errorf("%w: over %d bytes chunked", errReplyTooLarge, limit)
+	}
+	return b, err
 }
 
 // proxyCall is one in-flight forwarded request any number of identical
@@ -546,12 +567,11 @@ func (c *Coordinator) waitCall(ctx context.Context, call *proxyCall, sfKey strin
 
 // ---- HTTP face ----------------------------------------------------------
 
+// writeJSON writes v with status code, as one line of compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away; nothing to do
 }
 
 type errorBody struct {
@@ -574,6 +594,9 @@ const (
 	codeTooLarge   = "too-large"
 	codeDraining   = "draining"
 	codeMethodNA   = "method-not-allowed"
+
+	// codeReplyTooLarge: a worker reply over maxProxyBody (a 502).
+	codeReplyTooLarge = "reply-too-large"
 )
 
 var tenantRe = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
@@ -681,7 +704,8 @@ func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) (release fun
 }
 
 // reply writes a buffered shard response (or the typed routing error)
-// back to the client.
+// back to the client. The body is already whole, so the reply declares
+// its length rather than going out chunked.
 func (c *Coordinator) reply(w http.ResponseWriter, resp *shardResponse, err error) {
 	if err != nil {
 		switch {
@@ -691,6 +715,8 @@ func (c *Coordinator) reply(w http.ResponseWriter, resp *shardResponse, err erro
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			// The client went away; the status is a formality.
 			writeError(w, http.StatusServiceUnavailable, codeDraining, err)
+		case errors.Is(err, errReplyTooLarge):
+			writeError(w, http.StatusBadGateway, codeReplyTooLarge, err)
 		default:
 			writeError(w, http.StatusBadGateway, codeBadGateway, err)
 		}
@@ -702,6 +728,7 @@ func (c *Coordinator) reply(w http.ResponseWriter, resp *shardResponse, err erro
 		}
 	}
 	w.Header().Set("X-Shard", resp.shard)
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
 	w.WriteHeader(resp.status)
 	w.Write(resp.body) //nolint:errcheck // client went away; nothing to do
 }

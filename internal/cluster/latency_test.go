@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -124,7 +124,9 @@ func TestHedgeDelayMatchesSortFromScratch(t *testing.T) {
 	}
 }
 
-// TestReadBody covers both ways a worker reply is buffered.
+// TestReadBody covers both ways a worker reply is buffered, and that a
+// reply over the limit, declared or chunked, is an error and never a
+// truncated body.
 func TestReadBody(t *testing.T) {
 	payload := bytes.Repeat([]byte("0123456789"), 1500)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -166,7 +168,7 @@ func TestReadBody(t *testing.T) {
 		if resp.ContentLength != tc.length {
 			t.Errorf("%s: ContentLength = %d, want %d", tc.path, resp.ContentLength, tc.length)
 		}
-		got, err := readBody(resp)
+		got, err := readBody(resp, maxProxyBody)
 		resp.Body.Close()
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, want error %v", tc.path, err, tc.wantErr)
@@ -179,19 +181,23 @@ func TestReadBody(t *testing.T) {
 		}
 	}
 
-	// A reply that declares more than the cap is cut at the cap, as a
-	// chunked one always was.
-	huge := &http.Response{ContentLength: maxProxyBody + 1, Body: io.NopCloser(io.LimitReader(zeros{}, maxProxyBody+1))}
-	if got, err := readBody(huge); err != nil || len(got) != maxProxyBody {
-		t.Errorf("over-cap reply: read %d bytes, err %v; want %d", len(got), err, maxProxyBody)
+	for _, path := range []string{"/sized", "/chunked"} {
+		for _, limit := range []int64{int64(len(payload)), int64(len(payload)) - 1} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := readBody(resp, limit)
+			resp.Body.Close()
+			over := int64(len(payload)) > limit
+			if over && (!errors.Is(err, errReplyTooLarge) || got != nil) {
+				t.Errorf("%s over a %d-byte limit: read %d bytes, err %v; want errReplyTooLarge", path, limit, len(got), err)
+			}
+			if !over && (err != nil || !bytes.Equal(got, payload)) {
+				t.Errorf("%s at a %d-byte limit: read %d bytes, err %v", path, limit, len(got), err)
+			}
+		}
 	}
-}
-
-type zeros struct{}
-
-func (zeros) Read(p []byte) (int, error) {
-	clear(p)
-	return len(p), nil
 }
 
 // BenchmarkHedgeDelay is what forward pays to arm the hedge timer, on a

@@ -39,11 +39,11 @@ func runSequential(t *testing.T, j Job) *bench.Result {
 	return res
 }
 
-// checkEncode holds Encode's bytes to json.MarshalIndent's, twice, so the
+// checkEncode holds Encode's bytes to json.Marshal's, twice, so the
 // second pass reads every sourced report from its kernel's memo.
 func checkEncode(t *testing.T, what string, res *bench.Result) {
 	t.Helper()
-	want, err := json.MarshalIndent(res, "  ", "  ")
+	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -53,7 +53,7 @@ func checkEncode(t *testing.T, what string, res *bench.Result) {
 			t.Fatalf("%s pass %d: %v", what, pass, err)
 		}
 		if !bytes.Equal(e.JSON, want) {
-			t.Fatalf("%s pass %d: Encode differs from MarshalIndent\n got %q\nwant %q", what, pass, e.JSON, want)
+			t.Fatalf("%s pass %d: Encode differs from Marshal\n got %q\nwant %q", what, pass, e.JSON, want)
 		}
 		if e.Result != res {
 			t.Fatalf("%s: Encoded.Result is not the result encoded", what)
@@ -67,10 +67,10 @@ func memoised(pk *ptx.Kernel) bool {
 	return pk.Memo(reportKey{}, func() any { return absent }) != absent
 }
 
-// TestEncodeMatchesMarshalIndentGrid: every cell of the measurement grid at
-// three scales, one with a tail, encodes to exactly what MarshalIndent
+// TestEncodeMatchesMarshalGrid: every cell of the measurement grid at
+// three scales, one with a tail, encodes to exactly what Marshal
 // makes of it, and the encoding of every report is left on its kernel.
-func TestEncodeMatchesMarshalIndentGrid(t *testing.T) {
+func TestEncodeMatchesMarshalGrid(t *testing.T) {
 	reports := 0
 	for _, scale := range []int{16, 23, 64} {
 		for _, j := range GridJobs(scale) {
@@ -103,11 +103,11 @@ func reportedKernel(name string) *ptx.Kernel {
 	}
 }
 
-// TestEncodeMatchesMarshalIndentShapes covers the shapes the grid has none
+// TestEncodeMatchesMarshalShapes covers the shapes the grid has none
 // of: no kernels at all, reports without a source kernel (decoded from
 // JSON, built by hand, mixed with sourced ones), remarks that need escaping,
 // and results encoding/json refuses.
-func TestEncodeMatchesMarshalIndentShapes(t *testing.T) {
+func TestEncodeMatchesMarshalShapes(t *testing.T) {
 	sourced := bench.ReportKernel(reportedKernel("k<1>"))
 	fft := runSequential(t, Job{Benchmark: "FFT", Device: "GeForce GTX480", Toolchain: "cuda", Config: bench.Config{Scale: 64}})
 	raw, err := json.Marshal(fft)
@@ -157,8 +157,8 @@ func TestEncodeMatchesMarshalIndentShapes(t *testing.T) {
 		}),
 		"-Inf time": with(func(r *bench.Result) { r.KernelSeconds = math.Inf(-1) }),
 	} {
-		if _, want := json.MarshalIndent(res, "  ", "  "); want == nil {
-			t.Fatalf("%s: MarshalIndent accepted it", name)
+		if _, want := json.Marshal(res); want == nil {
+			t.Fatalf("%s: Marshal accepted it", name)
 		}
 		if e, err := Encode(res); err == nil {
 			t.Errorf("%s: Encode = %q, want an error", name, e.JSON)
@@ -174,11 +174,11 @@ func TestEncodeMatchesMarshalIndentShapes(t *testing.T) {
 // reports it carries.
 //
 // It compares the fewest allocations of single calls, not a mean. The
-// head goes through json.MarshalIndent, which keeps its encode and scan
-// state in sync.Pools; under -race, sync.Pool.Put drops one item in four
-// at random, and the next call allocates fresh state. (Encoding a result
-// with no kernels took 6 allocations in each of 400 calls without -race;
-// with it, 6 to 19, and 6 in about a third of the calls.) A mean over 50
+// head goes through json.Marshal, which keeps its encode state in a
+// sync.Pool; under -race, sync.Pool.Put drops one item in four at random,
+// and the next call allocates fresh state. (Encoding a result with no
+// kernels took 5 allocations in each of 400 calls without -race; with it,
+// 5 to 16, and 5 in about two fifths of the calls.) A mean over 50
 // calls then moves by an allocation from run to run, enough to fail a
 // strict comparison about half the time. A dropped item, or a GC
 // emptying the pool, only ever adds allocations, so the fewest over 100

@@ -13,44 +13,33 @@ import (
 // shared with other callers and with the cache: treat them as immutable.
 type Encoded struct {
 	Result *bench.Result
-	// JSON is Result exactly as the POST /run reply embeds it: the value
-	// of the top-level "result" member of a two-space-indented document.
+	// JSON is json.Marshal(Result): the value of the "result" member of
+	// the POST /run reply, which embeds these bytes unchanged.
 	JSON []byte
 }
 
-// The layout of JSON around its kernel reports, as
-// json.MarshalIndent(res, "  ", "  ") renders them: "kernels" is the last
-// member of the result object, and each report is an element of that array,
-// two levels below the result's own "  " prefix.
-const (
-	resultClose  = "\n  }"
-	kernelsOpen  = ",\n    \"kernels\": [\n      "
-	reportSep    = ",\n      "
-	kernelsClose = "\n    ]" + resultClose
-	reportPrefix = "      "
-)
-
 // Encode renders res the way a cache entry holds it: byte for byte
-// json.MarshalIndent(res, "  ", "  "). It fails when encoding/json cannot
-// represent the result (a NaN or infinite value).
+// json.Marshal(res). It fails when encoding/json cannot represent the
+// result (a NaN or infinite value).
 //
 // Most of a result's bytes are its kernel reports, which depend only on the
 // kernels (bench.KernelReport.Source). Encode marshals the rest of the
-// result, then splices in each report's encoding, made once per kernel at
-// this exact indentation and kept on the kernel.
+// result, whose last member would be "kernels", then splices in each
+// report's compact encoding, made once per kernel and kept on the kernel.
 func Encode(res *bench.Result) (*Encoded, error) {
 	head := *res
 	head.Kernels = nil
-	b, err := json.MarshalIndent(&head, "  ", "  ")
+	b, err := json.Marshal(&head)
 	if err != nil {
 		return nil, err
 	}
 	if len(res.Kernels) == 0 {
 		return &Encoded{Result: res, JSON: b}, nil
 	}
-	b = b[:len(b)-len(resultClose)]
+	const openKernels, closeResult = `,"kernels":[`, "]}"
+	b = b[:len(b)-1] // the head's closing brace
 	reports := make([][]byte, len(res.Kernels))
-	n := len(b) + len(kernelsOpen) + len(kernelsClose) + (len(reports)-1)*len(reportSep)
+	n := len(b) + len(openKernels) + len(closeResult) + len(reports) - 1
 	for i := range res.Kernels {
 		if reports[i], err = reportJSON(&res.Kernels[i]); err != nil {
 			return nil, err
@@ -59,29 +48,28 @@ func Encode(res *bench.Result) (*Encoded, error) {
 	}
 	out := make([]byte, 0, n)
 	out = append(out, b...)
-	out = append(out, kernelsOpen...)
+	out = append(out, openKernels...)
 	for i, r := range reports {
 		if i > 0 {
-			out = append(out, reportSep...)
+			out = append(out, ',')
 		}
 		out = append(out, r...)
 	}
-	out = append(out, kernelsClose...)
+	out = append(out, closeResult...)
 	return &Encoded{Result: res, JSON: out}, nil
 }
 
 // reportKey is the ptx.Kernel.Memo key of a kernel report's encoding.
 type reportKey struct{}
 
-// reportJSON encodes one kernel report as it sits inside Encode's output,
-// once per source kernel.
+// reportJSON encodes one kernel report, once per source kernel.
 func reportJSON(r *bench.KernelReport) ([]byte, error) {
 	pk := r.Source()
 	if pk == nil {
-		return json.MarshalIndent(r, reportPrefix, "  ")
+		return json.Marshal(r)
 	}
 	v := pk.Memo(reportKey{}, func() any {
-		b, err := json.MarshalIndent(r, reportPrefix, "  ")
+		b, err := json.Marshal(r)
 		if err != nil {
 			return err
 		}

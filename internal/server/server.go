@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -112,13 +113,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes v with status code.
+// writeJSON writes v with status code, as one line of compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away; nothing to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away; nothing to do
 }
 
 // errorBody is the uniform error shape of every endpoint: a human
@@ -278,53 +277,53 @@ func (s *Server) handleCompilerPasses(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeRun writes the POST /run reply for a scheduled result: the result
-// plus how it was served, in the two-space-indented form every endpoint
-// uses.
+// plus how it was served, as compact JSON like every endpoint's reply. It
+// is one line, shown here broken before each member:
 //
-//	{
-//	  "result": { ... },
-//	  "cached": true,              exactly when served is "hit"
-//	  "served": "hit",             "miss", "hit", "shared" or "degraded"
-//	  "degraded": true,            the rest only on a degraded reply:
-//	  "degraded_mode": "stale",    "estimate" or "stale"
-//	  "degraded_cause": "..."      why the live path failed
+//	{"result":{...}             res.JSON, unchanged
+//	,"cached":true              exactly when served is "hit"
+//	,"served":"hit"             "miss", "hit", "shared" or "degraded"
+//	,"degraded":true            the rest only on a degraded reply:
+//	,"degraded_mode":"stale"    "estimate" or "stale"
+//	,"degraded_cause":"..."     why the live path failed
 //	}
 //
 // A degraded reply marks a result that did NOT come from a live (or
 // cached-live) simulation: an analytical estimate or a stale
 // last-known-good entry, served because the live path was unavailable.
 //
-// The result is not encoded here: res.JSON was made once, when the
-// execution completed, in exactly the form this document embeds, so the
-// reply is those bytes between a fixed head and a few appended members.
-// served and degradedMode come from fixed vocabularies and need no
-// escaping; the cause is free text and gets it.
+// The result is neither encoded nor copied here: res.JSON was made once,
+// when the execution completed, as json.Marshal of the result. The reply
+// is a fixed head, those bytes and a short tail, written as three writes
+// under one Content-Length. served and degradedMode come from fixed
+// vocabularies and need no escaping; the cause is free text and gets it.
 func writeRun(w http.ResponseWriter, res *sched.Encoded, served, degradedMode, degradedCause string) {
-	const head = "{\n  \"result\": "
-	b := make([]byte, 0, len(head)+len(res.JSON)+160+len(degradedCause))
-	b = append(b, head...)
-	b = append(b, res.JSON...)
-	b = append(b, ",\n  \"cached\": "...)
-	b = strconv.AppendBool(b, served == "hit")
-	b = append(b, ",\n  \"served\": \""...)
-	b = append(b, served...)
-	b = append(b, '"')
+	const head = `{"result":`
+	tail := make([]byte, 0, 112+len(degradedCause))
+	tail = append(tail, `,"cached":`...)
+	tail = strconv.AppendBool(tail, served == "hit")
+	tail = append(tail, `,"served":"`...)
+	tail = append(tail, served...)
+	tail = append(tail, '"')
 	if degradedMode != "" {
-		b = append(b, ",\n  \"degraded\": true,\n  \"degraded_mode\": \""...)
-		b = append(b, degradedMode...)
-		b = append(b, '"')
+		tail = append(tail, `,"degraded":true,"degraded_mode":"`...)
+		tail = append(tail, degradedMode...)
+		tail = append(tail, '"')
 		if degradedCause != "" {
 			cause, _ := json.Marshal(degradedCause) // a string always encodes
-			b = append(b, ",\n  \"degraded_cause\": "...)
-			b = append(b, cause...)
+			tail = append(tail, `,"degraded_cause":`...)
+			tail = append(tail, cause...)
 		}
 	}
-	b = append(b, "\n}\n"...)
+	tail = append(tail, "}\n"...)
 	w.Header().Set("X-Cache", served)
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(res.JSON)+len(tail)))
 	w.WriteHeader(http.StatusOK)
-	w.Write(b) //nolint:errcheck // client went away; nothing to do
+	// A write error means the client went away; there is nothing to do.
+	io.WriteString(w, head) //nolint:errcheck
+	w.Write(res.JSON)       //nolint:errcheck
+	w.Write(tail)           //nolint:errcheck
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {

@@ -220,11 +220,12 @@ func TestFigureEndpointsAndUnknownFigure(t *testing.T) {
 	}
 }
 
-// TestFigureBodiesPinned pins every /figures/{id} body at scale 16 by its
-// SHA-256 (fig3's body is 2.2 MB), and the exact 404 body for an unknown
-// id. The bodies are deterministic, so a moved digest means a figure now
-// serves something else; a new entry in core's figure table fails here
-// until its digest is recorded.
+// TestFigureBodiesPinned pins every /figures/{id} body at scale 16 by the
+// SHA-256 of its re-indented bytes (fig3's body is 2.2 MB), and the exact
+// 404 body for an unknown id, re-indented the same way. The bodies are
+// deterministic, so a moved digest means a figure now serves something
+// else; a new entry in core's figure table fails here until its digest is
+// recorded.
 func TestFigureBodiesPinned(t *testing.T) {
 	digests := map[string]string{
 		"fig1":    "94ebd53ea6981425b4a57ccc481d2629e13765ebdf46d3a0925973e330657fce",
@@ -245,13 +246,13 @@ func TestFigureBodiesPinned(t *testing.T) {
 			t.Errorf("/figures/%s status = %d: %.200s", id, resp.StatusCode, body)
 			continue
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(body)); got != digests[id] {
+		if got := fmt.Sprintf("%x", sha256.Sum256(reindented(t, body))); got != digests[id] {
 			t.Errorf("/figures/%s body digest = %s, want %q", id, got, digests[id])
 		}
 	}
 	resp, body := get(t, ts.URL+"/figures/fig99")
 	const want = "{\n  \"error\": \"unknown figure \\\"fig99\\\"; known figures: fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, tableV, tableVI\",\n  \"code\": \"not-found\"\n}\n"
-	if resp.StatusCode != http.StatusNotFound || string(body) != want {
+	if resp.StatusCode != http.StatusNotFound || string(reindented(t, body)) != want {
 		t.Errorf("unknown figure: status %d, body %q; want 404, %q", resp.StatusCode, body, want)
 	}
 }

@@ -2,11 +2,18 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,9 +28,9 @@ import (
 
 // runResponse is the POST /run reply as a Go value. The handler does not
 // build one — it writes the cached encoding of the result between a fixed
-// head and tail (writeRun) — so this struct, encoded by json.Encoder with
-// the two-space indent every other endpoint uses, is the reference the wire
-// tests hold those bytes to, and what the other tests decode replies into.
+// head and tail (writeRun) — so this struct, encoded by json.Encoder as
+// every other endpoint's reply is, is the reference the wire tests hold
+// those bytes to, and what the other tests decode replies into.
 type runResponse struct {
 	Result *bench.Result `json:"result"`
 	Cached bool          `json:"cached"`
@@ -38,9 +45,7 @@ type runResponse struct {
 func reference(t *testing.T, v runResponse) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -270,7 +275,7 @@ func sizedResult(n int) *bench.Result {
 }
 
 // TestWriteRunAllocsDoNotGrowWithResult pins the reply assembly to a small
-// constant number of allocations — the reply buffer and the header values —
+// constant number of allocations — the tail buffer and the header values —
 // whatever the result's size: no encoder runs on a hit.
 func TestWriteRunAllocsDoNotGrowWithResult(t *testing.T) {
 	for _, n := range []int{10 << 10, 143 << 10} {
@@ -280,6 +285,45 @@ func TestWriteRunAllocsDoNotGrowWithResult(t *testing.T) {
 		if allocs > 6 {
 			t.Errorf("%d-byte result: %.0f allocations per reply, want a constant <= 6", len(e.JSON), allocs)
 		}
+	}
+}
+
+// TestWriteRunDoesNotCopyResult: on a hit, writeRun allocates the same
+// bytes for a 2 KB cached result as for FFT's, fifty times larger. The
+// cached bytes go to the client as they are, not through a new buffer.
+// Each count is the fewest of ten rounds, so that another goroutine's
+// allocation cannot fail the comparison. The one allowed difference is
+// the Content-Length value, a string of four digits for one and five for
+// the other, which the runtime packs into 16-byte blocks.
+func TestWriteRunDoesNotCopyResult(t *testing.T) {
+	s := sched.New(sched.Options{})
+	t.Cleanup(s.Close)
+	fft, _, err := s.Do(context.Background(), sched.Job{Benchmark: "FFT", Device: "GeForce GTX480", Toolchain: "cuda", Config: bench.Config{Scale: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := mustEncode(t, sizedResult(2<<10))
+	if len(fft.JSON) < 50*len(small.JSON) {
+		t.Fatalf("FFT result is %d bytes, the small one %d: want fifty times larger", len(fft.JSON), len(small.JSON))
+	}
+	w := discard{h: http.Header{}}
+	bytesPerReply := func(e *sched.Encoded) uint64 {
+		const replies = 100
+		fewest := uint64(math.MaxUint64)
+		for round := 0; round < 10; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < replies; i++ {
+				writeRun(w, e, "hit", "", "")
+			}
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, (after.TotalAlloc-before.TotalAlloc)/replies)
+		}
+		return fewest
+	}
+	if a, b := bytesPerReply(small), bytesPerReply(fft); max(a, b)-min(a, b) > 16 {
+		t.Errorf("writeRun allocates %d bytes per reply for a %d-byte result, %d for a %d-byte one: want the same",
+			a, len(small.JSON), b, len(fft.JSON))
 	}
 }
 
@@ -315,4 +359,61 @@ func BenchmarkRunHit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// reindented is body as json.Indent(body, "", "  ") renders it. Digests
+// taken of this rendering pin a reply's values and structure whatever
+// whitespace the service writes.
+func reindented(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, body, "", "  "); err != nil {
+		t.Fatalf("reply is not JSON (%v): %.200q", err, body)
+	}
+	return buf.Bytes()
+}
+
+// TestRepliesPinnedAfterIndent pins /run replies (a miss and a hit of
+// three benchmarks) and a /kernels reply by the SHA-256 of their
+// re-indented bytes. The digests are those of the two-space-indented
+// replies the service wrote before its replies were compact, so they
+// match only if nothing but whitespace differs.
+func TestRepliesPinnedAfterIndent(t *testing.T) {
+	digests := map[string]string{
+		"Reduce miss": "c4ace8797c9484c52e648d9b4b80007b1256fd432c8b16ade645da386ce60ed4",
+		"Reduce hit":  "4aa5cb406d7f800f4bd401c39ed02ea4f1bbdec5e4822f6843a1761e3ee6dda7",
+		"FFT miss":    "8afac447f7754cae3a93af30219642a2ead91e4530fb8fab8209e150ff294caf",
+		"FFT hit":     "dab91eb7ef660112021ae8fcc3b003be6bb0cde30df9f4faeabd1bfe7c17a744",
+		"BFS miss":    "204f7478745410214402ddea72c7d2efad77f8c8312a7dfa44cba026f473dc6f",
+		"BFS hit":     "1c25ac07264d1635236ab0c401ddd0d19d8c7cada119976f52bee0ce638782d6",
+		"kernels fz1": "cf31389434b0df47244f80368d102653b77672777dd7b36dad06a1a452a09467",
+	}
+	check := func(what string, body []byte) {
+		t.Helper()
+		if got := fmt.Sprintf("%x", sha256.Sum256(reindented(t, body))); got != digests[what] {
+			t.Errorf("%s: re-indented digest = %s, want %q", what, got, digests[what])
+		}
+	}
+	ts, _ := newTestServer(t)
+	for _, name := range []string{"Reduce", "FFT", "BFS"} {
+		job := sched.Job{Benchmark: name, Device: "GeForce GTX480", Toolchain: "opencl", Config: bench.Config{Scale: 16}}
+		_, miss := postRaw(t, ts.URL, job)
+		_, hit := postRaw(t, ts.URL, job)
+		check(name+" miss", miss)
+		check(name+" hit", hit)
+	}
+	body, err := os.ReadFile(filepath.Join(corpusDir, "fz1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/kernels", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("kernels fz1", raw)
 }
