@@ -63,9 +63,8 @@ func main() {
 	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "coordinator mode: latency quantile that arms the hedge timer")
 	hedgeMin := flag.Duration("hedge-min", 20*time.Millisecond, "coordinator mode: hedge-delay floor")
 	hedgeMax := flag.Duration("hedge-max", 2*time.Second, "coordinator mode: hedge-delay cap")
-	noHedge := flag.Bool("no-hedge", false, "coordinator mode: disable request hedging (failover still applies)")
 	maxInFlight := flag.Int("max-inflight", 512, "coordinator mode: shed with 503 above this many in-flight requests (negative disables)")
-	probeInterval := flag.Duration("probe-interval", time.Second, "coordinator mode: worker readiness-probe period (negative disables)")
+	probeInterval := flag.Duration("probe-interval", time.Second, "coordinator mode: worker readiness-probe period")
 	vnodes := flag.Int("ring-vnodes", cluster.DefaultVirtualNodes, "coordinator mode: virtual nodes per ring member")
 	injectSeed := flag.Uint64("inject-seed", 1, "serving mode: fault-injection seed (with -inject-slow-rate and the coexec rates)")
 	injectSlowRate := flag.Float64("inject-slow-rate", 0, "serving mode: fraction of kernel launches stalled by an injected straggler delay (0 disables)")
@@ -98,7 +97,6 @@ func main() {
 			HedgeQuantile: *hedgeQuantile,
 			HedgeMinDelay: *hedgeMin,
 			HedgeMaxDelay: *hedgeMax,
-			HedgeDisabled: *noHedge,
 			MaxInFlight:   *maxInFlight,
 			Quota:         sched.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
 			ProbeInterval: *probeInterval,

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gpucmp/internal/clock"
 	"gpucmp/internal/metrics"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/submit"
@@ -43,8 +44,6 @@ type Config struct {
 	// used.
 	HedgeMinDelay time.Duration
 	HedgeMaxDelay time.Duration
-	// HedgeDisabled turns hedging off (failover still happens).
-	HedgeDisabled bool
 
 	// MaxInFlight sheds load with 503 + Retry-After once this many
 	// proxied requests are in flight (default 512; negative disables).
@@ -55,13 +54,16 @@ type Config struct {
 	// Breaker configures the per-shard circuit breakers.
 	Breaker sched.BreakerConfig
 
-	// ProbeInterval is the worker readiness-probe period (default 1s;
-	// negative disables probing, leaving membership static).
+	// ProbeInterval is the worker readiness-probe period (default 1s).
 	ProbeInterval time.Duration
 	// Client is the HTTP client used for worker calls (default: a client
 	// with sane connection pooling and no overall timeout — per-attempt
 	// contexts bound each call).
 	Client *http.Client
+
+	// clock drives the probe loop, the hedge timer, routed latencies,
+	// breakers, quotas and uptime (nil = the wall clock).
+	clock clock.Clock
 }
 
 func (cfg Config) withDefaults() Config {
@@ -77,8 +79,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 512
 	}
-	if cfg.ProbeInterval == 0 {
+	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
+	}
+	if cfg.clock == nil {
+		cfg.clock = clock.Real{}
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Transport: &http.Transport{
@@ -125,11 +130,11 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:      cfg,
 		ring:     NewRing(cfg.VirtualNodes),
-		quotas:   sched.NewTenantQuotas(cfg.Quota),
+		quotas:   sched.NewTenantQuotas(cfg.Quota, cfg.clock),
 		metrics:  newMetrics(),
 		lat:      &latencyTracker{},
-		start:    time.Now(),
-		breakers: metrics.NewKeyed(0, func() *sched.Breaker { return sched.NewBreaker(cfg.Breaker) }),
+		start:    cfg.clock.Now(),
+		breakers: metrics.NewKeyed(0, func() *sched.Breaker { return sched.NewBreaker(cfg.Breaker, cfg.clock) }),
 		flight:   make(map[string]*proxyCall),
 		stop:     make(chan struct{}),
 		misses:   make(map[string]int),
@@ -141,22 +146,20 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-// Start launches the readiness-probe loop (no-op when probing is
-// disabled). Call Close to stop it.
+// Start launches the readiness-probe loop: one probe round every
+// ProbeInterval, timed from the end of the previous round. Call Close to
+// stop it.
 func (c *Coordinator) Start() {
-	if c.cfg.ProbeInterval < 0 {
-		return
-	}
 	c.probeWG.Add(1)
 	go func() {
 		defer c.probeWG.Done()
-		ticker := time.NewTicker(c.cfg.ProbeInterval)
-		defer ticker.Stop()
 		for {
+			tick := c.cfg.clock.NewTimer(c.cfg.ProbeInterval)
 			select {
 			case <-c.stop:
+				tick.Stop()
 				return
-			case <-ticker.C:
+			case <-tick.C():
 				c.probeOnce()
 			}
 		}
@@ -404,14 +407,14 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 		}
 	}
 
-	start := time.Now()
+	start := c.cfg.clock.Now()
 	go try(false)
 
 	var hedgeCh <-chan time.Time
-	if !c.cfg.HedgeDisabled && len(shards) > 1 {
-		ht := time.NewTimer(c.hedgeDelay())
+	if len(shards) > 1 {
+		ht := c.cfg.clock.NewTimer(c.hedgeDelay())
 		defer ht.Stop()
-		hedgeCh = ht.C
+		hedgeCh = ht.C()
 	}
 
 	pending := 1
@@ -421,7 +424,7 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 		case r := <-resCh:
 			pending--
 			if r.err == nil {
-				c.lat.observe(time.Since(start))
+				c.lat.observe(c.cfg.clock.Now().Sub(start))
 				if r.hedge {
 					c.metrics.hedgeWins.Add(1)
 					c.metrics.shards.Get(r.resp.shard).hedgeWins.Add(1)
@@ -638,7 +641,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":         status,
 		"role":           "coordinator",
 		"ready":          !c.notReady.Load(),
-		"uptime_seconds": time.Since(c.start).Seconds(),
+		"uptime_seconds": c.cfg.clock.Now().Sub(c.start).Seconds(),
 		"ring_members":   members,
 		"workers":        c.cfg.Workers,
 		"breakers":       breakers,

@@ -34,7 +34,7 @@ func populatedFleet(t *testing.T) (worker, coord string) {
 	t.Cleanup(s.Close)
 	w := httptest.NewServer(server.New(s, server.WithFigureScale(64)).Handler())
 	t.Cleanup(w.Close)
-	cts, _ := startCoordinator(t, Config{Workers: []string{w.URL}, ProbeInterval: -1, Quota: quota})
+	cts, _ := startCoordinator(t, Config{Workers: []string{w.URL}, Quota: quota})
 
 	for i := 0; i < 2; i++ {
 		if status, body, _ := post(t, cts.URL+"/run", runBody("Reduce", 32)); status != http.StatusOK {
@@ -292,7 +292,7 @@ func TestMetricsWellFormed(t *testing.T) {
 // le="4" bucket.
 func TestQueueDepthCountsRequests(t *testing.T) {
 	w, _ := startWorker(t, nil)
-	cts, c := startCoordinator(t, Config{Workers: []string{w.URL}, ProbeInterval: -1})
+	cts, c := startCoordinator(t, Config{Workers: []string{w.URL}})
 	for i := 0; i < 3; i++ {
 		if status, body, _ := post(t, cts.URL+"/run", runBody("Reduce", 32)); status != http.StatusOK {
 			t.Fatalf("/run: %d %s", status, body)

@@ -113,7 +113,7 @@ func decodeSubmitted(t *testing.T, body []byte) submitted {
 // the worker's typed refusal comes back byte for byte.
 func TestCoordinatorKernelsForwardsUnparsedBody(t *testing.T) {
 	w, _ := startWorker(t, nil)
-	cts, coord := startCoordinator(t, Config{Workers: []string{w.URL}, ProbeInterval: -1, HedgeDisabled: true})
+	cts, coord := startCoordinator(t, Config{Workers: []string{w.URL}})
 
 	body := []byte(`{"grid": 2, "block": this is not JSON`)
 	status, got := postKernels(t, cts.URL, "alice", body)
@@ -137,7 +137,7 @@ func TestCoordinatorKernelsForwardsUnparsedBody(t *testing.T) {
 // submissions in flight together from one tenant cost one upstream call.
 func TestCoordinatorKernelsDedupsIdenticalBodies(t *testing.T) {
 	g := startGatedWorker(t)
-	cts, coord := startCoordinator(t, Config{Workers: []string{g.url}, ProbeInterval: -1, HedgeDisabled: true})
+	cts, coord := startCoordinator(t, Config{Workers: []string{g.url}})
 	defer g.release()
 
 	body := kernelsBody(t, 1)
@@ -169,7 +169,7 @@ func TestCoordinatorKernelsDedupsIdenticalBodies(t *testing.T) {
 // flight together from one tenant each get the reply to their own program.
 func TestCoordinatorKernelsKeepsDifferentBodiesApart(t *testing.T) {
 	g := startGatedWorker(t)
-	cts, coord := startCoordinator(t, Config{Workers: []string{g.url}, ProbeInterval: -1, HedgeDisabled: true})
+	cts, coord := startCoordinator(t, Config{Workers: []string{g.url}})
 	defer g.release()
 
 	bodies := [2][]byte{kernelsBody(t, 1), kernelsBody(t, 2)}
@@ -212,7 +212,7 @@ func TestCoordinatorKernelsKeepsDifferentBodiesApart(t *testing.T) {
 func TestCoordinatorKernelsReformattedBody(t *testing.T) {
 	w1, _ := startWorker(t, nil)
 	w2, _ := startWorker(t, nil)
-	cts, _ := startCoordinator(t, Config{Workers: []string{w1.URL, w2.URL}, ProbeInterval: -1, HedgeDisabled: true})
+	cts, _ := startCoordinator(t, Config{Workers: []string{w1.URL, w2.URL}})
 
 	body := kernelsBody(t, 3)
 	var compact bytes.Buffer

@@ -109,7 +109,7 @@ func TestLatencyTrackerConcurrentObserve(t *testing.T) {
 // TestHedgeDelayMatchesSortFromScratch is the same property one level up,
 // through the clamps.
 func TestHedgeDelayMatchesSortFromScratch(t *testing.T) {
-	c := New(Config{Workers: []string{"http://a", "http://b"}, ProbeInterval: -1})
+	c := New(Config{Workers: []string{"http://a", "http://b"}})
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 1200; i++ {
 		c.lat.observe(time.Duration(r.Int63n(int64(3 * time.Second))))
@@ -203,7 +203,7 @@ func TestReadBody(t *testing.T) {
 // BenchmarkHedgeDelay is what forward pays to arm the hedge timer, on a
 // full window.
 func BenchmarkHedgeDelay(b *testing.B) {
-	c := New(Config{Workers: []string{"http://a", "http://b"}, ProbeInterval: -1})
+	c := New(Config{Workers: []string{"http://a", "http://b"}})
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 2*len(c.lat.buf); i++ {
 		c.lat.observe(time.Duration(r.Int63n(int64(time.Second))))

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
 )
 
@@ -71,6 +72,10 @@ type Options struct {
 	// device is deterministically lost — the reproducible mid-run kill
 	// the CI smoke and the recovery-overhead benchmark use.
 	Kill map[string]int
+
+	// clock stamps in-flight shards and times retry backoff and the
+	// straggler watch (nil = the wall clock).
+	clock clock.Clock
 }
 
 // DeviceReport is one device's share of a finished run.
@@ -195,6 +200,9 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 	}
 	if opts.StragglerAfter == 0 {
 		opts.StragglerAfter = 100 * time.Millisecond
+	}
+	if opts.clock == nil {
+		opts.clock = clock.Real{}
 	}
 
 	r := &runner{
@@ -410,7 +418,7 @@ func (r *runner) process(ctx context.Context, i, s int) bool {
 	if r.firstDev[s] < 0 {
 		r.firstDev[s] = i
 	}
-	r.inflightAt[s] = time.Now()
+	r.inflightAt[s] = r.opts.clock.Now()
 	r.inflightDev[s] = i
 
 	// Deterministic mid-run kill, armed per device by Options.Kill.
@@ -584,10 +592,10 @@ func (r *runner) retry(i, s, attempt int, cause error) bool {
 	r.mu.Unlock()
 	r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.Retries++ })
 
-	t := time.NewTimer(fault.Backoff(r.opts.BaseDelay, r.opts.MaxDelay, attempt+1))
+	t := r.opts.clock.NewTimer(fault.Backoff(r.opts.BaseDelay, r.opts.MaxDelay, attempt+1))
 	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-t.C():
 	case <-r.stop:
 		return false
 	}
@@ -612,13 +620,14 @@ func (r *runner) stragglerWatch() {
 	if period <= 0 {
 		period = time.Millisecond
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
 	for {
+		tick := r.opts.clock.NewTimer(period)
 		select {
 		case <-r.stop:
+			tick.Stop()
 			return
-		case now := <-tick.C:
+		case <-tick.C():
+			now := r.opts.clock.Now()
 			r.mu.Lock()
 			for s := range r.shards {
 				if r.outputs[s] != nil || r.inflightAt[s].IsZero() {

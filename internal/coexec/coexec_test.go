@@ -8,10 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
 	"gpucmp/internal/pattern"
 	"gpucmp/internal/sim"
@@ -329,12 +331,17 @@ func TestMaxPerKeyExemptionUnstarvesRecovery(t *testing.T) {
 	}
 }
 
-// stubWorkload exercises scheduler paths (stragglers, cancellation) without
-// simulator cost: unit u's output word is u+1, and RunUnits can be delayed
-// per device.
+// stubWorkload exercises the straggler path without simulator cost: unit
+// u's output word is u+1. The slow device holds the first shard it starts
+// until another device starts a duplicate of it.
 type stubWorkload struct {
-	units int
-	delay map[string]time.Duration // device name -> per-call delay
+	units   int
+	slow    string        // device name
+	entered chan struct{} // closed once the slow device holds a shard
+	release chan struct{} // closed once another device starts the held shard
+
+	enter, rel sync.Once
+	heldLo     int // first unit of the held shard; set before entered closes
 }
 
 func (s *stubWorkload) Name() string      { return "stub" }
@@ -352,8 +359,15 @@ type stubInstance struct {
 func (in *stubInstance) SimDevice() *sim.Device { return nil }
 func (in *stubInstance) SetupSeconds() float64  { return 0 }
 func (in *stubInstance) RunUnits(lo, hi int) ([]uint32, Times, error) {
-	if d := in.w.delay[in.dev]; d > 0 {
-		time.Sleep(d)
+	w := in.w
+	if in.dev == w.slow {
+		w.enter.Do(func() {
+			w.heldLo = lo
+			close(w.entered)
+		})
+		<-w.release
+	} else if lo == w.heldLo {
+		w.rel.Do(func() { close(w.release) })
 	}
 	out := make([]uint32, hi-lo)
 	for i := range out {
@@ -362,44 +376,85 @@ func (in *stubInstance) RunUnits(lo, hi int) ([]uint32, Times, error) {
 	return out, Times{H2D: 1e-6, Kernel: 2e-6, D2H: 1e-6}, nil
 }
 
-// TestStragglerReassignment: both stub devices are paced so both engage,
-// but one holds its shard far past the straggler threshold; the watchdog
-// must duplicate that in-flight shard to the fast device (first completion
-// wins) and the merged output stays correct.
+// TestStragglerReassignment: the whole workload is dealt to a device that
+// holds its first shard. Once the clock passes StragglerAfter, the watch
+// must duplicate that in-flight shard to the other device (first
+// completion wins) and migrate the rest of the backlog with it, and the
+// merged output stays correct.
 func TestStragglerReassignment(t *testing.T) {
 	before := runtime.NumGoroutine()
-	w := &stubWorkload{units: 12, delay: map[string]time.Duration{
-		"GeForce GTX480": 2 * time.Millisecond,
-		"GeForce GTX280": 250 * time.Millisecond,
-	}}
+	w := &stubWorkload{units: 12, slow: "GeForce GTX280", entered: make(chan struct{}), release: make(chan struct{})}
 	opts := fastOpts(arch.GTX480(), arch.GTX280())
+	opts.Weights = []float64{1e-9, 1} // all six shards start on the GTX280
 	opts.StragglerAfter = 20 * time.Millisecond
 	opts.ShardsPerDevice = 3
+	clk := clock.NewFake(time.Now())
+	opts.clock = clk
 	m := NewMetrics()
 	opts.Metrics = m
-	out, rep, err := Run(context.Background(), w, opts)
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		out []uint32
+		rep *Report
+		err error
 	}
-	for i := range out {
-		if out[i] != uint32(i+1) {
-			t.Fatalf("word %d = %d, want %d", i, out[i], i+1)
+	done := make(chan result, 1)
+	go func() {
+		out, rep, err := Run(context.Background(), w, opts)
+		done <- result{out, rep, err}
+	}()
+	<-w.entered
+	clk.WaitArmed(1) // the straggler watch
+	clk.Advance(opts.StragglerAfter)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i := range r.out {
+		if r.out[i] != uint32(i+1) {
+			t.Fatalf("word %d = %d, want %d", i, r.out[i], i+1)
 		}
 	}
-	if rep.Stragglers == 0 {
-		t.Error("no straggler duplicates dispatched")
+	if r.rep.Stragglers != 1 {
+		t.Errorf("%d straggler duplicates dispatched, want 1", r.rep.Stragglers)
 	}
-	// The duplicate completed on the fast device while the slow one slept,
-	// so the fast device's completion count covers all six shards.
-	for _, d := range rep.Devices {
-		if d.Device == "GeForce GTX480" && d.Shards < 6 {
-			t.Errorf("fast device completed %d shards, want all 6 (incl. the duplicate)", d.Shards)
+	// The duplicate and the migrated backlog all ran on the GTX480; the
+	// GTX280 finished only the shard it held.
+	for _, d := range r.rep.Devices {
+		want := map[string]int{"GeForce GTX480": 6, "GeForce GTX280": 1}[d.Device]
+		if d.Shards != want {
+			t.Errorf("%s completed %d shards, want %d", d.Device, d.Shards, want)
 		}
 	}
-	if snap := m.Snapshot(); snap["1:GeForce GTX280"].Stragglers == 0 {
+	if snap := m.Snapshot(); snap["1:GeForce GTX280"].Stragglers != 1 {
 		t.Errorf("straggler not attributed to the slow device: %+v", snap)
 	}
 	checkNoGoroutineLeak(t, before)
+}
+
+// startSignal wraps a workload so that started closes when the first shard
+// starts on any device.
+type startSignal struct {
+	Workload
+	once    sync.Once
+	started chan struct{}
+}
+
+func (s *startSignal) NewInstance(tc string, a *arch.Device) (Instance, error) {
+	in, err := s.Workload.NewInstance(tc, a)
+	if err != nil {
+		return nil, err
+	}
+	return signalInstance{in, s}, nil
+}
+
+type signalInstance struct {
+	Instance
+	s *startSignal
+}
+
+func (in signalInstance) RunUnits(lo, hi int) ([]uint32, Times, error) {
+	in.s.once.Do(func() { close(in.s.started) })
+	return in.Instance.RunUnits(lo, hi)
 }
 
 // TestCancellationKillsInFlightShards: cancelling the context mid-run must
@@ -407,7 +462,7 @@ func TestStragglerReassignment(t *testing.T) {
 // context error, and leak nothing.
 func TestCancellationKillsInFlightShards(t *testing.T) {
 	before := runtime.NumGoroutine()
-	w := mxm(192) // big enough that shards are still in flight when we cancel
+	w := &startSignal{Workload: mxm(192), started: make(chan struct{})} // big enough that shards are still in flight when we cancel
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := fastOpts(arch.GTX480(), arch.GTX280(), arch.Intel920())
 	errCh := make(chan error, 1)
@@ -415,7 +470,7 @@ func TestCancellationKillsInFlightShards(t *testing.T) {
 		_, _, err := Run(ctx, w, opts)
 		errCh <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-w.started
 	cancel()
 	select {
 	case err := <-errCh:

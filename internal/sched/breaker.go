@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
 )
 
@@ -108,8 +109,8 @@ func (s BreakerState) String() string {
 // breaker is one device's circuit breaker: closed → (threshold consecutive
 // failures) → open → (cool-down) → half-open → one probe decides.
 type breaker struct {
-	cfg BreakerConfig
-	now func() time.Time
+	cfg   BreakerConfig
+	clock clock.Clock
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -128,7 +129,7 @@ func (b *breaker) allow() (bool, time.Duration) {
 	case BreakerClosed:
 		return true, 0
 	case BreakerOpen:
-		if wait := b.cfg.CoolDown - b.now().Sub(b.openedAt); wait > 0 {
+		if wait := b.cfg.CoolDown - b.clock.Now().Sub(b.openedAt); wait > 0 {
 			return false, wait
 		}
 		b.state = BreakerHalfOpen
@@ -162,7 +163,7 @@ func (b *breaker) failure() bool {
 	case BreakerHalfOpen:
 		// The probe failed: straight back to open for another cool-down.
 		b.state = BreakerOpen
-		b.openedAt = b.now()
+		b.openedAt = b.clock.Now()
 		b.probing = false
 		b.trips++
 		return true
@@ -172,7 +173,7 @@ func (b *breaker) failure() bool {
 		b.fails++
 		if b.fails >= b.cfg.FailureThreshold {
 			b.state = BreakerOpen
-			b.openedAt = b.now()
+			b.openedAt = b.clock.Now()
 			b.trips++
 			return true
 		}
@@ -199,7 +200,7 @@ func (b *breaker) snapshot(device string) BreakerSnapshot {
 		Trips:            b.trips,
 	}
 	if b.state == BreakerOpen {
-		if wait := b.cfg.CoolDown - b.now().Sub(b.openedAt); wait > 0 {
+		if wait := b.cfg.CoolDown - b.clock.Now().Sub(b.openedAt); wait > 0 {
 			s.RetryAfterSec = wait.Seconds()
 		}
 	}
@@ -215,9 +216,9 @@ type Breaker struct {
 }
 
 // NewBreaker builds a standalone circuit breaker with the given config
-// (zero fields take the scheduler defaults).
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{b: &breaker{cfg: cfg.withDefaults(), now: time.Now}}
+// (zero fields take the scheduler defaults), timing its cool-down on clk.
+func NewBreaker(cfg BreakerConfig, clk clock.Clock) *Breaker {
+	return &Breaker{b: &breaker{cfg: cfg.withDefaults(), clock: clk}}
 }
 
 // Allow reports whether a request may proceed; when false, the duration

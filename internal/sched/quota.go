@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"gpucmp/internal/clock"
 )
 
 // QuotaConfig is the per-tenant token-bucket policy for untrusted
@@ -48,19 +50,19 @@ type quotaBucket struct {
 // TenantQuotas applies a QuotaConfig across tenants. Safe for concurrent
 // use.
 type TenantQuotas struct {
-	cfg QuotaConfig
-	now func() time.Time
+	cfg   QuotaConfig
+	clock clock.Clock
 
 	mu      sync.Mutex
 	buckets map[string]*quotaBucket
 }
 
-// NewTenantQuotas builds a quota table. A zero config yields a table that
-// always allows.
-func NewTenantQuotas(cfg QuotaConfig) *TenantQuotas {
+// NewTenantQuotas builds a quota table that refills on clk. A zero config
+// yields a table that always allows.
+func NewTenantQuotas(cfg QuotaConfig, clk clock.Clock) *TenantQuotas {
 	return &TenantQuotas{
 		cfg:     cfg.withDefaults(),
-		now:     time.Now,
+		clock:   clk,
 		buckets: make(map[string]*quotaBucket),
 	}
 }
@@ -72,7 +74,7 @@ func (q *TenantQuotas) Allow(tenant string) (bool, time.Duration) {
 	if !q.cfg.Enabled() {
 		return true, 0
 	}
-	now := q.now()
+	now := q.clock.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	b := q.buckets[tenant]

@@ -10,6 +10,7 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
+	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
 )
 
@@ -117,15 +118,15 @@ func TestInjectedHangIsReclaimedByWatchdog(t *testing.T) {
 
 func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
 	inj := fault.New(1, fault.Schedule{TransientRate: 1.0, MaxPerKey: 1})
+	clk := clock.NewFake(time.Now())
 	s := New(Options{
 		Workers:  1,
 		Retry:    RetryPolicy{MaxAttempts: 1}, // no retry: each job fails once
 		Breaker:  BreakerConfig{FailureThreshold: 2, CoolDown: time.Hour},
 		Injector: inj,
+		clock:    clk,
 	})
 	defer s.Close()
-	clock := time.Now()
-	s.now = func() time.Time { return clock }
 	ctx := context.Background()
 	dev := fastJob().Device
 
@@ -169,7 +170,7 @@ func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
 	// After the cool-down the breaker half-opens; the probe (fault budget
 	// for its key is fresh but MaxPerKey=1 consumes the first attempt...
 	// use a key that already spent its fault) succeeds and closes it.
-	clock = clock.Add(2 * time.Hour)
+	clk.Advance(2 * time.Hour)
 	if _, err := s.Run(ctx, scaleJob(16)); err != nil { // key 16 already spent its injected fault
 		t.Fatalf("half-open probe: %v", err)
 	}
@@ -183,9 +184,8 @@ func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	b := &breaker{cfg: BreakerConfig{FailureThreshold: 1, CoolDown: time.Minute}.withDefaults()}
-	clock := time.Now()
-	b.now = func() time.Time { return clock }
+	clk := clock.NewFake(time.Now())
+	b := &breaker{cfg: BreakerConfig{FailureThreshold: 1, CoolDown: time.Minute}.withDefaults(), clock: clk}
 
 	if ok, _ := b.allow(); !ok {
 		t.Fatal("closed breaker must allow")
@@ -196,7 +196,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if ok, wait := b.allow(); ok || wait <= 0 {
 		t.Fatal("open breaker must deny with a positive wait")
 	}
-	clock = clock.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if ok, _ := b.allow(); !ok {
 		t.Fatal("breaker must half-open after cool-down")
 	}
@@ -210,7 +210,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if b.state != BreakerOpen {
 		t.Fatalf("state = %v, want open after failed probe", b.state)
 	}
-	clock = clock.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if ok, _ := b.allow(); !ok {
 		t.Fatal("breaker must half-open again")
 	}

@@ -23,6 +23,7 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
+	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
 	"gpucmp/internal/metrics"
 	"gpucmp/internal/pattern"
@@ -141,6 +142,10 @@ type Options struct {
 	// 1024); beyond it an arbitrary tenant's cache is dropped, bounding
 	// memory against tenant-name flooding.
 	MaxTenantCaches int
+
+	// clock times every latency stamp, backoff, timeout, stall, breaker
+	// and quota (nil = the wall clock).
+	clock clock.Clock
 }
 
 // task is one in-flight execution that any number of callers wait on.
@@ -175,7 +180,6 @@ type Scheduler struct {
 	wg      sync.WaitGroup // workers
 	subs    sync.WaitGroup // in-progress queue submissions
 	metrics *Metrics
-	now     func() time.Time // injectable clock for breaker tests
 
 	mu      sync.Mutex
 	closed  bool
@@ -205,19 +209,20 @@ func New(opts Options) *Scheduler {
 	if opts.MaxTenantCaches <= 0 {
 		opts.MaxTenantCaches = 1024
 	}
+	if opts.clock == nil {
+		opts.clock = clock.Real{}
+	}
 	opts.Breaker = opts.Breaker.withDefaults()
 	s := &Scheduler{
 		opts:    opts,
 		retry:   opts.Retry.withDefaults(),
 		queue:   make(chan *task, 64),
 		metrics: newMetrics(),
-		now:     time.Now,
 		flight:  make(map[string]*task),
 		tenants: make(map[string]*lruCache),
-		quotas:  NewTenantQuotas(opts.Quota),
+		quotas:  NewTenantQuotas(opts.Quota, opts.clock),
 	}
-	s.breakers = metrics.NewKeyed(0, func() *breaker { return &breaker{cfg: s.opts.Breaker, now: s.now} })
-	s.quotas.now = func() time.Time { return s.now() }
+	s.breakers = metrics.NewKeyed(0, func() *breaker { return &breaker{cfg: opts.Breaker, clock: opts.clock} })
 	if opts.CacheSize > 0 {
 		s.cache = newLRU(opts.CacheSize)
 	}
@@ -535,9 +540,9 @@ func (s *Scheduler) worker() {
 			s.metrics.inFlight.Add(-1)
 			continue
 		}
-		start := time.Now()
+		start := s.opts.clock.Now()
 		res, err := s.execute(t.job, t.key, t.abandon)
-		s.metrics.observe(t.job.Benchmark, time.Since(start))
+		s.metrics.observe(t.job.Benchmark, s.opts.clock.Now().Sub(start))
 		s.metrics.inFlight.Add(-1)
 		s.metrics.jobsRun.Add(1)
 		s.complete(t, res, err)
@@ -613,7 +618,7 @@ func (s *Scheduler) runTenantTask(t *task) {
 		case <-abandonDone:
 		}
 	}()
-	start := time.Now()
+	start := s.opts.clock.Now()
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -627,7 +632,7 @@ func (s *Scheduler) runTenantTask(t *task) {
 	}()
 	close(abandonDone)
 	cancel()
-	s.metrics.observe(t.job.Benchmark, time.Since(start))
+	s.metrics.observe(t.job.Benchmark, s.opts.clock.Now().Sub(start))
 	s.metrics.tasksRun.Add(1)
 	// A tenant value is handed out as a Go value, not as bytes; its
 	// encoding exists for the checksum every later hit verifies. A value
@@ -704,7 +709,14 @@ func (s *Scheduler) execute(j Job, key string, abandon <-chan struct{}) (*bench.
 				fmt.Errorf("sched: job %s: %d attempts exhausted: %w", key, attempt, err))
 		}
 		s.metrics.retries.Add(1)
-		time.Sleep(s.retry.backoff(key, attempt))
+		backoff := s.opts.clock.NewTimer(s.retry.backoff(key, attempt))
+		select {
+		case <-backoff.C():
+		case <-abandon:
+			// Every waiter left during the backoff: free the worker now;
+			// the loop head reports the abandonment.
+			backoff.Stop()
+		}
 	}
 }
 
@@ -760,20 +772,20 @@ func (s *Scheduler) executeAttempt(j Job, key string, abandon <-chan struct{}) (
 	}()
 	var timeout <-chan time.Time
 	if s.opts.JobTimeout > 0 {
-		timer := time.NewTimer(s.opts.JobTimeout)
+		timer := s.opts.clock.NewTimer(s.opts.JobTimeout)
 		defer timer.Stop()
-		timeout = timer.C
+		timeout = timer.C()
 	}
 	reclaim := func() {
 		ctl.kill()
-		grace := time.NewTimer(s.opts.ReclaimGrace)
+		grace := s.opts.clock.NewTimer(s.opts.ReclaimGrace)
 		defer grace.Stop()
 		select {
 		case <-ch:
 			// The cancelled attempt acknowledged: its late result is
 			// discarded (never cached) and the goroutine is gone.
 			s.metrics.watchdogReclaims.Add(1)
-		case <-grace.C:
+		case <-grace.C():
 			// The attempt ignored cancellation (e.g. stuck outside the
 			// warp loop). Abandon its goroutine and record the leak.
 			s.metrics.watchdogLeaks.Add(1)
@@ -814,16 +826,16 @@ func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.
 				// watchdog and abandonment still reclaim the worker) and
 				// then run the attempt for real. This is the seam cluster
 				// hedging is proven against.
-				timer := time.NewTimer(f.Delay)
+				timer := s.opts.clock.NewTimer(f.Delay)
 				if ctl != nil {
 					select {
-					case <-timer.C:
+					case <-timer.C():
 					case <-ctl.cancel:
 						timer.Stop()
 						return nil, fmt.Errorf("sched: job %s: cancelled during injected stall: %w", key, sim.ErrWatchdog)
 					}
 				} else {
-					<-timer.C
+					<-timer.C()
 				}
 			default:
 				return nil, f.Err
