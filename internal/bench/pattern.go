@@ -222,9 +222,9 @@ func patternLower(name string, cfg Config) (*pattern.Lowered, error) {
 
 // runLowered lowers the benchmark at cfg.Pattern, builds its kernels,
 // uploads its buffers and runs every launch on a freshly reset clock.
-// Inputs come from the caller, keyed by the program's buffer names;
-// coefficient tables get their pinned contents; outputs and temps start
-// zeroed. The caller reads the result from bufs[l.Out].
+// Buffers start from l.Contents: inputs from the caller, keyed by the
+// program's buffer names, the rest as the plan says. The caller reads the
+// result from bufs[l.Out].
 func runLowered(d Driver, name string, cfg Config, inputs map[string][]uint32) (l *pattern.Lowered, bufs map[string]Buf, err error) {
 	if l, err = patternLower(name, cfg); err != nil {
 		return nil, nil, err
@@ -233,20 +233,13 @@ func runLowered(d Driver, name string, cfg Config, inputs map[string][]uint32) (
 	if err != nil {
 		return nil, nil, err
 	}
+	words, err := l.Contents(pattern.EvalInputs{Bufs: inputs})
+	if err != nil {
+		return nil, nil, err
+	}
 	bufs = map[string]Buf{}
 	for _, bs := range l.Bufs {
-		words := make([]uint32, bs.Words)
-		switch bs.Role {
-		case pattern.RoleInput:
-			src := inputs[bs.Name]
-			if len(src) < bs.Words {
-				return nil, nil, fmt.Errorf("bench: pattern input %q has %d words, need %d", bs.Name, len(src), bs.Words)
-			}
-			copy(words, src)
-		case pattern.RoleCoeff:
-			copy(words, bs.Init)
-		}
-		if bufs[bs.Name], err = allocWrite(d, words); err != nil {
+		if bufs[bs.Name], err = allocWrite(d, words[bs.Name]); err != nil {
 			return nil, nil, err
 		}
 	}

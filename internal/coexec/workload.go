@@ -222,20 +222,19 @@ func (w *program) NewInstance(toolchain string, dev *arch.Device) (Instance, err
 	}
 	// Setup, not any shard, pays for the broadcast inputs and for zeroing
 	// a stencil's output, whose border cells no shard writes.
-	d.ResetTimer()
+	setup := &pattern.Lowered{Key: whole.Key}
 	for _, bs := range whole.Bufs {
-		var words []uint32
-		switch {
-		case bs.Role == pattern.RoleCoeff:
-			words = bs.Init
-		case w.broadcast(bs):
-			words = w.inputs[bs.Name]
-		case bs.Role == pattern.RoleOutput && w.prog.Kind() == pattern.KindStencil2D:
-			words = make([]uint32, bs.Words)
-		default:
-			continue
+		if w.broadcast(bs) || (bs.Role == pattern.RoleOutput && w.prog.Kind() == pattern.KindStencil2D) {
+			setup.Bufs = append(setup.Bufs, bs)
 		}
-		if err := d.Write(in.bufs[bs.Name], words); err != nil {
+	}
+	words, err := setup.Contents(pattern.EvalInputs{Bufs: w.inputs})
+	if err != nil {
+		return nil, err
+	}
+	d.ResetTimer()
+	for _, bs := range setup.Bufs {
+		if err := d.Write(in.bufs[bs.Name], words[bs.Name]); err != nil {
 			return nil, err
 		}
 	}

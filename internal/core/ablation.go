@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 	"gpucmp/internal/compiler"
+	"gpucmp/internal/opencl"
+	"gpucmp/internal/pattern"
 	"gpucmp/internal/perfmodel"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sim"
@@ -79,65 +80,42 @@ const (
 	ablationBlock  = 64
 )
 
-// timeKernel compiles the FFT forward kernel under cfg and prices one
-// launch on the device with the toolchain's performance model.
-func timeKernel(a *arch.Device, cfg compiler.Config) (float64, *ptx.Kernel, error) {
-	pk, err := compiler.CompileWithConfig(bench.FFTKernel(), cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	dev, err := sim.NewDevice(a)
-	if err != nil {
-		return 0, nil, err
-	}
-	re, im := workload.SignalBatch(ablationBatch, ablationPoints, 17)
-	upload := func(f []float32) (uint32, error) {
-		words := make([]uint32, len(f))
-		for i := range f {
-			words[i] = f32bits(f[i])
-		}
-		addr, err := dev.Global.Alloc(uint32(4 * len(words)))
-		if err != nil {
-			return 0, err
-		}
-		return addr, dev.Global.WriteWords(addr, words)
-	}
-	inRe, err := upload(re)
-	if err != nil {
-		return 0, nil, err
-	}
-	inIm, err := upload(im)
-	if err != nil {
-		return 0, nil, err
-	}
-	outRe, err := dev.Global.Alloc(4 * ablationBatch * ablationPoints)
-	if err != nil {
-		return 0, nil, err
-	}
-	outIm, err := dev.Global.Alloc(4 * ablationBatch * ablationPoints)
-	if err != nil {
-		return 0, nil, err
-	}
-	tr, err := dev.Launch(pk, sim.Dim3{X: ablationBatch, Y: 1}, sim.Dim3{X: ablationBlock, Y: 1},
-		[]uint32{inRe, inIm, outRe, outIm})
-	if err != nil {
-		return 0, nil, err
-	}
-	tc := perfmodel.ToolchainFor(cfg.Personality.Name)
-	return perfmodel.KernelTime(dev.Arch, tc, tr).Total, pk, nil
-}
-
 // GapClosingStudy runs the Section-V experiment on one device: starting
 // from the native OpenCL front-end, port each missing NVOPENCC
 // optimisation across (compiler.GapKnobs order), re-measuring the FFT
 // forward kernel after every step, until the personality generates the
 // same code as NVOPENCC and the PR lands inside the similarity band.
 func GapClosingStudy(a *arch.Device) (*GapClosingReport, error) {
-	cuda, _, err := timeKernel(a, compiler.Config{Personality: compiler.CUDA()})
+	re, im := workload.SignalBatch(ablationBatch, ablationPoints, 17)
+	l, in, err := pattern.OneLaunch(bench.FFTKernel(), ablationBatch, ablationBlock, map[string][]uint32{
+		"inRe": opencl.F32Words(re), "inIm": opencl.F32Words(im),
+		"outRe": make([]uint32, len(re)), "outIm": make([]uint32, len(im)),
+	}, nil, "outRe")
 	if err != nil {
 		return nil, err
 	}
-	base, _, err := timeKernel(a, compiler.Config{Personality: compiler.OpenCL()})
+	// seconds compiles the kernel with pers and prices one launch on a
+	// with the toolchain's performance model.
+	seconds := func(pers compiler.Personality) (float64, *ptx.Kernel, error) {
+		pk, err := compiler.CompileWithConfig(l.Kernels[0], compiler.Config{Personality: pers})
+		if err != nil {
+			return 0, nil, err
+		}
+		dev, err := sim.NewDevice(a)
+		if err != nil {
+			return 0, nil, err
+		}
+		_, traces, err := pattern.RunDevice(l, in, dev, []*ptx.Kernel{pk})
+		if err != nil {
+			return 0, nil, err
+		}
+		return perfmodel.KernelTime(a, perfmodel.ToolchainFor(pers.Name), traces[0]).Total, pk, nil
+	}
+	cuda, _, err := seconds(compiler.CUDA())
+	if err != nil {
+		return nil, err
+	}
+	base, _, err := seconds(compiler.OpenCL())
 	if err != nil {
 		return nil, err
 	}
@@ -151,13 +129,13 @@ func GapClosingStudy(a *arch.Device) (*GapClosingReport, error) {
 	cum := compiler.OpenCL()
 	for _, knob := range compiler.GapKnobs() {
 		knob.Apply(&cum)
-		sec, pk, err := timeKernel(a, compiler.Config{Personality: cum})
+		sec, pk, err := seconds(cum)
 		if err != nil {
 			return nil, fmt.Errorf("core: ablation step %q: %w", knob.Name, err)
 		}
 		solo := compiler.OpenCL()
 		knob.Apply(&solo)
-		soloSec, _, err := timeKernel(a, compiler.Config{Personality: solo})
+		soloSec, _, err := seconds(solo)
 		if err != nil {
 			return nil, fmt.Errorf("core: solo ablation %q: %w", knob.Name, err)
 		}
@@ -183,5 +161,3 @@ func GapClosingStudy(a *arch.Device) (*GapClosingReport, error) {
 	rep.Closed = Similar(rep.FinalPR)
 	return rep, nil
 }
-
-func f32bits(f float32) uint32 { return math.Float32bits(f) }

@@ -68,5 +68,8 @@ func Decode(data []byte) (*Program, error) {
 	if _, ok := p.Buffers[p.Out]; !ok {
 		return nil, fmt.Errorf("fuzz: corpus program output buffer %q missing", p.Out)
 	}
+	if _, _, err := p.plan(); err != nil {
+		return nil, fmt.Errorf("fuzz: corpus program: %w", err)
+	}
 	return p, nil
 }

@@ -2,7 +2,9 @@ package fuzz
 
 import (
 	"bytes"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -156,6 +158,53 @@ func TestEncodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDecodeRejectsBadOut: a corpus program's out must be a global buffer
+// parameter of its kernel. An out that names an extra buffer, or a
+// constant one, used to decode, and Check then reported a miscompile: the
+// devices read address 0 while the reference returned the untouched
+// buffer.
+func TestDecodeRejectsBadOut(t *testing.T) {
+	data, err := os.ReadFile("corpus/fz1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Buffers["extra"] = make([]uint32, len(p.Buffers[p.Out]))
+	p.Out = "extra"
+	if data, err = Encode(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "not a buffer parameter") {
+		t.Errorf("out naming an extra buffer: Decode error %v, want not a buffer parameter", err)
+	}
+
+	for seed := uint64(1); seed <= 50; seed++ {
+		p := Generate(seed, DefaultConfig())
+		var c *kir.Param
+		for i := range p.Kernel.Params {
+			if prm := &p.Kernel.Params[i]; prm.Buffer && prm.Space == kir.Const {
+				c = prm
+			}
+		}
+		if c == nil {
+			continue
+		}
+		p.Out = c.Name
+		data, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "want global") {
+			t.Errorf("seed %d: out naming constant buffer %q: Decode error %v, want global", seed, c.Name, err)
+		}
+		return
+	}
+	t.Fatal("no generated program in seeds 1-50 has a constant buffer")
 }
 
 // TestShrink exercises the minimiser against a synthetic predicate (the

@@ -11,6 +11,7 @@ import (
 	"gpucmp/internal/arch"
 	"gpucmp/internal/compiler"
 	"gpucmp/internal/kir"
+	"gpucmp/internal/pattern"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sim"
 )
@@ -30,57 +31,31 @@ type Program struct {
 	Out     string
 }
 
-func (p *Program) clone(name string) []uint32 {
-	src := p.Buffers[name]
-	dst := make([]uint32, len(src))
-	copy(dst, src)
-	return dst
+// plan is the program as a one-launch pattern plan, which both the
+// reference and the device executions run.
+func (p *Program) plan() (*pattern.Lowered, pattern.EvalInputs, error) {
+	return pattern.OneLaunch(p.Kernel, p.Grid, p.Block, p.Buffers, p.Scalars, p.Out)
 }
 
-// Oracle step budgets. Every legitimate fuzz program finishes in at most a
-// few thousand steps per thread; these budgets leave three orders of
-// magnitude of headroom while still killing a non-terminating kernel (a
-// generator or corpus bug) in well under a second instead of wedging the
-// campaign. A kill surfaces as a typed kir.ErrWatchdog / sim.ErrWatchdog
-// in the returned error chain.
-const (
-	refStepBudget = 1 << 22 // interpreter statements per thread
-	simStepBudget = 1 << 22 // simulator warp instructions per work-group
-)
+// simStepBudget is the oracle's simulator budget, in warp instructions per
+// work-group (the reference runs under the host executor's own). Fuzz
+// programs take a few thousand; a non-terminating one (a generator or
+// corpus bug) dies in well under a second with a typed sim.ErrWatchdog.
+const simStepBudget = 1 << 22
 
 // Reference executes the program on the kir.Run host interpreter and
 // returns the output buffer. This is the semantic ground truth the
 // compiled pipelines are judged against.
 func Reference(p *Program) ([]uint32, error) {
-	bufs := map[string][]uint32{}
-	for name := range p.Buffers {
-		bufs[name] = p.clone(name)
+	l, in, err := p.plan()
+	var out []uint32
+	if err == nil {
+		out, err = pattern.RunLowered(l, in)
 	}
-	err := kir.Run(p.Kernel, kir.RunConfig{
-		GridX: p.Grid, GridY: 1,
-		BlockX: p.Block, BlockY: 1,
-		Buffers:    bufs,
-		Scalars:    p.Scalars,
-		StepBudget: refStepBudget,
-	})
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: seed %d: reference: %w", p.Seed, err)
 	}
-	return bufs[p.Out], nil
-}
-
-// RunCompiled compiles the program with one personality and executes it on
-// one device, returning the output buffer and the launch trace. Buffer
-// arguments are staged following the runtime convention: global and
-// texture buffers live in simulated global memory and pass their address;
-// constant buffers are staged into the constant segment and pass their
-// offset (the cudaMemcpyToSymbol path).
-func RunCompiled(p *Program, pers compiler.Personality, a *arch.Device) ([]uint32, *sim.Trace, error) {
-	pk, err := compiler.Compile(p.Kernel, pers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fuzz: seed %d: compile %s: %w", p.Seed, pers.Name, err)
-	}
-	return Execute(p, pk, a)
+	return out, nil
 }
 
 // Execute runs an already-compiled kernel for the program on one device,
@@ -89,53 +64,21 @@ func RunCompiled(p *Program, pers compiler.Personality, a *arch.Device) ([]uint3
 // unit and the wake-up of a parked processor to run it. The parallel engine
 // is held to the sequential one by TestCorpusEngineEquivalenceParallel.
 func Execute(p *Program, pk *ptx.Kernel, a *arch.Device) ([]uint32, *sim.Trace, error) {
+	l, in, err := p.plan()
+	if err != nil {
+		return nil, nil, err
+	}
 	dev, err := sim.NewDevice(a)
 	if err != nil {
 		return nil, nil, err
 	}
 	dev.Parallel = false
 	dev.StepBudget = simStepBudget
-	var args []uint32
-	var outAddr uint32
-	for _, prm := range p.Kernel.Params {
-		if !prm.Buffer {
-			args = append(args, p.Scalars[prm.Name])
-			continue
-		}
-		data := p.Buffers[prm.Name]
-		if prm.Space == kir.Const {
-			off, err := dev.ConstAlloc(uint32(4 * len(data)))
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := dev.ConstWrite(off, data); err != nil {
-				return nil, nil, err
-			}
-			args = append(args, off)
-			continue
-		}
-		addr, err := dev.Global.Alloc(uint32(4 * len(data)))
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := dev.Global.WriteWords(addr, data); err != nil {
-			return nil, nil, err
-		}
-		if prm.Name == p.Out {
-			outAddr = addr
-		}
-		args = append(args, addr)
-	}
-	tr, err := dev.Launch(pk,
-		sim.Dim3{X: p.Grid, Y: 1}, sim.Dim3{X: p.Block, Y: 1}, args)
+	out, traces, err := pattern.RunDevice(l, in, dev, []*ptx.Kernel{pk})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]uint32, len(p.Buffers[p.Out]))
-	if err := dev.Global.ReadWords(outAddr, out); err != nil {
-		return nil, nil, err
-	}
-	return out, tr, nil
+	return out, traces[0], nil
 }
 
 // Divergence describes one disagreement between the reference interpreter

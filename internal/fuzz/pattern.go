@@ -255,105 +255,6 @@ func identityWord(g prng, t kir.Type) uint32 {
 	return g.u32() % 64
 }
 
-// ExecuteLowered compiles every kernel of a lowered pattern program with
-// one personality and runs the launch sequence on one simulated device,
-// returning the raw output words. Constant-space coefficient buffers are
-// staged through the constant segment, like the runtime adapters do.
-func ExecuteLowered(l *pattern.Lowered, in pattern.EvalInputs, pers compiler.Personality, a *arch.Device) ([]uint32, error) {
-	kernels := map[string]*ptx.Kernel{}
-	for _, k := range l.Kernels {
-		pk, err := compiler.Compile(k, pers)
-		if err != nil {
-			return nil, fmt.Errorf("fuzz: compile %s (%s): %w", k.Name, pers.Name, err)
-		}
-		kernels[k.Name] = pk
-	}
-	dev, err := sim.NewDevice(a)
-	if err != nil {
-		return nil, err
-	}
-	dev.StepBudget = simStepBudget
-
-	words := func(bs *pattern.BufSpec) ([]uint32, error) {
-		out := make([]uint32, bs.Words)
-		switch bs.Role {
-		case pattern.RoleInput:
-			src := in.Bufs[bs.Name]
-			if len(src) < bs.Words {
-				return nil, fmt.Errorf("fuzz: input %q has %d words, need %d", bs.Name, len(src), bs.Words)
-			}
-			copy(out, src)
-		case pattern.RoleCoeff:
-			copy(out, bs.Init)
-		case pattern.RoleOutput:
-			if in.OutInit != nil {
-				if len(in.OutInit) != bs.Words {
-					return nil, fmt.Errorf("fuzz: out init has %d words, need %d", len(in.OutInit), bs.Words)
-				}
-				copy(out, in.OutInit)
-			}
-		}
-		return out, nil
-	}
-
-	addr := map[string]uint32{}
-	var outAddr uint32
-	for i := range l.Bufs {
-		bs := &l.Bufs[i]
-		data, err := words(bs)
-		if err != nil {
-			return nil, err
-		}
-		if bs.Space == kir.Const {
-			off, err := dev.ConstAlloc(uint32(4 * len(data)))
-			if err != nil {
-				return nil, err
-			}
-			if err := dev.ConstWrite(off, data); err != nil {
-				return nil, err
-			}
-			addr[bs.Name] = off
-			continue
-		}
-		p, err := dev.Global.Alloc(uint32(4 * len(data)))
-		if err != nil {
-			return nil, err
-		}
-		if err := dev.Global.WriteWords(p, data); err != nil {
-			return nil, err
-		}
-		addr[bs.Name] = p
-		if bs.Name == l.Out {
-			outAddr = p
-		}
-	}
-
-	for _, ln := range l.Launches {
-		pk, ok := kernels[ln.Kernel]
-		if !ok {
-			return nil, fmt.Errorf("fuzz: launch references unknown kernel %q", ln.Kernel)
-		}
-		args := make([]uint32, len(ln.Args))
-		for i, a := range ln.Args {
-			if a.IsVal {
-				args[i] = a.Val
-			} else {
-				args[i] = addr[a.Buf]
-			}
-		}
-		if _, err := dev.Launch(pk,
-			sim.Dim3{X: ln.GridX, Y: ln.GridY},
-			sim.Dim3{X: ln.BlockX, Y: ln.BlockY}, args); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]uint32, l.Buf(l.Out).Words)
-	if err := dev.Global.ReadWords(outAddr, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // PatternResult summarises one case's trip through the pattern oracle.
 type PatternResult struct {
 	Seed       uint64
@@ -395,8 +296,20 @@ func CheckPattern(c *PatternCase, devices []*arch.Device) (*PatternResult, error
 			return res, nil
 		}
 		for _, pers := range Toolchains() {
+			kernels := make([]*ptx.Kernel, len(l.Kernels))
+			for i, k := range l.Kernels {
+				if kernels[i], err = compiler.Compile(k, pers); err != nil {
+					return nil, fmt.Errorf("fuzz: seed %d: compile %s (%s, %s): %w",
+						c.Seed, k.Name, pers.Name, s.Mangle(), err)
+				}
+			}
 			for _, a := range devices {
-				got, err := ExecuteLowered(l, c.In, pers, a)
+				dev, err := sim.NewDevice(a)
+				var got []uint32
+				if err == nil {
+					dev.StepBudget = simStepBudget
+					got, _, err = pattern.RunDevice(l, c.In, dev, kernels)
+				}
 				if err != nil {
 					if errors.Is(err, sim.ErrOutOfResources) {
 						res.Skipped = append(res.Skipped,
@@ -444,75 +357,17 @@ func formatKernels(l *pattern.Lowered) string {
 // launch reconstructed on the host interpreter — so a diverging pattern
 // kernel drops straight into the existing Shrink/bisect machinery.
 func LaunchProgram(l *pattern.Lowered, launch int, in pattern.EvalInputs, seed uint64) (*Program, error) {
-	if launch < 0 || launch >= len(l.Launches) {
-		return nil, fmt.Errorf("fuzz: launch %d out of range (%d launches)", launch, len(l.Launches))
-	}
-	ln := l.Launches[launch]
-	if ln.GridY != 1 || ln.BlockY != 1 {
-		return nil, fmt.Errorf("fuzz: launch %d (%s) is 2-D; the shrink harness is 1-D only", launch, ln.Kernel)
-	}
-	var kern *kir.Kernel
-	for _, k := range l.Kernels {
-		if k.Name == ln.Kernel {
-			kern = k
-			break
-		}
-	}
-	if kern == nil {
-		return nil, fmt.Errorf("fuzz: launch references unknown kernel %q", ln.Kernel)
-	}
-
-	// Replay launches 0..launch-1 on the host interpreter to reconstruct
-	// the pre-state of every buffer.
-	storage := map[string][]uint32{}
-	for _, bs := range l.Bufs {
-		w := make([]uint32, bs.Words)
-		switch bs.Role {
-		case pattern.RoleInput:
-			copy(w, in.Bufs[bs.Name])
-		case pattern.RoleCoeff:
-			copy(w, bs.Init)
-		case pattern.RoleOutput:
-			if in.OutInit != nil {
-				copy(w, in.OutInit)
-			}
-		}
-		storage[bs.Name] = w
-	}
-	for i := 0; i < launch; i++ {
-		prev := l.Launches[i]
-		var pk *kir.Kernel
-		for _, k := range l.Kernels {
-			if k.Name == prev.Kernel {
-				pk = k
-				break
-			}
-		}
-		if pk == nil {
-			return nil, fmt.Errorf("fuzz: launch references unknown kernel %q", prev.Kernel)
-		}
-		bufs, scalars, err := launchEnv(pk, prev, storage)
-		if err != nil {
-			return nil, err
-		}
-		if err := kir.Run(pk, kir.RunConfig{
-			GridX: prev.GridX, GridY: prev.GridY,
-			BlockX: prev.BlockX, BlockY: prev.BlockY,
-			Buffers: bufs, Scalars: scalars,
-			StepBudget: refStepBudget,
-		}); err != nil {
-			return nil, fmt.Errorf("fuzz: replaying launch %d (%s): %w", i, prev.Kernel, err)
-		}
-	}
-
-	bufs, scalars, err := launchEnv(kern, ln, storage)
+	k, cfg, err := l.HostLaunch(in, launch)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fuzz: %w", err)
+	}
+	if cfg.GridY != 1 || cfg.BlockY != 1 {
+		return nil, fmt.Errorf("fuzz: launch %d (%s) is 2-D; the shrink harness is 1-D only", launch, k.Name)
 	}
 	// The program's output is the lowered program's output when this
 	// kernel takes it, else the kernel's last buffer parameter.
 	out := ""
-	for _, prm := range kern.Params {
+	for _, prm := range k.Params {
 		if prm.Buffer {
 			out = prm.Name
 			if prm.Name == l.Out {
@@ -521,43 +376,15 @@ func LaunchProgram(l *pattern.Lowered, launch int, in pattern.EvalInputs, seed u
 		}
 	}
 	if out == "" {
-		return nil, fmt.Errorf("fuzz: kernel %q has no buffer parameters", ln.Kernel)
+		return nil, fmt.Errorf("fuzz: kernel %q has no buffer parameters", k.Name)
 	}
 	return &Program{
 		Seed:    seed,
-		Kernel:  kern,
-		Grid:    ln.GridX,
-		Block:   ln.BlockX,
-		Buffers: bufs,
-		Scalars: scalars,
+		Kernel:  k,
+		Grid:    cfg.GridX,
+		Block:   cfg.BlockX,
+		Buffers: cfg.Buffers,
+		Scalars: cfg.Scalars,
 		Out:     out,
 	}, nil
-}
-
-// launchEnv maps a launch's positional args onto the kernel's parameters.
-func launchEnv(k *kir.Kernel, ln pattern.Launch, storage map[string][]uint32) (map[string][]uint32, map[string]uint32, error) {
-	if len(ln.Args) != len(k.Params) {
-		return nil, nil, fmt.Errorf("fuzz: launch %s has %d args for %d params", ln.Kernel, len(ln.Args), len(k.Params))
-	}
-	bufs := map[string][]uint32{}
-	scalars := map[string]uint32{}
-	for i, prm := range k.Params {
-		a := ln.Args[i]
-		if prm.Buffer {
-			if a.IsVal {
-				return nil, nil, fmt.Errorf("fuzz: launch %s arg %d: scalar for buffer param %s", ln.Kernel, i, prm.Name)
-			}
-			w, ok := storage[a.Buf]
-			if !ok {
-				return nil, nil, fmt.Errorf("fuzz: launch %s arg %d: unknown buffer %q", ln.Kernel, i, a.Buf)
-			}
-			bufs[prm.Name] = w
-		} else {
-			if !a.IsVal {
-				return nil, nil, fmt.Errorf("fuzz: launch %s arg %d: buffer for scalar param %s", ln.Kernel, i, prm.Name)
-			}
-			scalars[prm.Name] = a.Val
-		}
-	}
-	return bufs, scalars, nil
 }

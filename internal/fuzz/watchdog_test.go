@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/compiler"
 	"gpucmp/internal/kir"
 	"gpucmp/internal/sim"
 )
@@ -61,9 +62,12 @@ func TestReferenceWatchdogOnHang(t *testing.T) {
 func TestCompiledWatchdogOnHang(t *testing.T) {
 	p := hangProgram(t)
 	for _, pers := range Toolchains() {
-		_, _, err := RunCompiled(p, pers, arch.GTX480())
-		if !errors.Is(err, sim.ErrWatchdog) {
-			t.Fatalf("%s: RunCompiled(hang) = %v, want sim.ErrWatchdog", pers.Name, err)
+		pk, err := compiler.Compile(p.Kernel, pers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Execute(p, pk, arch.GTX480()); !errors.Is(err, sim.ErrWatchdog) {
+			t.Fatalf("%s: Execute(hang) = %v, want sim.ErrWatchdog", pers.Name, err)
 		}
 	}
 }

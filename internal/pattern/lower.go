@@ -38,7 +38,7 @@ const (
 type BufSpec struct {
 	Name  string
 	Words int
-	Space kir.MemSpace // Global or Const
+	Space kir.MemSpace // Global or Const; a OneLaunch plan keeps its parameter's space
 	Role  Role
 	Init  []uint32 // RoleCoeff contents; nil otherwise
 }

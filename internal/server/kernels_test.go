@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"gpucmp/internal/fuzz"
+	"gpucmp/internal/kir"
 	"gpucmp/internal/sched"
+	"gpucmp/internal/sim"
 	"gpucmp/internal/submit"
 )
 
@@ -224,6 +226,48 @@ func TestRunStructuredErrors(t *testing.T) {
 				t.Errorf("code = %q, want %q (error: %s)", eb.Code, tc.code, eb.Error)
 			}
 		})
+	}
+}
+
+// TestKernelsConstOverflowSkipped: a constant buffer of MaxBufWords words
+// passes every submission limit but cannot fit the 64 KiB constant
+// segment beside its parameter area, so every run of the matrix comes
+// back "skipped" with the device's out-of-resources error, not a fault.
+func TestKernelsConstOverflowSkipped(t *testing.T) {
+	ts, _ := newTestServer(t)
+	b := kir.NewKernel("bigconst")
+	c := b.ConstBuffer("c", kir.U32)
+	out := b.GlobalBuffer("out", kir.U32)
+	gid := b.Declare("gid", b.GlobalIDX())
+	b.Store(out, gid, b.Load(c, gid))
+	k, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{
+		"grid": 2, "block": 4, "out": "out",
+		"buffers": map[string][]uint32{
+			"c":   make([]uint32, submit.DefaultLimits().MaxBufWords),
+			"out": make([]uint32, 8),
+		},
+		"kernel": kir.EncodeKernelJSON(k),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, kr := postKernel(t, ts.URL, "", body)
+	if resp.StatusCode != http.StatusOK || kr.Classification != ClassOK || kr.Report == nil {
+		t.Fatalf("status %d classification %q code %q: %s",
+			resp.StatusCode, kr.Classification, kr.Code, kr.Error)
+	}
+	if n := len(kr.Report.Runs); n != 7 {
+		t.Fatalf("%d runs, want 7 (opencl on five devices, cuda on two)", n)
+	}
+	for _, run := range kr.Report.Runs {
+		if run.Status != "skipped" || !strings.Contains(run.Reason, sim.ErrOutOfResources.Error()) {
+			t.Errorf("%s/%s: status %q (%s), want skipped: %v",
+				run.Toolchain, run.Device, run.Status, run.Reason, sim.ErrOutOfResources)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"gpucmp/internal/bench"
 	"gpucmp/internal/compiler"
 	"gpucmp/internal/kir"
+	"gpucmp/internal/pattern"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sim"
 )
@@ -119,6 +120,9 @@ type Submission struct {
 	Buffers map[string][]uint32
 	Scalars map[string]uint32
 	Devices []*arch.Device // resolved, in request order; all devices if unset
+
+	plan *pattern.Lowered // the launch as a one-launch plan, built by Parse
+	in   pattern.EvalInputs
 }
 
 // request is the wire shape. It is a superset of the fuzz corpus format:
@@ -189,13 +193,9 @@ func Parse(body []byte, lim Limits) (*Submission, error) {
 			return nil, rejectf(CodeBadShape, "buffer parameter %q has no data", p.Name)
 		}
 	}
-	outP := k.Param(req.Out)
-	if outP == nil || !outP.Buffer {
-		return nil, rejectf(CodeBadShape, "out %q is not a buffer parameter", req.Out)
-	}
-	if outP.Space != kir.Global {
-		return nil, rejectf(CodeBadShape,
-			"out buffer %q is in %v space, want global", req.Out, outP.Space)
+	plan, in, err := pattern.OneLaunch(k, req.Grid, req.Block, req.Buffers, req.Scalars, req.Out)
+	if err != nil {
+		return nil, &Reject{Code: CodeBadShape, Msg: "launch rejected", Err: err}
 	}
 	var devices []*arch.Device
 	if len(req.Devices) == 0 {
@@ -219,6 +219,7 @@ func Parse(body []byte, lim Limits) (*Submission, error) {
 	return &Submission{
 		Kernel: k, Grid: req.Grid, Block: req.Block, Out: req.Out,
 		Buffers: req.Buffers, Scalars: req.Scalars, Devices: devices,
+		plan: plan, in: in,
 	}, nil
 }
 
@@ -332,11 +333,11 @@ func Run(ctx context.Context, s *Submission, lim Limits) (*Report, error) {
 	return rep, nil
 }
 
-// executeOne stages the submission's buffers onto a fresh simulated
-// device and launches once. All failure modes fold into the DeviceRun
-// status; nothing a hostile kernel does at run time is an error to the
-// caller. Cancelling ctx cancels the device, so a launch in progress
-// aborts at its next warp checkpoint (surfacing as a watchdog status).
+// executeOne runs the submission's plan on a fresh simulated device.
+// All failure modes fold into the DeviceRun status; nothing a hostile
+// kernel does at run time is an error to the caller. Cancelling ctx
+// cancels the device, so a launch in progress aborts at its next warp
+// checkpoint (surfacing as a watchdog status).
 func executeOne(ctx context.Context, s *Submission, pk *ptx.Kernel, a *arch.Device, lim Limits) DeviceRun {
 	dev, err := sim.NewDevice(a)
 	if err != nil {
@@ -349,60 +350,23 @@ func executeOne(ctx context.Context, s *Submission, pk *ptx.Kernel, a *arch.Devi
 	if ctx != nil {
 		defer context.AfterFunc(ctx, dev.Cancel)()
 	}
-	var args []uint32
-	var outAddr uint32
-	for _, prm := range s.Kernel.Params {
-		if !prm.Buffer {
-			args = append(args, s.Scalars[prm.Name])
-			continue
-		}
-		data := s.Buffers[prm.Name]
-		if prm.Space == kir.Const {
-			off, err := dev.ConstAlloc(uint32(4 * len(data)))
-			if err != nil {
-				return DeviceRun{Status: "skipped", Reason: err.Error()}
-			}
-			if err := dev.ConstWrite(off, data); err != nil {
-				return DeviceRun{Status: "skipped", Reason: err.Error()}
-			}
-			args = append(args, off)
-			continue
-		}
-		addr, err := dev.Global.Alloc(uint32(4 * len(data)))
-		if err != nil {
-			return DeviceRun{Status: "skipped", Reason: err.Error()}
-		}
-		if err := dev.Global.WriteWords(addr, data); err != nil {
-			return DeviceRun{Status: "skipped", Reason: err.Error()}
-		}
-		if prm.Name == s.Out {
-			outAddr = addr
-		}
-		args = append(args, addr)
-	}
-	tr, err := dev.Launch(pk,
-		sim.Dim3{X: s.Grid, Y: 1}, sim.Dim3{X: s.Block, Y: 1}, args)
-	if err != nil {
-		switch {
-		case errors.Is(err, sim.ErrWatchdog):
-			return DeviceRun{Status: "watchdog", Reason: err.Error()}
-		case errors.Is(err, sim.ErrOutOfResources),
-			errors.Is(err, sim.ErrInvalidWorkGroupSize),
-			errors.Is(err, sim.ErrInvalidConfig):
-			return DeviceRun{Status: "skipped", Reason: err.Error()}
-		default:
-			return DeviceRun{Status: "fault", Reason: err.Error()}
-		}
-	}
-	out := make([]uint32, len(s.Buffers[s.Out]))
-	if err := dev.Global.ReadWords(outAddr, out); err != nil {
+	out, traces, err := pattern.RunDevice(s.plan, s.in, dev, []*ptx.Kernel{pk})
+	switch {
+	case err == nil:
+	case errors.Is(err, sim.ErrWatchdog):
+		return DeviceRun{Status: "watchdog", Reason: err.Error()}
+	case errors.Is(err, sim.ErrOutOfResources),
+		errors.Is(err, sim.ErrInvalidWorkGroupSize),
+		errors.Is(err, sim.ErrInvalidConfig):
+		return DeviceRun{Status: "skipped", Reason: err.Error()}
+	default:
 		return DeviceRun{Status: "fault", Reason: err.Error()}
 	}
 	run := DeviceRun{
 		Status:      "ok",
 		OutChecksum: checksumWords(out),
-		WarpInstrs:  tr.Dyn.Total,
-		LaneInstrs:  tr.LaneInstrs,
+		WarpInstrs:  traces[0].Dyn.Total,
+		LaneInstrs:  traces[0].LaneInstrs,
 	}
 	if len(out) > lim.MaxOutWords {
 		run.Out = out[:lim.MaxOutWords]
