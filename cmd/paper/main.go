@@ -299,23 +299,12 @@ func passReport(w io.Writer) error {
 		for _, st := range pk.PassStats {
 			fmt.Fprintf(w, "  %s\n", st)
 		}
-		fmt.Fprintf(w, "remarks (%d total, deduplicated)\n", len(pk.Remarks))
-		// The remark stream repeats per unrolled trip; collapse identical
-		// messages to a count in first-seen order to keep the report readable.
-		counts := map[string]int{}
-		var order []string
+		fmt.Fprintf(w, "remarks (%d total, deduplicated)\n", ptx.RemarkTotal(pk.Remarks))
 		for _, r := range pk.Remarks {
-			s := r.String()
-			if counts[s] == 0 {
-				order = append(order, s)
-			}
-			counts[s]++
-		}
-		for _, s := range order {
-			if n := counts[s]; n > 1 {
-				fmt.Fprintf(w, "  %s  (x%d)\n", s, n)
+			if r.Count > 1 {
+				fmt.Fprintf(w, "  %s  (x%d)\n", r, r.Count)
 			} else {
-				fmt.Fprintf(w, "  %s\n", s)
+				fmt.Fprintf(w, "  %s\n", r)
 			}
 		}
 		fmt.Fprintln(w)

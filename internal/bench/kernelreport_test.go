@@ -101,7 +101,10 @@ func TestResultJSONCarriesKernels(t *testing.T) {
 				Pass: "dce", InstrsBefore: 130, InstrsAfter: 120,
 				RegsBefore: 18, RegsAfter: 14, Removed: 10,
 			}},
-			Remarks: []ptx.Remark{{Phase: "frontend", Message: "fully unrolled loop j by 8 trip(s)"}},
+			Remarks: []ptx.Remark{
+				{Phase: "frontend", Message: "fully unrolled loop j by 8 trip(s)"},
+				{Phase: "frontend", Message: "CSE evicted r9 under register pressure (window 10)", Count: 3},
+			},
 		}},
 	}
 	data, err := json.Marshal(&in)

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -253,6 +254,24 @@ func TestSpillRemarkOnUnroll(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("SpillOnUnroll personality emitted no spill remark: %v", cl.Remarks)
+	}
+}
+
+func TestRemarksCollapseRepeats(t *testing.T) {
+	var rem Remarks
+	rem.add(PhaseFrontEnd, "CSE evicted r3")
+	rem.Addf("dce", "removed %d", 2)
+	rem.add(PhaseFrontEnd, "CSE evicted r3")
+	rem.add("dce", "CSE evicted r3") // same message, another phase
+	rem.Addf("dce", "removed %d", 2)
+	rem.add(PhaseFrontEnd, "CSE evicted r3")
+	want := []ptx.Remark{
+		{Phase: PhaseFrontEnd, Message: "CSE evicted r3", Count: 3},
+		{Phase: "dce", Message: "removed 2", Count: 2},
+		{Phase: "dce", Message: "CSE evicted r3", Count: 1},
+	}
+	if got := rem.List(); !reflect.DeepEqual(got, want) {
+		t.Errorf("List = %+v, want %+v", got, want)
 	}
 }
 

@@ -35,8 +35,8 @@ type AblationStep struct {
 	SoloSeconds float64 `json:"solo_seconds"`
 
 	// PassStats is the back-end pipeline report for this step's compile,
-	// and Remarks its front-end remark count — the observability story for
-	// why the number moved.
+	// and Remarks how many remarks it fired in all (the sum of their
+	// counts) — the observability story for why the number moved.
 	PassStats []ptx.PassStat `json:"pass_stats"`
 	Remarks   int            `json:"remarks"`
 }
@@ -146,7 +146,7 @@ func GapClosingStudy(a *arch.Device) (*GapClosingReport, error) {
 			PR:          PR(sec, cuda, true),
 			SoloSeconds: soloSec,
 			PassStats:   pk.PassStats,
-			Remarks:     len(pk.Remarks),
+			Remarks:     ptx.RemarkTotal(pk.Remarks),
 		}
 		if base != cuda {
 			step.ClosedShare = (base - sec) / (base - cuda)

@@ -66,12 +66,17 @@ func (k digestKernel) fingerprint() string {
 	return b.String()
 }
 
-// compiledLines renders a compiled kernel: the listing, then every remark,
-// every pass stat and the resource footprint.
+// compiledLines renders a compiled kernel: the listing, then every remark
+// (with its count if it repeated), every pass stat and the resource
+// footprint.
 func compiledLines(pk *ptx.Kernel) []string {
 	lines := strings.Split(strings.TrimRight(pk.Disassemble(), "\n"), "\n")
 	for _, r := range pk.Remarks {
-		lines = append(lines, "remark "+r.Phase+": "+r.Message)
+		line := "remark " + r.Phase + ": " + r.Message
+		if r.Count > 1 {
+			line += fmt.Sprintf(" (x%d)", r.Count)
+		}
+		lines = append(lines, line)
 	}
 	for _, s := range pk.PassStats {
 		lines = append(lines, "pass "+s.String())

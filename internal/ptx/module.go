@@ -33,9 +33,10 @@ type Kernel struct {
 	FrontEndStats *Stats
 
 	// PassStats records, in execution order, what each back-end pass did
-	// to this kernel; Remarks is the compiler's observation stream from
-	// the front-end and the passes. Both are immutable once Compile
-	// returns, like the rest of the kernel.
+	// to this kernel; Remarks holds the compiler's observations from the
+	// front-end and the passes, one entry per distinct (phase, message)
+	// with its count. Both are immutable once Compile returns, like the
+	// rest of the kernel.
 	PassStats []PassStat `json:"pass_stats,omitempty"`
 	Remarks   []Remark   `json:"remarks,omitempty"`
 

@@ -1,6 +1,7 @@
 package ptx
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -41,13 +42,43 @@ func (s PassStat) String() string {
 // Remark is one structured compiler observation: "fully unrolled loop i by
 // 8", "CSE evicted r12", "spill inserted for unroll copy 3". Phase is
 // "frontend" for code-generation remarks or the back-end pass name.
+//
+// Count is how many times the observation fired while compiling the
+// kernel. The compiler keeps one Remark per distinct (Phase, Message), in
+// first-seen order, so a remark that fires once per unrolled trip or per
+// evicted register ("CSE evicted rN under register pressure") is one entry
+// with a count, not a thousand entries. Expanding the counts gives back the
+// multiset of observations; only the interleaving of repeats is not kept.
+// A zero Count, as in a Remark built by hand or decoded from JSON without
+// a "count", means once.
 type Remark struct {
 	Phase   string `json:"phase"`
 	Message string `json:"message"`
+	Count   int    `json:"count,omitempty"`
 }
 
 // String renders the remark as "phase: message".
 func (r Remark) String() string { return r.Phase + ": " + r.Message }
+
+// MarshalJSON encodes a remark that fired once as {"phase","message"} and
+// adds "count" only to one that repeated.
+func (r Remark) MarshalJSON() ([]byte, error) {
+	type plain Remark
+	if r.Count <= 1 {
+		r.Count = 0
+	}
+	return json.Marshal(plain(r))
+}
+
+// RemarkTotal returns how many times the remarks in rs fired in all: the
+// sum of their counts, a zero Count counting as once.
+func RemarkTotal(rs []Remark) int {
+	n := 0
+	for _, r := range rs {
+		n += max(r.Count, 1)
+	}
+	return n
+}
 
 // UsedRegs counts the distinct registers the kernel's instructions
 // reference (destinations, sources and guard predicates). Passes do not

@@ -1,6 +1,7 @@
 package ptx
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -81,5 +82,38 @@ func TestRemarkString(t *testing.T) {
 	r := Remark{Phase: "frontend", Message: "fully unrolled loop i by 8 trips"}
 	if got := r.String(); got != "frontend: fully unrolled loop i by 8 trips" {
 		t.Errorf("Remark.String = %q", got)
+	}
+}
+
+// TestRemarkJSON: a remark that fired once encodes as it did before counts
+// existed, a repeated one adds "count", and what decodes back counts the
+// same firings.
+func TestRemarkJSON(t *testing.T) {
+	for _, tc := range []struct {
+		r    Remark
+		want string
+	}{
+		{Remark{Phase: "frontend", Message: "a<b", Count: 1}, `{"phase":"frontend","message":"a\u003cb"}`},
+		{Remark{Phase: "frontend", Message: "hand-built"}, `{"phase":"frontend","message":"hand-built"}`},
+		{Remark{Phase: "dce", Message: "removed 3", Count: 7}, `{"phase":"dce","message":"removed 3","count":7}`},
+	} {
+		b, err := json.Marshal(tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != tc.want {
+			t.Errorf("Marshal(%+v) = %s, want %s", tc.r, b, tc.want)
+		}
+		var back Remark
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.Phase != tc.r.Phase || back.Message != tc.r.Message ||
+			RemarkTotal([]Remark{back}) != RemarkTotal([]Remark{tc.r}) {
+			t.Errorf("%s decodes to %+v, want the firings of %+v", b, back, tc.r)
+		}
+	}
+	if got := RemarkTotal([]Remark{{Count: 3}, {Count: 1}, {}}); got != 5 {
+		t.Errorf("RemarkTotal = %d, want 5", got)
 	}
 }

@@ -90,6 +90,41 @@ func TestEncodeMatchesMarshalGrid(t *testing.T) {
 	}
 }
 
+// TestHotResultsStaySmall: the results of the cache-hot working set (the
+// sixteen benchmarks on each of the three GPUs with its native toolchain,
+// at scale 16) encode to at most 5,000 bytes on average. Each distinct
+// remark travels once with its count; a remark stream that listed every
+// firing would carry 25,703 bytes on average, over 90 KB for FFT alone.
+func TestHotResultsStaySmall(t *testing.T) {
+	var keys, total int
+	for _, j := range GridJobs(16) {
+		a, err := arch.Resolve(j.Device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		native := "opencl"
+		if a.Vendor == "NVIDIA" {
+			native = "cuda"
+		}
+		if a.Kind != arch.KindGPU || j.Toolchain != native {
+			continue
+		}
+		e, err := Encode(runSequential(t, j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys++
+		total += len(e.JSON)
+	}
+	if keys != 48 {
+		t.Fatalf("%d hot keys, want 48", keys)
+	}
+	t.Logf("mean encoded result over %d hot keys: %d bytes", keys, total/keys)
+	if mean := total / keys; mean > 5000 {
+		t.Errorf("hot results average %d bytes, want at most 5000", mean)
+	}
+}
+
 // reportedKernel is a hand-built kernel whose remarks need escaping.
 func reportedKernel(name string) *ptx.Kernel {
 	return &ptx.Kernel{

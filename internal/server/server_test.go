@@ -230,9 +230,9 @@ func TestFigureBodiesPinned(t *testing.T) {
 	digests := map[string]string{
 		"fig1":    "94ebd53ea6981425b4a57ccc481d2629e13765ebdf46d3a0925973e330657fce",
 		"fig2":    "03ef9d4b41d381856a35423e0040d94da89869e4c57bd5d1dc2153332895f3df",
-		"fig3":    "0973721e143c0c120cff056af4feb39ed62ff6c7262cdc88fe5b9e9e27e7d702",
+		"fig3":    "a9327e1edc7e2cffd9360fa732e99680727c973b26232c1f348533badc0222ff",
 		"fig4":    "c7d764e3a298123df2088befd8b97ab9b1e727abb29919993749d35f50278fca",
-		"fig5":    "70c1a369e95e712968a76169b1877185e91c2cecca18db23c98ff0c36c665fa5",
+		"fig5":    "3e35047a6f473078c5965dc81490c0864b7cd8e3bb63949e4016846895151e6f",
 		"fig6":    "61dcce39732906b6af6d89a12a150825d397d40485a5ef8ca39ee182b660a8a7",
 		"fig7":    "1102d01cba82f0bb22d0436820e292aec0339aada17321d310a41e890c92c949",
 		"fig8":    "03b183fa017e9f77f2098507aa086b363357c837d82f8b3f3721b919a4979ad7",

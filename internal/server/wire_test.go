@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -288,23 +287,32 @@ func TestWriteRunAllocsDoNotGrowWithResult(t *testing.T) {
 	}
 }
 
+// remarkedResult is a result whose one kernel report carries n distinct
+// remarks, about 85 bytes of encoding each.
+func remarkedResult(n int) *bench.Result {
+	kr := bench.KernelReport{Name: "forward", Toolchain: "cuda"}
+	for i := 0; i < n; i++ {
+		kr.Remarks = append(kr.Remarks, ptx.Remark{
+			Phase: "frontend", Message: "CSE evicted r" + strconv.Itoa(i) + " under register pressure (window 10)", Count: 1,
+		})
+	}
+	res := sizedResult(0)
+	res.Kernels = []bench.KernelReport{kr}
+	return res
+}
+
 // TestWriteRunDoesNotCopyResult: on a hit, writeRun allocates the same
-// bytes for a 2 KB cached result as for FFT's, fifty times larger. The
+// bytes for a 2 KB cached result as for one fifty times larger. The
 // cached bytes go to the client as they are, not through a new buffer.
 // Each count is the fewest of ten rounds, so that another goroutine's
 // allocation cannot fail the comparison. The one allowed difference is
 // the Content-Length value, a string of four digits for one and five for
 // the other, which the runtime packs into 16-byte blocks.
 func TestWriteRunDoesNotCopyResult(t *testing.T) {
-	s := sched.New(sched.Options{})
-	t.Cleanup(s.Close)
-	fft, _, err := s.Do(context.Background(), sched.Job{Benchmark: "FFT", Device: "GeForce GTX480", Toolchain: "cuda", Config: bench.Config{Scale: 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	small := mustEncode(t, sizedResult(2<<10))
-	if len(fft.JSON) < 50*len(small.JSON) {
-		t.Fatalf("FFT result is %d bytes, the small one %d: want fifty times larger", len(fft.JSON), len(small.JSON))
+	large := mustEncode(t, remarkedResult(1100))
+	if len(large.JSON) < 50*len(small.JSON) {
+		t.Fatalf("the large result is %d bytes, the small one %d: want fifty times larger", len(large.JSON), len(small.JSON))
 	}
 	w := discard{h: http.Header{}}
 	bytesPerReply := func(e *sched.Encoded) uint64 {
@@ -321,9 +329,9 @@ func TestWriteRunDoesNotCopyResult(t *testing.T) {
 		}
 		return fewest
 	}
-	if a, b := bytesPerReply(small), bytesPerReply(fft); max(a, b)-min(a, b) > 16 {
+	if a, b := bytesPerReply(small), bytesPerReply(large); max(a, b)-min(a, b) > 16 {
 		t.Errorf("writeRun allocates %d bytes per reply for a %d-byte result, %d for a %d-byte one: want the same",
-			a, len(small.JSON), b, len(fft.JSON))
+			a, len(small.JSON), b, len(large.JSON))
 	}
 }
 
@@ -375,18 +383,20 @@ func reindented(t *testing.T, body []byte) []byte {
 
 // TestRepliesPinnedAfterIndent pins /run replies (a miss and a hit of
 // three benchmarks) and a /kernels reply by the SHA-256 of their
-// re-indented bytes. The digests are those of the two-space-indented
-// replies the service wrote before its replies were compact, so they
-// match only if nothing but whitespace differs.
+// re-indented bytes, so they match only if nothing but whitespace
+// differs. The Reduce digests are those of the two-space-indented replies
+// the service wrote before its replies were compact. The others were
+// recorded when repeated remarks became one entry with a count, with
+// every other field byte-identical and the expanded remarks unchanged.
 func TestRepliesPinnedAfterIndent(t *testing.T) {
 	digests := map[string]string{
 		"Reduce miss": "c4ace8797c9484c52e648d9b4b80007b1256fd432c8b16ade645da386ce60ed4",
 		"Reduce hit":  "4aa5cb406d7f800f4bd401c39ed02ea4f1bbdec5e4822f6843a1761e3ee6dda7",
-		"FFT miss":    "8afac447f7754cae3a93af30219642a2ead91e4530fb8fab8209e150ff294caf",
-		"FFT hit":     "dab91eb7ef660112021ae8fcc3b003be6bb0cde30df9f4faeabd1bfe7c17a744",
-		"BFS miss":    "204f7478745410214402ddea72c7d2efad77f8c8312a7dfa44cba026f473dc6f",
-		"BFS hit":     "1c25ac07264d1635236ab0c401ddd0d19d8c7cada119976f52bee0ce638782d6",
-		"kernels fz1": "cf31389434b0df47244f80368d102653b77672777dd7b36dad06a1a452a09467",
+		"FFT miss":    "63a7719f331d0704585f0f1db520239ab243b96f7d3cd257e44d14d183ec882f",
+		"FFT hit":     "0790ea265bcb828fb6e7c4389746c1bd94d91f4e826528017c25c3665230e8cf",
+		"BFS miss":    "e244f6f46b2e36f02d18020f8cee377eb3a20a45bda2bfaaf86afdd8e1c7947d",
+		"BFS hit":     "7f254c15bf02f7a5139910d23b9335942307462e7c81f35d3a13582178490aae",
+		"kernels fz1": "4c451ac6fca11170f00a930aed4c99f383cb30055c193f55ca3c9eaba6f16292",
 	}
 	check := func(what string, body []byte) {
 		t.Helper()
