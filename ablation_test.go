@@ -109,7 +109,7 @@ func BenchmarkAblation_FFTFrontEnd(b *testing.B) {
 // the BFS gap by re-pricing the same traces under both toolchains' launch
 // costs.
 func BenchmarkAblation_LaunchOverhead(b *testing.B) {
-	d, err := bench.NewOpenCLDriver(arch.GTX280())
+	d, err := bench.NewDriver("opencl", arch.GTX280())
 	if err != nil {
 		b.Fatal(err)
 	}

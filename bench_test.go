@@ -210,7 +210,7 @@ func BenchmarkTable6_Port(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", dev.Microarch, spec.Name), func(b *testing.B) {
 				var res *bench.Result
 				for i := 0; i < b.N; i++ {
-					d, err := bench.NewOpenCLDriver(dev)
+					d, err := bench.NewDriver("opencl", dev)
 					if err != nil {
 						b.Fatal(err)
 					}

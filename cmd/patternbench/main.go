@@ -71,15 +71,6 @@ type Output struct {
 	Records []Record `json:"records"`
 }
 
-// toolchains lists the runtimes a device supports (the AMD part only
-// speaks OpenCL).
-func toolchains(dev *arch.Device) []string {
-	if dev.Vendor == "NVIDIA" {
-		return []string{"cuda", "opencl"}
-	}
-	return []string{"opencl"}
-}
-
 // measure runs one benchmark variant on a fresh driver and returns its raw
 // metric. An empty mangle selects the benchmark's default kernel source.
 func measure(spec bench.Spec, toolchain string, dev *arch.Device, scale int, mangle string) (float64, error) {
@@ -144,7 +135,7 @@ func main() {
 		}
 		o.Summary.Winners[name] = map[string]string{}
 		for _, dev := range devices {
-			for _, tc := range toolchains(dev) {
+			for _, tc := range bench.Toolchains(dev) {
 				// Sweep the schedule space and compare the winner against
 				// the default kernel source on the paper's metric.
 				rep, err := tune.TunePatternParallel(tc, dev, name, *scale, *workers)

@@ -90,15 +90,6 @@ type Output struct {
 	Records []Record `json:"records"`
 }
 
-// toolchain picks the runtime a device supports (the AMD part only speaks
-// OpenCL); the engine comparison is toolchain-agnostic either way.
-func toolchain(dev *arch.Device) string {
-	if dev.Vendor == "AMD" {
-		return "opencl"
-	}
-	return "cuda"
-}
-
 // run executes one benchmark once on a fresh driver and returns the
 // interpreter's wall time (sim.Device.ExecNanos — launches only, so the
 // engines are compared without the identical host-side compile, staging
@@ -106,7 +97,7 @@ func toolchain(dev *arch.Device) string {
 // of the run, and the device's superinstruction counters.
 func run(spec bench.Spec, dev *arch.Device, cfg bench.Config, p profile) (float64, int64, uint64, [3]int64, error) {
 	var super [3]int64
-	d, err := bench.NewDriver(toolchain(dev), dev)
+	d, err := bench.NewDriver(bench.Toolchains(dev)[0], dev)
 	if err != nil {
 		return 0, 0, 0, super, err
 	}
@@ -253,7 +244,7 @@ func main() {
 			continue
 		}
 		for _, dev := range devices {
-			cfg := bench.NativeConfig(toolchain(dev))
+			cfg := bench.NativeConfig(bench.Toolchains(dev)[0])
 			cfg.Scale = *scale
 			cells := map[string]Record{}
 			ok := true

@@ -1,8 +1,8 @@
 // Package bench implements the paper's sixteen benchmarks (Table II plus
-// the two synthetic SHOC probes) on top of the simulated CUDA and OpenCL
-// runtimes. Each benchmark is written once against the Driver abstraction;
-// the two runtime adapters preserve the per-toolchain differences that
-// matter (front-end personality, launch overhead, NDRange semantics), and
+// the two synthetic SHOC probes) on the simulator. Each benchmark is
+// written once against the Driver abstraction, and one driver runs both
+// toolchains: NewDriver pairs the toolchain's front-end personality and
+// cost model (launch overhead, transfer link) with a simulated device.
 // NativeConfig captures the per-toolchain implementation choices the paper
 // documents (texture memory in the CUDA MD/SPMV, constant memory in the
 // OpenCL Sobel, unroll pragma placement in FDTD).
@@ -36,8 +36,8 @@ type Driver interface {
 	Write(dst Buf, words []uint32) error
 	Read(dst []uint32, src Buf) error
 	Build(kernels ...*kir.Kernel) (Module, error)
-	// Launch runs a kernel with grid x block geometry (the OpenCL adapter
-	// converts to NDRange global sizes).
+	// Launch runs a kernel on grid x block work-groups (an OpenCL NDRange
+	// of global size grid*block and local size block).
 	Launch(m Module, kernel string, grid, block sim.Dim3, args ...Arg) error
 	KernelTime() float64
 	Elapsed() float64

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gpucmp/internal/arch"
-	"gpucmp/internal/opencl"
 )
 
 // testCfg returns a fast configuration that keeps each benchmark's native
@@ -54,13 +53,16 @@ func TestAllBenchmarksCorrectOnNVIDIA(t *testing.T) {
 	}
 }
 
-// TestCUDAUnavailableOffNVIDIA: CUDA contexts must refuse non-NVIDIA
-// devices (why Table VI is OpenCL-only).
+// TestCUDAUnavailableOffNVIDIA: CUDA drivers must refuse non-NVIDIA
+// devices (why Table VI is OpenCL-only), and open on NVIDIA ones.
 func TestCUDAUnavailableOffNVIDIA(t *testing.T) {
 	for _, a := range []*arch.Device{arch.HD5870(), arch.Intel920(), arch.CellBE()} {
-		if _, err := NewCUDADriver(a); err == nil {
-			t.Errorf("%s: CUDA context should be refused", a.Name)
+		if _, err := NewDriver("cuda", a); !errors.Is(err, ErrNoCUDADevice) {
+			t.Errorf("%s: err = %v, want ErrNoCUDADevice", a.Name, err)
 		}
+	}
+	if _, err := NewDriver("cuda", arch.GTX280()); err != nil {
+		t.Errorf("GTX280: %v", err)
 	}
 }
 
@@ -77,7 +79,7 @@ func TestRdxSWavefrontFailure(t *testing.T) {
 		{arch.HD5870(), false},
 		{arch.Intel920(), false},
 	} {
-		d, err := NewOpenCLDriver(tt.dev)
+		d, err := NewDriver("opencl", tt.dev)
 		if err != nil {
 			t.Fatalf("%s: %v", tt.dev.Name, err)
 		}
@@ -101,7 +103,7 @@ func TestCellAborts(t *testing.T) {
 	for _, spec := range Registry() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			d, err := NewOpenCLDriver(arch.CellBE())
+			d, err := NewDriver("opencl", arch.CellBE())
 			if err != nil {
 				t.Fatalf("driver: %v", err)
 			}
@@ -113,7 +115,7 @@ func TestCellAborts(t *testing.T) {
 				if res.Err == nil {
 					t.Fatalf("expected ABT on Cell/BE, got status %s", res.Status())
 				}
-				if !errors.Is(res.Err, opencl.ErrOutOfResources) {
+				if !errors.Is(res.Err, clOutOfResources) {
 					t.Fatalf("expected CL_OUT_OF_RESOURCES, got %v", res.Err)
 				}
 			} else {
@@ -190,7 +192,7 @@ func TestHD5870Portability(t *testing.T) {
 	for _, spec := range Registry() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			d, err := NewOpenCLDriver(arch.HD5870())
+			d, err := NewDriver("opencl", arch.HD5870())
 			if err != nil {
 				t.Fatalf("driver: %v", err)
 			}
@@ -258,7 +260,7 @@ func TestResultStatus(t *testing.T) {
 // implicitly-cached CPU device (Section V), while GPUs need the tile.
 func TestTranPNaiveFasterOnCPU(t *testing.T) {
 	run := func(a *arch.Device, naive bool) float64 {
-		d, err := NewOpenCLDriver(a)
+		d, err := NewDriver("opencl", a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +288,7 @@ func TestTranPNaiveFasterOnCPU(t *testing.T) {
 // machine, not the workload).
 func TestBandwidthScaleInvariance(t *testing.T) {
 	run := func(scale int) float64 {
-		d, err := NewOpenCLDriver(arch.GTX480())
+		d, err := NewDriver("opencl", arch.GTX480())
 		if err != nil {
 			t.Fatal(err)
 		}

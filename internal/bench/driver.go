@@ -1,218 +1,264 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+
 	"gpucmp/internal/arch"
-	"gpucmp/internal/cuda"
+	"gpucmp/internal/compiler"
 	"gpucmp/internal/kir"
-	"gpucmp/internal/opencl"
 	"gpucmp/internal/perfmodel"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sim"
 )
 
-// CUDADriver adapts a cuda.Context to the Driver interface.
-type CUDADriver struct {
-	Ctx *cuda.Context
+// ErrNoCUDADevice is returned when a CUDA driver is requested on hardware
+// CUDA does not support (anything non-NVIDIA — the reason Table VI has no
+// CUDA column for HD5870, Intel920 or the Cell/BE).
+var ErrNoCUDADevice = errors.New("cuda: no CUDA-capable device")
+
+// Toolchains lists the toolchains that run on a device, its native one
+// first: CUDA on NVIDIA hardware only, OpenCL everywhere.
+func Toolchains(a *arch.Device) []string {
+	if a.Vendor == "NVIDIA" {
+		return []string{"cuda", "opencl"}
+	}
+	return []string{"opencl"}
+}
+
+// clCode is an OpenCL error code. Under OpenCL a failure the driver can
+// classify carries its code (errors.Is) joined to the error it classifies.
+type clCode string
+
+func (c clCode) Error() string { return string(c) }
+
+const (
+	clOutOfResources       clCode = "CL_OUT_OF_RESOURCES"
+	clInvalidValue         clCode = "CL_INVALID_VALUE"
+	clInvalidKernelArgs    clCode = "CL_INVALID_KERNEL_ARGS"
+	clInvalidWorkGroupSize clCode = "CL_INVALID_WORK_GROUP_SIZE"
+)
+
+// simCodes classifies simulator launch failures, first match wins.
+var simCodes = []struct {
+	err  error
+	code clCode
+}{
+	{sim.ErrOutOfResources, clOutOfResources},
+	{sim.ErrInvalidWorkGroupSize, clInvalidWorkGroupSize},
+	{sim.ErrInvalidConfig, clInvalidValue},
+}
+
+// driver is the host runtime of both toolchains: a compiler personality,
+// a cost model and one simulated device. The simulated clock, transfer
+// charging, argument resolution and constant staging are shared; the
+// toolchains differ only in those two inputs, in CUDA refusing non-NVIDIA
+// devices (NewDriver) and in OpenCL failures carrying CL codes (fail).
+type driver struct {
+	pers compiler.Personality
+	tc   *perfmodel.Toolchain
+	dev  *sim.Device
+
+	elapsed      float64 // end-to-end simulated seconds
+	kernelTime   float64 // kernel-only simulated seconds
+	transferTime float64 // host<->device copy simulated seconds
+	traces       []*sim.Trace
+	breakdowns   []perfmodel.Breakdown
+	constOffs    map[uint32]uint32 // global address -> constant-segment offset
 
 	// built records every kernel Build compiled, in source order, so
 	// KernelReports can attach the compiler story to the benchmark result.
 	built []*ptx.Kernel
 }
 
-// NewCUDADriver opens a CUDA context on the device.
-func NewCUDADriver(a *arch.Device) (*CUDADriver, error) {
-	ctx, err := cuda.NewContext(a)
+// NewDriver opens a driver for a toolchain ("cuda" or "opencl") on the
+// device. CUDA refuses non-NVIDIA devices with ErrNoCUDADevice.
+func NewDriver(toolchain string, a *arch.Device) (Driver, error) {
+	var pers compiler.Personality
+	switch toolchain {
+	case "cuda":
+		pers = compiler.CUDA()
+	case "opencl":
+		pers = compiler.OpenCL()
+	default:
+		return nil, fmt.Errorf("bench: unknown toolchain %q (want cuda or opencl)", toolchain)
+	}
+	if !slices.Contains(Toolchains(a), toolchain) {
+		return nil, fmt.Errorf("%w (device %s is %s)", ErrNoCUDADevice, a.Name, a.Vendor)
+	}
+	dev, err := sim.NewDevice(a)
 	if err != nil {
 		return nil, err
 	}
-	return &CUDADriver{Ctx: ctx}, nil
+	return &driver{
+		pers:      pers,
+		tc:        perfmodel.ToolchainFor(toolchain),
+		dev:       dev,
+		constOffs: make(map[uint32]uint32),
+	}, nil
 }
 
-// Name returns "cuda".
-func (d *CUDADriver) Name() string { return "cuda" }
-
-// Arch returns the device description.
-func (d *CUDADriver) Arch() *arch.Device { return d.Ctx.Arch() }
-
-// Alloc allocates device memory.
-func (d *CUDADriver) Alloc(bytes uint32) (Buf, error) {
-	p, err := d.Ctx.Malloc(bytes)
-	if err != nil {
-		return Buf{}, err
+// fail tags err with its CL code under OpenCL; CUDA reports err as is.
+func (d *driver) fail(code clCode, err error) error {
+	if d.pers.Name != "opencl" {
+		return err
 	}
-	return Buf{Addr: p.Addr, Size: p.Size}, nil
+	return errors.Join(code, err)
 }
 
-// Write copies host words to the device.
-func (d *CUDADriver) Write(dst Buf, words []uint32) error {
-	return d.Ctx.MemcpyHtoD(cuda.DevicePtr{Addr: dst.Addr, Size: dst.Size}, words)
+func (d *driver) Name() string       { return d.pers.Name }
+func (d *driver) Arch() *arch.Device { return d.dev.Arch }
+
+func (d *driver) Alloc(bytes uint32) (Buf, error) {
+	addr, err := d.dev.Global.Alloc(bytes)
+	if err != nil {
+		return Buf{}, d.fail(clOutOfResources, err)
+	}
+	return Buf{Addr: addr, Size: bytes}, nil
 }
 
-// Read copies device words to the host.
-func (d *CUDADriver) Read(dst []uint32, src Buf) error {
-	return d.Ctx.MemcpyDtoH(dst, cuda.DevicePtr{Addr: src.Addr, Size: src.Size})
+// Write copies host words to the device and charges the transfer.
+func (d *driver) Write(dst Buf, words []uint32) error {
+	if uint32(4*len(words)) > dst.Size {
+		return d.fail(clInvalidValue, fmt.Errorf("bench: write of %d words overflows a %d-byte buffer", len(words), dst.Size))
+	}
+	if err := d.dev.Global.WriteWords(dst.Addr, words); err != nil {
+		return err
+	}
+	d.charge(len(words))
+	return nil
 }
 
-type cudaModule struct{ m *cuda.Module }
+// Read copies device words to the host and charges the transfer.
+func (d *driver) Read(dst []uint32, src Buf) error {
+	if uint32(4*len(dst)) > src.Size {
+		return d.fail(clInvalidValue, fmt.Errorf("bench: read of %d words overruns a %d-byte buffer", len(dst), src.Size))
+	}
+	if err := d.dev.Global.ReadWords(src.Addr, dst); err != nil {
+		return err
+	}
+	d.charge(len(dst))
+	return nil
+}
 
-func (m cudaModule) Kernel(name string) (*ptx.Kernel, error) { return m.m.Kernel(name) }
+// charge advances the clock by the copy time of n words.
+func (d *driver) charge(n int) {
+	t := perfmodel.TransferTimeOn(d.dev.Arch, d.tc, int64(4*n))
+	d.elapsed += t
+	d.transferTime += t
+}
 
-// Build compiles KIR kernels with the CUDA front-end.
-func (d *CUDADriver) Build(kernels ...*kir.Kernel) (Module, error) {
-	m, err := d.Ctx.CompileModule("bench", kernels)
+// Build compiles KIR kernels with the toolchain's front-end, each served
+// from the process-wide compile cache.
+func (d *driver) Build(kernels ...*kir.Kernel) (Module, error) {
+	m, err := compiler.CompileModuleCached("bench", kernels, d.pers)
 	if err != nil {
 		return nil, err
 	}
-	mod := cudaModule{m: m}
 	// Record in the caller's kernel order, which is deterministic (module
 	// maps are not).
 	for _, src := range kernels {
-		pk, err := mod.Kernel(src.Name)
+		pk, err := m.Kernel(src.Name)
 		if err != nil {
 			return nil, err
 		}
 		d.built = append(d.built, pk)
 	}
-	return mod, nil
+	return m, nil
 }
 
-// Launch runs a kernel.
-func (d *CUDADriver) Launch(m Module, kernel string, grid, block sim.Dim3, args ...Arg) error {
+// Launch runs a kernel and advances the clock by its modelled time.
+func (d *driver) Launch(m Module, kernel string, grid, block sim.Dim3, args ...Arg) error {
 	k, err := m.Kernel(kernel)
 	if err != nil {
 		return err
 	}
-	cargs := make([]cuda.Arg, len(args))
-	for i, a := range args {
-		if a.IsBuf {
-			cargs[i] = cuda.Ptr(cuda.DevicePtr{Addr: a.Buf.Addr, Size: a.Buf.Size})
-		} else {
-			cargs[i] = cuda.U32(a.Val)
-		}
-	}
-	return d.Ctx.LaunchKernel(k, grid, block, cargs...)
-}
-
-// KernelTime returns simulated kernel-only seconds.
-func (d *CUDADriver) KernelTime() float64 { return d.Ctx.KernelTime() }
-
-// Elapsed returns simulated end-to-end seconds.
-func (d *CUDADriver) Elapsed() float64 { return d.Ctx.Elapsed() }
-
-// Traces returns launch traces.
-func (d *CUDADriver) Traces() []*sim.Trace { return d.Ctx.Traces() }
-
-// ResetTimer clears the clock.
-func (d *CUDADriver) ResetTimer() { d.Ctx.ResetTimer() }
-
-// OpenCLDriver adapts an opencl context+queue to the Driver interface.
-type OpenCLDriver struct {
-	Ctx   *opencl.Context
-	Queue *opencl.CommandQueue
-
-	built []*ptx.Kernel // see CUDADriver.built
-}
-
-// NewOpenCLDriver opens an OpenCL context on the device.
-func NewOpenCLDriver(a *arch.Device) (*OpenCLDriver, error) {
-	ctx, err := opencl.CreateContext(&opencl.Device{Arch: a})
-	if err != nil {
-		return nil, err
-	}
-	return &OpenCLDriver{Ctx: ctx, Queue: ctx.CreateCommandQueue()}, nil
-}
-
-// Name returns "opencl".
-func (d *OpenCLDriver) Name() string { return "opencl" }
-
-// Arch returns the device description.
-func (d *OpenCLDriver) Arch() *arch.Device { return d.Ctx.Arch() }
-
-// Alloc allocates a buffer.
-func (d *OpenCLDriver) Alloc(bytes uint32) (Buf, error) {
-	b, err := d.Ctx.CreateBuffer(bytes)
-	if err != nil {
-		return Buf{}, err
-	}
-	return Buf{Addr: b.Addr, Size: b.Size}, nil
-}
-
-// Write copies host words into a buffer.
-func (d *OpenCLDriver) Write(dst Buf, words []uint32) error {
-	return d.Queue.EnqueueWriteBuffer(opencl.Buffer{Addr: dst.Addr, Size: dst.Size}, words)
-}
-
-// Read copies a buffer back to the host.
-func (d *OpenCLDriver) Read(dst []uint32, src Buf) error {
-	return d.Queue.EnqueueReadBuffer(dst, opencl.Buffer{Addr: src.Addr, Size: src.Size})
-}
-
-type clModule struct{ p *opencl.Program }
-
-func (m clModule) Kernel(name string) (*ptx.Kernel, error) {
-	k, err := m.p.CreateKernel(name)
-	if err != nil {
-		return nil, err
-	}
-	return k.PTX(), nil
-}
-
-// Build compiles KIR kernels with the OpenCL front-end.
-func (d *OpenCLDriver) Build(kernels ...*kir.Kernel) (Module, error) {
-	p := d.Ctx.CreateProgram(kernels...)
-	if err := p.Build(); err != nil {
-		return nil, err
-	}
-	mod := clModule{p: p}
-	for _, src := range kernels {
-		pk, err := mod.Kernel(src.Name)
-		if err != nil {
-			return nil, err
-		}
-		d.built = append(d.built, pk)
-	}
-	return mod, nil
-}
-
-// Launch converts grid x block to NDRange global/local sizes and enqueues.
-func (d *OpenCLDriver) Launch(m Module, kernel string, grid, block sim.Dim3, args ...Arg) error {
-	cm := m.(clModule)
-	k, err := cm.p.CreateKernel(kernel)
+	raw, err := d.resolveArgs(k, args)
 	if err != nil {
 		return err
 	}
-	for i, a := range args {
-		if a.IsBuf {
-			if err := k.SetArgBuffer(i, opencl.Buffer{Addr: a.Buf.Addr, Size: a.Buf.Size}); err != nil {
-				return err
+	tr, err := d.dev.Launch(k, grid, block, raw)
+	if err != nil {
+		for _, c := range simCodes {
+			if errors.Is(err, c.err) {
+				return d.fail(c.code, err)
 			}
-		} else if err := k.SetArgU32(i, a.Val); err != nil {
-			return err
 		}
+		return err
 	}
-	global := sim.Dim3{X: grid.X * block.X, Y: grid.Y * block.Y}
-	_, err = d.Queue.EnqueueNDRangeKernel(k, global, block)
-	return err
+	b := perfmodel.KernelTime(d.dev.Arch, d.tc, tr)
+	d.traces = append(d.traces, tr)
+	d.breakdowns = append(d.breakdowns, b)
+	d.elapsed += b.Total
+	d.kernelTime += b.Total
+	return nil
 }
 
-// KernelTime returns simulated kernel-only seconds.
-func (d *OpenCLDriver) KernelTime() float64 { return d.Queue.KernelTime() }
-
-// Elapsed returns simulated end-to-end seconds.
-func (d *OpenCLDriver) Elapsed() float64 { return d.Queue.Elapsed() }
-
-// Traces returns launch traces.
-func (d *OpenCLDriver) Traces() []*sim.Trace { return d.Queue.Traces() }
-
-// ResetTimer clears the clock.
-func (d *OpenCLDriver) ResetTimer() { d.Queue.ResetTimer() }
-
-// NewDriver opens a driver by toolchain name.
-func NewDriver(toolchain string, a *arch.Device) (Driver, error) {
-	if toolchain == "cuda" {
-		return NewCUDADriver(a)
+// resolveArgs converts launch arguments to the raw parameter words,
+// staging constant-space buffers into the constant segment.
+func (d *driver) resolveArgs(k *ptx.Kernel, args []Arg) ([]uint32, error) {
+	if len(args) != len(k.Params) {
+		return nil, d.fail(clInvalidKernelArgs,
+			fmt.Errorf("bench: kernel %s takes %d arguments, got %d", k.Name, len(k.Params), len(args)))
 	}
-	return NewOpenCLDriver(a)
+	raw := make([]uint32, len(args))
+	for i, a := range args {
+		p := k.Params[i]
+		if a.IsBuf != p.Pointer {
+			want := "a scalar"
+			if p.Pointer {
+				want = "a buffer"
+			}
+			return nil, d.fail(clInvalidKernelArgs,
+				fmt.Errorf("bench: kernel %s argument %d (%s) must be %s", k.Name, i, p.Name, want))
+		}
+		switch {
+		case p.Pointer && p.Space == ptx.SpaceConst:
+			off, err := d.stageConst(a.Buf)
+			if err != nil {
+				return nil, err
+			}
+			raw[i] = off
+		case p.Pointer:
+			raw[i] = a.Buf.Addr
+		default:
+			raw[i] = a.Val
+		}
+	}
+	return raw, nil
+}
+
+// stageConst copies a global allocation into the constant segment at
+// every launch, so the kernel reads the buffer's current contents, and
+// returns its constant-space offset. Each buffer's slot is reserved once.
+func (d *driver) stageConst(b Buf) (uint32, error) {
+	off, ok := d.constOffs[b.Addr]
+	if !ok {
+		var err error
+		if off, err = d.dev.ConstAlloc(b.Size); err != nil {
+			return 0, d.fail(clOutOfResources, err)
+		}
+		d.constOffs[b.Addr] = off
+	}
+	words := make([]uint32, b.Size/4)
+	if err := d.dev.Global.ReadWords(b.Addr, words); err != nil {
+		return 0, err
+	}
+	if err := d.dev.ConstWrite(off, words); err != nil {
+		return 0, err
+	}
+	return off, nil
+}
+
+func (d *driver) KernelTime() float64  { return d.kernelTime }
+func (d *driver) Elapsed() float64     { return d.elapsed }
+func (d *driver) Traces() []*sim.Trace { return d.traces }
+
+// ResetTimer clears the simulated clock and the launch history.
+func (d *driver) ResetTimer() {
+	d.elapsed, d.kernelTime, d.transferTime = 0, 0, 0
+	d.traces, d.breakdowns = nil, nil
 }
 
 // SimDevice exposes the simulated device underneath a driver — the seam
@@ -220,40 +266,28 @@ func NewDriver(toolchain string, a *arch.Device) (Driver, error) {
 // Cancel) and the fault injector hooks into. Returns nil for drivers that
 // do not wrap a simulated device.
 func SimDevice(d Driver) *sim.Device {
-	switch dd := d.(type) {
-	case *CUDADriver:
-		return dd.Ctx.Device()
-	case *OpenCLDriver:
-		return dd.Ctx.Device()
-	default:
-		return nil
+	if dd, ok := d.(*driver); ok {
+		return dd.dev
 	}
+	return nil
 }
 
 // Breakdowns exposes the per-launch timing decompositions of a driver.
 func Breakdowns(d Driver) []perfmodel.Breakdown {
-	switch dd := d.(type) {
-	case *CUDADriver:
-		return dd.Ctx.Breakdowns()
-	case *OpenCLDriver:
-		return dd.Queue.Breakdowns()
-	default:
-		return nil
+	if dd, ok := d.(*driver); ok {
+		return dd.breakdowns
 	}
+	return nil
 }
 
 // TransferSeconds exposes the host<->device copy time a driver has
 // accumulated since its last ResetTimer. Zero for drivers that do not
 // track transfers.
 func TransferSeconds(d Driver) float64 {
-	switch dd := d.(type) {
-	case *CUDADriver:
-		return dd.Ctx.TransferTime()
-	case *OpenCLDriver:
-		return dd.Queue.TransferTime()
-	default:
-		return 0
+	if dd, ok := d.(*driver); ok {
+		return dd.transferTime
 	}
+	return 0
 }
 
 // ExecSeconds sums the per-launch execution time excluding launch overhead

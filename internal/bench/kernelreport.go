@@ -52,17 +52,12 @@ func (r *KernelReport) Source() *ptx.Kernel { return r.src }
 // built, in build order. Like Breakdowns it reaches under the Driver
 // interface, so custom test drivers simply yield no reports.
 func KernelReports(d Driver) []KernelReport {
-	var built []*ptx.Kernel
-	switch dd := d.(type) {
-	case *CUDADriver:
-		built = dd.built
-	case *OpenCLDriver:
-		built = dd.built
-	default:
+	dd, ok := d.(*driver)
+	if !ok {
 		return nil
 	}
-	out := make([]KernelReport, len(built))
-	for i, pk := range built {
+	out := make([]KernelReport, len(dd.built))
+	for i, pk := range dd.built {
 		out[i] = ReportKernel(pk)
 	}
 	return out

@@ -10,9 +10,9 @@ import (
 	"gpucmp/internal/ptx"
 )
 
-// TestDriversRecordBuiltKernels: both runtime adapters record what Build
-// compiled, and benchmark results carry the reports with pass stats and
-// remarks attached.
+// TestDriversRecordBuiltKernels: under both toolchains the driver records
+// what Build compiled, and benchmark results carry the reports with pass
+// stats and remarks attached.
 func TestDriversRecordBuiltKernels(t *testing.T) {
 	for _, toolchain := range []string{"cuda", "opencl"} {
 		t.Run(toolchain, func(t *testing.T) {
@@ -56,7 +56,7 @@ func TestDriversRecordBuiltKernels(t *testing.T) {
 // Build call's kernel order, not map iteration order.
 func TestKernelReportsBuildOrderDeterministic(t *testing.T) {
 	names := func() []string {
-		d, err := NewCUDADriver(arch.GTX280())
+		d, err := NewDriver("cuda", arch.GTX280())
 		if err != nil {
 			t.Fatal(err)
 		}

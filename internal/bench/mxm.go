@@ -31,7 +31,7 @@ func RunMxM(d Driver, cfg Config) (*Result, error) {
 	av := rng.Floats(n*n, -1, 1)
 	bv := rng.Floats(n*n, -1, 1)
 
-	l, bufs, err := runLowered(d, "MxM", cfg, map[string][]uint32{"A": f32Words(av), "B": f32Words(bv)})
+	l, bufs, err := runLowered(d, "MxM", cfg, map[string][]uint32{"A": F32Words(av), "B": F32Words(bv)})
 	if err != nil {
 		return abort(d, "MxM", metric, err), nil
 	}

@@ -49,7 +49,7 @@ func PatternParity(toolchain string, a *arch.Device, name string, cfg Config) (h
 		default:
 			return nil, fmt.Errorf("bench: %s has no hand-written kernel", name)
 		}
-		return f32Words(out), err
+		return F32Words(out), err
 	}
 	if hand, err = run(handCfg); err != nil {
 		return nil, nil, fmt.Errorf("hand path: %w", err)

@@ -15,7 +15,7 @@ func RunReduce(d Driver, cfg Config) (*Result, error) {
 	n := shape.N
 	in := workload.NewRNG(13).Floats(n, 0, 1)
 
-	l, bufs, err := runLowered(d, "Reduce", cfg, map[string][]uint32{"in": f32Words(in)})
+	l, bufs, err := runLowered(d, "Reduce", cfg, map[string][]uint32{"in": F32Words(in)})
 	if err != nil {
 		return abort(d, "Reduce", metric, err), nil
 	}

@@ -89,8 +89,8 @@ func TestHostExecutorAgreesWithSimulator(t *testing.T) {
 	re, im := workload.SignalBatch(batch, fftN, 99)
 
 	// Host reference.
-	hostRe := append([]uint32(nil), f32Words(re)...)
-	hostIm := append([]uint32(nil), f32Words(im)...)
+	hostRe := append([]uint32(nil), F32Words(re)...)
+	hostIm := append([]uint32(nil), F32Words(im)...)
 	outRe := make([]uint32, batch*fftN)
 	outIm := make([]uint32, batch*fftN)
 	if err := kir.Run(k, kir.RunConfig{

@@ -70,7 +70,7 @@ func sobelRef(img []float32, w, h int) []float32 {
 // flag is the pattern-layer spelling of the same choice.
 func sobelOutput(d Driver, cfg Config, img []float32, w, h int) ([]float32, error) {
 	if cfg.Pattern != "" {
-		l, bufs, err := runLowered(d, "Sobel", cfg, map[string][]uint32{"img": f32Words(img)})
+		l, bufs, err := runLowered(d, "Sobel", cfg, map[string][]uint32{"img": F32Words(img)})
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,8 @@ import "math"
 func f32bits(f float32) uint32 { return math.Float32bits(f) }
 func bitsF32(w uint32) float32 { return math.Float32frombits(w) }
 
-func f32Words(src []float32) []uint32 {
+// F32Words converts floats to the raw words Driver.Write copies.
+func F32Words(src []float32) []uint32 {
 	out := make([]uint32, len(src))
 	for i, f := range src {
 		out[i] = math.Float32bits(f)
@@ -35,7 +36,7 @@ func allocWrite(d Driver, words []uint32) (Buf, error) {
 
 // allocWriteF uploads floats into a fresh allocation.
 func allocWriteF(d Driver, f []float32) (Buf, error) {
-	return allocWrite(d, f32Words(f))
+	return allocWrite(d, F32Words(f))
 }
 
 // allocZero allocates n zeroed words.

@@ -17,7 +17,6 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
-	"gpucmp/internal/cuda"
 	"gpucmp/internal/kir"
 	"gpucmp/internal/pattern"
 	"gpucmp/internal/sim"
@@ -66,12 +65,7 @@ type Instance interface {
 
 // ToolchainFor returns the natural toolchain for a device: CUDA on NVIDIA
 // hardware, OpenCL everywhere else — the SNIPPETS.md §3 split.
-func ToolchainFor(a *arch.Device) string {
-	if a.Vendor == "NVIDIA" {
-		return "cuda"
-	}
-	return "opencl"
-}
+func ToolchainFor(a *arch.Device) string { return bench.Toolchains(a)[0] }
 
 // Oracle runs the whole workload as one shard on one device — the
 // single-device reference the chaos suite compares merged outputs against.
@@ -133,8 +127,8 @@ func vecAdd(units int) *program {
 		name: "VecAdd", prog: p, sched: schedule(p),
 		units: units, wpu: vecAddUnit,
 		inputs: map[string][]uint32{
-			"a": cuda.F32Words(rng.Floats(n, -1, 1)),
-			"b": cuda.F32Words(rng.Floats(n, -1, 1)),
+			"a": bench.F32Words(rng.Floats(n, -1, 1)),
+			"b": bench.F32Words(rng.Floats(n, -1, 1)),
 		},
 	}
 }
@@ -145,7 +139,7 @@ func sobel(w, h int) *program {
 	return &program{
 		name: "Sobel", prog: p, sched: schedule(p),
 		units: h, wpu: w, halo: 1,
-		inputs: map[string][]uint32{"img": cuda.F32Words(workload.GrayImage(w, h, 11))},
+		inputs: map[string][]uint32{"img": bench.F32Words(workload.GrayImage(w, h, 11))},
 	}
 }
 
@@ -157,8 +151,8 @@ func mxm(n int) *program {
 		name: "MxM", prog: p, sched: schedule(p),
 		units: n, wpu: n,
 		inputs: map[string][]uint32{
-			"A": cuda.F32Words(rng.Floats(n*n, -1, 1)),
-			"B": cuda.F32Words(rng.Floats(n*n, -1, 1)),
+			"A": bench.F32Words(rng.Floats(n*n, -1, 1)),
+			"B": bench.F32Words(rng.Floats(n*n, -1, 1)),
 		},
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 	"gpucmp/internal/compiler"
-	"gpucmp/internal/opencl"
 	"gpucmp/internal/pattern"
 	"gpucmp/internal/perfmodel"
 	"gpucmp/internal/ptx"
@@ -88,7 +87,7 @@ const (
 func GapClosingStudy(a *arch.Device) (*GapClosingReport, error) {
 	re, im := workload.SignalBatch(ablationBatch, ablationPoints, 17)
 	l, in, err := pattern.OneLaunch(bench.FFTKernel(), ablationBatch, ablationBlock, map[string][]uint32{
-		"inRe": opencl.F32Words(re), "inIm": opencl.F32Words(im),
+		"inRe": bench.F32Words(re), "inIm": bench.F32Words(im),
 		"outRe": make([]uint32, len(re)), "outIm": make([]uint32, len(im)),
 	}, nil, "outRe")
 	if err != nil {

@@ -367,10 +367,7 @@ func TestGridTailsStayInBounds(t *testing.T) {
 		}
 		for _, scale := range []int{17, 20} {
 			for _, a := range arch.All() {
-				for _, toolchain := range []string{"cuda", "opencl"} {
-					if toolchain == "cuda" && a.Vendor != "NVIDIA" {
-						continue
-					}
+				for _, toolchain := range bench.Toolchains(a) {
 					r, err := Direct(a, toolchain, spec, bench.Config{Scale: scale})
 					if err != nil {
 						t.Fatalf("%s/%s/%s scale %d: %v", name, a.Name, toolchain, scale, err)
@@ -389,7 +386,7 @@ func TestGridTailsStayInBounds(t *testing.T) {
 func TestDeterministicSimulation(t *testing.T) {
 	run := func() (int64, float64) {
 		spec, _ := bench.SpecByName("FFT")
-		d, err := bench.NewOpenCLDriver(arch.GTX480())
+		d, err := bench.NewDriver("opencl", arch.GTX480())
 		if err != nil {
 			t.Fatal(err)
 		}

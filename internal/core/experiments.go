@@ -250,7 +250,7 @@ type PortabilityCell struct {
 
 // PortabilityStudy regenerates one device's row of Table VI: every
 // real-world benchmark run through OpenCL with minor modifications only
-// (the device-type change is inside the opencl package).
+// (only the device changes; the driver and kernels are the same).
 func PortabilityStudy(run Runner, a *arch.Device, scale int) ([]PortabilityCell, error) {
 	var out []PortabilityCell
 	for _, spec := range Fig3Benchmarks() {

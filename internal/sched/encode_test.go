@@ -2,6 +2,8 @@ package sched
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,8 +42,9 @@ func runSequential(t *testing.T, j Job) *bench.Result {
 }
 
 // checkEncode holds Encode's bytes to json.Marshal's, twice, so the
-// second pass reads every sourced report from its kernel's memo.
-func checkEncode(t *testing.T, what string, res *bench.Result) {
+// second pass reads every sourced report from its kernel's memo, and
+// returns them.
+func checkEncode(t *testing.T, what string, res *bench.Result) []byte {
 	t.Helper()
 	want, err := json.Marshal(res)
 	if err != nil {
@@ -59,6 +62,7 @@ func checkEncode(t *testing.T, what string, res *bench.Result) {
 			t.Fatalf("%s: Encoded.Result is not the result encoded", what)
 		}
 	}
+	return want
 }
 
 // memoised reports whether a report's encoding is on its kernel.
@@ -67,22 +71,36 @@ func memoised(pk *ptx.Kernel) bool {
 	return pk.Memo(reportKey{}, func() any { return absent }) != absent
 }
 
+// gridDigests is, per scale, the SHA-256 of every grid cell's encoding
+// concatenated in GridJobs order: a change to any result byte at any of
+// these scales, on any device or toolchain, shows here.
+var gridDigests = map[int]string{
+	16: "a4981bc9d9b9578ce3497103f3d7c33c69e8324454df81991006d9c5caf905e8",
+	23: "843cf3721c93abca78a8cc7f62f086dc03212f0da88ea3c2918cb7159b149845",
+	64: "3bbbd28c00368bab7d5008c7b78cc4a9c0a32311461db86e95014c635b861cc0",
+}
+
 // TestEncodeMatchesMarshalGrid: every cell of the measurement grid at
 // three scales, one with a tail, encodes to exactly what Marshal
-// makes of it, and the encoding of every report is left on its kernel.
+// makes of it, the encodings fold to the pinned digest, and the encoding
+// of every report is left on its kernel.
 func TestEncodeMatchesMarshalGrid(t *testing.T) {
 	reports := 0
 	for _, scale := range []int{16, 23, 64} {
+		h := sha256.New()
 		for _, j := range GridJobs(scale) {
 			what := fmt.Sprintf("%s/%s/%s@%d", j.Benchmark, j.Device, j.Toolchain, scale)
 			res := runSequential(t, j)
-			checkEncode(t, what, res)
+			h.Write(checkEncode(t, what, res))
 			for _, kr := range res.Kernels {
 				if pk := kr.Source(); pk == nil || !memoised(pk) {
 					t.Fatalf("%s: kernel %s: report has no source or its encoding was not kept", what, kr.Name)
 				}
 			}
 			reports += len(res.Kernels)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != gridDigests[scale] {
+			t.Errorf("scale %d: grid digest %s, want %s", scale, got, gridDigests[scale])
 		}
 	}
 	if reports == 0 {
@@ -102,11 +120,7 @@ func TestHotResultsStaySmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		native := "opencl"
-		if a.Vendor == "NVIDIA" {
-			native = "cuda"
-		}
-		if a.Kind != arch.KindGPU || j.Toolchain != native {
+		if a.Kind != arch.KindGPU || j.Toolchain != bench.Toolchains(a)[0] {
 			continue
 		}
 		e, err := Encode(runSequential(t, j))

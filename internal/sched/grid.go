@@ -14,10 +14,7 @@ import (
 func GridJobs(scale int) []Job {
 	var jobs []Job
 	for _, a := range arch.All() {
-		for _, tc := range []string{"cuda", "opencl"} {
-			if tc == "cuda" && a.Vendor != "NVIDIA" {
-				continue
-			}
+		for _, tc := range bench.Toolchains(a) {
 			for _, spec := range bench.Registry() {
 				cfg := bench.NativeConfig(tc)
 				cfg.Scale = scale

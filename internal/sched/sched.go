@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,14 +61,11 @@ func (j Job) Validate() error {
 	if err != nil {
 		return err
 	}
-	switch j.Toolchain {
-	case "opencl":
-	case "cuda":
-		if a.Vendor != "NVIDIA" {
-			return fmt.Errorf("sched: device %q is %s; CUDA runs on NVIDIA devices only", j.Device, a.Vendor)
-		}
-	default:
+	if j.Toolchain != "cuda" && j.Toolchain != "opencl" {
 		return fmt.Errorf("sched: unknown toolchain %q (want cuda or opencl)", j.Toolchain)
+	}
+	if !slices.Contains(bench.Toolchains(a), j.Toolchain) {
+		return fmt.Errorf("sched: device %q is %s; CUDA runs on NVIDIA devices only", j.Device, a.Vendor)
 	}
 	if j.Config.Pattern != "" {
 		if !bench.IsPatternBench(j.Benchmark) {

@@ -244,10 +244,7 @@ func TestParallelReproducesSequential(t *testing.T) {
 	// tiles, multi-launch scan, warp-width-sensitive radix sort).
 	var jobs []Job
 	for _, a := range arch.All() {
-		for _, tc := range []string{"cuda", "opencl"} {
-			if tc == "cuda" && a.Vendor != "NVIDIA" {
-				continue
-			}
+		for _, tc := range bench.Toolchains(a) {
 			for _, name := range []string{"Reduce", "TranP", "Scan", "RdxS"} {
 				cfg := bench.NativeConfig(tc)
 				cfg.Scale = 16

@@ -207,10 +207,6 @@ type deviceInfo struct {
 func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 	var out []deviceInfo
 	for _, a := range arch.All() {
-		tcs := []string{"opencl"}
-		if a.Vendor == "NVIDIA" {
-			tcs = []string{"cuda", "opencl"}
-		}
 		out = append(out, deviceInfo{
 			Name:         a.Name,
 			Vendor:       a.Vendor,
@@ -220,7 +216,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 			PeakGBs:      a.TheoreticalPeakBandwidth(),
 			LinkGBs:      a.Transfer.PCIeGBps,
 			LinkLatency:  a.Transfer.LatencyS,
-			Toolchains:   tcs,
+			Toolchains:   bench.Toolchains(a),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
@@ -315,8 +316,8 @@ func Run(ctx context.Context, s *Submission, lim Limits) (*Report, error) {
 		pipelines[0].pk.Disassemble(), pipelines[1].pk.Disassemble(), lim.MaxDiffLines)
 	for _, b := range pipelines {
 		for _, a := range s.Devices {
-			if b.pers.Name == "cuda" && a.Vendor != "NVIDIA" {
-				continue // CUDA toolchain targets NVIDIA hardware only
+			if !slices.Contains(bench.Toolchains(a), b.pers.Name) {
+				continue
 			}
 			if ctx != nil && ctx.Err() != nil {
 				return nil, ctx.Err()

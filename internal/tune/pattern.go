@@ -133,16 +133,7 @@ func TuneAny(toolchain string, a *arch.Device, benchName string, scale, workers 
 // toolchain — the "adapt to all available platforms" loop, now covering
 // the pattern benchmarks too.
 func TuneAnyEverywhere(toolchain, benchName string, scale, workers int) ([]*Report, error) {
-	var out []*Report
-	for _, a := range arch.All() {
-		if toolchain == "cuda" && a.Vendor != "NVIDIA" {
-			continue
-		}
-		r, err := TuneAny(toolchain, a, benchName, scale, workers)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return everywhere(toolchain, func(a *arch.Device) (*Report, error) {
+		return TuneAny(toolchain, a, benchName, scale, workers)
+	})
 }

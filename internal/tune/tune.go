@@ -15,6 +15,7 @@ package tune
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpucmp/internal/arch"
@@ -219,16 +220,27 @@ func Tune(toolchain string, a *arch.Device, benchName string, scale int) (*Repor
 // toolchain, returning one report per device — the "adapt to all available
 // platforms" loop of the paper's conclusion.
 func TuneEverywhere(toolchain string, benchName string, scale int) ([]*Report, error) {
+	return everywhere(toolchain, func(a *arch.Device) (*Report, error) {
+		return Tune(toolchain, a, benchName, scale)
+	})
+}
+
+// everywhere runs tune on every device the toolchain runs on, failing for
+// a toolchain no device runs.
+func everywhere(toolchain string, tune func(*arch.Device) (*Report, error)) ([]*Report, error) {
 	var out []*Report
 	for _, a := range arch.All() {
-		if toolchain == "cuda" && a.Vendor != "NVIDIA" {
+		if !slices.Contains(bench.Toolchains(a), toolchain) {
 			continue
 		}
-		r, err := Tune(toolchain, a, benchName, scale)
+		r, err := tune(a)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
+	}
+	if out == nil {
+		return nil, fmt.Errorf("tune: no device runs toolchain %q (want cuda or opencl)", toolchain)
 	}
 	return out, nil
 }
