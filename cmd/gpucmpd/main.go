@@ -1,7 +1,8 @@
 // Command gpucmpd serves the experiment matrix over HTTP: POST /run
 // executes one (benchmark, device, toolchain, config) cell through the
-// concurrent scheduler, GET /figures/{fig1..fig8,tableV,tableVI}
-// regenerates any paper artifact on demand, and /metrics exposes the
+// concurrent scheduler, GET /figures/{fig1..fig8,tableV,tableVI,grid,
+// tune,pattern,coexec} regenerates any paper artifact or study on
+// demand, and /metrics exposes the
 // scheduler's counters and latency histograms. Identical requests are
 // deduplicated while in flight and served from the result cache
 // afterwards; kernels are compiled once per front-end, not once per

@@ -4,7 +4,18 @@
 //
 // The ids fig1 … fig8, tableV and tableVI are the paper's figures and
 // tables, run from the figure table in internal/core that GET
-// /figures/{id} also serves. Three more ids drill into them:
+// /figures/{id} also serves. The same table holds the repository's own
+// studies around them:
+//
+//	grid     every benchmark on every device and toolchain, with transfer
+//	         and end-to-end times beside each kernel time
+//	tune     the Section VI auto-tuner over each benchmark's step-4 knobs
+//	pattern  autotuned rewrite-rule schedules against each pattern
+//	         benchmark's default kernel source, per GPU
+//	coexec   Section IV′ (device rankings with transfers counted),
+//	         co-execution across devices, and recovery from a lost device
+//
+// Three more ids drill into the paper's figures:
 //
 //	fair     the eight-step fair-comparison audit (Section IV-C, Fig. 9)
 //	         of one benchmark, then the Section V gap-closing study: each

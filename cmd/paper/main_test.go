@@ -34,9 +34,11 @@ func checkGolden(t *testing.T, golden string, args ...string) {
 }
 
 // TestPrintsGolden pins what every id prints, at scale 16 where the id
-// runs experiment cells and with each flag's default otherwise. Several
-// ids in one call print as one document: the figures the paper shows side
-// by side come out as one golden.
+// runs experiment cells and with each flag's default otherwise. pattern
+// and coexec are pinned at the scales EXPERIMENTS.md quotes (8 and 1), and
+// fair_fft.golden is the FFT audit at full size. Several ids in one call
+// print as one document: the figures the paper shows side by side come
+// out as one golden.
 func TestPrintsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -52,7 +54,12 @@ func TestPrintsGolden(t *testing.T) {
 		{"tableVI.golden", []string{"-scale", "16", "tableVI"}},
 		{"fair.golden", []string{"-scale", "16", "fair"}},
 		{"fair_v.golden", []string{"-scale", "16", "-v", "fair"}},
+		{"fair_fft.golden", []string{"-bench", "FFT", "fair"}},
 		{"profile.golden", []string{"-scale", "16", "profile"}},
+		{"grid.golden", []string{"-scale", "16", "grid"}},
+		{"tune.golden", []string{"-scale", "16", "tune"}},
+		{"pattern.golden", []string{"-scale", "8", "pattern"}},
+		{"coexec.golden", []string{"-scale", "1", "coexec"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) { checkGolden(t, tc.golden, tc.args...) })
 	}

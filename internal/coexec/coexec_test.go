@@ -143,7 +143,7 @@ func TestOracleBitIdenticalAcrossDevices(t *testing.T) {
 }
 
 // TestOracleDigestsPinned pins the single-device output of every size the
-// tests and cmd/coexecbench use, by SHA-256 of the little-endian words.
+// tests and the coexec figure row use, by SHA-256 of the little-endian words.
 func TestOracleDigestsPinned(t *testing.T) {
 	for _, c := range []struct {
 		w    Workload

@@ -80,7 +80,7 @@ func Oracle(w Workload, toolchain string, a *arch.Device) ([]uint32, Times, erro
 // Named constructs a co-execution workload by wire name at the given
 // problem size: "vecadd" (size = unit count), "sobel" (size x size image)
 // or "mxm" (size x size matrices). It is the vocabulary POST /coexec and
-// cmd/coexecbench share.
+// the figure table's coexec row share.
 func Named(name string, size int) (Workload, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("coexec: workload size %d: want >= 1", size)

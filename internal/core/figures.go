@@ -13,9 +13,10 @@ import (
 	"gpucmp/internal/stats"
 )
 
-// Figure is one artifact of the paper's evaluation: Figs. 1–8 and Tables V
-// and VI. GET /figures/{id} serves what Study returns as JSON and
-// cmd/paper prints it with Print; both look it up with FigureByID.
+// Figure is one artifact of the paper's evaluation (Figs. 1–8 and Tables
+// V and VI) or one of the repository's own studies around it. GET
+// /figures/{id} serves what Study returns as JSON and cmd/paper prints it
+// with Print; both look it up with FigureByID.
 type Figure struct {
 	ID    string
 	Title string
@@ -29,7 +30,8 @@ type Figure struct {
 	Print func(w io.Writer, run Runner, devices []*arch.Device, scale int, verbose bool) error
 }
 
-// figures is the paper's evaluation in the paper's order.
+// figures is the paper's evaluation in the paper's order, then the
+// studies that extend it (studies.go).
 var figures = []Figure{
 	figure("fig1", "Fig. 1: achieved peak memory bandwidth", nvidia, perDevice(PeakBandwidth), printFig1),
 	figure("fig2", "Fig. 2: achieved peak FLOPS", nvidia, perDevice(PeakFlops), printFig2),
@@ -41,6 +43,10 @@ var figures = []Figure{
 	figure("fig8", "Fig. 8: Sobel constant-memory impact", nvidia, perDevice(ConstantStudy), printFig8),
 	figure("tableV", "Table V: PTX instruction census of the FFT forward kernel", noDevices, ptxCensusStudy, printTableV),
 	figure("tableVI", "Table VI: OpenCL portability across the non-NVIDIA devices", nonNVIDIA, flatPerDevice(PortabilityStudy), printTableVI),
+	figure("grid", "Grid: every benchmark on every device and toolchain, transfer-inclusive", arch.All, gridStudy, printGrid),
+	figure("tune", "Section VI: the auto-tuner over each benchmark's step-4 knobs", arch.All, tuneStudy, printTune),
+	figure("pattern", "Pattern autotuning: tuned rewrite-rule schedules against each benchmark's default kernel", gpus, patternStudy, printPattern),
+	figure("coexec", "Section IV′: transfer-inclusive rankings, co-execution and recovery", coexecDevices, coexecStudy, printCoexec),
 }
 
 // FigureByID returns the figure with the given id.
@@ -53,7 +59,7 @@ func FigureByID(id string) (Figure, bool) {
 	return Figure{}, false
 }
 
-// FigureIDs lists every figure's id in the paper's order.
+// FigureIDs lists every figure's id in the table's order.
 func FigureIDs() []string {
 	ids := make([]string, len(figures))
 	for i, f := range figures {
@@ -364,6 +370,6 @@ func printTableVI(w io.Writer, cells []PortabilityCell, g regen) error {
 	}
 	fmt.Fprintln(w, st)
 	fmt.Fprintln(w, "Low scores are the performance-portability gap the paper's proposed")
-	fmt.Fprintln(w, "auto-tuner (cmd/autotune) exists to close.")
+	fmt.Fprintln(w, "auto-tuner (paper tune) exists to close.")
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 // device with every toolchain that supports it, each with its toolchain's
 // native configuration at the given scale — in a deterministic order:
 // devices in arch.All order, toolchains cuda-then-opencl, benchmarks in
-// Table II order. This is the job list behind cmd/benchall (the union of
-// the data behind Fig. 3 and Table VI).
+// Table II order. This is the job list behind the figure table's grid
+// row (the union of the data behind Fig. 3 and Table VI).
 func GridJobs(scale int) []Job {
 	var jobs []Job
 	for _, a := range arch.All() {

@@ -2,7 +2,7 @@
 // canonical experiment jobs (benchmark, device, toolchain, config) with a
 // content-keyed LRU result cache, singleflight deduplication of identical
 // in-flight jobs, per-job timeout, and panic isolation. It is the execution
-// engine behind cmd/gpucmpd and `cmd/benchall -parallel`, and the layer
+// engine behind cmd/gpucmpd and every /figures request, and the layer
 // every later scaling step (sharding, remote workers, batch APIs) plugs
 // into.
 //

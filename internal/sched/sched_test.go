@@ -232,7 +232,8 @@ func TestContextCancelledWaiter(t *testing.T) {
 }
 
 // TestParallelReproducesSequential is the determinism contract behind
-// `cmd/benchall -parallel`: a grid executed on many workers must reproduce
+// running grid cells on the pool (`/figures/grid`): a grid executed on
+// many workers must reproduce
 // the sequentially-executed values bit for bit, because the simulator is
 // deterministic and jobs share nothing mutable.
 func TestParallelReproducesSequential(t *testing.T) {

@@ -68,7 +68,8 @@ type coexecRun struct {
 }
 
 // coexecMaxSize bounds the simulated problem so one request stays
-// interactive; cmd/coexecbench is the tool for big sweeps.
+// interactive; the figure table's coexec row (`paper coexec`) is the
+// tool for whole sweeps.
 const coexecMaxSize = 512
 
 func (req *coexecRequest) validate() error {

@@ -238,6 +238,10 @@ func TestFigureBodiesPinned(t *testing.T) {
 		"fig8":    "03b183fa017e9f77f2098507aa086b363357c837d82f8b3f3721b919a4979ad7",
 		"tableV":  "bb147430c0f9907991e58834f76bd6dac7333bd091b99d062198c68adb3d2561",
 		"tableVI": "1fd1cf1ad3b8eed343bcb7c669bdc4e33c1e4fd52115fbb498697f7c67993a84",
+		"grid":    "a0ffa4e0a7e7a3912d9269758c48adec00998e53984f01fe92af0d492b30c800",
+		"tune":    "227aab243b5781f4583a1c2192529f9109d3c9a3b55555bb21a8eed574558ac2",
+		"pattern": "218492b06eb09e6f37d13b3bc40428d34d2812965c816da879df5bf1faefaf93",
+		"coexec":  "73ba91596bd015c3f4a8ccbe9ae6078ba546fd065f5add5e363993fc4ba2b6a1",
 	}
 	ts, _ := newTestServer(t)
 	for _, id := range core.FigureIDs() {
@@ -251,7 +255,7 @@ func TestFigureBodiesPinned(t *testing.T) {
 		}
 	}
 	resp, body := get(t, ts.URL+"/figures/fig99")
-	const want = "{\n  \"error\": \"unknown figure \\\"fig99\\\"; known figures: fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, tableV, tableVI\",\n  \"code\": \"not-found\"\n}\n"
+	const want = "{\n  \"error\": \"unknown figure \\\"fig99\\\"; known figures: fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, tableV, tableVI, grid, tune, pattern, coexec\",\n  \"code\": \"not-found\"\n}\n"
 	if resp.StatusCode != http.StatusNotFound || string(reindented(t, body)) != want {
 		t.Errorf("unknown figure: status %d, body %q; want 404, %q", resp.StatusCode, body, want)
 	}

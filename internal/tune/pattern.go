@@ -20,23 +20,24 @@ import (
 )
 
 // TunePattern sweeps a pattern-portable benchmark's schedule space on one
-// device and returns every measured point, best first.
-func TunePattern(toolchain string, a *arch.Device, benchName string, scale int) (*Report, error) {
-	return tunePattern(toolchain, a, benchName, scale, 1)
+// device, every candidate through run, and returns every measured point,
+// best first.
+func TunePattern(run runner, toolchain string, a *arch.Device, benchName string, scale int) (*Report, error) {
+	return tunePattern(run, toolchain, a, benchName, scale, 1)
 }
 
 // TunePatternParallel is TunePattern with concurrent candidate evaluation.
 // The simulator is a deterministic function of the job, and the final sort
 // is a total order (status, value, then mangle), so the report is
 // point-for-point identical to the sequential tuner's.
-func TunePatternParallel(toolchain string, a *arch.Device, benchName string, scale, workers int) (*Report, error) {
+func TunePatternParallel(run runner, toolchain string, a *arch.Device, benchName string, scale, workers int) (*Report, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	return tunePattern(toolchain, a, benchName, scale, workers)
+	return tunePattern(run, toolchain, a, benchName, scale, workers)
 }
 
-func tunePattern(toolchain string, a *arch.Device, benchName string, scale, workers int) (*Report, error) {
+func tunePattern(run runner, toolchain string, a *arch.Device, benchName string, scale, workers int) (*Report, error) {
 	spec, err := bench.SpecByName(benchName)
 	if err != nil {
 		return nil, err
@@ -69,7 +70,7 @@ func tunePattern(toolchain string, a *arch.Device, benchName string, scale, work
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			points[i], errs[i] = measurePattern(toolchain, a, spec, scale, s.Mangle())
+			points[i], errs[i] = measure(run, toolchain, a, spec, bench.Config{Scale: scale, Pattern: s.Mangle()})
 		}(i, s)
 	}
 	wg.Wait()
@@ -93,47 +94,4 @@ func tunePattern(toolchain string, a *arch.Device, benchName string, scale, work
 		return pi.Pattern < pj.Pattern
 	})
 	return rep, nil
-}
-
-// measurePattern runs one schedule candidate on a fresh driver.
-func measurePattern(toolchain string, a *arch.Device, spec bench.Spec, scale int, mangle string) (Point, error) {
-	cfg := bench.Config{Scale: scale, Pattern: mangle}
-	d, err := bench.NewDriver(toolchain, a)
-	if err != nil {
-		return Point{}, err
-	}
-	res, err := spec.Run(d, cfg)
-	if err != nil {
-		return Point{}, err
-	}
-	pt := Point{Pattern: mangle, Config: cfg, Status: res.Status(), Raw: res.Value}
-	if res.Err == nil {
-		pt.Value = res.Value
-		if spec.LowerIsBetter && res.Value > 0 {
-			pt.Value = 1 / res.Value
-		}
-	}
-	return pt, nil
-}
-
-// TuneAny tunes whichever variant space a benchmark has: the rewrite-rule
-// schedule space for pattern-portable benchmarks, the step-4 knob space
-// otherwise.
-func TuneAny(toolchain string, a *arch.Device, benchName string, scale, workers int) (*Report, error) {
-	if bench.IsPatternBench(benchName) {
-		return TunePatternParallel(toolchain, a, benchName, scale, workers)
-	}
-	if RelevantKnobs(benchName) == nil {
-		return nil, fmt.Errorf("tune: benchmark %q has neither variant knobs nor a pattern program", benchName)
-	}
-	return Tune(toolchain, a, benchName, scale)
-}
-
-// TuneAnyEverywhere runs TuneAny on every device that supports the
-// toolchain — the "adapt to all available platforms" loop, now covering
-// the pattern benchmarks too.
-func TuneAnyEverywhere(toolchain, benchName string, scale, workers int) ([]*Report, error) {
-	return everywhere(toolchain, func(a *arch.Device) (*Report, error) {
-		return TuneAny(toolchain, a, benchName, scale, workers)
-	})
 }

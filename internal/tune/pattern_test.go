@@ -13,11 +13,11 @@ import (
 // function of the job and the report sort is a total order, so the
 // parallel sweep must reproduce the sequential report point for point.
 func TestTunePatternParallelMatchesSequential(t *testing.T) {
-	seq, err := TunePattern("opencl", arch.GTX480(), "Reduce", 256)
+	seq, err := TunePattern(direct, "opencl", arch.GTX480(), "Reduce", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := TunePatternParallel("opencl", arch.GTX480(), "Reduce", 256, 8)
+	par, err := TunePatternParallel(direct, "opencl", arch.GTX480(), "Reduce", 256, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestTunePatternParallelMatchesSequential(t *testing.T) {
 // TestTunePatternSweepsWholeSpace: every schedule in the rule space shows
 // up exactly once, and at least the canonical one runs OK.
 func TestTunePatternSweepsWholeSpace(t *testing.T) {
-	rep, err := TunePatternParallel("opencl", arch.GTX480(), "Scan", 512, 8)
+	rep, err := TunePatternParallel(direct, "opencl", arch.GTX480(), "Scan", 512, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,30 +72,8 @@ func TestTunePatternSweepsWholeSpace(t *testing.T) {
 	}
 }
 
-// TestTuneAnyDispatch: pattern-portable benchmarks take the schedule
-// space, knob benchmarks keep the knob space, everything else is refused.
-func TestTuneAnyDispatch(t *testing.T) {
-	rep, err := TuneAny("opencl", arch.GTX480(), "Reduce", 512, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Space != "pattern" {
-		t.Fatalf("Reduce tuned in %q space, want pattern", rep.Space)
-	}
-	rep, err = TuneAny("opencl", arch.GTX480(), "TranP", 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Space != "knobs" {
-		t.Fatalf("TranP tuned in %q space, want knobs", rep.Space)
-	}
-	if _, err := TuneAny("opencl", arch.GTX480(), "FFT", 16, 4); err == nil {
-		t.Fatal("FFT has no variant space; TuneAny should refuse")
-	}
-}
-
 // TestReportJSONGolden pins the machine-readable wire format behind
-// `autotune -json`: field names, knob key rendering, omitted zero fields.
+// `/figures/tune`: field names, knob key rendering, omitted zero fields.
 func TestReportJSONGolden(t *testing.T) {
 	rep := &Report{
 		Benchmark: "Sobel",

@@ -162,10 +162,32 @@ func (r *Report) Best() (Point, bool) {
 	return Point{}, false
 }
 
+// runner runs one benchmark cell, with core.Runner's signature: the
+// caller's runner decides where a candidate runs (a fresh driver, or the
+// scheduler's pool and cache).
+type runner = func(a *arch.Device, toolchain string, spec bench.Spec, cfg bench.Config) (*bench.Result, error)
+
+// measure runs one candidate configuration through run.
+func measure(run runner, toolchain string, a *arch.Device, spec bench.Spec, cfg bench.Config) (Point, error) {
+	res, err := run(a, toolchain, spec, cfg)
+	if err != nil {
+		return Point{}, err
+	}
+	p := Point{Pattern: cfg.Pattern, Config: cfg, Status: res.Status(), Raw: res.Value}
+	if res.Err == nil {
+		p.Value = res.Value
+		if spec.LowerIsBetter && res.Value > 0 {
+			p.Value = 1 / res.Value
+		}
+	}
+	return p, nil
+}
+
 // Tune sweeps the benchmark's variant space on one device with the given
-// toolchain and returns every measured point, best first. Texture memory is
-// skipped as a candidate on devices without a texture cache.
-func Tune(toolchain string, a *arch.Device, benchName string, scale int) (*Report, error) {
+// toolchain, every candidate through run, and returns every measured
+// point, best first. Texture memory is skipped as a candidate on devices
+// without a texture cache.
+func Tune(run runner, toolchain string, a *arch.Device, benchName string, scale int) (*Report, error) {
 	spec, err := bench.SpecByName(benchName)
 	if err != nil {
 		return nil, err
@@ -189,21 +211,11 @@ func Tune(toolchain string, a *arch.Device, benchName string, scale int) (*Repor
 		if skip {
 			continue
 		}
-		d, err := bench.NewDriver(toolchain, a)
+		p, err := measure(run, toolchain, a, spec, cfg)
 		if err != nil {
 			return nil, err
 		}
-		res, err := spec.Run(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p := Point{Settings: settings, Config: cfg, Status: res.Status(), Raw: res.Value}
-		if res.Err == nil {
-			p.Value = res.Value
-			if spec.LowerIsBetter && res.Value > 0 {
-				p.Value = 1 / res.Value
-			}
-		}
+		p.Settings = settings
 		rep.Points = append(rep.Points, p)
 	}
 	sort.SliceStable(rep.Points, func(i, j int) bool {
@@ -219,21 +231,13 @@ func Tune(toolchain string, a *arch.Device, benchName string, scale int) (*Repor
 // TuneEverywhere tunes a benchmark across every device that can run the
 // toolchain, returning one report per device — the "adapt to all available
 // platforms" loop of the paper's conclusion.
-func TuneEverywhere(toolchain string, benchName string, scale int) ([]*Report, error) {
-	return everywhere(toolchain, func(a *arch.Device) (*Report, error) {
-		return Tune(toolchain, a, benchName, scale)
-	})
-}
-
-// everywhere runs tune on every device the toolchain runs on, failing for
-// a toolchain no device runs.
-func everywhere(toolchain string, tune func(*arch.Device) (*Report, error)) ([]*Report, error) {
+func TuneEverywhere(run runner, toolchain string, benchName string, scale int) ([]*Report, error) {
 	var out []*Report
 	for _, a := range arch.All() {
 		if !slices.Contains(bench.Toolchains(a), toolchain) {
 			continue
 		}
-		r, err := tune(a)
+		r, err := Tune(run, toolchain, a, benchName, scale)
 		if err != nil {
 			return nil, err
 		}

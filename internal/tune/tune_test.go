@@ -4,7 +4,18 @@ import (
 	"testing"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/bench"
 )
+
+// direct runs a cell on a freshly opened driver, as core.Direct does
+// (core imports this package, so its tests cannot import core).
+func direct(a *arch.Device, toolchain string, spec bench.Spec, cfg bench.Config) (*bench.Result, error) {
+	d, err := bench.NewDriver(toolchain, a)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Run(d, cfg)
+}
 
 func TestRelevantKnobs(t *testing.T) {
 	if len(RelevantKnobs("MD")) != 1 || RelevantKnobs("MD")[0] != KnobTexture {
@@ -27,7 +38,7 @@ func TestRelevantKnobs(t *testing.T) {
 // TestTuneTranPShapeDependsOnDevice: the tiled transpose wins on GPUs, the
 // naive one wins on the implicitly-cached CPU (Section V).
 func TestTuneTranPShape(t *testing.T) {
-	gpu, err := Tune("opencl", arch.GTX280(), "TranP", 2)
+	gpu, err := Tune(direct, "opencl", arch.GTX280(), "TranP", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +46,7 @@ func TestTuneTranPShape(t *testing.T) {
 	if !ok || best.Settings[KnobNaiveTranspose] {
 		t.Errorf("GPU tuner picked %s, expected the tiled transpose", best.Label())
 	}
-	cpu, err := Tune("opencl", arch.Intel920(), "TranP", 2)
+	cpu, err := Tune(direct, "opencl", arch.Intel920(), "TranP", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +60,7 @@ func TestTuneTranPShape(t *testing.T) {
 // select the texture variant; the CPU device has no texture path so only
 // the plain variant is measured.
 func TestTuneMDPicksTextureOnGPU(t *testing.T) {
-	rep, err := Tune("cuda", arch.GTX280(), "MD", 4)
+	rep, err := Tune(direct, "cuda", arch.GTX280(), "MD", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +75,7 @@ func TestTuneMDPicksTextureOnGPU(t *testing.T) {
 		t.Errorf("tuner picked %s, expected the texture variant", best.Label())
 	}
 
-	cpu, err := Tune("opencl", arch.Intel920(), "MD", 4)
+	cpu, err := Tune(direct, "opencl", arch.Intel920(), "MD", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestTuneMDPicksTextureOnGPU(t *testing.T) {
 // the GPU but must lose to thread-per-row on the CPU (the Section V
 // observation the auto-tuner exists to automate).
 func TestTuneSPMVKernelShape(t *testing.T) {
-	cpu, err := Tune("opencl", arch.Intel920(), "SPMV", 4)
+	cpu, err := Tune(direct, "opencl", arch.Intel920(), "SPMV", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +107,7 @@ func TestTuneSPMVKernelShape(t *testing.T) {
 // TestTuneSobelConstantOnGT200: the constant-memory variant must win on the
 // cacheless GT200.
 func TestTuneSobelConstantOnGT200(t *testing.T) {
-	rep, err := Tune("opencl", arch.GTX280(), "Sobel", 2)
+	rep, err := Tune(direct, "opencl", arch.GTX280(), "Sobel", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +126,14 @@ func TestTuneSobelConstantOnGT200(t *testing.T) {
 
 // TestTuneEverywhereSkipsCUDAOffNVIDIA.
 func TestTuneEverywhere(t *testing.T) {
-	reps, err := TuneEverywhere("cuda", "MD", 8)
+	reps, err := TuneEverywhere(direct, "cuda", "MD", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reps) != 2 {
 		t.Fatalf("CUDA tuning should cover the 2 NVIDIA GPUs, got %d", len(reps))
 	}
-	reps, err = TuneEverywhere("opencl", "Sobel", 8)
+	reps, err = TuneEverywhere(direct, "opencl", "Sobel", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"gpucmp/internal/core"
 )
 
 // TestDesignLayoutNamesEveryDirectory: section 5 of DESIGN.md lists each
@@ -44,5 +46,47 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 	}
 	for d := range named {
 		t.Errorf("DESIGN.md section 5 names %s, which does not exist", d)
+	}
+}
+
+// TestDocumentsNameOnlyRealCommands: README.md, EXPERIMENTS.md and
+// DESIGN.md tell the reader what to run. Every `go run ./cmd/<x>` there
+// must name a directory that exists, and every id handed to paper, on a
+// `go run ./cmd/paper` line or in a code span opening with `paper`, must
+// be a row of the figure table or one of fair, profile and passes.
+func TestDocumentsNameOnlyRealCommands(t *testing.T) {
+	ids := map[string]bool{"fair": true, "profile": true, "passes": true}
+	for _, id := range core.FigureIDs() {
+		ids[id] = true
+	}
+	goRun := regexp.MustCompile(`go run \./cmd/([\w-]+)`)
+	// A paper command line ends at a code span's end, a line's end or a
+	// shell operator.
+	paper := regexp.MustCompile("(?:go run \\./cmd/paper|`paper)([^`\n|;#>)]*)")
+	quoted := regexp.MustCompile(`"[^"]*"`)
+	valueFlag := regexp.MustCompile(`^-(scale|device|bench|toolchain)$`)
+	word := regexp.MustCompile(`^[A-Za-z]\w*$`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
+			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s: %q names a command that does not exist", doc, m[0])
+			}
+		}
+		for _, m := range paper.FindAllStringSubmatch(text, -1) {
+			args := strings.Fields(quoted.ReplaceAllString(m[1], "_"))
+			for i := 0; i < len(args); i++ {
+				switch a := args[i]; {
+				case valueFlag.MatchString(a):
+					i++ // the flag's value
+				case word.MatchString(a) && !ids[a]:
+					t.Errorf("%s: %q hands paper %q, which is not an id", doc, strings.TrimSpace(m[0]), a)
+				}
+			}
+		}
 	}
 }
