@@ -39,6 +39,8 @@ import (
 	"syscall"
 	"time"
 
+	"gpucmp/internal/arch"
+	"gpucmp/internal/bench"
 	"gpucmp/internal/cluster"
 	"gpucmp/internal/fault"
 	"gpucmp/internal/sched"
@@ -257,9 +259,10 @@ func runChaos(seed uint64, workers int) int {
 	})
 
 	var jobs []sched.Job
+	gpu := arch.GTX480()
 	for _, b := range []string{"Reduce", "Scan", "Sobel", "TranP"} {
-		for _, tc := range []string{"cuda", "opencl"} {
-			j := sched.Job{Benchmark: b, Device: "GeForce GTX480", Toolchain: tc}
+		for _, tc := range bench.Toolchains(gpu) {
+			j := sched.Job{Benchmark: b, Device: gpu.Name, Toolchain: tc.Name}
 			j.Config.Scale = 16
 			jobs = append(jobs, j)
 		}

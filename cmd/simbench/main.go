@@ -97,7 +97,7 @@ type Output struct {
 // of the run, and the device's superinstruction counters.
 func run(spec bench.Spec, dev *arch.Device, cfg bench.Config, p profile) (float64, int64, uint64, [3]int64, error) {
 	var super [3]int64
-	d, err := bench.NewDriver(bench.Toolchains(dev)[0], dev)
+	d, err := bench.Toolchains(dev)[0].Open(dev)
 	if err != nil {
 		return 0, 0, 0, super, err
 	}
@@ -244,7 +244,7 @@ func main() {
 			continue
 		}
 		for _, dev := range devices {
-			cfg := bench.NativeConfig(bench.Toolchains(dev)[0])
+			cfg := bench.NativeConfig(bench.Toolchains(dev)[0].Name)
 			cfg.Scale = *scale
 			cells := map[string]Record{}
 			ok := true

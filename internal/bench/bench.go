@@ -1,7 +1,7 @@
 // Package bench implements the paper's sixteen benchmarks (Table II plus
 // the two synthetic SHOC probes) on the simulator. Each benchmark is
-// written once against the Driver abstraction, and one driver runs both
-// toolchains: NewDriver pairs the toolchain's front-end personality and
+// written once against the Driver abstraction, and one driver runs every
+// toolchain: Toolchain.Open pairs the value's front-end personality and
 // cost model (launch overhead, transfer link) with a simulated device.
 // NativeConfig captures the per-toolchain implementation choices the paper
 // documents (texture memory in the CUDA MD/SPMV, constant memory in the

@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/compiler"
@@ -18,13 +17,56 @@ import (
 // CUDA column for HD5870, Intel920 or the Cell/BE).
 var ErrNoCUDADevice = errors.New("cuda: no CUDA-capable device")
 
+// Toolchain is one CUDA or OpenCL stack as a value. Each field owns one
+// step of the paper's Fig. 9 gap: the front-end compiler (Personality),
+// the runtime's launch and copy costs (Costs), the hardware the stack
+// reaches (NVIDIAOnly) and how it reports failures (CLCodes). CUDA and
+// OpenCL are the presets; the Section-V gap study opens drivers on
+// OpenCL values whose personality has NVOPENCC optimisations ported in.
+type Toolchain struct {
+	Name        string // "cuda" or "opencl": the name results carry
+	Personality compiler.Personality
+	Costs       *perfmodel.Toolchain
+	// NVIDIAOnly refuses every non-NVIDIA device (ErrNoCUDADevice).
+	NVIDIAOnly bool
+	// CLCodes joins an OpenCL error code to each failure it classifies.
+	CLCodes bool
+}
+
+// CUDA returns the CUDA 3.2 stack: NVOPENCC on NVIDIA hardware.
+func CUDA() Toolchain {
+	return Toolchain{Name: "cuda", Personality: compiler.CUDA(), Costs: perfmodel.CUDAToolchain(), NVIDIAOnly: true}
+}
+
+// OpenCL returns the OpenCL stack, which runs on every device.
+func OpenCL() Toolchain {
+	return Toolchain{Name: "opencl", Personality: compiler.OpenCL(), Costs: perfmodel.OpenCLToolchain(), CLCodes: true}
+}
+
+// ToolchainNamed parses a toolchain's wire name.
+func ToolchainNamed(name string) (Toolchain, error) {
+	switch name {
+	case "cuda":
+		return CUDA(), nil
+	case "opencl":
+		return OpenCL(), nil
+	}
+	return Toolchain{}, fmt.Errorf("bench: unknown toolchain %q (want cuda or opencl)", name)
+}
+
+// RunsOn reports whether the toolchain reaches the device.
+func (tc Toolchain) RunsOn(a *arch.Device) bool { return !tc.NVIDIAOnly || a.Vendor == "NVIDIA" }
+
 // Toolchains lists the toolchains that run on a device, its native one
 // first: CUDA on NVIDIA hardware only, OpenCL everywhere.
-func Toolchains(a *arch.Device) []string {
-	if a.Vendor == "NVIDIA" {
-		return []string{"cuda", "opencl"}
+func Toolchains(a *arch.Device) []Toolchain {
+	var out []Toolchain
+	for _, tc := range []Toolchain{CUDA(), OpenCL()} {
+		if tc.RunsOn(a) {
+			out = append(out, tc)
+		}
 	}
-	return []string{"opencl"}
+	return out
 }
 
 // clCode is an OpenCL error code. Under OpenCL a failure the driver can
@@ -50,15 +92,13 @@ var simCodes = []struct {
 	{sim.ErrInvalidConfig, clInvalidValue},
 }
 
-// driver is the host runtime of both toolchains: a compiler personality,
-// a cost model and one simulated device. The simulated clock, transfer
-// charging, argument resolution and constant staging are shared; the
-// toolchains differ only in those two inputs, in CUDA refusing non-NVIDIA
-// devices (NewDriver) and in OpenCL failures carrying CL codes (fail).
+// driver is the host runtime of every toolchain: one Toolchain value and
+// one simulated device. The simulated clock, transfer charging, argument
+// resolution and constant staging are shared; what differs between
+// toolchains is the value's fields.
 type driver struct {
-	pers compiler.Personality
-	tc   *perfmodel.Toolchain
-	dev  *sim.Device
+	tc  Toolchain
+	dev *sim.Device
 
 	elapsed      float64 // end-to-end simulated seconds
 	kernelTime   float64 // kernel-only simulated seconds
@@ -72,42 +112,39 @@ type driver struct {
 	built []*ptx.Kernel
 }
 
-// NewDriver opens a driver for a toolchain ("cuda" or "opencl") on the
-// device. CUDA refuses non-NVIDIA devices with ErrNoCUDADevice.
+// NewDriver opens a driver for a toolchain named "cuda" or "opencl" on the
+// device: ToolchainNamed, then Open. It is the constructor for callers
+// that hold wire names.
 func NewDriver(toolchain string, a *arch.Device) (Driver, error) {
-	var pers compiler.Personality
-	switch toolchain {
-	case "cuda":
-		pers = compiler.CUDA()
-	case "opencl":
-		pers = compiler.OpenCL()
-	default:
-		return nil, fmt.Errorf("bench: unknown toolchain %q (want cuda or opencl)", toolchain)
+	tc, err := ToolchainNamed(toolchain)
+	if err != nil {
+		return nil, err
 	}
-	if !slices.Contains(Toolchains(a), toolchain) {
+	return tc.Open(a)
+}
+
+// Open opens a driver for the toolchain on the device. A toolchain that
+// runs on NVIDIA hardware only refuses other devices with ErrNoCUDADevice.
+func (tc Toolchain) Open(a *arch.Device) (Driver, error) {
+	if !tc.RunsOn(a) {
 		return nil, fmt.Errorf("%w (device %s is %s)", ErrNoCUDADevice, a.Name, a.Vendor)
 	}
 	dev, err := sim.NewDevice(a)
 	if err != nil {
 		return nil, err
 	}
-	return &driver{
-		pers:      pers,
-		tc:        perfmodel.ToolchainFor(toolchain),
-		dev:       dev,
-		constOffs: make(map[uint32]uint32),
-	}, nil
+	return &driver{tc: tc, dev: dev, constOffs: make(map[uint32]uint32)}, nil
 }
 
-// fail tags err with its CL code under OpenCL; CUDA reports err as is.
+// fail tags err with its CL code when the toolchain reports CL codes.
 func (d *driver) fail(code clCode, err error) error {
-	if d.pers.Name != "opencl" {
+	if !d.tc.CLCodes {
 		return err
 	}
 	return errors.Join(code, err)
 }
 
-func (d *driver) Name() string       { return d.pers.Name }
+func (d *driver) Name() string       { return d.tc.Name }
 func (d *driver) Arch() *arch.Device { return d.dev.Arch }
 
 func (d *driver) Alloc(bytes uint32) (Buf, error) {
@@ -144,7 +181,7 @@ func (d *driver) Read(dst []uint32, src Buf) error {
 
 // charge advances the clock by the copy time of n words.
 func (d *driver) charge(n int) {
-	t := perfmodel.TransferTimeOn(d.dev.Arch, d.tc, int64(4*n))
+	t := perfmodel.TransferTimeOn(d.dev.Arch, d.tc.Costs, int64(4*n))
 	d.elapsed += t
 	d.transferTime += t
 }
@@ -152,7 +189,7 @@ func (d *driver) charge(n int) {
 // Build compiles KIR kernels with the toolchain's front-end, each served
 // from the process-wide compile cache.
 func (d *driver) Build(kernels ...*kir.Kernel) (Module, error) {
-	m, err := compiler.CompileModuleCached("bench", kernels, d.pers)
+	m, err := compiler.CompileModuleCached("bench", kernels, d.tc.Personality)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +224,7 @@ func (d *driver) Launch(m Module, kernel string, grid, block sim.Dim3, args ...A
 		}
 		return err
 	}
-	b := perfmodel.KernelTime(d.dev.Arch, d.tc, tr)
+	b := perfmodel.KernelTime(d.dev.Arch, d.tc.Costs, tr)
 	d.traces = append(d.traces, tr)
 	d.breakdowns = append(d.breakdowns, b)
 	d.elapsed += b.Total

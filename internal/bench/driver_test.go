@@ -8,14 +8,28 @@ import (
 	"testing"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/compiler"
 	"gpucmp/internal/kir"
 	"gpucmp/internal/perfmodel"
+	"gpucmp/internal/ptx"
 	"gpucmp/internal/sim"
 )
 
-// TestToolchains: CUDA reaches the NVIDIA devices only, OpenCL every
-// device, and the native toolchain comes first.
+// TestToolchains: the presets carry their stack's front-end, cost model,
+// device rule and error style; CUDA reaches the NVIDIA devices only,
+// OpenCL every device, and the native toolchain comes first; the two wire
+// names parse to the presets and nothing else parses.
 func TestToolchains(t *testing.T) {
+	cu, cl := CUDA(), OpenCL()
+	if cu.Name != "cuda" || !reflect.DeepEqual(cu.Personality, compiler.CUDA()) ||
+		!reflect.DeepEqual(cu.Costs, perfmodel.CUDAToolchain()) || !cu.NVIDIAOnly || cu.CLCodes {
+		t.Errorf("CUDA() = %+v", cu)
+	}
+	if cl.Name != "opencl" || !reflect.DeepEqual(cl.Personality, compiler.OpenCL()) ||
+		!reflect.DeepEqual(cl.Costs, perfmodel.OpenCLToolchain()) || cl.NVIDIAOnly || !cl.CLCodes {
+		t.Errorf("OpenCL() = %+v", cl)
+	}
+
 	want := map[string][]string{
 		arch.GTX480().Name:   {"cuda", "opencl"},
 		arch.GTX280().Name:   {"cuda", "opencl"},
@@ -24,12 +38,67 @@ func TestToolchains(t *testing.T) {
 		arch.CellBE().Name:   {"opencl"},
 	}
 	for _, a := range arch.All() {
-		if got := Toolchains(a); !reflect.DeepEqual(got, want[a.Name]) {
+		var got []string
+		for _, tc := range Toolchains(a) {
+			got = append(got, tc.Name)
+			if !reflect.DeepEqual(tc, map[string]Toolchain{"cuda": cu, "opencl": cl}[tc.Name]) {
+				t.Errorf("%s: Toolchains holds %+v, not the %s preset", a.Name, tc, tc.Name)
+			}
+		}
+		if !reflect.DeepEqual(got, want[a.Name]) {
 			t.Errorf("%s: Toolchains = %v, want %v", a.Name, got, want[a.Name])
 		}
 	}
 	if len(arch.All()) != len(want) {
 		t.Errorf("%d devices, the table has %d", len(arch.All()), len(want))
+	}
+
+	for name, preset := range map[string]Toolchain{"cuda": cu, "opencl": cl} {
+		if tc, err := ToolchainNamed(name); err != nil || !reflect.DeepEqual(tc, preset) {
+			t.Errorf("ToolchainNamed(%q) = %+v, %v; want the preset", name, tc, err)
+		}
+	}
+	_, err := ToolchainNamed("metal")
+	if want := `bench: unknown toolchain "metal" (want cuda or opencl)`; err == nil || err.Error() != want {
+		t.Errorf("ToolchainNamed(metal): err = %v, want %q", err, want)
+	}
+}
+
+// TestKnobbedToolchainMissesPresetCache: a value whose personality differs
+// from the preset's compiles to its own compile-cache entry
+// (Personality.Canonical is part of the key), so a driver opened on it
+// never runs the preset's code.
+func TestKnobbedToolchainMissesPresetCache(t *testing.T) {
+	build := func(tc Toolchain) *ptx.Kernel {
+		t.Helper()
+		d, err := tc.Open(arch.GTX480())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Build(FFTKernel()); err != nil {
+			t.Fatal(err)
+		}
+		return KernelReports(d)[0].Source()
+	}
+	compiler.ResetCompileCache()
+	preset := build(OpenCL()) // the preset's entry is the only one
+	knobbed := OpenCL()
+	compiler.GapKnobs()[0].Apply(&knobbed.Personality)
+	if knobbed.Personality.Canonical() == OpenCL().Personality.Canonical() {
+		t.Fatal("knob left the personality unchanged")
+	}
+
+	hits, misses := compiler.CompileCacheStats()
+	got := build(knobbed)
+	hits2, misses2 := compiler.CompileCacheStats()
+	if hits2 != hits || misses2 != misses+1 {
+		t.Fatalf("knobbed build: hits %d->%d, misses %d->%d; want one miss and no hit", hits, hits2, misses, misses2)
+	}
+	if got == preset || got.Disassemble() == preset.Disassemble() {
+		t.Error("knobbed build returned the preset's kernel")
+	}
+	if again := build(knobbed); again != got {
+		t.Error("second knobbed build missed its own entry")
 	}
 }
 
@@ -126,8 +195,8 @@ func TestDriver(t *testing.T) {
 			// reaches; CUDA refuses the rest with ErrNoCUDADevice.
 			for _, a := range arch.All() {
 				reaches := false
-				for _, name := range Toolchains(a) {
-					reaches = reaches || name == tc
+				for _, v := range Toolchains(a) {
+					reaches = reaches || v.Name == tc
 				}
 				d, err := NewDriver(tc, a)
 				switch {

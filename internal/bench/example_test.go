@@ -47,7 +47,7 @@ func Example_saxpy() {
 	a := arch.GTX480()
 	secs := map[string]float64{}
 	for _, tc := range bench.Toolchains(a) {
-		d, err := bench.NewDriver(tc, a)
+		d, err := tc.Open(a)
 		check(err)
 		m, err := d.Build(saxpy())
 		check(err)
@@ -61,7 +61,7 @@ func Example_saxpy() {
 		d.ResetTimer()
 		check(d.Launch(m, "saxpy", sim.Dim3{X: n / block, Y: 1}, sim.Dim3{X: block, Y: 1},
 			bench.B(x), bench.B(y), bench.V(math.Float32bits(alpha)), bench.V(n)))
-		secs[tc] = d.KernelTime()
+		secs[tc.Name] = d.KernelTime()
 
 		out := make([]uint32, n)
 		check(d.Read(out, y))
@@ -71,7 +71,7 @@ func Example_saxpy() {
 				ok++
 			}
 		}
-		fmt.Printf("%-6s %d of %d correct, kernel %.2f us\n", tc, ok, n, secs[tc]*1e6)
+		fmt.Printf("%-6s %d of %d correct, kernel %.2f us\n", tc.Name, ok, n, secs[tc.Name]*1e6)
 	}
 	pr := core.PR(secs["opencl"], secs["cuda"], true)
 	fmt.Printf("PerformanceRatio %.3f, similar: %v\n", pr, core.Similar(pr))
@@ -86,11 +86,15 @@ func Example_saxpy() {
 // only.
 func Example_portability() {
 	for _, a := range arch.All() {
-		d, err := bench.NewDriver("opencl", a)
+		d, err := bench.OpenCL().Open(a)
 		check(err)
 		res, err := bench.RunReduce(d, bench.Config{Scale: 8})
 		check(err)
-		fmt.Printf("%-22s %-11s %s %8.3f %s\n", a.Name, strings.Join(bench.Toolchains(a), ","),
+		var names []string
+		for _, tc := range bench.Toolchains(a) {
+			names = append(names, tc.Name)
+		}
+		fmt.Printf("%-22s %-11s %s %8.3f %s\n", a.Name, strings.Join(names, ","),
 			res.Status(), res.Value, res.Metric)
 	}
 	// Output:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/bench"
 	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
 )
@@ -38,7 +39,8 @@ type Options struct {
 	// Devices are the co-executing devices. At least one is required.
 	Devices []*arch.Device
 	// Toolchains pairs each device with a runtime ("cuda"/"opencl").
-	// Empty = ToolchainFor each device (CUDA on NVIDIA, OpenCL elsewhere).
+	// Empty = each device's native toolchain, bench.Toolchains(a)[0]
+	// (CUDA on NVIDIA, OpenCL elsewhere — the SNIPPETS.md §3 split).
 	Toolchains []string
 	// ShardsPerDevice scales the shard count: shards = ShardsPerDevice *
 	// len(Devices), clamped to the unit count (default 4). More shards
@@ -237,7 +239,7 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 			tc = opts.Toolchains[i]
 		}
 		if tc == "" {
-			tc = ToolchainFor(a)
+			tc = bench.Toolchains(a)[0].Name
 		}
 		inst, err := w.NewInstance(tc, a)
 		if err != nil {

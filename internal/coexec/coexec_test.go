@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gpucmp/internal/arch"
+	"gpucmp/internal/bench"
 	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
 	"gpucmp/internal/pattern"
@@ -128,7 +129,7 @@ func TestOracleBitIdenticalAcrossDevices(t *testing.T) {
 				t.Fatalf("oracle output %d words, want %d", len(ref), want)
 			}
 			for _, a := range []*arch.Device{arch.GTX280(), arch.HD5870(), arch.Intel920(), arch.CellBE()} {
-				got, _, err := Oracle(w, ToolchainFor(a), a)
+				got, _, err := Oracle(w, bench.Toolchains(a)[0].Name, a)
 				if err != nil {
 					t.Fatalf("oracle on %s: %v", a.Name, err)
 				}
@@ -495,10 +496,16 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestToolchainFor pins the SNIPPETS §3 split.
+// TestToolchainFor pins the SNIPPETS §3 split: with no Toolchains given,
+// each device runs its native toolchain.
 func TestToolchainFor(t *testing.T) {
-	if ToolchainFor(arch.GTX480()) != "cuda" || ToolchainFor(arch.Intel920()) != "opencl" {
-		t.Fatal("toolchain auto-selection wrong")
+	opts := Options{Devices: []*arch.Device{arch.GTX480(), arch.Intel920()}}
+	_, rep, err := Run(context.Background(), vecAdd(4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []string{rep.Devices[0].Toolchain, rep.Devices[1].Toolchain}; got[0] != "cuda" || got[1] != "opencl" {
+		t.Fatalf("toolchain auto-selection = %v, want [cuda opencl]", got)
 	}
 }
 

@@ -63,10 +63,6 @@ type Instance interface {
 	SetupSeconds() float64
 }
 
-// ToolchainFor returns the natural toolchain for a device: CUDA on NVIDIA
-// hardware, OpenCL everywhere else — the SNIPPETS.md §3 split.
-func ToolchainFor(a *arch.Device) string { return bench.Toolchains(a)[0] }
-
 // Oracle runs the whole workload as one shard on one device — the
 // single-device reference the chaos suite compares merged outputs against.
 func Oracle(w Workload, toolchain string, a *arch.Device) ([]uint32, Times, error) {

@@ -7,11 +7,7 @@ import (
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 	"gpucmp/internal/compiler"
-	"gpucmp/internal/pattern"
-	"gpucmp/internal/perfmodel"
 	"gpucmp/internal/ptx"
-	"gpucmp/internal/sim"
-	"gpucmp/internal/workload"
 )
 
 // This file is the pass-level ablation API behind the paper's Section-V
@@ -70,51 +66,39 @@ func (r *GapClosingReport) String() string {
 	return b.String()
 }
 
-// ablationLaunch describes the fixed FFT launch the study times: a 128
-// batch of 512-point signals on 64-thread work-groups, the shape used by
-// the paper's Table V analysis of the forward kernel.
-const (
-	ablationBatch  = 128
-	ablationPoints = 512
-	ablationBlock  = 64
-)
-
 // GapClosingStudy runs the Section-V experiment on one device: starting
 // from the native OpenCL front-end, port each missing NVOPENCC
 // optimisation across (compiler.GapKnobs order), re-measuring the FFT
 // forward kernel after every step, until the personality generates the
 // same code as NVOPENCC and the PR lands inside the similarity band.
 func GapClosingStudy(a *arch.Device) (*GapClosingReport, error) {
-	re, im := workload.SignalBatch(ablationBatch, ablationPoints, 17)
-	l, in, err := pattern.OneLaunch(bench.FFTKernel(), ablationBatch, ablationBlock, map[string][]uint32{
-		"inRe": bench.F32Words(re), "inIm": bench.F32Words(im),
-		"outRe": make([]uint32, len(re)), "outIm": make([]uint32, len(im)),
-	}, nil, "outRe")
+	fft, err := bench.SpecByName("FFT")
 	if err != nil {
 		return nil, err
 	}
-	// seconds compiles the kernel with pers and prices one launch on a
-	// with the toolchain's performance model.
-	seconds := func(pers compiler.Personality) (float64, *ptx.Kernel, error) {
-		pk, err := compiler.CompileWithConfig(l.Kernels[0], compiler.Config{Personality: pers})
+	// seconds runs FFT under tc at scale 2 — a 128 batch of 512-point
+	// signals on 64-thread work-groups, the shape of the paper's Table V
+	// analysis — and returns the forward kernel's seconds and compiler
+	// report.
+	seconds := func(tc bench.Toolchain) (float64, bench.KernelReport, error) {
+		d, err := tc.Open(a)
 		if err != nil {
-			return 0, nil, err
+			return 0, bench.KernelReport{}, err
 		}
-		dev, err := sim.NewDevice(a)
+		res, err := fft.Run(d, bench.Config{Scale: 2})
+		if err == nil {
+			err = res.Err
+		}
 		if err != nil {
-			return 0, nil, err
+			return 0, bench.KernelReport{}, err
 		}
-		_, traces, err := pattern.RunDevice(l, in, dev, []*ptx.Kernel{pk})
-		if err != nil {
-			return 0, nil, err
-		}
-		return perfmodel.KernelTime(a, perfmodel.ToolchainFor(pers.Name), traces[0]).Total, pk, nil
+		return res.KernelSeconds, res.Kernels[0], nil
 	}
-	cuda, _, err := seconds(compiler.CUDA())
+	cuda, _, err := seconds(bench.CUDA())
 	if err != nil {
 		return nil, err
 	}
-	base, _, err := seconds(compiler.OpenCL())
+	base, _, err := seconds(bench.OpenCL())
 	if err != nil {
 		return nil, err
 	}
@@ -125,15 +109,15 @@ func GapClosingStudy(a *arch.Device) (*GapClosingReport, error) {
 		BaseSeconds: base,
 		BasePR:      PR(base, cuda, true),
 	}
-	cum := compiler.OpenCL()
+	cum := bench.OpenCL()
 	for _, knob := range compiler.GapKnobs() {
-		knob.Apply(&cum)
-		sec, pk, err := seconds(cum)
+		knob.Apply(&cum.Personality)
+		sec, kr, err := seconds(cum)
 		if err != nil {
 			return nil, fmt.Errorf("core: ablation step %q: %w", knob.Name, err)
 		}
-		solo := compiler.OpenCL()
-		knob.Apply(&solo)
+		solo := bench.OpenCL()
+		knob.Apply(&solo.Personality)
 		soloSec, _, err := seconds(solo)
 		if err != nil {
 			return nil, fmt.Errorf("core: solo ablation %q: %w", knob.Name, err)
@@ -144,8 +128,8 @@ func GapClosingStudy(a *arch.Device) (*GapClosingReport, error) {
 			Seconds:     sec,
 			PR:          PR(sec, cuda, true),
 			SoloSeconds: soloSec,
-			PassStats:   pk.PassStats,
-			Remarks:     ptx.RemarkTotal(pk.Remarks),
+			PassStats:   kr.PassStats,
+			Remarks:     ptx.RemarkTotal(kr.Remarks),
 		}
 		if base != cuda {
 			step.ClosedShare = (base - sec) / (base - cuda)

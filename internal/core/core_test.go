@@ -368,12 +368,12 @@ func TestGridTailsStayInBounds(t *testing.T) {
 		for _, scale := range []int{17, 20} {
 			for _, a := range arch.All() {
 				for _, toolchain := range bench.Toolchains(a) {
-					r, err := Direct(a, toolchain, spec, bench.Config{Scale: scale})
+					r, err := Direct(a, toolchain.Name, spec, bench.Config{Scale: scale})
 					if err != nil {
-						t.Fatalf("%s/%s/%s scale %d: %v", name, a.Name, toolchain, scale, err)
+						t.Fatalf("%s/%s/%s scale %d: %v", name, a.Name, toolchain.Name, scale, err)
 					}
 					if r.Err != nil || !r.Correct {
-						t.Errorf("%s/%s/%s scale %d: err %v, correct %v", name, a.Name, toolchain, scale, r.Err, r.Correct)
+						t.Errorf("%s/%s/%s scale %d: err %v, correct %v", name, a.Name, toolchain.Name, scale, r.Err, r.Correct)
 					}
 				}
 			}

@@ -106,7 +106,7 @@ func tuneStudy(g regen) ([]*tune.Report, error) {
 		}
 		for _, a := range g.devices {
 			for _, tc := range bench.Toolchains(a) {
-				rep, err := tune.Tune(g.run, tc, a, spec.Name, g.scale)
+				rep, err := tune.Tune(g.run, tc.Name, a, spec.Name, g.scale)
 				if err != nil {
 					return nil, err
 				}
@@ -200,13 +200,13 @@ func patternStudy(g regen) (patternResult, error) {
 		winners := map[string]string{}
 		for _, a := range g.devices {
 			for _, tc := range bench.Toolchains(a) {
-				rep, err := tune.TunePatternParallel(g.run, tc, a, name, g.scale, patternWorkers)
+				rep, err := tune.TunePatternParallel(g.run, tc.Name, a, name, g.scale, patternWorkers)
 				if err != nil {
 					return o, err
 				}
 				best, ok := rep.Best()
 				if !ok {
-					return o, fmt.Errorf("%s on %s (%s): no schedule ran OK", name, a.Name, tc)
+					return o, fmt.Errorf("%s on %s (%s): no schedule ran OK", name, a.Name, tc.Name)
 				}
 				var canonical float64
 				for _, p := range rep.Points {
@@ -214,7 +214,7 @@ func patternStudy(g regen) (patternResult, error) {
 						canonical = p.Raw
 					}
 				}
-				res, err := g.run(a, tc, spec, bench.Config{Scale: g.scale})
+				res, err := g.run(a, tc.Name, spec, bench.Config{Scale: g.scale})
 				switch {
 				case err != nil:
 				case res.Err != nil:
@@ -223,7 +223,7 @@ func patternStudy(g regen) (patternResult, error) {
 					err = errors.New("output failed verification")
 				}
 				if err != nil {
-					return o, fmt.Errorf("%s on %s (%s): default-source run: %w", name, a.Name, tc, err)
+					return o, fmt.Errorf("%s on %s (%s): default-source run: %w", name, a.Name, tc.Name, err)
 				}
 				hand := res.Value
 				ratio := best.Raw / hand
@@ -231,7 +231,7 @@ func patternStudy(g regen) (patternResult, error) {
 					ratio = hand / best.Raw
 				}
 				o.Records = append(o.Records, patternCell{
-					Benchmark: name, Device: a.Name, Toolchain: tc, Metric: spec.Metric,
+					Benchmark: name, Device: a.Name, Toolchain: tc.Name, Metric: spec.Metric,
 					Hand: hand, Canonical: canonical, Best: best.Raw, Winner: best.Pattern,
 					Ratio: round3(ratio),
 				})

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gpucmp/internal/arch"
@@ -176,18 +177,14 @@ func Bisect(p *Program, cfg compiler.Config, a *arch.Device) (*BisectReport, err
 // Divergence was produced under (the named toolchain with the default
 // pipeline) and bisects on the named device.
 func BisectDivergence(p *Program, d *Divergence) (*BisectReport, error) {
-	var pers compiler.Personality
-	switch d.Toolchain {
-	case "cuda":
-		pers = compiler.CUDA()
-	case "opencl":
-		pers = compiler.OpenCL()
-	default:
+	tcs := Toolchains()
+	i := slices.IndexFunc(tcs, func(pers compiler.Personality) bool { return pers.Name == d.Toolchain })
+	if i < 0 {
 		return nil, fmt.Errorf("fuzz: bisect: unknown toolchain %q", d.Toolchain)
 	}
 	a, err := arch.Resolve(d.Device)
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: bisect: %w", err)
 	}
-	return Bisect(p, compiler.Config{Personality: pers}, a)
+	return Bisect(p, compiler.Config{Personality: tcs[i]}, a)
 }

@@ -34,10 +34,6 @@ type Toolchain struct {
 	// 8.5% faster on GT200 and 2.4% faster on Fermi.
 	BWEfficiency map[arch.Microarch]float64
 
-	// HostTransferGBps is the effective PCIe bandwidth for Memcpy.
-	// Retained for the toolchain-only TransferTime path; the per-device
-	// model (TransferTimeOn) uses arch.Device.Transfer instead.
-	HostTransferGBps float64
 	// HostTransferLatency is the fixed per-transfer cost the runtime adds
 	// host-side (driver call, staging, completion polling).
 	HostTransferLatency float64
@@ -63,7 +59,6 @@ func CUDAToolchain() *Toolchain {
 			arch.GT200: 1 / 1.085, // paper Fig. 1: OpenCL +8.5% on GTX280
 			arch.Fermi: 1 / 1.024, // paper Fig. 1: OpenCL +2.4% on GTX480
 		},
-		HostTransferGBps:    5.2,
 		HostTransferLatency: 10e-6,
 		TransferBWFactor:    1.0,
 	}
@@ -76,7 +71,6 @@ func OpenCLToolchain() *Toolchain {
 		Name:                "opencl",
 		LaunchOverhead:      8.5e-6, // ~2.8x the CUDA queueing cost (Section IV-B4)
 		BWEfficiency:        map[arch.Microarch]float64{},
-		HostTransferGBps:    5.0,
 		HostTransferLatency: 14e-6,
 		TransferBWFactor:    0.96, // staged copies through the CL runtime
 	}
@@ -222,13 +216,6 @@ func TotalTime(a *arch.Device, tc *Toolchain, traces []*sim.Trace) float64 {
 		sum += KernelTime(a, tc, tr).Total
 	}
 	return sum
-}
-
-// TransferTime models one host<->device copy of n bytes with only the
-// toolchain's flat PCIe figure. Kept for callers with no device at hand;
-// the runtimes use TransferTimeOn, which is link-aware.
-func TransferTime(tc *Toolchain, bytes int64) float64 {
-	return tc.HostTransferLatency + float64(bytes)/(tc.HostTransferGBps*1e9)
 }
 
 // TransferTimeOn models one host<->device copy of n bytes over a specific

@@ -163,20 +163,6 @@ func TestBankConflictSerialization(t *testing.T) {
 	}
 }
 
-// TestTransferTime sanity.
-func TestTransferTime(t *testing.T) {
-	tc := CUDAToolchain()
-	small := TransferTime(tc, 4)
-	big := TransferTime(tc, 1<<30)
-	if small <= 0 || big <= small {
-		t.Errorf("transfer times implausible: %g, %g", small, big)
-	}
-	wantBig := float64(1<<30)/(tc.HostTransferGBps*1e9) + tc.HostTransferLatency
-	if math.Abs(big-wantBig) > 1e-9 {
-		t.Errorf("big transfer = %g, want %g", big, wantBig)
-	}
-}
-
 // TestTransferTimeOn checks the per-device link model: device bandwidth and
 // DMA latency plus toolchain host-side cost, with the OpenCL derating.
 func TestTransferTimeOn(t *testing.T) {

@@ -120,7 +120,7 @@ func TestHotResultsStaySmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Kind != arch.KindGPU || j.Toolchain != bench.Toolchains(a)[0] {
+		if a.Kind != arch.KindGPU || j.Toolchain != bench.Toolchains(a)[0].Name {
 			continue
 		}
 		e, err := Encode(runSequential(t, j))

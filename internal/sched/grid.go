@@ -16,9 +16,9 @@ func GridJobs(scale int) []Job {
 	for _, a := range arch.All() {
 		for _, tc := range bench.Toolchains(a) {
 			for _, spec := range bench.Registry() {
-				cfg := bench.NativeConfig(tc)
+				cfg := bench.NativeConfig(tc.Name)
 				cfg.Scale = scale
-				jobs = append(jobs, Job{Benchmark: spec.Name, Device: a.Name, Toolchain: tc, Config: cfg})
+				jobs = append(jobs, Job{Benchmark: spec.Name, Device: a.Name, Toolchain: tc.Name, Config: cfg})
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
@@ -262,40 +261,6 @@ func TestStaleStoreServesLastKnownGood(t *testing.T) {
 	got, ok := s.Stale(j.Key())
 	if !ok || got.Result != want {
 		t.Fatalf("Stale = %v/%v, want the executed result", got, ok)
-	}
-}
-
-func TestRunAllReturnsPartialResultsAndJoinedError(t *testing.T) {
-	s := New(Options{Workers: 2})
-	defer s.Close()
-	jobs := []Job{
-		fastJob(),
-		{Benchmark: "NoSuch", Device: arch.GTX480().Name, Toolchain: "cuda"},
-		scaleJob(32),
-		{Benchmark: "FFT", Device: arch.HD5870().Name, Toolchain: "cuda"}, // CUDA on AMD
-	}
-	results, err := s.RunAll(context.Background(), jobs)
-	if err == nil {
-		t.Fatal("RunAll with bad jobs must return an error")
-	}
-	if results[0] == nil || results[2] == nil {
-		t.Fatal("successful jobs must keep their results at their indices")
-	}
-	if results[1] != nil || results[3] != nil {
-		t.Fatal("failed jobs must have nil results")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "job 1") || !strings.Contains(msg, "job 3") {
-		t.Errorf("joined error %q must name both failing indices", msg)
-	}
-	if !errors.Is(err, ErrPermanent) {
-		t.Errorf("err = %v, want errors.Is ErrPermanent through the join", err)
-	}
-
-	// All-good batch: nil error.
-	good, err := s.RunAll(context.Background(), []Job{fastJob(), scaleJob(32)})
-	if err != nil || good[0] == nil || good[1] == nil {
-		t.Fatalf("all-good RunAll = %v, %v", good, err)
 	}
 }
 

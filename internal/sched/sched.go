@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,10 +60,11 @@ func (j Job) Validate() error {
 	if err != nil {
 		return err
 	}
-	if j.Toolchain != "cuda" && j.Toolchain != "opencl" {
+	tc, err := bench.ToolchainNamed(j.Toolchain)
+	if err != nil {
 		return fmt.Errorf("sched: unknown toolchain %q (want cuda or opencl)", j.Toolchain)
 	}
-	if !slices.Contains(bench.Toolchains(a), j.Toolchain) {
+	if !tc.RunsOn(a) {
 		return fmt.Errorf("sched: device %q is %s; CUDA runs on NVIDIA devices only", j.Device, a.Vendor)
 	}
 	if j.Config.Pattern != "" {
@@ -369,32 +369,6 @@ func (s *Scheduler) leave(t *task) {
 		s.metrics.abandons.Add(1)
 		close(t.abandon)
 	}
-}
-
-// RunAll executes jobs concurrently through the pool and returns results
-// in input order. Every job settles: successful results stay addressable
-// by index even when other jobs fail, and the error (nil when all jobs
-// succeeded) is the errors.Join of every failure, each annotated with its
-// job index and key. Results whose job failed are nil.
-func (s *Scheduler) RunAll(ctx context.Context, jobs []Job) ([]*bench.Result, error) {
-	results := make([]*bench.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j Job) {
-			defer wg.Done()
-			results[i], errs[i] = s.Run(ctx, j)
-		}(i, j)
-	}
-	wg.Wait()
-	var failures []error
-	for i, err := range errs {
-		if err != nil {
-			failures = append(failures, fmt.Errorf("job %d (%s): %w", i, jobs[i].Key(), err))
-		}
-	}
-	return results, errors.Join(failures...)
 }
 
 // Stale returns the last known good result for a key, if any — the

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -173,9 +174,13 @@ func TestBadJobReturnsErrorAndIsNotCached(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 	ctx := context.Background()
-	j := Job{Benchmark: "NoSuch", Device: arch.GTX480().Name, Toolchain: "cuda"}
-	if _, err := s.Run(ctx, j); err == nil {
-		t.Fatal("expected error for unknown benchmark")
+	for _, j := range []Job{
+		{Benchmark: "NoSuch", Device: arch.GTX480().Name, Toolchain: "cuda"},
+		{Benchmark: "FFT", Device: arch.HD5870().Name, Toolchain: "cuda"}, // CUDA on AMD
+	} {
+		if res, err := s.Run(ctx, j); res != nil || !errors.Is(err, ErrPermanent) {
+			t.Errorf("Run(%s) = %v, %v; want no result and ErrPermanent", j.Key(), res, err)
+		}
 	}
 	if s.CacheLen() != 0 {
 		t.Error("failed executions must not be cached")
@@ -247,9 +252,9 @@ func TestParallelReproducesSequential(t *testing.T) {
 	for _, a := range arch.All() {
 		for _, tc := range bench.Toolchains(a) {
 			for _, name := range []string{"Reduce", "TranP", "Scan", "RdxS"} {
-				cfg := bench.NativeConfig(tc)
+				cfg := bench.NativeConfig(tc.Name)
 				cfg.Scale = 16
-				jobs = append(jobs, Job{Benchmark: name, Device: a.Name, Toolchain: tc, Config: cfg})
+				jobs = append(jobs, Job{Benchmark: name, Device: a.Name, Toolchain: tc.Name, Config: cfg})
 			}
 		}
 	}
@@ -278,8 +283,18 @@ func TestParallelReproducesSequential(t *testing.T) {
 
 	s := New(Options{Workers: 8})
 	defer s.Close()
-	par, err := s.RunAll(context.Background(), jobs)
-	if err != nil {
+	par := make([]*bench.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i], errs[i] = s.Run(context.Background(), j)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 

@@ -207,6 +207,10 @@ type deviceInfo struct {
 func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 	var out []deviceInfo
 	for _, a := range arch.All() {
+		var tcs []string
+		for _, tc := range bench.Toolchains(a) {
+			tcs = append(tcs, tc.Name)
+		}
 		out = append(out, deviceInfo{
 			Name:         a.Name,
 			Vendor:       a.Vendor,
@@ -216,7 +220,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 			PeakGBs:      a.TheoreticalPeakBandwidth(),
 			LinkGBs:      a.Transfer.PCIeGBps,
 			LinkLatency:  a.Transfer.LatencyS,
-			Toolchains:   bench.Toolchains(a),
+			Toolchains:   tcs,
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -379,23 +383,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveDegraded(w http.ResponseWriter, job sched.Job, cause error) {
 	// Rung 1: analytical estimate from the performance model. No
 	// simulation involved — always available for rate-valued metrics.
-	if spec, serr := bench.SpecByName(job.Benchmark); serr == nil {
-		if a, aerr := arch.Resolve(job.Device); aerr == nil {
-			tc := perfmodel.ToolchainFor(job.Toolchain)
-			if v, ok := perfmodel.Estimate(a, tc, spec.Metric); ok {
-				est, err := sched.Encode(&bench.Result{
-					Benchmark: job.Benchmark,
-					Toolchain: job.Toolchain,
-					Device:    job.Device,
-					Metric:    spec.Metric,
-					Value:     v,
-					Correct:   true,
-				})
-				if err == nil {
-					s.degradedEstimates.Add(1)
-					writeRun(w, est, "degraded", "estimate", cause.Error())
-					return
-				}
+	spec, serr := bench.SpecByName(job.Benchmark)
+	a, aerr := arch.Resolve(job.Device)
+	tc, terr := bench.ToolchainNamed(job.Toolchain)
+	if serr == nil && aerr == nil && terr == nil {
+		if v, ok := perfmodel.Estimate(a, tc.Costs, spec.Metric); ok {
+			est, err := sched.Encode(&bench.Result{
+				Benchmark: job.Benchmark,
+				Toolchain: job.Toolchain,
+				Device:    job.Device,
+				Metric:    spec.Metric,
+				Value:     v,
+				Correct:   true,
+			})
+			if err == nil {
+				s.degradedEstimates.Add(1)
+				writeRun(w, est, "degraded", "estimate", cause.Error())
+				return
 			}
 		}
 	}

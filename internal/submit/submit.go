@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
@@ -299,31 +298,31 @@ type Report struct {
 func Run(ctx context.Context, s *Submission, lim Limits) (*Report, error) {
 	rep := &Report{Kernel: s.Kernel.Name, Grid: s.Grid, Block: s.Block}
 	type built struct {
-		pers compiler.Personality
-		pk   *ptx.Kernel
+		tc bench.Toolchain
+		pk *ptx.Kernel
 	}
 	var pipelines []built
-	for _, pers := range []compiler.Personality{compiler.CUDA(), compiler.OpenCL()} {
-		pk, err := compiler.Compile(s.Kernel, pers)
+	for _, tc := range []bench.Toolchain{bench.CUDA(), bench.OpenCL()} {
+		pk, err := compiler.Compile(s.Kernel, tc.Personality)
 		if err != nil {
 			return nil, &Reject{Code: CodeCompileFailed,
-				Msg: "compile with " + pers.Name + " failed", Err: err}
+				Msg: "compile with " + tc.Name + " failed", Err: err}
 		}
-		pipelines = append(pipelines, built{pers, pk})
+		pipelines = append(pipelines, built{tc, pk})
 		rep.Compile = append(rep.Compile, bench.ReportKernel(pk))
 	}
 	rep.PTXDiff = diffLines(
 		pipelines[0].pk.Disassemble(), pipelines[1].pk.Disassemble(), lim.MaxDiffLines)
 	for _, b := range pipelines {
 		for _, a := range s.Devices {
-			if !slices.Contains(bench.Toolchains(a), b.pers.Name) {
+			if !b.tc.RunsOn(a) {
 				continue
 			}
 			if ctx != nil && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
 			run := executeOne(ctx, s, b.pk, a, lim)
-			run.Toolchain = b.pers.Name
+			run.Toolchain = b.tc.Name
 			run.Device = a.Name
 			if run.Status == "watchdog" {
 				rep.Watchdogged = true

@@ -19,25 +19,16 @@ import (
 	"gpucmp/internal/perfmodel"
 )
 
-// TunePattern sweeps a pattern-portable benchmark's schedule space on one
-// device, every candidate through run, and returns every measured point,
-// best first.
-func TunePattern(run runner, toolchain string, a *arch.Device, benchName string, scale int) (*Report, error) {
-	return tunePattern(run, toolchain, a, benchName, scale, 1)
-}
-
-// TunePatternParallel is TunePattern with concurrent candidate evaluation.
-// The simulator is a deterministic function of the job, and the final sort
-// is a total order (status, value, then mangle), so the report is
-// point-for-point identical to the sequential tuner's.
+// TunePatternParallel sweeps a pattern-portable benchmark's schedule
+// space on one device, every candidate through run with up to workers
+// evaluations at once, and returns every measured point, best first. The
+// simulator is a deterministic function of the job, and the final sort is
+// a total order (status, value, then mangle), so the report does not
+// depend on workers.
 func TunePatternParallel(run runner, toolchain string, a *arch.Device, benchName string, scale, workers int) (*Report, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	return tunePattern(run, toolchain, a, benchName, scale, workers)
-}
-
-func tunePattern(run runner, toolchain string, a *arch.Device, benchName string, scale, workers int) (*Report, error) {
 	spec, err := bench.SpecByName(benchName)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 // function of the job and the report sort is a total order, so the
 // parallel sweep must reproduce the sequential report point for point.
 func TestTunePatternParallelMatchesSequential(t *testing.T) {
-	seq, err := TunePattern(direct, "opencl", arch.GTX480(), "Reduce", 256)
+	seq, err := TunePatternParallel(direct, "opencl", arch.GTX480(), "Reduce", 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ package tune
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"gpucmp/internal/arch"
@@ -226,25 +225,4 @@ func Tune(run runner, toolchain string, a *arch.Device, benchName string, scale 
 		return pi.Value > pj.Value
 	})
 	return rep, nil
-}
-
-// TuneEverywhere tunes a benchmark across every device that can run the
-// toolchain, returning one report per device — the "adapt to all available
-// platforms" loop of the paper's conclusion.
-func TuneEverywhere(run runner, toolchain string, benchName string, scale int) ([]*Report, error) {
-	var out []*Report
-	for _, a := range arch.All() {
-		if !slices.Contains(bench.Toolchains(a), toolchain) {
-			continue
-		}
-		r, err := Tune(run, toolchain, a, benchName, scale)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("tune: no device runs toolchain %q (want cuda or opencl)", toolchain)
-	}
-	return out, nil
 }

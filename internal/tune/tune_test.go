@@ -124,29 +124,6 @@ func TestTuneSobelConstantOnGT200(t *testing.T) {
 	}
 }
 
-// TestTuneEverywhereSkipsCUDAOffNVIDIA.
-func TestTuneEverywhere(t *testing.T) {
-	reps, err := TuneEverywhere(direct, "cuda", "MD", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 2 {
-		t.Fatalf("CUDA tuning should cover the 2 NVIDIA GPUs, got %d", len(reps))
-	}
-	reps, err = TuneEverywhere(direct, "opencl", "Sobel", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 5 {
-		t.Fatalf("OpenCL tuning should cover all 5 devices, got %d", len(reps))
-	}
-	for _, r := range reps {
-		if _, ok := r.Best(); !ok {
-			t.Errorf("%s: no runnable Sobel variant", r.Device)
-		}
-	}
-}
-
 func TestPointLabel(t *testing.T) {
 	p := Point{Settings: map[Knob]bool{KnobTexture: true, KnobVectorKernel: false}}
 	want := "+texture-memory -warp-per-row"
