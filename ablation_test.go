@@ -113,9 +113,13 @@ func BenchmarkAblation_LaunchOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	bfs, err := bench.SpecByName("BFS")
+	if err != nil {
+		b.Fatal(err)
+	}
 	var res *bench.Result
 	for i := 0; i < b.N; i++ {
-		res, err = bench.RunBFS(d, bench.Config{Scale: 4})
+		res, err = bfs.Run(d, bench.Config{Scale: 4})
 		if err != nil || res.Err != nil {
 			b.Fatal(err, res.Err)
 		}

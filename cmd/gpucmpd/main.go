@@ -16,31 +16,23 @@
 //	curl localhost:8480/figures/fig3?scale=4
 //	curl localhost:8480/metrics
 //
-// With -chaos the daemon does not serve: it runs a one-shot chaos smoke
-// test — the benchmark matrix under a 30% injected transient-failure rate
-// plus occasional hangs — and exits 0 only if every job either succeeded
-// or failed with a typed permanent error and no goroutines leaked. CI
-// runs this as a post-build smoke check.
+// The fault-injection acceptance tests that hold the scheduler under this
+// daemon to its guarantees (typed errors only, watchdog reclaim, no leaked
+// goroutines) are the chaos suite, go test ./internal/fault/.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the DefaultServeMux for -pprof
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"gpucmp/internal/arch"
-	"gpucmp/internal/bench"
 	"gpucmp/internal/cluster"
 	"gpucmp/internal/fault"
 	"gpucmp/internal/sched"
@@ -54,8 +46,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 4096, "result-cache entries (negative disables caching)")
 	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "per-job execution timeout (0 = unbounded)")
 	figureScale := flag.Int("figure-scale", 4, "default problem-size divisor for /figures/*")
-	chaos := flag.Bool("chaos", false, "run the one-shot chaos smoke test and exit instead of serving")
-	chaosSeed := flag.Uint64("chaos-seed", 1, "fault-injection seed for -chaos")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	quotaRate := flag.Float64("quota-rate", 0, "POST /kernels: accepted submissions per second per tenant (0 = unlimited)")
 	quotaBurst := flag.Float64("quota-burst", 0, "POST /kernels: per-tenant burst capacity (0 = max(rate, 1))")
@@ -88,10 +78,6 @@ func main() {
 				log.Printf("gpucmpd: pprof server: %v", err)
 			}
 		}()
-	}
-
-	if *chaos {
-		os.Exit(runChaos(*chaosSeed, *workers))
 	}
 
 	if *coordinator {
@@ -244,88 +230,5 @@ func runCoordinator(addr, shards string, cfg cluster.Config, drainNotice time.Du
 		return 1
 	}
 	<-done
-	return 0
-}
-
-// runChaos executes the chaos smoke: the cheap cross-toolchain benchmark
-// matrix under injected faults. Returns the process exit code.
-func runChaos(seed uint64, workers int) int {
-	inj := fault.New(seed, fault.Schedule{TransientRate: 0.3, HangRate: 0.05})
-	before := runtime.NumGoroutine()
-	s := sched.New(sched.Options{
-		Workers:    workers,
-		JobTimeout: 15 * time.Second,
-		Injector:   inj,
-	})
-
-	var jobs []sched.Job
-	gpu := arch.GTX480()
-	for _, b := range []string{"Reduce", "Scan", "Sobel", "TranP"} {
-		for _, tc := range bench.Toolchains(gpu) {
-			j := sched.Job{Benchmark: b, Device: gpu.Name, Toolchain: tc.Name}
-			j.Config.Scale = 16
-			jobs = append(jobs, j)
-		}
-	}
-
-	log.Printf("chaos: running %d jobs at 30%% transient / 5%% hang rate (seed %d)", len(jobs), seed)
-	start := time.Now()
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j sched.Job) {
-			defer wg.Done()
-			_, errs[i] = s.Run(context.Background(), j)
-		}(i, j)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	bad, ok := 0, 0
-	for i, jerr := range errs {
-		switch {
-		case jerr == nil:
-			ok++
-		case errors.Is(jerr, sched.ErrPermanent), errors.Is(jerr, sched.ErrWatchdog):
-			log.Printf("chaos: job %s failed typed (%s): %v", jobs[i].Key(), sched.ClassOf(jerr), jerr)
-			ok++
-		default:
-			log.Printf("chaos: FAIL job %s returned untyped error: %v", jobs[i].Key(), jerr)
-			bad++
-		}
-	}
-
-	snap := s.Metrics().Snapshot()
-	s.Close()
-
-	// Goroutine-leak check: everything the scheduler spawned must exit.
-	leakDeadline := time.Now().Add(10 * time.Second)
-	leaked := true
-	for time.Now().Before(leakDeadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			leaked = false
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	log.Printf("chaos: %d/%d jobs ok in %v; retries=%d timeouts=%d reclaims=%d leaks=%d faults=%v",
-		ok, len(jobs), elapsed.Round(time.Millisecond),
-		snap.Retries, snap.Timeouts, snap.WatchdogReclaims, snap.WatchdogLeaks, inj.Counts())
-
-	if bad > 0 {
-		log.Printf("chaos: FAIL: %d jobs returned untyped errors", bad)
-		return 1
-	}
-	if snap.WatchdogLeaks > 0 {
-		log.Printf("chaos: FAIL: %d watchdog kills failed to reclaim their worker", snap.WatchdogLeaks)
-		return 1
-	}
-	if leaked {
-		log.Printf("chaos: FAIL: goroutines leaked (%d before, %d after)", before, runtime.NumGoroutine())
-		return 1
-	}
-	fmt.Println("chaos: PASS")
 	return 0
 }

@@ -44,6 +44,7 @@ import (
 	"gpucmp/internal/bench"
 	"gpucmp/internal/compiler"
 	"gpucmp/internal/core"
+	"gpucmp/internal/perfmodel"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sim"
 	"gpucmp/internal/stats"
@@ -221,9 +222,8 @@ func profile(w io.Writer, a *arch.Device, name, toolchain string, scale int) err
 
 	lt := stats.NewTable("per-launch timing (microseconds)",
 		"kernel", "grid", "block", "occupancy", "launch", "issue", "memory", "latency", "total", "bound")
-	breakdowns := bench.Breakdowns(d)
 	for i, tr := range res.Traces {
-		b := breakdowns[i]
+		b := perfmodel.KernelTime(a, d.Toolchain().Costs, tr)
 		bound := "issue"
 		if b.Memory >= b.Issue && b.Memory >= b.Latency {
 			bound = "memory"

@@ -2,7 +2,10 @@
 // the two synthetic SHOC probes) on the simulator. Each benchmark is
 // written once against the Driver abstraction, and one driver runs every
 // toolchain: Toolchain.Open pairs the value's front-end personality and
-// cost model (launch overhead, transfer link) with a simulated device.
+// cost model (launch overhead, transfer link) with a simulated device. A
+// run reports its launch traces and the work its metric counts; Spec.Run
+// prices every run from those, and Spec.Price re-prices one under another
+// toolchain's costs without simulating it again.
 // NativeConfig captures the per-toolchain implementation choices the paper
 // documents (texture memory in the CUDA MD/SPMV, constant memory in the
 // OpenCL Sobel, unroll pragma placement in FDTD).
@@ -13,6 +16,7 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/kir"
+	"gpucmp/internal/perfmodel"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sim"
 )
@@ -30,7 +34,7 @@ type Module interface {
 
 // Driver abstracts the host runtime so each benchmark is written once.
 type Driver interface {
-	Name() string // "cuda" or "opencl"
+	Toolchain() Toolchain // the stack whose costs the driver charges
 	Arch() *arch.Device
 	Alloc(bytes uint32) (Buf, error)
 	Write(dst Buf, words []uint32) error
@@ -82,6 +86,10 @@ type Result struct {
 	// Correct is false when the run completed but produced wrong output —
 	// the Table VI "FL" state.
 	Correct bool `json:"correct"`
+	// Work is the quantity a rate metric counts (flops, bytes, elements,
+	// pixels or points): pricing divides it by the run's seconds. It is zero
+	// for the time-valued benchmarks.
+	Work float64 `json:"-"`
 	// Err is non-nil when the run aborted — the Table VI "ABT" state.
 	Err error `json:"-"`
 
@@ -172,35 +180,56 @@ func NativeConfig(toolchain string) Config {
 	return Config{Scale: 1, UseTexture: false, UseConstant: true, UnrollA: false, UnrollB: true}
 }
 
-// Spec describes one registered benchmark.
+// Spec describes one registered benchmark: its Table II name and metric,
+// the clock the metric reads, and the run that produces its traces.
 type Spec struct {
 	Name   string
 	Metric string
-	// LowerIsBetter is true for time-valued metrics (sec).
-	LowerIsBetter bool
-	Run           func(d Driver, cfg Config) (*Result, error)
+	// eventTimer prices the run on the event timer (CL_PROFILING_COMMAND_
+	// START to _END), which excludes launch overhead: the SHOC peak probes
+	// report that view. Every other benchmark reads kernel seconds.
+	eventTimer bool
+	run        func(d Driver, cfg Config) *Result
+}
+
+// Run runs the benchmark on the driver and prices the result under the
+// driver's toolchain.
+func (s Spec) Run(d Driver, cfg Config) (*Result, error) {
+	res := s.run(d, cfg)
+	res.Benchmark, res.Metric = s.Name, s.Metric
+	if res.Err == nil {
+		res.KernelSeconds, res.Value = s.price(res, d.Arch(), d.Toolchain())
+	}
+	return res, nil
+}
+
+// LowerIsBetter reports whether a metric is time-valued (not a rate in
+// perfmodel's metric table), so that a smaller Value is the better result.
+func LowerIsBetter(metric string) bool {
+	_, rate := perfmodel.RateUnit(metric)
+	return !rate
 }
 
 // Registry returns the real-world benchmarks in the order of Table II,
 // followed by the two synthetic probes.
 func Registry() []Spec {
 	return []Spec{
-		{Name: "BFS", Metric: "sec", LowerIsBetter: true, Run: RunBFS},
-		{Name: "Sobel", Metric: "sec", LowerIsBetter: true, Run: RunSobel},
-		{Name: "TranP", Metric: "GB/sec", Run: RunTranP},
-		{Name: "Reduce", Metric: "GB/sec", Run: RunReduce},
-		{Name: "FFT", Metric: "GFlops/sec", Run: RunFFT},
-		{Name: "MD", Metric: "GFlops/sec", Run: RunMD},
-		{Name: "SPMV", Metric: "GFlops/sec", Run: RunSPMV},
-		{Name: "St2D", Metric: "sec", LowerIsBetter: true, Run: RunSt2D},
-		{Name: "DXTC", Metric: "MPixels/sec", Run: RunDXTC},
-		{Name: "RdxS", Metric: "MElements/sec", Run: RunRdxS},
-		{Name: "Scan", Metric: "MElements/sec", Run: RunScan},
-		{Name: "STNW", Metric: "MElements/sec", Run: RunSTNW},
-		{Name: "MxM", Metric: "GFlops/sec", Run: RunMxM},
-		{Name: "FDTD", Metric: "MPoints/sec", Run: RunFDTD},
-		{Name: "MaxFlops", Metric: "GFlops/sec", Run: RunMaxFlops},
-		{Name: "DeviceMemory", Metric: "GB/sec", Run: RunDeviceMemory},
+		{Name: "BFS", Metric: "sec", run: runBFS},
+		{Name: "Sobel", Metric: "sec", run: runSobel},
+		{Name: "TranP", Metric: "GB/sec", run: runTranP},
+		{Name: "Reduce", Metric: "GB/sec", run: runReduce},
+		{Name: "FFT", Metric: "GFlops/sec", run: runFFT},
+		{Name: "MD", Metric: "GFlops/sec", run: runMD},
+		{Name: "SPMV", Metric: "GFlops/sec", run: runSPMV},
+		{Name: "St2D", Metric: "sec", run: runSt2D},
+		{Name: "DXTC", Metric: "MPixels/sec", run: runDXTC},
+		{Name: "RdxS", Metric: "MElements/sec", run: runRdxS},
+		{Name: "Scan", Metric: "MElements/sec", run: runScan},
+		{Name: "STNW", Metric: "MElements/sec", run: runSTNW},
+		{Name: "MxM", Metric: "GFlops/sec", run: runMxM},
+		{Name: "FDTD", Metric: "MPoints/sec", run: runFDTD},
+		{Name: "MaxFlops", Metric: "GFlops/sec", eventTimer: true, run: runMaxFlops},
+		{Name: "DeviceMemory", Metric: "GB/sec", eventTimer: true, run: runDeviceMemory},
 	}
 }
 
@@ -214,34 +243,26 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("bench: unknown benchmark %q", name)
 }
 
-// result assembles the common Result fields from a finished driver run.
-func result(d Driver, name, metric string, value float64, correct bool) *Result {
+// result assembles a finished run from the driver: the work its metric
+// counts and whether its output verified. Spec.Run names and prices it.
+func result(d Driver, work float64, correct bool) *Result {
 	a := d.Arch()
 	return &Result{
-		Benchmark:       name,
-		Toolchain:       d.Name(),
+		Toolchain:       d.Toolchain().Name,
 		Device:          a.Name,
-		Metric:          metric,
-		Value:           value,
-		KernelSeconds:   d.KernelTime(),
 		EndToEndSeconds: d.Elapsed(),
 		TransferSeconds: TransferSeconds(d),
 		Transfer:        &TransferParams{PCIeGBps: a.Transfer.PCIeGBps, LatencySeconds: a.Transfer.LatencyS},
 		Correct:         correct,
+		Work:            work,
 		Kernels:         KernelReports(d),
 		Traces:          d.Traces(),
 	}
 }
 
 // abort wraps a launch/build failure as an ABT result.
-func abort(d Driver, name, metric string, err error) *Result {
-	return &Result{
-		Benchmark: name,
-		Toolchain: d.Name(),
-		Device:    d.Arch().Name,
-		Metric:    metric,
-		Err:       err,
-	}
+func abort(d Driver, err error) *Result {
+	return &Result{Toolchain: d.Toolchain().Name, Device: d.Arch().Name, Err: err}
 }
 
 func f32eq(a, b, tol float32) bool {

@@ -15,6 +15,16 @@ func testCfg(toolchain string, scale int) Config {
 	return c
 }
 
+// mustSpec looks a registered benchmark up by name: tests run benchmarks
+// through the registry, which names and prices every result.
+func mustSpec(name string) Spec {
+	s, err := SpecByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // TestAllBenchmarksCorrectOnNVIDIA runs every registered benchmark with
 // both toolchains on both NVIDIA GPUs at reduced scale and requires correct
 // results everywhere.
@@ -83,7 +93,7 @@ func TestRdxSWavefrontFailure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tt.dev.Name, err)
 		}
-		res, err := RunRdxS(d, testCfg("opencl", 4))
+		res, err := mustSpec("RdxS").Run(d, testCfg("opencl", 4))
 		if err != nil {
 			t.Fatalf("%s: %v", tt.dev.Name, err)
 		}
@@ -264,7 +274,7 @@ func TestTranPNaiveFasterOnCPU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunTranP(d, Config{Scale: 2, NaiveTranspose: naive})
+		res, err := mustSpec("TranP").Run(d, Config{Scale: 2, NaiveTranspose: naive})
 		if err != nil || res.Err != nil {
 			t.Fatal(err, res.Err)
 		}
@@ -292,7 +302,7 @@ func TestBandwidthScaleInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunDeviceMemory(d, Config{Scale: scale})
+		res, err := mustSpec("DeviceMemory").Run(d, Config{Scale: scale})
 		if err != nil || res.Err != nil {
 			t.Fatal(err, res.Err)
 		}

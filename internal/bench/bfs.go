@@ -80,11 +80,10 @@ func bfsRef(g *workload.Graph, src int) []uint32 {
 	return cost
 }
 
-// RunBFS measures breadth-first search (Table II metric: seconds). The
+// runBFS measures breadth-first search (Table II metric: seconds). The
 // level-synchronous loop launches two kernels per level, which is why the
 // paper attributes BFS's CUDA-vs-OpenCL gap to kernel-launch overhead.
-func RunBFS(d Driver, cfg Config) (*Result, error) {
-	const metric = "sec"
+func runBFS(d Driver, cfg Config) *Result {
 	nodes := cfg.scale(32 * 1024)
 	if nodes < 64 {
 		nodes = 64
@@ -94,15 +93,15 @@ func RunBFS(d Driver, cfg Config) (*Result, error) {
 
 	mod, err := d.Build(bfsVisitKernel(), bfsUpdateKernel())
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 	startsBuf, err := allocWrite(d, g.Starts)
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 	edgesBuf, err := allocWrite(d, g.Edges)
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 	// kir.LAnd does not short-circuit, so both kernels' tail work-items
 	// (tid >= nodes) load frontier[tid] and updating[tid]: those two arrays
@@ -113,53 +112,51 @@ func RunBFS(d Driver, cfg Config) (*Result, error) {
 	frontierInit[src] = 1
 	frontierBuf, err := allocWrite(d, frontierInit)
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 	updatingBuf, err := allocZero(d, grid.X*block.X)
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 	visitedInit := make([]uint32, nodes)
 	visitedInit[src] = 1
 	visitedBuf, err := allocWrite(d, visitedInit)
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 	costBuf, err := allocZero(d, nodes)
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 	doneBuf, err := allocZero(d, 1)
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
 	for iter := 0; iter < nodes; iter++ {
 		if err := d.Write(doneBuf, []uint32{0}); err != nil {
-			return abort(d, "BFS", metric, err), nil
+			return abort(d, err)
 		}
 		if err := d.Launch(mod, "bfsVisit", grid, block,
 			B(startsBuf), B(edgesBuf), B(frontierBuf), B(updatingBuf), B(visitedBuf), B(costBuf), V(uint32(nodes))); err != nil {
-			return abort(d, "BFS", metric, err), nil
+			return abort(d, err)
 		}
 		if err := d.Launch(mod, "bfsUpdate", grid, block,
 			B(frontierBuf), B(updatingBuf), B(visitedBuf), B(doneBuf), V(uint32(nodes))); err != nil {
-			return abort(d, "BFS", metric, err), nil
+			return abort(d, err)
 		}
 		flag, err := readWords(d, doneBuf, 1)
 		if err != nil {
-			return abort(d, "BFS", metric, err), nil
+			return abort(d, err)
 		}
 		if flag[0] == 0 {
 			break
 		}
 	}
-	elapsed := d.KernelTime()
-
 	got, err := readWords(d, costBuf, nodes)
 	if err != nil {
-		return abort(d, "BFS", metric, err), nil
+		return abort(d, err)
 	}
 	want := bfsRef(g, src)
 	correct := true
@@ -174,6 +171,5 @@ func RunBFS(d Driver, cfg Config) (*Result, error) {
 		}
 	}
 
-	res := result(d, "BFS", metric, elapsed, correct)
-	return res, nil
+	return result(d, 0, correct)
 }

@@ -104,7 +104,6 @@ type driver struct {
 	kernelTime   float64 // kernel-only simulated seconds
 	transferTime float64 // host<->device copy simulated seconds
 	traces       []*sim.Trace
-	breakdowns   []perfmodel.Breakdown
 	constOffs    map[uint32]uint32 // global address -> constant-segment offset
 
 	// built records every kernel Build compiled, in source order, so
@@ -144,8 +143,8 @@ func (d *driver) fail(code clCode, err error) error {
 	return errors.Join(code, err)
 }
 
-func (d *driver) Name() string       { return d.tc.Name }
-func (d *driver) Arch() *arch.Device { return d.dev.Arch }
+func (d *driver) Toolchain() Toolchain { return d.tc }
+func (d *driver) Arch() *arch.Device   { return d.dev.Arch }
 
 func (d *driver) Alloc(bytes uint32) (Buf, error) {
 	addr, err := d.dev.Global.Alloc(bytes)
@@ -224,11 +223,10 @@ func (d *driver) Launch(m Module, kernel string, grid, block sim.Dim3, args ...A
 		}
 		return err
 	}
-	b := perfmodel.KernelTime(d.dev.Arch, d.tc.Costs, tr)
+	t := perfmodel.KernelTime(d.dev.Arch, d.tc.Costs, tr).Total
 	d.traces = append(d.traces, tr)
-	d.breakdowns = append(d.breakdowns, b)
-	d.elapsed += b.Total
-	d.kernelTime += b.Total
+	d.elapsed += t
+	d.kernelTime += t
 	return nil
 }
 
@@ -295,7 +293,7 @@ func (d *driver) Traces() []*sim.Trace { return d.traces }
 // ResetTimer clears the simulated clock and the launch history.
 func (d *driver) ResetTimer() {
 	d.elapsed, d.kernelTime, d.transferTime = 0, 0, 0
-	d.traces, d.breakdowns = nil, nil
+	d.traces = nil
 }
 
 // SimDevice exposes the simulated device underneath a driver — the seam
@@ -309,14 +307,6 @@ func SimDevice(d Driver) *sim.Device {
 	return nil
 }
 
-// Breakdowns exposes the per-launch timing decompositions of a driver.
-func Breakdowns(d Driver) []perfmodel.Breakdown {
-	if dd, ok := d.(*driver); ok {
-		return dd.breakdowns
-	}
-	return nil
-}
-
 // TransferSeconds exposes the host<->device copy time a driver has
 // accumulated since its last ResetTimer. Zero for drivers that do not
 // track transfers.
@@ -325,15 +315,4 @@ func TransferSeconds(d Driver) float64 {
 		return dd.transferTime
 	}
 	return 0
-}
-
-// ExecSeconds sums the per-launch execution time excluding launch overhead
-// — the event-timer view (CL_PROFILING_COMMAND_START to _END) that the
-// synthetic peak probes report.
-func ExecSeconds(d Driver) float64 {
-	sum := 0.0
-	for _, b := range Breakdowns(d) {
-		sum += b.Total - b.Launch
-	}
-	return sum
 }

@@ -241,8 +241,8 @@ func TestDriver(t *testing.T) {
 					t.Fatalf("out[%d] = %g, want %g", i, f, in[i]*1.5)
 				}
 			}
-			if d.Name() != tc || KernelReports(d)[0].Toolchain != tc {
-				t.Errorf("driver %q built %q kernels, want %q", d.Name(), KernelReports(d)[0].Toolchain, tc)
+			if d.Toolchain().Name != tc || KernelReports(d)[0].Toolchain != tc {
+				t.Errorf("driver %q built %q kernels, want %q", d.Toolchain().Name, KernelReports(d)[0].Toolchain, tc)
 			}
 			copyTime := 2 * perfmodel.TransferTimeOn(d.Arch(), perfmodel.ToolchainFor(tc), 4*n)
 			if TransferSeconds(d) != copyTime {
@@ -251,12 +251,12 @@ func TestDriver(t *testing.T) {
 			if d.KernelTime() <= 0 || d.Elapsed() != d.KernelTime()+copyTime {
 				t.Errorf("Elapsed %g, want KernelTime %g + transfers %g", d.Elapsed(), d.KernelTime(), copyTime)
 			}
-			if len(d.Traces()) != 1 || len(Breakdowns(d)) != 1 || Breakdowns(d)[0].Total != d.KernelTime() {
+			if len(d.Traces()) != 1 || perfmodel.KernelTime(d.Arch(), d.Toolchain().Costs, d.Traces()[0]).Total != d.KernelTime() {
 				t.Error("launch bookkeeping wrong")
 			}
 			d.ResetTimer()
 			if d.Elapsed() != 0 || d.KernelTime() != 0 || TransferSeconds(d) != 0 ||
-				len(d.Traces()) != 0 || len(Breakdowns(d)) != 0 {
+				len(d.Traces()) != 0 {
 				t.Error("ResetTimer did not clear the clock")
 			}
 		})

@@ -129,9 +129,8 @@ func dxtcRef(img []uint32, w, h int) []uint32 {
 	return out
 }
 
-// RunDXTC measures DXT compression throughput in MPixels/sec (Table II).
-func RunDXTC(d Driver, cfg Config) (*Result, error) {
-	const metric = "MPixels/sec"
+// runDXTC measures DXT compression throughput in MPixels/sec (Table II).
+func runDXTC(d Driver, cfg Config) *Result {
 	w := cfg.scale(512)
 	h := cfg.scale(512)
 	if w < 64 {
@@ -144,15 +143,15 @@ func RunDXTC(d Driver, cfg Config) (*Result, error) {
 	k := DXTCKernel()
 	mod, err := d.Build(k)
 	if err != nil {
-		return abort(d, "DXTC", metric, err), nil
+		return abort(d, err)
 	}
 	imgBuf, err := allocWrite(d, img)
 	if err != nil {
-		return abort(d, "DXTC", metric, err), nil
+		return abort(d, err)
 	}
 	outBuf, err := allocZero(d, nblocks*2)
 	if err != nil {
-		return abort(d, "DXTC", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
@@ -160,13 +159,12 @@ func RunDXTC(d Driver, cfg Config) (*Result, error) {
 	grid := sim.Dim3{X: (nblocks + block - 1) / block, Y: 1}
 	if err := d.Launch(mod, "dxtc", grid, sim.Dim3{X: block, Y: 1},
 		B(imgBuf), B(outBuf), V(uint32(w)), V(uint32(nblocks))); err != nil {
-		return abort(d, "DXTC", metric, err), nil
+		return abort(d, err)
 	}
-	kernelSecs := d.KernelTime()
 
 	got, err := readWords(d, outBuf, nblocks*2)
 	if err != nil {
-		return abort(d, "DXTC", metric, err), nil
+		return abort(d, err)
 	}
 	want := dxtcRef(img, w, h)
 	correct := true
@@ -177,5 +175,5 @@ func RunDXTC(d Driver, cfg Config) (*Result, error) {
 		}
 	}
 
-	return result(d, "DXTC", metric, float64(w*h)/kernelSecs/1e6, correct), nil
+	return result(d, float64(w*h), correct)
 }

@@ -85,10 +85,12 @@ func Example_saxpy() {
 // under OpenCL on all five devices, while CUDA reaches the NVIDIA parts
 // only.
 func Example_portability() {
+	reduce, err := bench.SpecByName("Reduce")
+	check(err)
 	for _, a := range arch.All() {
 		d, err := bench.OpenCL().Open(a)
 		check(err)
-		res, err := bench.RunReduce(d, bench.Config{Scale: 8})
+		res, err := reduce.Run(d, bench.Config{Scale: 8})
 		check(err)
 		var names []string
 		for _, tc := range bench.Toolchains(a) {
@@ -110,11 +112,13 @@ func Example_portability() {
 // a DRAM transaction the constant cache would absorb; the Fermi L1 absorbs
 // them anyway.
 func Example_sobelFilterPlacement() {
+	sobel, err := bench.SpecByName("Sobel")
+	check(err)
 	for _, a := range []*arch.Device{arch.GTX280(), arch.GTX480()} {
 		for _, constant := range []bool{true, false} {
 			d, err := bench.NewDriver("cuda", a)
 			check(err)
-			res, err := bench.RunSobel(d, bench.Config{Scale: 8, UseConstant: constant})
+			res, err := sobel.Run(d, bench.Config{Scale: 8, UseConstant: constant})
 			check(err)
 			var dram int64
 			for _, tr := range res.Traces {
@@ -135,11 +139,13 @@ func Example_sobelFilterPlacement() {
 // optimisation, costs the CPU device an order of magnitude, where a
 // 32-wide "warp" mostly idles.
 func Example_spmvOnCPU() {
+	spmv, err := bench.SpecByName("SPMV")
+	check(err)
 	for _, a := range []*arch.Device{arch.GTX480(), arch.Intel920()} {
 		for _, vector := range []bool{false, true} {
 			d, err := bench.NewDriver("opencl", a)
 			check(err)
-			res, err := bench.RunSPMV(d, bench.Config{Scale: 8, VectorSPMV: vector})
+			res, err := spmv.Run(d, bench.Config{Scale: 8, VectorSPMV: vector})
 			check(err)
 			fmt.Printf("%-18s vector=%-5v %s %8.4f %s\n", a.Name, vector, res.Status(), res.Value, res.Metric)
 		}

@@ -137,10 +137,9 @@ func fdtdRef(in []float32, w, h, zdim int) []float32 {
 	return out
 }
 
-// RunFDTD measures FDTD throughput in MPoints/sec (Table II) with the
+// runFDTD measures FDTD throughput in MPoints/sec (Table II) with the
 // unroll-point placement selected by cfg.UnrollA / cfg.UnrollB.
-func RunFDTD(d Driver, cfg Config) (*Result, error) {
-	const metric = "MPoints/sec"
+func runFDTD(d Driver, cfg Config) *Result {
 	w := cfg.scale(96)
 	h := cfg.scale(96)
 	if w < 4*fdtdRadius {
@@ -154,19 +153,19 @@ func RunFDTD(d Driver, cfg Config) (*Result, error) {
 	k := FDTDKernel(cfg.UnrollA, cfg.UnrollB)
 	mod, err := d.Build(k)
 	if err != nil {
-		return abort(d, "FDTD", metric, err), nil
+		return abort(d, err)
 	}
 	inBuf, err := allocWriteF(d, vol)
 	if err != nil {
-		return abort(d, "FDTD", metric, err), nil
+		return abort(d, err)
 	}
 	outBuf, err := allocWriteF(d, vol)
 	if err != nil {
-		return abort(d, "FDTD", metric, err), nil
+		return abort(d, err)
 	}
 	coefBuf, err := allocWriteF(d, fdtdCoeffs)
 	if err != nil {
-		return abort(d, "FDTD", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
@@ -174,13 +173,12 @@ func RunFDTD(d Driver, cfg Config) (*Result, error) {
 	grid := sim.Dim3{X: w / fdtdBlock, Y: h / fdtdBlock}
 	if err := d.Launch(mod, "fdtd", grid, block,
 		B(inBuf), B(outBuf), B(coefBuf), V(uint32(w)), V(uint32(h)), V(uint32(dimz))); err != nil {
-		return abort(d, "FDTD", metric, err), nil
+		return abort(d, err)
 	}
-	kernelSecs := d.KernelTime()
 
 	got, err := readF32(d, outBuf, w*h*zdim)
 	if err != nil {
-		return abort(d, "FDTD", metric, err), nil
+		return abort(d, err)
 	}
 	want := fdtdRef(vol, w, h, zdim)
 	correct := true
@@ -197,5 +195,5 @@ func RunFDTD(d Driver, cfg Config) (*Result, error) {
 	}
 
 	points := float64(w * h * dimz)
-	return result(d, "FDTD", metric, points/kernelSecs/1e6, correct), nil
+	return result(d, points, correct)
 }

@@ -28,7 +28,7 @@ func TestFDTDAgainstReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					r, err := RunFDTD(d, Config{Scale: scale, UnrollA: u.a, UnrollB: u.b})
+					r, err := mustSpec("FDTD").Run(d, Config{Scale: scale, UnrollA: u.a, UnrollB: u.b})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -57,7 +57,7 @@ func TestFDTDUnrollChangesSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := RunFDTD(d, Config{Scale: 4, UnrollA: ua, UnrollB: true})
+		r, err := mustSpec("FDTD").Run(d, Config{Scale: 4, UnrollA: ua, UnrollB: true})
 		if err != nil || r.Err != nil {
 			t.Fatal(err, r.Err)
 		}

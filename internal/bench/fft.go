@@ -135,49 +135,47 @@ func fftRef(re, im []float32) (outRe, outIm []float32) {
 
 func m(s int) uint32 { return 1 << uint(s) }
 
-// RunFFT measures batched-FFT throughput in GFlops/sec using the standard
+// runFFT measures batched-FFT throughput in GFlops/sec using the standard
 // 5·N·log2(N) operation count (Table II).
-func RunFFT(d Driver, cfg Config) (*Result, error) {
-	const metric = "GFlops/sec"
+func runFFT(d Driver, cfg Config) *Result {
 	batch := cfg.scale(256)
 	re, im := workload.SignalBatch(batch, fftN, 17)
 
 	k := FFTKernel()
 	mod, err := d.Build(k)
 	if err != nil {
-		return abort(d, "FFT", metric, err), nil
+		return abort(d, err)
 	}
 	inRe, err := allocWriteF(d, re)
 	if err != nil {
-		return abort(d, "FFT", metric, err), nil
+		return abort(d, err)
 	}
 	inIm, err := allocWriteF(d, im)
 	if err != nil {
-		return abort(d, "FFT", metric, err), nil
+		return abort(d, err)
 	}
 	outRe, err := allocZero(d, batch*fftN)
 	if err != nil {
-		return abort(d, "FFT", metric, err), nil
+		return abort(d, err)
 	}
 	outIm, err := allocZero(d, batch*fftN)
 	if err != nil {
-		return abort(d, "FFT", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
 	if err := d.Launch(mod, "forward", sim.Dim3{X: batch, Y: 1}, sim.Dim3{X: fftThreads, Y: 1},
 		B(inRe), B(inIm), B(outRe), B(outIm)); err != nil {
-		return abort(d, "FFT", metric, err), nil
+		return abort(d, err)
 	}
-	kernelSecs := d.KernelTime()
 
 	gotRe, err := readF32(d, outRe, batch*fftN)
 	if err != nil {
-		return abort(d, "FFT", metric, err), nil
+		return abort(d, err)
 	}
 	gotIm, err := readF32(d, outIm, batch*fftN)
 	if err != nil {
-		return abort(d, "FFT", metric, err), nil
+		return abort(d, err)
 	}
 	correct := true
 	for bi := 0; bi < batch && correct; bi++ {
@@ -191,5 +189,5 @@ func RunFFT(d Driver, cfg Config) (*Result, error) {
 	}
 
 	flops := 5 * float64(batch*fftN) * fftStages
-	return result(d, "FFT", metric, flops/kernelSecs/1e9, correct), nil
+	return result(d, flops, correct)
 }

@@ -49,7 +49,7 @@ func ReportKernel(pk *ptx.Kernel) KernelReport {
 func (r *KernelReport) Source() *ptx.Kernel { return r.src }
 
 // KernelReports returns the compiler reports for every kernel a driver
-// built, in build order. Like Breakdowns it reaches under the Driver
+// built, in build order. Like TransferSeconds it reaches under the Driver
 // interface, so custom test drivers simply yield no reports.
 func KernelReports(d Driver) []KernelReport {
 	dd, ok := d.(*driver)

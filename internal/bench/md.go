@@ -95,44 +95,43 @@ func mdRef(s *workload.MDSystem) (fx, fy, fz []float32) {
 	return fx, fy, fz
 }
 
-// RunMD measures molecular-dynamics throughput in GFlops/sec (Table II).
-func RunMD(d Driver, cfg Config) (*Result, error) {
-	const metric = "GFlops/sec"
+// runMD measures molecular-dynamics throughput in GFlops/sec (Table II).
+func runMD(d Driver, cfg Config) *Result {
 	atoms := cfg.scale(16384)
 	sys := workload.RandomMD(atoms, mdMaxNeigh, 23)
 
 	k := MDKernel(cfg.UseTexture)
 	mod, err := d.Build(k)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	px, err := allocWriteF(d, sys.X)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	py, err := allocWriteF(d, sys.Y)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	pz, err := allocWriteF(d, sys.Z)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	nb, err := allocWrite(d, sys.Neighbors)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	ofx, err := allocZero(d, atoms)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	ofy, err := allocZero(d, atoms)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	ofz, err := allocZero(d, atoms)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
@@ -140,21 +139,20 @@ func RunMD(d Driver, cfg Config) (*Result, error) {
 	grid := sim.Dim3{X: (atoms + block - 1) / block, Y: 1}
 	if err := d.Launch(mod, "lj", grid, sim.Dim3{X: block, Y: 1},
 		B(px), B(py), B(pz), B(nb), B(ofx), B(ofy), B(ofz), V(uint32(atoms))); err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
-	kernelSecs := d.KernelTime()
 
 	gx, err := readF32(d, ofx, atoms)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	gy, err := readF32(d, ofy, atoms)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	gz, err := readF32(d, ofz, atoms)
 	if err != nil {
-		return abort(d, "MD", metric, err), nil
+		return abort(d, err)
 	}
 	wx, wy, wz := mdRef(sys)
 	correct := true
@@ -166,5 +164,5 @@ func RunMD(d Driver, cfg Config) (*Result, error) {
 	}
 
 	flops := float64(atoms) * mdMaxNeigh * mdFlopsPerN
-	return result(d, "MD", metric, flops/kernelSecs/1e9, correct), nil
+	return result(d, flops, correct)
 }

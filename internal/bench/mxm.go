@@ -20,11 +20,10 @@ func mxmRef(a, bm []float32, n int) []float32 {
 	return c
 }
 
-// RunMxM measures dense matrix multiplication in GFlops/sec (Table II).
+// runMxM measures dense matrix multiplication in GFlops/sec (Table II).
 // The kernel is the pattern lowering of a MatMulProg; the canonical
 // schedule is the shared-memory tiled SGEMM with 16x16 tiles.
-func RunMxM(d Driver, cfg Config) (*Result, error) {
-	const metric = "GFlops/sec"
+func runMxM(d Driver, cfg Config) *Result {
 	shape, _ := PatternShape("MxM", cfg)
 	n := shape.N
 	rng := workload.NewRNG(41)
@@ -33,13 +32,12 @@ func RunMxM(d Driver, cfg Config) (*Result, error) {
 
 	l, bufs, err := runLowered(d, "MxM", cfg, map[string][]uint32{"A": F32Words(av), "B": F32Words(bv)})
 	if err != nil {
-		return abort(d, "MxM", metric, err), nil
+		return abort(d, err)
 	}
-	kernelSecs := d.KernelTime()
 
 	got, err := readF32(d, bufs[l.Out], n*n)
 	if err != nil {
-		return abort(d, "MxM", metric, err), nil
+		return abort(d, err)
 	}
 	want := mxmRef(av, bv, n)
 	correct := true
@@ -50,5 +48,5 @@ func RunMxM(d Driver, cfg Config) (*Result, error) {
 		}
 	}
 	flops := 2 * float64(n) * float64(n) * float64(n)
-	return result(d, "MxM", metric, flops/kernelSecs/1e9, correct), nil
+	return result(d, flops, correct)
 }

@@ -167,7 +167,7 @@ func TestPatternBenchRejectsBadSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunReduce(d, Config{Scale: 64, Pattern: "not-a-mangle"})
+	res, err := mustSpec("Reduce").Run(d, Config{Scale: 64, Pattern: "not-a-mangle"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestPatternBenchRejectsBadSchedules(t *testing.T) {
 	}
 	// Reduce rejects coarsening; a structurally valid but inapplicable
 	// schedule must abort too.
-	res, err = RunReduce(d, Config{Scale: 64, Pattern: "b256.c2.u0.f1.r1.t0.k0"})
+	res, err = mustSpec("Reduce").Run(d, Config{Scale: 64, Pattern: "b256.c2.u0.f1.r1.t0.k0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestPatternSchedulesDoNotAliasInCompileCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunReduce(d, Config{Scale: 256, Pattern: mangle})
+		res, err := mustSpec("Reduce").Run(d, Config{Scale: 256, Pattern: mangle})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,11 +154,10 @@ func scanSumsKernel() *kir.Kernel {
 	return b.MustBuild()
 }
 
-// RunRdxS measures radix-sort throughput in MElements/sec (Table II). On
+// runRdxS measures radix-sort throughput in MElements/sec (Table II). On
 // devices whose wavefront differs from the baked-in warp width of 32 the
 // sort completes but produces a wrongly ordered result ("FL").
-func RunRdxS(d Driver, cfg Config) (*Result, error) {
-	const metric = "MElements/sec"
+func runRdxS(d Driver, cfg Config) *Result {
 	nblocks := cfg.scale(16)
 	if nblocks < 1 {
 		nblocks = 1
@@ -168,19 +167,19 @@ func RunRdxS(d Driver, cfg Config) (*Result, error) {
 
 	mod, err := d.Build(radixCountKernel(), scanSumsKernel(), radixScatterKernel())
 	if err != nil {
-		return abort(d, "RdxS", metric, err), nil
+		return abort(d, err)
 	}
 	bufA, err := allocWrite(d, keys)
 	if err != nil {
-		return abort(d, "RdxS", metric, err), nil
+		return abort(d, err)
 	}
 	bufB, err := allocZero(d, n)
 	if err != nil {
-		return abort(d, "RdxS", metric, err), nil
+		return abort(d, err)
 	}
 	countBuf, err := allocZero(d, rdxDigits*nblocks)
 	if err != nil {
-		return abort(d, "RdxS", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
@@ -191,23 +190,22 @@ func RunRdxS(d Driver, cfg Config) (*Result, error) {
 		block := sim.Dim3{X: rdxBlock, Y: 1}
 		if err := d.Launch(mod, "radixCount", grid, block,
 			B(src), B(countBuf), V(shift), V(uint32(nblocks))); err != nil {
-			return abort(d, "RdxS", metric, err), nil
+			return abort(d, err)
 		}
 		if err := d.Launch(mod, "scanSums", sim.Dim3{X: 1, Y: 1}, sim.Dim3{X: 1, Y: 1},
 			B(countBuf), V(uint32(rdxDigits*nblocks))); err != nil {
-			return abort(d, "RdxS", metric, err), nil
+			return abort(d, err)
 		}
 		if err := d.Launch(mod, "radixScatter", grid, block,
 			B(src), B(dst), B(countBuf), V(shift), V(uint32(nblocks))); err != nil {
-			return abort(d, "RdxS", metric, err), nil
+			return abort(d, err)
 		}
 		src, dst = dst, src
 	}
-	kernelSecs := d.KernelTime()
 
 	got, err := readWords(d, src, n)
 	if err != nil {
-		return abort(d, "RdxS", metric, err), nil
+		return abort(d, err)
 	}
 	want := append([]uint32(nil), keys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -219,5 +217,5 @@ func RunRdxS(d Driver, cfg Config) (*Result, error) {
 		}
 	}
 
-	return result(d, "RdxS", metric, float64(n)/kernelSecs/1e6, correct), nil
+	return result(d, float64(n), correct)
 }

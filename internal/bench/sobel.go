@@ -100,17 +100,16 @@ func sobelOutput(d Driver, cfg Config, img []float32, w, h int) ([]float32, erro
 	return readF32(d, outBuf, w*h)
 }
 
-// RunSobel measures the Sobel benchmark (Table II metric: seconds). The
+// runSobel measures the Sobel benchmark (Table II metric: seconds). The
 // variant is selected by cfg.UseConstant, or by cfg.Pattern.
-func RunSobel(d Driver, cfg Config) (*Result, error) {
-	const metric = "sec"
+func runSobel(d Driver, cfg Config) *Result {
 	shape, _ := PatternShape("Sobel", cfg)
 	w, h := shape.W, shape.H
 	img := workload.GrayImage(w, h, 11)
 
 	got, err := sobelOutput(d, cfg, img, w, h)
 	if err != nil {
-		return abort(d, "Sobel", metric, err), nil
+		return abort(d, err)
 	}
 	want := sobelRef(img, w, h)
 	correct := true
@@ -120,7 +119,5 @@ func RunSobel(d Driver, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	res := result(d, "Sobel", metric, 0, correct)
-	res.Value = res.KernelSeconds
-	return res, nil
+	return result(d, 0, correct)
 }

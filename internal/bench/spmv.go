@@ -95,10 +95,9 @@ func spmvRef(m *workload.CSR, x []float32) []float32 {
 	return y
 }
 
-// RunSPMV measures sparse matrix-vector throughput in GFlops/sec: 2 flops
+// runSPMV measures sparse matrix-vector throughput in GFlops/sec: 2 flops
 // per stored element (Table II).
-func RunSPMV(d Driver, cfg Config) (*Result, error) {
-	const metric = "GFlops/sec"
+func runSPMV(d Driver, cfg Config) *Result {
 	rows := cfg.scale(16384)
 	mtx := workload.RandomCSR(rows, rows, 8, 29)
 	x := workload.NewRNG(31).Floats(rows, 0, 1)
@@ -111,27 +110,27 @@ func RunSPMV(d Driver, cfg Config) (*Result, error) {
 	}
 	mod, err := d.Build(k)
 	if err != nil {
-		return abort(d, "SPMV", metric, err), nil
+		return abort(d, err)
 	}
 	vb, err := allocWriteF(d, mtx.Values)
 	if err != nil {
-		return abort(d, "SPMV", metric, err), nil
+		return abort(d, err)
 	}
 	cb, err := allocWrite(d, mtx.ColIdx)
 	if err != nil {
-		return abort(d, "SPMV", metric, err), nil
+		return abort(d, err)
 	}
 	rb, err := allocWrite(d, mtx.RowPtr)
 	if err != nil {
-		return abort(d, "SPMV", metric, err), nil
+		return abort(d, err)
 	}
 	xb, err := allocWriteF(d, x)
 	if err != nil {
-		return abort(d, "SPMV", metric, err), nil
+		return abort(d, err)
 	}
 	yb, err := allocZero(d, rows)
 	if err != nil {
-		return abort(d, "SPMV", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
@@ -145,13 +144,12 @@ func RunSPMV(d Driver, cfg Config) (*Result, error) {
 	grid := sim.Dim3{X: (threads + block - 1) / block, Y: 1}
 	if err := d.Launch(mod, kernelName, grid, sim.Dim3{X: block, Y: 1},
 		B(vb), B(cb), B(rb), B(xb), B(yb), V(uint32(rows))); err != nil {
-		return abort(d, "SPMV", metric, err), nil
+		return abort(d, err)
 	}
-	kernelSecs := d.KernelTime()
 
 	got, err := readF32(d, yb, rows)
 	if err != nil {
-		return abort(d, "SPMV", metric, err), nil
+		return abort(d, err)
 	}
 	want := spmvRef(mtx, x)
 	correct := true
@@ -163,5 +161,5 @@ func RunSPMV(d Driver, cfg Config) (*Result, error) {
 	}
 
 	flops := 2 * float64(mtx.NNZ())
-	return result(d, "SPMV", metric, flops/kernelSecs/1e9, correct), nil
+	return result(d, flops, correct)
 }

@@ -104,10 +104,9 @@ func st2dSteps(d Driver, cfg Config, img []float32, w, h, steps int) ([]float32,
 	return readF32(d, src, w*h)
 }
 
-// RunSt2D measures the two-dimensional nine-point stencil (Table II
+// runSt2D measures the two-dimensional nine-point stencil (Table II
 // metric: seconds) over several ping-pong iterations.
-func RunSt2D(d Driver, cfg Config) (*Result, error) {
-	const metric = "sec"
+func runSt2D(d Driver, cfg Config) *Result {
 	const steps = 4
 	shape, _ := PatternShape("St2D", cfg)
 	w, h := shape.W, shape.H
@@ -115,7 +114,7 @@ func RunSt2D(d Driver, cfg Config) (*Result, error) {
 
 	got, err := st2dSteps(d, cfg, img, w, h, steps)
 	if err != nil {
-		return abort(d, "St2D", metric, err), nil
+		return abort(d, err)
 	}
 	want := img
 	for s := 0; s < steps; s++ {
@@ -128,5 +127,5 @@ func RunSt2D(d Driver, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	return result(d, "St2D", metric, d.KernelTime(), correct), nil
+	return result(d, 0, correct)
 }

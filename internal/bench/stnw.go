@@ -111,10 +111,9 @@ func stnwGlobalKernel() *kir.Kernel {
 	return b.MustBuild()
 }
 
-// RunSTNW measures sorting-network throughput in MElements/sec (Table II):
+// runSTNW measures sorting-network throughput in MElements/sec (Table II):
 // key-value pairs sorted by a hybrid shared/global bitonic network.
-func RunSTNW(d Driver, cfg Config) (*Result, error) {
-	const metric = "MElements/sec"
+func runSTNW(d Driver, cfg Config) *Result {
 	n := cfg.scale(64 * 1024)
 	// n must be a power of two and at least one tile.
 	pow := 1
@@ -134,22 +133,22 @@ func RunSTNW(d Driver, cfg Config) (*Result, error) {
 
 	mod, err := d.Build(stnwLocalKernel(), stnwGlobalKernel())
 	if err != nil {
-		return abort(d, "STNW", metric, err), nil
+		return abort(d, err)
 	}
 	kb, err := allocWrite(d, keys)
 	if err != nil {
-		return abort(d, "STNW", metric, err), nil
+		return abort(d, err)
 	}
 	vb, err := allocWrite(d, vals)
 	if err != nil {
-		return abort(d, "STNW", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
 	tiles := n / stnwTile
 	if err := d.Launch(mod, "bitonicSortShared", sim.Dim3{X: tiles, Y: 1}, sim.Dim3{X: stnwThreads, Y: 1},
 		B(kb), B(vb)); err != nil {
-		return abort(d, "STNW", metric, err), nil
+		return abort(d, err)
 	}
 	for k := uint32(2 * stnwTile); k <= uint32(n); k <<= 1 {
 		for j := k >> 1; j >= 1; j >>= 1 {
@@ -159,19 +158,18 @@ func RunSTNW(d Driver, cfg Config) (*Result, error) {
 			}
 			if err := d.Launch(mod, "bitonicMergeGlobal", grid, sim.Dim3{X: stnwThreads, Y: 1},
 				B(kb), B(vb), V(j), V(k)); err != nil {
-				return abort(d, "STNW", metric, err), nil
+				return abort(d, err)
 			}
 		}
 	}
-	kernelSecs := d.KernelTime()
 
 	gotK, err := readWords(d, kb, n)
 	if err != nil {
-		return abort(d, "STNW", metric, err), nil
+		return abort(d, err)
 	}
 	gotV, err := readWords(d, vb, n)
 	if err != nil {
-		return abort(d, "STNW", metric, err), nil
+		return abort(d, err)
 	}
 	want := append([]uint32(nil), keys...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -183,5 +181,5 @@ func RunSTNW(d Driver, cfg Config) (*Result, error) {
 		}
 	}
 
-	return result(d, "STNW", metric, float64(n)/kernelSecs/1e6, correct), nil
+	return result(d, float64(n), correct)
 }

@@ -36,10 +36,9 @@ func maxFlopsKernel(interleaved bool, rounds int) *kir.Kernel {
 	return b.MustBuild()
 }
 
-// RunMaxFlops measures achieved peak arithmetic throughput (Fig. 2),
+// runMaxFlops measures achieved peak arithmetic throughput (Fig. 2),
 // reported in GFlops/sec from the event-timer execution time.
-func RunMaxFlops(d Driver, cfg Config) (*Result, error) {
-	const metric = "GFlops/sec"
+func runMaxFlops(d Driver, cfg Config) *Result {
 	interleaved := d.Arch().Microarch == arch.GT200
 	rounds := 48
 	threads := cfg.scale(32768)
@@ -52,16 +51,16 @@ func RunMaxFlops(d Driver, cfg Config) (*Result, error) {
 	k := maxFlopsKernel(interleaved, rounds)
 	mod, err := d.Build(k)
 	if err != nil {
-		return abort(d, "MaxFlops", metric, err), nil
+		return abort(d, err)
 	}
 	out, err := allocZero(d, threads)
 	if err != nil {
-		return abort(d, "MaxFlops", metric, err), nil
+		return abort(d, err)
 	}
 	d.ResetTimer()
 	grid := sim.Dim3{X: (threads + block - 1) / block, Y: 1}
 	if err := d.Launch(mod, "maxflops", grid, sim.Dim3{X: block, Y: 1}, B(out)); err != nil {
-		return abort(d, "MaxFlops", metric, err), nil
+		return abort(d, err)
 	}
 	// Flops: each mad is 2 flops; each interleaved mul adds 1.
 	perThread := float64(rounds * 8 * 2)
@@ -69,9 +68,7 @@ func RunMaxFlops(d Driver, cfg Config) (*Result, error) {
 		perThread += float64(rounds * 8)
 	}
 	flops := perThread * float64(threads)
-	secs := ExecSeconds(d)
-	res := result(d, "MaxFlops", metric, flops/secs/1e9, true)
-	return res, nil
+	return result(d, flops, true)
 }
 
 // deviceMemoryKernel builds the SHOC DeviceMemory coalesced-read probe:
@@ -93,10 +90,9 @@ func deviceMemoryKernel(iters int) *kir.Kernel {
 	return b.MustBuild()
 }
 
-// RunDeviceMemory measures achieved global-memory read bandwidth (Fig. 1)
+// runDeviceMemory measures achieved global-memory read bandwidth (Fig. 1)
 // with work-group size 256, the configuration the paper fixes.
-func RunDeviceMemory(d Driver, cfg Config) (*Result, error) {
-	const metric = "GB/sec"
+func runDeviceMemory(d Driver, cfg Config) *Result {
 	const iters = 32
 	threads := cfg.scale(256 * 1024)
 	block := 256
@@ -109,23 +105,21 @@ func RunDeviceMemory(d Driver, cfg Config) (*Result, error) {
 	k := deviceMemoryKernel(iters)
 	mod, err := d.Build(k)
 	if err != nil {
-		return abort(d, "DeviceMemory", metric, err), nil
+		return abort(d, err)
 	}
 	data, err := allocZero(d, words)
 	if err != nil {
-		return abort(d, "DeviceMemory", metric, err), nil
+		return abort(d, err)
 	}
 	out, err := allocZero(d, threads)
 	if err != nil {
-		return abort(d, "DeviceMemory", metric, err), nil
+		return abort(d, err)
 	}
 	d.ResetTimer()
 	grid := sim.Dim3{X: (threads + block - 1) / block, Y: 1}
 	if err := d.Launch(mod, "readGlobalMemoryCoalesced", grid, sim.Dim3{X: block, Y: 1},
 		B(data), B(out), V(uint32(threads))); err != nil {
-		return abort(d, "DeviceMemory", metric, err), nil
+		return abort(d, err)
 	}
-	bytes := float64(words) * 4
-	secs := ExecSeconds(d)
-	return result(d, "DeviceMemory", metric, bytes/secs/1e9, true), nil
+	return result(d, float64(words)*4, true)
 }

@@ -39,9 +39,8 @@ func TranPKernel(naive bool) *kir.Kernel {
 	return b.MustBuild()
 }
 
-// RunTranP measures matrix transposition bandwidth in GB/sec (Table II).
-func RunTranP(d Driver, cfg Config) (*Result, error) {
-	const metric = "GB/sec"
+// runTranP measures matrix transposition bandwidth in GB/sec (Table II).
+func runTranP(d Driver, cfg Config) *Result {
 	n := cfg.scale(1024)
 	if n < tileDim {
 		n = tileDim
@@ -52,27 +51,27 @@ func RunTranP(d Driver, cfg Config) (*Result, error) {
 	k := TranPKernel(cfg.NaiveTranspose)
 	mod, err := d.Build(k)
 	if err != nil {
-		return abort(d, "TranP", metric, err), nil
+		return abort(d, err)
 	}
 	inBuf, err := allocWriteF(d, in)
 	if err != nil {
-		return abort(d, "TranP", metric, err), nil
+		return abort(d, err)
 	}
 	outBuf, err := allocZero(d, n*n)
 	if err != nil {
-		return abort(d, "TranP", metric, err), nil
+		return abort(d, err)
 	}
 
 	d.ResetTimer()
 	block := sim.Dim3{X: tileDim, Y: tileDim}
 	grid := sim.Dim3{X: n / tileDim, Y: n / tileDim}
 	if err := d.Launch(mod, "transpose", grid, block, B(inBuf), B(outBuf), V(uint32(n))); err != nil {
-		return abort(d, "TranP", metric, err), nil
+		return abort(d, err)
 	}
 
 	got, err := readF32(d, outBuf, n*n)
 	if err != nil {
-		return abort(d, "TranP", metric, err), nil
+		return abort(d, err)
 	}
 	correct := true
 	for y := 0; y < n && correct; y++ {
@@ -83,7 +82,5 @@ func RunTranP(d Driver, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	bytes := float64(2*n*n) * 4
-	res := result(d, "TranP", metric, bytes/d.KernelTime()/1e9, correct)
-	return res, nil
+	return result(d, float64(2*n*n)*4, correct)
 }

@@ -91,7 +91,7 @@ func Compare(run Runner, a *arch.Device, spec bench.Spec, cfgCUDA, cfgCL bench.C
 		Metric:    spec.Metric,
 		CUDA:      rc,
 		OpenCL:    ro,
-		PR:        PR(ro.Value, rc.Value, spec.LowerIsBetter),
+		PR:        PR(ro.Value, rc.Value, bench.LowerIsBetter(spec.Metric)),
 	}, nil
 }
 

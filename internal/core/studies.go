@@ -227,7 +227,7 @@ func patternStudy(g regen) (patternResult, error) {
 				}
 				hand := res.Value
 				ratio := best.Raw / hand
-				if !spec.LowerIsBetter {
+				if !bench.LowerIsBetter(spec.Metric) {
 					ratio = hand / best.Raw
 				}
 				o.Records = append(o.Records, patternCell{

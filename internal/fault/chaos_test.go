@@ -209,76 +209,108 @@ func TestChaosHangsReclaimedWithinTimeout(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestChaosMixedSchedule runs everything at once — transient launches,
-// out-of-resources, hangs, and cache corruption — and asserts the weaker
-// but universal invariant: every job terminates with either a result
-// bit-identical to the fault-free run or an error typed Permanent or
-// Watchdog, and the process is goroutine-clean afterwards.
+// TestChaosMixedSchedule runs faults of several kinds at once and asserts
+// the weaker but universal invariant: every job terminates with either a
+// result bit-identical to the fault-free run or an error typed Permanent
+// or Watchdog, no watchdog kill fails to reclaim its worker, and the
+// process is goroutine-clean afterwards.
 func TestChaosMixedSchedule(t *testing.T) {
-	jobs := chaosJobs()
-	want := baseline(t, jobs)
+	for _, tt := range []struct {
+		name     string
+		seed     uint64
+		schedule fault.Schedule
+		retry    sched.RetryPolicy
+		breaker  sched.BreakerConfig
+	}{
+		{
+			// Transient launches, out-of-resources, hangs and cache
+			// corruption. Seed 7 draws every fault kind at least once
+			// across the matrix (4 transients, 2 out-of-resources, 1 hang,
+			// 1 corrupted store).
+			name: "all-kinds",
+			seed: 7,
+			schedule: fault.Schedule{
+				TransientRate: 0.2,
+				OORRate:       0.05,
+				HangRate:      0.1,
+				CorruptRate:   0.2,
+				MaxPerKey:     2,
+			},
+			retry:   fastChaosRetry,
+			breaker: sched.BreakerConfig{Disabled: true},
+		},
+		{
+			// 30% transient launches plus 5% hangs under the scheduler's
+			// default retry policy with the circuit breakers on.
+			name:     "defaults",
+			seed:     1,
+			schedule: fault.Schedule{TransientRate: 0.3, HangRate: 0.05},
+		},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			jobs := chaosJobs()
+			want := baseline(t, jobs)
 
-	before := runtime.NumGoroutine()
-	// Seed 7 draws every fault kind at least once across the matrix
-	// (4 transients, 2 out-of-resources, 1 hang, 1 corrupted store).
-	inj := fault.New(7, fault.Schedule{
-		TransientRate: 0.2,
-		OORRate:       0.05,
-		HangRate:      0.1,
-		CorruptRate:   0.2,
-		MaxPerKey:     2,
-	})
-	// JobTimeout must exceed a real benchmark run (≲1s under -race) so
-	// that normally only injected hangs — which block until killed — trip
-	// the watchdog, yet stay small enough that each hang costs the test
-	// just a few seconds.
-	s := sched.New(sched.Options{
-		Workers:    4,
-		JobTimeout: 3 * time.Second,
-		Retry:      fastChaosRetry,
-		Breaker:    sched.BreakerConfig{Disabled: true},
-		Injector:   inj,
-	})
+			before := runtime.NumGoroutine()
+			inj := fault.New(tt.seed, tt.schedule)
+			// JobTimeout must exceed a real benchmark run (≲1s under
+			// -race) so that normally only injected hangs — which block
+			// until killed — trip the watchdog, yet stay small enough that
+			// each hang costs the test just a few seconds.
+			s := sched.New(sched.Options{
+				Workers:    4,
+				JobTimeout: 3 * time.Second,
+				Retry:      tt.retry,
+				Breaker:    tt.breaker,
+				Injector:   inj,
+			})
 
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var failures []string
-	// Two passes per job: the second pass exercises the checksum-verified
-	// cache under CorruptRate and must never serve a corrupted entry.
-	for pass := 0; pass < 2; pass++ {
-		for _, j := range jobs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				res, _, err := s.Do(context.Background(), j)
-				var problem string
-				switch {
-				case err == nil:
-					buf, merr := json.Marshal(res)
-					if merr != nil {
-						problem = fmt.Sprintf("marshal: %v", merr)
-					} else if string(buf) != string(want[j.Key()]) {
-						problem = "result differs from fault-free run"
-					}
-				case errors.Is(err, sched.ErrPermanent), errors.Is(err, sched.ErrWatchdog):
-					// typed failure: acceptable under chaos
-				default:
-					problem = fmt.Sprintf("untyped error: %v", err)
+			var wg sync.WaitGroup
+			var mu sync.Mutex
+			var failures []string
+			// Two passes per job: the second pass exercises the
+			// checksum-verified cache under CorruptRate and must never
+			// serve a corrupted entry.
+			for pass := 0; pass < 2; pass++ {
+				for _, j := range jobs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						res, _, err := s.Do(context.Background(), j)
+						var problem string
+						switch {
+						case err == nil:
+							buf, merr := json.Marshal(res)
+							if merr != nil {
+								problem = fmt.Sprintf("marshal: %v", merr)
+							} else if string(buf) != string(want[j.Key()]) {
+								problem = "result differs from fault-free run"
+							}
+						case errors.Is(err, sched.ErrPermanent), errors.Is(err, sched.ErrWatchdog):
+							// typed failure: acceptable under chaos
+						default:
+							problem = fmt.Sprintf("untyped error: %v", err)
+						}
+						if problem != "" {
+							mu.Lock()
+							failures = append(failures, fmt.Sprintf("pass %d job %s: %s", pass, j.Key(), problem))
+							mu.Unlock()
+						}
+					}()
 				}
-				if problem != "" {
-					mu.Lock()
-					failures = append(failures, fmt.Sprintf("pass %d job %s: %s", pass, j.Key(), problem))
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, f := range failures {
-		t.Error(f)
-	}
-	t.Logf("mixed chaos: metrics=%+v faults=%v", s.Metrics().Snapshot(), inj.Counts())
+				wg.Wait()
+			}
+			for _, f := range failures {
+				t.Error(f)
+			}
+			m := s.Metrics().Snapshot()
+			if m.WatchdogLeaks != 0 {
+				t.Errorf("WatchdogLeaks = %d: a watchdog kill failed to reclaim its worker", m.WatchdogLeaks)
+			}
+			t.Logf("mixed chaos: metrics=%+v faults=%v", m, inj.Counts())
 
-	s.Close()
-	checkNoGoroutineLeak(t, before)
+			s.Close()
+			checkNoGoroutineLeak(t, before)
+		})
+	}
 }

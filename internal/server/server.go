@@ -236,7 +236,7 @@ type benchmarkInfo struct {
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	var out []benchmarkInfo
 	for _, spec := range bench.Registry() {
-		out = append(out, benchmarkInfo{Name: spec.Name, Metric: spec.Metric, LowerIsBetter: spec.LowerIsBetter})
+		out = append(out, benchmarkInfo{Name: spec.Name, Metric: spec.Metric, LowerIsBetter: bench.LowerIsBetter(spec.Metric)})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

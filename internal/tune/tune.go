@@ -175,7 +175,7 @@ func measure(run runner, toolchain string, a *arch.Device, spec bench.Spec, cfg 
 	p := Point{Pattern: cfg.Pattern, Config: cfg, Status: res.Status(), Raw: res.Value}
 	if res.Err == nil {
 		p.Value = res.Value
-		if spec.LowerIsBetter && res.Value > 0 {
+		if bench.LowerIsBetter(spec.Metric) && res.Value > 0 {
 			p.Value = 1 / res.Value
 		}
 	}

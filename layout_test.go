@@ -53,8 +53,14 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 // DESIGN.md tell the reader what to run. Every `go run ./cmd/<x>` there
 // must name a directory that exists, and every id handed to paper, on a
 // `go run ./cmd/paper` line or in a code span opening with `paper`, must
-// be a row of the figure table or one of fair, profile and passes.
+// be a row of the figure table or one of fair, profile and passes. In the
+// documents' code, every -flag handed to a command must be one the
+// command defines, and every `go test` -run, -bench or -fuzz pattern must
+// match a test, benchmark or fuzz target, except the match-nothing
+// patterns XXX and ^$.
 func TestDocumentsNameOnlyRealCommands(t *testing.T) {
+	flags := commandFlags(t)
+	tests := testNames(t)
 	ids := map[string]bool{"fair": true, "profile": true, "passes": true}
 	for _, id := range core.FigureIDs() {
 		ids[id] = true
@@ -77,6 +83,10 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 				t.Errorf("%s: %q names a command that does not exist", doc, m[0])
 			}
 		}
+		for _, code := range codeFragments(text) {
+			checkFlags(t, doc, code, flags)
+			checkTestPatterns(t, doc, code, tests)
+		}
 		for _, m := range paper.FindAllStringSubmatch(text, -1) {
 			args := strings.Fields(quoted.ReplaceAllString(m[1], "_"))
 			for i := 0; i < len(args); i++ {
@@ -89,4 +99,157 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fence opens or closes a fenced code block; inlineCode is a code span,
+// which may wrap onto the next line.
+var (
+	fence      = regexp.MustCompile("(?m)^```")
+	inlineCode = regexp.MustCompile("`([^`]+)`")
+)
+
+// codeFragments returns the code in a Markdown document: each line of a
+// fenced block, and each inline code span outside the blocks.
+func codeFragments(text string) []string {
+	var code []string
+	parts := fence.Split(text, -1)
+	for i, part := range parts {
+		if i%2 == 1 {
+			code = append(code, strings.Split(part, "\n")...)
+			continue
+		}
+		for _, m := range inlineCode.FindAllStringSubmatch(part, -1) {
+			code = append(code, m[1])
+		}
+	}
+	return code
+}
+
+// args is a command line's arguments: they end at a shell operator or a
+// comment.
+const args = `((?:\s+[^\s|;#>&)]+)*)`
+
+var (
+	// invocation is a command run by `go run`, by its bare name, or by its
+	// cmd/ path, and its arguments.
+	invocation = regexp.MustCompile(`(?:go run \./cmd/|(?:^|\s)(?:cmd/)?)(gpucmpd|kfuzz|loadgen|simbench|paper)\b` + args)
+	flagArg    = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+	goTest     = regexp.MustCompile(`go test` + args)
+	// flagDef is a flag definition: flag.Int("name", …), fs.BoolVar(&v, "name", …).
+	flagDef  = regexp.MustCompile(`\b(?:flag|fs)\.[A-Z]\w*\(\s*(?:&[\w.]+,\s*)?"([^"]+)"`)
+	testFunc = regexp.MustCompile(`(?m)^func ((Test|Example|Benchmark|Fuzz)\w*)\(`)
+)
+
+// commandFlags returns, for each command under cmd/, the flags its
+// non-test sources define.
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("cmd/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := filepath.Base(filepath.Dir(f))
+		if out[cmd] == nil {
+			out[cmd] = map[string]bool{"h": true, "help": true}
+		}
+		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			out[cmd][m[1]] = true
+		}
+	}
+	return out
+}
+
+// checkFlags reports each flag a code fragment hands to a command that the
+// command does not define.
+func checkFlags(t *testing.T, doc, code string, flags map[string]map[string]bool) {
+	t.Helper()
+	for _, m := range invocation.FindAllStringSubmatch(code, -1) {
+		for _, a := range strings.Fields(m[2]) {
+			f := flagArg.FindStringSubmatch(a)
+			if f != nil && !flags[m[1]][f[1]] {
+				t.Errorf("%s: %q hands %s -%s, which it does not define", doc, strings.TrimSpace(m[0]), m[1], f[1])
+			}
+		}
+	}
+}
+
+// testNames returns the repo's test, example, benchmark and fuzz function
+// names, keyed by kind.
+func testNames(t *testing.T) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			out[m[2]] = append(out[m[2]], m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkTestPatterns reports each `go test` -run, -bench or -fuzz pattern in
+// a code fragment that matches no function of its kinds.
+func checkTestPatterns(t *testing.T, doc, code string, tests map[string][]string) {
+	t.Helper()
+	kinds := map[string][]string{"run": {"Test", "Example", "Fuzz"}, "bench": {"Benchmark"}, "fuzz": {"Fuzz"}}
+	for _, m := range goTest.FindAllStringSubmatch(code, -1) {
+		fields := strings.Fields(m[1])
+		for i, a := range fields {
+			name, pat, ok := strings.Cut(strings.TrimLeft(a, "-"), "=")
+			if !strings.HasPrefix(a, "-") || kinds[name] == nil {
+				continue
+			}
+			if !ok {
+				if i+1 == len(fields) {
+					continue
+				}
+				pat = fields[i+1]
+			}
+			pat = strings.Trim(pat, `'"`)
+			if pat == "XXX" || pat == "^$" {
+				continue
+			}
+			// A -run pattern's first slash-separated element names the
+			// top-level test; the rest name subtests.
+			top, _, _ := strings.Cut(pat, "/")
+			re, err := regexp.Compile(top)
+			if err != nil {
+				t.Errorf("%s: go test -%s %q is not a regular expression: %v", doc, name, pat, err)
+				continue
+			}
+			if !matchesAny(re, kinds[name], tests) {
+				t.Errorf("%s: go test -%s %q matches no function", doc, name, pat)
+			}
+		}
+	}
+}
+
+func matchesAny(re *regexp.Regexp, kinds []string, tests map[string][]string) bool {
+	for _, k := range kinds {
+		for _, n := range tests[k] {
+			if re.MatchString(n) {
+				return true
+			}
+		}
+	}
+	return false
 }
