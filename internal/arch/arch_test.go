@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -114,8 +115,14 @@ func TestMicroarchFeatures(t *testing.T) {
 func TestByName(t *testing.T) {
 	for _, d := range All() {
 		got := ByName(d.Name)
-		if got == nil || got.Name != d.Name {
+		if got == nil || !reflect.DeepEqual(got, d) {
 			t.Errorf("ByName(%q) failed", d.Name)
+			continue
+		}
+		// Callers may modify what they get: every call is a fresh value.
+		got.ComputeUnits++
+		if again := ByName(d.Name); again == got || again.ComputeUnits == got.ComputeUnits {
+			t.Errorf("ByName(%q) handed out the same description twice", d.Name)
 		}
 	}
 	if ByName("no such device") != nil {

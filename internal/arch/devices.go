@@ -2,6 +2,7 @@ package arch
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -268,28 +269,37 @@ func CellBE() *Device {
 	}
 }
 
+// constructors builds each modelled device, in a stable order.
+var constructors = [...]func() *Device{GTX480, GTX280, HD5870, Intel920, CellBE}
+
+// deviceNames holds constructors[i]().Name at index i, so ByName builds
+// only the device it returns.
+var deviceNames = func() []string {
+	out := make([]string, len(constructors))
+	for i, mk := range constructors {
+		out[i] = mk().Name
+	}
+	return out
+}()
+
 // All returns fresh descriptions of every modelled device in a stable order.
 func All() []*Device {
-	return []*Device{GTX480(), GTX280(), HD5870(), Intel920(), CellBE()}
-}
-
-// Names returns the Name of every modelled device in the All order, for
-// CLI flag validation and error messages.
-func Names() []string {
-	devs := All()
-	out := make([]string, len(devs))
-	for i, d := range devs {
-		out[i] = d.Name
+	out := make([]*Device, len(constructors))
+	for i, mk := range constructors {
+		out[i] = mk()
 	}
 	return out
 }
 
-// ByName returns the device with the given Name, or nil.
+// Names returns the Name of every modelled device in the All order, for
+// CLI flag validation and error messages.
+func Names() []string { return slices.Clone(deviceNames) }
+
+// ByName returns a fresh description of the device with the given Name,
+// or nil.
 func ByName(name string) *Device {
-	for _, d := range All() {
-		if d.Name == name {
-			return d
-		}
+	if i := slices.Index(deviceNames, name); i >= 0 {
+		return constructors[i]()
 	}
 	return nil
 }

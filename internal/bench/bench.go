@@ -13,6 +13,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/kir"
@@ -212,30 +213,32 @@ func LowerIsBetter(metric string) bool {
 
 // Registry returns the real-world benchmarks in the order of Table II,
 // followed by the two synthetic probes.
-func Registry() []Spec {
-	return []Spec{
-		{Name: "BFS", Metric: "sec", run: runBFS},
-		{Name: "Sobel", Metric: "sec", run: runSobel},
-		{Name: "TranP", Metric: "GB/sec", run: runTranP},
-		{Name: "Reduce", Metric: "GB/sec", run: runReduce},
-		{Name: "FFT", Metric: "GFlops/sec", run: runFFT},
-		{Name: "MD", Metric: "GFlops/sec", run: runMD},
-		{Name: "SPMV", Metric: "GFlops/sec", run: runSPMV},
-		{Name: "St2D", Metric: "sec", run: runSt2D},
-		{Name: "DXTC", Metric: "MPixels/sec", run: runDXTC},
-		{Name: "RdxS", Metric: "MElements/sec", run: runRdxS},
-		{Name: "Scan", Metric: "MElements/sec", run: runScan},
-		{Name: "STNW", Metric: "MElements/sec", run: runSTNW},
-		{Name: "MxM", Metric: "GFlops/sec", run: runMxM},
-		{Name: "FDTD", Metric: "MPoints/sec", run: runFDTD},
-		{Name: "MaxFlops", Metric: "GFlops/sec", eventTimer: true, run: runMaxFlops},
-		{Name: "DeviceMemory", Metric: "GB/sec", eventTimer: true, run: runDeviceMemory},
-	}
+func Registry() []Spec { return slices.Clone(registry) }
+
+// registry is the one copy of the benchmark table; Registry hands out
+// copies and SpecByName scans it in place.
+var registry = []Spec{
+	{Name: "BFS", Metric: "sec", run: runBFS},
+	{Name: "Sobel", Metric: "sec", run: runSobel},
+	{Name: "TranP", Metric: "GB/sec", run: runTranP},
+	{Name: "Reduce", Metric: "GB/sec", run: runReduce},
+	{Name: "FFT", Metric: "GFlops/sec", run: runFFT},
+	{Name: "MD", Metric: "GFlops/sec", run: runMD},
+	{Name: "SPMV", Metric: "GFlops/sec", run: runSPMV},
+	{Name: "St2D", Metric: "sec", run: runSt2D},
+	{Name: "DXTC", Metric: "MPixels/sec", run: runDXTC},
+	{Name: "RdxS", Metric: "MElements/sec", run: runRdxS},
+	{Name: "Scan", Metric: "MElements/sec", run: runScan},
+	{Name: "STNW", Metric: "MElements/sec", run: runSTNW},
+	{Name: "MxM", Metric: "GFlops/sec", run: runMxM},
+	{Name: "FDTD", Metric: "MPoints/sec", run: runFDTD},
+	{Name: "MaxFlops", Metric: "GFlops/sec", eventTimer: true, run: runMaxFlops},
+	{Name: "DeviceMemory", Metric: "GB/sec", eventTimer: true, run: runDeviceMemory},
 }
 
 // SpecByName finds a registered benchmark.
 func SpecByName(name string) (Spec, error) {
-	for _, s := range Registry() {
+	for _, s := range registry {
 		if s.Name == name {
 			return s, nil
 		}

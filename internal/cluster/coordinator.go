@@ -328,10 +328,17 @@ func failoverStatus(code int) bool {
 // forward routes one admitted request: primary attempt at the key's ring
 // owner, failover walking the preference list when a shard errors or its
 // breaker is open, and a hedge attempt at the next distinct shard when
-// the primary is slower than the hedge delay. The first terminal
-// response wins; the loser's context is cancelled, which aborts its HTTP
-// request, cancels the worker handler's context, and — via the
-// scheduler's abandonment path — reclaims the remote worker goroutine.
+// the primary is slower than the hedge delay.
+//
+// The primary attempt, failovers included, runs on the caller's
+// goroutine. When there is a shard to hedge to, one goroutine waits on
+// the hedge timer and, if it fires before the primary answers, makes the
+// hedge attempt itself. The first terminal response wins: a winning
+// hedge cancels the attempt context, so the primary's HTTP request is
+// aborted and it returns; a winning primary returns and cancels the
+// hedge the same way. Cancelling a request also cancels the worker
+// handler's context and — via the scheduler's abandonment path —
+// reclaims the remote worker goroutine.
 func (c *Coordinator) forward(ctx context.Context, method, pathq string, header http.Header, body []byte, key string) (*shardResponse, error) {
 	shards := c.ring.LookupN(key, 3)
 	if len(shards) == 0 {
@@ -344,14 +351,12 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 	defer cancel()
 
 	type result struct {
-		resp  *shardResponse
-		err   error
-		hedge bool
+		resp *shardResponse
+		err  error
 	}
-	resCh := make(chan result, 2)
 	var next atomic.Int32
 
-	try := func(hedge bool) {
+	try := func(hedge bool) result {
 		var lastErr error
 		moved := false
 		for {
@@ -360,8 +365,7 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 				if lastErr == nil {
 					lastErr = errNoShard
 				}
-				resCh <- result{err: lastErr, hedge: hedge}
-				return
+				return result{err: lastErr}
 			}
 			shard := shards[i]
 			if moved {
@@ -381,21 +385,18 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 			resp, err := c.send(actx, shard, method, pathq, header, body)
 			if err == nil && !failoverStatus(resp.status) {
 				br.Success()
-				resCh <- result{resp: resp, hedge: hedge}
-				return
+				return result{resp: resp}
 			}
 			if errors.Is(err, errReplyTooLarge) {
 				// The shard answered; the size belongs to the request.
 				br.Success()
-				resCh <- result{err: fmt.Errorf("cluster: shard %s: %w", shard, err), hedge: hedge}
-				return
+				return result{err: fmt.Errorf("cluster: shard %s: %w", shard, err)}
 			}
 			if actx.Err() != nil {
 				// We lost the race (or the client left). The cancelled
 				// attempt says nothing about the shard's health, so it
 				// must not feed its breaker or error counters.
-				resCh <- result{err: actx.Err(), hedge: hedge}
-				return
+				return result{err: actx.Err()}
 			}
 			sc.errors.Add(1)
 			br.Failure()
@@ -406,49 +407,53 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 			}
 		}
 	}
+	// ends reports whether an attempt's result ends the request: a reply,
+	// or one too large for any shard to send.
+	ends := func(r result) bool { return r.err == nil || errors.Is(r.err, errReplyTooLarge) }
 
 	start := c.cfg.clock.Now()
-	go try(false)
-
-	var hedgeCh <-chan time.Time
+	var (
+		ht    clock.Timer
+		hedge chan result // the hedge goroutine's one result
+	)
 	if len(shards) > 1 {
-		ht := c.cfg.clock.NewTimer(c.hedgeDelay())
-		defer ht.Stop()
-		hedgeCh = ht.C()
+		ht = c.cfg.clock.NewTimer(c.hedgeDelay())
+		hedge = make(chan result, 1)
+		go func() {
+			select {
+			case <-ht.C():
+				if actx.Err() == nil { // not when the primary answered as the timer fired
+					c.metrics.hedges.Add(1)
+					r := try(true)
+					if ends(r) {
+						cancel() // the primary has lost: abort its request
+					}
+					hedge <- r
+					return
+				}
+			case <-actx.Done():
+			}
+			hedge <- result{err: actx.Err()}
+		}()
 	}
 
-	pending := 1
-	var firstErr error
-	for {
-		select {
-		case r := <-resCh:
-			pending--
-			if r.err == nil {
-				c.lat.observe(c.cfg.clock.Now().Sub(start))
-				if r.hedge {
-					c.metrics.hedgeWins.Add(1)
-					c.metrics.shards.Get(r.resp.shard).hedgeWins.Add(1)
-				}
-				return r.resp, nil
-			}
-			if errors.Is(r.err, errReplyTooLarge) {
-				return nil, r.err // a hedge would fetch the same reply
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if pending == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeCh:
-			hedgeCh = nil
-			c.metrics.hedges.Add(1)
-			pending++
-			go try(true)
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	r := try(false)
+	won := false // r is the hedge's result
+	// A timer that was still armed started no hedge and now never will.
+	if ht != nil && !ht.Stop() && !ends(r) {
+		if h := <-hedge; ends(h) {
+			r, won = h, true
 		}
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	c.lat.observe(c.cfg.clock.Now().Sub(start))
+	if won {
+		c.metrics.hedgeWins.Add(1)
+		c.metrics.shards.Get(r.resp.shard).hedgeWins.Add(1)
+	}
+	return r.resp, nil
 }
 
 // send performs one HTTP attempt against one shard and buffers the
@@ -510,9 +515,11 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 }
 
 // proxyCall is one in-flight forwarded request any number of identical
-// requests wait on — the coordinator-level singleflight. When the last
-// joiner's context is cancelled before completion, the upstream call is
-// cancelled too, propagating abandonment all the way to the worker.
+// requests wait on — the coordinator-level singleflight. The leader, the
+// request that found no call in flight, makes the upstream call on its
+// own goroutine; joiners wait on done. When the last waiter's context is
+// cancelled before completion, the upstream call is cancelled too,
+// propagating abandonment all the way to the worker.
 type proxyCall struct {
 	done    chan struct{}
 	resp    *shardResponse
@@ -523,7 +530,10 @@ type proxyCall struct {
 
 // doShared deduplicates identical in-flight forwards by sfKey. Identical
 // concurrent requests share one upstream call and replay its buffered
-// response.
+// response. The leader runs forward on the calling (handler) goroutine,
+// under a context of its own: if its client leaves, the leader counts as
+// one departed waiter but still finishes the call for any joiners, and
+// the upstream is cancelled only once no waiter is left.
 func (c *Coordinator) doShared(ctx context.Context, method, pathq string, header http.Header, body []byte, key, sfKey string) (*shardResponse, error) {
 	c.sfMu.Lock()
 	if call, ok := c.flight[sfKey]; ok {
@@ -537,17 +547,19 @@ func (c *Coordinator) doShared(ctx context.Context, method, pathq string, header
 	c.flight[sfKey] = call
 	c.sfMu.Unlock()
 
-	go func() {
-		call.resp, call.err = c.forward(upctx, method, pathq, header, body, key)
-		c.sfMu.Lock()
-		if c.flight[sfKey] == call {
-			delete(c.flight, sfKey)
-		}
-		c.sfMu.Unlock()
-		close(call.done)
-		cancel()
-	}()
-	return c.waitCall(ctx, call, sfKey)
+	stop := context.AfterFunc(ctx, func() { c.leave(call, sfKey) })
+	call.resp, call.err = c.forward(upctx, method, pathq, header, body, key)
+	c.sfMu.Lock()
+	if c.flight[sfKey] == call {
+		delete(c.flight, sfKey)
+	}
+	c.sfMu.Unlock()
+	close(call.done)
+	cancel()
+	if !stop() { // the client left while the call ran
+		return nil, ctx.Err()
+	}
+	return call.resp, call.err
 }
 
 func (c *Coordinator) waitCall(ctx context.Context, call *proxyCall, sfKey string) (*shardResponse, error) {
@@ -555,16 +567,22 @@ func (c *Coordinator) waitCall(ctx context.Context, call *proxyCall, sfKey strin
 	case <-call.done:
 		return call.resp, call.err
 	case <-ctx.Done():
-		c.sfMu.Lock()
-		call.waiters--
-		if call.waiters <= 0 {
-			if c.flight[sfKey] == call {
-				delete(c.flight, sfKey)
-			}
-			call.cancel() // last joiner left: abandon the upstream call
-		}
-		c.sfMu.Unlock()
+		c.leave(call, sfKey)
 		return nil, ctx.Err()
+	}
+}
+
+// leave removes one departed waiter from call; the last one out abandons
+// the upstream call.
+func (c *Coordinator) leave(call *proxyCall, sfKey string) {
+	c.sfMu.Lock()
+	defer c.sfMu.Unlock()
+	call.waiters--
+	if call.waiters <= 0 {
+		if c.flight[sfKey] == call {
+			delete(c.flight, sfKey)
+		}
+		call.cancel()
 	}
 }
 

@@ -371,3 +371,19 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("Buckets: %d bounds, final cum %d", len(bounds), cum[len(cum)-1])
 	}
 }
+
+// TestValidateAllocs: Validate runs twice per /run, at coordinator
+// admission and in the worker. It looks the benchmark up in place and
+// builds only the one device it names, so a valid job costs the device
+// description and the toolchain value, and nothing per registered
+// benchmark or modelled device. (It was 9 when every lookup rebuilt its
+// table.) The count is the same under -race.
+func TestValidateAllocs(t *testing.T) {
+	j := fastJob()
+	if err := j.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { j.Validate() }); got > 3 { //nolint:errcheck // checked above
+		t.Errorf("Validate allocates %.0f times per call, want at most 3", got)
+	}
+}
