@@ -112,7 +112,7 @@ type Coordinator struct {
 	breakers *metrics.Keyed[sched.Breaker]
 
 	sfMu   sync.Mutex
-	flight map[string]*proxyCall
+	flight *sched.Flight[*shardResponse]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -135,10 +135,10 @@ func New(cfg Config) *Coordinator {
 		lat:      &latencyTracker{},
 		start:    cfg.clock.Now(),
 		breakers: metrics.NewKeyed(0, func() *sched.Breaker { return sched.NewBreaker(cfg.Breaker, cfg.clock) }),
-		flight:   make(map[string]*proxyCall),
 		stop:     make(chan struct{}),
 		misses:   make(map[string]int),
 	}
+	c.flight = sched.NewFlight[*shardResponse](&c.sfMu, nil)
 	for _, w := range cfg.Workers {
 		c.ring.Add(w)
 		c.metrics.shards.Get(w) // pre-register so /metrics shows every shard from the start
@@ -514,76 +514,30 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 	return b, err
 }
 
-// proxyCall is one in-flight forwarded request any number of identical
-// requests wait on — the coordinator-level singleflight. The leader, the
-// request that found no call in flight, makes the upstream call on its
-// own goroutine; joiners wait on done. When the last waiter's context is
-// cancelled before completion, the upstream call is cancelled too,
-// propagating abandonment all the way to the worker.
-type proxyCall struct {
-	done    chan struct{}
-	resp    *shardResponse
-	err     error
-	waiters int
-	cancel  context.CancelFunc
-}
-
-// doShared deduplicates identical in-flight forwards by sfKey. Identical
-// concurrent requests share one upstream call and replay its buffered
-// response. The leader runs forward on the calling (handler) goroutine,
-// under a context of its own: if its client leaves, the leader counts as
-// one departed waiter but still finishes the call for any joiners, and
-// the upstream is cancelled only once no waiter is left.
+// doShared shares one upstream call among identical in-flight forwards,
+// keyed by sfKey, through the coordinator's sched.Flight: the other
+// requests join the call and replay its buffered response. The leader,
+// the request that found no call in flight, runs forward on its own
+// (handler) goroutine under the call's context: if its client leaves, the
+// leader departs the call like any joiner but still finishes it for the
+// others, and the upstream is cancelled only once nobody is left waiting.
 func (c *Coordinator) doShared(ctx context.Context, method, pathq string, header http.Header, body []byte, key, sfKey string) (*shardResponse, error) {
 	c.sfMu.Lock()
-	if call, ok := c.flight[sfKey]; ok {
-		call.waiters++
-		c.sfMu.Unlock()
+	call, leader := c.flight.Join(sfKey)
+	c.sfMu.Unlock()
+	if !leader {
 		c.metrics.dedupJoined.Add(1)
-		return c.waitCall(ctx, call, sfKey)
+		return c.flight.Wait(ctx, call)
 	}
-	upctx, cancel := context.WithCancel(context.Background())
-	call := &proxyCall{done: make(chan struct{}), waiters: 1, cancel: cancel}
-	c.flight[sfKey] = call
-	c.sfMu.Unlock()
-
-	stop := context.AfterFunc(ctx, func() { c.leave(call, sfKey) })
-	call.resp, call.err = c.forward(upctx, method, pathq, header, body, key)
+	stop := context.AfterFunc(ctx, func() { c.flight.Leave(call) })
+	resp, err := c.forward(call.Context(), method, pathq, header, body, key)
 	c.sfMu.Lock()
-	if c.flight[sfKey] == call {
-		delete(c.flight, sfKey)
-	}
+	c.flight.Finish(call, resp, err)
 	c.sfMu.Unlock()
-	close(call.done)
-	cancel()
 	if !stop() { // the client left while the call ran
 		return nil, ctx.Err()
 	}
-	return call.resp, call.err
-}
-
-func (c *Coordinator) waitCall(ctx context.Context, call *proxyCall, sfKey string) (*shardResponse, error) {
-	select {
-	case <-call.done:
-		return call.resp, call.err
-	case <-ctx.Done():
-		c.leave(call, sfKey)
-		return nil, ctx.Err()
-	}
-}
-
-// leave removes one departed waiter from call; the last one out abandons
-// the upstream call.
-func (c *Coordinator) leave(call *proxyCall, sfKey string) {
-	c.sfMu.Lock()
-	defer c.sfMu.Unlock()
-	call.waiters--
-	if call.waiters <= 0 {
-		if c.flight[sfKey] == call {
-			delete(c.flight, sfKey)
-		}
-		call.cancel()
-	}
+	return resp, err
 }
 
 // ---- HTTP face ----------------------------------------------------------
@@ -724,6 +678,23 @@ func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) (release fun
 	return release, true
 }
 
+// readRequest reads a request body of at most limit bytes. On failure it
+// writes the reply itself — 413 too-large over the limit, else 400
+// bad-json — and returns false.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		status, code := http.StatusBadRequest, codeBadJSON
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status, code = http.StatusRequestEntityTooLarge, codeTooLarge
+		}
+		writeError(w, status, code, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
+		return nil, false
+	}
+	return body, true
+}
+
 // reply writes a buffered shard response (or the typed routing error)
 // back to the client. The body is already whole, so the reply declares
 // its length rather than going out chunked.
@@ -766,14 +737,8 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRunBody))
-	if err != nil {
-		status, code := http.StatusBadRequest, codeBadJSON
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status, code = http.StatusRequestEntityTooLarge, codeTooLarge
-		}
-		writeError(w, status, code, fmt.Errorf("bad /run body: %w", err))
+	body, ok := readRequest(w, r, maxRunBody)
+	if !ok {
 		return
 	}
 	var job sched.Job
@@ -806,14 +771,8 @@ func (c *Coordinator) handleKernels(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, submit.DefaultLimits().MaxBody))
-	if err != nil {
-		status, code := http.StatusBadRequest, codeBadJSON
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status, code = http.StatusRequestEntityTooLarge, codeTooLarge
-		}
-		writeError(w, status, code, fmt.Errorf("bad /kernels body: %w", err))
+	body, ok := readRequest(w, r, submit.DefaultLimits().MaxBody)
+	if !ok {
 		return
 	}
 	// Route by the body's SHA-256, never by its decoded program: only the

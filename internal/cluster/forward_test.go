@@ -228,19 +228,7 @@ func TestDedupAbandonment(t *testing.T) {
 		})
 		return g
 	}
-	waiters := func(c *Coordinator) int {
-		c.sfMu.Lock()
-		defer c.sfMu.Unlock()
-		if call := c.flight[sfKey]; call != nil {
-			return call.waiters
-		}
-		return 0
-	}
-	inFlight := func(c *Coordinator) int {
-		c.sfMu.Lock()
-		defer c.sfMu.Unlock()
-		return len(c.flight)
-	}
+	waiters := func(c *Coordinator) int { return c.flight.Waiters(sfKey) }
 
 	t.Run("leader leaves", func(t *testing.T) {
 		g := newGated(t)
@@ -273,8 +261,8 @@ func TestDedupAbandonment(t *testing.T) {
 		if snap := g.c.Metrics(); snap.DedupJoined != 1 {
 			t.Errorf("dedup_joined %d, want 1", snap.DedupJoined)
 		}
-		if n := inFlight(g.c); n != 0 {
-			t.Errorf("%d calls left in flight", n)
+		if n := waiters(g.c); n != 0 {
+			t.Errorf("a call is left in flight with %d waiters", n)
 		}
 	})
 
@@ -290,8 +278,8 @@ func TestDedupAbandonment(t *testing.T) {
 		if rec := await(t, "the leader's return", leader); rec.Code == http.StatusOK {
 			t.Error("the departed client was answered 200")
 		}
-		if n := inFlight(g.c); n != 0 {
-			t.Errorf("%d calls left in flight after the only waiter left", n)
+		if n := waiters(g.c); n != 0 {
+			t.Errorf("a call is left in flight with %d waiters after the only waiter left", n)
 		}
 	})
 }

@@ -106,9 +106,12 @@ func (s BreakerState) String() string {
 	}
 }
 
-// breaker is one device's circuit breaker: closed → (threshold consecutive
-// failures) → open → (cool-down) → half-open → one probe decides.
-type breaker struct {
+// Breaker is one circuit breaker: closed → (threshold consecutive
+// failures) → open → (cool-down) → half-open → one probe decides. The
+// scheduler runs one per device; internal/cluster runs one per shard with
+// the same contract and the same error taxonomy. The zero value is not
+// usable; construct with NewBreaker.
+type Breaker struct {
 	cfg   BreakerConfig
 	clock clock.Clock
 
@@ -120,9 +123,15 @@ type breaker struct {
 	trips    uint64    // times the breaker opened
 }
 
-// allow reports whether a job may run now. When it returns false, the
-// second result is how long until the next probe is allowed.
-func (b *breaker) allow() (bool, time.Duration) {
+// NewBreaker builds a circuit breaker with the given config (zero fields
+// take the scheduler defaults), timing its cool-down on clk.
+func NewBreaker(cfg BreakerConfig, clk clock.Clock) *Breaker {
+	return &Breaker{cfg: cfg.withDefaults(), clock: clk}
+}
+
+// Allow reports whether a request may proceed now. When it returns false,
+// the duration is how long until the next half-open probe.
+func (b *Breaker) Allow() (bool, time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -144,9 +153,9 @@ func (b *breaker) allow() (bool, time.Duration) {
 	}
 }
 
-// success records a completed job: it closes a half-open breaker and
+// Success records a completed request: it closes a half-open breaker and
 // resets the failure streak.
-func (b *breaker) success() {
+func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state = BreakerClosed
@@ -154,9 +163,9 @@ func (b *breaker) success() {
 	b.probing = false
 }
 
-// failure records a Transient/Watchdog failure and reports whether this
+// Failure records a Transient/Watchdog failure and reports whether this
 // call tripped the breaker open.
-func (b *breaker) failure() bool {
+func (b *Breaker) Failure() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -181,7 +190,14 @@ func (b *breaker) failure() bool {
 	}
 }
 
-// BreakerSnapshot is one device's breaker state for /healthz.
+// State returns the breaker's current position.
+func (b *Breaker) State() BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
+// BreakerSnapshot is one breaker's state for /healthz.
 type BreakerSnapshot struct {
 	Device           string  `json:"device"`
 	State            string  `json:"state"`
@@ -190,11 +206,13 @@ type BreakerSnapshot struct {
 	RetryAfterSec    float64 `json:"retry_after_seconds,omitempty"`
 }
 
-func (b *breaker) snapshot(device string) BreakerSnapshot {
+// Snapshot reports the breaker's state for health/metrics endpoints,
+// labelled with the given name.
+func (b *Breaker) Snapshot(name string) BreakerSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := BreakerSnapshot{
-		Device:           device,
+		Device:           name,
 		State:            b.state.String(),
 		ConsecutiveFails: b.fails,
 		Trips:            b.trips,
@@ -207,45 +225,9 @@ func (b *breaker) snapshot(device string) BreakerSnapshot {
 	return s
 }
 
-// Breaker is the exported face of the per-device circuit breaker, for
-// reuse outside the scheduler (internal/cluster runs one per shard with
-// the same closed → open → half-open contract and the same error
-// taxonomy). The zero value is not usable; construct with NewBreaker.
-type Breaker struct {
-	b *breaker
-}
-
-// NewBreaker builds a standalone circuit breaker with the given config
-// (zero fields take the scheduler defaults), timing its cool-down on clk.
-func NewBreaker(cfg BreakerConfig, clk clock.Clock) *Breaker {
-	return &Breaker{b: &breaker{cfg: cfg.withDefaults(), clock: clk}}
-}
-
-// Allow reports whether a request may proceed; when false, the duration
-// is how long until the next half-open probe.
-func (x *Breaker) Allow() (bool, time.Duration) { return x.b.allow() }
-
-// Success records a completed request (closes a half-open breaker).
-func (x *Breaker) Success() { x.b.success() }
-
-// Failure records a breaker-relevant failure; true means this call
-// tripped the breaker open.
-func (x *Breaker) Failure() bool { return x.b.failure() }
-
-// State returns the breaker's current position.
-func (x *Breaker) State() BreakerState {
-	x.b.mu.Lock()
-	defer x.b.mu.Unlock()
-	return x.b.state
-}
-
-// Snapshot reports the breaker's state for health/metrics endpoints,
-// labelled with the given name.
-func (x *Breaker) Snapshot(name string) BreakerSnapshot { return x.b.snapshot(name) }
-
 // breakerFor returns (creating if needed) the breaker for a device, or nil
 // when breakers are disabled.
-func (s *Scheduler) breakerFor(device string) *breaker {
+func (s *Scheduler) breakerFor(device string) *Breaker {
 	if s.opts.Breaker.Disabled {
 		return nil
 	}
@@ -256,20 +238,6 @@ func (s *Scheduler) breakerFor(device string) *breaker {
 // /healthz.
 func (s *Scheduler) Breakers() []BreakerSnapshot {
 	out := []BreakerSnapshot{}
-	s.breakers.Each(func(device string, b *breaker) { out = append(out, b.snapshot(device)) })
+	s.breakers.Each(func(device string, b *Breaker) { out = append(out, b.Snapshot(device)) })
 	return out
-}
-
-// BreakerState returns the state of one device's breaker (BreakerClosed if
-// the device has never failed or breakers are disabled).
-func (s *Scheduler) BreakerState(device string) BreakerState {
-	state := BreakerClosed
-	s.breakers.Each(func(name string, b *breaker) {
-		if name == device {
-			b.mu.Lock()
-			state = b.state
-			b.mu.Unlock()
-		}
-	})
-	return state
 }

@@ -153,8 +153,10 @@ func TestUnencodableResultIsNotCachedOrServed(t *testing.T) {
 	} {
 		s := New(Options{Workers: 1})
 		j := fastJob()
-		tk := &task{job: j, key: j.Key(), done: make(chan struct{}), abandon: make(chan struct{})}
-		s.flight[tk.key] = tk
+		key := j.Key()
+		s.mu.Lock()
+		call, _ := s.flight.Join(key) // this test leads the call and settles it
+		s.mu.Unlock()
 
 		// One Do and one Run join the task in flight, then it completes.
 		ctx := context.Background()
@@ -168,12 +170,11 @@ func TestUnencodableResultIsNotCachedOrServed(t *testing.T) {
 		wg.Add(2)
 		go func() { defer wg.Done(); e, _, doErr = s.Do(ctx, j) }()
 		go func() { defer wg.Done(); ran, runErr = s.Run(ctx, j) }()
-		for joined := 0; joined < 2; time.Sleep(time.Millisecond) {
-			s.mu.Lock()
-			joined = tk.waiters
-			s.mu.Unlock()
+		for s.flight.Waiters(key) < 3 {
+			time.Sleep(time.Millisecond)
 		}
-		s.complete(tk, res, nil)
+		v, good, err := s.settle(key, res, nil)
+		s.finish(s.jobTask(call, j, key), v, good, err)
 		wg.Wait()
 
 		if !errors.Is(doErr, ErrPermanent) || ClassOf(doErr) != Permanent {
@@ -185,9 +186,9 @@ func TestUnencodableResultIsNotCachedOrServed(t *testing.T) {
 		if ran != res || runErr != nil {
 			t.Errorf("%s: Run = %v, %v, want the result", name, ran, runErr)
 		}
-		if s.CacheLen() != 0 || s.stale.len() != 0 || len(s.flight) != 0 {
+		if s.CacheLen() != 0 || s.stale.len() != 0 || len(s.flight.calls) != 0 {
 			t.Errorf("%s: cache/stale/flight = %d/%d/%d entries, want none",
-				name, s.CacheLen(), s.stale.len(), len(s.flight))
+				name, s.CacheLen(), s.stale.len(), len(s.flight.calls))
 		}
 		s.Close()
 	}

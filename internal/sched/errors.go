@@ -133,7 +133,7 @@ func (e *BreakerOpenError) Is(target error) bool {
 var ErrBreakerOpen = errors.New("sched: circuit breaker open")
 
 // ErrAbandoned is the errors.Is sentinel for executions cancelled because
-// every waiter went away (client disconnect, hedge-loser cancellation)
+// every caller went away (client disconnect, hedge-loser cancellation)
 // before the job completed. Abandoned results are never cached and never
 // count toward circuit breakers — they say nothing about device health.
-var ErrAbandoned = errors.New("sched: abandoned by all waiters")
+var ErrAbandoned = errors.New("sched: abandoned by every caller")

@@ -34,7 +34,7 @@ type Metrics struct {
 	watchdogReclaims atomic.Uint64 // cancelled attempts that acknowledged
 	watchdogLeaks    atomic.Uint64 // cancelled attempts abandoned after grace
 	cacheCorruptions atomic.Uint64 // corrupted cache entries detected+evicted
-	abandons         atomic.Uint64 // tasks whose waiters all left mid-flight
+	abandons         atomic.Uint64 // tasks whose callers all left mid-flight
 
 	// Throughput counters: simulated work completed, summed from the launch
 	// traces of every successfully executed job (cache hits don't count —

@@ -136,7 +136,7 @@ func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
 			t.Fatalf("job %d: err = %v, want Permanent (attempts exhausted)", i, err)
 		}
 	}
-	if st := s.BreakerState(dev); st != BreakerOpen {
+	if st := breakerState(s, dev); st != BreakerOpen.String() {
 		t.Fatalf("breaker state = %v, want open after %d failures", st, 2)
 	}
 
@@ -173,7 +173,7 @@ func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
 	if _, err := s.Run(ctx, scaleJob(16)); err != nil { // key 16 already spent its injected fault
 		t.Fatalf("half-open probe: %v", err)
 	}
-	if st := s.BreakerState(dev); st != BreakerClosed {
+	if st := breakerState(s, dev); st != BreakerClosed.String() {
 		t.Fatalf("breaker state = %v, want closed after successful probe", st)
 	}
 	snap := s.Metrics().Snapshot()
@@ -182,38 +182,49 @@ func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
 	}
 }
 
+// breakerState reads one device's breaker state from Breakers: "closed"
+// when the device has no breaker.
+func breakerState(s *Scheduler, device string) string {
+	for _, b := range s.Breakers() {
+		if b.Device == device {
+			return b.State
+		}
+	}
+	return BreakerClosed.String()
+}
+
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	clk := clock.NewFake(time.Now())
-	b := &breaker{cfg: BreakerConfig{FailureThreshold: 1, CoolDown: time.Minute}.withDefaults(), clock: clk}
+	b := NewBreaker(BreakerConfig{FailureThreshold: 1, CoolDown: time.Minute}, clk)
 
-	if ok, _ := b.allow(); !ok {
+	if ok, _ := b.Allow(); !ok {
 		t.Fatal("closed breaker must allow")
 	}
-	if !b.failure() {
+	if !b.Failure() {
 		t.Fatal("threshold-1 breaker must trip on first failure")
 	}
-	if ok, wait := b.allow(); ok || wait <= 0 {
+	if ok, wait := b.Allow(); ok || wait <= 0 {
 		t.Fatal("open breaker must deny with a positive wait")
 	}
 	clk.Advance(2 * time.Minute)
-	if ok, _ := b.allow(); !ok {
+	if ok, _ := b.Allow(); !ok {
 		t.Fatal("breaker must half-open after cool-down")
 	}
 	// Only one probe at a time.
-	if ok, _ := b.allow(); ok {
+	if ok, _ := b.Allow(); ok {
 		t.Fatal("half-open breaker must admit a single probe")
 	}
-	if !b.failure() {
+	if !b.Failure() {
 		t.Fatal("failed probe must re-open the breaker")
 	}
 	if b.state != BreakerOpen {
 		t.Fatalf("state = %v, want open after failed probe", b.state)
 	}
 	clk.Advance(2 * time.Minute)
-	if ok, _ := b.allow(); !ok {
+	if ok, _ := b.Allow(); !ok {
 		t.Fatal("breaker must half-open again")
 	}
-	b.success()
+	b.Success()
 	if b.state != BreakerClosed || b.fails != 0 {
 		t.Fatalf("state/fails = %v/%d, want closed/0 after successful probe", b.state, b.fails)
 	}
@@ -356,7 +367,7 @@ func TestLRUSingleflightUnderConcurrentEviction(t *testing.T) {
 func TestPanicClassifiesPermanent(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
-	_, err := s.safely("boom", func() (*bench.Result, error) {
+	_, err := safely(s.metrics, "boom", func() (*bench.Result, error) {
 		panic("kaboom")
 	})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {

@@ -1,7 +1,8 @@
 // Package sched is the concurrent experiment scheduler: a worker pool over
 // canonical experiment jobs (benchmark, device, toolchain, config) with a
-// content-keyed LRU result cache, singleflight deduplication of identical
-// in-flight jobs, per-job timeout, and panic isolation. It is the execution
+// content-keyed LRU result cache, deduplication of identical in-flight jobs
+// (one Flight, shared with tenant tasks), per-job timeout, and panic
+// isolation. It is the execution
 // engine behind cmd/gpucmpd and every /figures request, and the layer
 // every later scaling step (sharding, remote workers, batch APIs) plugs
 // into.
@@ -114,7 +115,7 @@ type Options struct {
 	// JobTimeout bounds one execution attempt (0 = unbounded). When it
 	// fires, the watchdog cancels the attempt's simulated device and the
 	// worker is reclaimed as soon as the warp loop hits its next
-	// checkpoint; waiters get an error classified as ErrWatchdog that
+	// checkpoint; callers get an error classified as ErrWatchdog that
 	// still wraps context.DeadlineExceeded.
 	JobTimeout time.Duration
 	// ReclaimGrace is how long the watchdog waits for a cancelled attempt
@@ -146,28 +147,19 @@ type Options struct {
 	clock clock.Clock
 }
 
-// task is one in-flight execution that any number of callers wait on.
-// Benchmark jobs carry job and produce res; generic tenant tasks carry fn
-// and produce val.
+// task is one execution on the worker pool: a /run job or a tenant
+// function. Every Do or DoTask caller waiting on it holds a place on its
+// call, whose context is cancelled when the last of them leaves before the
+// task finishes.
 type task struct {
-	job    Job
-	key    string
-	tenant string                             // generic tasks only
-	fn     func(context.Context) (any, error) // non-nil marks a generic task
-	done   chan struct{}                      // closed when enc/err (or val/err) are final
-	enc    *Encoded
-	val    any
-	err    error
-
-	// Waiter accounting (guarded by Scheduler.mu): every Do/DoTask caller
-	// attached to this task holds one reference. When the last waiter's
-	// context is cancelled before the task completes, the task is
-	// abandoned — abandon is closed, the in-flight execution's simulated
-	// device is cancelled, and the worker is reclaimed instead of
-	// computing a result nobody will read.
-	waiters   int
-	abandoned bool
-	abandon   chan struct{}
+	call  *Call[any]
+	label string // the latency histogram row it is observed in
+	// run executes the task under the call's context and counts it in
+	// JobsRun or TasksRun. It returns what the callers get, the cache entry
+	// to keep (nil: nothing to keep) and the error.
+	run func(context.Context) (any, *entry, error)
+	// store caches a good result, under Scheduler.mu.
+	store func(*entry)
 }
 
 // Scheduler runs jobs on a fixed worker pool with caching and dedup.
@@ -181,13 +173,13 @@ type Scheduler struct {
 
 	mu      sync.Mutex
 	closed  bool
-	flight  map[string]*task
+	flight  *Flight[any]
 	cache   *lruCache
 	stale   *lruCache            // last known good result per key, for degraded serving
 	tenants map[string]*lruCache // per-tenant result caches for DoTask
 	quotas  *TenantQuotas
 
-	breakers *metrics.Keyed[breaker]
+	breakers *metrics.Keyed[Breaker]
 }
 
 // New starts a scheduler and its worker pool. Call Close to stop it.
@@ -216,11 +208,11 @@ func New(opts Options) *Scheduler {
 		retry:   opts.Retry.withDefaults(),
 		queue:   make(chan *task, 64),
 		metrics: newMetrics(),
-		flight:  make(map[string]*task),
 		tenants: make(map[string]*lruCache),
 		quotas:  NewTenantQuotas(opts.Quota, opts.clock),
 	}
-	s.breakers = metrics.NewKeyed(0, func() *breaker { return &breaker{cfg: opts.Breaker, clock: opts.clock} })
+	s.flight = NewFlight[any](&s.mu, &s.metrics.abandons)
+	s.breakers = metrics.NewKeyed(0, func() *Breaker { return NewBreaker(opts.Breaker, opts.clock) })
 	if opts.CacheSize > 0 {
 		s.cache = newLRU(opts.CacheSize)
 	}
@@ -254,7 +246,8 @@ func (s *Scheduler) Close() {
 // Run executes the job (or serves it from cache / an identical in-flight
 // execution) and returns its result. The returned *bench.Result may be
 // shared with other callers and with the cache: treat it as immutable.
-// ctx cancels this caller's wait, not the execution itself.
+// ctx cancels this caller's wait; the execution is abandoned only when every
+// caller waiting on it has left.
 func (s *Scheduler) Run(ctx context.Context, j Job) (*bench.Result, error) {
 	e, _, err := s.Do(ctx, j)
 	if e == nil {
@@ -270,9 +263,21 @@ func (s *Scheduler) Run(ctx context.Context, j Job) (*bench.Result, error) {
 // cached.
 func (s *Scheduler) Do(ctx context.Context, j Job) (*Encoded, Outcome, error) {
 	key := j.Key()
+	s.mu.Lock() // submit releases it
+	v, o, err := s.submit(ctx, s.cache, key, func(call *Call[any]) *task { return s.jobTask(call, j, key) })
+	e, _ := v.(*Encoded)
+	return e, o, err
+}
 
-	s.mu.Lock()
-	e := s.cached(s.cache, key)
+var errClosed = errors.New("sched: scheduler is closed")
+
+// submit serves key from cache, joins the execution of key already in
+// flight, or queues the task newTask makes for a new one. It is entered
+// with s.mu held and releases it: finding nothing cached and then joining
+// or starting an execution stay one critical section, or a request arriving
+// as an execution completes would run it a second time.
+func (s *Scheduler) submit(ctx context.Context, cache *lruCache, key string, newTask func(*Call[any]) *task) (any, Outcome, error) {
+	e := s.cached(cache, key)
 	if s.closed {
 		s.mu.Unlock()
 		return nil, Miss, errClosed
@@ -280,29 +285,28 @@ func (s *Scheduler) Do(ctx context.Context, j Job) (*Encoded, Outcome, error) {
 	if e != nil {
 		s.mu.Unlock()
 		s.metrics.cacheHits.Add(1)
-		return e.val.(*Encoded), Hit, nil
+		return e.val, Hit, nil
 	}
-	if t, ok := s.flight[key]; ok {
-		t.waiters++
+	call, leader := s.flight.Join(key)
+	if !leader {
 		s.mu.Unlock()
 		s.metrics.dedupShared.Add(1)
-		return s.wait(ctx, t, Shared)
+		v, err := s.flight.Wait(ctx, call)
+		return v, Shared, err
 	}
-	t := &task{job: j, key: key, done: make(chan struct{}), waiters: 1, abandon: make(chan struct{})}
-	s.flight[key] = t
 	// Register the submission before releasing the lock so Close cannot
 	// close the queue between our closed-check and the send below.
 	s.subs.Add(1)
 	s.mu.Unlock()
 
+	t := newTask(call)
 	s.metrics.cacheMisses.Add(1)
 	s.metrics.queueDepth.Add(1)
 	s.queue <- t
 	s.subs.Done()
-	return s.wait(ctx, t, Miss)
+	v, err := s.flight.Wait(ctx, call)
+	return v, Miss, err
 }
-
-var errClosed = errors.New("sched: scheduler is closed")
 
 // cached returns the entry c holds under key once its checksum has been
 // verified over the stored bytes, or nil. The caller holds s.mu and holds
@@ -330,45 +334,57 @@ func (s *Scheduler) cached(c *lruCache, key string) *entry {
 	}
 }
 
-func (s *Scheduler) wait(ctx context.Context, t *task, o Outcome) (*Encoded, Outcome, error) {
-	select {
-	case <-t.done:
-		return t.enc, o, t.err
-	case <-ctx.Done():
-		s.leave(t)
-		return nil, o, ctx.Err()
+// jobTask makes the task that executes j for the callers of call. A good
+// result goes into the result cache and the stale store.
+func (s *Scheduler) jobTask(call *Call[any], j Job, key string) *task {
+	return &task{call: call, label: j.Benchmark,
+		run: func(ctx context.Context) (any, *entry, error) {
+			res, err := s.execute(ctx, j, key)
+			s.metrics.jobsRun.Add(1)
+			return s.settle(key, res, err)
+		},
+		store: func(good *entry) {
+			if s.cache != nil {
+				cached := good
+				if s.opts.Injector.CorruptStore(key) {
+					// An injected corruption flips the stored checksum; the
+					// next cache read detects the mismatch.
+					cached = good.corrupted()
+				}
+				s.cache.add(cached)
+			}
+			// Remember the last known good result for degraded serving.
+			s.stale.add(good)
+		},
 	}
 }
 
-// leave drops one waiter reference from a task whose caller's context was
-// cancelled. When the last waiter leaves before the task completes, the
-// task is abandoned: it is removed from the flight map (so a later
-// identical request starts fresh instead of attaching to a doomed
-// execution) and abandon is closed, which cancels the in-flight attempt's
-// simulated device. This is how client disconnects and hedge-loser
-// cancellation propagate end-to-end into sim cancellation.
-func (s *Scheduler) leave(t *task) {
-	s.mu.Lock()
-	t.waiters--
-	select {
-	case <-t.done:
-		// Completed concurrently with the cancellation; nothing to cancel.
-		s.mu.Unlock()
-		return
-	default:
+// settle turns a job's execution into what its callers get and what the
+// cache keeps. Every completed execution is cached, including
+// deterministic FL and ABT outcomes (they are as reproducible as OK ones).
+// Infra errors — bad names, timeouts, panics — are not, so a transient
+// failure is retried on the next request.
+func (s *Scheduler) settle(key string, res *bench.Result, err error) (any, *entry, error) {
+	if err != nil {
+		return nil, nil, err
 	}
-	last := t.waiters <= 0 && !t.abandoned
-	if last {
-		t.abandoned = true
-		if s.flight[t.key] == t {
-			delete(s.flight, t.key)
-		}
+	var wi, li int64
+	for _, tr := range res.Traces {
+		wi += tr.Dyn.Total
+		li += tr.LaneInstrs
 	}
-	s.mu.Unlock()
-	if last {
-		s.metrics.abandons.Add(1)
-		close(t.abandon)
+	s.metrics.warpInstrs.Add(wi)
+	s.metrics.laneInstrs.Add(li)
+	// The one encoding of this result: made here, on the worker goroutine
+	// and outside s.mu, and served from then on.
+	enc, err := Encode(res)
+	if err != nil {
+		// Nothing can serve this result and no read could verify it, so it
+		// is not cached; in-process callers still get it.
+		return &Encoded{Result: res}, nil,
+			wrapClass(Permanent, fmt.Errorf("sched: job %s: result cannot be served: %w", key, err))
 	}
+	return enc, newEntry(key, enc, enc.JSON), nil
 }
 
 // Stale returns the last known good result for a key, if any — the
@@ -385,7 +401,7 @@ func (s *Scheduler) Stale(key string) (*Encoded, bool) {
 }
 
 // DoTask runs an arbitrary deterministic function on the worker pool with
-// the same singleflight deduplication and caching the benchmark path gets,
+// the same caching and sharing of identical in-flight work that Do gets,
 // namespaced per tenant: two tenants submitting identical work get
 // separate cache entries and separate executions, so neither can observe
 // (via hit/shared outcomes or timing) what the other submitted. fn runs
@@ -400,46 +416,43 @@ func (s *Scheduler) Stale(key string) (*Encoded, bool) {
 // The cached value is shared between callers: treat it as immutable.
 func (s *Scheduler) DoTask(ctx context.Context, tenant, metric, key string, fn func(context.Context) (any, error)) (any, Outcome, error) {
 	full := "tenant/" + tenant + "|" + key
-
-	s.mu.Lock()
-	e := s.cached(s.tenants[tenant], full)
-	if s.closed {
-		s.mu.Unlock()
-		return nil, Miss, errClosed
-	}
-	if e != nil {
-		s.mu.Unlock()
-		s.metrics.cacheHits.Add(1)
+	s.mu.Lock() // submit releases it
+	v, o, err := s.submit(ctx, s.tenants[tenant], full, func(call *Call[any]) *task {
+		return s.tenantTask(call, tenant, metric, full, fn)
+	})
+	if o == Hit {
 		s.metrics.perTenant.Update(tenant, func(c *tenantCounters) { c.cacheHits++ })
-		return e.val, Hit, nil
 	}
-	if t, ok := s.flight[full]; ok {
-		t.waiters++
-		s.mu.Unlock()
-		s.metrics.dedupShared.Add(1)
-		return s.waitTask(ctx, t, Shared)
-	}
-	t := &task{key: full, tenant: tenant, job: Job{Benchmark: metric}, fn: fn,
-		done: make(chan struct{}), waiters: 1, abandon: make(chan struct{})}
-	s.flight[full] = t
-	s.subs.Add(1)
-	s.mu.Unlock()
-
-	s.metrics.cacheMisses.Add(1)
-	s.metrics.perTenant.Update(tenant, func(c *tenantCounters) { c.tasks++ })
-	s.metrics.queueDepth.Add(1)
-	s.queue <- t
-	s.subs.Done()
-	return s.waitTask(ctx, t, Miss)
+	return v, o, err
 }
 
-func (s *Scheduler) waitTask(ctx context.Context, t *task, o Outcome) (any, Outcome, error) {
-	select {
-	case <-t.done:
-		return t.val, o, t.err
-	case <-ctx.Done():
-		s.leave(t)
-		return nil, o, ctx.Err()
+// tenantTask makes the task that runs fn for the callers of call. Its value
+// is cached, on success only, in the tenant's own cache: a failed
+// submission is re-evaluated if resubmitted.
+func (s *Scheduler) tenantTask(call *Call[any], tenant, metric, key string, fn func(context.Context) (any, error)) *task {
+	s.metrics.perTenant.Update(tenant, func(c *tenantCounters) { c.tasks++ })
+	return &task{call: call, label: metric,
+		run: func(ctx context.Context) (any, *entry, error) {
+			v, err := safely(s.metrics, key, func() (any, error) { return fn(ctx) })
+			s.metrics.tasksRun.Add(1)
+			if err != nil {
+				return v, nil, err
+			}
+			// A tenant value is handed out as a Go value, not as bytes; its
+			// encoding exists for the checksum every later hit verifies. A
+			// value that cannot be encoded cannot be verified, so it is not
+			// cached.
+			enc, err := json.Marshal(v)
+			if err != nil {
+				return v, nil, nil
+			}
+			return v, newEntry(key, v, enc), nil
+		},
+		store: func(good *entry) {
+			if c := s.tenantCacheLocked(tenant); c != nil {
+				c.add(good)
+			}
+		},
 	}
 }
 
@@ -497,165 +510,68 @@ func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for t := range s.queue {
 		s.metrics.queueDepth.Add(-1)
-		select {
-		case <-t.abandon:
-			// Every waiter left while the task sat in the queue: don't
+		var (
+			v    any
+			good *entry
+			err  error
+		)
+		if ctx := t.call.Context(); ctx.Err() != nil {
+			// Every caller left while the task sat in the queue: don't
 			// spend a worker on it at all.
-			t.err = wrapClass(Permanent, fmt.Errorf("sched: job %s: %w", t.key, ErrAbandoned))
-			close(t.done)
-			continue
-		default:
-		}
-		s.metrics.inFlight.Add(1)
-		if t.fn != nil {
-			s.runTenantTask(t)
-			s.metrics.inFlight.Add(-1)
-			continue
-		}
-		start := s.opts.clock.Now()
-		res, err := s.execute(t.job, t.key, t.abandon)
-		s.metrics.observe(t.job.Benchmark, s.opts.clock.Now().Sub(start))
-		s.metrics.inFlight.Add(-1)
-		s.metrics.jobsRun.Add(1)
-		s.complete(t, res, err)
-	}
-}
-
-// complete settles a benchmark task with the outcome of its execution:
-// encode, cache, release the waiters.
-func (s *Scheduler) complete(t *task, res *bench.Result, err error) {
-	if err == nil && res != nil {
-		var wi, li int64
-		for _, tr := range res.Traces {
-			wi += tr.Dyn.Total
-			li += tr.LaneInstrs
-		}
-		s.metrics.warpInstrs.Add(wi)
-		s.metrics.laneInstrs.Add(li)
-	}
-	// Cache every completed execution, including deterministic FL and
-	// ABT outcomes (they are as reproducible as OK ones). Infra
-	// errors — bad names, timeouts, panics — are not cached, so a
-	// transient failure is retried on the next request.
-	var good *entry
-	if err == nil {
-		// The one encoding of this result: made here, on the worker
-		// goroutine and outside s.mu, and served from then on.
-		if t.enc, err = Encode(res); err == nil {
-			good = newEntry(t.key, t.enc, t.enc.JSON)
+			err = abandoned(t.call.key)
 		} else {
-			// Nothing can serve this result and no read could verify it,
-			// so it is not cached; in-process callers still get it.
-			t.enc = &Encoded{Result: res}
-			err = wrapClass(Permanent, fmt.Errorf("sched: job %s: result cannot be served: %w", t.key, err))
+			s.metrics.inFlight.Add(1)
+			start := s.opts.clock.Now()
+			v, good, err = t.run(ctx)
+			s.metrics.observe(t.label, s.opts.clock.Now().Sub(start))
+			s.metrics.inFlight.Add(-1)
 		}
+		s.finish(t, v, good, err)
 	}
-	t.err = err
-
-	s.mu.Lock()
-	if s.flight[t.key] == t {
-		// An abandoned task was already unlinked — and its key may now
-		// belong to a fresh task — so only remove our own registration.
-		delete(s.flight, t.key)
-	}
-	if good != nil {
-		if s.cache != nil {
-			cached := good
-			if s.opts.Injector.CorruptStore(t.key) {
-				// An injected corruption flips the stored checksum; the
-				// next cache read detects the mismatch.
-				cached = good.corrupted()
-			}
-			s.cache.add(cached)
-		}
-		// Remember the last known good result for degraded serving.
-		s.stale.add(good)
-	}
-	s.mu.Unlock()
-	close(t.done)
 }
 
-// runTenantTask executes one generic DoTask submission with panic
-// isolation and caches its value — on success only — under the tenant's
-// namespace. Errors are never cached: a failed submission is re-evaluated
-// if resubmitted. The fn context is cancelled if every waiter abandons
-// the task mid-execution, so a cooperative fn can stop early.
-func (s *Scheduler) runTenantTask(t *task) {
-	ctx, cancel := context.WithCancel(context.Background())
-	abandonDone := make(chan struct{})
-	go func() {
-		select {
-		case <-t.abandon:
-			cancel()
-		case <-abandonDone:
-		}
-	}()
-	start := s.opts.clock.Now()
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.metrics.panics.Add(1)
-				buf := make([]byte, 4096)
-				buf = buf[:runtime.Stack(buf, false)]
-				t.val, t.err = nil, fmt.Errorf("sched: task %s panicked: %v\n%s", t.key, r, buf)
-			}
-		}()
-		t.val, t.err = t.fn(ctx)
-	}()
-	close(abandonDone)
-	cancel()
-	s.metrics.observe(t.job.Benchmark, s.opts.clock.Now().Sub(start))
-	s.metrics.tasksRun.Add(1)
-	// A tenant value is handed out as a Go value, not as bytes; its
-	// encoding exists for the checksum every later hit verifies. A value
-	// that cannot be encoded cannot be verified, so it is not cached.
-	var good *entry
-	if t.err == nil {
-		if enc, err := json.Marshal(t.val); err == nil {
-			good = newEntry(t.key, t.val, enc)
-		}
-	}
-
+// finish answers t's callers with v and err and, in the same critical
+// section, caches good unless it is nil.
+func (s *Scheduler) finish(t *task, v any, good *entry, err error) {
 	s.mu.Lock()
-	if s.flight[t.key] == t {
-		delete(s.flight, t.key)
-	}
+	defer s.mu.Unlock()
 	if good != nil {
-		if c := s.tenantCacheLocked(t.tenant); c != nil {
-			c.add(good)
-		}
+		t.store(good)
 	}
-	s.mu.Unlock()
-	close(t.done)
+	s.flight.Finish(t.call, v, err)
+}
+
+// abandoned is the error of a task whose every caller left before it
+// finished. Nobody reads it, and it is never cached.
+func abandoned(key string) error {
+	return wrapClass(Permanent, fmt.Errorf("sched: job %s: %w", key, ErrAbandoned))
 }
 
 // execute resolves and runs one job through the resilience ladder: per-
 // device circuit breaker, then per-attempt execution with panic isolation
 // and watchdog timeout, with capped exponential backoff between retries of
-// Transient failures. The returned error, when non-nil, is classified
-// (errors.Is against ErrTransient / ErrPermanent / ErrWatchdog /
-// ErrBreakerOpen).
-func (s *Scheduler) execute(j Job, key string, abandon <-chan struct{}) (*bench.Result, error) {
+// Transient failures. ctx is the job's call context: once it is cancelled
+// nobody is waiting, and the job stops. The returned error, when non-nil,
+// is classified (errors.Is against ErrTransient / ErrPermanent /
+// ErrWatchdog / ErrBreakerOpen).
+func (s *Scheduler) execute(ctx context.Context, j Job, key string) (*bench.Result, error) {
 	br := s.breakerFor(j.Device)
 	for attempt := 1; ; attempt++ {
-		select {
-		case <-abandon:
-			// Nobody is waiting any more: stop before burning another
-			// attempt. Abandonment says nothing about device health, so it
-			// never touches the breaker.
-			return nil, wrapClass(Permanent, fmt.Errorf("sched: job %s: %w", key, ErrAbandoned))
-		default:
+		if ctx.Err() != nil {
+			// Stop before burning another attempt. Abandonment says nothing
+			// about device health, so it never touches the breaker.
+			return nil, abandoned(key)
 		}
 		if br != nil {
-			if ok, wait := br.allow(); !ok {
+			if ok, wait := br.Allow(); !ok {
 				s.metrics.breakerDenials.Add(1)
 				return nil, &BreakerOpenError{Device: j.Device, RetryAfter: wait}
 			}
 		}
-		res, err := s.executeAttempt(j, key, abandon)
+		res, err := s.executeAttempt(ctx, j, key)
 		if err == nil {
 			if br != nil {
-				br.success()
+				br.Success()
 			}
 			return res, nil
 		}
@@ -667,7 +583,7 @@ func (s *Scheduler) execute(j Job, key string, abandon <-chan struct{}) (*bench.
 			// Only device-health failures (transient, watchdog) count
 			// toward tripping: a malformed job says nothing about the
 			// device.
-			if br.failure() {
+			if br.Failure() {
 				s.metrics.breakerTrips.Add(1)
 			}
 		}
@@ -684,8 +600,8 @@ func (s *Scheduler) execute(j Job, key string, abandon <-chan struct{}) (*bench.
 		backoff := s.opts.clock.NewTimer(s.retry.backoff(key, attempt))
 		select {
 		case <-backoff.C():
-		case <-abandon:
-			// Every waiter left during the backoff: free the worker now;
+		case <-ctx.Done():
+			// Every caller left during the backoff: free the worker now;
 			// the loop head reports the abandonment.
 			backoff.Stop()
 		}
@@ -725,13 +641,10 @@ func (c *attemptCtl) publish(d *sim.Device) {
 }
 
 // executeAttempt runs one attempt under the watchdog and the abandonment
-// monitor. On timeout — or when every waiter has abandoned the task — it
-// cancels the attempt's device and waits up to ReclaimGrace for the
-// goroutine to acknowledge: the worker is reclaimed, not leaked.
-func (s *Scheduler) executeAttempt(j Job, key string, abandon <-chan struct{}) (*bench.Result, error) {
-	if s.opts.JobTimeout <= 0 && abandon == nil {
-		return s.executeIsolated(j, key, nil)
-	}
+// monitor. On timeout — or when ctx is cancelled because every caller has
+// left — it cancels the attempt's device and waits up to ReclaimGrace for
+// the goroutine to acknowledge: the worker is reclaimed, not leaked.
+func (s *Scheduler) executeAttempt(ctx context.Context, j Job, key string) (*bench.Result, error) {
 	type outcome struct {
 		res *bench.Result
 		err error
@@ -771,14 +684,14 @@ func (s *Scheduler) executeAttempt(j Job, key string, abandon <-chan struct{}) (
 		reclaim()
 		return nil, wrapClass(Watchdog,
 			fmt.Errorf("sched: job %s: %w after %v", key, context.DeadlineExceeded, s.opts.JobTimeout))
-	case <-abandon:
+	case <-ctx.Done():
 		reclaim()
-		return nil, wrapClass(Permanent, fmt.Errorf("sched: job %s: %w", key, ErrAbandoned))
+		return nil, abandoned(key)
 	}
 }
 
 func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.Result, error) {
-	return s.safely(key, func() (*bench.Result, error) {
+	return safely(s.metrics, key, func() (*bench.Result, error) {
 		if err := j.Validate(); err != nil {
 			return nil, err
 		}
@@ -787,11 +700,9 @@ func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.
 		if f := s.opts.Injector.Launch(key); f != nil {
 			switch f.Kind {
 			case fault.KindHang:
-				if ctl != nil {
-					// Hang until the watchdog cancels the attempt — the
-					// same reclaim path a real runaway kernel exercises.
-					<-ctl.cancel
-				}
+				// Hang until the watchdog cancels the attempt — the same
+				// reclaim path a real runaway kernel exercises.
+				<-ctl.cancel
 				return nil, fmt.Errorf("sched: job %s: injected hang: %w", key, sim.ErrWatchdog)
 			case fault.KindSlowLaunch:
 				// A straggler, not a failure: stall (interruptibly, so
@@ -799,15 +710,11 @@ func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.
 				// then run the attempt for real. This is the seam cluster
 				// hedging is proven against.
 				timer := s.opts.clock.NewTimer(f.Delay)
-				if ctl != nil {
-					select {
-					case <-timer.C():
-					case <-ctl.cancel:
-						timer.Stop()
-						return nil, fmt.Errorf("sched: job %s: cancelled during injected stall: %w", key, sim.ErrWatchdog)
-					}
-				} else {
-					<-timer.C()
+				select {
+				case <-timer.C():
+				case <-ctl.cancel:
+					timer.Stop()
+					return nil, fmt.Errorf("sched: job %s: cancelled during injected stall: %w", key, sim.ErrWatchdog)
 				}
 			default:
 				return nil, f.Err
@@ -819,10 +726,8 @@ func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.
 		if err != nil {
 			return nil, err
 		}
-		if ctl != nil {
-			if dev := bench.SimDevice(d); dev != nil {
-				ctl.publish(dev)
-			}
+		if dev := bench.SimDevice(d); dev != nil {
+			ctl.publish(dev)
 		}
 		res, err := spec.Run(d, j.Config)
 		// A watchdog kill surfaces from the benchmark harness as an ABT
@@ -836,15 +741,16 @@ func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.
 	})
 }
 
-// safely runs fn with panic isolation: a panicking job becomes an error on
-// that job alone instead of taking down the worker (and with it the pool).
-func (s *Scheduler) safely(key string, fn func() (*bench.Result, error)) (res *bench.Result, err error) {
+// safely runs fn with panic isolation: a panicking job attempt or tenant
+// task becomes an error on it alone instead of taking down the worker (and
+// with it the pool).
+func safely[T any](m *Metrics, key string, fn func() (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.panics.Add(1)
+			m.panics.Add(1)
 			buf := make([]byte, 4096)
 			buf = buf[:runtime.Stack(buf, false)]
-			res, err = nil, fmt.Errorf("sched: job %s panicked: %v\n%s", key, r, buf)
+			err = fmt.Errorf("sched: %s panicked: %v\n%s", key, r, buf)
 		}
 	}()
 	return fn()

@@ -204,7 +204,7 @@ func TestPanicIsolation(t *testing.T) {
 
 	// There is no registry hook to inject a panicking benchmark, so drive
 	// the worker's isolation wrapper directly.
-	_, err := s.safely("test-job", func() (*bench.Result, error) { panic("kernel bug") })
+	_, err := safely(s.metrics, "test-job", func() (*bench.Result, error) { panic("kernel bug") })
 	if err == nil || !strings.Contains(err.Error(), "kernel bug") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}

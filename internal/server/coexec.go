@@ -146,7 +146,7 @@ func (s *Server) handleCoexec(w http.ResponseWriter, r *http.Request) {
 	// tenant. DoTask caches only successful values, so a run abandoned by
 	// its client (context cancelled -> ErrAbandoned) is never cached and
 	// the next request re-executes.
-	v, outcome, err := s.sched.DoTask(r.Context(), "coexec", "coexec", req.key(),
+	v, outcome, err := s.sched.DoTask(r.Context(), coexecTenant, "coexec", req.key(),
 		func(ctx context.Context) (any, error) {
 			out, rep, err := coexec.Run(ctx, wl, coexec.Options{
 				Devices:         devices,

@@ -67,6 +67,25 @@ func TestCoexecEndpoint(t *testing.T) {
 	}
 }
 
+// TestKernelsRefusesCoexecTenant: /coexec runs under the tenant "coexec",
+// so a /kernels client naming itself that would land in the /coexec runs'
+// cache and metrics rows. It is refused, and the /coexec result stays the
+// only entry in that cache.
+func TestKernelsRefusesCoexecTenant(t *testing.T) {
+	ts, s := newTestServer(t)
+	if resp, body := postCoexec(t, ts.URL,
+		`{"workload":"vecadd","size":16,"devices":["GeForce GTX480","Intel Core i7 920"]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/coexec status = %d: %s", resp.StatusCode, body)
+	}
+	resp, kr := postKernel(t, ts.URL, "coexec", validSubmission(t))
+	if resp.StatusCode != http.StatusBadRequest || kr.Code != codeBadTenant {
+		t.Errorf("/kernels as coexec: status %d code %q, want 400 %s", resp.StatusCode, kr.Code, codeBadTenant)
+	}
+	if n := s.TenantCacheLen("coexec"); n != 1 {
+		t.Errorf("coexec tenant cache holds %d entries, want 1 (the /coexec run)", n)
+	}
+}
+
 func TestCoexecKillDegradedMarkers(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp, body := postCoexec(t, ts.URL,

@@ -126,8 +126,8 @@ func TestDegradationLadderStaleAnd503(t *testing.T) {
 			t.Fatalf("faulting job scale %d: status %d, want 500", scale, resp.StatusCode)
 		}
 	}
-	if st := s.BreakerState(device); st != sched.BreakerOpen {
-		t.Fatalf("breaker = %v, want open after %d failures", st, 2)
+	if b := s.Breakers(); len(b) != 1 || b[0].Device != device || b[0].State != sched.BreakerOpen.String() {
+		t.Fatalf("breakers = %+v, want %s open after %d failures", b, device, 2)
 	}
 
 	// 3. The previously-seen job is denied by the breaker; "sec" has no

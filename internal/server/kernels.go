@@ -66,6 +66,11 @@ var tenantRe = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 // DefaultTenant is used when a request carries no X-Tenant header.
 const DefaultTenant = "anon"
 
+// coexecTenant is the tenant POST /coexec runs under. No client may name
+// itself so, or its submissions would evict /coexec results from that
+// tenant's cache and count in its metrics rows.
+const coexecTenant = "coexec"
+
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -80,6 +85,11 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	if !tenantRe.MatchString(tenant) {
 		writeError(w, http.StatusBadRequest, codeBadTenant,
 			fmt.Errorf("X-Tenant must match %s", tenantRe))
+		return
+	}
+	if tenant == coexecTenant {
+		writeError(w, http.StatusBadRequest, codeBadTenant,
+			fmt.Errorf("X-Tenant %q is reserved for POST /coexec", tenant))
 		return
 	}
 

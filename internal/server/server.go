@@ -333,16 +333,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("POST a sched.Job body to /run"))
 		return
 	}
-	var job sched.Job
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job); err != nil {
-		status, code := http.StatusBadRequest, codeBadJSON
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status, code = http.StatusRequestEntityTooLarge, codeTooLarge
-		}
-		writeError(w, status, code, fmt.Errorf("bad /run body: %w", err))
+	job, err := decodeJSON[sched.Job](w, r)
+	if err != nil {
 		return
 	}
 	if err := job.Validate(); err != nil {
@@ -355,7 +347,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, code, err)
 		return
 	}
-	res, outcome, err := s.sched.Do(r.Context(), job)
+	res, outcome, err := s.sched.Do(r.Context(), *job)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client went away; nothing sensible to serve.
@@ -369,7 +361,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		default:
 			// Transient, watchdog or breaker-open: walk the degradation
 			// ladder instead of failing the request.
-			s.serveDegraded(w, job, err)
+			s.serveDegraded(w, *job, err)
 		}
 		return
 	}
