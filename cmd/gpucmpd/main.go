@@ -47,8 +47,8 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "per-job execution timeout (0 = unbounded)")
 	figureScale := flag.Int("figure-scale", 4, "default problem-size divisor for /figures/*")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
-	quotaRate := flag.Float64("quota-rate", 0, "POST /kernels: accepted submissions per second per tenant (0 = unlimited)")
-	quotaBurst := flag.Float64("quota-burst", 0, "POST /kernels: per-tenant burst capacity (0 = max(rate, 1))")
+	quotaRate := flag.Float64("quota-rate", 0, "accepted requests per second per X-Tenant: POST /kernels on a worker, every routed request in coordinator mode (0 = unlimited)")
+	quotaBurst := flag.Float64("quota-burst", 0, "per-tenant burst capacity of -quota-rate (0 = max(rate, 1))")
 	tenantCache := flag.Int("tenant-cache-size", 64, "POST /kernels: per-tenant result-cache entries (negative disables)")
 	stepBudget := flag.Uint64("submit-step-budget", 0, "POST /kernels: watchdog warp-instruction budget per work group (0 = default)")
 	coordinator := flag.Bool("coordinator", false, "run as fleet coordinator: admit and route requests to -shards instead of executing locally")

@@ -5,12 +5,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"regexp"
 	"slices"
 	"strconv"
 	"sync"
@@ -20,7 +18,7 @@ import (
 	"gpucmp/internal/clock"
 	"gpucmp/internal/metrics"
 	"gpucmp/internal/sched"
-	"gpucmp/internal/submit"
+	"gpucmp/internal/server"
 )
 
 // Config configures a Coordinator. Zero fields take the documented
@@ -106,8 +104,9 @@ type Coordinator struct {
 	lat     *latencyTracker
 	start   time.Time
 
+	server.Readiness // the coordinator's own drain switch and probes
+
 	inFlight atomic.Int64
-	notReady atomic.Bool
 
 	breakers *metrics.Keyed[sched.Breaker]
 
@@ -171,9 +170,6 @@ func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.probeWG.Wait()
 }
-
-// SetReady flips the coordinator's own readiness (drain support).
-func (c *Coordinator) SetReady(ready bool) { c.notReady.Store(!ready) }
 
 // Ring exposes the routing ring (tests and cmd/gpucmpd logging).
 func (c *Coordinator) Ring() *Ring { return c.ring }
@@ -542,59 +538,33 @@ func (c *Coordinator) doShared(ctx context.Context, method, pathq string, header
 
 // ---- HTTP face ----------------------------------------------------------
 
-// writeJSON writes v with status code, as one line of compact JSON.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away; nothing to do
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error(), Code: code})
-}
-
 // Machine codes the coordinator adds on top of the worker vocabulary.
 const (
 	codeShedding   = "shedding"
-	codeQuota      = "quota-exceeded"
 	codeNoWorkers  = "no-workers"
 	codeBadGateway = "bad-gateway"
-	codeBadJSON    = "bad-json"
-	codeBadTenant  = "bad-tenant"
-	codeTooLarge   = "too-large"
 	codeDraining   = "draining"
-	codeMethodNA   = "method-not-allowed"
 
 	// codeReplyTooLarge: a worker reply over maxProxyBody (a 502).
 	codeReplyTooLarge = "reply-too-large"
 )
 
-var tenantRe = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
-
-// maxRunBody mirrors the worker's POST /run cap.
-const maxRunBody = 1 << 16
-
-// Handler returns the coordinator's routed HTTP handler.
+// Handler returns the coordinator's HTTP handler, built from the
+// worker's endpoint table: the Local routes are answered here, and every
+// other route is admitted and proxied to a worker.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", c.handleHealthz)
-	mux.HandleFunc("/healthz/live", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "alive"})
+	local := map[string]http.HandlerFunc{
+		"/healthz":       c.handleHealthz,
+		"/healthz/live":  c.ServeLive,
+		"/healthz/ready": c.ServeReady,
+		"/metrics":       c.handleMetrics,
+	}
+	return server.NewMux(func(rt server.Route) http.HandlerFunc {
+		if rt.Key == server.Local {
+			return local[rt.Path]
+		}
+		return c.proxy(rt)
 	})
-	mux.HandleFunc("/healthz/ready", c.handleReady)
-	mux.HandleFunc("/metrics", c.handleMetrics)
-	mux.HandleFunc("/run", c.handleRun)
-	mux.HandleFunc("/kernels", c.handleKernels)
-	mux.HandleFunc("/figures/", c.handleProxyByPath)
-	mux.HandleFunc("/devices", c.handleProxyByPath)
-	mux.HandleFunc("/benchmarks", c.handleProxyByPath)
-	mux.HandleFunc("/compiler/passes", c.handleProxyByPath)
-	return mux
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -609,10 +579,10 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for _, wk := range c.cfg.Workers {
 		breakers = append(breakers, c.breakers.Get(wk).Snapshot(wk))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         status,
 		"role":           "coordinator",
-		"ready":          !c.notReady.Load(),
+		"ready":          c.Ready(),
 		"uptime_seconds": c.cfg.clock.Now().Sub(c.start).Seconds(),
 		"ring_members":   members,
 		"workers":        c.cfg.Workers,
@@ -620,79 +590,84 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (c *Coordinator) handleReady(w http.ResponseWriter, r *http.Request) {
-	if c.notReady.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-}
-
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, c.snapshot())
+		server.WriteJSON(w, http.StatusOK, c.snapshot())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	c.writeProm(w)
 }
 
-// admit runs the admission ladder shared by every routed endpoint:
-// drain → load shed (503 + Retry-After) → tenant quota (429 +
-// Retry-After). It returns a release func (always call it) and whether
-// the request was admitted; on rejection the response has been written.
-func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if c.notReady.Load() {
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, codeDraining,
-			errors.New("cluster: coordinator is draining"))
-		return func() {}, false
-	}
-	depth := c.inFlight.Add(1)
-	release = func() { c.inFlight.Add(-1) }
-	c.metrics.observeDepth(depth - 1)
-	if c.cfg.MaxInFlight > 0 && depth > int64(c.cfg.MaxInFlight) {
-		c.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, codeShedding,
-			fmt.Errorf("cluster: %d requests in flight, limit %d", depth, c.cfg.MaxInFlight))
-		return release, false
-	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "anon"
-	}
-	if !tenantRe.MatchString(tenant) {
-		writeError(w, http.StatusBadRequest, codeBadTenant,
-			fmt.Errorf("X-Tenant must match %s", tenantRe))
-		return release, false
-	}
-	if allowed, retry := c.quotas.Allow(tenant); !allowed {
-		c.metrics.quotaDenied.Add(1)
-		secs := int(retry.Seconds() + 0.999)
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, codeQuota,
-			fmt.Errorf("cluster: tenant %q is over its admission quota", tenant))
-		return release, false
-	}
-	return release, true
-}
-
-// readRequest reads a request body of at most limit bytes. On failure it
-// writes the reply itself — 413 too-large over the limit, else 400
-// bad-json — and returns false.
-func readRequest(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		status, code := http.StatusBadRequest, codeBadJSON
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status, code = http.StatusRequestEntityTooLarge, codeTooLarge
+// proxy returns the handler of a routed endpoint. It runs the admission
+// ladder — drain → load shed (503 + Retry-After) → server.Admit's tenant
+// check and quota (429 + Retry-After) — then reads the body up to the
+// route's cap, keys the request by the route's Key, and forwards it:
+// identical requests in flight share one upstream call.
+func (c *Coordinator) proxy(rt server.Route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !c.Ready() {
+			w.Header().Set("Retry-After", "5")
+			server.WriteError(w, http.StatusServiceUnavailable, codeDraining,
+				errors.New("cluster: coordinator is draining"))
+			return
 		}
-		writeError(w, status, code, fmt.Errorf("bad %s body: %w", r.URL.Path, err))
-		return nil, false
+		depth := c.inFlight.Add(1)
+		defer c.inFlight.Add(-1)
+		c.metrics.observeDepth(depth - 1)
+		if c.cfg.MaxInFlight > 0 && depth > int64(c.cfg.MaxInFlight) {
+			c.metrics.shed.Add(1)
+			w.Header().Set("Retry-After", "1")
+			server.WriteError(w, http.StatusServiceUnavailable, codeShedding,
+				fmt.Errorf("cluster: %d requests in flight, limit %d", depth, c.cfg.MaxInFlight))
+			return
+		}
+		if !server.Admit(w, r, rt, c.quotas, &c.metrics.quotaDenied) {
+			return
+		}
+		var body []byte
+		if rt.MaxBody > 0 {
+			var ok bool
+			if body, ok = server.ReadBody(w, r, rt.MaxBody); !ok {
+				return
+			}
+		}
+		// key places the request on the ring; the upstream call is shared
+		// under the same key, prefixed by the tenant when the reply is
+		// per tenant. The key spaces cannot meet: a job key starts with a
+		// benchmark name, a body key with the route's name and a path key
+		// with "/".
+		pathq, key := r.URL.Path, ""
+		switch rt.Key {
+		case server.JobKey:
+			// A garbage job never travels the ring; the worker checks it
+			// again (it owns the semantics).
+			job, ok := server.DecodeJob(w, body)
+			if !ok {
+				return
+			}
+			key = job.Key()
+		case server.BodyKey:
+			// Only the worker, which owns the defence ladder, parses an
+			// untrusted body. A byte-identical resubmission lands on the
+			// same shard (and hits its cache).
+			sum := sha256.Sum256(body)
+			key = rt.Path[1:] + "|" + hex.EncodeToString(sum[:])
+		default:
+			// Every distinct artifact (figure, table, scale) is one ring
+			// key, so repeated regenerations hit the same worker's cache.
+			if r.URL.RawQuery != "" {
+				pathq += "?" + r.URL.RawQuery
+			}
+			key = pathq
+		}
+		flightKey := key
+		if rt.Tenant {
+			flightKey = server.TenantOf(r) + "|" + key
+		}
+		resp, err := c.doShared(r.Context(), r.Method, pathq, r.Header, body, key, flightKey)
+		c.reply(w, resp, err)
 	}
-	return body, true
 }
 
 // reply writes a buffered shard response (or the typed routing error)
@@ -703,14 +678,14 @@ func (c *Coordinator) reply(w http.ResponseWriter, resp *shardResponse, err erro
 		switch {
 		case errors.Is(err, errNoShard):
 			w.Header().Set("Retry-After", "2")
-			writeError(w, http.StatusServiceUnavailable, codeNoWorkers, err)
+			server.WriteError(w, http.StatusServiceUnavailable, codeNoWorkers, err)
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			// The client went away; the status is a formality.
-			writeError(w, http.StatusServiceUnavailable, codeDraining, err)
+			server.WriteError(w, http.StatusServiceUnavailable, codeDraining, err)
 		case errors.Is(err, errReplyTooLarge):
-			writeError(w, http.StatusBadGateway, codeReplyTooLarge, err)
+			server.WriteError(w, http.StatusBadGateway, codeReplyTooLarge, err)
 		default:
-			writeError(w, http.StatusBadGateway, codeBadGateway, err)
+			server.WriteError(w, http.StatusBadGateway, codeBadGateway, err)
 		}
 		return
 	}
@@ -723,88 +698,4 @@ func (c *Coordinator) reply(w http.ResponseWriter, resp *shardResponse, err erro
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
 	w.WriteHeader(resp.status)
 	w.Write(resp.body) //nolint:errcheck // client went away; nothing to do
-}
-
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNA,
-			errors.New("POST a sched.Job body to /run"))
-		return
-	}
-	release, ok := c.admit(w, r)
-	defer release()
-	if !ok {
-		return
-	}
-	body, ok := readRequest(w, r, maxRunBody)
-	if !ok {
-		return
-	}
-	var job sched.Job
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadJSON, fmt.Errorf("bad /run body: %w", err))
-		return
-	}
-	// Admission validates the job shape here so a garbage body never
-	// travels the ring; the worker re-validates (it owns the semantics).
-	if err := job.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad-request", err)
-		return
-	}
-	key := job.Key()
-	resp, ferr := c.doShared(r.Context(), http.MethodPost, "/run", r.Header, body, key, "run|"+key)
-	c.reply(w, resp, ferr)
-}
-
-func (c *Coordinator) handleKernels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNA,
-			errors.New("POST a kernel program to /kernels"))
-		return
-	}
-	release, ok := c.admit(w, r)
-	defer release()
-	if !ok {
-		return
-	}
-	body, ok := readRequest(w, r, submit.DefaultLimits().MaxBody)
-	if !ok {
-		return
-	}
-	// Route by the body's SHA-256, never by its decoded program: only the
-	// worker, which owns the defence ladder, parses an untrusted body. A
-	// byte-identical resubmission lands on the same shard (and hits its
-	// tenant cache); two different bodies never share an upstream reply.
-	sum := sha256.Sum256(body)
-	key := "kernels|" + hex.EncodeToString(sum[:])
-	tenant := r.Header.Get("X-Tenant")
-	resp, ferr := c.doShared(r.Context(), http.MethodPost, "/kernels", r.Header, body, key, tenant+"|"+key)
-	c.reply(w, resp, ferr)
-}
-
-// handleProxyByPath routes idempotent GET endpoints by their full path +
-// query: every distinct artifact (figure, table, scale) is one ring key,
-// so repeated regenerations hit the same worker's cache.
-func (c *Coordinator) handleProxyByPath(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNA,
-			errors.New("GET only"))
-		return
-	}
-	release, ok := c.admit(w, r)
-	defer release()
-	if !ok {
-		return
-	}
-	pathq := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathq += "?" + r.URL.RawQuery
-	}
-	resp, ferr := c.doShared(r.Context(), http.MethodGet, pathq, r.Header, nil, pathq, "get|"+pathq)
-	c.reply(w, resp, ferr)
 }

@@ -202,7 +202,7 @@ func TestHedgeRace(t *testing.T) {
 // joiner waiting on it, and the last waiter out cancels the upstream.
 func TestDedupAbandonment(t *testing.T) {
 	body := runBody("Scan", 48)
-	sfKey := "run|" + jobKey(t, body)
+	sfKey := jobKey(t, body) // a /run call is shared under its ring key
 
 	// gated is a one-shard coordinator whose shard holds each /run request
 	// until the gate opens or the request is cancelled.

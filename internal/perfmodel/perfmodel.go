@@ -230,3 +230,22 @@ func TransferTimeOn(a *arch.Device, tc *Toolchain, bytes int64) float64 {
 	bw := a.Transfer.PCIeGBps * 1e9 * factor
 	return tc.HostTransferLatency + a.Transfer.LatencyS + float64(bytes)/bw
 }
+
+// rateUnits is Table II's metric table: each rate metric and the divisor
+// that turns work per second into its unit. The time-valued metric, "sec",
+// is not a rate.
+var rateUnits = map[string]float64{
+	"GFlops/sec":    1e9,
+	"GB/sec":        1e9,
+	"MElements/sec": 1e6,
+	"MPixels/sec":   1e6,
+	"MPoints/sec":   1e6,
+}
+
+// RateUnit returns the divisor that turns a rate metric's work per second
+// into its unit. ok is false for a time-valued metric, whose number is the
+// seconds themselves and where a lower number is better.
+func RateUnit(metric string) (unit float64, ok bool) {
+	unit, ok = rateUnits[metric]
+	return unit, ok
+}

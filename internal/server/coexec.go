@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -16,24 +15,6 @@ import (
 	"gpucmp/internal/fault"
 	"gpucmp/internal/sched"
 )
-
-// decodeJSON decodes a strict, size-capped JSON body; on failure it writes
-// the error reply itself and returns a non-nil error.
-func decodeJSON[T any](w http.ResponseWriter, r *http.Request) (*T, error) {
-	var v T
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		status, code := http.StatusBadRequest, codeBadJSON
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status, code = http.StatusRequestEntityTooLarge, codeTooLarge
-		}
-		writeError(w, status, code, fmt.Errorf("bad request body: %w", err))
-		return nil, err
-	}
-	return &v, nil
-}
 
 // coexecRequest is the POST /coexec body: split one workload launch across
 // several devices and return the run report. The merged output itself is
@@ -113,32 +94,30 @@ func (req *coexecRequest) key() string {
 }
 
 func (s *Server) handleCoexec(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			fmt.Errorf("POST a coexec request body to /coexec"))
+	body, ok := ReadBody(w, r, maxRunBody)
+	if !ok {
 		return
 	}
-	req, err := decodeJSON[coexecRequest](w, r)
-	if err != nil {
-		return // decodeJSON already replied
+	req, ok := decodeJSON[coexecRequest](w, body)
+	if !ok {
+		return
 	}
 	devices := make([]*arch.Device, len(req.Devices))
 	for i, name := range req.Devices {
 		a, err := arch.Resolve(name)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, codeUnknownDevice, err)
+			WriteError(w, http.StatusBadRequest, codeUnknownDevice, err)
 			return
 		}
 		devices[i] = a
 	}
 	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
 	wl, err := coexec.Named(req.Workload, req.Size)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
 
@@ -171,10 +150,10 @@ func (s *Server) handleCoexec(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &se) {
 			// A shard exhausted its retry budget on every device: a typed,
 			// deterministic failure, not a service degradation.
-			writeError(w, http.StatusInternalServerError, codeCoexecFailed, err)
+			WriteError(w, http.StatusInternalServerError, codeCoexecFailed, err)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
+		WriteError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
 	run := v.(*coexecRun)
@@ -190,7 +169,7 @@ func (s *Server) handleCoexec(w http.ResponseWriter, r *http.Request) {
 		resp.DegradedCause = run.Report.DegradedCause
 	}
 	w.Header().Set("X-Cache", outcome.String())
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // WithCoexecFaults installs the fault injector driving POST /coexec runs

@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"gpucmp/internal/bench"
 	"gpucmp/internal/fault"
 	"gpucmp/internal/sched"
 )
@@ -39,40 +42,104 @@ func postRun(t *testing.T, url string, job sched.Job) (*http.Response, runRespon
 	return resp, out, errBody
 }
 
-// TestDegradedEstimateWhenEveryJobHangs: the live path always hits the
-// watchdog; a rate-valued benchmark must be served as a perfmodel estimate
-// with the Degraded marker, not a 500.
-func TestDegradedEstimateWhenEveryJobHangs(t *testing.T) {
-	inj := fault.New(7, fault.Schedule{HangRate: 1.0})
-	s := sched.New(sched.Options{Workers: 1, JobTimeout: 20 * time.Millisecond, Injector: inj})
+// TestDegradedRateMetricIsExactOrAbsent opens a breaker on a rate-valued
+// benchmark (Reduce, GB/sec) and checks both outcomes of the ladder: a
+// job run before is served stale with the very result bytes of its live
+// reply, and a job never run gets a typed 503 with Retry-After. No reply
+// is an estimate: a degraded answer is exact or absent.
+func TestDegradedRateMetricIsExactOrAbsent(t *testing.T) {
+	const seed = 11
+	schedule := fault.Schedule{TransientRate: 0.5}
+	device := "GeForce GTX480"
+	mkJob := func(scale int) sched.Job {
+		return sched.Job{Benchmark: "Reduce", Device: device, Toolchain: "opencl", Config: bench.Config{Scale: scale}}
+	}
+	// Replay the injector's schedule: one job whose first launch is clean,
+	// and two whose first launch faults (they trip the breaker).
+	probe := fault.New(seed, schedule)
+	goodScale, badScales := 0, []int{}
+	for scale := 16; scale < 64; scale++ {
+		if probe.Launch(mkJob(scale).Key()) == nil {
+			if goodScale == 0 {
+				goodScale = scale
+			}
+		} else if len(badScales) < 2 {
+			badScales = append(badScales, scale)
+		}
+	}
+	if goodScale == 0 || len(badScales) < 2 {
+		t.Fatalf("seed %d yielded no usable schedule (good=%d bad=%v)", seed, goodScale, badScales)
+	}
+	s := sched.New(sched.Options{
+		Workers:   1,
+		CacheSize: -1, // no result cache: a repeat takes the live path
+		Retry:     sched.RetryPolicy{MaxAttempts: 1},
+		Breaker:   sched.BreakerConfig{FailureThreshold: 2, CoolDown: time.Hour},
+		Injector:  fault.New(seed, schedule),
+	})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(New(s).Handler())
 	t.Cleanup(ts.Close)
 
-	job := sched.Job{Benchmark: "Reduce", Device: "GeForce GTX480", Toolchain: "opencl"}
-	job.Config.Scale = 16
-	resp, out, _ := postRun(t, ts.URL, job)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (degraded estimate)", resp.StatusCode)
+	type reply struct {
+		Result       json.RawMessage `json:"result"`
+		Served       string          `json:"served"`
+		DegradedMode string          `json:"degraded_mode"`
+		Code         string          `json:"code"`
 	}
-	if !out.Degraded || out.DegradedMode != "estimate" || out.Served != "degraded" {
-		t.Fatalf("response = %+v, want degraded estimate", out)
+	send := func(job sched.Job) (*http.Response, reply) {
+		t.Helper()
+		resp, raw := postRaw(t, ts.URL, job)
+		if resp == nil {
+			t.FailNow()
+		}
+		var r reply
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatalf("reply %q: %v", raw, err)
+		}
+		if r.DegradedMode == "estimate" {
+			t.Errorf("an estimate was served: %s", raw)
+		}
+		return resp, r
 	}
-	if out.Result == nil || out.Result.Value <= 0 || out.Result.Metric != "GB/sec" {
-		t.Fatalf("estimate result = %+v, want a positive GB/sec value", out.Result)
+
+	resp, live := send(mkJob(goodScale))
+	if resp.StatusCode != http.StatusOK || live.Served != "miss" || len(live.Result) == 0 {
+		t.Fatalf("live run: status %d, served %q", resp.StatusCode, live.Served)
 	}
-	if out.DegradedCause == "" {
-		t.Error("degraded response must carry the live-path failure cause")
+	for _, scale := range badScales {
+		if resp, _ := send(mkJob(scale)); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("faulting job scale %d: status %d, want 500", scale, resp.StatusCode)
+		}
 	}
-	if resp.Header.Get("X-Cache") != "degraded" {
-		t.Errorf("X-Cache = %q, want degraded", resp.Header.Get("X-Cache"))
+	if b := s.Breakers(); len(b) != 1 || b[0].State != sched.BreakerOpen.String() {
+		t.Fatalf("breakers = %+v, want %s open", b, device)
+	}
+
+	// With a stale entry: the live run's result, byte for byte.
+	resp, stale := send(mkJob(goodScale))
+	if resp.StatusCode != http.StatusOK || stale.Served != "degraded" || stale.DegradedMode != "stale" {
+		t.Fatalf("stale rung: status %d, served %q, mode %q", resp.StatusCode, stale.Served, stale.DegradedMode)
+	}
+	if !bytes.Equal(stale.Result, live.Result) {
+		t.Errorf("stale result differs from the live run's:\n got %s\nwant %s", stale.Result, live.Result)
+	}
+
+	// Without one: a typed 503 that says when to come back.
+	resp, absent := send(mkJob(99))
+	if resp.StatusCode != http.StatusServiceUnavailable || absent.Code != codeUnavailable {
+		t.Fatalf("never-run job: status %d, code %q: want 503 %s", resp.StatusCode, absent.Code, codeUnavailable)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra <= 0 {
+		t.Errorf("Retry-After = %q, want a positive number of seconds", resp.Header.Get("Retry-After"))
 	}
 }
 
 // TestDegradationLadderStaleAnd503 drives the full ladder on a time-valued
-// benchmark (no analytical estimate exists for "sec"): a breaker trip must
-// route a previously-seen job to its stale result and a never-seen job to
-// 503 + Retry-After, while /healthz and /metrics reflect the open breaker.
+// benchmark (TestDegradedRateMetricIsExactOrAbsent drives a rate-valued
+// one): a breaker trip must route a previously-seen job to its stale
+// result and a never-seen job to 503 + Retry-After, while /healthz and
+// /metrics reflect the open breaker.
 func TestDegradationLadderStaleAnd503(t *testing.T) {
 	const seed = 11
 	schedule := fault.Schedule{TransientRate: 0.5}
@@ -130,8 +197,8 @@ func TestDegradationLadderStaleAnd503(t *testing.T) {
 		t.Fatalf("breakers = %+v, want %s open after %d failures", b, device, 2)
 	}
 
-	// 3. The previously-seen job is denied by the breaker; "sec" has no
-	// estimate, so it is served stale with the Degraded marker.
+	// 3. The previously-seen job is denied by the breaker and served stale
+	// with the Degraded marker.
 	resp, out, _ = postRun(t, ts.URL, mkJob(goodScale))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale rung: status %d, want 200", resp.StatusCode)

@@ -22,17 +22,17 @@ type figure struct {
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/figures/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("want /figures/{%s}", strings.Join(core.FigureIDs(), ",")))
+		WriteError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("want /figures/{%s}", strings.Join(core.FigureIDs(), ",")))
 		return
 	}
 	scale, err := s.scaleOf(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		WriteError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
 	f, ok := core.FigureByID(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, codeNotFound,
+		WriteError(w, http.StatusNotFound, codeNotFound,
 			fmt.Errorf("unknown figure %q; known figures: %s", id, strings.Join(core.FigureIDs(), ", ")))
 		return
 	}
@@ -42,8 +42,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := f.Study(s.runner(r), devices, scale)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
+		WriteError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, figure{Figure: id, Title: f.Title, Scale: scale, Data: data})
+	WriteJSON(w, http.StatusOK, figure{Figure: id, Title: f.Title, Scale: scale, Data: data})
 }

@@ -9,26 +9,22 @@ package server
 //
 // Defense ladder, in order (each rung runs only if the previous passed):
 //
-//	quota        → 429 + Retry-After   (token bucket per X-Tenant)
-//	body cap     → 413                 (http.MaxBytesReader)
+//	admission    → 400 / 429 + Retry-After (Admit: X-Tenant name, token bucket per tenant)
+//	body cap     → 413                 (ReadBody)
 //	parse/limits → 400                 (shape, sizes, unknown devices)
 //	gauntlet     → 422                 (kir.Check / uniform barriers / bounded loops)
 //	execution    → 200, or 422 "watchdog" when the step budget killed it
 //
-// Every response, success or failure, carries a "classification" field —
-// ok | gauntlet-reject | watchdog | quota — so adversarial clients (and
-// kfuzz -attack) can assert that no submission ever produces an
-// unclassified outcome.
+// Every response from the parse rung on, and the quota refusal, carries a
+// "classification" field — ok | gauntlet-reject | watchdog | quota; the
+// other refusals are typed {error, code} replies. Either way adversarial
+// clients (and kfuzz -attack) can assert that no submission ever produces
+// an unclassified outcome.
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
-	"regexp"
-	"strconv"
 
 	"gpucmp/internal/sched"
 	"gpucmp/internal/submit"
@@ -58,82 +54,28 @@ type kernelResponse struct {
 	Report *submit.Report `json:"report,omitempty"`
 }
 
-// tenantRe validates the X-Tenant header: short, printable, no
-// separators, so tenant names can appear raw in cache keys and metrics
-// labels.
-var tenantRe = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
-
-// DefaultTenant is used when a request carries no X-Tenant header.
-const DefaultTenant = "anon"
-
-// coexecTenant is the tenant POST /coexec runs under. No client may name
-// itself so, or its submissions would evict /coexec results from that
-// tenant's cache and count in its metrics rows.
-const coexecTenant = "coexec"
-
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			fmt.Errorf("POST a kernel program to /kernels"))
-		return
-	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if !tenantRe.MatchString(tenant) {
-		writeError(w, http.StatusBadRequest, codeBadTenant,
-			fmt.Errorf("X-Tenant must match %s", tenantRe))
-		return
-	}
-	if tenant == coexecTenant {
-		writeError(w, http.StatusBadRequest, codeBadTenant,
-			fmt.Errorf("X-Tenant %q is reserved for POST /coexec", tenant))
+	// Handler has already run Admit: the tenant is valid and in quota.
+	tenant := TenantOf(r)
+	body, ok := ReadBody(w, r, s.limits.MaxBody)
+	if !ok {
 		return
 	}
 
-	// Rung 1: quota. Consulted before any parsing so a throttled tenant
-	// cannot make the server do work.
-	if ok, retry := s.sched.Quotas().Allow(tenant); !ok {
-		secs := math.Ceil(retry.Seconds())
-		w.Header().Set("Retry-After", strconv.Itoa(int(secs)))
-		s.quotaDenials.Add(1)
-		writeJSON(w, http.StatusTooManyRequests, kernelResponse{
-			Classification:    ClassQuota,
-			Code:              codeQuota,
-			Error:             fmt.Sprintf("tenant %q is over its submission quota", tenant),
-			RetryAfterSeconds: secs,
-		})
-		return
-	}
-
-	// Rung 2: body cap.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.limits.MaxBody))
-	if err != nil {
-		status, code := http.StatusBadRequest, codeBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status, code = http.StatusRequestEntityTooLarge, codeTooLarge
-		}
-		s.rejectKernel(w, status, code, err)
-		return
-	}
-
-	// Rung 3: parse + resource limits.
+	// Parse + resource limits.
 	sub, err := submit.Parse(body, s.limits)
 	if err != nil {
 		s.rejectKernel(w, http.StatusBadRequest, submit.Code(err), err)
 		return
 	}
 
-	// Rung 4: the static gauntlet.
+	// The static gauntlet.
 	if err := submit.Gauntlet(sub.Kernel); err != nil {
 		s.rejectKernel(w, http.StatusUnprocessableEntity, submit.Code(err), err)
 		return
 	}
 
-	// Rung 5: compile + execute on the worker pool, deduplicated and
+	// Compile + execute on the worker pool, deduplicated and
 	// cached within this tenant's namespace only.
 	key := sub.ContentKey()
 	lim := s.limits
@@ -146,12 +88,12 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 			s.rejectKernel(w, http.StatusUnprocessableEntity, submit.CodeCompileFailed, err)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
+		WriteError(w, http.StatusInternalServerError, codeInternal, err)
 		return
 	}
 	rep, ok := v.(*submit.Report)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, codeInternal,
+		WriteError(w, http.StatusInternalServerError, codeInternal,
 			fmt.Errorf("unexpected task result %T", v))
 		return
 	}
@@ -172,14 +114,14 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusUnprocessableEntity
 	}
 	w.Header().Set("X-Cache", outcome.String())
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // rejectKernel writes a classified rejection (parse or gauntlet) in the
 // kernelResponse shape.
 func (s *Server) rejectKernel(w http.ResponseWriter, status int, code string, err error) {
 	s.gauntletRejects.Add(1)
-	writeJSON(w, status, kernelResponse{
+	WriteJSON(w, status, kernelResponse{
 		Classification: ClassGauntletReject,
 		Code:           code,
 		Error:          err.Error(),

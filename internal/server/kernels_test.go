@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -185,6 +187,42 @@ func TestKernelsStructuredErrors(t *testing.T) {
 			t.Errorf("Allow = %q, want POST", allow)
 		}
 	})
+}
+
+// TestShortBodyCostsWhatArrives: a request that declares a 1 MiB body
+// on /kernels (the cap) and sends 10 bytes before closing its side is a
+// 400 bad-json, and the server never holds memory for the bytes it was
+// only promised.
+func TestShortBodyCostsWhatArrives(t *testing.T) {
+	s := sched.New(sched.Options{Workers: 1})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(New(s).Handler())
+	t.Cleanup(ts.Close)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /kernels HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n{\"grid\":1", submit.DefaultLimits().MaxBody)
+	conn.(*net.TCPConn).CloseWrite() //nolint:errcheck // the read below fails if it did not close
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kr kernelResponse
+	json.NewDecoder(resp.Body).Decode(&kr) //nolint:errcheck // checked through Code
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+
+	if resp.StatusCode != http.StatusBadRequest || kr.Code != codeBadJSON {
+		t.Errorf("short body: %d %q, want 400 %q", resp.StatusCode, kr.Code, codeBadJSON)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 {
+		t.Errorf("the exchange allocated %d bytes; a body that declares 1 MiB and sends 10 must not cost 1 MiB", n)
+	}
 }
 
 // TestRunStructuredErrors pins the same contract on the pre-existing

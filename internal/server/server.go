@@ -23,13 +23,13 @@ import (
 	"gpucmp/internal/core"
 	"gpucmp/internal/fault"
 	"gpucmp/internal/metrics"
-	"gpucmp/internal/perfmodel"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/sim"
 	"gpucmp/internal/submit"
 )
 
-// maxRunBody caps POST /run bodies; a sched.Job is a few hundred bytes.
+// maxRunBody caps POST /run and /coexec bodies; a sched.Job is a few
+// hundred bytes.
 const maxRunBody = 1 << 16
 
 // Server holds the service's dependencies.
@@ -38,13 +38,7 @@ type Server struct {
 	start  time.Time
 	limits submit.Limits // POST /kernels resource bounds
 
-	// notReady flips readiness off (true = not ready). Liveness and
-	// readiness are separate probes: /healthz/live answers 200 for as
-	// long as the process can serve HTTP at all, while /healthz/ready
-	// answers 503 while the process is draining (SIGINT/SIGTERM) or
-	// joining/leaving a cluster ring — the coordinator stops routing to
-	// it without killing in-flight requests.
-	notReady atomic.Bool
+	Readiness // the drain switch behind /healthz/ready
 
 	// figureScale is the default problem-size divisor for /figures/*
 	// (overridable per request with ?scale=N). The default keeps an
@@ -53,9 +47,8 @@ type Server struct {
 
 	// Degradation counters: how /run requests were served when the live
 	// path was unavailable.
-	degradedEstimates atomic.Uint64 // perfmodel analytical estimates served
-	degradedStale     atomic.Uint64 // stale last-known-good results served
-	unavailable       atomic.Uint64 // 503s: nothing could be served
+	degradedStale atomic.Uint64 // stale last-known-good results served
+	unavailable   atomic.Uint64 // 503s: nothing could be served
 
 	// /kernels counters.
 	gauntletRejects atomic.Uint64 // submissions refused before execution
@@ -96,59 +89,24 @@ func New(s *sched.Scheduler, opts ...Option) *Server {
 	return srv
 }
 
-// Handler returns the routed HTTP handler.
+// Handler returns the worker's HTTP handler, built from the endpoint
+// table. Every route that is not Local is admitted before its handler
+// runs; only a route that takes a tenant is charged to the scheduler's
+// tenant quotas.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/healthz/live", s.handleLive)
-	mux.HandleFunc("/healthz/ready", s.handleReady)
-	mux.HandleFunc("/devices", s.handleDevices)
-	mux.HandleFunc("/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("/run", s.handleRun)
-	mux.HandleFunc("/coexec", s.handleCoexec)
-	mux.HandleFunc("/kernels", s.handleKernels)
-	mux.HandleFunc("/figures/", s.handleFigure)
-	mux.HandleFunc("/compiler/passes", s.handleCompilerPasses)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	return mux
+	return NewMux(func(rt Route) http.HandlerFunc {
+		var quotas *sched.TenantQuotas
+		if rt.Tenant {
+			quotas = s.sched.Quotas()
+		}
+		return func(w http.ResponseWriter, r *http.Request) {
+			if rt.Key != Local && !Admit(w, r, rt, quotas, &s.quotaDenials) {
+				return
+			}
+			rt.serve(s, w, r)
+		}
+	})
 }
-
-// writeJSON writes v with status code, as one line of compact JSON.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client went away; nothing to do
-}
-
-// errorBody is the uniform error shape of every endpoint: a human
-// message plus a stable machine code ("bad-json", "unknown-device",
-// "unbounded-loop", ...). Codes are API contract: never change one, only
-// add.
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error(), Code: code})
-}
-
-// Machine codes for errors that originate in the server itself (domain
-// layers carry their own: submit.Code, kir.ErrCode).
-const (
-	codeBadJSON          = "bad-json"
-	codeBadRequest       = "bad-request"
-	codeUnknownDevice    = "unknown-device"
-	codeUnknownBenchmark = "unknown-benchmark"
-	codeNotFound         = "not-found"
-	codeMethodNotAllowed = "method-not-allowed"
-	codeTooLarge         = "too-large"
-	codeBadTenant        = "bad-tenant"
-	codeQuota            = "quota-exceeded"
-	codeInternal         = "internal"
-	codeUnavailable      = "unavailable"
-	codeCoexecFailed     = "coexec-failed"
-)
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// /healthz reflects the per-device circuit breakers: the service is
@@ -161,32 +119,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         status,
-		"ready":          !s.notReady.Load(),
+		"ready":          s.Ready(),
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"breakers":       breakers,
 	})
-}
-
-// SetReady flips the readiness probe. cmd/gpucmpd calls SetReady(false)
-// when a drain signal arrives, so cluster coordinators stop routing new
-// work here while in-flight requests finish.
-func (s *Server) SetReady(ready bool) { s.notReady.Store(!ready) }
-
-// Ready reports the current readiness state.
-func (s *Server) Ready() bool { return !s.notReady.Load() }
-
-func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "alive"})
-}
-
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.notReady.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
 // deviceInfo is one /devices entry. The transfer fields parameterise the
@@ -223,7 +161,7 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 			Toolchains:   tcs,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // benchmarkInfo is one /benchmarks entry.
@@ -238,7 +176,7 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	for _, spec := range bench.Registry() {
 		out = append(out, benchmarkInfo{Name: spec.Name, Metric: spec.Metric, LowerIsBetter: bench.LowerIsBetter(spec.Metric)})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // passInfo is one back-end pass entry of GET /compiler/passes.
@@ -273,7 +211,7 @@ func (s *Server) handleCompilerPasses(w http.ResponseWriter, r *http.Request) {
 	for _, k := range compiler.FeatureKnobs() {
 		info.FeatureKnobs = append(info.FeatureKnobs, knobInfo{Name: k.Name, Description: k.Description})
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // writeRun writes the POST /run reply for a scheduled result: the result
@@ -284,13 +222,13 @@ func (s *Server) handleCompilerPasses(w http.ResponseWriter, r *http.Request) {
 //	,"cached":true              exactly when served is "hit"
 //	,"served":"hit"             "miss", "hit", "shared" or "degraded"
 //	,"degraded":true            the rest only on a degraded reply:
-//	,"degraded_mode":"stale"    "estimate" or "stale"
+//	,"degraded_mode":"stale"    always "stale"
 //	,"degraded_cause":"..."     why the live path failed
 //	}
 //
-// A degraded reply marks a result that did NOT come from a live (or
-// cached-live) simulation: an analytical estimate or a stale
-// last-known-good entry, served because the live path was unavailable.
+// A degraded reply marks a result that did NOT come from this request's
+// live (or cached-live) path: a stale last-known-good entry, served
+// because the live path was unavailable.
 //
 // The result is neither encoded nor copied here: res.JSON was made once,
 // when the execution completed, as json.Marshal of the result. The reply
@@ -327,41 +265,29 @@ func writeRun(w http.ResponseWriter, res *sched.Encoded, served, degradedMode, d
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed,
-			fmt.Errorf("POST a sched.Job body to /run"))
+	body, ok := ReadBody(w, r, maxRunBody)
+	if !ok {
 		return
 	}
-	job, err := decodeJSON[sched.Job](w, r)
-	if err != nil {
+	job, ok := DecodeJob(w, body)
+	if !ok {
 		return
 	}
-	if err := job.Validate(); err != nil {
-		code := codeBadRequest
-		if _, serr := bench.SpecByName(job.Benchmark); serr != nil {
-			code = codeUnknownBenchmark
-		} else if _, aerr := arch.Resolve(job.Device); aerr != nil {
-			code = codeUnknownDevice
-		}
-		writeError(w, http.StatusBadRequest, code, err)
-		return
-	}
-	res, outcome, err := s.sched.Do(r.Context(), *job)
+	res, outcome, err := s.sched.Do(r.Context(), job)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// The client went away; nothing sensible to serve.
-			writeError(w, http.StatusInternalServerError, codeInternal, err)
+			WriteError(w, http.StatusInternalServerError, codeInternal, err)
 			return
 		}
 		switch sched.ClassOf(err) {
 		case sched.Permanent:
 			// Deterministic failure: degrading would mask a real answer.
-			writeError(w, http.StatusInternalServerError, codeInternal, err)
+			WriteError(w, http.StatusInternalServerError, codeInternal, err)
 		default:
 			// Transient, watchdog or breaker-open: walk the degradation
 			// ladder instead of failing the request.
-			s.serveDegraded(w, *job, err)
+			s.serveDegraded(w, job, err)
 		}
 		return
 	}
@@ -369,40 +295,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveDegraded is the tail of the degradation ladder (retry and breaker
-// already happened inside the scheduler): perfmodel analytical estimate →
-// stale cache entry → 503 + Retry-After. Served results carry an explicit
-// Degraded marker so clients can tell them from live measurements.
+// already happened inside the scheduler): stale cache entry → 503 +
+// Retry-After. A degraded answer is exact or absent: simulation is
+// deterministic, so the stale entry, read through the scheduler's
+// verified lookup, holds the bytes a live run would produce. A served
+// entry carries an explicit Degraded marker so clients can tell it from
+// a live run.
 func (s *Server) serveDegraded(w http.ResponseWriter, job sched.Job, cause error) {
-	// Rung 1: analytical estimate from the performance model. No
-	// simulation involved — always available for rate-valued metrics.
-	spec, serr := bench.SpecByName(job.Benchmark)
-	a, aerr := arch.Resolve(job.Device)
-	tc, terr := bench.ToolchainNamed(job.Toolchain)
-	if serr == nil && aerr == nil && terr == nil {
-		if v, ok := perfmodel.Estimate(a, tc.Costs, spec.Metric); ok {
-			est, err := sched.Encode(&bench.Result{
-				Benchmark: job.Benchmark,
-				Toolchain: job.Toolchain,
-				Device:    job.Device,
-				Metric:    spec.Metric,
-				Value:     v,
-				Correct:   true,
-			})
-			if err == nil {
-				s.degradedEstimates.Add(1)
-				writeRun(w, est, "degraded", "estimate", cause.Error())
-				return
-			}
-		}
-	}
-	// Rung 2: stale last-known-good result.
 	if res, ok := s.sched.Stale(job.Key()); ok {
 		s.degradedStale.Add(1)
 		writeRun(w, res, "degraded", "stale", cause.Error())
 		return
 	}
-	// Rung 3: nothing can be served. 503 with a Retry-After hint — the
-	// breaker's remaining cool-down when that is the blocker.
+	// Nothing can be served. 503 with a Retry-After hint — the breaker's
+	// remaining cool-down when that is the blocker.
 	s.unavailable.Add(1)
 	retryAfter := 5.0
 	var boe *sched.BreakerOpenError
@@ -410,7 +316,7 @@ func (s *Server) serveDegraded(w http.ResponseWriter, job sched.Job, cause error
 		retryAfter = boe.RetryAfter.Seconds()
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter))))
-	writeError(w, http.StatusServiceUnavailable, codeUnavailable, cause)
+	WriteError(w, http.StatusServiceUnavailable, codeUnavailable, cause)
 }
 
 // runner adapts the scheduler to the core.Runner the study functions take.
@@ -442,7 +348,7 @@ func (s *Server) scaleOf(r *http.Request) (int, error) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.sched.Metrics()
 	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, m.Snapshot())
+		WriteJSON(w, http.StatusOK, m.Snapshot())
 		return
 	}
 	snap, hists := m.Snapshot(), m.Histograms()
@@ -481,7 +387,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Counter("gpucmpd_warp_instrs_total", "Simulated warp instructions executed by completed jobs.", metrics.Value(snap.WarpInstrs)),
 		metrics.Counter("gpucmpd_lane_instrs_total", "Simulated lane (thread) instructions executed by completed jobs.", metrics.Value(snap.LaneInstrs)),
 		metrics.Counter("gpucmpd_degraded_total", "Requests served degraded, by fallback mode.",
-			metrics.Value(s.degradedEstimates.Load(), "mode", "estimate"),
 			metrics.Value(s.degradedStale.Load(), "mode", "stale")),
 		metrics.Counter("gpucmpd_unavailable_total", "Requests that got 503: no fallback could serve them.", metrics.Value(s.unavailable.Load())),
 		metrics.Gauge("gpucmpd_breaker_state", "Per-device breaker state (0=closed, 1=half-open, 2=open).",

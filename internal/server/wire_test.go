@@ -87,7 +87,6 @@ func TestWriteRunMatchesEncoder(t *testing.T) {
 		{Served: "hit", Cached: true},
 		{Served: "shared"},
 		{Served: "degraded", Degraded: true, DegradedMode: "stale", DegradedCause: "sched: circuit breaker open for device <GTX480> & \"co\"\n"},
-		{Served: "degraded", Degraded: true, DegradedMode: "estimate", DegradedCause: "watchdog"},
 		{Served: "degraded", Degraded: true, DegradedMode: "stale"},
 	}
 	for name, res := range results {
@@ -212,8 +211,8 @@ func TestRunWireGolden(t *testing.T) {
 
 	t.Run("stale", func(t *testing.T) {
 		// Find a job whose first launch is clean (it fills the stale
-		// store) and whose second hangs; "sec" has no analytical estimate,
-		// so the watchdog failure is served from the stale rung.
+		// store) and whose second hangs: the watchdog failure is served
+		// from the stale rung.
 		const seed = 5
 		schedule := fault.Schedule{HangRate: 0.5}
 		probe := fault.New(seed, schedule)
