@@ -23,8 +23,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the DefaultServeMux for -pprof
 	"os"
@@ -40,33 +44,69 @@ import (
 	"gpucmp/internal/submit"
 )
 
+// errUsage marks a command-line error, on which main exits 2.
+var errUsage = errors.New("usage")
+
 func main() {
-	addr := flag.String("addr", ":8480", "listen address")
-	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-	cacheSize := flag.Int("cache-size", 4096, "result-cache entries (negative disables caching)")
-	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "per-job execution timeout (0 = unbounded)")
-	figureScale := flag.Int("figure-scale", 4, "default problem-size divisor for /figures/*")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
-	quotaRate := flag.Float64("quota-rate", 0, "accepted requests per second per X-Tenant: POST /kernels on a worker, every routed request in coordinator mode (0 = unlimited)")
-	quotaBurst := flag.Float64("quota-burst", 0, "per-tenant burst capacity of -quota-rate (0 = max(rate, 1))")
-	tenantCache := flag.Int("tenant-cache-size", 64, "POST /kernels: per-tenant result-cache entries (negative disables)")
-	stepBudget := flag.Uint64("submit-step-budget", 0, "POST /kernels: watchdog warp-instruction budget per work group (0 = default)")
-	coordinator := flag.Bool("coordinator", false, "run as fleet coordinator: admit and route requests to -shards instead of executing locally")
-	shards := flag.String("shards", "", "coordinator mode: comma-separated worker base URLs (e.g. http://127.0.0.1:8481,http://127.0.0.1:8482)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "coordinator mode: latency quantile that arms the hedge timer")
-	hedgeMin := flag.Duration("hedge-min", 20*time.Millisecond, "coordinator mode: hedge-delay floor")
-	hedgeMax := flag.Duration("hedge-max", 2*time.Second, "coordinator mode: hedge-delay cap")
-	maxInFlight := flag.Int("max-inflight", 512, "coordinator mode: shed with 503 above this many in-flight requests (negative disables)")
-	probeInterval := flag.Duration("probe-interval", time.Second, "coordinator mode: worker readiness-probe period")
-	vnodes := flag.Int("ring-vnodes", cluster.DefaultVirtualNodes, "coordinator mode: virtual nodes per ring member")
-	injectSeed := flag.Uint64("inject-seed", 1, "serving mode: fault-injection seed (with -inject-slow-rate and the coexec rates)")
-	injectSlowRate := flag.Float64("inject-slow-rate", 0, "serving mode: fraction of kernel launches stalled by an injected straggler delay (0 disables)")
-	injectSlowDelay := flag.Duration("inject-slow-delay", 300*time.Millisecond, "serving mode: straggler delay for -inject-slow-rate")
-	injectTransferRate := flag.Float64("inject-transfer-rate", 0, "serving mode: fraction of POST /coexec shard launches failed with a transfer error (0 disables)")
-	injectDeviceLostRate := flag.Float64("inject-device-lost-rate", 0, "serving mode: fraction of POST /coexec shard launches that kill the whole device (0 disables)")
-	injectMaxPerKey := flag.Int("inject-max-per-key", 3, "serving mode: per-shard cap on injected coexec transfer errors (device losses are never capped)")
-	drainNotice := flag.Duration("drain-notice", 0, "on SIGINT/SIGTERM, hold readiness down this long before closing listeners (lets coordinator probes evict us first: allow three probe intervals)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process immediately
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
+		log.Printf("gpucmpd: %v", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run parses args, listens, prints the address it bound to stdout and
+// serves, as a worker or with -coordinator as the fleet coordinator, until
+// ctx ends; then it drains and returns nil.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gpucmpd", flag.ContinueOnError)
+	addr := fs.String("addr", ":8480", "listen address")
+	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
+	cacheSize := fs.Int("cache-size", 4096, "result-cache entries (negative disables caching)")
+	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "per-job execution timeout (0 = unbounded)")
+	figureScale := fs.Int("figure-scale", 4, "default problem-size divisor for /figures/*")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
+	quotaRate := fs.Float64("quota-rate", 0, "accepted requests per second per X-Tenant: POST /kernels on a worker, every routed request in coordinator mode (0 = unlimited)")
+	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant burst capacity of -quota-rate (0 = max(rate, 1))")
+	tenantCache := fs.Int("tenant-cache-size", 64, "POST /kernels: per-tenant result-cache entries (negative disables)")
+	stepBudget := fs.Uint64("submit-step-budget", 0, "POST /kernels: watchdog warp-instruction budget per work group (0 = default)")
+	coordinator := fs.Bool("coordinator", false, "run as fleet coordinator: admit and route requests to -shards instead of executing locally")
+	shards := fs.String("shards", "", "coordinator mode: comma-separated worker base URLs (e.g. http://127.0.0.1:8481,http://127.0.0.1:8482)")
+	hedgeQuantile := fs.Float64("hedge-quantile", 0.95, "coordinator mode: latency quantile that arms the hedge timer")
+	hedgeMin := fs.Duration("hedge-min", 20*time.Millisecond, "coordinator mode: hedge-delay floor")
+	hedgeMax := fs.Duration("hedge-max", 2*time.Second, "coordinator mode: hedge-delay cap")
+	maxInFlight := fs.Int("max-inflight", 512, "coordinator mode: shed with 503 above this many in-flight requests (negative disables)")
+	probeInterval := fs.Duration("probe-interval", time.Second, "coordinator mode: worker readiness-probe period")
+	vnodes := fs.Int("ring-vnodes", cluster.DefaultVirtualNodes, "coordinator mode: virtual nodes per ring member")
+	injectSeed := fs.Uint64("inject-seed", 1, "serving mode: fault-injection seed (with -inject-slow-rate and the coexec rates)")
+	injectSlowRate := fs.Float64("inject-slow-rate", 0, "serving mode: fraction of kernel launches stalled by an injected straggler delay (0 disables)")
+	injectSlowDelay := fs.Duration("inject-slow-delay", 300*time.Millisecond, "serving mode: straggler delay for -inject-slow-rate")
+	injectTransferRate := fs.Float64("inject-transfer-rate", 0, "serving mode: fraction of POST /coexec shard launches failed with a transfer error (0 disables)")
+	injectDeviceLostRate := fs.Float64("inject-device-lost-rate", 0, "serving mode: fraction of POST /coexec shard launches that kill the whole device (0 disables)")
+	injectMaxPerKey := fs.Int("inject-max-per-key", 3, "serving mode: per-shard cap on injected coexec transfer errors (device losses are never capped)")
+	drainNotice := fs.Duration("drain-notice", 0, "on SIGINT/SIGTERM, hold readiness down this long before closing listeners (lets coordinator probes evict us first: allow three probe intervals)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+
+	var workerURLs []string
+	for _, s := range strings.Split(*shards, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			workerURLs = append(workerURLs, strings.TrimRight(s, "/"))
+		}
+	}
+	if *coordinator && len(workerURLs) == 0 {
+		return fmt.Errorf("%w: -coordinator requires -shards with at least one worker URL", errUsage)
+	}
 
 	if *pprofAddr != "" {
 		// pprof gets its own listener so profiling endpoints never ride on
@@ -80,8 +120,16 @@ func main() {
 		}()
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+
 	if *coordinator {
-		os.Exit(runCoordinator(*addr, *shards, cluster.Config{
+		// No local execution: admission control and routing over the
+		// worker shards.
+		coord := cluster.New(cluster.Config{
+			Workers:       workerURLs,
 			VirtualNodes:  *vnodes,
 			HedgeQuantile: *hedgeQuantile,
 			HedgeMinDelay: *hedgeMin,
@@ -89,7 +137,12 @@ func main() {
 			MaxInFlight:   *maxInFlight,
 			Quota:         sched.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
 			ProbeInterval: *probeInterval,
-		}, *drainNotice))
+		})
+		coord.Start()
+		defer coord.Close()
+		fmt.Fprintf(stdout, "gpucmpd: coordinating %d workers on %s\n", len(workerURLs), ln.Addr())
+		// The write timeout must outlast the slowest worker response.
+		return serve(ctx, ln, coord.Handler(), &coord.Readiness, 16*time.Minute, *drainNotice)
 	}
 
 	var inj *fault.Injector
@@ -139,96 +192,38 @@ func main() {
 			*injectTransferRate*100, *injectDeviceLostRate*100, *injectSeed)
 	}
 	srv := server.New(s, opts...)
+	fmt.Fprintf(stdout, "gpucmpd: serving on %s\n", ln.Addr())
+	return serve(ctx, ln, srv.Handler(), &srv.Readiness, writeTimeout, *drainNotice)
+}
+
+// serve answers h on ln until ctx ends, then drains: it fails readiness
+// first so load balancers and the fleet coordinator's probes stop sending
+// new work, holds that state for drainNotice, and gives in-flight requests
+// 30 s to finish before closing.
+func serve(ctx context.Context, ln net.Listener, h http.Handler, ready *server.Readiness, writeTimeout, drainNotice time.Duration) error {
 	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := <-stop
-		log.Printf("gpucmpd: %v received, draining in-flight requests", sig)
-		signal.Stop(stop) // a second signal kills the process immediately
-		// Fail readiness first so load balancers and the fleet
-		// coordinator's probes stop sending new work, optionally holding
-		// that state before closing listeners.
-		srv.SetReady(false)
-		if *drainNotice > 0 {
-			time.Sleep(*drainNotice)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("gpucmpd: shutdown: %v", err)
-		} else {
-			log.Printf("gpucmpd: drained cleanly")
-		}
-	}()
-
-	log.Printf("gpucmpd: serving on %s", *addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatal(err)
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	<-done
-}
-
-// runCoordinator serves the fleet-coordinator role: no local execution,
-// just admission control and routing over the worker shards. Returns the
-// process exit code.
-func runCoordinator(addr, shards string, cfg cluster.Config, drainNotice time.Duration) int {
-	for _, s := range strings.Split(shards, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			cfg.Workers = append(cfg.Workers, strings.TrimRight(s, "/"))
-		}
+	log.Print("gpucmpd: draining in-flight requests")
+	ready.SetReady(false)
+	time.Sleep(drainNotice)
+	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutCtx); err != nil {
+		log.Printf("gpucmpd: shutdown: %v", err)
+	} else {
+		log.Print("gpucmpd: drained cleanly")
 	}
-	if len(cfg.Workers) == 0 {
-		log.Print("gpucmpd: -coordinator requires -shards with at least one worker URL")
-		return 2
-	}
-	coord := cluster.New(cfg)
-	coord.Start()
-	defer coord.Close()
-
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      16 * time.Minute, // must outlast the slowest worker response
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sig := <-stop
-		log.Printf("gpucmpd: %v received, draining coordinator", sig)
-		signal.Stop(stop)
-		coord.SetReady(false)
-		if drainNotice > 0 {
-			time.Sleep(drainNotice)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("gpucmpd: shutdown: %v", err)
-		}
-	}()
-
-	log.Printf("gpucmpd: coordinating %d workers on %s", len(cfg.Workers), addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Print(err)
-		return 1
-	}
-	<-done
-	return 0
+	return nil
 }

@@ -15,7 +15,7 @@
 //
 // Attack mode targets a running gpucmpd instead of the in-process oracle:
 //
-//	kfuzz -attack http://localhost:8080 -n 500
+//	kfuzz -attack http://localhost:8480 -n 500
 //
 // generates programs, mutates a fraction into hostile submissions
 // (malformed encodings, oversized shapes, unbounded loops, divergent
@@ -24,12 +24,15 @@
 // watchdog / quota) and no request crashes or hangs the server.
 //
 // Exit status is 0 when every execution agreed with the reference (or,
-// in attack mode, every response was classified) and nonzero otherwise.
+// in attack mode, every response was classified), 1 when one did not, and
+// 2 on any other error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -41,32 +44,51 @@ import (
 	"gpucmp/internal/kir"
 )
 
-func main() {
-	var (
-		seed     = flag.Uint64("seed", 1, "first seed of the campaign")
-		n        = flag.Int("n", 50, "number of seeds to run")
-		device   = flag.String("device", "", "restrict to one device (case-insensitive substring of its name)")
-		minimize = flag.Bool("minimize", false, "shrink failing kernels before reporting")
-		bisect   = flag.Bool("bisect", false, "on divergence, disable compiler passes/features one at a time to name the culprit")
-		maxTime  = flag.Duration("max-time", 0, "stop starting new seeds after this long (0 = no limit)")
-		dump     = flag.String("dump", "", "write each generated program as JSON into this directory")
-		verbose  = flag.Bool("v", false, "print each kernel before running it")
+// errFailed is a campaign's verdict: a program diverged or, in attack
+// mode, a response came back unclassified. main exits 1 on it and 2 on
+// any other error.
+var errFailed = errors.New("kfuzz: campaign failed")
 
-		attack  = flag.String("attack", "", "adversarial HTTP campaign against this gpucmpd base URL (e.g. http://localhost:8080)")
-		tenants = flag.String("tenants", "attacker", "comma-separated tenant names rotated across attack requests")
-		conc    = flag.Int("concurrency", 8, "parallel submitters in attack mode")
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errFailed) {
+			os.Exit(1)
+		}
+		os.Exit(2)
+	}
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("kfuzz", flag.ContinueOnError)
+	var (
+		seed     = fs.Uint64("seed", 1, "first seed of the campaign")
+		n        = fs.Int("n", 50, "number of seeds to run")
+		device   = fs.String("device", "", "restrict to one device (case-insensitive substring of its name)")
+		minimize = fs.Bool("minimize", false, "shrink failing kernels before reporting")
+		bisect   = fs.Bool("bisect", false, "on divergence, disable compiler passes/features one at a time to name the culprit")
+		maxTime  = fs.Duration("max-time", 0, "stop starting new seeds after this long (0 = no limit)")
+		dump     = fs.String("dump", "", "write each generated program as JSON into this directory")
+		verbose  = fs.Bool("v", false, "print each kernel before running it")
+
+		attack  = fs.String("attack", "", "adversarial HTTP campaign against this gpucmpd base URL (e.g. http://localhost:8480)")
+		tenants = fs.String("tenants", "attacker", "comma-separated tenant names rotated across attack requests")
+		conc    = fs.Int("concurrency", 8, "parallel submitters in attack mode")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *attack != "" {
-		runAttack(*attack, *seed, *n, *tenants, *conc, *verbose)
-		return
+		return runAttack(w, *attack, *seed, *n, *tenants, *conc, *verbose)
 	}
 
 	devices, err := pickDevices(*device)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 
 	cfg := fuzz.DefaultConfig()
@@ -77,33 +99,31 @@ func main() {
 		deadline = start.Add(*maxTime)
 	}
 
-	failed := false
+	diverged := 0
 	ran := 0
 	for s := *seed; s < *seed+uint64(*n); s++ {
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			fmt.Printf("time limit reached after %d seed(s)\n", ran)
+			fmt.Fprintf(w, "time limit reached after %d seed(s)\n", ran)
 			break
 		}
 		p := fuzz.Generate(s, cfg)
 		if *verbose {
-			fmt.Printf("seed %d:\n%s", s, kir.Format(p.Kernel))
+			fmt.Fprintf(w, "seed %d:\n%s", s, kir.Format(p.Kernel))
 		}
 		if *dump != "" {
 			if err := dumpProgram(*dump, p); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return err
 			}
 		}
 		res, err := fuzz.Check(p, devices)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed %d: %v\n", s, err)
-			os.Exit(2)
+			return fmt.Errorf("seed %d: %w", s, err)
 		}
 		ran++
 		camp.Add(res)
 		if res.Divergence != nil {
-			failed = true
-			report(p, res.Divergence, devices, *minimize, *bisect, *dump)
+			diverged++
+			report(w, p, res.Divergence, devices, *minimize, *bisect, *dump)
 		}
 	}
 
@@ -111,35 +131,35 @@ func main() {
 	// compiles and executions side by side, so one without the other says
 	// nothing. CI copies this line into the job summary.
 	elapsed := time.Since(start).Seconds()
-	fmt.Printf("kfuzz: seeds %d..%d (%d run) in %.1fs, %.0f programs/s, GOMAXPROCS %d\n",
+	fmt.Fprintf(w, "kfuzz: seeds %d..%d (%d run) in %.1fs, %.0f programs/s, GOMAXPROCS %d\n",
 		*seed, *seed+uint64(*n)-1, ran, elapsed, float64(ran)/elapsed, runtime.GOMAXPROCS(0))
-	fmt.Print(camp.Summary())
-	if failed {
-		os.Exit(1)
+	fmt.Fprint(w, camp.Summary())
+	if diverged > 0 {
+		return fmt.Errorf("%w: %d of %d programs diverged", errFailed, diverged, ran)
 	}
+	return nil
 }
 
-// runAttack drives the adversarial HTTP campaign and exits with the
-// campaign's verdict.
-func runAttack(baseURL string, seed uint64, n int, tenants string, conc int, verbose bool) {
+// runAttack drives the adversarial HTTP campaign and returns its verdict.
+func runAttack(w io.Writer, baseURL string, seed uint64, n int, tenants string, conc int, verbose bool) error {
 	opts := fuzz.AttackOptions{
 		Tenants:     strings.Split(tenants, ","),
 		Concurrency: conc,
 	}
 	if verbose {
-		opts.Verbose = os.Stdout
+		opts.Verbose = w
 	}
 	start := time.Now()
 	rep, err := fuzz.Attack(baseURL, seed, n, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
-	fmt.Printf("kfuzz -attack %s: %d request(s) in %.1fs\n", baseURL, rep.Requests, time.Since(start).Seconds())
-	fmt.Print(rep.Summary())
+	fmt.Fprintf(w, "kfuzz -attack %s: %d request(s) in %.1fs\n", baseURL, rep.Requests, time.Since(start).Seconds())
+	fmt.Fprint(w, rep.Summary())
 	if rep.Failed() {
-		os.Exit(1)
+		return fmt.Errorf("%w: %d response(s) unclassified", errFailed, len(rep.Unclassified))
 	}
+	return nil
 }
 
 func pickDevices(pattern string) ([]*arch.Device, error) {
@@ -159,14 +179,14 @@ func pickDevices(pattern string) ([]*arch.Device, error) {
 	return out, nil
 }
 
-func report(p *fuzz.Program, d *fuzz.Divergence, devices []*arch.Device, minimize, bisect bool, dump string) {
-	fmt.Printf("DIVERGENCE\n%s\n", d.Error())
+func report(w io.Writer, p *fuzz.Program, d *fuzz.Divergence, devices []*arch.Device, minimize, bisect bool, dump string) {
+	fmt.Fprintf(w, "DIVERGENCE\n%s\n", d.Error())
 	if bisect {
 		rep, err := fuzz.BisectDivergence(p, d)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bisect: %v\n", err)
 		} else {
-			fmt.Print(rep)
+			fmt.Fprint(w, rep)
 		}
 	}
 	if !minimize {
@@ -178,10 +198,10 @@ func report(p *fuzz.Program, d *fuzz.Divergence, devices []*arch.Device, minimiz
 	})
 	r, err := fuzz.Check(small, devices)
 	if err != nil || r.Divergence == nil {
-		fmt.Println("minimization lost the failure; reporting the original")
+		fmt.Fprintln(w, "minimization lost the failure; reporting the original")
 		return
 	}
-	fmt.Printf("MINIMIZED (%d nodes -> %d)\n%s\n",
+	fmt.Fprintf(w, "MINIMIZED (%d nodes -> %d)\n%s\n",
 		kir.CountNodes(p.Kernel.Body), kir.CountNodes(small.Kernel.Body), r.Divergence.Error())
 	if dump != "" {
 		if err := dumpProgram(dump, small); err != nil {

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -79,20 +80,47 @@ type SLO struct {
 	Failures []string `json:"failures,omitempty"`
 }
 
-func main() {
-	target := flag.String("target", "http://127.0.0.1:8480", "coordinator (or worker) base URL")
-	duration := flag.Duration("duration", 20*time.Second, "how long to offer load")
-	rps := flag.Float64("rps", 50, "offered requests per second (open loop)")
-	concurrency := flag.Int("concurrency", 256, "max in-flight requests (open loop degrades to closed beyond this)")
-	seed := flag.Int64("seed", 1, "workload-mix seed")
-	tenants := flag.Int("tenants", 4, "distinct X-Tenant values to spread /kernels across")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	out := flag.String("out", "BENCH_serve.json", "report path (empty = stdout only)")
-	maxP99 := flag.Duration("maxp99", 0, "SLO gate: fail if p99 latency exceeds this (0 = ungated)")
-	minRPS := flag.Float64("minrps", 0, "SLO gate: fail if achieved RPS falls below this (0 = ungated)")
-	maxErr := flag.Float64("maxerr", -1, "SLO gate: fail if the error fraction exceeds this (negative = ungated; 0 = no errors allowed)")
-	flag.Parse()
+// errUsage marks a command-line error, on which main exits 2; any other
+// error, a failed SLO gate among them, exits 1.
+var errUsage = errors.New("usage")
 
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Printf("loadgen: %v", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	target := fs.String("target", "http://127.0.0.1:8480", "coordinator (or worker) base URL")
+	duration := fs.Duration("duration", 20*time.Second, "how long to offer load")
+	rps := fs.Float64("rps", 50, "offered requests per second (open loop)")
+	concurrency := fs.Int("concurrency", 256, "max in-flight requests (open loop degrades to closed beyond this)")
+	seed := fs.Int64("seed", 1, "workload-mix seed")
+	tenants := fs.Int("tenants", 4, "distinct X-Tenant values to spread /kernels across")
+	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout")
+	out := fs.String("out", "BENCH_serve.json", "report path (empty = stdout only)")
+	maxP99 := fs.Duration("maxp99", 0, "SLO gate: fail if p99 latency exceeds this (0 = ungated)")
+	minRPS := fs.Float64("minrps", 0, "SLO gate: fail if achieved RPS falls below this (0 = ungated)")
+	maxErr := fs.Float64("maxerr", -1, "SLO gate: fail if the error fraction exceeds this (negative = ungated; 0 = no errors allowed)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *rps <= 0 {
+		return errors.New("-rps must be positive")
+	}
+
+	kernel, err := kernelBody()
+	if err != nil {
+		return err
+	}
 	client := &http.Client{
 		Timeout: *timeout,
 		Transport: &http.Transport{
@@ -105,7 +133,7 @@ func main() {
 		client:  client,
 		rng:     rand.New(rand.NewSource(*seed)),
 		tenants: *tenants,
-		kernel:  kernelBody(),
+		kernel:  kernel,
 	}
 
 	log.Printf("loadgen: %v of %.0f rps against %s (seed %d)", *duration, *rps, *target, *seed)
@@ -117,23 +145,25 @@ func main() {
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	blob = append(blob, '\n')
 	if *out != "" {
 		if err := os.WriteFile(*out, blob, 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("loadgen: wrote %s", *out)
 	}
-	os.Stdout.Write(blob)
+	if _, err := stdout.Write(blob); err != nil {
+		return err
+	}
 
 	if !rep.SLO.Pass {
-		log.Printf("loadgen: SLO FAIL: %v", rep.SLO.Failures)
-		os.Exit(1)
+		return fmt.Errorf("SLO FAIL: %v", rep.SLO.Failures)
 	}
 	log.Printf("loadgen: SLO PASS (ok=%d reject=%d shed=%d err=%d p99=%.1fms rps=%.1f)",
 		rep.OK, rep.Rejected, rep.Shed, rep.Errors, rep.LatencyMS.P99, rep.AchievedRPS)
+	return nil
 }
 
 // generator owns the workload mix. All randomness flows from one seeded
@@ -208,12 +238,9 @@ func (g *generator) draw() request {
 	}
 }
 
-// run offers load open-loop at rps for the duration and returns every
-// completed sample.
+// run offers load open-loop at rps (positive) for the duration and
+// returns every completed sample.
 func (g *generator) run(duration time.Duration, rps float64, concurrency int) []sample {
-	if rps <= 0 {
-		log.Fatal("loadgen: -rps must be positive")
-	}
 	interval := time.Duration(float64(time.Second) / rps)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -402,14 +429,14 @@ func fetchCoordinatorMetrics(client *http.Client, target string) *cluster.Snapsh
 // kernelBody builds the canonical well-behaved /kernels submission:
 // out[gid] = gid across a 2x4 launch. Every draw submits the same body,
 // so the fleet's content-keyed dedup and tenant caches get exercised.
-func kernelBody() []byte {
+func kernelBody() ([]byte, error) {
 	b := kir.NewKernel("store")
 	out := b.GlobalBuffer("out", kir.U32)
 	gid := b.Declare("gid", b.GlobalIDX())
 	b.Store(out, gid, gid)
 	k, err := b.Build()
 	if err != nil {
-		log.Fatalf("loadgen: building submission kernel: %v", err)
+		return nil, fmt.Errorf("building submission kernel: %w", err)
 	}
 	body, err := json.Marshal(map[string]any{
 		"grid": 2, "block": 4, "out": "out",
@@ -417,7 +444,7 @@ func kernelBody() []byte {
 		"kernel":  kir.EncodeKernelJSON(k),
 	})
 	if err != nil {
-		log.Fatalf("loadgen: marshalling submission: %v", err)
+		return nil, fmt.Errorf("marshalling submission: %w", err)
 	}
-	return body
+	return body, nil
 }

@@ -15,8 +15,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -90,12 +92,12 @@ type Output struct {
 	Records []Record `json:"records"`
 }
 
-// run executes one benchmark once on a fresh driver and returns the
+// measure executes one benchmark once on a fresh driver and returns the
 // interpreter's wall time (sim.Device.ExecNanos — launches only, so the
 // engines are compared without the identical host-side compile, staging
 // and verification work), the warp-instruction count, the heap allocations
 // of the run, and the device's superinstruction counters.
-func run(spec bench.Spec, dev *arch.Device, cfg bench.Config, p profile) (float64, int64, uint64, [3]int64, error) {
+func measure(spec bench.Spec, dev *arch.Device, cfg bench.Config, p profile) (float64, int64, uint64, [3]int64, error) {
 	var super [3]int64
 	d, err := bench.Toolchains(dev)[0].Open(dev)
 	if err != nil {
@@ -180,25 +182,45 @@ func parseGates(s string) (gateSpec, error) {
 	return g, nil
 }
 
+// errUsage marks a command-line error, on which main exits 2; any other
+// error, a failed gate among them, exits 1.
+var errUsage = errors.New("usage")
+
 func main() {
-	scale := flag.Int("scale", 2, "problem-size divisor (1 = full size)")
-	reps := flag.Int("reps", 3, "runs per cell; best wall time wins")
-	out := flag.String("out", "BENCH_sim.json", "output path ('-' for stdout)")
-	only := flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
-	par := flag.String("engine-parallelism", "", "restrict parallelism: on or off (default: both)")
-	minSpeedup := flag.String("minspeedup", "", "fail if a profile's geomean speedup over reference is below this; bare number gates threaded-seq, or profile=value,...")
-	maxAllocs := flag.String("maxallocs", "", "fail if a profile's geomean allocs per million warp-instrs exceeds this; same syntax as -minspeedup")
-	requirePar := flag.Bool("requirepar", false, "fail unless threaded-par beats threaded-seq (geomean wall time); skipped with a warning on a single-CPU host")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Printf("simbench: %v", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("simbench", flag.ContinueOnError)
+	scale := fs.Int("scale", 2, "problem-size divisor (1 = full size)")
+	reps := fs.Int("reps", 3, "runs per cell; best wall time wins")
+	out := fs.String("out", "BENCH_sim.json", "output path ('-' for stdout)")
+	only := fs.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
+	par := fs.String("engine-parallelism", "", "restrict parallelism: on or off (default: both)")
+	minSpeedup := fs.String("minspeedup", "", "fail if a profile's geomean speedup over reference is below this; bare number gates threaded-seq, or profile=value,...")
+	maxAllocs := fs.String("maxallocs", "", "fail if a profile's geomean allocs per million warp-instrs exceeds this; same syntax as -minspeedup")
+	requirePar := fs.Bool("requirepar", false, "fail unless threaded-par beats threaded-seq (geomean wall time); skipped with a warning on a single-CPU host")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -219,11 +241,11 @@ func main() {
 	}
 	minGate, err := parseGates(*minSpeedup)
 	if err != nil {
-		log.Fatalf("simbench: -minspeedup: %v", err)
+		return fmt.Errorf("-minspeedup: %w", err)
 	}
 	maxGate, err := parseGates(*maxAllocs)
 	if err != nil {
-		log.Fatalf("simbench: -maxallocs: %v", err)
+		return fmt.Errorf("-maxallocs: %w", err)
 	}
 
 	devices := []*arch.Device{arch.GTX280(), arch.GTX480(), arch.HD5870()}
@@ -254,7 +276,7 @@ func main() {
 				var allocs uint64
 				var super [3]int64
 				for r := 0; r < *reps; r++ {
-					wall, w, a, su, err := run(spec, dev, cfg, p)
+					wall, w, a, su, err := measure(spec, dev, cfg, p)
 					if err != nil {
 						log.Printf("simbench: %s/%s (%s): %v — skipping cell",
 							spec.Name, dev.Name, p.name, err)
@@ -316,11 +338,11 @@ func main() {
 			if t, ok := cells["threaded-seq"]; ok {
 				line += fmt.Sprintf("  fuse %3.0f%%", t.SuperinstrHitRate*100)
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 	}
 	if len(speedups) == 0 {
-		log.Fatal("simbench: no cells completed")
+		return errors.New("no cells completed")
 	}
 	o.Summary.SuperinstrHitRateMean = map[string]float64{}
 	for name, xs := range speedups {
@@ -331,22 +353,24 @@ func main() {
 		o.Summary.SuperinstrHitRateMean[name] = math.Round(mean(xs)*1000) / 1000
 	}
 
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, p := range profiles[1:] {
 		n := len(speedups[p.name])
-		fmt.Printf("%-13s geomean speedup %6.3fx over %d cells; allocs/MWI geomean %.1f\n",
+		fmt.Fprintf(stdout, "%-13s geomean speedup %6.3fx over %d cells; allocs/MWI geomean %.1f\n",
 			p.name, o.Summary.GeomeanSpeedup[p.name], n, o.Summary.AllocsGeo[p.name])
 	}
 
 	data, err := json.MarshalIndent(&o, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	data = append(data, '\n')
 	if *out == "-" {
-		os.Stdout.Write(data)
+		if _, err := stdout.Write(data); err != nil {
+			return err
+		}
 	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	failed := false
@@ -392,6 +416,7 @@ func main() {
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return errors.New("a gate failed")
 	}
+	return nil
 }

@@ -21,8 +21,9 @@ var chaosSchedule = fault.Schedule{
 }
 
 // TestChaosBitIdentityAcrossSeeds is the acceptance gate of the package:
-// for every seed in the sweep, co-execution across three heterogeneous
-// devices under the injected fault schedule must produce output words
+// for each of 24 seeds, co-execution across three heterogeneous devices
+// under the injected fault schedule (transfer errors and whole-device
+// losses in the middle of a split) must produce output words
 // bit-identical to the single-device oracle and to pattern.Eval on the
 // host, fail only with typed errors (it never does here, by the
 // completion-guarantee arithmetic), and leak no goroutines.

@@ -209,8 +209,10 @@ func TestChaosHangsReclaimedWithinTimeout(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
-// TestChaosMixedSchedule runs faults of several kinds at once and asserts
-// the weaker but universal invariant: every job terminates with either a
+// TestChaosMixedSchedule runs faults of several kinds at once, cache
+// corruption among them, once with breakers off and once under the default
+// retry policy with the breakers on, and asserts the weaker but universal
+// invariant: every job terminates with either a
 // result bit-identical to the fault-free run or an error typed Permanent
 // or Watchdog, no watchdog kill fails to reclaim its worker, and the
 // process is goroutine-clean afterwards.

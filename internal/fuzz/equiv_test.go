@@ -132,9 +132,9 @@ func equivBudget(path string) uint64 {
 	return 1 << 22
 }
 
-// TestCorpusEngineEquivalence replays the full corpus sequentially on
-// every engine and requires strict equality with the reference: traces,
-// memory, and error strings.
+// TestCorpusEngineEquivalence replays the full corpus, the hang corpus
+// included, sequentially on every engine and requires strict equality
+// with the reference: traces, all of device memory, and error strings.
 func TestCorpusEngineEquivalence(t *testing.T) {
 	for _, path := range equivCorpusFiles(t) {
 		path := path

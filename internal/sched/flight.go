@@ -60,8 +60,14 @@ func (f *Flight[V]) Join(key string) (c *Call[V], leader bool) {
 func (c *Call[V]) Context() context.Context { return c.ctx }
 
 // Wait returns the call's result. If ctx ends first, the caller leaves the
-// call and gets ctx's error.
+// call and gets ctx's error; a ctx already ended when Wait is called gets
+// its error even if the call has finished.
 func (f *Flight[V]) Wait(ctx context.Context, c *Call[V]) (V, error) {
+	if err := ctx.Err(); err != nil {
+		f.Leave(c)
+		var zero V
+		return zero, err
+	}
 	select {
 	case <-c.done:
 		return c.val, c.err

@@ -14,10 +14,21 @@ import (
 // still on a finished call must get its result from Wait.
 func TestFlight(t *testing.T) {
 	type step struct {
-		do   string // join, leave, wait (on an unfinished call, with a cancelled context) or finish (the latest call)
+		do   string // join, leave, wait (with a cancelled context) or finish (the latest call)
 		who  int    // leave, wait: the join whose caller departs
 		want bool   // join: the caller leads a new call; leave: the caller abandons the call
 		live bool   // afterwards, the first call's context is not cancelled
+	}
+	// A caller whose context is already dead gets the context's error even
+	// from a finished call. A Wait that picked between the two at random
+	// would pass all 64 of these waits with odds of 2^-64.
+	deadWaits := []step{{do: "join", want: true, live: true}}
+	for range 64 {
+		deadWaits = append(deadWaits, step{do: "join", live: true})
+	}
+	deadWaits = append(deadWaits, step{do: "finish"})
+	for who := 1; who <= 64; who++ {
+		deadWaits = append(deadWaits, step{do: "wait", who: who})
 	}
 	for _, tc := range []struct {
 		name     string
@@ -53,6 +64,7 @@ func TestFlight(t *testing.T) {
 			{do: "leave", who: 1},
 			{do: "leave", who: 0},
 		}, 0, 0},
+		{"a dead context waits for nothing, even on a finished call", deadWaits, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var (

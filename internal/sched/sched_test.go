@@ -240,7 +240,8 @@ func TestContextCancelledWaiter(t *testing.T) {
 // running grid cells on the pool (`/figures/grid`): a grid executed on
 // many workers must reproduce
 // the sequentially-executed values bit for bit, because the simulator is
-// deterministic and jobs share nothing mutable.
+// deterministic and jobs share nothing mutable. CI passes no -short, so
+// its -race pass runs the whole cross-section.
 func TestParallelReproducesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid comparison is slow")

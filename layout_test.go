@@ -57,7 +57,10 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 // documents' code, every -flag handed to a command must be one the
 // command defines, and every `go test` -run, -bench or -fuzz pattern must
 // match a test, benchmark or fuzz target, except the match-nothing
-// patterns XXX and ^$.
+// patterns XXX and ^$. A code span that is only a test, example,
+// benchmark or fuzz function's name, `pkg.`-qualified or not, must name a
+// real one; a trailing * makes it a prefix, and a trailing {A,B} group
+// names one function per member.
 func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 	flags := commandFlags(t)
 	tests := testNames(t)
@@ -86,6 +89,7 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 		for _, code := range codeFragments(text) {
 			checkFlags(t, doc, code, flags)
 			checkTestPatterns(t, doc, code, tests)
+			checkTestName(t, doc, code, tests)
 		}
 		for _, m := range paper.FindAllStringSubmatch(text, -1) {
 			args := strings.Fields(quoted.ReplaceAllString(m[1], "_"))
@@ -138,6 +142,9 @@ var (
 	// flagDef is a flag definition: flag.Int("name", …), fs.BoolVar(&v, "name", …).
 	flagDef  = regexp.MustCompile(`\b(?:flag|fs)\.[A-Z]\w*\(\s*(?:&[\w.]+,\s*)?"([^"]+)"`)
 	testFunc = regexp.MustCompile(`(?m)^func ((Test|Example|Benchmark|Fuzz)\w*)\(`)
+	// testName is a code fragment that is only a function name: an
+	// optional package qualifier, the name, then * or a {A,B} group.
+	testName = regexp.MustCompile(`^(?:[a-z]\w*\.)?((Test|Example|Benchmark|Fuzz)\w*)(\*|\{\w+(?:,\w+)+\})?$`)
 )
 
 // commandFlags returns, for each command under cmd/, the flags its
@@ -239,6 +246,33 @@ func checkTestPatterns(t *testing.T, doc, code string, tests map[string][]string
 			if !matchesAny(re, kinds[name], tests) {
 				t.Errorf("%s: go test -%s %q matches no function", doc, name, pat)
 			}
+		}
+	}
+}
+
+// checkTestName reports a code fragment that is only a function name when
+// no test, example, benchmark or fuzz function has that name.
+func checkTestName(t *testing.T, doc, code string, tests map[string][]string) {
+	t.Helper()
+	m := testName.FindStringSubmatch(code)
+	if m == nil {
+		return
+	}
+	name, kind, suffix := m[1], []string{m[2]}, m[3]
+	switch {
+	case suffix == "*":
+		if !matchesAny(regexp.MustCompile("^"+name), kind, tests) {
+			t.Errorf("%s: `%s` names no function: none starts with %s", doc, code, name)
+		}
+	case suffix != "":
+		for _, alt := range strings.Split(strings.Trim(suffix, "{}"), ",") {
+			if !matchesAny(regexp.MustCompile("^"+name+alt+"$"), kind, tests) {
+				t.Errorf("%s: `%s` names %s%s, which is not a function", doc, code, name, alt)
+			}
+		}
+	default:
+		if !matchesAny(regexp.MustCompile("^"+name+"$"), kind, tests) {
+			t.Errorf("%s: `%s` names no function", doc, code)
 		}
 	}
 }
