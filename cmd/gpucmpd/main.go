@@ -107,6 +107,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *coordinator && len(workerURLs) == 0 {
 		return fmt.Errorf("%w: -coordinator requires -shards with at least one worker URL", errUsage)
 	}
+	// A straggler-only schedule for /run launches: they stall but still
+	// succeed, which is exactly the slow-shard shape request hedging is
+	// built to beat. Shard-granular faults for the co-execution path:
+	// transfer errors (capped per shard so recovery terminates) and device
+	// losses, deterministic in (seed, device, shard, attempt) and drawn
+	// afresh for every /coexec run.
+	slowFaults := fault.Schedule{SlowRate: *injectSlowRate, SlowDelay: *injectSlowDelay}
+	coexecFaults := fault.Schedule{
+		TransferRate:   *injectTransferRate,
+		DeviceLostRate: *injectDeviceLostRate,
+		MaxPerKey:      *injectMaxPerKey,
+	}
+	for _, sch := range []fault.Schedule{slowFaults, coexecFaults} {
+		if err := sch.Validate(); err != nil {
+			return fmt.Errorf("%w: %v", errUsage, err)
+		}
+	}
 
 	if *pprofAddr != "" {
 		// pprof gets its own listener so profiling endpoints never ride on
@@ -147,12 +164,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	var inj *fault.Injector
 	if *injectSlowRate > 0 {
-		// A straggler-only schedule: launches stall but still succeed, which
-		// is exactly the slow-shard shape request hedging is built to beat.
-		inj = fault.New(*injectSeed, fault.Schedule{
-			SlowRate:  *injectSlowRate,
-			SlowDelay: *injectSlowDelay,
-		})
+		inj = fault.New(*injectSeed, slowFaults)
 		log.Printf("gpucmpd: injecting %.0f%% slow launches (+%v, seed %d)",
 			*injectSlowRate*100, *injectSlowDelay, *injectSeed)
 	}
@@ -180,14 +192,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	opts := []server.Option{server.WithFigureScale(*figureScale), server.WithSubmitLimits(limits)}
 	if *injectTransferRate > 0 || *injectDeviceLostRate > 0 {
-		// A separate injector for the co-execution path: shard-granular
-		// transfer errors (capped per shard so recovery terminates) and
-		// device losses, deterministic in (seed, device, shard).
-		opts = append(opts, server.WithCoexecFaults(fault.New(*injectSeed, fault.Schedule{
-			TransferRate:   *injectTransferRate,
-			DeviceLostRate: *injectDeviceLostRate,
-			MaxPerKey:      *injectMaxPerKey,
-		})))
+		opts = append(opts, server.WithCoexecFaults(*injectSeed, coexecFaults))
 		log.Printf("gpucmpd: injecting coexec faults: %.0f%% transfer errors, %.0f%% device losses (seed %d)",
 			*injectTransferRate*100, *injectDeviceLostRate*100, *injectSeed)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/fault"
@@ -48,11 +47,9 @@ func TestChaosBitIdentityAcrossSeeds(t *testing.T) {
 			in := fault.New(seed, chaosSchedule)
 			m := NewMetrics()
 			opts := Options{
-				Devices:   []*arch.Device{arch.GTX480(), arch.GTX280(), arch.Intel920()},
-				BaseDelay: time.Microsecond,
-				MaxDelay:  50 * time.Microsecond,
-				Injector:  in,
-				Metrics:   m,
+				Devices:  []*arch.Device{arch.GTX480(), arch.GTX280(), arch.Intel920()},
+				Injector: in,
+				Metrics:  m,
 			}
 			out, rep, err := Run(context.Background(), w, opts)
 			if err != nil {
@@ -120,10 +117,8 @@ func TestChaosDeviceLossBounded(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		in := fault.New(seed, fault.Schedule{DeviceLostRate: 1.0})
 		out, rep, err := Run(context.Background(), w, Options{
-			Devices:   []*arch.Device{arch.GTX480(), arch.GTX280(), arch.Intel920()},
-			BaseDelay: time.Microsecond,
-			MaxDelay:  50 * time.Microsecond,
-			Injector:  in,
+			Devices:  []*arch.Device{arch.GTX480(), arch.GTX280(), arch.Intel920()},
+			Injector: in,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -5,12 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
-	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
 )
 
@@ -37,11 +34,9 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // Options configures one co-execution run.
 type Options struct {
 	// Devices are the co-executing devices. At least one is required.
+	// Each runs its native toolchain, bench.Toolchains(a)[0] (CUDA on
+	// NVIDIA, OpenCL elsewhere — the SNIPPETS.md §3 split).
 	Devices []*arch.Device
-	// Toolchains pairs each device with a runtime ("cuda"/"opencl").
-	// Empty = each device's native toolchain, bench.Toolchains(a)[0]
-	// (CUDA on NVIDIA, OpenCL elsewhere — the SNIPPETS.md §3 split).
-	Toolchains []string
 	// ShardsPerDevice scales the shard count: shards = ShardsPerDevice *
 	// len(Devices), clamped to the unit count (default 4). More shards
 	// than devices is what makes redistribution and load balancing work.
@@ -50,34 +45,24 @@ type Options struct {
 	// the shards proportional to Weights[i] (len must match Devices;
 	// non-positive entries count as the smallest positive weight). Empty =
 	// equal shares. Callers typically weight by transfer-inclusive
-	// single-device speed, so the static split finishes together.
+	// single-device speed, so the static split finishes together. The
+	// same weights deal out every redistributed shard.
 	Weights []float64
 	// MaxAttempts bounds one shard's dispatch count before the run fails
 	// with a ShardError (default 16). Set it above the injector's
 	// MaxPerKey plus the device count: transfer faults are capped per
 	// shard across devices, and each device can die at most once.
 	MaxAttempts int
-	// BaseDelay/MaxDelay shape the capped exponential backoff between
-	// retries of a failed shard (defaults 200µs / 5ms).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// StragglerAfter is how long a shard may stay in flight on one device
-	// before a duplicate is dispatched to the survivors; first completion
-	// wins, bit-identically (default 100ms, <0 disables).
-	StragglerAfter time.Duration
 	// Injector supplies the deterministic per-(seed,device,shard) fault
-	// schedule (nil = no faults).
+	// schedule (nil = no faults). Its attempt counters are part of the
+	// draw, so a run replays only on a fresh injector.
 	Injector *fault.Injector
 	// Metrics accumulates per-device counters across runs (nil = none).
 	Metrics *Metrics
 	// Kill maps a device name to a completed-shard count after which the
 	// device is deterministically lost — the reproducible mid-run kill
-	// the CI smoke and the recovery-overhead benchmark use.
+	// the coexec row's recovery section and POST /coexec use.
 	Kill map[string]int
-
-	// clock stamps in-flight shards and times retry backoff and the
-	// straggler watch (nil = the wall clock).
-	clock clock.Clock
 }
 
 // DeviceReport is one device's share of a finished run.
@@ -85,7 +70,7 @@ type DeviceReport struct {
 	Device    string `json:"device"`
 	Toolchain string `json:"toolchain"`
 
-	Shards          int  `json:"shards"`          // attempts completed here (incl. discarded duplicates)
+	Shards          int  `json:"shards"`          // shards completed here
 	Retries         int  `json:"retries"`         // failed attempts retried from here
 	Redistributions int  `json:"redistributions"` // shards completed here after first trying elsewhere
 	Lost            bool `json:"lost,omitempty"`
@@ -116,7 +101,6 @@ type Report struct {
 
 	Retries         int `json:"retries"`
 	Redistributions int `json:"redistributions"`
-	Stragglers      int `json:"stragglers"`
 
 	// MakespanSeconds is the simulated end-to-end time with copy/compute
 	// overlap; NoOverlapSeconds is the same schedule with every phase
@@ -127,7 +111,8 @@ type Report struct {
 
 type shardRange struct{ lo, hi int }
 
-// runner is the shared state of one Run call.
+// runner is the state of one Run call. One loop on the caller's goroutine
+// drives it, so nothing in it is shared.
 type runner struct {
 	w      Workload
 	opts   Options
@@ -136,37 +121,22 @@ type runner struct {
 	insts  []Instance
 	shards []shardRange
 
-	stop chan struct{} // closed exactly once when the run is over
-
-	mu sync.Mutex
-	// queues[i] is device i's backlog. Assignment is static (weighted
-	// deal at startup) so the simulated makespan is deterministic: shards
-	// move between devices only on faults, device loss and straggler
-	// migration — never because of host-scheduler timing.
+	// queues[i] is device i's backlog: its static share at the start,
+	// plus whatever redistribution deals it later.
 	queues [][]int
-	// wake[i] signals worker i that its queue gained a shard (buffered 1;
-	// a pending signal is never lost).
-	wake []chan struct{}
 
-	outputs      [][]uint32
-	completed    int
-	attempts     []int
-	firstDev     []int
-	inflightAt   []time.Time
-	inflightDev  []int
-	dups         []int // straggler duplicates dispatched per shard
-	alive        []bool
-	aliveCount   int
-	killArmed    []bool
-	completedOn  []int
-	retriesOn    []int
-	redistOn     []int
-	stragglerCnt int
-	engines      []engine
-	lost         []string
-	failure      error
-	allDone      chan struct{}
-	failed       chan struct{}
+	outputs     [][]uint32 // checkpoint per shard; nil until completed
+	completed   int
+	attempts    []int
+	firstDev    []int
+	alive       []bool
+	aliveCount  int
+	killArmed   []bool
+	completedOn []int
+	retriesOn   []int
+	redistOn    []int
+	engines     []engine
+	lost        []string
 }
 
 // Run partitions the workload into shards, co-executes them across the
@@ -175,9 +145,14 @@ type runner struct {
 // any injected failure schedule, because shards carry no cross-shard
 // state and the simulator itself is bit-exact.
 //
-// Cancellation: when ctx is cancelled, every in-flight simulated kernel
-// on every device is killed (sim.Device.Cancel) and Run returns ctx.Err()
-// wrapped; no goroutine outlives the call.
+// The schedule is simulated, not raced: one loop on the caller's
+// goroutine repeatedly runs the next shard of the alive device whose
+// simulated timeline ends earliest (ties to the lowest index). No host
+// timing enters the schedule, so the same workload, options and fresh
+// injector give the same Report, byte for byte.
+//
+// Cancellation: when ctx is cancelled, the in-flight simulated kernel is
+// killed (sim.Device.Cancel) and Run returns ctx.Err() wrapped.
 func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, error) {
 	nd := len(opts.Devices)
 	if nd == 0 {
@@ -187,24 +162,9 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 	if spd <= 0 {
 		spd = 4
 	}
-	nShards := spd * nd
-	if nShards > w.Units() {
-		nShards = w.Units()
-	}
+	nShards := min(spd*nd, w.Units())
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 16
-	}
-	if opts.BaseDelay <= 0 {
-		opts.BaseDelay = 200 * time.Microsecond
-	}
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = 5 * time.Millisecond
-	}
-	if opts.StragglerAfter == 0 {
-		opts.StragglerAfter = 100 * time.Millisecond
-	}
-	if opts.clock == nil {
-		opts.clock = clock.Real{}
 	}
 
 	r := &runner{
@@ -215,14 +175,9 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 		insts:       make([]Instance, nd),
 		shards:      make([]shardRange, nShards),
 		queues:      make([][]int, nd),
-		wake:        make([]chan struct{}, nd),
-		stop:        make(chan struct{}),
 		outputs:     make([][]uint32, nShards),
 		attempts:    make([]int, nShards),
 		firstDev:    make([]int, nShards),
-		inflightAt:  make([]time.Time, nShards),
-		inflightDev: make([]int, nShards),
-		dups:        make([]int, nShards),
 		alive:       make([]bool, nd),
 		aliveCount:  nd,
 		killArmed:   make([]bool, nd),
@@ -230,17 +185,9 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 		retriesOn:   make([]int, nd),
 		redistOn:    make([]int, nd),
 		engines:     make([]engine, nd),
-		allDone:     make(chan struct{}),
-		failed:      make(chan struct{}),
 	}
 	for i, a := range opts.Devices {
-		tc := ""
-		if i < len(opts.Toolchains) {
-			tc = opts.Toolchains[i]
-		}
-		if tc == "" {
-			tc = bench.Toolchains(a)[0].Name
-		}
+		tc := bench.Toolchains(a)[0].Name
 		inst, err := w.NewInstance(tc, a)
 		if err != nil {
 			return nil, nil, fmt.Errorf("coexec: open %s on %s: %w", w.Name(), a.Name, err)
@@ -249,7 +196,6 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 		r.tcs[i] = tc
 		r.insts[i] = inst
 		r.alive[i] = true
-		r.wake[i] = make(chan struct{}, 1)
 		_, r.killArmed[i] = opts.Kill[a.Name]
 	}
 	// Contiguous even split of units into shards.
@@ -262,12 +208,10 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 		}
 		r.shards[s] = shardRange{lo, hi}
 		r.firstDev[s] = -1
-		r.inflightDev[s] = -1
 		lo = hi
 	}
 	// Static weighted assignment: device i gets a contiguous block of
-	// shards sized by its weight share (largest-remainder rounding), so
-	// which device runs which shard never depends on host timing.
+	// shards sized by its weight share (largest-remainder rounding).
 	next := 0
 	for i, count := range weightedCounts(nShards, nd, opts.Weights) {
 		for k := 0; k < count; k++ {
@@ -276,46 +220,27 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 		}
 	}
 
-	var wg sync.WaitGroup
-	for i := 0; i < nd; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.worker(ctx, i)
-		}(i)
-	}
-	if opts.StragglerAfter > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.stragglerWatch()
-		}()
-	}
+	// Kill the in-flight simulated kernel when ctx ends; the loop sees
+	// ctx.Err() before its next shard.
+	stop := context.AfterFunc(ctx, func() {
+		for _, inst := range r.insts {
+			if dev := inst.SimDevice(); dev != nil {
+				dev.Cancel()
+			}
+		}
+	})
+	defer stop()
 
-	select {
-	case <-r.allDone:
-	case <-r.failed:
-	case <-ctx.Done():
-	}
-	close(r.stop)
-	// Kill in-flight simulated kernels so blocked workers return promptly;
-	// the run is over either way.
-	for _, inst := range r.insts {
-		if dev := inst.SimDevice(); dev != nil {
-			dev.Cancel()
+	for r.completed < nShards && ctx.Err() == nil {
+		i := r.nextDevice()
+		s := r.queues[i][0]
+		r.queues[i] = r.queues[i][1:]
+		if err := r.process(ctx, i, s); err != nil && ctx.Err() == nil {
+			return nil, r.report(), err
 		}
 	}
-	wg.Wait()
-
-	rep := r.report()
 	if err := ctx.Err(); err != nil {
-		return nil, rep, fmt.Errorf("coexec: run cancelled: %w", err)
-	}
-	r.mu.Lock()
-	failure := r.failure
-	r.mu.Unlock()
-	if failure != nil {
-		return nil, rep, failure
+		return nil, r.report(), fmt.Errorf("coexec: run cancelled: %w", err)
 	}
 
 	// Merge checkpointed shard outputs in shard order.
@@ -323,7 +248,24 @@ func Run(ctx context.Context, w Workload, opts Options) ([]uint32, *Report, erro
 	for s, sh := range r.shards {
 		copy(out[sh.lo*w.WordsPerUnit():], r.outputs[s])
 	}
-	return out, rep, nil
+	return out, r.report(), nil
+}
+
+// nextDevice picks the alive device with queued work whose simulated
+// timeline ends earliest, the lowest index on a tie. Some device always
+// has work while shards are outstanding: a shard leaves one queue only to
+// complete, to fail the run, or to be dealt into another alive queue.
+func (r *runner) nextDevice() int {
+	best, bestAt := -1, 0.0
+	for i, q := range r.queues {
+		if !r.alive[i] || len(q) == 0 {
+			continue
+		}
+		if at := r.insts[i].SetupSeconds() + r.engines[i].span(); best < 0 || at < bestAt {
+			best, bestAt = i, at
+		}
+	}
+	return best
 }
 
 // weightedCounts splits n shards across nd devices proportionally to the
@@ -372,169 +314,98 @@ func weightedCounts(n, nd int, weights []float64) []int {
 	return counts
 }
 
-// worker serially executes shards from device i's own queue until the run
-// stops or the device is lost. It never steals: shards arrive only via the
-// static assignment, fault redistribution or straggler migration, keeping
-// the simulated schedule independent of host timing.
-func (r *runner) worker(ctx context.Context, i int) {
-	for {
-		r.mu.Lock()
-		if !r.alive[i] {
-			r.mu.Unlock()
-			return
-		}
-		s := -1
-		if len(r.queues[i]) > 0 {
-			s = r.queues[i][0]
-			r.queues[i] = r.queues[i][1:]
-		}
-		r.mu.Unlock()
-		if s < 0 {
-			select {
-			case <-r.stop:
-				return
-			case <-r.wake[i]:
-				continue
-			}
-		}
-		if !r.process(ctx, i, s) {
-			return
-		}
-	}
-}
-
-// process runs one dequeued shard on device i; it returns false when the
-// device died and the worker must exit.
-func (r *runner) process(ctx context.Context, i, s int) bool {
+// process runs shard s on device i: the deterministic kill, then the
+// injected fault, then the shard itself. A failure that ends the run is
+// returned; anything recoverable redistributes the shard.
+func (r *runner) process(ctx context.Context, i, s int) error {
 	name := r.names[i]
 	sh := r.shards[s]
-	shardKey := fmt.Sprintf("%s/%d", r.w.Name(), s)
-
-	r.mu.Lock()
-	if r.outputs[s] != nil {
-		r.mu.Unlock()
-		return true // duplicate of a checkpointed shard: never recompute
-	}
-	attempt := r.attempts[s]
 	r.attempts[s]++
 	if r.firstDev[s] < 0 {
 		r.firstDev[s] = i
 	}
-	r.inflightAt[s] = r.opts.clock.Now()
-	r.inflightDev[s] = i
 
 	// Deterministic mid-run kill, armed per device by Options.Kill.
 	if r.killArmed[i] && r.completedOn[i] >= r.opts.Kill[r.opts.Devices[i].Name] {
 		r.killArmed[i] = false
-		if killed := r.loseDeviceLocked(i, s); killed {
-			r.mu.Unlock()
-			return false
+		if r.loseDevice(i, s) {
+			return nil
 		}
 	}
-	r.mu.Unlock()
 
 	// Deterministic injected shard fault.
-	if f := r.opts.Injector.ShardLaunch(name, shardKey); f != nil {
+	if f := r.opts.Injector.ShardLaunch(name, fmt.Sprintf("%s/%d", r.w.Name(), s)); f != nil {
 		switch f.Kind {
 		case fault.KindDeviceLost:
-			r.mu.Lock()
-			killed := r.loseDeviceLocked(i, s)
-			r.mu.Unlock()
-			if killed {
-				return false
+			if r.loseDevice(i, s) {
+				return nil
 			}
 			// Survivor guard: the last living device shrugs the fault off —
 			// losing it would be process-fatal, outside the recovery model.
 		case fault.KindTransferError:
 			r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.TransferErrors++ })
-			return r.retry(i, s, attempt, f.Err)
+			return r.retry(i, s, f.Err)
 		}
 	}
 
 	out, times, err := r.insts[i].RunUnits(sh.lo, sh.hi)
 	if err != nil {
-		select {
-		case <-r.stop:
-			return false // cancelled or finished; the error is an artifact
-		default:
-		}
 		if ctx.Err() != nil {
-			return false
+			return err // the kernel was cancelled, not faulty
 		}
-		return r.retry(i, s, attempt, err)
+		return r.retry(i, s, err)
 	}
-
-	r.mu.Lock()
-	r.inflightAt[s] = time.Time{}
-	r.inflightDev[s] = -1
 	r.completedOn[i]++
 	r.engines[i].add(times)
-	if r.outputs[s] == nil {
-		r.outputs[s] = out
-		r.completed++
-		if r.firstDev[s] != i {
-			r.redistOn[i]++
-			r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.Redistributions++ })
-		}
-		if r.completed == len(r.shards) {
-			close(r.allDone)
-		}
+	r.outputs[s] = out
+	r.completed++
+	if r.firstDev[s] != i {
+		r.redistOn[i]++
+		r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.Redistributions++ })
 	}
-	r.mu.Unlock()
 	r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.Shards++ })
-	return true
+	return nil
 }
 
-// pushLocked appends shard s to device dev's queue and signals its worker.
-// Callers must hold r.mu.
-func (r *runner) pushLocked(dev, s int) {
-	r.queues[dev] = append(r.queues[dev], s)
-	select {
-	case r.wake[dev] <- struct{}{}:
-	default: // a wakeup is already pending
+// deal is the one redistribution rule: it appends shards to the alive
+// devices other than `not`, in counts proportional to their weights
+// (weightedCounts' largest-remainder rounding, so the same orphans always
+// land in the same queues). `not` takes them only when it is the sole
+// survivor.
+func (r *runner) deal(shards []int, not int) {
+	var to []int
+	var weights []float64
+	for j := range r.queues {
+		if r.alive[j] && j != not {
+			to = append(to, j)
+			w := 0.0
+			if j < len(r.opts.Weights) {
+				w = r.opts.Weights[j]
+			}
+			weights = append(weights, w)
+		}
+	}
+	if len(to) == 0 {
+		to, weights = []int{not}, []float64{1}
+	}
+	next := 0
+	for k, count := range weightedCounts(len(shards), len(to), weights) {
+		r.queues[to[k]] = append(r.queues[to[k]], shards[next:next+count]...)
+		next += count
 	}
 }
 
-// targetLocked picks the alive device with the least weighted backlog —
-// queue length divided by the device's speed weight, so a slow device is
-// not handed the same share of orphaned work as a fast one — preferring
-// any device other than `not` (pass -1 for no preference). Callers must
-// hold r.mu. Returns -1 only if nothing is alive (impossible: the survivor
-// guard keeps at least one device up).
-func (r *runner) targetLocked(not int) int {
-	best, bestScore := -1, 0.0
-	for i := range r.queues {
-		if !r.alive[i] || i == not {
-			continue
-		}
-		w := 1.0
-		if i < len(r.opts.Weights) && r.opts.Weights[i] > 0 {
-			w = r.opts.Weights[i]
-		}
-		score := float64(len(r.queues[i])+1) / w
-		if best < 0 || score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	if best < 0 && not >= 0 && r.alive[not] {
-		best = not // sole survivor: it takes its own retry
-	}
-	return best
-}
-
-// loseDeviceLocked marks device i dead, redistributes its entire backlog
-// plus its current shard to the survivors, unless it is the last survivor
-// (the guard that keeps every failure schedule completable). Returns
-// whether the device actually died.
-func (r *runner) loseDeviceLocked(i, s int) bool {
+// loseDevice marks device i dead and deals its current shard s and its
+// whole backlog to the survivors, unless it is the last survivor (the
+// guard that keeps every failure schedule completable). It returns whether
+// the device actually died.
+func (r *runner) loseDevice(i, s int) bool {
 	if r.aliveCount <= 1 || !r.alive[i] {
 		return false
 	}
 	r.alive[i] = false
 	r.aliveCount--
 	r.lost = append(r.lost, r.opts.Devices[i].Name)
-	r.inflightAt[s] = time.Time{}
-	r.inflightDev[s] = -1
 	r.opts.Metrics.bump(r.names[i], func(c *DeviceCounts) { c.Lost = 1 })
 	orphans := append([]int{s}, r.queues[i]...)
 	r.queues[i] = nil
@@ -546,127 +417,26 @@ func (r *runner) loseDeviceLocked(i, s int) bool {
 			r.firstDev[o] = i
 		}
 	}
-	// Deal the orphans to the survivors proportionally to their weights —
-	// NOT by live queue depth, which reflects how far each worker happens
-	// to have drained its backlog at this wall-clock instant and would
-	// make the simulated post-loss makespan wobble run to run. The orphan
-	// set is deterministic (static queues), so this keeps a killed run's
-	// report byte-stable.
-	alive := make([]int, 0, len(r.queues))
-	weights := make([]float64, 0, len(r.queues))
-	for j := range r.queues {
-		if r.alive[j] {
-			alive = append(alive, j)
-			w := 0.0
-			if j < len(r.opts.Weights) {
-				w = r.opts.Weights[j]
-			}
-			weights = append(weights, w)
-		}
-	}
-	next := 0
-	for k, count := range weightedCounts(len(orphans), len(alive), weights) {
-		for c := 0; c < count; c++ {
-			r.pushLocked(alive[k], orphans[next])
-			next++
-		}
-	}
+	r.deal(orphans, i)
 	return true
 }
 
-// retry backs a failed shard attempt off (capped exponential, interruptible)
-// and requeues it for any surviving device; it fails the whole run with a
-// typed ShardError once the shard's attempt budget is spent.
-func (r *runner) retry(i, s, attempt int, cause error) bool {
-	name := r.names[i]
-	r.mu.Lock()
-	r.inflightAt[s] = time.Time{}
-	r.inflightDev[s] = -1
+// retry deals a failed shard to another device, or fails the whole run
+// with a typed ShardError once the shard's attempt budget is spent. There
+// is no backoff: a fault draw depends on (seed, device, shard, attempt),
+// never on time, so waiting would change nothing.
+func (r *runner) retry(i, s int, cause error) error {
 	if r.attempts[s] >= r.opts.MaxAttempts {
-		if r.failure == nil {
-			r.failure = &ShardError{Shard: s, Device: r.opts.Devices[i].Name, Attempts: r.attempts[s], Err: cause}
-			close(r.failed)
-		}
-		r.mu.Unlock()
-		return false
+		return &ShardError{Shard: s, Device: r.opts.Devices[i].Name, Attempts: r.attempts[s], Err: cause}
 	}
 	r.retriesOn[i]++
-	r.mu.Unlock()
-	r.opts.Metrics.bump(name, func(c *DeviceCounts) { c.Retries++ })
-
-	t := r.opts.clock.NewTimer(fault.Backoff(r.opts.BaseDelay, r.opts.MaxDelay, attempt+1))
-	defer t.Stop()
-	select {
-	case <-t.C():
-	case <-r.stop:
-		return false
-	}
-	// Redistribution-by-default: offer the retried shard to the least
-	// loaded other device; the failing device takes it back only when it
-	// is the sole survivor.
-	r.mu.Lock()
-	if t := r.targetLocked(i); t >= 0 {
-		r.pushLocked(t, s)
-	}
-	r.mu.Unlock()
-	return true
-}
-
-// stragglerWatch handles devices that are slow in wall-clock terms: a
-// shard stuck in flight longer than StragglerAfter is duplicated onto
-// another device (first completion wins; the checkpoint map makes the
-// duplicate harmless), and the straggling device's queued-but-unstarted
-// backlog is migrated away so one wedged device cannot starve the run.
-func (r *runner) stragglerWatch() {
-	period := r.opts.StragglerAfter / 4
-	if period <= 0 {
-		period = time.Millisecond
-	}
-	for {
-		tick := r.opts.clock.NewTimer(period)
-		select {
-		case <-r.stop:
-			tick.Stop()
-			return
-		case <-tick.C():
-			now := r.opts.clock.Now()
-			r.mu.Lock()
-			for s := range r.shards {
-				if r.outputs[s] != nil || r.inflightAt[s].IsZero() {
-					continue
-				}
-				if now.Sub(r.inflightAt[s]) < r.opts.StragglerAfter {
-					continue
-				}
-				if r.dups[s] >= len(r.opts.Devices)-1 {
-					continue // every other device already has a copy queued
-				}
-				dev := r.inflightDev[s]
-				t := r.targetLocked(dev)
-				if t < 0 || t == dev {
-					continue // nowhere else to run it
-				}
-				r.dups[s]++
-				r.stragglerCnt++
-				if dev >= 0 {
-					r.opts.Metrics.bump(r.names[dev], func(c *DeviceCounts) { c.Stragglers++ })
-					// Migrate the wedged device's unstarted backlog too.
-					for _, q := range r.queues[dev] {
-						r.pushLocked(r.targetLocked(dev), q)
-					}
-					r.queues[dev] = nil
-				}
-				r.pushLocked(t, s)
-			}
-			r.mu.Unlock()
-		}
-	}
+	r.opts.Metrics.bump(r.names[i], func(c *DeviceCounts) { c.Retries++ })
+	r.deal([]int{s}, i)
+	return nil
 }
 
 // report assembles the per-device and aggregate view of the run.
 func (r *runner) report() *Report {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	rep := &Report{
 		Workload: r.w.Name(),
 		Units:    r.w.Units(),
@@ -700,7 +470,6 @@ func (r *runner) report() *Report {
 			rep.NoOverlapSeconds = dr.BusySeconds
 		}
 	}
-	rep.Stragglers = r.stragglerCnt
 	if len(rep.Lost) > 0 {
 		rep.Degraded = true
 		rep.DegradedCause = "device lost mid-run: " + rep.Lost[0]

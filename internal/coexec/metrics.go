@@ -5,11 +5,10 @@ import "gpucmp/internal/metrics"
 // DeviceCounts is one device's cumulative co-execution counters, exported
 // on /metrics by the server.
 type DeviceCounts struct {
-	Shards          uint64 // shard attempts completed (including discarded duplicates)
+	Shards          uint64 // shards completed
 	Retries         uint64 // shard attempts retried after an injected/real failure
 	Redistributions uint64 // shards completed here after first being tried elsewhere
 	TransferErrors  uint64 // injected transfer failures observed
-	Stragglers      uint64 // duplicate dispatches due to straggler reassignment
 	Lost            uint64 // 1 once the device died mid-run
 }
 

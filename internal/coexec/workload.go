@@ -50,8 +50,7 @@ type Workload interface {
 }
 
 // Instance is one device's view of a workload. It is not safe for
-// concurrent use; the co-execution scheduler drives each instance from a
-// single worker goroutine.
+// concurrent use; Run drives every instance from its own goroutine.
 type Instance interface {
 	// RunUnits executes units [lo,hi) and returns their output words
 	// (len = (hi-lo)*WordsPerUnit) plus the simulated cost split.

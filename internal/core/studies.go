@@ -383,7 +383,7 @@ func coexecStudy(g regen) (coexecResult, error) {
 				continue
 			}
 			words, rep, err := coexec.Run(context.Background(), w, coexec.Options{
-				Devices: split, Weights: weights, StragglerAfter: -1,
+				Devices: split, Weights: weights,
 			})
 			if err != nil {
 				return o, fmt.Errorf("%s on %d devices: %w", name, len(split), err)
@@ -425,7 +425,7 @@ func rankDevices(w coexec.Workload, name string, size int, devices []*arch.Devic
 	var oracle []uint32
 	for _, a := range devices {
 		words, rep, err := coexec.Run(context.Background(), w, coexec.Options{
-			Devices: []*arch.Device{a}, StragglerAfter: -1,
+			Devices: []*arch.Device{a},
 		})
 		if err != nil {
 			return rk, nil, fmt.Errorf("%s on %s: %w", name, a.Name, err)
@@ -486,7 +486,7 @@ func splitOf(names []string, devices []*arch.Device, span map[string]float64) ([
 // kill run is marked degraded and merges to the clean run's and the
 // oracle's bits.
 func loseDevice(w coexec.Workload, name string, split []*arch.Device, weights []float64, oracle []uint32) (recoveryResult, error) {
-	opts := coexec.Options{Devices: split, Weights: weights, ShardsPerDevice: 8, StragglerAfter: -1}
+	opts := coexec.Options{Devices: split, Weights: weights, ShardsPerDevice: 8}
 	cleanWords, clean, err := coexec.Run(context.Background(), w, opts)
 	if err != nil {
 		return recoveryResult{}, fmt.Errorf("%s clean run: %w", name, err)

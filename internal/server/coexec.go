@@ -81,7 +81,8 @@ func (req *coexecRequest) validate() error {
 }
 
 // key canonicalises the request into a cache key: same split, same kill
-// schedule, same answer (the simulator is deterministic).
+// schedule, same answer (coexec.Run schedules in simulated time, and every
+// run draws its faults from a fresh injector on the server's one seed).
 func (req *coexecRequest) key() string {
 	var kills []string
 	for name, n := range req.Kill {
@@ -130,7 +131,7 @@ func (s *Server) handleCoexec(w http.ResponseWriter, r *http.Request) {
 			out, rep, err := coexec.Run(ctx, wl, coexec.Options{
 				Devices:         devices,
 				ShardsPerDevice: req.ShardsPerDevice,
-				Injector:        s.coexecInjector,
+				Injector:        s.coexecInjector(),
 				Metrics:         s.coexecMetrics,
 				Kill:            req.Kill,
 			})
@@ -172,9 +173,23 @@ func (s *Server) handleCoexec(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// WithCoexecFaults installs the fault injector driving POST /coexec runs
-// (nil = no injected faults) — the knob cmd/gpucmpd exposes as
-// -inject-transfer-rate / -inject-device-lost-rate.
-func WithCoexecFaults(in *fault.Injector) Option {
-	return func(s *Server) { s.coexecInjector = in }
+// WithCoexecFaults makes every POST /coexec run draw shard faults from a
+// fresh injector on seed and sch — the knob cmd/gpucmpd exposes as
+// -inject-transfer-rate / -inject-device-lost-rate. A fresh injector per
+// run keeps one request's fault draws from moving another's. It panics on
+// an invalid schedule, as fault.New does.
+func WithCoexecFaults(seed uint64, sch fault.Schedule) Option {
+	if err := sch.Validate(); err != nil {
+		panic(err)
+	}
+	return func(s *Server) { s.coexecSeed, s.coexecFaults = seed, &sch }
+}
+
+// coexecInjector returns a fresh injector for one /coexec run, or nil when
+// no faults are configured.
+func (s *Server) coexecInjector() *fault.Injector {
+	if s.coexecFaults == nil {
+		return nil
+	}
+	return fault.New(s.coexecSeed, *s.coexecFaults)
 }

@@ -86,12 +86,15 @@ func TestKernelsRefusesCoexecTenant(t *testing.T) {
 	}
 }
 
+// TestCoexecKillDegradedMarkers: a request that kills a device mid-split
+// is answered with the degraded markers, the same output bits as a clean
+// run, and the same report from a second, fresh server.
 func TestCoexecKillDegradedMarkers(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, body := postCoexec(t, ts.URL,
-		`{"workload":"mxm","size":96,"shards_per_device":8,
+	const killBody = `{"workload":"mxm","size":96,"shards_per_device":8,
 		  "devices":["GeForce GTX480","GeForce GTX280"],
-		  "kill":{"GeForce GTX280":1}}`)
+		  "kill":{"GeForce GTX280":1}}`
+	ts, _ := newTestServer(t)
+	resp, body := postCoexec(t, ts.URL, killBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
@@ -117,6 +120,12 @@ func TestCoexecKillDegradedMarkers(t *testing.T) {
 	}
 	if clean.OutputChecksum != out.OutputChecksum {
 		t.Fatalf("mid-run kill changed output bits: %q vs %q", out.OutputChecksum, clean.OutputChecksum)
+	}
+
+	// The schedule is simulated, so a fresh server runs the same split.
+	ts2, _ := newTestServer(t)
+	if _, body2 := postCoexec(t, ts2.URL, killBody); !bytes.Equal(body2, body) {
+		t.Fatalf("a second server's reply differs:\n%s\n%s", body2, body)
 	}
 
 	// The per-device shard counters made it to /metrics.
@@ -169,15 +178,22 @@ func TestCoexecBadRequests(t *testing.T) {
 	}
 }
 
-// TestCoexecTypedFaultFailure: a server built with an injector whose
-// schedule makes every shard launch fail permanently must answer with the
-// typed coexec-failed code, not a generic internal error.
-func TestCoexecTypedFaultFailure(t *testing.T) {
+// newFaultyServer is a server whose /coexec runs draw faults from seed
+// and sch.
+func newFaultyServer(t *testing.T, seed uint64, sch fault.Schedule) *httptest.Server {
+	t.Helper()
 	s := sched.New(sched.Options{Workers: 2})
 	t.Cleanup(s.Close)
-	in := fault.New(7, fault.Schedule{TransferRate: 1.0}) // uncapped: never recovers
-	ts := httptest.NewServer(New(s, WithCoexecFaults(in)).Handler())
+	ts := httptest.NewServer(New(s, WithCoexecFaults(seed, sch)).Handler())
 	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestCoexecTypedFaultFailure: a server whose fault schedule makes every
+// shard launch fail permanently must answer with the typed coexec-failed
+// code, not a generic internal error.
+func TestCoexecTypedFaultFailure(t *testing.T) {
+	ts := newFaultyServer(t, 7, fault.Schedule{TransferRate: 1.0}) // uncapped: never recovers
 
 	resp, body := postCoexec(t, ts.URL,
 		`{"workload":"vecadd","size":8,"devices":["GeForce GTX480"]}`)
@@ -190,6 +206,37 @@ func TestCoexecTypedFaultFailure(t *testing.T) {
 	}
 	if eb.Code != codeCoexecFailed {
 		t.Fatalf("code %q, want %q: %s", eb.Code, codeCoexecFailed, body)
+	}
+}
+
+// TestCoexecFaultsPerRun: every /coexec run draws its faults afresh, so a
+// request's reply does not depend on what the server ran before it. X and
+// Y differ in size but share shard names, so a shared injector's attempt
+// counters would carry X's draws into Y's.
+func TestCoexecFaultsPerRun(t *testing.T) {
+	sch := fault.Schedule{TransferRate: 0.3, MaxPerKey: 3}
+	const (
+		x = `{"workload":"vecadd","size":16,"devices":["GeForce GTX480","GeForce GTX280","Intel Core i7 920"]}`
+		y = `{"workload":"vecadd","size":24,"devices":["GeForce GTX480","GeForce GTX280","Intel Core i7 920"]}`
+	)
+	a := newFaultyServer(t, 3, sch)
+	if resp, body := postCoexec(t, a.URL, x); resp.StatusCode != http.StatusOK {
+		t.Fatalf("X status = %d: %s", resp.StatusCode, body)
+	}
+	respA, yA := postCoexec(t, a.URL, y)
+	respB, yB := postCoexec(t, newFaultyServer(t, 3, sch).URL, y)
+	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
+		t.Fatalf("Y status = %d and %d: %s %s", respA.StatusCode, respB.StatusCode, yA, yB)
+	}
+	if !bytes.Equal(yA, yB) {
+		t.Fatalf("Y after X differs from Y alone:\n%s\n%s", yA, yB)
+	}
+	var out coexecResponse
+	if err := json.Unmarshal(yA, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Report.Retries == 0 {
+		t.Fatalf("the schedule injected no faults into Y: %s", yA)
 	}
 }
 

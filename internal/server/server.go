@@ -54,10 +54,12 @@ type Server struct {
 	gauntletRejects atomic.Uint64 // submissions refused before execution
 	quotaDenials    atomic.Uint64 // submissions refused by tenant quota
 
-	// POST /coexec dependencies: the (optional) fault injector and the
-	// per-device shard counters exported on /metrics.
-	coexecInjector *fault.Injector
-	coexecMetrics  *coexec.Metrics
+	// POST /coexec dependencies: the (optional) fault seed and schedule
+	// each run draws from, and the per-device shard counters exported on
+	// /metrics.
+	coexecSeed    uint64
+	coexecFaults  *fault.Schedule
+	coexecMetrics *coexec.Metrics
 }
 
 // Option customises a Server.
@@ -410,8 +412,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].Redistributions })...).OmitEmpty(),
 		metrics.Counter("gpucmpd_coexec_transfer_errors_total", "Injected transfer faults observed per device.",
 			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].TransferErrors })...).OmitEmpty(),
-		metrics.Counter("gpucmpd_coexec_stragglers_total", "Straggler duplicates dispatched against a device.",
-			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].Stragglers })...).OmitEmpty(),
 		metrics.Gauge("gpucmpd_coexec_device_lost", "Device was lost mid-run at least once (0/1).",
 			metrics.Rows(devices, "device", func(d string) (string, uint64) { return d, coex[d].Lost })...).OmitEmpty(),
 		metrics.Counter("gpucmpd_compile_cache_hits_total", "Compiled-kernel cache hits.", metrics.Value(hits)),
