@@ -34,6 +34,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -213,6 +214,35 @@ func serve(ctx context.Context, ln net.Listener, h http.Handler, ready *server.R
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Shutdown counts a connection on which no request has started as
+	// active for its first 5 s, so one a client dialled and never used
+	// would hold the drain that long. serve closes those itself once the
+	// listeners are closed.
+	var (
+		mu       sync.Mutex
+		fresh    = map[net.Conn]bool{}
+		draining bool
+	)
+	httpSrv.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(fresh, c)
+		case draining:
+			c.Close()
+		default:
+			fresh[c] = true
+		}
+	}
+	httpSrv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		draining = true
+		for c := range fresh {
+			c.Close()
+		}
+	})
 	served := make(chan error, 1)
 	go func() { served <- httpSrv.Serve(ln) }()
 	select {

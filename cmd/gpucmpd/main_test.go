@@ -6,19 +6,30 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"gpucmp/internal/fuzz"
 	"gpucmp/internal/server"
 )
 
 // start runs gpucmpd with args until the test ends and returns the base
-// URL of the address it bound. The cleanup cancels run's context and
-// requires run to drain and return nil.
+// URL of the address it bound.
 func start(t *testing.T, args ...string) string {
+	t.Helper()
+	base, stop := boot(t, args...)
+	t.Cleanup(stop)
+	return base
+}
+
+// boot runs gpucmpd with args and returns the base URL of the address it
+// bound and a stop function, which cancels run's context and requires run
+// to drain and return nil.
+func boot(t *testing.T, args ...string) (string, func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	pr, pw := io.Pipe()
@@ -33,17 +44,14 @@ func start(t *testing.T, args ...string) string {
 		t.Fatalf("run printed no address: %v (run: %v)", err, <-done)
 	}
 	go io.Copy(io.Discard, pr)
-	t.Cleanup(func() {
-		// A connection the client dialled and never used holds up the
-		// drain for 5 s unless the client closes it.
-		http.DefaultClient.CloseIdleConnections()
+	stop := func() {
 		cancel()
 		if err := <-done; err != nil {
 			t.Errorf("run after cancel = %v, want nil", err)
 		}
-	})
+	}
 	fields := strings.Fields(line)
-	return "http://" + fields[len(fields)-1]
+	return "http://" + fields[len(fields)-1], stop
 }
 
 // get fetches url and returns the status, headers and body.
@@ -153,5 +161,26 @@ func TestCoordinatorOverWorker(t *testing.T) {
 		if !errors.Is(err, errUsage) {
 			t.Errorf("%s 2: %v, want a usage error", flag, err)
 		}
+	}
+}
+
+// TestDrainClosesUnusedConnection: a connection a client dialled and
+// never wrote to does not hold up the drain.
+func TestDrainClosesUnusedConnection(t *testing.T) {
+	base, stop := boot(t, "-addr", "127.0.0.1:0")
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The daemon accepts connections in the order they were dialled, so
+	// once a later one has been answered, the silent one is accepted too.
+	if status, _, _ := get(t, base+"/healthz"); status != http.StatusOK {
+		t.Fatalf("/healthz: %d, want 200", status)
+	}
+	begin := time.Now()
+	stop()
+	if d := time.Since(begin); d >= time.Second {
+		t.Errorf("drain took %v with a silent connection open, want under 1s", d)
 	}
 }

@@ -1,8 +1,8 @@
 // Package clock is the one time source of the serving and recovery layers:
-// the scheduler, the coordinator and co-execution read the time and wait
-// through a Clock instead of the time package, so their tests can drive
-// time by hand (Fake) instead of sleeping and hoping. Production code uses
-// Real, the wall clock.
+// the scheduler and the coordinator read the time and arm timers through a
+// Clock instead of the time package, so their tests can drive time by hand
+// (Fake) instead of sleeping and hoping. Production code uses Real, the
+// wall clock.
 package clock
 
 import (
@@ -14,13 +14,16 @@ import (
 // Clock reads the time and arms timers.
 type Clock interface {
 	Now() time.Time
-	NewTimer(d time.Duration) Timer
+	// AfterFunc calls f on its own goroutine once d has passed, as
+	// time.AfterFunc does.
+	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Timer is a one-shot timer: C delivers one time value when it fires, and
-// Stop disarms it, reporting whether it was still armed.
+// Timer is an armed AfterFunc callback.
 type Timer interface {
-	C() <-chan time.Time
+	// Stop disarms the timer and reports whether it was still armed: false
+	// means the callback has been started (or the timer was stopped
+	// before).
 	Stop() bool
 }
 
@@ -30,13 +33,8 @@ type Real struct{}
 // Now returns time.Now().
 func (Real) Now() time.Time { return time.Now() }
 
-// NewTimer returns a time.Timer as a Timer.
-func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) C() <-chan time.Time { return r.t.C }
-func (r realTimer) Stop() bool          { return r.t.Stop() }
+// AfterFunc returns time.AfterFunc(d, f).
+func (Real) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }
 
 // Fake is a manual clock: time stands still until Advance moves it, and a
 // timer fires only when Advance passes its deadline. Safe for concurrent
@@ -57,7 +55,7 @@ func NewFake(start time.Time) *Fake {
 
 type fakeTimer struct {
 	f        *Fake
-	c        chan time.Time
+	fn       func()
 	deadline time.Time
 }
 
@@ -68,22 +66,20 @@ func (f *Fake) Now() time.Time {
 	return f.now
 }
 
-// NewTimer arms a timer d from now; d <= 0 fires at once, as time.NewTimer
-// does.
-func (f *Fake) NewTimer(d time.Duration) Timer {
+// AfterFunc arms fn to run d from now; d <= 0 starts it at once, as
+// time.AfterFunc does.
+func (f *Fake) AfterFunc(d time.Duration, fn func()) Timer {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := &fakeTimer{f: f, c: make(chan time.Time, 1), deadline: f.now.Add(d)}
+	t := &fakeTimer{f: f, fn: fn, deadline: f.now.Add(d)}
 	if d <= 0 {
-		t.c <- f.now
+		go fn()
 		return t
 	}
 	f.timers = append(f.timers, t)
 	f.armed.Broadcast()
 	return t
 }
-
-func (t *fakeTimer) C() <-chan time.Time { return t.c }
 
 func (t *fakeTimer) Stop() bool {
 	f := t.f
@@ -98,10 +94,10 @@ func (t *fakeTimer) Stop() bool {
 	return false
 }
 
-// Advance moves the clock forward by d, then fires every timer whose
-// deadline has been reached, in deadline order (arming order between
-// equal deadlines), each delivering its own deadline. A goroutine woken
-// by one of them already reads the new time.
+// Advance moves the clock forward by d, then starts the callback of every
+// timer whose deadline has been reached, each on its own goroutine, in
+// deadline order (arming order between equal deadlines). A callback
+// already reads the new time, and may block.
 func (f *Fake) Advance(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -117,7 +113,7 @@ func (f *Fake) Advance(d time.Duration) {
 	f.timers = kept
 	sort.SliceStable(due, func(i, j int) bool { return due[i].deadline.Before(due[j].deadline) })
 	for _, t := range due {
-		t.c <- t.deadline // never blocks: a timer fires at most once into its one-slot buffer
+		go t.fn()
 	}
 }
 

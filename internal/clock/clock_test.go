@@ -7,116 +7,152 @@ import (
 
 var epoch = time.Date(2011, 9, 13, 0, 0, 0, 0, time.UTC)
 
-// fired reports the value t delivered, if it has fired.
-func fired(t Timer) (time.Time, bool) {
+// arm arms a callback d from now on c that sends the time it reads to the
+// returned channel.
+func arm(c Clock, d time.Duration) (Timer, <-chan time.Time) {
+	ch := make(chan time.Time, 1)
+	return c.AfterFunc(d, func() { ch <- c.Now() }), ch
+}
+
+// fired reports whether ch has a value within a second, and the value.
+func fired(ch <-chan time.Time) (time.Time, bool) {
 	select {
-	case v := <-t.C():
+	case v := <-ch:
 		return v, true
-	default:
+	case <-time.After(time.Second):
 		return time.Time{}, false
 	}
 }
 
-// TestFakeFiresInDeadlineOrder: timers armed out of order fire one by one
-// as Advance reaches each deadline, each delivering its own deadline.
+// idle reports whether ch stays empty: a callback that has not been
+// started.
+func idle(ch <-chan time.Time) bool {
+	select {
+	case <-ch:
+		return false
+	default:
+		return true
+	}
+}
+
+// TestFakeFiresInDeadlineOrder: callbacks armed out of order start one by
+// one as Advance reaches each deadline, and read the advanced time.
 func TestFakeFiresInDeadlineOrder(t *testing.T) {
 	f := NewFake(epoch)
-	timers := map[time.Duration]Timer{}
+	chans := map[time.Duration]<-chan time.Time{}
 	for _, d := range []time.Duration{30, 10, 20} {
-		timers[d*time.Millisecond] = f.NewTimer(d * time.Millisecond)
+		_, chans[d*time.Millisecond] = arm(f, d*time.Millisecond)
 	}
-	for step := 1; step <= 3; step++ {
+	for step := time.Duration(1); step <= 3; step++ {
 		f.Advance(10 * time.Millisecond)
-		for d, tm := range timers {
-			v, ok := fired(tm)
-			if want := d <= time.Duration(step)*10*time.Millisecond; ok != want {
-				t.Fatalf("step %d: %v timer fired = %v, want %v", step, d, ok, want)
-			}
-			if ok {
-				if v != epoch.Add(d) {
-					t.Errorf("%v timer delivered %v, want its deadline %v", d, v, epoch.Add(d))
-				}
-				delete(timers, d)
+		due := step * 10 * time.Millisecond
+		v, ok := fired(chans[due])
+		if !ok {
+			t.Fatalf("step %d: the %v callback did not run", step, due)
+		}
+		if v != epoch.Add(due) {
+			t.Errorf("the %v callback read %v, want %v", due, v, epoch.Add(due))
+		}
+		delete(chans, due)
+		for d, ch := range chans {
+			if !idle(ch) {
+				t.Fatalf("step %d: the %v callback ran early", step, d)
 			}
 		}
-	}
-	if now := f.Now(); now != epoch.Add(30*time.Millisecond) {
-		t.Errorf("Now = %v after three 10ms advances", now)
 	}
 }
 
 // TestFakeAdvancePastSeveralFiresAll: one Advance past several deadlines
-// fires every one of them, and none of the later ones.
+// starts every one of those callbacks, and none of the later ones.
 func TestFakeAdvancePastSeveralFiresAll(t *testing.T) {
 	f := NewFake(epoch)
-	var early []Timer
+	var early []<-chan time.Time
 	for d := time.Second; d <= 3*time.Second; d += time.Second {
-		early = append(early, f.NewTimer(d))
+		_, ch := arm(f, d)
+		early = append(early, ch)
 	}
-	late := f.NewTimer(time.Minute)
+	late, lateCh := arm(f, time.Minute)
 	f.Advance(5 * time.Second)
-	for i, tm := range early {
-		if v, ok := fired(tm); !ok || v != epoch.Add(time.Duration(i+1)*time.Second) {
-			t.Errorf("timer %d: fired %v with %v, want its deadline", i, ok, v)
+	for i, ch := range early {
+		if _, ok := fired(ch); !ok {
+			t.Errorf("callback %d did not run", i)
 		}
 	}
-	if _, ok := fired(late); ok {
-		t.Error("a timer a minute out fired after 5s")
+	if !idle(lateCh) {
+		t.Error("a callback a minute out ran after 5s")
 	}
 	if !late.Stop() {
 		t.Error("Stop on a pending timer reported it not armed")
 	}
 }
 
-// TestFakeStopPreventsFire: a stopped timer never fires, and stopping it
-// again, or stopping a fired one, reports false.
+// TestFakeStopPreventsFire: a stopped callback never runs, and stopping
+// it again, or stopping a fired one, reports false.
 func TestFakeStopPreventsFire(t *testing.T) {
 	f := NewFake(epoch)
-	stopped, kept := f.NewTimer(time.Second), f.NewTimer(time.Second)
+	stopped, stoppedCh := arm(f, time.Second)
+	kept, keptCh := arm(f, time.Second)
 	if !stopped.Stop() {
 		t.Fatal("Stop on an armed timer reported false")
 	}
 	f.Advance(time.Hour)
-	if _, ok := fired(stopped); ok {
-		t.Error("a stopped timer fired")
+	if _, ok := fired(keptCh); !ok {
+		t.Error("the callback armed beside it did not run")
 	}
-	if _, ok := fired(kept); !ok {
-		t.Error("the timer armed beside it did not fire")
+	if !idle(stoppedCh) {
+		t.Error("a stopped callback ran")
 	}
 	if stopped.Stop() || kept.Stop() {
 		t.Error("Stop on a stopped or fired timer reported true")
 	}
 }
 
+// TestFakeCallbackMayBlock: a callback that blocks does not hold up
+// Advance or the callbacks due with it; a non-positive duration starts
+// its callback at once without arming.
+func TestFakeCallbackMayBlock(t *testing.T) {
+	f := NewFake(epoch)
+	_, now := arm(f, 0)
+	if _, ok := fired(now); !ok {
+		t.Fatal("a zero-duration callback did not run at once")
+	}
+	release := make(chan struct{})
+	defer close(release)
+	f.AfterFunc(time.Second, func() { <-release })
+	_, ch := arm(f, 2*time.Second)
+	f.Advance(2 * time.Second)
+	if _, ok := fired(ch); !ok {
+		t.Error("a callback due beside a blocked one did not run")
+	}
+}
+
 // TestFakeWaitArmed: WaitArmed returns once another goroutine has armed
-// the timers it waits for; a non-positive duration fires at once without
-// arming.
+// the timers it waits for.
 func TestFakeWaitArmed(t *testing.T) {
 	f := NewFake(epoch)
-	if _, ok := fired(f.NewTimer(0)); !ok {
-		t.Fatal("a zero-duration timer did not fire at once")
-	}
-	got := make(chan time.Time)
+	got := make(chan time.Time, 1)
 	go func() {
-		a, b := f.NewTimer(time.Second), f.NewTimer(2*time.Second)
-		<-a.C()
-		got <- <-b.C()
+		f.AfterFunc(time.Second, func() {})
+		f.AfterFunc(2*time.Second, func() { got <- f.Now() })
 	}()
 	f.WaitArmed(2)
 	f.Advance(2 * time.Second)
 	if v := <-got; v != epoch.Add(2*time.Second) {
-		t.Errorf("delivered %v", v)
+		t.Errorf("read %v", v)
 	}
 }
 
-// TestRealTimer: the wall clock's timers fire and stop.
+// TestRealTimer: the wall clock's callbacks run and stop.
 func TestRealTimer(t *testing.T) {
 	var c Real
 	if c.Now().IsZero() {
 		t.Fatal("Real.Now is the zero time")
 	}
-	<-c.NewTimer(time.Millisecond).C()
-	if !c.NewTimer(time.Hour).Stop() {
+	_, ch := arm(c, time.Millisecond)
+	if _, ok := fired(ch); !ok {
+		t.Error("a 1ms wall-clock callback did not run within a second")
+	}
+	if !c.AfterFunc(time.Hour, func() {}).Stop() {
 		t.Error("Stop on an armed wall-clock timer reported false")
 	}
 }

@@ -153,12 +153,13 @@ func (c *Coordinator) Start() {
 	go func() {
 		defer c.probeWG.Done()
 		for {
-			tick := c.cfg.clock.NewTimer(c.cfg.ProbeInterval)
+			tick := make(chan struct{})
+			t := c.cfg.clock.AfterFunc(c.cfg.ProbeInterval, func() { close(tick) })
 			select {
 			case <-c.stop:
-				tick.Stop()
+				t.Stop()
 				return
-			case <-tick.C():
+			case <-tick:
 				c.probeOnce()
 			}
 		}
@@ -327,9 +328,10 @@ func failoverStatus(code int) bool {
 // the primary is slower than the hedge delay.
 //
 // The primary attempt, failovers included, runs on the caller's
-// goroutine. When there is a shard to hedge to, one goroutine waits on
-// the hedge timer and, if it fires before the primary answers, makes the
-// hedge attempt itself. The first terminal response wins: a winning
+// goroutine. When there is a shard to hedge to, the hedge timer is a
+// clock callback: if it fires before the primary answers, the callback
+// makes the hedge attempt itself, so a request answered within the hedge
+// delay starts no goroutine. The first terminal response wins: a winning
 // hedge cancels the attempt context, so the primary's HTTP request is
 // aborted and it returns; a winning primary returns and cancels the
 // hedge the same way. Cancelling a request also cancels the worker
@@ -410,27 +412,22 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 	start := c.cfg.clock.Now()
 	var (
 		ht    clock.Timer
-		hedge chan result // the hedge goroutine's one result
+		hedge chan result // the hedge callback's one result
 	)
 	if len(shards) > 1 {
-		ht = c.cfg.clock.NewTimer(c.hedgeDelay())
 		hedge = make(chan result, 1)
-		go func() {
-			select {
-			case <-ht.C():
-				if actx.Err() == nil { // not when the primary answered as the timer fired
-					c.metrics.hedges.Add(1)
-					r := try(true)
-					if ends(r) {
-						cancel() // the primary has lost: abort its request
-					}
-					hedge <- r
-					return
-				}
-			case <-actx.Done():
+		ht = c.cfg.clock.AfterFunc(c.hedgeDelay(), func() {
+			if actx.Err() != nil { // the primary answered as the timer fired
+				hedge <- result{err: actx.Err()}
+				return
 			}
-			hedge <- result{err: actx.Err()}
-		}()
+			c.metrics.hedges.Add(1)
+			r := try(true)
+			if ends(r) {
+				cancel() // the primary has lost: abort its request
+			}
+			hedge <- r
+		})
 	}
 
 	r := try(false)

@@ -49,8 +49,8 @@ type recordingClock struct {
 	timers []clock.Timer
 }
 
-func (r *recordingClock) NewTimer(d time.Duration) clock.Timer {
-	t := r.Fake.NewTimer(d)
+func (r *recordingClock) AfterFunc(d time.Duration, f func()) clock.Timer {
+	t := r.Fake.AfterFunc(d, f)
 	r.mu.Lock()
 	r.timers = append(r.timers, t)
 	r.mu.Unlock()
@@ -110,7 +110,8 @@ func await[T any](t *testing.T, what string, ch <-chan T) T {
 // TestUnhedgedAttemptRunsOnCallerGoroutine pins where the upstream call
 // is made: a request that is not hedged reaches the worker transport on
 // the goroutine that called ServeHTTP, not on one the coordinator
-// started for it.
+// started for it. While a two-worker request's primary is held, its hedge
+// is an armed timer, and no goroutine forward started waits on it.
 func TestUnhedgedAttemptRunsOnCallerGoroutine(t *testing.T) {
 	for _, workers := range [][]string{{"http://a"}, {"http://a", "http://b"}} {
 		var stacks []string
@@ -131,6 +132,28 @@ func TestUnhedgedAttemptRunsOnCallerGoroutine(t *testing.T) {
 		}
 		if n := clk.disarm(); n != 0 {
 			t.Errorf("%d workers: %d timers left armed after the reply", len(workers), n)
+		}
+	}
+
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	c, clk := stubCoordinator(t, []string{"http://a", "http://b"}, func(shard string, req *http.Request) (*http.Response, error) {
+		held <- struct{}{}
+		<-release
+		return answer(shard, req), nil
+	})
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- serveRun(context.Background(), c, runBody("Reduce", 32)) }()
+	await(t, "the primary attempt", held)
+	clk.WaitArmed(1) // the hedge timer
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	close(release)
+	if rec := await(t, "the reply", done); rec.Code != http.StatusOK {
+		t.Fatalf("held primary: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	for _, g := range strings.Split(stacks, "\n\n") {
+		if strings.Contains(g, "created by gpucmp/internal/cluster.(*Coordinator).forward") {
+			t.Errorf("forward started a goroutine while its primary was held:\n%s", g)
 		}
 	}
 }

@@ -1,56 +1,11 @@
 package sched
 
 import (
-	"hash/fnv"
 	"sync"
 	"time"
 
 	"gpucmp/internal/clock"
-	"gpucmp/internal/fault"
 )
-
-// RetryPolicy bounds the scheduler's retries of Transient failures.
-// Watchdog and Permanent failures are never retried: a watchdog kill costs
-// a full JobTimeout per attempt and deterministic failures cannot heal.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts including the first
-	// (<= 0 selects the default of 4; 1 disables retry).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 5ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (default 250ms).
-	MaxDelay time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 5 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 250 * time.Millisecond
-	}
-	return p
-}
-
-// backoff returns the delay before retry number attempt (1-based): capped
-// exponential growth with deterministic jitter in [0.5, 1.0) x the slot,
-// derived from (key, attempt) so two runs of the same job stream sleep
-// identically — chaos runs stay reproducible.
-func (p RetryPolicy) backoff(key string, attempt int) time.Duration {
-	slot := fault.Backoff(p.BaseDelay, p.MaxDelay, attempt)
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	x := h.Sum64() ^ (uint64(attempt) * 0x9e3779b97f4a7c15)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	frac := 0.5 + 0.5*float64(x>>11)/(1<<53)
-	return time.Duration(float64(slot) * frac)
-}
 
 // BreakerConfig configures the per-device circuit breakers.
 type BreakerConfig struct {

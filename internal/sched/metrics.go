@@ -31,8 +31,7 @@ type Metrics struct {
 	retries          atomic.Uint64 // transient failures retried
 	breakerTrips     atomic.Uint64 // breaker transitions to open
 	breakerDenials   atomic.Uint64 // jobs rejected by an open breaker
-	watchdogReclaims atomic.Uint64 // cancelled attempts that acknowledged
-	watchdogLeaks    atomic.Uint64 // cancelled attempts abandoned after grace
+	watchdogReclaims atomic.Uint64 // attempts cancelled mid-run
 	cacheCorruptions atomic.Uint64 // corrupted cache entries detected+evicted
 	abandons         atomic.Uint64 // tasks whose callers all left mid-flight
 
@@ -97,7 +96,6 @@ type Snapshot struct {
 	BreakerTrips     uint64 `json:"breaker_trips"`
 	BreakerDenials   uint64 `json:"breaker_denials"`
 	WatchdogReclaims uint64 `json:"watchdog_reclaims"`
-	WatchdogLeaks    uint64 `json:"watchdog_leaks"`
 	CacheCorruptions uint64 `json:"cache_corruptions"`
 	Abandons         uint64 `json:"abandons"`
 
@@ -134,7 +132,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		BreakerTrips:     m.breakerTrips.Load(),
 		BreakerDenials:   m.breakerDenials.Load(),
 		WatchdogReclaims: m.watchdogReclaims.Load(),
-		WatchdogLeaks:    m.watchdogLeaks.Load(),
 		CacheCorruptions: m.cacheCorruptions.Load(),
 		Abandons:         m.abandons.Load(),
 

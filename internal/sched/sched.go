@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpucmp/internal/arch"
@@ -104,8 +103,8 @@ func (o Outcome) String() string {
 }
 
 // Options configures a Scheduler. The zero value is usable: GOMAXPROCS
-// workers, a 4096-entry cache, no job timeout, default retry policy and
-// circuit breakers, no fault injection.
+// workers, a 4096-entry cache, no job timeout, four attempts per job,
+// default circuit breakers, no fault injection.
 type Options struct {
 	// Workers is the pool size (defaults to GOMAXPROCS).
 	Workers int
@@ -118,13 +117,12 @@ type Options struct {
 	// checkpoint; callers get an error classified as ErrWatchdog that
 	// still wraps context.DeadlineExceeded.
 	JobTimeout time.Duration
-	// ReclaimGrace is how long the watchdog waits for a cancelled attempt
-	// to acknowledge before giving up and abandoning its goroutine
-	// (default 2s; the warp loop checkpoints every sim.CheckpointInterval
-	// instructions, so acknowledgement is normally immediate).
-	ReclaimGrace time.Duration
-	// Retry bounds the retries of Transient failures.
-	Retry RetryPolicy
+	// MaxAttempts bounds the attempts of one job, the first included
+	// (<= 0 selects 4; 1 disables retry). Only Transient failures are
+	// retried, at once: a launch fault is drawn by (seed, job key,
+	// attempt), so waiting would change no outcome. Watchdog and
+	// Permanent failures are never retried.
+	MaxAttempts int
 	// Breaker configures the per-device circuit breakers.
 	Breaker BreakerConfig
 	// Injector, when non-nil, injects deterministic faults at the device
@@ -142,8 +140,8 @@ type Options struct {
 	// memory against tenant-name flooding.
 	MaxTenantCaches int
 
-	// clock times every latency stamp, backoff, timeout, stall, breaker
-	// and quota (nil = the wall clock).
+	// clock times every latency stamp, timeout, stall, breaker and quota
+	// (nil = the wall clock).
 	clock clock.Clock
 }
 
@@ -165,7 +163,6 @@ type task struct {
 // Scheduler runs jobs on a fixed worker pool with caching and dedup.
 type Scheduler struct {
 	opts    Options
-	retry   RetryPolicy
 	queue   chan *task
 	wg      sync.WaitGroup // workers
 	subs    sync.WaitGroup // in-progress queue submissions
@@ -190,8 +187,8 @@ func New(opts Options) *Scheduler {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 4096
 	}
-	if opts.ReclaimGrace <= 0 {
-		opts.ReclaimGrace = 2 * time.Second
+	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = 4
 	}
 	if opts.TenantCacheSize == 0 {
 		opts.TenantCacheSize = 64
@@ -205,7 +202,6 @@ func New(opts Options) *Scheduler {
 	opts.Breaker = opts.Breaker.withDefaults()
 	s := &Scheduler{
 		opts:    opts,
-		retry:   opts.Retry.withDefaults(),
 		queue:   make(chan *task, 64),
 		metrics: newMetrics(),
 		tenants: make(map[string]*lruCache),
@@ -549,11 +545,10 @@ func abandoned(key string) error {
 
 // execute resolves and runs one job through the resilience ladder: per-
 // device circuit breaker, then per-attempt execution with panic isolation
-// and watchdog timeout, with capped exponential backoff between retries of
-// Transient failures. ctx is the job's call context: once it is cancelled
-// nobody is waiting, and the job stops. The returned error, when non-nil,
-// is classified (errors.Is against ErrTransient / ErrPermanent /
-// ErrWatchdog / ErrBreakerOpen).
+// and watchdog timeout, retrying Transient failures at once. ctx is the
+// job's call context: once it is cancelled nobody is waiting, and the job
+// stops. The returned error, when non-nil, is classified (errors.Is
+// against ErrTransient / ErrPermanent / ErrWatchdog / ErrBreakerOpen).
 func (s *Scheduler) execute(ctx context.Context, j Job, key string) (*bench.Result, error) {
 	br := s.breakerFor(j.Device)
 	for attempt := 1; ; attempt++ {
@@ -590,107 +585,44 @@ func (s *Scheduler) execute(ctx context.Context, j Job, key string) (*bench.Resu
 		if class != Transient {
 			return nil, wrapClass(class, err)
 		}
-		if attempt >= s.retry.MaxAttempts {
+		if attempt >= s.opts.MaxAttempts {
 			// Retry budget exhausted: the job as a whole is permanently
 			// failed, with the last transient cause still in the chain.
 			return nil, wrapClass(Permanent,
 				fmt.Errorf("sched: job %s: %d attempts exhausted: %w", key, attempt, err))
 		}
 		s.metrics.retries.Add(1)
-		backoff := s.opts.clock.NewTimer(s.retry.backoff(key, attempt))
-		select {
-		case <-backoff.C():
-		case <-ctx.Done():
-			// Every caller left during the backoff: free the worker now;
-			// the loop head reports the abandonment.
-			backoff.Stop()
-		}
 	}
 }
 
-// attemptCtl is the kill switch of one execution attempt. The attempt
-// publishes its simulated device as soon as it exists; the watchdog closes
-// cancel and cancels the device, and the warp loop aborts at its next
-// checkpoint.
-type attemptCtl struct {
-	once   sync.Once
-	cancel chan struct{}
-	dev    atomic.Pointer[sim.Device]
-}
-
-func newAttemptCtl() *attemptCtl { return &attemptCtl{cancel: make(chan struct{})} }
-
-// kill cancels the attempt: idempotent, safe from any goroutine.
-func (c *attemptCtl) kill() {
-	c.once.Do(func() { close(c.cancel) })
-	if d := c.dev.Load(); d != nil {
-		d.Cancel()
-	}
-}
-
-// publish registers the attempt's device. Re-checking cancel afterwards
-// closes the race with a kill that ran between the load in kill and this
-// store: the attempt then cancels its own device.
-func (c *attemptCtl) publish(d *sim.Device) {
-	c.dev.Store(d)
-	select {
-	case <-c.cancel:
-		d.Cancel()
-	default:
-	}
-}
-
-// executeAttempt runs one attempt under the watchdog and the abandonment
-// monitor. On timeout — or when ctx is cancelled because every caller has
-// left — it cancels the attempt's device and waits up to ReclaimGrace for
-// the goroutine to acknowledge: the worker is reclaimed, not leaked.
+// executeAttempt runs one attempt on the worker goroutine, under a context
+// that the JobTimeout watchdog cancels when it fires and that ctx cancels
+// when every caller has left. Cancelling it cancels the attempt's
+// simulated device, and the warp loop returns at its next checkpoint.
 func (s *Scheduler) executeAttempt(ctx context.Context, j Job, key string) (*bench.Result, error) {
-	type outcome struct {
-		res *bench.Result
-		err error
-	}
-	ctl := newAttemptCtl()
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := s.executeIsolated(j, key, ctl)
-		ch <- outcome{res, err}
-	}()
-	var timeout <-chan time.Time
+	actx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var watchdog clock.Timer
 	if s.opts.JobTimeout > 0 {
-		timer := s.opts.clock.NewTimer(s.opts.JobTimeout)
-		defer timer.Stop()
-		timeout = timer.C()
+		watchdog = s.opts.clock.AfterFunc(s.opts.JobTimeout, func() { cancel(context.DeadlineExceeded) })
 	}
-	reclaim := func() {
-		ctl.kill()
-		grace := s.opts.clock.NewTimer(s.opts.ReclaimGrace)
-		defer grace.Stop()
-		select {
-		case <-ch:
-			// The cancelled attempt acknowledged: its late result is
-			// discarded (never cached) and the goroutine is gone.
-			s.metrics.watchdogReclaims.Add(1)
-		case <-grace.C():
-			// The attempt ignored cancellation (e.g. stuck outside the
-			// warp loop). Abandon its goroutine and record the leak.
-			s.metrics.watchdogLeaks.Add(1)
-		}
-	}
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timeout:
+	res, err := s.executeIsolated(actx, j, key)
+	if watchdog != nil && !watchdog.Stop() {
+		// The watchdog fired: whatever the attempt returned is discarded
+		// (never cached).
 		s.metrics.timeouts.Add(1)
-		reclaim()
+		s.metrics.watchdogReclaims.Add(1)
 		return nil, wrapClass(Watchdog,
 			fmt.Errorf("sched: job %s: %w after %v", key, context.DeadlineExceeded, s.opts.JobTimeout))
-	case <-ctx.Done():
-		reclaim()
+	}
+	if ctx.Err() != nil {
+		s.metrics.watchdogReclaims.Add(1)
 		return nil, abandoned(key)
 	}
+	return res, err
 }
 
-func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.Result, error) {
+func (s *Scheduler) executeIsolated(ctx context.Context, j Job, key string) (*bench.Result, error) {
 	return safely(s.metrics, key, func() (*bench.Result, error) {
 		if err := j.Validate(); err != nil {
 			return nil, err
@@ -700,20 +632,21 @@ func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.
 		if f := s.opts.Injector.Launch(key); f != nil {
 			switch f.Kind {
 			case fault.KindHang:
-				// Hang until the watchdog cancels the attempt — the same
-				// reclaim path a real runaway kernel exercises.
-				<-ctl.cancel
+				// Hang until the attempt is cancelled — the same reclaim
+				// path a real runaway kernel exercises.
+				<-ctx.Done()
 				return nil, fmt.Errorf("sched: job %s: injected hang: %w", key, sim.ErrWatchdog)
 			case fault.KindSlowLaunch:
 				// A straggler, not a failure: stall (interruptibly, so
 				// watchdog and abandonment still reclaim the worker) and
 				// then run the attempt for real. This is the seam cluster
 				// hedging is proven against.
-				timer := s.opts.clock.NewTimer(f.Delay)
+				stalled := make(chan struct{})
+				t := s.opts.clock.AfterFunc(f.Delay, func() { close(stalled) })
 				select {
-				case <-timer.C():
-				case <-ctl.cancel:
-					timer.Stop()
+				case <-stalled:
+				case <-ctx.Done():
+					t.Stop()
 					return nil, fmt.Errorf("sched: job %s: cancelled during injected stall: %w", key, sim.ErrWatchdog)
 				}
 			default:
@@ -727,7 +660,7 @@ func (s *Scheduler) executeIsolated(j Job, key string, ctl *attemptCtl) (*bench.
 			return nil, err
 		}
 		if dev := bench.SimDevice(d); dev != nil {
-			ctl.publish(dev)
+			defer context.AfterFunc(ctx, dev.Cancel)()
 		}
 		res, err := spec.Run(d, j.Config)
 		// A watchdog kill surfaces from the benchmark harness as an ABT

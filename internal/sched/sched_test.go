@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,8 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
+	"gpucmp/internal/clock"
+	"gpucmp/internal/fault"
 	"gpucmp/internal/metrics"
 )
 
@@ -318,18 +321,74 @@ func TestParallelReproducesSequential(t *testing.T) {
 	}
 }
 
-func TestJobTimeout(t *testing.T) {
-	s := New(Options{Workers: 1, JobTimeout: time.Nanosecond})
-	defer s.Close()
-	_, err := s.Run(context.Background(), fastJob())
-	if err == nil || !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("err = %v, want deadline exceeded", err)
+// runPastTimeout runs fastJob on s, waits until armed timers are armed on
+// clk (the watchdog among them) and advances clk by JobTimeout. It returns
+// the job's error.
+func runPastTimeout(t *testing.T, s *Scheduler, clk *clock.Fake, armed int) error {
+	t.Helper()
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := s.Run(context.Background(), fastJob())
+		errCh <- err
+	}()
+	clk.WaitArmed(armed)
+	clk.Advance(s.opts.JobTimeout)
+	select {
+	case err := <-errCh:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("the job did not come back after its watchdog fired")
+		return nil
 	}
-	if s.Metrics().Snapshot().Timeouts != 1 {
-		t.Error("timeout counter not incremented")
+}
+
+// TestJobTimeout: a job still stalled when the clock passes JobTimeout
+// fails typed Watchdog, wrapping context.DeadlineExceeded, and is not
+// cached.
+func TestJobTimeout(t *testing.T) {
+	inj := fault.New(1, fault.Schedule{SlowRate: 1.0, SlowDelay: time.Hour})
+	clk := clock.NewFake(time.Now())
+	s := New(Options{Workers: 1, JobTimeout: time.Second, Injector: inj, clock: clk})
+	defer s.Close()
+	err := runPastTimeout(t, s, clk, 2) // the watchdog and the stall
+	if !errors.Is(err, ErrWatchdog) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrWatchdog wrapping context.DeadlineExceeded", err)
+	}
+	if n := s.Metrics().Snapshot().Timeouts; n != 1 {
+		t.Errorf("Timeouts = %d, want 1", n)
 	}
 	if s.CacheLen() != 0 {
 		t.Error("timed-out jobs must not be cached")
+	}
+}
+
+// TestAttemptRunsOnWorker: a job attempt runs on the worker goroutine.
+// While a Do job sits in an injected stall, no goroutine started by
+// executeAttempt exists, and the stalled attempt is on a goroutine New
+// started.
+func TestAttemptRunsOnWorker(t *testing.T) {
+	inj := fault.New(1, fault.Schedule{SlowRate: 1.0, SlowDelay: time.Hour})
+	clk := clock.NewFake(time.Now())
+	s := New(Options{Workers: 1, Injector: inj, clock: clk})
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, _, err := s.Do(ctx, fastJob())
+		errCh <- err
+	}()
+	clk.WaitArmed(1) // the stall
+	buf := make([]byte, 1<<20)
+	stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+	cancel()
+	<-errCh
+	for _, g := range stacks {
+		if strings.Contains(g, "created by gpucmp/internal/sched.(*Scheduler).executeAttempt") {
+			t.Errorf("a goroutine was started for the attempt:\n%s", g)
+		}
+		if strings.Contains(g, "(*Scheduler).executeIsolated") && !strings.Contains(g, "created by gpucmp/internal/sched.New") {
+			t.Errorf("the stalled attempt is not on a worker goroutine:\n%s", g)
+		}
 	}
 }
 

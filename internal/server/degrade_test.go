@@ -71,11 +71,11 @@ func TestDegradedRateMetricIsExactOrAbsent(t *testing.T) {
 		t.Fatalf("seed %d yielded no usable schedule (good=%d bad=%v)", seed, goodScale, badScales)
 	}
 	s := sched.New(sched.Options{
-		Workers:   1,
-		CacheSize: -1, // no result cache: a repeat takes the live path
-		Retry:     sched.RetryPolicy{MaxAttempts: 1},
-		Breaker:   sched.BreakerConfig{FailureThreshold: 2, CoolDown: time.Hour},
-		Injector:  fault.New(seed, schedule),
+		Workers:     1,
+		CacheSize:   -1, // no result cache: a repeat takes the live path
+		MaxAttempts: 1,
+		Breaker:     sched.BreakerConfig{FailureThreshold: 2, CoolDown: time.Hour},
+		Injector:    fault.New(seed, schedule),
 	})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(New(s).Handler())
@@ -170,11 +170,11 @@ func TestDegradationLadderStaleAnd503(t *testing.T) {
 
 	inj := fault.New(seed, schedule)
 	s := sched.New(sched.Options{
-		Workers:   1,
-		CacheSize: -1, // no result cache: repeat requests exercise the live path
-		Retry:     sched.RetryPolicy{MaxAttempts: 1},
-		Breaker:   sched.BreakerConfig{FailureThreshold: 2, CoolDown: time.Hour},
-		Injector:  inj,
+		Workers:     1,
+		CacheSize:   -1, // no result cache: repeat requests exercise the live path
+		MaxAttempts: 1,
+		Breaker:     sched.BreakerConfig{FailureThreshold: 2, CoolDown: time.Hour},
+		Injector:    inj,
 	})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(New(s).Handler())

@@ -383,7 +383,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Counter("gpucmpd_breaker_trips_total", "Circuit-breaker transitions to open.", metrics.Value(snap.BreakerTrips)),
 		metrics.Counter("gpucmpd_breaker_denials_total", "Jobs rejected by an open circuit breaker.", metrics.Value(snap.BreakerDenials)),
 		metrics.Counter("gpucmpd_watchdog_reclaims_total", "Timed-out attempts cancelled and reclaimed.", metrics.Value(snap.WatchdogReclaims)),
-		metrics.Counter("gpucmpd_watchdog_leaks_total", "Timed-out attempts abandoned after the reclaim grace.", metrics.Value(snap.WatchdogLeaks)),
 		metrics.Counter("gpucmpd_cache_corruptions_total", "Corrupted cache entries detected and evicted.", metrics.Value(snap.CacheCorruptions)),
 		metrics.Counter("gpucmpd_abandons_total", "Executions cancelled because every waiter went away.", metrics.Value(snap.Abandons)),
 		metrics.Counter("gpucmpd_warp_instrs_total", "Simulated warp instructions executed by completed jobs.", metrics.Value(snap.WarpInstrs)),
