@@ -79,30 +79,6 @@ func TestFlippedByteInMainCacheEvictsAndReexecutes(t *testing.T) {
 	}
 }
 
-func TestFlippedByteInStaleStoreReadsAsAbsent(t *testing.T) {
-	s := New(Options{Workers: 1, CacheSize: -1})
-	defer s.Close()
-	j := fastJob()
-	if _, err := s.Run(context.Background(), j); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Stale(j.Key()); !ok {
-		t.Fatal("Stale after a run must hit")
-	}
-	flipStoredByte(t, s, s.stale, j.Key())
-	if e, ok := s.Stale(j.Key()); ok {
-		t.Fatalf("Stale served a corrupted entry: %.60q", e.JSON)
-	}
-	if n := s.Metrics().Snapshot().CacheCorruptions; n != 1 {
-		t.Errorf("CacheCorruptions = %d, want 1", n)
-	}
-	// Evicted, not just skipped: a second read finds nothing to count.
-	s.Stale(j.Key())
-	if n := s.Metrics().Snapshot().CacheCorruptions; n != 1 {
-		t.Errorf("CacheCorruptions after re-read = %d, want still 1", n)
-	}
-}
-
 func TestFlippedByteInTenantCacheEvictsAndReexecutes(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
@@ -186,9 +162,9 @@ func TestUnencodableResultIsNotCachedOrServed(t *testing.T) {
 		if ran != res || runErr != nil {
 			t.Errorf("%s: Run = %v, %v, want the result", name, ran, runErr)
 		}
-		if s.CacheLen() != 0 || s.stale.len() != 0 || len(s.flight.calls) != 0 {
-			t.Errorf("%s: cache/stale/flight = %d/%d/%d entries, want none",
-				name, s.CacheLen(), s.stale.len(), len(s.flight.calls))
+		if s.CacheLen() != 0 || len(s.flight.calls) != 0 {
+			t.Errorf("%s: cache/flight = %d/%d entries, want none",
+				name, s.CacheLen(), len(s.flight.calls))
 		}
 		s.Close()
 	}

@@ -89,9 +89,9 @@ type lruCache struct {
 	byKey map[string]*list.Element
 }
 
-// entry is what every result cache (main, stale, per-tenant) holds: the
-// value handed to callers, the encoding made of it once when its execution
-// completed, and a checksum of that encoding. For benchmark jobs val is an
+// entry is what every result cache (the job cache and each tenant's)
+// holds: the value handed to callers, the encoding made of it once when
+// its execution completed, and a checksum of that encoding. For benchmark jobs val is an
 // *Encoded whose JSON is enc, so the checksum covers the very bytes a
 // client receives. An entry is never modified after it is stored — a key is
 // updated by swapping in a new entry — so a reader may verify one it

@@ -256,23 +256,6 @@ func TestCorruptedCacheEntryDetectedAndReexecuted(t *testing.T) {
 	}
 }
 
-func TestStaleStoreServesLastKnownGood(t *testing.T) {
-	s := New(Options{Workers: 1})
-	defer s.Close()
-	j := fastJob()
-	if _, ok := s.Stale(j.Key()); ok {
-		t.Fatal("Stale before any run must miss")
-	}
-	want, err := s.Run(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Stale(j.Key())
-	if !ok || got.Result != want {
-		t.Fatalf("Stale = %v/%v, want the executed result", got, ok)
-	}
-}
-
 func TestClassOfTaxonomy(t *testing.T) {
 	cases := []struct {
 		err  error

@@ -172,7 +172,6 @@ type Scheduler struct {
 	closed  bool
 	flight  *Flight[any]
 	cache   *lruCache
-	stale   *lruCache            // last known good result per key, for degraded serving
 	tenants map[string]*lruCache // per-tenant result caches for DoTask
 	quotas  *TenantQuotas
 
@@ -212,11 +211,6 @@ func New(opts Options) *Scheduler {
 	if opts.CacheSize > 0 {
 		s.cache = newLRU(opts.CacheSize)
 	}
-	staleCap := opts.CacheSize
-	if staleCap <= 0 {
-		staleCap = 4096
-	}
-	s.stale = newLRU(staleCap)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -331,7 +325,7 @@ func (s *Scheduler) cached(c *lruCache, key string) *entry {
 }
 
 // jobTask makes the task that executes j for the callers of call. A good
-// result goes into the result cache and the stale store.
+// result goes into the result cache.
 func (s *Scheduler) jobTask(call *Call[any], j Job, key string) *task {
 	return &task{call: call, label: j.Benchmark,
 		run: func(ctx context.Context) (any, *entry, error) {
@@ -349,8 +343,6 @@ func (s *Scheduler) jobTask(call *Call[any], j Job, key string) *task {
 				}
 				s.cache.add(cached)
 			}
-			// Remember the last known good result for degraded serving.
-			s.stale.add(good)
 		},
 	}
 }
@@ -381,19 +373,6 @@ func (s *Scheduler) settle(key string, res *bench.Result, err error) (any, *entr
 			wrapClass(Permanent, fmt.Errorf("sched: job %s: result cannot be served: %w", key, err))
 	}
 	return enc, newEntry(key, enc, enc.JSON), nil
-}
-
-// Stale returns the last known good result for a key, if any — the
-// degraded-serving fallback when the live path is unavailable. Stale
-// entries are verified like any other, so a corrupted one reads as absent.
-func (s *Scheduler) Stale(key string) (*Encoded, bool) {
-	s.mu.Lock()
-	e := s.cached(s.stale, key)
-	s.mu.Unlock()
-	if e == nil {
-		return nil, false
-	}
-	return e.val.(*Encoded), true
 }
 
 // DoTask runs an arbitrary deterministic function on the worker pool with

@@ -29,8 +29,8 @@ type coexecRequest struct {
 }
 
 // coexecResponse mirrors the /run reply: the report plus how it was served,
-// with the run's degraded state lifted to the top level so clients can
-// treat it uniformly with /run degradation.
+// with the run's degraded state (a device lost mid-run) lifted to the top
+// level.
 type coexecResponse struct {
 	Report         *coexec.Report `json:"report"`
 	OutputChecksum string         `json:"output_checksum"` // fnv64a over the merged words

@@ -6,10 +6,8 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -45,10 +43,7 @@ type Server struct {
 	// uncached figure regeneration interactive.
 	figureScale int
 
-	// Degradation counters: how /run requests were served when the live
-	// path was unavailable.
-	degradedStale atomic.Uint64 // stale last-known-good results served
-	unavailable   atomic.Uint64 // 503s: nothing could be served
+	unavailable atomic.Uint64 // /run 503s: the live path failed
 
 	// /kernels counters.
 	gauntletRejects atomic.Uint64 // submissions refused before execution
@@ -112,8 +107,8 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// /healthz reflects the per-device circuit breakers: the service is
-	// "degraded" (still 200 — it serves fallbacks) while any breaker is
-	// away from closed.
+	// "degraded" (still 200 — cached results and other devices are still
+	// served) while any breaker is away from closed.
 	breakers := s.sched.Breakers()
 	status := "ok"
 	for _, b := range breakers {
@@ -222,49 +217,35 @@ func (s *Server) handleCompilerPasses(w http.ResponseWriter, r *http.Request) {
 //
 //	{"result":{...}             res.JSON, unchanged
 //	,"cached":true              exactly when served is "hit"
-//	,"served":"hit"             "miss", "hit", "shared" or "degraded"
-//	,"degraded":true            the rest only on a degraded reply:
-//	,"degraded_mode":"stale"    always "stale"
-//	,"degraded_cause":"..."     why the live path failed
+//	,"served":"hit"             "miss", "hit" or "shared"
 //	}
-//
-// A degraded reply marks a result that did NOT come from this request's
-// live (or cached-live) path: a stale last-known-good entry, served
-// because the live path was unavailable.
 //
 // The result is neither encoded nor copied here: res.JSON was made once,
 // when the execution completed, as json.Marshal of the result. The reply
-// is a fixed head, those bytes and a short tail, written as three writes
-// under one Content-Length. served and degradedMode come from fixed
-// vocabularies and need no escaping; the cause is free text and gets it.
-func writeRun(w http.ResponseWriter, res *sched.Encoded, served, degradedMode, degradedCause string) {
-	const head = `{"result":`
-	tail := make([]byte, 0, 112+len(degradedCause))
-	tail = append(tail, `,"cached":`...)
-	tail = strconv.AppendBool(tail, served == "hit")
-	tail = append(tail, `,"served":"`...)
-	tail = append(tail, served...)
-	tail = append(tail, '"')
-	if degradedMode != "" {
-		tail = append(tail, `,"degraded":true,"degraded_mode":"`...)
-		tail = append(tail, degradedMode...)
-		tail = append(tail, '"')
-		if degradedCause != "" {
-			cause, _ := json.Marshal(degradedCause) // a string always encodes
-			tail = append(tail, `,"degraded_cause":`...)
-			tail = append(tail, cause...)
-		}
-	}
-	tail = append(tail, "}\n"...)
-	w.Header().Set("X-Cache", served)
+// is a fixed head, those bytes and the outcome's fixed tail, written as
+// three writes under one Content-Length.
+func writeRun(w http.ResponseWriter, res *sched.Encoded, o sched.Outcome) {
+	tail := runTails[o]
+	w.Header().Set("X-Cache", o.String())
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(res.JSON)+len(tail)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(runHead)+len(res.JSON)+len(tail)))
 	w.WriteHeader(http.StatusOK)
 	// A write error means the client went away; there is nothing to do.
-	io.WriteString(w, head) //nolint:errcheck
-	w.Write(res.JSON)       //nolint:errcheck
-	w.Write(tail)           //nolint:errcheck
+	w.Write(runHead)  //nolint:errcheck
+	w.Write(res.JSON) //nolint:errcheck
+	w.Write(tail)     //nolint:errcheck
 }
+
+// runHead and runTails are the bytes around a /run reply's result: one
+// tail per sched.Outcome.
+var (
+	runHead  = []byte(`{"result":`)
+	runTails = [...][]byte{
+		sched.Miss:   []byte(`,"cached":false,"served":"miss"}` + "\n"),
+		sched.Hit:    []byte(`,"cached":true,"served":"hit"}` + "\n"),
+		sched.Shared: []byte(`,"cached":false,"served":"shared"}` + "\n"),
+	}
+)
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	body, ok := ReadBody(w, r, maxRunBody)
@@ -276,41 +257,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, outcome, err := s.sched.Do(r.Context(), job)
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The client went away; nothing sensible to serve.
-			WriteError(w, http.StatusInternalServerError, codeInternal, err)
-			return
-		}
-		switch sched.ClassOf(err) {
-		case sched.Permanent:
-			// Deterministic failure: degrading would mask a real answer.
-			WriteError(w, http.StatusInternalServerError, codeInternal, err)
-		default:
-			// Transient, watchdog or breaker-open: walk the degradation
-			// ladder instead of failing the request.
-			s.serveDegraded(w, job, err)
-		}
-		return
+	switch {
+	case err == nil:
+		writeRun(w, res, outcome)
+	case r.Context().Err() != nil || sched.ClassOf(err) == sched.Permanent:
+		// The client went away, or a deterministic failure that asking
+		// again would repeat.
+		WriteError(w, http.StatusInternalServerError, codeInternal, err)
+	default:
+		// Transient, watchdog or breaker-open, after the scheduler's
+		// retries. A cached result never gets here (Do serves it before
+		// the breaker is asked), so there is nothing to serve.
+		s.writeUnavailable(w, err)
 	}
-	writeRun(w, res, outcome.String(), "", "")
 }
 
-// serveDegraded is the tail of the degradation ladder (retry and breaker
-// already happened inside the scheduler): stale cache entry → 503 +
-// Retry-After. A degraded answer is exact or absent: simulation is
-// deterministic, so the stale entry, read through the scheduler's
-// verified lookup, holds the bytes a live run would produce. A served
-// entry carries an explicit Degraded marker so clients can tell it from
-// a live run.
-func (s *Server) serveDegraded(w http.ResponseWriter, job sched.Job, cause error) {
-	if res, ok := s.sched.Stale(job.Key()); ok {
-		s.degradedStale.Add(1)
-		writeRun(w, res, "degraded", "stale", cause.Error())
-		return
-	}
-	// Nothing can be served. 503 with a Retry-After hint — the breaker's
-	// remaining cool-down when that is the blocker.
+// writeUnavailable answers a /run whose live path failed: a typed 503
+// with a Retry-After hint, the breaker's remaining cool-down when that is
+// the blocker.
+func (s *Server) writeUnavailable(w http.ResponseWriter, cause error) {
 	s.unavailable.Add(1)
 	retryAfter := 5.0
 	var boe *sched.BreakerOpenError
@@ -382,14 +347,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Counter("gpucmpd_retries_total", "Transient job failures retried.", metrics.Value(snap.Retries)),
 		metrics.Counter("gpucmpd_breaker_trips_total", "Circuit-breaker transitions to open.", metrics.Value(snap.BreakerTrips)),
 		metrics.Counter("gpucmpd_breaker_denials_total", "Jobs rejected by an open circuit breaker.", metrics.Value(snap.BreakerDenials)),
-		metrics.Counter("gpucmpd_watchdog_reclaims_total", "Timed-out attempts cancelled and reclaimed.", metrics.Value(snap.WatchdogReclaims)),
+		metrics.Counter("gpucmpd_watchdog_reclaims_total", "Attempts cancelled and reclaimed: timed out, or abandoned by every caller.", metrics.Value(snap.WatchdogReclaims)),
 		metrics.Counter("gpucmpd_cache_corruptions_total", "Corrupted cache entries detected and evicted.", metrics.Value(snap.CacheCorruptions)),
 		metrics.Counter("gpucmpd_abandons_total", "Executions cancelled because every waiter went away.", metrics.Value(snap.Abandons)),
 		metrics.Counter("gpucmpd_warp_instrs_total", "Simulated warp instructions executed by completed jobs.", metrics.Value(snap.WarpInstrs)),
 		metrics.Counter("gpucmpd_lane_instrs_total", "Simulated lane (thread) instructions executed by completed jobs.", metrics.Value(snap.LaneInstrs)),
-		metrics.Counter("gpucmpd_degraded_total", "Requests served degraded, by fallback mode.",
-			metrics.Value(s.degradedStale.Load(), "mode", "stale")),
-		metrics.Counter("gpucmpd_unavailable_total", "Requests that got 503: no fallback could serve them.", metrics.Value(s.unavailable.Load())),
+		metrics.Counter("gpucmpd_unavailable_total", "Run requests that got 503: not cached, and the live path failed.", metrics.Value(s.unavailable.Load())),
 		metrics.Gauge("gpucmpd_breaker_state", "Per-device breaker state (0=closed, 1=half-open, 2=open).",
 			metrics.Rows(s.sched.Breakers(), "device", func(b sched.BreakerSnapshot) (string, int) { return b.Device, sched.BreakerGauge(b.State) })...),
 		metrics.Counter("gpucmpd_tasks_total", "Generic tenant tasks (kernel submissions) executed.", metrics.Value(snap.TasksRun)),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -34,10 +35,6 @@ type runResponse struct {
 	Result *bench.Result `json:"result"`
 	Cached bool          `json:"cached"`
 	Served string        `json:"served"`
-
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradedMode  string `json:"degraded_mode,omitempty"`
-	DegradedCause string `json:"degraded_cause,omitempty"`
 }
 
 // reference is what writeJSON would have put on the wire for v.
@@ -60,8 +57,8 @@ func mustEncode(t testing.TB, res *bench.Result) *sched.Encoded {
 }
 
 // TestWriteRunMatchesEncoder holds the assembled reply to the encoder's
-// output over the result shapes and serving markers that change the
-// document's structure.
+// output over the result shapes that change the document's structure and
+// the three outcomes a reply can carry.
 func TestWriteRunMatchesEncoder(t *testing.T) {
 	ok := &bench.Result{
 		Benchmark: "Reduce", Toolchain: "opencl", Device: "GeForce GTX480",
@@ -82,21 +79,19 @@ func TestWriteRunMatchesEncoder(t *testing.T) {
 		"zero value":    {},
 		"empty reports": {Correct: true, Kernels: []bench.KernelReport{{PassStats: []ptx.PassStat{}, Remarks: []ptx.Remark{}}}},
 	}
-	markers := []runResponse{
-		{Served: "miss"},
-		{Served: "hit", Cached: true},
-		{Served: "shared"},
-		{Served: "degraded", Degraded: true, DegradedMode: "stale", DegradedCause: "sched: circuit breaker open for device <GTX480> & \"co\"\n"},
-		{Served: "degraded", Degraded: true, DegradedMode: "stale"},
+	markers := map[sched.Outcome]runResponse{
+		sched.Miss:   {Served: "miss"},
+		sched.Hit:    {Served: "hit", Cached: true},
+		sched.Shared: {Served: "shared"},
 	}
 	for name, res := range results {
-		for _, m := range markers {
+		for o, m := range markers {
 			m.Result = res
 			want := reference(t, m)
 			rec := httptest.NewRecorder()
-			writeRun(rec, mustEncode(t, res), m.Served, m.DegradedMode, m.DegradedCause)
+			writeRun(rec, mustEncode(t, res), o)
 			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
-				t.Errorf("%s served %s/%s:\n got %q\nwant %q", name, m.Served, m.DegradedMode, got, want)
+				t.Errorf("%s served %s:\n got %q\nwant %q", name, m.Served, got, want)
 			}
 			if rec.Code != http.StatusOK {
 				t.Errorf("%s: status %d", name, rec.Code)
@@ -152,8 +147,8 @@ func checkWire(t *testing.T, what string, resp *http.Response, body []byte, want
 }
 
 // TestRunWireGolden drives real jobs through the handler and checks that a
-// miss, a hit, a shared join and the stale rung each put on the wire
-// exactly what json.Encoder produces for the same runResponse.
+// miss, a hit and a shared join each put on the wire exactly what
+// json.Encoder produces for the same runResponse.
 func TestRunWireGolden(t *testing.T) {
 	t.Run("miss and hit", func(t *testing.T) {
 		ts, s := newTestServer(t)
@@ -161,10 +156,7 @@ func TestRunWireGolden(t *testing.T) {
 			job := sched.Job{Benchmark: name, Device: "GeForce GTX480", Toolchain: "opencl", Config: bench.Config{Scale: 16}}
 			missResp, miss := postRaw(t, ts.URL, job)
 			hitResp, hit := postRaw(t, ts.URL, job)
-			e, ok := s.Stale(job.Key())
-			if !ok {
-				t.Fatalf("%s: nothing stored", name)
-			}
+			e := storedResult(t, s, job)
 			checkWire(t, name+" miss", missResp, miss, runResponse{Result: e.Result, Served: "miss"})
 			checkWire(t, name+" hit", hitResp, hit, runResponse{Result: e.Result, Served: "hit", Cached: true})
 		}
@@ -194,10 +186,10 @@ func TestRunWireGolden(t *testing.T) {
 		}
 		resps[1], bodies[1] = postRaw(t, ts.URL, job)
 		wg.Wait()
-		e, ok := s.Stale(job.Key())
-		if !ok || t.Failed() {
-			t.Fatal("nothing stored")
+		if t.Failed() {
+			t.FailNow()
 		}
+		e := storedResult(t, s, job)
 		served := map[string]bool{}
 		for i, resp := range resps {
 			xc := resp.Header.Get("X-Cache")
@@ -208,51 +200,17 @@ func TestRunWireGolden(t *testing.T) {
 			t.Errorf("served %v, want one miss and one shared join", served)
 		}
 	})
+}
 
-	t.Run("stale", func(t *testing.T) {
-		// Find a job whose first launch is clean (it fills the stale
-		// store) and whose second hangs: the watchdog failure is served
-		// from the stale rung.
-		const seed = 5
-		schedule := fault.Schedule{HangRate: 0.5}
-		probe := fault.New(seed, schedule)
-		var job sched.Job
-		for scale := 16; ; scale++ {
-			if scale == 64 {
-				t.Fatalf("seed %d yields no clean-then-hang job", seed)
-			}
-			job = sched.Job{Benchmark: "Sobel", Device: "GeForce GTX480", Toolchain: "opencl", Config: bench.Config{Scale: scale}}
-			if probe.Launch(job.Key()) == nil && probe.Launch(job.Key()) != nil {
-				break
-			}
-		}
-		s := sched.New(sched.Options{
-			Workers: 1, CacheSize: -1, JobTimeout: 300 * time.Millisecond,
-			Breaker: sched.BreakerConfig{Disabled: true}, Injector: fault.New(seed, schedule),
-		})
-		t.Cleanup(s.Close)
-		ts := httptest.NewServer(New(s).Handler())
-		t.Cleanup(ts.Close)
-
-		liveResp, live := postRaw(t, ts.URL, job)
-		staleResp, stale := postRaw(t, ts.URL, job)
-		e, ok := s.Stale(job.Key())
-		if !ok {
-			t.Fatal("nothing stored")
-		}
-		checkWire(t, "live", liveResp, live, runResponse{Result: e.Result, Served: "miss"})
-		var got runResponse
-		if err := json.Unmarshal(stale, &got); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(got.DegradedCause, "deadline") {
-			t.Errorf("cause = %q, want the watchdog's", got.DegradedCause)
-		}
-		checkWire(t, "stale", staleResp, stale, runResponse{
-			Result: e.Result, Served: "degraded",
-			Degraded: true, DegradedMode: "stale", DegradedCause: got.DegradedCause,
-		})
-	})
+// storedResult is the result the scheduler's cache holds for job: a hit
+// returns the stored *Encoded itself.
+func storedResult(t *testing.T, s *sched.Scheduler, job sched.Job) *sched.Encoded {
+	t.Helper()
+	e, o, err := s.Do(context.Background(), job)
+	if err != nil || o != sched.Hit {
+		t.Fatalf("%s: Do = %v, %v: want a hit on the stored result", job.Benchmark, o, err)
+	}
+	return e
 }
 
 // discard is the least a ResponseWriter can be, so that what
@@ -273,15 +231,16 @@ func sizedResult(n int) *bench.Result {
 }
 
 // TestWriteRunAllocsDoNotGrowWithResult pins the reply assembly to a small
-// constant number of allocations — the tail buffer and the header values —
-// whatever the result's size: no encoder runs on a hit.
+// constant number of allocations — the three header values and the
+// Content-Length digits — whatever the result's size: no encoder runs on a
+// hit, and head and tail are fixed bytes.
 func TestWriteRunAllocsDoNotGrowWithResult(t *testing.T) {
 	for _, n := range []int{10 << 10, 143 << 10} {
 		e := mustEncode(t, sizedResult(n))
 		w := discard{h: http.Header{}}
-		allocs := testing.AllocsPerRun(100, func() { writeRun(w, e, "hit", "", "") })
-		if allocs > 6 {
-			t.Errorf("%d-byte result: %.0f allocations per reply, want a constant <= 6", len(e.JSON), allocs)
+		allocs := testing.AllocsPerRun(100, func() { writeRun(w, e, sched.Hit) })
+		if allocs > 4 {
+			t.Errorf("%d-byte result: %.0f allocations per reply, want a constant <= 4", len(e.JSON), allocs)
 		}
 	}
 }
@@ -321,7 +280,7 @@ func TestWriteRunDoesNotCopyResult(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < replies; i++ {
-				writeRun(w, e, "hit", "", "")
+				writeRun(w, e, sched.Hit)
 			}
 			runtime.ReadMemStats(&after)
 			fewest = min(fewest, (after.TotalAlloc-before.TotalAlloc)/replies)

@@ -60,10 +60,13 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 // patterns XXX and ^$. A code span that is only a test, example,
 // benchmark or fuzz function's name, `pkg.`-qualified or not, must name a
 // real one; a trailing * makes it a prefix, and a trailing {A,B} group
-// names one function per member.
+// names one function per member. Every gpucmpd_ metric named in the
+// documents' code must be a family the worker or the coordinator exports
+// (a # TYPE line of a /metrics golden); a trailing _ makes it a prefix.
 func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 	flags := commandFlags(t)
 	tests := testNames(t)
+	families := metricFamilies(t)
 	ids := map[string]bool{"fair": true, "profile": true, "passes": true}
 	for _, id := range core.FigureIDs() {
 		ids[id] = true
@@ -90,6 +93,7 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 			checkFlags(t, doc, code, flags)
 			checkTestPatterns(t, doc, code, tests)
 			checkTestName(t, doc, code, tests)
+			checkMetricNames(t, doc, code, families)
 		}
 		for _, m := range paper.FindAllStringSubmatch(text, -1) {
 			args := strings.Fields(quoted.ReplaceAllString(m[1], "_"))
@@ -145,6 +149,9 @@ var (
 	// testName is a code fragment that is only a function name: an
 	// optional package qualifier, the name, then * or a {A,B} group.
 	testName = regexp.MustCompile(`^(?:[a-z]\w*\.)?((Test|Example|Benchmark|Fuzz)\w*)(\*|\{\w+(?:,\w+)+\})?$`)
+	// metricName is a gpucmpd_ metric name; typeLine declares a family.
+	metricName = regexp.MustCompile(`\bgpucmpd_\w*`)
+	typeLine   = regexp.MustCompile(`(?m)^# TYPE (\S+) `)
 )
 
 // commandFlags returns, for each command under cmd/, the flags its
@@ -286,4 +293,39 @@ func matchesAny(re *regexp.Regexp, kinds []string, tests map[string][]string) bo
 		}
 	}
 	return false
+}
+
+// metricFamilies returns the metric families the worker and the
+// coordinator export, as their /metrics goldens declare them.
+func metricFamilies(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for _, f := range []string{"worker_metrics.golden", "coordinator_metrics.golden"} {
+		b, err := os.ReadFile(filepath.Join("internal", "cluster", "testdata", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range typeLine.FindAllStringSubmatch(string(b), -1) {
+			out = append(out, m[1])
+		}
+	}
+	return out
+}
+
+// checkMetricNames reports each gpucmpd_ metric a code fragment names that
+// is not an exported family, or, ending in _, the prefix of none.
+func checkMetricNames(t *testing.T, doc, code string, families []string) {
+	t.Helper()
+	for _, name := range metricName.FindAllString(code, -1) {
+		found := false
+		for _, f := range families {
+			if f == name || strings.HasSuffix(name, "_") && strings.HasPrefix(f, name) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("%s: `%s` names %s, which no /metrics family is", doc, code, name)
+		}
+	}
 }
