@@ -5,7 +5,10 @@
 // cost model (launch overhead, transfer link) with a simulated device. A
 // run reports its launch traces and the work its metric counts; Spec.Run
 // prices every run from those, and Spec.Price re-prices one under another
-// toolchain's costs without simulating it again.
+// toolchain's costs without simulating it again. A run's host side, its
+// generated inputs and the reference its output is checked against,
+// depends only on the problem shape and is built once per shape
+// (hostData).
 // NativeConfig captures the per-toolchain implementation choices the paper
 // documents (texture memory in the CUDA MD/SPMV, constant memory in the
 // OpenCL Sobel, unroll pragma placement in FDTD).
@@ -39,6 +42,9 @@ type Driver interface {
 	Arch() *arch.Device
 	Alloc(bytes uint32) (Buf, error)
 	Write(dst Buf, words []uint32) error
+	// Zero writes n zero words to the start of dst, charged as Write of n
+	// words would be.
+	Zero(dst Buf, n int) error
 	Read(dst []uint32, src Buf) error
 	Build(kernels ...*kir.Kernel) (Module, error)
 	// Launch runs a kernel on grid x block work-groups (an OpenCL NDRange

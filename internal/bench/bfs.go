@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"gpucmp/internal/kir"
 	"gpucmp/internal/sim"
 	"gpucmp/internal/workload"
@@ -80,47 +82,69 @@ func bfsRef(g *workload.Graph, src int) []uint32 {
 	return cost
 }
 
+// bfsBlock is the work-group width of both BFS kernels.
+const bfsBlock = 256
+
+// bfsData is BFS's host side at one node count.
+type bfsData struct {
+	starts, edges []uint32 // the CSR graph
+	// frontier spans the whole grid: kir.LAnd does not short-circuit, so
+	// both kernels' tail work-items (tid >= nodes) load frontier[tid] and
+	// updating[tid], and that tail stays 0.
+	frontier, visited []uint32
+	want              []uint32 // levels; unreachable nodes keep cost 0, as on the device
+}
+
+// bfsHost builds the graph, the initial flags and the reference levels.
+func bfsHost(nodes int) *bfsData {
+	const src = 0
+	g := workload.RandomGraph(nodes, 8, 67)
+	h := &bfsData{
+		starts:   g.Starts,
+		edges:    g.Edges,
+		frontier: make([]uint32, (nodes+bfsBlock-1)/bfsBlock*bfsBlock),
+		visited:  make([]uint32, nodes),
+		want:     bfsRef(g, src),
+	}
+	h.frontier[src], h.visited[src] = 1, 1
+	for i, w := range h.want {
+		if w == ^uint32(0) {
+			h.want[i] = 0
+		}
+	}
+	return h
+}
+
 // runBFS measures breadth-first search (Table II metric: seconds). The
 // level-synchronous loop launches two kernels per level, which is why the
 // paper attributes BFS's CUDA-vs-OpenCL gap to kernel-launch overhead.
 func runBFS(d Driver, cfg Config) *Result {
-	nodes := cfg.scale(32 * 1024)
-	if nodes < 64 {
-		nodes = 64
-	}
-	g := workload.RandomGraph(nodes, 8, 67)
-	const src = 0
+	nodes := max(cfg.scale(32*1024), 64)
+	h := hostData("BFS", nodes, bfsHost)
 
 	mod, err := d.Build(bfsVisitKernel(), bfsUpdateKernel())
 	if err != nil {
 		return abort(d, err)
 	}
-	startsBuf, err := allocWrite(d, g.Starts)
+	startsBuf, err := allocWrite(d, h.starts)
 	if err != nil {
 		return abort(d, err)
 	}
-	edgesBuf, err := allocWrite(d, g.Edges)
+	edgesBuf, err := allocWrite(d, h.edges)
 	if err != nil {
 		return abort(d, err)
 	}
-	// kir.LAnd does not short-circuit, so both kernels' tail work-items
-	// (tid >= nodes) load frontier[tid] and updating[tid]: those two arrays
-	// span the whole grid, and their tail stays 0.
-	block := sim.Dim3{X: 256, Y: 1}
-	grid := sim.Dim3{X: (nodes + 255) / 256, Y: 1}
-	frontierInit := make([]uint32, grid.X*block.X)
-	frontierInit[src] = 1
-	frontierBuf, err := allocWrite(d, frontierInit)
+	block := sim.Dim3{X: bfsBlock, Y: 1}
+	grid := sim.Dim3{X: len(h.frontier) / bfsBlock, Y: 1}
+	frontierBuf, err := allocWrite(d, h.frontier)
 	if err != nil {
 		return abort(d, err)
 	}
-	updatingBuf, err := allocZero(d, grid.X*block.X)
+	updatingBuf, err := allocZero(d, len(h.frontier))
 	if err != nil {
 		return abort(d, err)
 	}
-	visitedInit := make([]uint32, nodes)
-	visitedInit[src] = 1
-	visitedBuf, err := allocWrite(d, visitedInit)
+	visitedBuf, err := allocWrite(d, h.visited)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -158,18 +182,5 @@ func runBFS(d Driver, cfg Config) *Result {
 	if err != nil {
 		return abort(d, err)
 	}
-	want := bfsRef(g, src)
-	correct := true
-	for i := range want {
-		w := want[i]
-		if w == ^uint32(0) {
-			w = 0 // unreachable nodes keep cost 0 in the device arrays
-		}
-		if got[i] != w {
-			correct = false
-			break
-		}
-	}
-
-	return result(d, 0, correct)
+	return result(d, 0, slices.Equal(got, h.want))
 }

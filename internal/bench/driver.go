@@ -93,9 +93,10 @@ var simCodes = []struct {
 }
 
 // driver is the host runtime of every toolchain: one Toolchain value and
-// one simulated device. The simulated clock, transfer charging, argument
-// resolution and constant staging are shared; what differs between
-// toolchains is the value's fields.
+// one simulated device. The simulated clock, transfer charging (Write,
+// Read, and Zero, which clears a buffer inside device memory at the price
+// of writing its zeros), argument resolution and constant staging are
+// shared; what differs between toolchains is the value's fields.
 type driver struct {
 	tc  Toolchain
 	dev *sim.Device
@@ -156,13 +157,35 @@ func (d *driver) Alloc(bytes uint32) (Buf, error) {
 
 // Write copies host words to the device and charges the transfer.
 func (d *driver) Write(dst Buf, words []uint32) error {
-	if uint32(4*len(words)) > dst.Size {
-		return d.fail(clInvalidValue, fmt.Errorf("bench: write of %d words overflows a %d-byte buffer", len(words), dst.Size))
+	if err := d.fits(dst, len(words)); err != nil {
+		return err
 	}
 	if err := d.dev.Global.WriteWords(dst.Addr, words); err != nil {
 		return err
 	}
 	d.charge(len(words))
+	return nil
+}
+
+// Zero clears the first n words of dst inside device memory and charges
+// exactly what Write of n zero words charges, so a fresh buffer is
+// zero-filled without a host slice of zeros.
+func (d *driver) Zero(dst Buf, n int) error {
+	if err := d.fits(dst, n); err != nil {
+		return err
+	}
+	if err := d.dev.Global.ZeroWords(dst.Addr, n); err != nil {
+		return err
+	}
+	d.charge(n)
+	return nil
+}
+
+// fits rejects a write of n words that overflows dst.
+func (d *driver) fits(dst Buf, n int) error {
+	if uint32(4*n) > dst.Size {
+		return d.fail(clInvalidValue, fmt.Errorf("bench: write of %d words overflows a %d-byte buffer", n, dst.Size))
+	}
 	return nil
 }
 

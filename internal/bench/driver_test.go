@@ -113,6 +113,23 @@ func TestNewDriverRejectsUnknownToolchain(t *testing.T) {
 	}
 }
 
+func wordsF32(src []uint32) []float32 {
+	out := make([]float32, len(src))
+	for i, w := range src {
+		out[i] = math.Float32frombits(w)
+	}
+	return out
+}
+
+// readF32 downloads n floats.
+func readF32(d Driver, b Buf, n int) ([]float32, error) {
+	w, err := readWords(d, b, n)
+	if err != nil {
+		return nil, err
+	}
+	return wordsF32(w), nil
+}
+
 // TestF32Words: floats survive the trip to raw words and back bit for
 // bit, and a word is the IEEE-754 encoding of its float.
 func TestF32Words(t *testing.T) {

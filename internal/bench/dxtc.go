@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"gpucmp/internal/kir"
 	"gpucmp/internal/sim"
 	"gpucmp/internal/workload"
@@ -129,6 +131,17 @@ func dxtcRef(img []uint32, w, h int) []uint32 {
 	return out
 }
 
+// dxtcData is DXTC's host side at one image size.
+type dxtcData struct {
+	img, want []uint32 // RGBA texels; two words per compressed block
+}
+
+// dxtcHost builds the image and its reference compression.
+func dxtcHost(wh [2]int) *dxtcData {
+	img := workload.RGBAImage(wh[0], wh[1], 53)
+	return &dxtcData{img: img, want: dxtcRef(img, wh[0], wh[1])}
+}
+
 // runDXTC measures DXT compression throughput in MPixels/sec (Table II).
 func runDXTC(d Driver, cfg Config) *Result {
 	w := cfg.scale(512)
@@ -137,7 +150,7 @@ func runDXTC(d Driver, cfg Config) *Result {
 		w, h = 64, 64
 	}
 	w, h = (w/4)*4, (h/4)*4
-	img := workload.RGBAImage(w, h, 53)
+	host := hostData("DXTC", [2]int{w, h}, dxtcHost)
 	nblocks := (w / 4) * (h / 4)
 
 	k := DXTCKernel()
@@ -145,7 +158,7 @@ func runDXTC(d Driver, cfg Config) *Result {
 	if err != nil {
 		return abort(d, err)
 	}
-	imgBuf, err := allocWrite(d, img)
+	imgBuf, err := allocWrite(d, host.img)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -166,14 +179,5 @@ func runDXTC(d Driver, cfg Config) *Result {
 	if err != nil {
 		return abort(d, err)
 	}
-	want := dxtcRef(img, w, h)
-	correct := true
-	for i := range want {
-		if got[i] != want[i] {
-			correct = false
-			break
-		}
-	}
-
-	return result(d, float64(w*h), correct)
+	return result(d, float64(w*h), slices.Equal(got, host.want))
 }

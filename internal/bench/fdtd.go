@@ -137,6 +137,27 @@ func fdtdRef(in []float32, w, h, zdim int) []float32 {
 	return out
 }
 
+// fdtdCoeffWords is fdtdCoeffs as the words Write uploads.
+var fdtdCoeffWords = F32Words(fdtdCoeffs)
+
+// fdtdDimz is the number of z-planes the kernel steps through; the input
+// is padded by fdtdRadius planes below and fdtdRadius+1 above.
+const fdtdDimz = 32
+
+// fdtdData is FDTD's host side at one plane size.
+type fdtdData struct {
+	vol  []uint32 // the padded input volume, in words
+	want []float32
+}
+
+// fdtdHost builds the padded volume and its reference step.
+func fdtdHost(wh [2]int) *fdtdData {
+	w, h := wh[0], wh[1]
+	zdim := fdtdDimz + 2*fdtdRadius + 1
+	vol := workload.NewRNG(43).Floats(w*h*zdim, -1, 1)
+	return &fdtdData{vol: F32Words(vol), want: fdtdRef(vol, w, h, zdim)}
+}
+
 // runFDTD measures FDTD throughput in MPoints/sec (Table II) with the
 // unroll-point placement selected by cfg.UnrollA / cfg.UnrollB.
 func runFDTD(d Driver, cfg Config) *Result {
@@ -146,24 +167,22 @@ func runFDTD(d Driver, cfg Config) *Result {
 		w, h = 4*fdtdRadius, 4*fdtdRadius
 	}
 	w, h = (w/fdtdBlock)*fdtdBlock, (h/fdtdBlock)*fdtdBlock
-	dimz := 32
-	zdim := dimz + 2*fdtdRadius + 1 // padded input depth
-	vol := workload.NewRNG(43).Floats(w*h*zdim, -1, 1)
+	host := hostData("FDTD", [2]int{w, h}, fdtdHost)
 
 	k := FDTDKernel(cfg.UnrollA, cfg.UnrollB)
 	mod, err := d.Build(k)
 	if err != nil {
 		return abort(d, err)
 	}
-	inBuf, err := allocWriteF(d, vol)
+	inBuf, err := allocWrite(d, host.vol)
 	if err != nil {
 		return abort(d, err)
 	}
-	outBuf, err := allocWriteF(d, vol)
+	outBuf, err := allocWrite(d, host.vol)
 	if err != nil {
 		return abort(d, err)
 	}
-	coefBuf, err := allocWriteF(d, fdtdCoeffs)
+	coefBuf, err := allocWrite(d, fdtdCoeffWords)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -172,21 +191,20 @@ func runFDTD(d Driver, cfg Config) *Result {
 	block := sim.Dim3{X: fdtdBlock, Y: fdtdBlock}
 	grid := sim.Dim3{X: w / fdtdBlock, Y: h / fdtdBlock}
 	if err := d.Launch(mod, "fdtd", grid, block,
-		B(inBuf), B(outBuf), B(coefBuf), V(uint32(w)), V(uint32(h)), V(uint32(dimz))); err != nil {
+		B(inBuf), B(outBuf), B(coefBuf), V(uint32(w)), V(uint32(h)), V(uint32(fdtdDimz))); err != nil {
 		return abort(d, err)
 	}
 
-	got, err := readF32(d, outBuf, w*h*zdim)
+	got, err := readWords(d, outBuf, len(host.vol))
 	if err != nil {
 		return abort(d, err)
 	}
-	want := fdtdRef(vol, w, h, zdim)
 	correct := true
-	for z := fdtdRadius; z < fdtdRadius+dimz && correct; z++ {
+	for z := fdtdRadius; z < fdtdRadius+fdtdDimz && correct; z++ {
 		for y := fdtdRadius; y < h-fdtdRadius; y++ {
 			for x := fdtdRadius; x < w-fdtdRadius; x++ {
 				i := z*w*h + y*w + x
-				if !f32eq(got[i], want[i], 1e-3) {
+				if !f32eq(bitsF32(got[i]), host.want[i], 1e-3) {
 					correct = false
 					break
 				}
@@ -194,6 +212,6 @@ func runFDTD(d Driver, cfg Config) *Result {
 		}
 	}
 
-	points := float64(w * h * dimz)
+	points := float64(w * h * fdtdDimz)
 	return result(d, points, correct)
 }

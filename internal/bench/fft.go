@@ -135,22 +135,41 @@ func fftRef(re, im []float32) (outRe, outIm []float32) {
 
 func m(s int) uint32 { return 1 << uint(s) }
 
+// fftData is FFT's host side at one batch size.
+type fftData struct {
+	re, im         []uint32 // the signals, in words
+	wantRe, wantIm []float32
+}
+
+// fftHost builds the signal batch and each signal's reference transform.
+func fftHost(batch int) *fftData {
+	re, im := workload.SignalBatch(batch, fftN, 17)
+	h := &fftData{re: F32Words(re), im: F32Words(im),
+		wantRe: make([]float32, 0, len(re)), wantIm: make([]float32, 0, len(im))}
+	for bi := 0; bi < batch; bi++ {
+		wr, wi := fftRef(re[bi*fftN:(bi+1)*fftN], im[bi*fftN:(bi+1)*fftN])
+		h.wantRe = append(h.wantRe, wr...)
+		h.wantIm = append(h.wantIm, wi...)
+	}
+	return h
+}
+
 // runFFT measures batched-FFT throughput in GFlops/sec using the standard
 // 5·N·log2(N) operation count (Table II).
 func runFFT(d Driver, cfg Config) *Result {
 	batch := cfg.scale(256)
-	re, im := workload.SignalBatch(batch, fftN, 17)
+	h := hostData("FFT", batch, fftHost)
 
 	k := FFTKernel()
 	mod, err := d.Build(k)
 	if err != nil {
 		return abort(d, err)
 	}
-	inRe, err := allocWriteF(d, re)
+	inRe, err := allocWrite(d, h.re)
 	if err != nil {
 		return abort(d, err)
 	}
-	inIm, err := allocWriteF(d, im)
+	inIm, err := allocWrite(d, h.im)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -169,24 +188,15 @@ func runFFT(d Driver, cfg Config) *Result {
 		return abort(d, err)
 	}
 
-	gotRe, err := readF32(d, outRe, batch*fftN)
+	gotRe, err := readWords(d, outRe, batch*fftN)
 	if err != nil {
 		return abort(d, err)
 	}
-	gotIm, err := readF32(d, outIm, batch*fftN)
+	gotIm, err := readWords(d, outIm, batch*fftN)
 	if err != nil {
 		return abort(d, err)
 	}
-	correct := true
-	for bi := 0; bi < batch && correct; bi++ {
-		wr, wi := fftRef(re[bi*fftN:(bi+1)*fftN], im[bi*fftN:(bi+1)*fftN])
-		for i := 0; i < fftN; i++ {
-			if !f32eq(gotRe[bi*fftN+i], wr[i], 2e-2) || !f32eq(gotIm[bi*fftN+i], wi[i], 2e-2) {
-				correct = false
-				break
-			}
-		}
-	}
+	correct := closeF32(gotRe, h.wantRe, 2e-2) && closeF32(gotIm, h.wantIm, 2e-2)
 
 	flops := 5 * float64(batch*fftN) * fftStages
 	return result(d, flops, correct)

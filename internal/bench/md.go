@@ -95,29 +95,43 @@ func mdRef(s *workload.MDSystem) (fx, fy, fz []float32) {
 	return fx, fy, fz
 }
 
+// mdData is MD's host side at one atom count.
+type mdData struct {
+	x, y, z, neigh []uint32 // positions and neighbour lists, in words
+	fx, fy, fz     []float32
+}
+
+// mdHost builds the system and its reference forces.
+func mdHost(atoms int) *mdData {
+	sys := workload.RandomMD(atoms, mdMaxNeigh, 23)
+	h := &mdData{x: F32Words(sys.X), y: F32Words(sys.Y), z: F32Words(sys.Z), neigh: sys.Neighbors}
+	h.fx, h.fy, h.fz = mdRef(sys)
+	return h
+}
+
 // runMD measures molecular-dynamics throughput in GFlops/sec (Table II).
 func runMD(d Driver, cfg Config) *Result {
 	atoms := cfg.scale(16384)
-	sys := workload.RandomMD(atoms, mdMaxNeigh, 23)
+	h := hostData("MD", atoms, mdHost)
 
 	k := MDKernel(cfg.UseTexture)
 	mod, err := d.Build(k)
 	if err != nil {
 		return abort(d, err)
 	}
-	px, err := allocWriteF(d, sys.X)
+	px, err := allocWrite(d, h.x)
 	if err != nil {
 		return abort(d, err)
 	}
-	py, err := allocWriteF(d, sys.Y)
+	py, err := allocWrite(d, h.y)
 	if err != nil {
 		return abort(d, err)
 	}
-	pz, err := allocWriteF(d, sys.Z)
+	pz, err := allocWrite(d, h.z)
 	if err != nil {
 		return abort(d, err)
 	}
-	nb, err := allocWrite(d, sys.Neighbors)
+	nb, err := allocWrite(d, h.neigh)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -142,26 +156,19 @@ func runMD(d Driver, cfg Config) *Result {
 		return abort(d, err)
 	}
 
-	gx, err := readF32(d, ofx, atoms)
+	gx, err := readWords(d, ofx, atoms)
 	if err != nil {
 		return abort(d, err)
 	}
-	gy, err := readF32(d, ofy, atoms)
+	gy, err := readWords(d, ofy, atoms)
 	if err != nil {
 		return abort(d, err)
 	}
-	gz, err := readF32(d, ofz, atoms)
+	gz, err := readWords(d, ofz, atoms)
 	if err != nil {
 		return abort(d, err)
 	}
-	wx, wy, wz := mdRef(sys)
-	correct := true
-	for i := 0; i < atoms; i++ {
-		if !f32eq(gx[i], wx[i], 1e-3) || !f32eq(gy[i], wy[i], 1e-3) || !f32eq(gz[i], wz[i], 1e-3) {
-			correct = false
-			break
-		}
-	}
+	correct := closeF32(gx, h.fx, 1e-3) && closeF32(gy, h.fy, 1e-3) && closeF32(gz, h.fz, 1e-3)
 
 	flops := float64(atoms) * mdMaxNeigh * mdFlopsPerN
 	return result(d, flops, correct)

@@ -20,33 +20,37 @@ func mxmRef(a, bm []float32, n int) []float32 {
 	return c
 }
 
+// mxmData is MxM's host side at one matrix order.
+type mxmData struct {
+	a, b []uint32 // the operands, in words
+	want []float32
+}
+
+// mxmHost builds the two n x n operands and their reference product.
+func mxmHost(n int) *mxmData {
+	rng := workload.NewRNG(41)
+	av := rng.Floats(n*n, -1, 1)
+	bv := rng.Floats(n*n, -1, 1)
+	return &mxmData{a: F32Words(av), b: F32Words(bv), want: mxmRef(av, bv, n)}
+}
+
 // runMxM measures dense matrix multiplication in GFlops/sec (Table II).
 // The kernel is the pattern lowering of a MatMulProg; the canonical
 // schedule is the shared-memory tiled SGEMM with 16x16 tiles.
 func runMxM(d Driver, cfg Config) *Result {
 	shape, _ := PatternShape("MxM", cfg)
 	n := shape.N
-	rng := workload.NewRNG(41)
-	av := rng.Floats(n*n, -1, 1)
-	bv := rng.Floats(n*n, -1, 1)
+	h := hostData("MxM", n, mxmHost)
 
-	l, bufs, err := runLowered(d, "MxM", cfg, map[string][]uint32{"A": F32Words(av), "B": F32Words(bv)})
+	l, bufs, err := runLowered(d, "MxM", cfg, map[string][]uint32{"A": h.a, "B": h.b})
 	if err != nil {
 		return abort(d, err)
 	}
 
-	got, err := readF32(d, bufs[l.Out], n*n)
+	got, err := readWords(d, bufs[l.Out], n*n)
 	if err != nil {
 		return abort(d, err)
-	}
-	want := mxmRef(av, bv, n)
-	correct := true
-	for i := range want {
-		if !f32eq(got[i], want[i], 2e-2) {
-			correct = false
-			break
-		}
 	}
 	flops := 2 * float64(n) * float64(n) * float64(n)
-	return result(d, flops, correct)
+	return result(d, flops, closeF32(got, h.want, 2e-2))
 }

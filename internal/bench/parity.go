@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"gpucmp/internal/arch"
-	"gpucmp/internal/workload"
 )
 
 // PatternParity runs St2D or Sobel twice on fresh drivers — the
@@ -40,16 +39,13 @@ func PatternParity(toolchain string, a *arch.Device, name string, cfg Config) (h
 			return nil, err
 		}
 		w, h := l.Shape.W, l.Shape.H
-		var out []float32
 		switch name {
 		case "St2D":
-			out, err = st2dSteps(d, cfg, workload.GrayImage(w, h, 37), w, h, 1)
+			return st2dSteps(d, cfg, hostData(name, l.Shape, st2dHost).img, w, h, 1)
 		case "Sobel":
-			out, err = sobelOutput(d, cfg, workload.GrayImage(w, h, 11), w, h)
-		default:
-			return nil, fmt.Errorf("bench: %s has no hand-written kernel", name)
+			return sobelOutput(d, cfg, hostData(name, l.Shape, sobelHost).img, w, h)
 		}
-		return F32Words(out), err
+		return nil, fmt.Errorf("bench: %s has no hand-written kernel", name)
 	}
 	if hand, err = run(handCfg); err != nil {
 		return nil, nil, fmt.Errorf("hand path: %w", err)

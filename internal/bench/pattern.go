@@ -222,8 +222,9 @@ func patternLower(name string, cfg Config) (*pattern.Lowered, error) {
 
 // runLowered lowers the benchmark at cfg.Pattern, builds its kernels,
 // uploads its buffers and runs every launch on a freshly reset clock.
-// Buffers start from l.Contents: inputs from the caller, keyed by the
-// program's buffer names, the rest as the plan says. The caller reads the
+// Buffers start as l.Contents would fill them, without copying: inputs
+// from the caller, keyed by the program's buffer names, coefficients from
+// the plan, and the rest cleared on the device. The caller reads the
 // result from bufs[l.Out].
 func runLowered(d Driver, name string, cfg Config, inputs map[string][]uint32) (l *pattern.Lowered, bufs map[string]Buf, err error) {
 	if l, err = patternLower(name, cfg); err != nil {
@@ -233,15 +234,25 @@ func runLowered(d Driver, name string, cfg Config, inputs map[string][]uint32) (
 	if err != nil {
 		return nil, nil, err
 	}
-	words, err := l.Contents(pattern.EvalInputs{Bufs: inputs})
-	if err != nil {
-		return nil, nil, err
-	}
 	bufs = map[string]Buf{}
 	for _, bs := range l.Bufs {
-		if bufs[bs.Name], err = allocWrite(d, words[bs.Name]); err != nil {
+		var b Buf
+		switch bs.Role {
+		case pattern.RoleInput:
+			src := inputs[bs.Name]
+			if len(src) < bs.Words {
+				return nil, nil, fmt.Errorf("bench: %s input %q has %d words, need %d", name, bs.Name, len(src), bs.Words)
+			}
+			b, err = allocWrite(d, src[:bs.Words])
+		case pattern.RoleCoeff:
+			b, err = allocWrite(d, bs.Init)
+		default:
+			b, err = allocZero(d, bs.Words)
+		}
+		if err != nil {
 			return nil, nil, err
 		}
+		bufs[bs.Name] = b
 	}
 	d.ResetTimer()
 	for _, ln := range l.Launches {

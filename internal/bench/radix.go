@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"sort"
+	"slices"
 
 	"gpucmp/internal/kir"
 	"gpucmp/internal/sim"
@@ -154,6 +154,19 @@ func scanSumsKernel() *kir.Kernel {
 	return b.MustBuild()
 }
 
+// rdxsData is RdxS's host side at one key count.
+type rdxsData struct {
+	keys, want []uint32 // want is keys sorted
+}
+
+// rdxsHost builds the 16-bit keys and their sorted order.
+func rdxsHost(n int) *rdxsData {
+	keys := workload.NewRNG(59).Keys(n, 1<<16)
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	return &rdxsData{keys: keys, want: want}
+}
+
 // runRdxS measures radix-sort throughput in MElements/sec (Table II). On
 // devices whose wavefront differs from the baked-in warp width of 32 the
 // sort completes but produces a wrongly ordered result ("FL").
@@ -163,13 +176,13 @@ func runRdxS(d Driver, cfg Config) *Result {
 		nblocks = 1
 	}
 	n := nblocks * rdxTile
-	keys := workload.NewRNG(59).Keys(n, 1<<16)
+	h := hostData("RdxS", n, rdxsHost)
 
 	mod, err := d.Build(radixCountKernel(), scanSumsKernel(), radixScatterKernel())
 	if err != nil {
 		return abort(d, err)
 	}
-	bufA, err := allocWrite(d, keys)
+	bufA, err := allocWrite(d, h.keys)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -207,15 +220,5 @@ func runRdxS(d Driver, cfg Config) *Result {
 	if err != nil {
 		return abort(d, err)
 	}
-	want := append([]uint32(nil), keys...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	correct := true
-	for i := range want {
-		if got[i] != want[i] {
-			correct = false
-			break
-		}
-	}
-
-	return result(d, float64(n), correct)
+	return result(d, float64(n), slices.Equal(got, h.want))
 }

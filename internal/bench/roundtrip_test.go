@@ -112,8 +112,8 @@ func TestHostExecutorAgreesWithSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bre, _ := allocWriteF(d, re)
-		bim, _ := allocWriteF(d, im)
+		bre, _ := allocWrite(d, F32Words(re))
+		bim, _ := allocWrite(d, F32Words(im))
 		bor, _ := allocZero(d, batch*fftN)
 		boi, _ := allocZero(d, batch*fftN)
 		if err := d.Launch(mod, "forward", sim.Dim3{X: batch, Y: 1}, sim.Dim3{X: fftThreads, Y: 1},

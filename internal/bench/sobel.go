@@ -2,6 +2,7 @@ package bench
 
 import (
 	"gpucmp/internal/kir"
+	"gpucmp/internal/pattern"
 	"gpucmp/internal/sim"
 	"gpucmp/internal/workload"
 )
@@ -64,27 +65,42 @@ func sobelRef(img []float32, w, h int) []float32 {
 	return out
 }
 
+// sobelFilterWords is sobelFilterX as the words Write uploads.
+var sobelFilterWords = F32Words(sobelFilterX)
+
+// sobelData is Sobel's host side at one image shape.
+type sobelData struct {
+	img  []uint32 // the grey image, in words
+	want []float32
+}
+
+// sobelHost builds the image and the reference filter output.
+func sobelHost(s pattern.Shape) *sobelData {
+	img := workload.GrayImage(s.W, s.H, 11)
+	return &sobelData{img: F32Words(img), want: sobelRef(img, s.W, s.H)}
+}
+
 // sobelOutput filters img on the device and returns the output image. An
 // empty cfg.Pattern runs the hand-written kernel, whose filter placement is
 // cfg.UseConstant; a schedule runs the pattern lowering, whose ConstCoeff
 // flag is the pattern-layer spelling of the same choice.
-func sobelOutput(d Driver, cfg Config, img []float32, w, h int) ([]float32, error) {
+func sobelOutput(d Driver, cfg Config, img []uint32, w, h int) ([]uint32, error) {
 	if cfg.Pattern != "" {
-		l, bufs, err := runLowered(d, "Sobel", cfg, map[string][]uint32{"img": F32Words(img)})
+		l, bufs, err := runLowered(d, "Sobel", cfg, map[string][]uint32{"img": img})
 		if err != nil {
 			return nil, err
 		}
-		return readF32(d, bufs[l.Out], w*h)
+		return readWords(d, bufs[l.Out], w*h)
 	}
 	mod, err := d.Build(SobelKernel(cfg.UseConstant))
 	if err != nil {
 		return nil, err
 	}
-	imgBuf, err := allocWriteF(d, img)
+	imgBuf, err := allocWrite(d, img)
 	if err != nil {
 		return nil, err
 	}
-	filtBuf, err := allocWriteF(d, sobelFilterX)
+	filtBuf, err := allocWrite(d, sobelFilterWords)
 	if err != nil {
 		return nil, err
 	}
@@ -97,27 +113,18 @@ func sobelOutput(d Driver, cfg Config, img []float32, w, h int) ([]float32, erro
 		B(imgBuf), B(filtBuf), B(outBuf), V(uint32(w)), V(uint32(h))); err != nil {
 		return nil, err
 	}
-	return readF32(d, outBuf, w*h)
+	return readWords(d, outBuf, w*h)
 }
 
 // runSobel measures the Sobel benchmark (Table II metric: seconds). The
 // variant is selected by cfg.UseConstant, or by cfg.Pattern.
 func runSobel(d Driver, cfg Config) *Result {
 	shape, _ := PatternShape("Sobel", cfg)
-	w, h := shape.W, shape.H
-	img := workload.GrayImage(w, h, 11)
+	h := hostData("Sobel", shape, sobelHost)
 
-	got, err := sobelOutput(d, cfg, img, w, h)
+	got, err := sobelOutput(d, cfg, h.img, shape.W, shape.H)
 	if err != nil {
 		return abort(d, err)
 	}
-	want := sobelRef(img, w, h)
-	correct := true
-	for i := range want {
-		if !f32eq(got[i], want[i], 1e-4) {
-			correct = false
-			break
-		}
-	}
-	return result(d, 0, correct)
+	return result(d, 0, closeF32(got, h.want, 1e-4))
 }

@@ -95,12 +95,26 @@ func spmvRef(m *workload.CSR, x []float32) []float32 {
 	return y
 }
 
+// spmvData is SPMV's host side at one row count.
+type spmvData struct {
+	vals, cols, rowPtr, x []uint32 // the CSR matrix and the vector, in words
+	want                  []float32
+	nnz                   int
+}
+
+// spmvHost builds the matrix, the vector and their reference product.
+func spmvHost(rows int) *spmvData {
+	mtx := workload.RandomCSR(rows, rows, 8, 29)
+	x := workload.NewRNG(31).Floats(rows, 0, 1)
+	return &spmvData{vals: F32Words(mtx.Values), cols: mtx.ColIdx, rowPtr: mtx.RowPtr, x: F32Words(x),
+		want: spmvRef(mtx, x), nnz: mtx.NNZ()}
+}
+
 // runSPMV measures sparse matrix-vector throughput in GFlops/sec: 2 flops
 // per stored element (Table II).
 func runSPMV(d Driver, cfg Config) *Result {
 	rows := cfg.scale(16384)
-	mtx := workload.RandomCSR(rows, rows, 8, 29)
-	x := workload.NewRNG(31).Floats(rows, 0, 1)
+	h := hostData("SPMV", rows, spmvHost)
 
 	var k *kir.Kernel
 	if cfg.VectorSPMV {
@@ -112,19 +126,19 @@ func runSPMV(d Driver, cfg Config) *Result {
 	if err != nil {
 		return abort(d, err)
 	}
-	vb, err := allocWriteF(d, mtx.Values)
+	vb, err := allocWrite(d, h.vals)
 	if err != nil {
 		return abort(d, err)
 	}
-	cb, err := allocWrite(d, mtx.ColIdx)
+	cb, err := allocWrite(d, h.cols)
 	if err != nil {
 		return abort(d, err)
 	}
-	rb, err := allocWrite(d, mtx.RowPtr)
+	rb, err := allocWrite(d, h.rowPtr)
 	if err != nil {
 		return abort(d, err)
 	}
-	xb, err := allocWriteF(d, x)
+	xb, err := allocWrite(d, h.x)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -147,19 +161,9 @@ func runSPMV(d Driver, cfg Config) *Result {
 		return abort(d, err)
 	}
 
-	got, err := readF32(d, yb, rows)
+	got, err := readWords(d, yb, rows)
 	if err != nil {
 		return abort(d, err)
 	}
-	want := spmvRef(mtx, x)
-	correct := true
-	for i := range want {
-		if !f32eq(got[i], want[i], 1e-3) {
-			correct = false
-			break
-		}
-	}
-
-	flops := 2 * float64(mtx.NNZ())
-	return result(d, flops, correct)
+	return result(d, 2*float64(h.nnz), closeF32(got, h.want, 1e-3))
 }

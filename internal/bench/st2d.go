@@ -2,6 +2,7 @@ package bench
 
 import (
 	"gpucmp/internal/kir"
+	"gpucmp/internal/pattern"
 	"gpucmp/internal/sim"
 	"gpucmp/internal/workload"
 )
@@ -57,11 +58,30 @@ func st2dRef(in []float32, w, h int) []float32 {
 	return out
 }
 
+// st2dRunSteps is the number of stencil applications runSt2D times.
+const st2dRunSteps = 4
+
+// st2dData is St2D's host side at one image shape.
+type st2dData struct {
+	img  []uint32 // the grey image, in words
+	want []float32
+}
+
+// st2dHost builds the image and its reference after st2dRunSteps steps.
+func st2dHost(s pattern.Shape) *st2dData {
+	img := workload.GrayImage(s.W, s.H, 37)
+	h := &st2dData{img: F32Words(img), want: img}
+	for step := 0; step < st2dRunSteps; step++ {
+		h.want = st2dRef(h.want, s.W, s.H)
+	}
+	return h
+}
+
 // st2dSteps runs steps stencil applications ping-ponged over two buffers
 // seeded with img (so borders pass through) and returns the last output.
 // An empty cfg.Pattern runs the hand-written kernel, a schedule the
 // single-step pattern lowering.
-func st2dSteps(d Driver, cfg Config, img []float32, w, h, steps int) ([]float32, error) {
+func st2dSteps(d Driver, cfg Config, img []uint32, w, h, steps int) ([]uint32, error) {
 	var launch func(src, dst Buf) error
 	if cfg.Pattern != "" {
 		l, err := patternLower("St2D", cfg)
@@ -86,11 +106,11 @@ func st2dSteps(d Driver, cfg Config, img []float32, w, h, steps int) ([]float32,
 				B(src), B(dst), V(uint32(w)), V(uint32(h)))
 		}
 	}
-	src, err := allocWriteF(d, img)
+	src, err := allocWrite(d, img)
 	if err != nil {
 		return nil, err
 	}
-	dst, err := allocWriteF(d, img)
+	dst, err := allocWrite(d, img)
 	if err != nil {
 		return nil, err
 	}
@@ -101,31 +121,18 @@ func st2dSteps(d Driver, cfg Config, img []float32, w, h, steps int) ([]float32,
 		}
 		src, dst = dst, src
 	}
-	return readF32(d, src, w*h)
+	return readWords(d, src, w*h)
 }
 
 // runSt2D measures the two-dimensional nine-point stencil (Table II
 // metric: seconds) over several ping-pong iterations.
 func runSt2D(d Driver, cfg Config) *Result {
-	const steps = 4
 	shape, _ := PatternShape("St2D", cfg)
-	w, h := shape.W, shape.H
-	img := workload.GrayImage(w, h, 37)
+	h := hostData("St2D", shape, st2dHost)
 
-	got, err := st2dSteps(d, cfg, img, w, h, steps)
+	got, err := st2dSteps(d, cfg, h.img, shape.W, shape.H, st2dRunSteps)
 	if err != nil {
 		return abort(d, err)
 	}
-	want := img
-	for s := 0; s < steps; s++ {
-		want = st2dRef(want, w, h)
-	}
-	correct := true
-	for i := range want {
-		if !f32eq(got[i], want[i], 1e-3) {
-			correct = false
-			break
-		}
-	}
-	return result(d, 0, correct)
+	return result(d, 0, closeF32(got, h.want, 1e-3))
 }

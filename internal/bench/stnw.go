@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gpucmp/internal/kir"
 	"gpucmp/internal/sim"
@@ -111,6 +111,23 @@ func stnwGlobalKernel() *kir.Kernel {
 	return b.MustBuild()
 }
 
+// stnwData is STNW's host side at one pair count.
+type stnwData struct {
+	keys, vals []uint32 // vals[i] = i, so a sorted value names its key
+	want       []uint32 // keys sorted
+}
+
+// stnwHost builds the key-value pairs and the sorted keys.
+func stnwHost(n int) *stnwData {
+	h := &stnwData{keys: workload.NewRNG(61).Keys(n, 1<<30), vals: make([]uint32, n)}
+	for i := range h.vals {
+		h.vals[i] = uint32(i)
+	}
+	h.want = slices.Clone(h.keys)
+	slices.Sort(h.want)
+	return h
+}
+
 // runSTNW measures sorting-network throughput in MElements/sec (Table II):
 // key-value pairs sorted by a hybrid shared/global bitonic network.
 func runSTNW(d Driver, cfg Config) *Result {
@@ -124,22 +141,17 @@ func runSTNW(d Driver, cfg Config) *Result {
 	if n < stnwTile {
 		n = stnwTile
 	}
-	rng := workload.NewRNG(61)
-	keys := rng.Keys(n, 1<<30)
-	vals := make([]uint32, n)
-	for i := range vals {
-		vals[i] = uint32(i)
-	}
+	h := hostData("STNW", n, stnwHost)
 
 	mod, err := d.Build(stnwLocalKernel(), stnwGlobalKernel())
 	if err != nil {
 		return abort(d, err)
 	}
-	kb, err := allocWrite(d, keys)
+	kb, err := allocWrite(d, h.keys)
 	if err != nil {
 		return abort(d, err)
 	}
-	vb, err := allocWrite(d, vals)
+	vb, err := allocWrite(d, h.vals)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -171,11 +183,9 @@ func runSTNW(d Driver, cfg Config) *Result {
 	if err != nil {
 		return abort(d, err)
 	}
-	want := append([]uint32(nil), keys...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	correct := true
-	for i := range want {
-		if gotK[i] != want[i] || keys[gotV[i]] != gotK[i] {
+	for i, w := range h.want {
+		if gotK[i] != w || h.keys[gotV[i]] != gotK[i] {
 			correct = false
 			break
 		}

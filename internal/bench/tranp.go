@@ -39,6 +39,12 @@ func TranPKernel(naive bool) *kir.Kernel {
 	return b.MustBuild()
 }
 
+// tranpHost builds the n x n input matrix, in words. It is also the
+// reference: the output is its transpose.
+func tranpHost(n int) []uint32 {
+	return F32Words(workload.NewRNG(7).Floats(n*n, 0, 1))
+}
+
 // runTranP measures matrix transposition bandwidth in GB/sec (Table II).
 func runTranP(d Driver, cfg Config) *Result {
 	n := cfg.scale(1024)
@@ -46,14 +52,14 @@ func runTranP(d Driver, cfg Config) *Result {
 		n = tileDim
 	}
 	n = (n / tileDim) * tileDim
+	in := hostData("TranP", n, tranpHost)
 
-	in := workload.NewRNG(7).Floats(n*n, 0, 1)
 	k := TranPKernel(cfg.NaiveTranspose)
 	mod, err := d.Build(k)
 	if err != nil {
 		return abort(d, err)
 	}
-	inBuf, err := allocWriteF(d, in)
+	inBuf, err := allocWrite(d, in)
 	if err != nil {
 		return abort(d, err)
 	}
@@ -69,14 +75,14 @@ func runTranP(d Driver, cfg Config) *Result {
 		return abort(d, err)
 	}
 
-	got, err := readF32(d, outBuf, n*n)
+	got, err := readWords(d, outBuf, n*n)
 	if err != nil {
 		return abort(d, err)
 	}
 	correct := true
 	for y := 0; y < n && correct; y++ {
 		for x := 0; x < n; x++ {
-			if got[x*n+y] != in[y*n+x] {
+			if bitsF32(got[x*n+y]) != bitsF32(in[y*n+x]) {
 				correct = false
 				break
 			}

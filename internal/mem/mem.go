@@ -65,14 +65,24 @@ func (m *Memory) Alloc(n uint32) (uint32, error) {
 	return base, nil
 }
 
-// commit grows the committed prefix to at least need words: doubling, in
-// whole pages, capped at the window. Stray pages the prefix now covers move
-// into it, so words stored past the old prefix keep their values.
+// doubleBelow is the prefix length (1 MiB) past which commit grows by a
+// quarter instead of doubling, as append does for large slices: a 16 MiB
+// buffer followed by a small one commits 20 MiB, not 32.
+const doubleBelow = 256 * pageWords
+
+// commit grows the committed prefix to at least need words: doubling below
+// doubleBelow and by a quarter from there, in whole pages, capped at the
+// window. Stray pages the prefix now covers move into it, so words stored
+// past the old prefix keep their values.
 func (m *Memory) commit(need int) {
 	if need <= len(m.words) {
 		return
 	}
-	n := max(need, 2*len(m.words))
+	grow := len(m.words)
+	if grow >= doubleBelow {
+		grow /= 4
+	}
+	n := max(need, len(m.words)+grow)
 	n = min((n+pageWords-1)/pageWords*pageWords, int(m.size/WordBytes))
 	grown := make([]uint32, n)
 	copy(grown, m.words)
@@ -243,6 +253,32 @@ func (m *Memory) WriteWords(addr uint32, src []uint32) error {
 		defer m.mu.Unlock()
 		for k, v := range rest {
 			*m.strayWord(uint32(i+in+k), true) = v
+		}
+	}
+	return nil
+}
+
+// ZeroWords clears n words starting at addr: what WriteWords of n zeros
+// does, without a host slice of zeros. Stray pages in the range are
+// cleared in place; a stray word never written already reads 0.
+func (m *Memory) ZeroWords(addr uint32, n int) error {
+	i, in, err := m.span("write", addr, n)
+	if err != nil {
+		return err
+	}
+	if in > 0 {
+		clear(m.words[i : i+in])
+	}
+	if n > in {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for w, end := i+in, i+n; w < end; {
+			off := w % pageWords
+			k := min(pageWords-off, end-w)
+			if pg := m.stray[uint32(w/pageWords)]; pg != nil {
+				clear(pg[off : off+k])
+			}
+			w += k
 		}
 	}
 	return nil

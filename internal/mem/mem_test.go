@@ -282,13 +282,59 @@ func TestStrayWindow(t *testing.T) {
 				}
 			}
 		}},
+		{"ZeroWords clears across the committed boundary", func(t *testing.T, m *Memory) {
+			at := uint32(pageWords*WordBytes - 8) // two words committed, the rest stray
+			if err := m.WriteWords(at, []uint32{1, 2, 3, 4, 5, 6}); err != nil {
+				t.Fatal(err)
+			}
+			far := at + 3*pageWords*WordBytes // a stray page past one never written
+			if err := m.Store(far, 7); err != nil {
+				t.Fatal(err)
+			}
+			// From word 1 through far: keeps word 0 and the word after far.
+			n := int(far-at)/WordBytes + 1
+			if err := m.Store(far+4, 8); err != nil {
+				t.Fatal(err)
+			}
+			pages := len(m.stray)
+			if err := m.ZeroWords(at+4, n-1); err != nil {
+				t.Fatal(err)
+			}
+			if len(m.stray) != pages {
+				t.Errorf("ZeroWords left %d stray pages, want the %d written ones", len(m.stray), pages)
+			}
+			for addr, want := range map[uint32]uint32{at: 1, at + 4: 0, at + 8: 0, at + 20: 0, far: 0, far + 4: 8} {
+				if v := load(t, m, addr); v != want {
+					t.Errorf("0x%x reads %d after ZeroWords, want %d", addr, v, want)
+				}
+			}
+			werr := m.WriteWords(m.Size()-4, make([]uint32, 2))
+			if err := m.ZeroWords(m.Size()-4, 2); err == nil || err.Error() != werr.Error() {
+				t.Errorf("overrunning ZeroWords: err = %v, want WriteWords's %v", err, werr)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, strayMem(t)) })
 	}
 }
 
-// TestAllocCommitsAmortised: the prefix doubles, covers every allocation,
-// and stops at the window.
+// TestLargePrefixGrowsByAQuarter pins SHOC DeviceMemory's two allocations
+// at scale 2: a 16 MiB buffer, then a 512 KiB one. Past doubleBelow the
+// prefix grows by a quarter, so 20 MiB are committed, not 32.
+func TestLargePrefixGrowsByAQuarter(t *testing.T) {
+	m := NewMemory(64 << 20)
+	for _, n := range []uint32{16 << 20, 512 << 10} {
+		if _, err := m.Alloc(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := len(m.words), 5<<20; got != want {
+		t.Errorf("committed %d words after 16 MiB + 512 KiB, want %d (20 MiB)", got, want)
+	}
+}
+
+// TestAllocCommitsAmortised: below doubleBelow the prefix doubles; it
+// covers every allocation and stops at the window.
 func TestAllocCommitsAmortised(t *testing.T) {
 	m := NewMemory(1 << 20)
 	if len(m.words) != 0 {
