@@ -358,8 +358,7 @@ func TestOversizedReplyIsTyped502(t *testing.T) {
 		t.Cleanup(ts.Close)
 		workers = append(workers, ts.URL)
 	}
-	cts, c := startCoordinator(t, Config{Workers: workers,
-		Breaker: sched.BreakerConfig{FailureThreshold: 1}})
+	cts, c := startCoordinator(t, Config{Workers: workers})
 	status, body, _ := post(t, cts.URL+"/run", runBody("Reduce", 16))
 	var e struct {
 		Code string `json:"code"`

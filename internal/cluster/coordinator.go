@@ -49,8 +49,6 @@ type Config struct {
 	// Quota throttles admissions per tenant (X-Tenant header, "anon"
 	// when absent). The zero value admits everything.
 	Quota sched.QuotaConfig
-	// Breaker configures the per-shard circuit breakers.
-	Breaker sched.BreakerConfig
 
 	// ProbeInterval is the worker readiness-probe period (default 1s).
 	ProbeInterval time.Duration
@@ -108,7 +106,7 @@ type Coordinator struct {
 
 	inFlight atomic.Int64
 
-	breakers *metrics.Keyed[sched.Breaker]
+	breakers *metrics.Keyed[breaker]
 
 	sfMu   sync.Mutex
 	flight *sched.Flight[*shardResponse]
@@ -133,7 +131,7 @@ func New(cfg Config) *Coordinator {
 		metrics:  newMetrics(),
 		lat:      &latencyTracker{},
 		start:    cfg.clock.Now(),
-		breakers: metrics.NewKeyed(0, func() *sched.Breaker { return sched.NewBreaker(cfg.Breaker, cfg.clock) }),
+		breakers: metrics.NewKeyed(0, func() *breaker { return newBreaker(breakerThreshold, breakerCoolDown, cfg.clock) }),
 		stop:     make(chan struct{}),
 		misses:   make(map[string]int),
 	}
@@ -372,7 +370,7 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 			moved = true
 			br := c.breakers.Get(shard)
 			if ok, wait := br.Allow(); !ok {
-				lastErr = fmt.Errorf("cluster: %w for shard %s (retry in %v)", sched.ErrBreakerOpen, shard, wait)
+				lastErr = fmt.Errorf("cluster: %w for shard %s (retry in %v)", errBreakerOpen, shard, wait)
 				continue
 			}
 			sc := c.metrics.shards.Get(shard)
@@ -572,7 +570,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else if len(members) < len(c.cfg.Workers) {
 		status = "degraded"
 	}
-	var breakers []sched.BreakerSnapshot
+	var breakers []breakerSnapshot
 	for _, wk := range c.cfg.Workers {
 		breakers = append(breakers, c.breakers.Get(wk).Snapshot(wk))
 	}

@@ -155,7 +155,7 @@ func (c *Coordinator) writeProm(w io.Writer) {
 				return sh.Shard, 0
 			})...),
 		metrics.Gauge("gpucmpd_coord_breaker_state", "Per-shard breaker state (0=closed, 1=half-open, 2=open).",
-			metrics.Rows(s.Shards, "shard", func(sh ShardSnapshot) (string, int) { return sh.Shard, sched.BreakerGauge(sh.Breaker) })...),
+			metrics.Rows(s.Shards, "shard", func(sh ShardSnapshot) (string, int) { return sh.Shard, breakerGauge(sh.Breaker) })...),
 		metrics.Histograms("gpucmpd_coord_queue_depth", "In-flight proxied requests observed at admission.", metrics.Hist(&s.depth)),
 		metrics.Counter("gpucmpd_coord_quota_allowed_total", "Requests admitted by the tenant quota.",
 			metrics.Rows(s.Quotas, "tenant", func(q sched.TenantQuotaSnapshot) (string, uint64) { return q.Tenant, q.Allowed })...).OmitEmpty(),

@@ -6,6 +6,8 @@ package fault_test
 //
 //   - at a 30% transient-failure rate every job either succeeds or fails
 //     with a typed Permanent error (never an unclassified one);
+//   - a job fails only on its own injected faults, never on another
+//     job's;
 //   - results that succeed after retries are bit-identical to a
 //     fault-free run;
 //   - hung jobs are reclaimed by the watchdog within JobTimeout plus a
@@ -60,6 +62,17 @@ func baseline(t *testing.T, jobs []sched.Job) map[string][]byte {
 	return want
 }
 
+// ownFault reports whether a failed job's error traces to a fault drawn
+// for that job itself: its transient launches (retries exhausted), an
+// out-of-resources abort, or a watchdog kill of its hang. Faults are drawn
+// per job key, so any other cause would mean one job's failures reached
+// another.
+func ownFault(err error) bool {
+	return errors.Is(err, fault.ErrTransientLaunch) ||
+		errors.Is(err, fault.ErrOutOfResources) ||
+		errors.Is(err, sched.ErrWatchdog)
+}
+
 // checkNoGoroutineLeak asserts the goroutine count settles back to (about)
 // its pre-test level. Call with the count taken before the scheduler was
 // created, after the scheduler has been closed.
@@ -88,11 +101,7 @@ func TestChaosTransientRate30(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	inj := fault.New(1, fault.Schedule{TransientRate: 0.3})
-	s := sched.New(sched.Options{
-		Workers:  4,
-		Breaker:  sched.BreakerConfig{Disabled: true},
-		Injector: inj,
-	})
+	s := sched.New(sched.Options{Workers: 4, Injector: inj})
 
 	type outcome struct {
 		key string
@@ -125,8 +134,8 @@ func TestChaosTransientRate30(t *testing.T) {
 			}
 		case errors.Is(o.err, sched.ErrPermanent):
 			permanent++
-			if !errors.Is(o.err, fault.ErrTransientLaunch) {
-				t.Errorf("job %s: permanent error lost its injected cause: %v", o.key, o.err)
+			if !ownFault(o.err) {
+				t.Errorf("job %s: failed on no fault of its own: %v", o.key, o.err)
 			}
 		default:
 			t.Errorf("job %s: untyped error under chaos: %v", o.key, o.err)
@@ -155,7 +164,6 @@ func TestChaosHangsReclaimedWithinTimeout(t *testing.T) {
 		Workers:     2,
 		JobTimeout:  jobTimeout,
 		MaxAttempts: 1,
-		Breaker:     sched.BreakerConfig{Disabled: true},
 		Injector:    inj,
 	})
 
@@ -196,17 +204,16 @@ func TestChaosHangsReclaimedWithinTimeout(t *testing.T) {
 }
 
 // TestChaosMixedSchedule runs faults of several kinds at once, cache
-// corruption among them, once with breakers off and once with them on,
-// and asserts the weaker but universal invariant: every job terminates
-// with either a result bit-identical to the fault-free run or an error
-// typed Permanent or Watchdog, and the process is goroutine-clean
-// afterwards.
+// corruption among them, under two schedules, and asserts the weaker but
+// universal invariant: every job terminates with either a result
+// bit-identical to the fault-free run or an error typed Permanent or
+// Watchdog that traces to its own injected faults, and the process is
+// goroutine-clean afterwards.
 func TestChaosMixedSchedule(t *testing.T) {
 	for _, tt := range []struct {
 		name     string
 		seed     uint64
 		schedule fault.Schedule
-		breaker  sched.BreakerConfig
 	}{
 		{
 			// Transient launches, out-of-resources, hangs and cache
@@ -222,12 +229,11 @@ func TestChaosMixedSchedule(t *testing.T) {
 				CorruptRate:   0.2,
 				MaxPerKey:     2,
 			},
-			breaker: sched.BreakerConfig{Disabled: true},
 		},
 		{
-			// 30% transient launches plus 5% hangs with the circuit
-			// breakers on.
-			name:     "defaults",
+			// 30% transient launches plus 5% hangs, retried up to the
+			// default four attempts.
+			name:     "transient-and-hangs",
 			seed:     1,
 			schedule: fault.Schedule{TransientRate: 0.3, HangRate: 0.05},
 		},
@@ -245,7 +251,6 @@ func TestChaosMixedSchedule(t *testing.T) {
 			s := sched.New(sched.Options{
 				Workers:    4,
 				JobTimeout: 3 * time.Second,
-				Breaker:    tt.breaker,
 				Injector:   inj,
 			})
 
@@ -271,7 +276,11 @@ func TestChaosMixedSchedule(t *testing.T) {
 								problem = "result differs from fault-free run"
 							}
 						case errors.Is(err, sched.ErrPermanent), errors.Is(err, sched.ErrWatchdog):
-							// typed failure: acceptable under chaos
+							// typed failure: acceptable under chaos, on the
+							// job's own faults only
+							if !ownFault(err) {
+								problem = fmt.Sprintf("failed on no fault of its own: %v", err)
+							}
 						default:
 							problem = fmt.Sprintf("untyped error: %v", err)
 						}

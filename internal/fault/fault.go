@@ -3,8 +3,8 @@
 // were taken on: transient kernel-launch failures, CL_OUT_OF_RESOURCES
 // aborts, runaway kernels killed by the display watchdog, and corrupted
 // cached results. The injector plugs into the scheduler at the device seam
-// (sched.Options.Injector), so every layer above — retry, circuit breaker,
-// graceful degradation — can be exercised under chaos.
+// (sched.Options.Injector), so every layer above — retry, the watchdog,
+// the typed 503 — can be exercised under chaos.
 //
 // Faults are deterministic per (seed, job key, attempt number): two runs
 // with the same seed and the same job stream inject exactly the same

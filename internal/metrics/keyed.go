@@ -7,7 +7,7 @@ import (
 
 // Keyed is a table of rows created on first use of their key: counters
 // per tenant, shard or device, a histogram per benchmark, a breaker per
-// device. It is safe for concurrent use. Update and Each run f under the
+// shard. It is safe for concurrent use. Update and Each run f under the
 // table's lock, so f must not block or call back into the table; a row
 // reached through Get must synchronise its own fields.
 type Keyed[T any] struct {

@@ -80,16 +80,50 @@ var gridDigests = map[int]string{
 	64: "3bbbd28c00368bab7d5008c7b78cc4a9c0a32311461db86e95014c635b861cc0",
 }
 
+// patternDigest is the same fold over patternCells(16). Their transfer
+// and end-to-end seconds come from the pattern plan's uploads, which no
+// grid cell makes.
+const patternDigest = "5490eeb6853e4905d905c360912ee802f6f5e0c3671874f524250306d6f64bc6"
+
+// patternCells are the pattern cells of a paper-grid pass: every
+// pattern-portable benchmark from its canonical schedule on each GPU
+// through OpenCL.
+func patternCells(scale int) []Job {
+	var jobs []Job
+	for _, a := range arch.All() {
+		if a.Kind != arch.KindGPU {
+			continue
+		}
+		for _, name := range bench.PatternBenchNames() {
+			cfg := bench.NativeConfig("opencl")
+			cfg.Scale = scale
+			cfg.Pattern, _ = bench.PatternCanonical(name)
+			jobs = append(jobs, Job{Benchmark: name, Device: a.Name, Toolchain: "opencl", Config: cfg})
+		}
+	}
+	return jobs
+}
+
 // TestEncodeMatchesMarshalGrid: every cell of the measurement grid at
-// three scales, one with a tail, encodes to exactly what Marshal
-// makes of it, the encodings fold to the pinned digest, and the encoding
-// of every report is left on its kernel.
+// three scales, one with a tail, and every pattern cell at scale 16,
+// encodes to exactly what Marshal makes of it, the encodings fold to the
+// pinned digests, and the encoding of every report is left on its kernel.
 func TestEncodeMatchesMarshalGrid(t *testing.T) {
-	reports := 0
+	type input struct {
+		name   string
+		jobs   []Job
+		digest string
+	}
+	var inputs []input
 	for _, scale := range []int{16, 23, 64} {
+		inputs = append(inputs, input{fmt.Sprintf("grid at scale %d", scale), GridJobs(scale), gridDigests[scale]})
+	}
+	inputs = append(inputs, input{"pattern cells at scale 16", patternCells(16), patternDigest})
+	reports := 0
+	for _, in := range inputs {
 		h := sha256.New()
-		for _, j := range GridJobs(scale) {
-			what := fmt.Sprintf("%s/%s/%s@%d", j.Benchmark, j.Device, j.Toolchain, scale)
+		for _, j := range in.jobs {
+			what := fmt.Sprintf("%s/%s/%s@%d", j.Benchmark, j.Device, j.Toolchain, j.Config.Scale)
 			res := runSequential(t, j)
 			h.Write(checkEncode(t, what, res))
 			for _, kr := range res.Kernels {
@@ -99,8 +133,8 @@ func TestEncodeMatchesMarshalGrid(t *testing.T) {
 			}
 			reports += len(res.Kernels)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != gridDigests[scale] {
-			t.Errorf("scale %d: grid digest %s, want %s", scale, got, gridDigests[scale])
+		if got := hex.EncodeToString(h.Sum(nil)); got != in.digest {
+			t.Errorf("%s: digest %s, want %s", in.name, got, in.digest)
 		}
 	}
 	if reports == 0 {

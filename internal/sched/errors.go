@@ -3,8 +3,6 @@ package sched
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
 	"gpucmp/internal/fault"
 	"gpucmp/internal/kir"
@@ -104,36 +102,14 @@ func ClassOf(err error) Class {
 	case errors.Is(err, sim.ErrWatchdog), errors.Is(err, kir.ErrWatchdog),
 		errors.Is(err, context.DeadlineExceeded):
 		return Watchdog
-	case errors.Is(err, fault.ErrTransientLaunch), errors.Is(err, ErrBreakerOpen):
+	case errors.Is(err, fault.ErrTransientLaunch):
 		return Transient
 	default:
 		return Permanent
 	}
 }
 
-// BreakerOpenError is returned without running the job when the target
-// device's circuit breaker is open. It classifies as Transient (the device
-// may recover) and carries the remaining cool-down so servers can emit
-// Retry-After.
-type BreakerOpenError struct {
-	Device     string
-	RetryAfter time.Duration
-}
-
-func (e *BreakerOpenError) Error() string {
-	return fmt.Sprintf("sched: circuit breaker open for device %s (retry after %v)", e.Device, e.RetryAfter)
-}
-
-// Is matches both ErrBreakerOpen and the Transient class sentinel.
-func (e *BreakerOpenError) Is(target error) bool {
-	return target == ErrBreakerOpen || target == ErrTransient
-}
-
-// ErrBreakerOpen is the errors.Is sentinel for breaker denials.
-var ErrBreakerOpen = errors.New("sched: circuit breaker open")
-
 // ErrAbandoned is the errors.Is sentinel for executions cancelled because
 // every caller went away (client disconnect, hedge-loser cancellation)
-// before the job completed. Abandoned results are never cached and never
-// count toward circuit breakers — they say nothing about device health.
+// before the job completed. Abandoned results are never cached.
 var ErrAbandoned = errors.New("sched: abandoned by every caller")

@@ -29,8 +29,6 @@ type Metrics struct {
 
 	// Resilience counters.
 	retries          atomic.Uint64 // transient failures retried
-	breakerTrips     atomic.Uint64 // breaker transitions to open
-	breakerDenials   atomic.Uint64 // jobs rejected by an open breaker
 	watchdogReclaims atomic.Uint64 // attempts cancelled mid-run
 	cacheCorruptions atomic.Uint64 // corrupted cache entries detected+evicted
 	abandons         atomic.Uint64 // tasks whose callers all left mid-flight
@@ -93,8 +91,6 @@ type Snapshot struct {
 	QueueDepth  int64  `json:"queue_depth"`
 
 	Retries          uint64 `json:"retries"`
-	BreakerTrips     uint64 `json:"breaker_trips"`
-	BreakerDenials   uint64 `json:"breaker_denials"`
 	WatchdogReclaims uint64 `json:"watchdog_reclaims"`
 	CacheCorruptions uint64 `json:"cache_corruptions"`
 	Abandons         uint64 `json:"abandons"`
@@ -129,8 +125,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		QueueDepth:  m.queueDepth.Load(),
 
 		Retries:          m.retries.Load(),
-		BreakerTrips:     m.breakerTrips.Load(),
-		BreakerDenials:   m.breakerDenials.Load(),
 		WatchdogReclaims: m.watchdogReclaims.Load(),
 		CacheCorruptions: m.cacheCorruptions.Load(),
 		Abandons:         m.abandons.Load(),

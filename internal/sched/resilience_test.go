@@ -50,7 +50,7 @@ func TestRetryTransientEventuallySucceeds(t *testing.T) {
 
 func TestRetryExhaustionBecomesPermanent(t *testing.T) {
 	inj := fault.New(1, fault.Schedule{TransientRate: 1.0})
-	s := New(Options{Workers: 1, MaxAttempts: 4, Injector: inj, Breaker: BreakerConfig{Disabled: true}})
+	s := New(Options{Workers: 1, MaxAttempts: 4, Injector: inj})
 	defer s.Close()
 
 	_, err := s.Run(context.Background(), fastJob())
@@ -113,118 +113,28 @@ func TestInjectedHangIsReclaimedByWatchdog(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensAfterThresholdAndRecovers(t *testing.T) {
+// TestDeviceFailuresDenyNoOtherJob: failures of other jobs on a device
+// say nothing about the next job there. Five distinct jobs on one device
+// fail once each; the first of them, run again with its fault spent,
+// returns its result.
+func TestDeviceFailuresDenyNoOtherJob(t *testing.T) {
 	inj := fault.New(1, fault.Schedule{TransientRate: 1.0, MaxPerKey: 1})
-	clk := clock.NewFake(time.Now())
-	s := New(Options{
-		Workers:     1,
-		MaxAttempts: 1, // no retry: each job fails once
-		Breaker:     BreakerConfig{FailureThreshold: 2, CoolDown: time.Hour},
-		Injector:    inj,
-		clock:       clk,
-	})
+	s := New(Options{Workers: 1, MaxAttempts: 1, Injector: inj})
 	defer s.Close()
 	ctx := context.Background()
-	dev := fastJob().Device
 
-	// Two distinct jobs fail once each (MaxPerKey=1, no retry budget):
-	// the second failure trips the breaker.
-	for i := 0; i < 2; i++ {
-		if _, err := s.Run(ctx, scaleJob(16+i)); !errors.Is(err, ErrPermanent) {
-			t.Fatalf("job %d: err = %v, want Permanent (attempts exhausted)", i, err)
+	for i := 0; i < 5; i++ {
+		_, err := s.Run(ctx, scaleJob(16+i))
+		if !errors.Is(err, ErrPermanent) || !errors.Is(err, fault.ErrTransientLaunch) {
+			t.Fatalf("job %d: err = %v, want Permanent wrapping its injected fault", i, err)
 		}
 	}
-	if st := breakerState(s, dev); st != BreakerOpen.String() {
-		t.Fatalf("breaker state = %v, want open after %d failures", st, 2)
+	res, err := s.Run(ctx, scaleJob(16))
+	if err != nil {
+		t.Fatalf("rerun of a job whose fault is spent: %v", err)
 	}
-
-	// While open, jobs are denied without running.
-	_, err := s.Run(ctx, scaleJob(32))
-	var boe *BreakerOpenError
-	if !errors.As(err, &boe) || !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want BreakerOpenError", err)
-	}
-	if boe.Device != dev || boe.RetryAfter <= 0 {
-		t.Errorf("BreakerOpenError = %+v, want device %s and positive RetryAfter", boe, dev)
-	}
-	if errors.Is(err, ErrTransient) == false {
-		t.Error("breaker denial should classify as Transient (the device may recover)")
-	}
-
-	snaps := s.Breakers()
-	if len(snaps) != 1 || snaps[0].Device != dev || snaps[0].State != "open" || snaps[0].Trips != 1 {
-		t.Fatalf("Breakers() = %+v, want one open breaker for %s", snaps, dev)
-	}
-	if snaps[0].RetryAfterSec <= 0 {
-		t.Error("open breaker snapshot must report remaining cool-down")
-	}
-	for state, want := range map[string]int{"closed": 0, "half-open": 1, "open": 2} {
-		if got := BreakerGauge(state); got != want {
-			t.Errorf("BreakerGauge(%q) = %d, want %d", state, got, want)
-		}
-	}
-
-	// After the cool-down the breaker half-opens; the probe (fault budget
-	// for its key is fresh but MaxPerKey=1 consumes the first attempt...
-	// use a key that already spent its fault) succeeds and closes it.
-	clk.Advance(2 * time.Hour)
-	if _, err := s.Run(ctx, scaleJob(16)); err != nil { // key 16 already spent its injected fault
-		t.Fatalf("half-open probe: %v", err)
-	}
-	if st := breakerState(s, dev); st != BreakerClosed.String() {
-		t.Fatalf("breaker state = %v, want closed after successful probe", st)
-	}
-	snap := s.Metrics().Snapshot()
-	if snap.BreakerTrips != 1 || snap.BreakerDenials != 1 {
-		t.Errorf("trips/denials = %d/%d, want 1/1", snap.BreakerTrips, snap.BreakerDenials)
-	}
-}
-
-// breakerState reads one device's breaker state from Breakers: "closed"
-// when the device has no breaker.
-func breakerState(s *Scheduler, device string) string {
-	for _, b := range s.Breakers() {
-		if b.Device == device {
-			return b.State
-		}
-	}
-	return BreakerClosed.String()
-}
-
-func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	clk := clock.NewFake(time.Now())
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, CoolDown: time.Minute}, clk)
-
-	if ok, _ := b.Allow(); !ok {
-		t.Fatal("closed breaker must allow")
-	}
-	if !b.Failure() {
-		t.Fatal("threshold-1 breaker must trip on first failure")
-	}
-	if ok, wait := b.Allow(); ok || wait <= 0 {
-		t.Fatal("open breaker must deny with a positive wait")
-	}
-	clk.Advance(2 * time.Minute)
-	if ok, _ := b.Allow(); !ok {
-		t.Fatal("breaker must half-open after cool-down")
-	}
-	// Only one probe at a time.
-	if ok, _ := b.Allow(); ok {
-		t.Fatal("half-open breaker must admit a single probe")
-	}
-	if !b.Failure() {
-		t.Fatal("failed probe must re-open the breaker")
-	}
-	if b.state != BreakerOpen {
-		t.Fatalf("state = %v, want open after failed probe", b.state)
-	}
-	clk.Advance(2 * time.Minute)
-	if ok, _ := b.Allow(); !ok {
-		t.Fatal("breaker must half-open again")
-	}
-	b.Success()
-	if b.state != BreakerClosed || b.fails != 0 {
-		t.Fatalf("state/fails = %v/%d, want closed/0 after successful probe", b.state, b.fails)
+	if res == nil || res.Err != nil {
+		t.Fatalf("result = %+v, want a clean success", res)
 	}
 }
 
@@ -266,7 +176,6 @@ func TestClassOfTaxonomy(t *testing.T) {
 		{fault.ErrOutOfResources, Permanent},
 		{errors.New("mystery"), Permanent},
 		{wrapClass(Transient, errors.New("x")), Transient},
-		{&BreakerOpenError{Device: "d"}, Transient},
 	}
 	for i, c := range cases {
 		if got := ClassOf(c.err); got != c.want {

@@ -25,7 +25,6 @@ import (
 	"gpucmp/internal/bench"
 	"gpucmp/internal/clock"
 	"gpucmp/internal/fault"
-	"gpucmp/internal/metrics"
 	"gpucmp/internal/pattern"
 	"gpucmp/internal/sim"
 )
@@ -103,8 +102,8 @@ func (o Outcome) String() string {
 }
 
 // Options configures a Scheduler. The zero value is usable: GOMAXPROCS
-// workers, a 4096-entry cache, no job timeout, four attempts per job,
-// default circuit breakers, no fault injection.
+// workers, a 4096-entry cache, no job timeout, four attempts per job, no
+// fault injection.
 type Options struct {
 	// Workers is the pool size (defaults to GOMAXPROCS).
 	Workers int
@@ -123,8 +122,6 @@ type Options struct {
 	// attempt), so waiting would change no outcome. Watchdog and
 	// Permanent failures are never retried.
 	MaxAttempts int
-	// Breaker configures the per-device circuit breakers.
-	Breaker BreakerConfig
 	// Injector, when non-nil, injects deterministic faults at the device
 	// seam (chaos testing).
 	Injector *fault.Injector
@@ -140,7 +137,7 @@ type Options struct {
 	// memory against tenant-name flooding.
 	MaxTenantCaches int
 
-	// clock times every latency stamp, timeout, stall, breaker and quota
+	// clock times every latency stamp, timeout, stall and quota
 	// (nil = the wall clock).
 	clock clock.Clock
 }
@@ -174,8 +171,6 @@ type Scheduler struct {
 	cache   *lruCache
 	tenants map[string]*lruCache // per-tenant result caches for DoTask
 	quotas  *TenantQuotas
-
-	breakers *metrics.Keyed[Breaker]
 }
 
 // New starts a scheduler and its worker pool. Call Close to stop it.
@@ -198,7 +193,6 @@ func New(opts Options) *Scheduler {
 	if opts.clock == nil {
 		opts.clock = clock.Real{}
 	}
-	opts.Breaker = opts.Breaker.withDefaults()
 	s := &Scheduler{
 		opts:    opts,
 		queue:   make(chan *task, 64),
@@ -207,7 +201,6 @@ func New(opts Options) *Scheduler {
 		quotas:  NewTenantQuotas(opts.Quota, opts.clock),
 	}
 	s.flight = NewFlight[any](&s.mu, &s.metrics.abandons)
-	s.breakers = metrics.NewKeyed(0, func() *Breaker { return NewBreaker(opts.Breaker, opts.clock) })
 	if opts.CacheSize > 0 {
 		s.cache = newLRU(opts.CacheSize)
 	}
@@ -522,46 +515,26 @@ func abandoned(key string) error {
 	return wrapClass(Permanent, fmt.Errorf("sched: job %s: %w", key, ErrAbandoned))
 }
 
-// execute resolves and runs one job through the resilience ladder: per-
-// device circuit breaker, then per-attempt execution with panic isolation
-// and watchdog timeout, retrying Transient failures at once. ctx is the
-// job's call context: once it is cancelled nobody is waiting, and the job
-// stops. The returned error, when non-nil, is classified (errors.Is
-// against ErrTransient / ErrPermanent / ErrWatchdog / ErrBreakerOpen).
+// execute runs one job through the resilience ladder: per-attempt
+// execution with panic isolation and watchdog timeout, retrying Transient
+// failures at once. ctx is the job's call context: once it is cancelled
+// nobody is waiting, and the job stops. The returned error, when non-nil,
+// is classified (errors.Is against ErrTransient / ErrPermanent /
+// ErrWatchdog).
 func (s *Scheduler) execute(ctx context.Context, j Job, key string) (*bench.Result, error) {
-	br := s.breakerFor(j.Device)
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
-			// Stop before burning another attempt. Abandonment says nothing
-			// about device health, so it never touches the breaker.
+			// Stop before burning another attempt.
 			return nil, abandoned(key)
-		}
-		if br != nil {
-			if ok, wait := br.Allow(); !ok {
-				s.metrics.breakerDenials.Add(1)
-				return nil, &BreakerOpenError{Device: j.Device, RetryAfter: wait}
-			}
 		}
 		res, err := s.executeAttempt(ctx, j, key)
 		if err == nil {
-			if br != nil {
-				br.Success()
-			}
 			return res, nil
 		}
 		if errors.Is(err, ErrAbandoned) {
 			return nil, err
 		}
-		class := ClassOf(err)
-		if br != nil && class != Permanent {
-			// Only device-health failures (transient, watchdog) count
-			// toward tripping: a malformed job says nothing about the
-			// device.
-			if br.Failure() {
-				s.metrics.breakerTrips.Add(1)
-			}
-		}
-		if class != Transient {
+		if class := ClassOf(err); class != Transient {
 			return nil, wrapClass(class, err)
 		}
 		if attempt >= s.opts.MaxAttempts {

@@ -6,9 +6,7 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -106,21 +104,10 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// /healthz reflects the per-device circuit breakers: the service is
-	// "degraded" (still 200 — cached results and other devices are still
-	// served) while any breaker is away from closed.
-	breakers := s.sched.Breakers()
-	status := "ok"
-	for _, b := range breakers {
-		if b.State != "closed" {
-			status = "degraded"
-		}
-	}
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"status":         status,
+		"status":         "ok",
 		"ready":          s.Ready(),
 		"uptime_seconds": time.Since(s.start).Seconds(),
-		"breakers":       breakers,
 	})
 }
 
@@ -265,24 +252,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// again would repeat.
 		WriteError(w, http.StatusInternalServerError, codeInternal, err)
 	default:
-		// Transient, watchdog or breaker-open, after the scheduler's
-		// retries. A cached result never gets here (Do serves it before
-		// the breaker is asked), so there is nothing to serve.
+		// A watchdog kill: the attempt ran out of time, which says
+		// something about the host's load, not about the job. A cached
+		// result never gets here (Do serves it first), so there is
+		// nothing to serve.
 		s.writeUnavailable(w, err)
 	}
 }
 
-// writeUnavailable answers a /run whose live path failed: a typed 503
-// with a Retry-After hint, the breaker's remaining cool-down when that is
-// the blocker.
+// writeUnavailable answers a /run whose live path was killed by the
+// watchdog: a typed 503 with a 5 s Retry-After hint.
 func (s *Server) writeUnavailable(w http.ResponseWriter, cause error) {
 	s.unavailable.Add(1)
-	retryAfter := 5.0
-	var boe *sched.BreakerOpenError
-	if errors.As(cause, &boe) && boe.RetryAfter > 0 {
-		retryAfter = boe.RetryAfter.Seconds()
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter))))
+	w.Header().Set("Retry-After", "5")
 	WriteError(w, http.StatusServiceUnavailable, codeUnavailable, cause)
 }
 
@@ -345,16 +327,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Gauge("gpucmpd_in_flight", "Jobs currently executing.", metrics.Value(snap.InFlight)),
 		metrics.Gauge("gpucmpd_queue_depth", "Jobs queued but not yet executing.", metrics.Value(snap.QueueDepth)),
 		metrics.Counter("gpucmpd_retries_total", "Transient job failures retried.", metrics.Value(snap.Retries)),
-		metrics.Counter("gpucmpd_breaker_trips_total", "Circuit-breaker transitions to open.", metrics.Value(snap.BreakerTrips)),
-		metrics.Counter("gpucmpd_breaker_denials_total", "Jobs rejected by an open circuit breaker.", metrics.Value(snap.BreakerDenials)),
 		metrics.Counter("gpucmpd_watchdog_reclaims_total", "Attempts cancelled and reclaimed: timed out, or abandoned by every caller.", metrics.Value(snap.WatchdogReclaims)),
 		metrics.Counter("gpucmpd_cache_corruptions_total", "Corrupted cache entries detected and evicted.", metrics.Value(snap.CacheCorruptions)),
 		metrics.Counter("gpucmpd_abandons_total", "Executions cancelled because every waiter went away.", metrics.Value(snap.Abandons)),
 		metrics.Counter("gpucmpd_warp_instrs_total", "Simulated warp instructions executed by completed jobs.", metrics.Value(snap.WarpInstrs)),
 		metrics.Counter("gpucmpd_lane_instrs_total", "Simulated lane (thread) instructions executed by completed jobs.", metrics.Value(snap.LaneInstrs)),
 		metrics.Counter("gpucmpd_unavailable_total", "Run requests that got 503: not cached, and the live path failed.", metrics.Value(s.unavailable.Load())),
-		metrics.Gauge("gpucmpd_breaker_state", "Per-device breaker state (0=closed, 1=half-open, 2=open).",
-			metrics.Rows(s.sched.Breakers(), "device", func(b sched.BreakerSnapshot) (string, int) { return b.Device, sched.BreakerGauge(b.State) })...),
 		metrics.Counter("gpucmpd_tasks_total", "Generic tenant tasks (kernel submissions) executed.", metrics.Value(snap.TasksRun)),
 		metrics.Counter("gpucmpd_gauntlet_rejects_total", "Kernel submissions refused before execution.", metrics.Value(s.gauntletRejects.Load())),
 		metrics.Counter("gpucmpd_quota_denials_total", "Kernel submissions refused by tenant quota.", metrics.Value(s.quotaDenials.Load())),

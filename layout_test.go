@@ -1,6 +1,9 @@
 package gpucmp
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -63,10 +66,31 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 // names one function per member. Every gpucmpd_ metric named in the
 // documents' code must be a family the worker or the coordinator exports
 // (a # TYPE line of a /metrics golden); a trailing _ makes it a prefix.
+// In those documents and in each internal/*/README.md, a code span that
+// is only `pkg.Name`, pkg an internal/ package and Name exported, must
+// name what pkg's non-test files declare: a package-level name, or a
+// method or struct field, which the documents name as `ptx.Validate` for
+// `ptx.Kernel.Validate` (a trailing * makes it a prefix). Every internal/,
+// cmd/ or benchmark/ path in a code span must exist.
 func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 	flags := commandFlags(t)
 	tests := testNames(t)
 	families := metricFamilies(t)
+	decls := packageDecls(t)
+	readmes, err := filepath.Glob("internal/*/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"README.md", "EXPERIMENTS.md", "DESIGN.md"}, readmes...) {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range codeFragments(string(b)) {
+			checkGoName(t, doc, code, decls)
+			checkPaths(t, doc, code)
+		}
+	}
 	ids := map[string]bool{"fair": true, "profile": true, "passes": true}
 	for _, id := range core.FigureIDs() {
 		ids[id] = true
@@ -293,6 +317,98 @@ func matchesAny(re *regexp.Regexp, kinds []string, tests map[string][]string) bo
 		}
 	}
 	return false
+}
+
+// packageDecls returns, for each internal/ package, the names its
+// non-test files declare: functions, methods, types, struct fields,
+// variables and constants.
+func packageDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("internal/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := filepath.Base(filepath.Dir(f))
+		if out[pkg] == nil {
+			out[pkg] = map[string]bool{}
+		}
+		for _, d := range file.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				out[pkg][d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						out[pkg][spec.Name.Name] = true
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							for _, f := range st.Fields.List {
+								for _, n := range f.Names {
+									out[pkg][n.Name] = true
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							out[pkg][n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// goName is a code fragment that is only a package-qualified exported
+// name, with an optional trailing *. (Lower-case `sched.do_hit_us` names a
+// benchmark metric, not Go.)
+var goName = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)(\*?)$`)
+
+// checkGoName reports a code fragment that is only `pkg.Name`, pkg an
+// internal/ package, when pkg declares no such name (or, with a trailing
+// *, no name with that prefix). Test function names are checkTestName's.
+func checkGoName(t *testing.T, doc, code string, decls map[string]map[string]bool) {
+	t.Helper()
+	m := goName.FindStringSubmatch(code)
+	if m == nil || decls[m[1]] == nil || testName.MatchString(code) {
+		return
+	}
+	pkg, name, prefix := m[1], m[2], m[3] == "*"
+	for d := range decls[pkg] {
+		if d == name || prefix && strings.HasPrefix(d, name) {
+			return
+		}
+	}
+	t.Errorf("%s: `%s` names nothing internal/%s declares", doc, code, pkg)
+}
+
+// repoPath is a path under internal/, cmd/ or benchmark/ in a code
+// fragment. It ends before a :line suffix, a /... package pattern or a
+// .Name Go qualifier (`internal/fuzz.Bisect`).
+var repoPath = regexp.MustCompile(`(?:^|[\s(./"'=])((?:internal|cmd|benchmark)/[\w*/-]*(?:\.[a-z][\w*.-]*)?)`)
+
+// checkPaths reports each internal/, cmd/ or benchmark/ path a code
+// fragment names that does not exist; a path with a * must match
+// something.
+func checkPaths(t *testing.T, doc, code string) {
+	t.Helper()
+	for _, m := range repoPath.FindAllStringSubmatch(code, -1) {
+		matches, err := filepath.Glob(m[1])
+		if err != nil || len(matches) == 0 {
+			t.Errorf("%s: `%s` names %s, which does not exist", doc, code, m[1])
+		}
+	}
 }
 
 // metricFamilies returns the metric families the worker and the
