@@ -3,7 +3,7 @@ package kir
 // Benchmarks of the host reference executor. It is not expected to be fast
 // — a tree-walking evaluator over name-keyed maps — but its throughput is
 // the baseline that puts the simulator's interpreter numbers (internal/sim
-// benchmarks, cmd/simbench) in context.
+// benchmarks) in context.
 
 import "testing"
 

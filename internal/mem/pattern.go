@@ -16,8 +16,8 @@ import "math/bits"
 // sensitive, so the order is part of the contract).
 //
 // The reference routines are deliberately left untouched: they are the
-// pre-optimization baseline the simulator's equivalence gate and simbench
-// speedup numbers are measured against.
+// pre-optimization baseline the simulator's equivalence gate and the
+// internal/sim Interpreter benchmarks are measured against.
 
 // dedupTable is an exact first-touch dedup for up to 64 values: a 128-slot
 // open-addressed table that lives entirely on the caller's stack. At most

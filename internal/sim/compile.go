@@ -126,10 +126,11 @@ type countDelta struct {
 
 // compiledSeg is a compiled superinstruction.
 type compiledSeg struct {
-	uops     []microOp
-	counts   []countDelta
-	laneBase int64 // warp width x op count: laneInstrs per full execution
-	W        int
+	uops      []microOp
+	counts    []countDelta
+	laneBase  int64 // warp width x op count: laneInstrs per full execution
+	handBacks int64 // uALUFull micro-ops: PathCounts.HandBacks per execution
+	W         int
 }
 
 // compileSeg lowers one fused segment. W is the SIMD width the program was
@@ -148,7 +149,11 @@ func compileSeg(dk *decodedKernel, seg *tSeg, W int) *compiledSeg {
 				continue
 			}
 		}
-		cs.uops = append(cs.uops, lowerOp(dk, pc, W))
+		u := lowerOp(dk, pc, W)
+		if u.kind == uALUFull {
+			cs.handBacks++
+		}
+		cs.uops = append(cs.uops, u)
 		pc++
 	}
 	return cs
@@ -382,6 +387,7 @@ func (cs *compiledSeg) exec(w *fwarp, cu *cuState, mask uint64) error {
 		cu.dynOps[cd.idx] += cd.n
 	}
 	cu.laneInstrs += cs.laneBase
+	cu.path.HandBacks += cs.handBacks
 	W := cs.W
 	regs := w.regs
 	for i := range cs.uops {
@@ -435,6 +441,7 @@ func (cs *compiledSeg) exec(w *fwarp, cu *cuState, mask uint64) error {
 		case uFmaFPair:
 			if w.uni3(u.aReg, u.bReg, u.cReg) || w.uni2(u.a2Reg, u.b2Reg) {
 				// Either op would take the broadcast path: run them apart.
+				cu.path.UniFallbacks += 2
 				w.execALUFast(u.d, mask)
 				w.execALUFast(u.d2, mask)
 				continue
@@ -462,21 +469,25 @@ func (cs *compiledSeg) exec(w *fwarp, cu *cuState, mask uint64) error {
 		switch u.kind {
 		case uMovR, uCvtR:
 			if w.getUni(u.aReg) {
+				cu.path.UniFallbacks++
 				w.execALUFast(u.d, mask)
 				continue
 			}
 		case uFmaFRRR, uFmaIRRR, uSelpRRR:
 			if w.uni3(u.aReg, u.bReg, u.cReg) {
+				cu.path.UniFallbacks++
 				w.execALUFast(u.d, mask)
 				continue
 			}
 		case uFmaIRIR:
 			if w.uni2(u.aReg, u.cReg) {
+				cu.path.UniFallbacks++
 				w.execALUFast(u.d, mask)
 				continue
 			}
 		default:
 			if w.uni2(u.aReg, u.bReg) {
+				cu.path.UniFallbacks++
 				w.execALUFast(u.d, mask)
 				continue
 			}

@@ -30,8 +30,8 @@ func (e Engine) String() string {
 
 // EngineStats is a snapshot of the process-wide interpreter counters. The
 // superinstruction and block-compile numbers exist so the fusion layer is
-// observable (simbench hit rates, /metrics) without touching the Trace,
-// which must stay bit-identical across engines.
+// observable (/metrics, the benchmark's per-layer rows) without touching
+// the Trace, which must stay bit-identical across engines.
 type EngineStats struct {
 	// SuperinstrHits counts fused-segment executions (one hit = one
 	// dispatch covering SuperinstrOps/SuperinstrHits ops on average).
@@ -79,9 +79,41 @@ func GlobalEngineStats() EngineStats {
 	return s
 }
 
-// DeviceEngineStats reports this device's own fusion counters (superinstr
-// hits / ops covered / block compiles) accumulated since creation —
-// simbench uses the per-cell deltas for hit rates.
-func (d *Device) DeviceEngineStats() (hits, ops, compiles int64) {
-	return d.superHits.Load(), d.superOps.Load(), d.blockCompiles.Load()
+// PathCounts is how the production engine retired a device's warp
+// instructions, summed over its launches since creation. Every count is
+// exact under sequential launches; under Parallel the split between
+// compiled and interpreted segments depends on which compute unit crosses
+// compileThreshold first, because a segment's hit counter is shared.
+type PathCounts struct {
+	// SegRuns counts fused-segment dispatches, and SegOps the warp
+	// instructions retired inside them.
+	SegRuns int64
+	SegOps  int64
+	// CompiledOps counts the SegOps retired by compiled segments; the rest
+	// ran through runSegInterp (a diverged or tail mask, or a segment not
+	// yet compiled).
+	CompiledOps int64
+	// HandBacks counts the uALUFull micro-ops compiled segments ran through
+	// execALUFast, and UniFallbacks the specialised micro-ops sent there
+	// because every register source was warp-uniform.
+	HandBacks    int64
+	UniFallbacks int64
+	// BlockCompiles counts the segments this device compiled to closures.
+	BlockCompiles int64
+}
+
+func (p *PathCounts) add(q *PathCounts) {
+	p.SegRuns += q.SegRuns
+	p.SegOps += q.SegOps
+	p.CompiledOps += q.CompiledOps
+	p.HandBacks += q.HandBacks
+	p.UniFallbacks += q.UniFallbacks
+	p.BlockCompiles += q.BlockCompiles
+}
+
+// DeviceEngineStats reports this device's PathCounts.
+func (d *Device) DeviceEngineStats() PathCounts {
+	d.pathMu.Lock()
+	defer d.pathMu.Unlock()
+	return d.path
 }

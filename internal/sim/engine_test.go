@@ -271,8 +271,8 @@ func TestProgramSharing(t *testing.T) {
 			t.Errorf("%s did not run the kernel's width-32 program", r.dev.Arch.Name)
 		}
 	}
-	_, _, c280 := gt280.dev.DeviceEngineStats()
-	_, _, c480 := gt480.dev.DeviceEngineStats()
+	c280 := gt280.dev.DeviceEngineStats().BlockCompiles
+	c480 := gt480.dev.DeviceEngineStats().BlockCompiles
 	if n := compiledSegs(p32); n == 0 || c280+c480 != n {
 		t.Errorf("block compiles %d on GTX280 + %d on GTX480, want the %d compiled segments once", c280, c480, n)
 	}
@@ -285,7 +285,7 @@ func TestProgramSharing(t *testing.T) {
 	if p64 == p32 || hd.dev.arenas[0].blk.prog != p64 {
 		t.Error("HD5870 (width 64) did not get a program of its own")
 	}
-	if _, _, c := hd.dev.DeviceEngineStats(); c == 0 || c != compiledSegs(p64) {
+	if c := hd.dev.DeviceEngineStats().BlockCompiles; c == 0 || c != compiledSegs(p64) {
 		t.Errorf("HD5870 compiled %d segments, its program holds %d", c, compiledSegs(p64))
 	}
 

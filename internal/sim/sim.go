@@ -100,15 +100,13 @@ type Device struct {
 	// execNanos accumulates the interpreter's own execution cost,
 	// excluding host-side compile and staging. Under Parallel it is the
 	// critical path — the maximum busy time across the concurrently
-	// running compute units, not their sum — so it is the number a
-	// wall-clock comparison of engines wants (cmd/simbench).
+	// running compute units, not their sum.
 	execNanos atomic.Int64
 
-	// superHits/superOps/blockCompiles are this device's fusion counters
-	// (see DeviceEngineStats); process-wide totals live in engineGlobals.
-	superHits     atomic.Int64
-	superOps      atomic.Int64
-	blockCompiles atomic.Int64
+	// path is this device's PathCounts (DeviceEngineStats), added to once
+	// per launch under pathMu; process-wide totals live in engineGlobals.
+	pathMu sync.Mutex
+	path   PathCounts
 }
 
 // ExecNanos returns the cumulative nanoseconds this device's compute units
@@ -393,19 +391,17 @@ func (d *Device) Launch(k *ptx.Kernel, grid, block Dim3, args []uint32) (*Trace,
 	}
 	d.execNanos.Add(aggregateNanos(perNanos, usedParallel))
 	if useFast {
-		var hits, ops, compiles int64
+		var c PathCounts
 		for _, cu := range cus {
-			hits += cu.superRuns
-			ops += cu.superOps
-			compiles += cu.blockCompiles
+			c.add(&cu.path)
 		}
-		if hits != 0 || compiles != 0 {
-			d.superHits.Add(hits)
-			d.superOps.Add(ops)
-			d.blockCompiles.Add(compiles)
-			engineGlobals.superHits.Add(hits)
-			engineGlobals.superOps.Add(ops)
-			engineGlobals.blockCompiles.Add(compiles)
+		if c != (PathCounts{}) {
+			d.pathMu.Lock()
+			d.path.add(&c)
+			d.pathMu.Unlock()
+			engineGlobals.superHits.Add(c.SegRuns)
+			engineGlobals.superOps.Add(c.SegOps)
+			engineGlobals.blockCompiles.Add(c.BlockCompiles)
 		}
 	}
 	if launchErr != nil {

@@ -62,11 +62,12 @@ func (w *fwarp) runThreaded() error {
 					if cs == nil && seg.hits.Add(1) == compileThreshold {
 						fresh := compileSeg(prog.dk, seg, fb.W)
 						if seg.compiled.CompareAndSwap(nil, fresh) {
-							cu.blockCompiles++
+							cu.path.BlockCompiles++
 						}
 						cs = seg.compiled.Load()
 					}
 					if cs != nil {
+						cu.path.CompiledOps += int64(n)
 						err = cs.exec(w, cu, f.mask)
 					} else {
 						err = w.runSegInterp(seg, f.mask)
@@ -77,8 +78,8 @@ func (w *fwarp) runThreaded() error {
 				if err != nil {
 					return err
 				}
-				cu.superRuns++
-				cu.superOps += int64(n)
+				cu.path.SegRuns++
+				cu.path.SegOps += int64(n)
 				w.frames[fi].pc = int(seg.end)
 				continue
 			}

@@ -167,13 +167,10 @@ type cuState struct {
 	divergent  int64
 	mem        MemCounters
 
-	// Threaded-engine shards: fused-segment dispatches, warp instructions
-	// retired inside them, and segments compiled to closures by this unit.
-	// Launch folds them into the Device and process-wide stats; they are
-	// never part of the Trace (which must stay engine-invariant).
-	superRuns     int64
-	superOps      int64
-	blockCompiles int64
+	// path is this unit's shard of the threaded engine's PathCounts.
+	// Launch folds it into the Device and process-wide stats; it is never
+	// part of the Trace (which must stay engine-invariant).
+	path PathCounts
 }
 
 func newCUState(d *Device, idx int) *cuState {
@@ -207,7 +204,7 @@ func newCUState(d *Device, idx int) *cuState {
 func (cu *cuState) reset() {
 	cu.dynOps = [512]int64{}
 	cu.laneInstrs, cu.barriers, cu.branches, cu.divergent = 0, 0, 0, 0
-	cu.superRuns, cu.superOps, cu.blockCompiles = 0, 0, 0
+	cu.path = PathCounts{}
 	cu.mem = MemCounters{}
 	for _, c := range []*mem.Cache{cu.tex, cu.l1, cu.l2, cu.constc} {
 		if c != nil {

@@ -53,14 +53,15 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 }
 
 // TestDocumentsNameOnlyRealCommands: README.md, EXPERIMENTS.md and
-// DESIGN.md tell the reader what to run. Every `go run ./cmd/<x>` there
-// must name a directory that exists, and every id handed to paper, on a
-// `go run ./cmd/paper` line or in a code span opening with `paper`, must
-// be a row of the figure table or one of fair, profile and passes. In the
-// documents' code, every -flag handed to a command must be one the
-// command defines, and every `go test` -run, -bench or -fuzz pattern must
-// match a test, benchmark or fuzz target, except the match-nothing
-// patterns XXX and ^$. A code span that is only a test, example,
+// DESIGN.md tell the reader what to run. Every `go run ./cmd/<x>` or
+// cmd/<x> in them or in an internal/*/README.md, prose or code, must name
+// a directory that exists, so a deleted command cannot linger. Every id
+// handed to paper, on a `go run ./cmd/paper` line or in a code span
+// opening with `paper`, must be a row of the figure table or one of fair,
+// profile and passes. In the documents' code, every -flag handed to a
+// command must be one the command defines, and every `go test` -run,
+// -bench or -fuzz pattern, quoted or not, must match a test, benchmark or
+// fuzz target, except the match-nothing patterns XXX and ^$. A code span that is only a test, example,
 // benchmark or fuzz function's name, `pkg.`-qualified or not, must name a
 // real one; a trailing * makes it a prefix, and a trailing {A,B} group
 // names one function per member. Every gpucmpd_ metric named in the
@@ -86,6 +87,11 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, m := range cmdDir.FindAllStringSubmatch(string(b), -1) {
+			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+				t.Errorf("%s: %q names a command that does not exist", doc, m[0])
+			}
+		}
 		for _, code := range codeFragments(string(b)) {
 			checkGoName(t, doc, code, decls)
 			checkPaths(t, doc, code)
@@ -95,7 +101,6 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 	for _, id := range core.FigureIDs() {
 		ids[id] = true
 	}
-	goRun := regexp.MustCompile(`go run \./cmd/([\w-]+)`)
 	// A paper command line ends at a code span's end, a line's end or a
 	// shell operator.
 	paper := regexp.MustCompile("(?:go run \\./cmd/paper|`paper)([^`\n|;#>)]*)")
@@ -108,11 +113,6 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := string(b)
-		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
-			if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
-				t.Errorf("%s: %q names a command that does not exist", doc, m[0])
-			}
-		}
 		for _, code := range codeFragments(text) {
 			checkFlags(t, doc, code, flags)
 			checkTestPatterns(t, doc, code, tests)
@@ -158,15 +158,18 @@ func codeFragments(text string) []string {
 }
 
 // args is a command line's arguments: they end at a shell operator or a
-// comment.
-const args = `((?:\s+[^\s|;#>&)]+)*)`
+// comment outside quotes.
+const args = `((?:\s+(?:'[^']*'|"[^"]*"|[^\s|;#>&)'"]+))*)`
 
 var (
 	// invocation is a command run by `go run`, by its bare name, or by its
 	// cmd/ path, and its arguments.
-	invocation = regexp.MustCompile(`(?:go run \./cmd/|(?:^|\s)(?:cmd/)?)(gpucmpd|kfuzz|loadgen|simbench|paper)\b` + args)
-	flagArg    = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
-	goTest     = regexp.MustCompile(`go test` + args)
+	invocation = regexp.MustCompile(`(?:go run \./cmd/|(?:^|\s)(?:cmd/)?)(gpucmpd|kfuzz|loadgen|paper)\b` + args)
+	// cmdDir is a command's directory, in prose or code: `go run
+	// ./cmd/kfuzz`, cmd/paper/testdata.
+	cmdDir  = regexp.MustCompile(`\bcmd/([\w-]+)`)
+	flagArg = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+	goTest  = regexp.MustCompile(`go test` + args)
 	// flagDef is a flag definition: flag.Int("name", …), fs.BoolVar(&v, "name", …).
 	flagDef  = regexp.MustCompile(`\b(?:flag|fs)\.[A-Z]\w*\(\s*(?:&[\w.]+,\s*)?"([^"]+)"`)
 	testFunc = regexp.MustCompile(`(?m)^func ((Test|Example|Benchmark|Fuzz)\w*)\(`)
