@@ -79,19 +79,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	stepBudget := fs.Uint64("submit-step-budget", 0, "POST /kernels: watchdog warp-instruction budget per work group (0 = default)")
 	coordinator := fs.Bool("coordinator", false, "run as fleet coordinator: admit and route requests to -shards instead of executing locally")
 	shards := fs.String("shards", "", "coordinator mode: comma-separated worker base URLs (e.g. http://127.0.0.1:8481,http://127.0.0.1:8482)")
-	hedgeQuantile := fs.Float64("hedge-quantile", 0.95, "coordinator mode: latency quantile that arms the hedge timer")
-	hedgeMin := fs.Duration("hedge-min", 20*time.Millisecond, "coordinator mode: hedge-delay floor")
-	hedgeMax := fs.Duration("hedge-max", 2*time.Second, "coordinator mode: hedge-delay cap")
 	maxInFlight := fs.Int("max-inflight", 512, "coordinator mode: shed with 503 above this many in-flight requests (negative disables)")
-	probeInterval := fs.Duration("probe-interval", time.Second, "coordinator mode: worker readiness-probe period")
-	vnodes := fs.Int("ring-vnodes", cluster.DefaultVirtualNodes, "coordinator mode: virtual nodes per ring member")
-	injectSeed := fs.Uint64("inject-seed", 1, "serving mode: fault-injection seed (with -inject-slow-rate and the coexec rates)")
-	injectSlowRate := fs.Float64("inject-slow-rate", 0, "serving mode: fraction of kernel launches stalled by an injected straggler delay (0 disables)")
-	injectSlowDelay := fs.Duration("inject-slow-delay", 300*time.Millisecond, "serving mode: straggler delay for -inject-slow-rate")
+	injectSeed := fs.Uint64("inject-seed", 1, "serving mode: seed of the POST /coexec fault injection")
 	injectTransferRate := fs.Float64("inject-transfer-rate", 0, "serving mode: fraction of POST /coexec shard launches failed with a transfer error (0 disables)")
 	injectDeviceLostRate := fs.Float64("inject-device-lost-rate", 0, "serving mode: fraction of POST /coexec shard launches that kill the whole device (0 disables)")
 	injectMaxPerKey := fs.Int("inject-max-per-key", 3, "serving mode: per-shard cap on injected coexec transfer errors (device losses are never capped)")
-	drainNotice := fs.Duration("drain-notice", 0, "on SIGINT/SIGTERM, hold readiness down this long before closing listeners (lets coordinator probes evict us first: allow three probe intervals)")
+	drainNotice := fs.Duration("drain-notice", 0, "on SIGINT/SIGTERM, hold readiness down this long before closing listeners (lets coordinator probes evict us first: a coordinator probes every second and evicts after three misses, so allow 3s)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -108,22 +101,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *coordinator && len(workerURLs) == 0 {
 		return fmt.Errorf("%w: -coordinator requires -shards with at least one worker URL", errUsage)
 	}
-	// A straggler-only schedule for /run launches: they stall but still
-	// succeed, which is exactly the slow-shard shape request hedging is
-	// built to beat. Shard-granular faults for the co-execution path:
-	// transfer errors (capped per shard so recovery terminates) and device
-	// losses, deterministic in (seed, device, shard, attempt) and drawn
-	// afresh for every /coexec run.
-	slowFaults := fault.Schedule{SlowRate: *injectSlowRate, SlowDelay: *injectSlowDelay}
+	// Shard-granular faults for the co-execution path: transfer errors
+	// (capped per shard so recovery terminates) and device losses,
+	// deterministic in (seed, device, shard, attempt) and drawn afresh for
+	// every /coexec run.
 	coexecFaults := fault.Schedule{
 		TransferRate:   *injectTransferRate,
 		DeviceLostRate: *injectDeviceLostRate,
 		MaxPerKey:      *injectMaxPerKey,
 	}
-	for _, sch := range []fault.Schedule{slowFaults, coexecFaults} {
-		if err := sch.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", errUsage, err)
-		}
+	if err := coexecFaults.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 
 	if *pprofAddr != "" {
@@ -147,14 +135,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// No local execution: admission control and routing over the
 		// worker shards.
 		coord := cluster.New(cluster.Config{
-			Workers:       workerURLs,
-			VirtualNodes:  *vnodes,
-			HedgeQuantile: *hedgeQuantile,
-			HedgeMinDelay: *hedgeMin,
-			HedgeMaxDelay: *hedgeMax,
-			MaxInFlight:   *maxInFlight,
-			Quota:         sched.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
-			ProbeInterval: *probeInterval,
+			Workers:     workerURLs,
+			MaxInFlight: *maxInFlight,
+			Quota:       sched.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
 		})
 		coord.Start()
 		defer coord.Close()
@@ -163,20 +146,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return serve(ctx, ln, coord.Handler(), &coord.Readiness, 16*time.Minute, *drainNotice)
 	}
 
-	var inj *fault.Injector
-	if *injectSlowRate > 0 {
-		inj = fault.New(*injectSeed, slowFaults)
-		log.Printf("gpucmpd: injecting %.0f%% slow launches (+%v, seed %d)",
-			*injectSlowRate*100, *injectSlowDelay, *injectSeed)
-	}
-
 	s := sched.New(sched.Options{
 		Workers:         *workers,
 		CacheSize:       *cacheSize,
 		JobTimeout:      *jobTimeout,
 		Quota:           sched.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
 		TenantCacheSize: *tenantCache,
-		Injector:        inj,
 	})
 	defer s.Close()
 

@@ -156,11 +156,9 @@ func TestCoordinatorOverWorker(t *testing.T) {
 	if !errors.Is(err, errUsage) {
 		t.Errorf("-coordinator without -shards: %v, want a usage error", err)
 	}
-	for _, flag := range []string{"-inject-slow-rate", "-inject-transfer-rate"} {
-		err := run(context.Background(), []string{flag, "2", "-addr", "127.0.0.1:0"}, io.Discard)
-		if !errors.Is(err, errUsage) {
-			t.Errorf("%s 2: %v, want a usage error", flag, err)
-		}
+	err = run(context.Background(), []string{"-inject-transfer-rate", "2", "-addr", "127.0.0.1:0"}, io.Discard)
+	if !errors.Is(err, errUsage) {
+		t.Errorf("-inject-transfer-rate 2: %v, want a usage error", err)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	clk := clock.NewFake(time.Now())
+	clk := clock.NewFake(epoch)
 	b := newBreaker(1, time.Minute, clk)
 
 	if ok, _ := b.Allow(); !ok {

@@ -37,7 +37,7 @@ func startWorker(t *testing.T, inj *fault.Injector) (*httptest.Server, *server.S
 func startCoordinator(t *testing.T, cfg Config) (*httptest.Server, *Coordinator) {
 	t.Helper()
 	if cfg.clock == nil {
-		cfg.clock = clock.NewFake(time.Now())
+		cfg.clock = clock.NewFake(epoch)
 	}
 	c := New(cfg)
 	c.Start()

@@ -29,19 +29,6 @@ type Config struct {
 	// loop removes workers whose /healthz/ready keeps failing to answer
 	// 200 and re-adds them when they recover.
 	Workers []string
-	// VirtualNodes per ring member (default DefaultVirtualNodes).
-	VirtualNodes int
-
-	// HedgeQuantile is the observed-latency quantile that arms the hedge
-	// timer (default 0.95): when a routed request has been in flight
-	// longer than this quantile of recent requests, a second attempt is
-	// fired at the next shard on the ring and the first response wins.
-	HedgeQuantile float64
-	// HedgeMinDelay / HedgeMaxDelay clamp the hedge delay (defaults 20ms
-	// and 2s). Before enough latency samples exist, 100ms (clamped) is
-	// used.
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
 
 	// MaxInFlight sheds load with 503 + Retry-After once this many
 	// proxied requests are in flight (default 512; negative disables).
@@ -50,8 +37,6 @@ type Config struct {
 	// when absent). The zero value admits everything.
 	Quota sched.QuotaConfig
 
-	// ProbeInterval is the worker readiness-probe period (default 1s).
-	ProbeInterval time.Duration
 	// Client is the HTTP client used for worker calls (default: a client
 	// with sane connection pooling and no overall timeout — per-attempt
 	// contexts bound each call).
@@ -60,23 +45,32 @@ type Config struct {
 	// clock drives the probe loop, the hedge timer, routed latencies,
 	// breakers, quotas and uptime (nil = the wall clock).
 	clock clock.Clock
+	// noHedge arms no hedge timer, so a request is answered by its
+	// primary attempt and failovers alone: the baseline the fleet
+	// scenario holds hedging against.
+	noHedge bool
 }
 
+// The routing and probing constants.
+const (
+	// hedgeQuantile is the observed-latency quantile that arms the hedge
+	// timer: when a routed request has been in flight longer than this
+	// quantile of recent requests, a second attempt is fired at the next
+	// shard on the ring and the first response wins.
+	hedgeQuantile = 0.95
+	// hedgeMinDelay and hedgeMaxDelay clamp the hedge delay. Before
+	// enough latency samples exist, hedgeColdDelay (clamped) is used.
+	hedgeMinDelay  = 20 * time.Millisecond
+	hedgeMaxDelay  = 2 * time.Second
+	hedgeColdDelay = 100 * time.Millisecond
+	// probeInterval is the worker readiness-probe period, and each
+	// probe's timeout.
+	probeInterval = time.Second
+)
+
 func (cfg Config) withDefaults() Config {
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = 0.95
-	}
-	if cfg.HedgeMinDelay <= 0 {
-		cfg.HedgeMinDelay = 20 * time.Millisecond
-	}
-	if cfg.HedgeMaxDelay <= 0 {
-		cfg.HedgeMaxDelay = 2 * time.Second
-	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 512
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = time.Second
 	}
 	if cfg.clock == nil {
 		cfg.clock = clock.Real{}
@@ -126,7 +120,7 @@ func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:      cfg,
-		ring:     NewRing(cfg.VirtualNodes),
+		ring:     NewRing(virtualNodes),
 		quotas:   sched.NewTenantQuotas(cfg.Quota, cfg.clock),
 		metrics:  newMetrics(),
 		lat:      &latencyTracker{},
@@ -144,7 +138,7 @@ func New(cfg Config) *Coordinator {
 }
 
 // Start launches the readiness-probe loop: one probe round every
-// ProbeInterval, timed from the end of the previous round. Call Close to
+// probeInterval, timed from the end of the previous round. Call Close to
 // stop it.
 func (c *Coordinator) Start() {
 	c.probeWG.Add(1)
@@ -152,7 +146,7 @@ func (c *Coordinator) Start() {
 		defer c.probeWG.Done()
 		for {
 			tick := make(chan struct{})
-			t := c.cfg.clock.AfterFunc(c.cfg.ProbeInterval, func() { close(tick) })
+			t := c.cfg.clock.AfterFunc(probeInterval, func() { close(tick) })
 			select {
 			case <-c.stop:
 				t.Stop()
@@ -213,7 +207,7 @@ func (c *Coordinator) probeOnce() {
 }
 
 func (c *Coordinator) probe(worker string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeInterval)
+	ctx, cancel := context.WithTimeout(context.Background(), probeInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+"/healthz/ready", nil)
 	if err != nil {
@@ -276,17 +270,11 @@ func (t *latencyTracker) quantile(q float64) (time.Duration, bool) {
 }
 
 func (c *Coordinator) hedgeDelay() time.Duration {
-	d, ok := c.lat.quantile(c.cfg.HedgeQuantile)
+	d, ok := c.lat.quantile(hedgeQuantile)
 	if !ok {
-		d = 100 * time.Millisecond // cold start: no latency signal yet
+		d = hedgeColdDelay // no latency signal yet
 	}
-	if d < c.cfg.HedgeMinDelay {
-		d = c.cfg.HedgeMinDelay
-	}
-	if d > c.cfg.HedgeMaxDelay {
-		d = c.cfg.HedgeMaxDelay
-	}
-	return d
+	return min(max(d, hedgeMinDelay), hedgeMaxDelay)
 }
 
 // shardResponse is one worker's buffered reply, replayable to any number
@@ -412,7 +400,7 @@ func (c *Coordinator) forward(ctx context.Context, method, pathq string, header 
 		ht    clock.Timer
 		hedge chan result // the hedge callback's one result
 	)
-	if len(shards) > 1 {
+	if len(shards) > 1 && !c.cfg.noHedge {
 		hedge = make(chan result, 1)
 		ht = c.cfg.clock.AfterFunc(c.hedgeDelay(), func() {
 			if actx.Err() != nil { // the primary answered as the timer fired

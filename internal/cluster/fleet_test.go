@@ -1,67 +1,77 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gpucmp/internal/clock"
+	"gpucmp/internal/fault"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/server"
 )
 
-// workerState is how a memFleet worker answers.
-type workerState int
+// epoch is where every Fake clock in this package's tests starts, so that
+// none of them is built from the wall clock.
+var epoch = time.Date(2011, 9, 13, 0, 0, 0, 0, time.UTC)
 
+// The fleet scenario is the serving SLO, replayed in virtual time: three
+// in-process workers and their coordinator share one clock; one worker is
+// a straggler, whose real fault injector stalls 30% of its launches by
+// 250 ms; a healthy worker is killed halfway through; and a seeded mix of
+// requests is sent one at a time, scenarioGap apart. The clock moves only
+// while the fleet is blocked on a timer, so a run of the seed always takes
+// the same path, and a request's latency is the virtual time it took: the
+// stalls, hedge delays and probe rounds it waited through, and nothing of
+// the host's speed.
 const (
-	healthy workerState = iota
-	// slow holds every /run request until its context is cancelled; it
-	// still answers readiness probes, so it stays on the ring.
-	slow
-	// dead refuses every connection.
-	dead
+	scenarioSeed     = 42
+	scenarioRequests = 200
+	scenarioGap      = 50 * time.Millisecond // virtual inter-arrival
+	slowWorker       = "http://w0"
+	victim           = "http://w1"
+	killAt           = scenarioRequests / 2 // the victim dies before this request
 )
 
-// memFleet is the Config.Client transport of the fault-tolerance scenario:
-// in-process worker handlers under fixed names, so the ring is the same in
-// every run, and no listener or socket between them and the coordinator.
+// slowSchedule is the straggler's fault schedule.
+var slowSchedule = fault.Schedule{SlowRate: 0.3, SlowDelay: 250 * time.Millisecond}
+
+// memFleet is the Config.Client transport of the scenario: in-process
+// worker handlers under fixed names, so the ring is the same in every run,
+// and no listener or socket between them and the coordinator.
 type memFleet struct {
 	workers map[string]http.Handler // by host
-	held    chan struct{}           // a slow worker announces each request it holds
 
-	mu    sync.Mutex
-	state map[string]workerState
+	mu   sync.Mutex
+	dead map[string]bool // killed workers refuse every connection
 }
 
-func (f *memFleet) set(host string, st workerState) {
+func (f *memFleet) kill(worker string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.state[host] = st
+	f.dead[strings.TrimPrefix(worker, "http://")] = true
 }
 
 func (f *memFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 	f.mu.Lock()
-	st := f.state[req.URL.Host]
+	dead := f.dead[req.URL.Host]
 	f.mu.Unlock()
-	ctx := req.Context()
-	switch {
-	case st == dead:
+	if dead {
 		return nil, errors.New("mem fleet: connection refused")
-	case st == slow && req.URL.Path == "/run":
-		select {
-		case f.held <- struct{}{}:
-		case <-ctx.Done():
-		}
-		<-ctx.Done()
-		return nil, ctx.Err()
 	}
+	ctx := req.Context()
 	in := req.Clone(ctx)
 	in.RequestURI = req.URL.RequestURI()
 	if in.Body == nil {
@@ -69,133 +79,404 @@ func (f *memFleet) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	rec := httptest.NewRecorder()
 	f.workers[req.URL.Host].ServeHTTP(rec, in)
+	if err := ctx.Err(); err != nil {
+		// As over net/http, a cancelled caller gets its context's error,
+		// not the reply the worker wrote as it gave up.
+		return nil, err
+	}
 	return rec.Result(), nil
 }
 
-// faultScenario is one run of the fault-tolerance scenario: three
-// in-process workers behind a coordinator on a Fake clock. The test
-// issues every request itself, one at a time, and moves the clock only to
-// fire a hedge or a probe round, so each run takes the same path.
-type faultScenario struct {
-	t        *testing.T
-	clk      *clock.Fake
-	fleet    *memFleet
-	coord    *Coordinator
-	handler  http.Handler
-	cfg      Config
-	nextTick time.Time
+// timerKind is what armed a timer on the scenario's clock.
+type timerKind string
+
+const (
+	probeTick  timerKind = "probe" // the coordinator's probe loop
+	hedgeTimer timerKind = "hedge" // forward's hedge
+	stallTimer timerKind = "stall" // a worker's injected slow launch
+)
+
+// armers names the function that arms each kind of timer.
+var armers = map[string]timerKind{
+	"gpucmp/internal/cluster.(*Coordinator).Start.func1":       probeTick,
+	"gpucmp/internal/cluster.(*Coordinator).forward":           hedgeTimer,
+	"gpucmp/internal/sched.(*Scheduler).executeIsolated.func1": stallTimer,
 }
 
-// faultPhase is what one phase of the scenario leaves behind.
+// armedBy returns the kind of timer its caller's caller is arming, read
+// from the call stack; for a timer of no known kind, it returns the name
+// of the function that armed it.
+func armedBy() timerKind {
+	pcs := make([]uintptr, 16)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(3, pcs)])
+	first := ""
+	for {
+		fr, more := frames.Next()
+		if kind, ok := armers[fr.Function]; ok {
+			return kind
+		}
+		if first == "" {
+			first = fr.Function
+		}
+		if !more {
+			return timerKind(first)
+		}
+	}
+}
+
+// simClock is the scenario's one clock: a Fake whose armed timers the
+// test can list by kind and deadline, and whose changes it can wait for.
+type simClock struct {
+	fake *clock.Fake
+
+	mu      sync.Mutex
+	changed sync.Cond   // broadcast on every arm, stop and reply
+	armed   []*simTimer // in arming order
+	replied bool        // the request in flight has its reply
+}
+
+type simTimer struct {
+	c        *simClock
+	t        clock.Timer
+	kind     timerKind
+	deadline time.Time
+}
+
+func newSimClock() *simClock {
+	c := &simClock{fake: clock.NewFake(epoch)}
+	c.changed.L = &c.mu
+	return c
+}
+
+func (c *simClock) Now() time.Time { return c.fake.Now() }
+
+func (c *simClock) AfterFunc(d time.Duration, fn func()) clock.Timer {
+	st := &simTimer{c: c, kind: armedBy()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st.deadline = c.fake.Now().Add(d)
+	st.t = c.fake.AfterFunc(d, fn)
+	c.armed = append(c.armed, st)
+	c.changed.Broadcast()
+	return st
+}
+
+func (st *simTimer) Stop() bool {
+	c := st.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed = slices.DeleteFunc(c.armed, func(x *simTimer) bool { return x == st })
+	c.changed.Broadcast()
+	return st.t.Stop()
+}
+
+// has reports whether a timer of kind is armed; the caller holds c.mu.
+func (c *simClock) has(kind timerKind) bool {
+	return slices.ContainsFunc(c.armed, func(st *simTimer) bool { return st.kind == kind })
+}
+
+// wait blocks until cond, evaluated under c.mu, holds.
+func (c *simClock) wait(cond func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !cond() {
+		c.changed.Wait()
+	}
+}
+
+// next returns the earliest armed deadline and the kinds of the timers
+// due at it.
+func (c *simClock) next() (time.Time, []timerKind) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var when time.Time
+	var due []timerKind
+	for _, st := range c.armed {
+		switch {
+		case len(due) == 0 || st.deadline.Before(when):
+			when, due = st.deadline, []timerKind{st.kind}
+		case st.deadline.Equal(when):
+			due = append(due, st.kind)
+		}
+	}
+	return when, due
+}
+
+// advanceTo moves the clock to when, firing every timer due by then.
+func (c *simClock) advanceTo(when time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed = slices.DeleteFunc(c.armed, func(st *simTimer) bool { return !st.deadline.After(when) })
+	c.fake.Advance(when.Sub(c.fake.Now()))
+}
+
+// request is one drawn unit of traffic.
+type request struct {
+	method, path, tenant string
+	body                 string
+	hostile              bool // must come back a typed 4xx
+}
+
+// ringKey is the key the coordinator places the request by (see proxy).
+func (q request) ringKey(t *testing.T) string {
+	switch q.path {
+	case "/run":
+		return jobKey(t, q.body)
+	case "/kernels":
+		sum := sha256.Sum256([]byte(q.body))
+		return "kernels|" + hex.EncodeToString(sum[:])
+	}
+	return q.path
+}
+
+// hostileBodies are /kernels bodies the worker must refuse with a typed
+// 4xx: not JSON, a negative grid, and an output buffer that is not there.
+var hostileBodies = []string{
+	`]]]not json`,
+	`{"grid":-1,"block":4,"out":"out"}`,
+	`{"grid":1,"block":4,"out":"nope","buffers":{"out":[0]},"kernel":{"name":"x"}}`,
+}
+
+// trafficMix draws n requests from the serving mix:
+//
+//	55% cache-hot /run repeats of five cells
+//	20% a /run sweep over four benchmarks at four scales
+//	10% figure regenerations at scale 64
+//	10% one well-formed /kernels submission
+//	 5% hostile /kernels bodies
+//
+// from four tenants.
+func trafficMix(t *testing.T, seed int64, n int) []request {
+	hot := []string{
+		`{"benchmark":"Reduce","device":"GeForce GTX480","toolchain":"cuda","config":{"scale":16}}`,
+		`{"benchmark":"Reduce","device":"GeForce GTX480","toolchain":"opencl","config":{"scale":16}}`,
+		`{"benchmark":"Scan","device":"GeForce GTX480","toolchain":"cuda","config":{"scale":16}}`,
+		`{"benchmark":"Sobel","device":"GeForce GTX480","toolchain":"opencl","config":{"scale":16}}`,
+		`{"benchmark":"TranP","device":"GeForce GTX480","toolchain":"cuda","config":{"scale":16}}`,
+	}
+	sweep := []string{"Reduce", "Scan", "Sobel", "TranP"}
+	figures := []string{"fig1", "fig7", "tableV"}
+	kernel := string(kernelsBody(t, 1))
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]request, n)
+	for i := range out {
+		q := request{method: http.MethodPost, path: "/run", tenant: fmt.Sprintf("tenant-%d", rng.Intn(4))}
+		switch p := rng.Float64(); {
+		case p < 0.55:
+			q.body = hot[rng.Intn(len(hot))]
+		case p < 0.75:
+			q.body = runBody(sweep[rng.Intn(len(sweep))], []int{8, 16, 32, 64}[rng.Intn(4)])
+		case p < 0.85:
+			q.method, q.path = http.MethodGet, "/figures/"+figures[rng.Intn(len(figures))]+"?scale=64"
+		case p < 0.95:
+			q.path, q.body = "/kernels", kernel
+		default:
+			q.path, q.body, q.hostile = "/kernels", hostileBodies[rng.Intn(len(hostileBodies))], true
+		}
+		out[i] = q
+	}
+	return out
+}
+
+// fleetRun is one run of the scenario.
+type fleetRun struct {
+	t       *testing.T
+	clk     *simClock
+	fleet   *memFleet
+	scheds  []*sched.Scheduler
+	coord   *Coordinator
+	handler http.Handler
+	hedging bool
+
+	dead      string // the killed worker, once it is
+	rounds    int    // probe rounds so far
+	killRound int    // rounds when the victim was killed
+}
+
+// scenarioResult is what a run leaves behind.
+type scenarioResult struct {
+	log     []string // one line per request, in order
+	latency []time.Duration
+	phases  []faultPhase
+}
+
+// faultPhase is the coordinator's state at one point of the run.
 type faultPhase struct {
 	name    string
 	snap    Snapshot
 	members []string
 }
 
-const slowWorker = "http://w0"
-
-func newFaultScenario(t *testing.T) *faultScenario {
+func newFleetRun(t *testing.T, hedging bool) *fleetRun {
 	t.Helper()
-	fleet := &memFleet{workers: map[string]http.Handler{}, held: make(chan struct{}), state: map[string]workerState{}}
+	r := &fleetRun{t: t, clk: newSimClock(), fleet: &memFleet{workers: map[string]http.Handler{}, dead: map[string]bool{}}, hedging: hedging}
 	var workers []string
 	for i := 0; i < 3; i++ {
-		s := sched.New(sched.Options{Workers: 2})
+		url := fmt.Sprintf("http://w%d", i)
+		var inj *fault.Injector
+		if url == slowWorker {
+			inj = fault.New(scenarioSeed, slowSchedule)
+		}
+		s := sched.New(sched.Options{Workers: 2, Injector: inj, Clock: r.clk})
 		t.Cleanup(s.Close)
-		host := fmt.Sprintf("w%d", i)
-		fleet.workers[host] = server.New(s).Handler()
-		workers = append(workers, "http://"+host)
+		r.scheds = append(r.scheds, s)
+		r.fleet.workers[strings.TrimPrefix(url, "http://")] = server.New(s).Handler()
+		workers = append(workers, url)
 	}
-	fleet.set(strings.TrimPrefix(slowWorker, "http://"), slow)
-	sc := &faultScenario{t: t, clk: clock.NewFake(time.Now()), fleet: fleet}
-	sc.cfg = Config{
-		Workers:       workers,
-		HedgeMinDelay: 20 * time.Millisecond,
-		HedgeMaxDelay: 60 * time.Millisecond,
-		// Probe rounds come only from tick; the hedges a phase fires
-		// move the clock far less than this.
-		ProbeInterval: time.Minute,
-		Client:        &http.Client{Transport: fleet},
-		clock:         sc.clk,
-	}
-	sc.coord = New(sc.cfg)
-	sc.coord.Start()
-	t.Cleanup(sc.coord.Close)
-	sc.clk.WaitArmed(1) // the first probe tick
-	sc.nextTick = sc.clk.Now().Add(sc.cfg.ProbeInterval)
-	sc.handler = sc.coord.Handler()
-	return sc
+	r.coord = New(Config{
+		Workers: workers,
+		Client:  &http.Client{Transport: r.fleet},
+		clock:   r.clk,
+		noHedge: !hedging,
+	})
+	r.coord.Start()
+	t.Cleanup(r.coord.Close)
+	r.handler = r.coord.Handler()
+	r.clk.wait(func() bool { return r.clk.has(probeTick) })
+	return r
 }
 
-// run sends one /run request and waits for its reply, which must be a 200.
-// When the slow worker holds the request, run fires the hedge timer.
-func (sc *faultScenario) run(body string) {
-	t := sc.t
+// round checks ring membership after a probe round: every worker stays on
+// the ring until the victim has missed probeMisses rounds, and the
+// victim goes on exactly that round.
+func (r *fleetRun) round() {
+	r.rounds++
+	if r.dead == "" {
+		if n := r.coord.Ring().Len(); n != 3 {
+			r.t.Errorf("probe round %d: %d workers on the ring before the kill, want 3", r.rounds, n)
+		}
+		return
+	}
+	since := r.rounds - r.killRound
+	if on, want := r.coord.Ring().Contains(r.dead), since < probeMisses; on != want {
+		r.t.Errorf("probe round %d after the kill: victim on the ring %v, want %v (evicted on round %d)", since, on, want, probeMisses)
+	}
+}
+
+// settle waits for the fleet to go quiet after a reply: only the probe
+// tick is armed and no worker has a job queued or in flight. A cancelled
+// attempt unwinds on its worker after the reply, so the poll yields to it
+// and reads no clock.
+func (r *fleetRun) settle() {
+	r.clk.wait(func() bool { return r.clk.has(probeTick) && !r.clk.has(hedgeTimer) && !r.clk.has(stallTimer) })
+	r.clk.mu.Lock()
+	armed := len(r.clk.armed)
+	r.clk.mu.Unlock()
+	if armed != 1 {
+		r.t.Fatalf("%d timers armed on a quiet fleet, want only the probe tick", armed)
+	}
+	for _, s := range r.scheds {
+		for {
+			m := s.Metrics().Snapshot()
+			if m.InFlight == 0 && m.QueueDepth == 0 {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// idleUntil moves the quiet fleet's clock to when, through the probe
+// rounds due on the way.
+func (r *fleetRun) idleUntil(when time.Time) {
+	for {
+		next, due := r.clk.next()
+		if next.After(when) {
+			break
+		}
+		if !slices.Equal(due, []timerKind{probeTick}) {
+			r.t.Fatalf("%v due on a quiet fleet, want only the probe tick", due)
+		}
+		r.clk.advanceTo(next)
+		r.clk.wait(func() bool { return r.clk.has(probeTick) })
+		r.round()
+	}
+	r.clk.advanceTo(when)
+}
+
+// do sends one request and moves the clock only while the fleet is
+// blocked: while a stall holds the request, the clock jumps to the next
+// deadline, which fires a probe round, the hedge or the stall's end. It
+// returns the reply, the virtual latency and whether the hedge fired.
+func (r *fleetRun) do(q request, shards int) (*httptest.ResponseRecorder, time.Duration, bool) {
+	t, clk := r.t, r.clk
 	t.Helper()
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() {
-		rec := httptest.NewRecorder()
-		sc.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)))
-		done <- rec
-	}()
+	start := clk.Now()
 	var rec *httptest.ResponseRecorder
-	select {
-	case <-sc.fleet.held:
-		sc.clk.WaitArmed(2) // the probe tick and this request's hedge timer
-		sc.clk.Advance(sc.cfg.HedgeMaxDelay)
-		rec = <-done
-	case rec = <-done:
+	clk.mu.Lock()
+	clk.replied = false
+	clk.mu.Unlock()
+	go func() {
+		req := httptest.NewRequest(q.method, q.path, strings.NewReader(q.body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Tenant", q.tenant)
+		w := httptest.NewRecorder()
+		r.handler.ServeHTTP(w, req)
+		clk.mu.Lock()
+		rec, clk.replied = w, true
+		clk.changed.Broadcast()
+		clk.mu.Unlock()
+	}()
+	hedged := false
+	for {
+		// The fleet is blocked once a stall holds the request (until the
+		// hedge fires, after which only its reply can end the request)
+		// and the probe loop is between rounds.
+		clk.wait(func() bool { return clk.has(probeTick) && (clk.replied || !hedged && clk.has(stallTimer)) })
+		clk.mu.Lock()
+		done, hedgeArmed := clk.replied, clk.has(hedgeTimer)
+		clk.mu.Unlock()
+		if done {
+			break
+		}
+		if r.hedging && shards > 1 && !hedged && !hedgeArmed {
+			t.Errorf("%s %s: the slow worker holds the request and no hedge timer is armed", q.method, q.path)
+		}
+		next, due := clk.next()
+		if slices.Contains(due, hedgeTimer) && slices.Contains(due, stallTimer) {
+			t.Fatalf("%s %s: the hedge and a stall are due at once; their race has no fixed winner", q.method, q.path)
+		}
+		for _, k := range due {
+			if k != probeTick && k != hedgeTimer && k != stallTimer {
+				t.Fatalf("a timer armed by %s; the scenario knows probe ticks, hedges and stalls", k)
+			}
+		}
+		clk.advanceTo(next)
+		hedged = hedged || slices.Contains(due, hedgeTimer)
+		if slices.Contains(due, probeTick) {
+			clk.wait(func() bool { return clk.has(probeTick) })
+			r.round()
+		}
 	}
-	if rec.Code != http.StatusOK {
-		t.Errorf("%s: status %d: %s", body, rec.Code, rec.Body.Bytes())
-	}
-}
-
-// tick moves the clock to the next probe tick and waits for the probe
-// loop to re-arm, which it does only once the round has reconciled the
-// ring.
-func (sc *faultScenario) tick() {
-	sc.clk.Advance(sc.nextTick.Sub(sc.clk.Now()))
-	sc.clk.WaitArmed(1)
-	sc.nextTick = sc.clk.Now().Add(sc.cfg.ProbeInterval)
+	latency := clk.Now().Sub(start)
+	r.settle()
+	return rec, latency, hedged
 }
 
 // expectedCost walks a request's preference list the way forward does and
 // returns the hedges and failovers the request must cost: the primary
-// attempt moves past the dead worker and stops at the first live one; if
-// that is the slow worker, the hedge attempt continues down the list.
-func expectedCost(prefs []string, deadWorker string) (hedges, failovers uint64) {
+// attempt moves past the dead worker and stops at the first live one, and
+// a fired hedge continues down the list the same way.
+func expectedCost(prefs []string, dead string, hedged bool) (hedges, failovers uint64) {
 	next := 0
-	held := func() bool {
+	walk := func() {
 		for moved := false; next < len(prefs); moved = true {
 			shard := prefs[next]
 			next++
 			if moved {
 				failovers++
 			}
-			if shard != deadWorker {
-				return shard == slowWorker
+			if shard != dead {
+				return
 			}
 		}
-		return false
 	}
-	if held() {
+	walk()
+	if hedged {
 		hedges++
-		held()
+		walk()
 	}
 	return hedges, failovers
-}
-
-// phaseBodies are the /run bodies of one phase: four benchmarks at three
-// scales, distinct from every other phase's.
-func phaseBodies(phase int) []string {
-	var out []string
-	for _, scale := range []int{256, 264, 272} {
-		for _, b := range []string{"Reduce", "Scan", "Sobel", "TranP"} {
-			out = append(out, runBody(b, scale+24*phase))
-		}
-	}
-	return out
 }
 
 func jobKey(t *testing.T, body string) string {
@@ -207,105 +488,119 @@ func jobKey(t *testing.T, body string) string {
 	return j.Key()
 }
 
-// runFaultScenario is the headline chaos scenario: a fleet with one
-// pathologically slow worker, and one healthy worker killed mid-run with
-// zero notice, must answer every request 200. Hedging beats the slow
-// worker, failover absorbs the dead one, and the probe loop evicts it on
-// exactly the probeMisses-th round after it died. Every hedge, hedge win
-// and failover is predicted from the ring and asserted as a count.
-func runFaultScenario(t *testing.T) []faultPhase {
-	sc := newFaultScenario(t)
-	var phases []faultPhase
-	var last Snapshot
-	phase := func(name string, bodies []string, deadWorker string) {
-		t.Helper()
-		var hedges, failovers uint64
-		for _, body := range bodies {
-			h, f := expectedCost(sc.coord.Ring().LookupN(jobKey(t, body), 3), deadWorker)
-			hedges += h
-			failovers += f
-			sc.run(body)
-		}
-		snap := sc.coord.Metrics()
-		t.Logf("%s: %d requests, %d hedges, %d failovers", name, len(bodies), hedges, failovers)
-		if hedges == 0 {
-			t.Fatalf("%s: no request routes through the slow worker; the scenario tests nothing", name)
-		}
-		if got := snap.Hedges - last.Hedges; got != hedges {
-			t.Errorf("%s: %d hedges, want %d", name, got, hedges)
-		}
-		if got := snap.HedgeWins - last.HedgeWins; got != hedges {
-			t.Errorf("%s: %d hedge wins, want %d: every hedge beats a held request", name, got, hedges)
-		}
-		if got := snap.Failovers - last.Failovers; got != failovers {
-			t.Errorf("%s: %d failovers, want %d", name, got, failovers)
-		}
-		last = snap
-		phases = append(phases, faultPhase{name, snap, sc.coord.Ring().Members()})
+// runFaultScenario runs the scenario once. Every reply must be a 200, but
+// a hostile body's, which must be a typed 4xx; the victim must leave the
+// ring on exactly the probeMisses-th probe round after its death; and
+// every request's hedges, hedge wins and failovers must be the ones
+// expectedCost walks from the ring.
+func runFaultScenario(t *testing.T, hedging bool) scenarioResult {
+	r := newFleetRun(t, hedging)
+	var res scenarioResult
+	phase := func(name string) {
+		res.phases = append(res.phases, faultPhase{name, r.coord.Metrics(), r.coord.Ring().Members()})
 	}
-	onRing := func(when string, want ...string) {
-		t.Helper()
-		if got := sc.coord.Ring().Members(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: ring = %v, want %v", when, got, want)
+	var hedges, failovers uint64
+	for i, q := range trafficMix(t, scenarioSeed, scenarioRequests) {
+		r.idleUntil(epoch.Add(time.Duration(i) * scenarioGap))
+		if i == killAt {
+			phase("before the kill")
+			r.fleet.kill(victim)
+			r.dead, r.killRound = victim, r.rounds
 		}
-	}
+		prefs := r.coord.Ring().LookupN(q.ringKey(t), 3)
+		before := r.coord.Metrics()
+		rec, latency, hedged := r.do(q, len(prefs))
+		after := r.coord.Metrics()
 
-	phase("slow-shard", phaseBodies(0), "")
-	sc.tick()
-	onRing("a probe round after the slow-shard phase", sc.cfg.Workers...)
-
-	// The victim is the healthy worker that owns the dead-worker phase's
-	// first key not owned by the slow worker.
-	var victim string
-	deadBodies := phaseBodies(1)
-	for _, body := range deadBodies {
-		if owner := sc.coord.Ring().LookupN(jobKey(t, body), 1)[0]; owner != slowWorker {
-			victim = owner
-			break
+		status := rec.Code
+		switch {
+		case q.hostile && (status < 400 || status >= 500 || !typedRefusal(rec.Body.Bytes())):
+			t.Errorf("request %d, hostile %s: %d %s, want a typed 4xx", i, q.path, status, rec.Body.Bytes())
+		case !q.hostile && status != http.StatusOK:
+			t.Errorf("request %d, %s %s: %d %s, want 200", i, q.method, q.path, status, rec.Body.Bytes())
 		}
-	}
-	if victim == "" {
-		t.Fatal("the slow worker owns every dead-worker key; the scenario has no victim")
-	}
-	var survivors []string
-	for _, w := range sc.cfg.Workers {
-		if w != victim {
-			survivors = append(survivors, w)
+		h, f := expectedCost(prefs, r.dead, hedged)
+		hedges += h
+		failovers += f
+		if got := after.Hedges - before.Hedges; got != h {
+			t.Errorf("request %d, %s %s: %d hedges, want %d", i, q.method, q.path, got, h)
 		}
+		if got := after.HedgeWins - before.HedgeWins; got != h {
+			t.Errorf("request %d, %s %s: %d hedge wins, want %d: a hedge beats a stalled primary", i, q.method, q.path, got, h)
+		}
+		if got := after.Failovers - before.Failovers; got != f {
+			t.Errorf("request %d, %s %s: %d failovers, want %d", i, q.method, q.path, got, f)
+		}
+		res.log = append(res.log, fmt.Sprintf("%s %s %d shard=%s cache=%s %v",
+			q.method, q.path, status, rec.Header().Get("X-Shard"), rec.Header().Get("X-Cache"), latency))
+		res.latency = append(res.latency, latency)
 	}
-	sc.fleet.set(strings.TrimPrefix(victim, "http://"), dead)
-	phase("dead-worker", deadBodies, victim)
-	if last.Failovers == 0 {
-		t.Fatal("dead-worker: no failover; the scenario tests nothing")
+	phase("end")
+	if since := r.rounds - r.killRound; since < probeMisses {
+		t.Errorf("the run ends %d probe rounds after the kill; the eviction on round %d is never seen", since, probeMisses)
 	}
-
-	for round := 1; round < probeMisses; round++ {
-		sc.tick()
-		onRing(fmt.Sprintf("probe round %d after the kill", round), sc.cfg.Workers...)
+	if r.coord.Ring().Contains(victim) {
+		t.Errorf("the killed worker is still on the ring %d probe rounds after its death", r.rounds-r.killRound)
 	}
-	sc.tick()
-	onRing(fmt.Sprintf("probe round %d after the kill", probeMisses), survivors...)
-	phases = append(phases, faultPhase{"eviction", sc.coord.Metrics(), sc.coord.Ring().Members()})
-
-	phase("post-eviction", phaseBodies(2), "")
-	return phases
+	if hedging && hedges == 0 {
+		t.Error("no request was hedged; the scenario tests nothing")
+	}
+	if failovers == 0 {
+		t.Error("no request failed over; the scenario tests nothing")
+	}
+	t.Logf("hedging %v: %d requests, %d probe rounds, %d hedges, %d failovers, p50 %v p99 %v p999 %v",
+		hedging, len(res.log), r.rounds, hedges, failovers,
+		quantile(res.latency, 0.50), quantile(res.latency, 0.99), quantile(res.latency, 0.999))
+	return res
 }
 
-// TestClusterFaultTolerance runs the fault-tolerance scenario once.
+// quantile is the q-quantile of the latencies, indexed as the hedge
+// delay's window is (quantileOf).
+func quantile(latencies []time.Duration, q float64) time.Duration {
+	s := slices.Clone(latencies)
+	slices.Sort(s)
+	d, _ := quantileOf(s, q)
+	return d
+}
+
+// TestClusterFaultTolerance is the serving SLO: the scenario with hedging
+// as it ships and with it off. Both runs' virtual p50, p99 and p999 are
+// pinned, and hedging must lower the p99, or it is not worth its code.
 func TestClusterFaultTolerance(t *testing.T) {
-	runFaultScenario(t)
+	want := map[bool][3]time.Duration{ // p50, p99, p999
+		true:  {0, 20 * time.Millisecond, 20 * time.Millisecond},
+		false: {0, 250 * time.Millisecond, 500 * time.Millisecond},
+	}
+	var p99 [2]time.Duration
+	for i, hedging := range []bool{true, false} {
+		lat := runFaultScenario(t, hedging).latency
+		got := [3]time.Duration{quantile(lat, 0.50), quantile(lat, 0.99), quantile(lat, 0.999)}
+		if got != want[hedging] {
+			t.Errorf("hedging %v: virtual p50, p99, p999 = %v, want %v", hedging, got, want[hedging])
+		}
+		p99[i] = got[1]
+	}
+	if p99[0] >= p99[1] {
+		t.Errorf("virtual p99 %v with hedging, %v without: hedging does not pay for itself", p99[0], p99[1])
+	}
 }
 
 // TestClusterFaultToleranceReplays: the scenario is a replay, not a
-// timing. Two runs leave identical metrics and ring membership after
-// every phase.
+// timing. Two runs give the same line for every request (status, shard,
+// cache outcome and virtual latency) and the same metrics and ring at the
+// kill and at the end.
 func TestClusterFaultToleranceReplays(t *testing.T) {
-	first, second := runFaultScenario(t), runFaultScenario(t)
-	if len(first) != len(second) {
-		t.Fatalf("%d phases, then %d", len(first), len(second))
+	first, second := runFaultScenario(t, true), runFaultScenario(t, true)
+	if !slices.Equal(first.log, second.log) {
+		for i := range min(len(first.log), len(second.log)) {
+			if first.log[i] != second.log[i] {
+				t.Fatalf("request %d: %q, then %q", i, first.log[i], second.log[i])
+			}
+		}
+		t.Fatalf("%d requests, then %d", len(first.log), len(second.log))
 	}
-	for i := range first {
-		a, b := first[i], second[i]
+	for i := range first.phases {
+		a, b := first.phases[i], second.phases[i]
 		if !reflect.DeepEqual(a.snap, b.snap) {
 			t.Errorf("%s: metrics differ between runs:\n%+v\n%+v", a.name, a.snap, b.snap)
 		}

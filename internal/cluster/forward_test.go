@@ -75,13 +75,11 @@ func (r *recordingClock) disarm() int {
 // recording Fake clock that only the test moves, with no probe loop.
 func stubCoordinator(t *testing.T, workers []string, rt shardStub) (*Coordinator, *recordingClock) {
 	t.Helper()
-	clk := &recordingClock{Fake: clock.NewFake(time.Now())}
+	clk := &recordingClock{Fake: clock.NewFake(epoch)}
 	c := New(Config{
-		Workers:       workers,
-		HedgeMinDelay: 20 * time.Millisecond,
-		HedgeMaxDelay: 60 * time.Millisecond,
-		Client:        &http.Client{Transport: rt},
-		clock:         clk,
+		Workers: workers,
+		Client:  &http.Client{Transport: rt},
+		clock:   clk,
 	})
 	return c, clk
 }
@@ -95,7 +93,8 @@ func serveRun(ctx context.Context, c *Coordinator, body string) *httptest.Respon
 	return rec
 }
 
-// await receives from ch, or fails the test after a generous deadline.
+// await receives from ch, or fails the test after a generous deadline
+// of wall-clock time (see waitFor).
 func await[T any](t *testing.T, what string, ch <-chan T) T {
 	t.Helper()
 	select {
@@ -185,7 +184,7 @@ func TestHedgeRace(t *testing.T) {
 		go func() { done <- serveRun(context.Background(), c, body) }()
 		await(t, "the primary attempt", held)
 		clk.WaitArmed(1)
-		clk.Advance(c.cfg.HedgeMaxDelay)
+		clk.Advance(hedgeMaxDelay)
 		rec := await(t, "the reply", done)
 		if rec.Code != http.StatusOK || rec.Body.String() != answerBody(second) {
 			t.Fatalf("status %d, body %.60q: want the second shard's reply", rec.Code, rec.Body.String())

@@ -82,7 +82,11 @@ func startGatedWorker(t *testing.T) *gatedWorker {
 	return g
 }
 
-// waitFor polls cond until it holds or a generous deadline passes.
+// waitFor polls cond until it holds or a generous deadline passes. It and
+// await are where this package's tests still read the wall clock: they
+// wait for another goroutine to reach a state that sends no signal (a
+// joiner counted on a call, a request held at a gate), and the deadline
+// only turns a hang into a failure that names what never happened.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {

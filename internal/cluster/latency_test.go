@@ -113,11 +113,11 @@ func TestHedgeDelayMatchesSortFromScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 1200; i++ {
 		c.lat.observe(time.Duration(r.Int63n(int64(3 * time.Second))))
-		want, ok := quantileOf(sortedWindow(c.lat), c.cfg.HedgeQuantile)
+		want, ok := quantileOf(sortedWindow(c.lat), hedgeQuantile)
 		if !ok {
-			want = 100 * time.Millisecond
+			want = hedgeColdDelay
 		}
-		want = min(max(want, c.cfg.HedgeMinDelay), c.cfg.HedgeMaxDelay)
+		want = min(max(want, hedgeMinDelay), hedgeMaxDelay)
 		if got := c.hedgeDelay(); got != want {
 			t.Fatalf("after %d observations hedgeDelay = %v, want %v", i+1, got, want)
 		}

@@ -16,12 +16,12 @@ import (
 	"sync"
 )
 
-// DefaultVirtualNodes is how many points each member contributes to the
+// virtualNodes is how many points each member contributes to the
 // ring. More virtual nodes flatten the key distribution (the per-shard
 // load imbalance shrinks roughly with 1/sqrt(vnodes)) at the cost of a
 // larger sorted array; 128 keeps worst-case imbalance under ~15% for
 // small fleets while lookups stay a cheap binary search.
-const DefaultVirtualNodes = 128
+const virtualNodes = 128
 
 // Ring is a consistent-hash ring with virtual nodes. Keys map to the
 // first virtual node clockwise from the key's hash; when a member joins
@@ -41,10 +41,10 @@ type Ring struct {
 	members map[string]bool
 }
 
-// NewRing builds an empty ring. vnodes <= 0 selects DefaultVirtualNodes.
+// NewRing builds an empty ring. vnodes <= 0 selects virtualNodes.
 func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
+		vnodes = virtualNodes
 	}
 	return &Ring{
 		vnodes:  vnodes,

@@ -17,7 +17,7 @@ func keys(n int) []string {
 // TestRingBalance: with virtual nodes, the key distribution over members
 // stays within a reasonable band of perfectly even.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(DefaultVirtualNodes)
+	r := NewRing(virtualNodes)
 	members := []string{"http://w1", "http://w2", "http://w3", "http://w4"}
 	for _, m := range members {
 		r.Add(m)
@@ -41,7 +41,7 @@ func TestRingBalance(t *testing.T) {
 // that member's keys (~1/N of them); every other key keeps its shard.
 // Re-adding it must restore the original routing exactly.
 func TestRingMinimalRemapping(t *testing.T) {
-	r := NewRing(DefaultVirtualNodes)
+	r := NewRing(virtualNodes)
 	members := []string{"http://w1", "http://w2", "http://w3", "http://w4"}
 	for _, m := range members {
 		r.Add(m)

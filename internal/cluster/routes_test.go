@@ -165,7 +165,7 @@ func (tt tickingTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 func TestCoordinatorAttackCampaign(t *testing.T) {
 	w1, _ := startWorker(t, nil)
 	w2, _ := startWorker(t, nil)
-	clk := clock.NewFake(time.Now())
+	clk := clock.NewFake(epoch)
 	cts, _ := startCoordinator(t, Config{
 		Workers: []string{w1.URL, w2.URL},
 		Quota:   sched.QuotaConfig{Rate: 50, Burst: 100},

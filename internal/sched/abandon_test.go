@@ -56,7 +56,7 @@ var taskKinds = []taskKind{
 		stalled: func() (*Scheduler, *clock.Fake, func(context.Context, int) error, func() int) {
 			inj := fault.New(1, fault.Schedule{SlowRate: 1.0, SlowDelay: 10 * time.Second})
 			clk := clock.NewFake(time.Now())
-			s := New(Options{Workers: 1, Injector: inj, clock: clk})
+			s := New(Options{Workers: 1, Injector: inj, Clock: clk})
 			submit := func(ctx context.Context, n int) error {
 				job := Job{Benchmark: []string{"Reduce", "Scan", "Sobel"}[n], Device: "GeForce GTX480", Toolchain: "opencl"}
 				job.Config.Scale = 64
@@ -79,7 +79,7 @@ var taskKinds = []taskKind{
 		name: "DoTask fn",
 		stalled: func() (*Scheduler, *clock.Fake, func(context.Context, int) error, func() int) {
 			clk := clock.NewFake(time.Now())
-			s := New(Options{Workers: 1, clock: clk})
+			s := New(Options{Workers: 1, Clock: clk})
 			var started atomic.Int64
 			submit := func(ctx context.Context, n int) error {
 				_, _, err := s.DoTask(ctx, "test", "stall", strconv.Itoa(n), func(ctx context.Context) (any, error) {

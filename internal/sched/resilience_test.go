@@ -94,7 +94,7 @@ func TestOutOfResourcesIsPermanentAndNotRetried(t *testing.T) {
 func TestInjectedHangIsReclaimedByWatchdog(t *testing.T) {
 	inj := fault.New(1, fault.Schedule{HangRate: 1.0})
 	clk := clock.NewFake(time.Now())
-	s := New(Options{Workers: 1, JobTimeout: 20 * time.Millisecond, Injector: inj, clock: clk})
+	s := New(Options{Workers: 1, JobTimeout: 20 * time.Millisecond, Injector: inj, Clock: clk})
 	defer s.Close()
 
 	err := runPastTimeout(t, s, clk, 1)

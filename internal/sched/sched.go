@@ -137,9 +137,10 @@ type Options struct {
 	// memory against tenant-name flooding.
 	MaxTenantCaches int
 
-	// clock times every latency stamp, timeout, stall and quota
-	// (nil = the wall clock).
-	clock clock.Clock
+	// Clock times every latency stamp, timeout, stall and quota (nil =
+	// the wall clock). It is the seam that puts a worker on the same
+	// clock.Fake as a cluster coordinator in tests; no flag sets it.
+	Clock clock.Clock
 }
 
 // task is one execution on the worker pool: a /run job or a tenant
@@ -190,15 +191,15 @@ func New(opts Options) *Scheduler {
 	if opts.MaxTenantCaches <= 0 {
 		opts.MaxTenantCaches = 1024
 	}
-	if opts.clock == nil {
-		opts.clock = clock.Real{}
+	if opts.Clock == nil {
+		opts.Clock = clock.Real{}
 	}
 	s := &Scheduler{
 		opts:    opts,
 		queue:   make(chan *task, 64),
 		metrics: newMetrics(),
 		tenants: make(map[string]*lruCache),
-		quotas:  NewTenantQuotas(opts.Quota, opts.clock),
+		quotas:  NewTenantQuotas(opts.Quota, opts.Clock),
 	}
 	s.flight = NewFlight[any](&s.mu, &s.metrics.abandons)
 	if opts.CacheSize > 0 {
@@ -489,9 +490,9 @@ func (s *Scheduler) worker() {
 			err = abandoned(t.call.key)
 		} else {
 			s.metrics.inFlight.Add(1)
-			start := s.opts.clock.Now()
+			start := s.opts.Clock.Now()
 			v, good, err = t.run(ctx)
-			s.metrics.observe(t.label, s.opts.clock.Now().Sub(start))
+			s.metrics.observe(t.label, s.opts.Clock.Now().Sub(start))
 			s.metrics.inFlight.Add(-1)
 		}
 		s.finish(t, v, good, err)
@@ -556,7 +557,7 @@ func (s *Scheduler) executeAttempt(ctx context.Context, j Job, key string) (*ben
 	defer cancel(nil)
 	var watchdog clock.Timer
 	if s.opts.JobTimeout > 0 {
-		watchdog = s.opts.clock.AfterFunc(s.opts.JobTimeout, func() { cancel(context.DeadlineExceeded) })
+		watchdog = s.opts.Clock.AfterFunc(s.opts.JobTimeout, func() { cancel(context.DeadlineExceeded) })
 	}
 	res, err := s.executeIsolated(actx, j, key)
 	if watchdog != nil && !watchdog.Stop() {
@@ -594,7 +595,7 @@ func (s *Scheduler) executeIsolated(ctx context.Context, j Job, key string) (*be
 				// then run the attempt for real. This is the seam cluster
 				// hedging is proven against.
 				stalled := make(chan struct{})
-				t := s.opts.clock.AfterFunc(f.Delay, func() { close(stalled) })
+				t := s.opts.Clock.AfterFunc(f.Delay, func() { close(stalled) })
 				select {
 				case <-stalled:
 				case <-ctx.Done():

@@ -348,7 +348,7 @@ func runPastTimeout(t *testing.T, s *Scheduler, clk *clock.Fake, armed int) erro
 func TestJobTimeout(t *testing.T) {
 	inj := fault.New(1, fault.Schedule{SlowRate: 1.0, SlowDelay: time.Hour})
 	clk := clock.NewFake(time.Now())
-	s := New(Options{Workers: 1, JobTimeout: time.Second, Injector: inj, clock: clk})
+	s := New(Options{Workers: 1, JobTimeout: time.Second, Injector: inj, Clock: clk})
 	defer s.Close()
 	err := runPastTimeout(t, s, clk, 2) // the watchdog and the stall
 	if !errors.Is(err, ErrWatchdog) || !errors.Is(err, context.DeadlineExceeded) {
@@ -369,7 +369,7 @@ func TestJobTimeout(t *testing.T) {
 func TestAttemptRunsOnWorker(t *testing.T) {
 	inj := fault.New(1, fault.Schedule{SlowRate: 1.0, SlowDelay: time.Hour})
 	clk := clock.NewFake(time.Now())
-	s := New(Options{Workers: 1, Injector: inj, clock: clk})
+	s := New(Options{Workers: 1, Injector: inj, Clock: clk})
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)

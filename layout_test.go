@@ -58,8 +58,7 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 // a directory that exists, so a deleted command cannot linger. Every id
 // handed to paper, on a `go run ./cmd/paper` line or in a code span
 // opening with `paper`, must be a row of the figure table or one of fair,
-// profile and passes. In the documents' code, every -flag handed to a
-// command must be one the command defines, and every `go test` -run,
+// profile and passes. In the documents' code, every `go test` -run,
 // -bench or -fuzz pattern, quoted or not, must match a test, benchmark or
 // fuzz target, except the match-nothing patterns XXX and ^$. A code span that is only a test, example,
 // benchmark or fuzz function's name, `pkg.`-qualified or not, must name a
@@ -67,12 +66,16 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 // names one function per member. Every gpucmpd_ metric named in the
 // documents' code must be a family the worker or the coordinator exports
 // (a # TYPE line of a /metrics golden); a trailing _ makes it a prefix.
-// In those documents and in each internal/*/README.md, a code span that
-// is only `pkg.Name`, pkg an internal/ package and Name exported, must
-// name what pkg's non-test files declare: a package-level name, or a
-// method or struct field, which the documents name as `ptx.Validate` for
-// `ptx.Kernel.Validate` (a trailing * makes it a prefix). Every internal/,
-// cmd/ or benchmark/ path in a code span must exist.
+// In those documents and in each internal/*/README.md, every -flag
+// handed to a command must be one the command defines, a code span that
+// is only a -flag must name one that a command, the benchmark, a test or
+// go test defines, no deleted command or BENCH_*.json recording may be
+// named, and a code span that is only `pkg.Name`, pkg an internal/
+// package and Name exported, must name what pkg's non-test files declare:
+// a package-level name, or a method or struct field, which the documents
+// name as `ptx.Validate` for `ptx.Kernel.Validate` (a trailing * makes it
+// a prefix). Every internal/, cmd/ or benchmark/ path in a code span must
+// exist.
 func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 	flags := commandFlags(t)
 	tests := testNames(t)
@@ -82,6 +85,7 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	known := knownFlags(t, flags)
 	for _, doc := range append([]string{"README.md", "EXPERIMENTS.md", "DESIGN.md"}, readmes...) {
 		b, err := os.ReadFile(doc)
 		if err != nil {
@@ -92,7 +96,14 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 				t.Errorf("%s: %q names a command that does not exist", doc, m[0])
 			}
 		}
+		for _, name := range retired.FindAllString(string(b), -1) {
+			t.Errorf("%s: names %s, which no longer exists", doc, name)
+		}
 		for _, code := range codeFragments(string(b)) {
+			checkFlags(t, doc, code, flags)
+			if m := loneFlag.FindStringSubmatch(code); m != nil && !known[m[1]] {
+				t.Errorf("%s: `%s` names a flag that no command, test or go test defines", doc, code)
+			}
 			checkGoName(t, doc, code, decls)
 			checkPaths(t, doc, code)
 		}
@@ -114,7 +125,6 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 		}
 		text := string(b)
 		for _, code := range codeFragments(text) {
-			checkFlags(t, doc, code, flags)
 			checkTestPatterns(t, doc, code, tests)
 			checkTestName(t, doc, code, tests)
 			checkMetricNames(t, doc, code, families)
@@ -164,7 +174,13 @@ const args = `((?:\s+(?:'[^']*'|"[^"]*"|[^\s|;#>&)'"]+))*)`
 var (
 	// invocation is a command run by `go run`, by its bare name, or by its
 	// cmd/ path, and its arguments.
-	invocation = regexp.MustCompile(`(?:go run \./cmd/|(?:^|\s)(?:cmd/)?)(gpucmpd|kfuzz|loadgen|paper)\b` + args)
+	invocation = regexp.MustCompile(`(?:go run \./cmd/|(?:^|\s)(?:cmd/)?)(gpucmpd|kfuzz|paper)\b` + args)
+	// retired names the deleted commands and benchmark recordings: the
+	// serving and interpreter SLOs are go tests now.
+	retired = regexp.MustCompile(`\b(?:loadgen|simbench)\b|\bBENCH_\w+\.json`)
+	// loneFlag is a code span that is only a flag, with or without a
+	// value: `-drain-notice`, `-scale N`.
+	loneFlag = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:[ =]\S+)?$`)
 	// cmdDir is a command's directory, in prose or code: `go run
 	// ./cmd/kfuzz`, cmd/paper/testdata.
 	cmdDir  = regexp.MustCompile(`\bcmd/([\w-]+)`)
@@ -209,12 +225,47 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 	return out
 }
 
+// knownFlags returns every flag a command under cmd/, the benchmark or a
+// test binary defines, and go test's own.
+func knownFlags(t *testing.T, commands map[string]map[string]bool) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	for _, f := range strings.Fields("bench benchmem benchtime count cpu fuzz fuzztime p race run short shuffle skip timeout v") {
+		out[f] = true
+	}
+	for _, flags := range commands {
+		for f := range flags {
+			out[f] = true
+		}
+	}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") && !strings.HasPrefix(path, "benchmark/") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			out[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // checkFlags reports each flag a code fragment hands to a command that the
 // command does not define.
 func checkFlags(t *testing.T, doc, code string, flags map[string]map[string]bool) {
 	t.Helper()
 	for _, m := range invocation.FindAllStringSubmatch(code, -1) {
 		for _, a := range strings.Fields(m[2]) {
+			if strings.HasPrefix(a, "$(") {
+				break // the flags that follow are the substituted command's
+			}
 			f := flagArg.FindStringSubmatch(a)
 			if f != nil && !flags[m[1]][f[1]] {
 				t.Errorf("%s: %q hands %s -%s, which it does not define", doc, strings.TrimSpace(m[0]), m[1], f[1])
