@@ -2,35 +2,20 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"gpucmp/internal/golden"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files with current output")
-
-// checkGolden compares run(args) with testdata/<golden> byte for byte, or
+// checkGolden compares run(args) with testdata/<name> byte for byte, or
 // rewrites the file under -update.
-func checkGolden(t *testing.T, golden string, args ...string) {
+func checkGolden(t *testing.T, name string, args ...string) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", golden)
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("paper %q drifted from %s (run with -update after verifying the change)\ngot:\n%s", args, path, buf.String())
-	}
+	golden.Check(t, "testdata/"+name, buf.Bytes())
 }
 
 // TestPrintsGolden pins what every id prints, at scale 16 where the id

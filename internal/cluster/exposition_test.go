@@ -2,24 +2,20 @@ package cluster
 
 import (
 	"encoding/json"
-	"flag"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"gpucmp/internal/golden"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/server"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current /metrics output")
 
 // populatedFleet starts one worker behind one coordinator, both with a
 // tenant quota, and sends the traffic that fills every metric family
@@ -115,48 +111,15 @@ func jsonKeys(t *testing.T, doc string) string {
 	return strings.Join(keys, "\n") + "\n"
 }
 
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("%s differs at line %d:\n got  %q\n want %q\n(rerun with -update if intended)", path, i+1, g, w)
-			}
-		}
-	}
-}
-
 // TestMetricsGolden pins the Prometheus exposition of a populated worker
 // and coordinator (names, help, types, labels and order; values masked)
 // and the key sets of their ?format=json documents.
 func TestMetricsGolden(t *testing.T) {
 	worker, coord := populatedFleet(t)
-	checkGolden(t, "worker_metrics.golden", masked(scrape(t, worker+"/metrics"), worker))
-	checkGolden(t, "coordinator_metrics.golden", masked(scrape(t, coord+"/metrics"), worker))
-	checkGolden(t, "worker_metrics_keys.golden", jsonKeys(t, scrape(t, worker+"/metrics?format=json")))
-	checkGolden(t, "coordinator_metrics_keys.golden", jsonKeys(t, scrape(t, coord+"/metrics?format=json")))
+	golden.Check(t, "testdata/worker_metrics.golden", []byte(masked(scrape(t, worker+"/metrics"), worker)))
+	golden.Check(t, "testdata/coordinator_metrics.golden", []byte(masked(scrape(t, coord+"/metrics"), worker)))
+	golden.Check(t, "testdata/worker_metrics_keys.golden", []byte(jsonKeys(t, scrape(t, worker+"/metrics?format=json"))))
+	golden.Check(t, "testdata/coordinator_metrics_keys.golden", []byte(jsonKeys(t, scrape(t, coord+"/metrics?format=json"))))
 }
 
 var (

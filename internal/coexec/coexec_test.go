@@ -5,12 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +18,7 @@ import (
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 	"gpucmp/internal/fault"
+	"gpucmp/internal/golden"
 	"gpucmp/internal/pattern"
 )
 
@@ -136,31 +137,25 @@ func TestOracleBitIdenticalAcrossDevices(t *testing.T) {
 }
 
 // TestOracleDigestsPinned pins the single-device output of every size the
-// tests and the coexec figure row use, by SHA-256 of the little-endian words.
+// tests and the coexec figure row use, by SHA-256 of the little-endian
+// words, in testdata/oracle.sha256.
 func TestOracleDigestsPinned(t *testing.T) {
-	for _, c := range []struct {
-		w    Workload
-		want string
-	}{
-		{vecAdd(4), "279d4e1766efbd3bf03ce2ccea55f297e53f0bc627bdcaa37143d5519208e6c9"},
-		{vecAdd(8), "5ba1d40f17ed4e6c44ec613ef0524e158c228ac90b2f3914072aca4c3d340ede"},
-		{vecAdd(16), "3994020d1abab903581158e28042201ade301a1f015f00609d6c8dd37104e122"},
-		{vecAdd(24), "19ed3eb3f8c541c7421db5649d353f73f12dda8adbf6b8f94adefd208c58e1bc"},
-		{vecAdd(64), "21e9bfc110bc25c20906b9e05edf05220333cc302eb256441ee6bbde219d53b5"},
-		{vecAdd(128), "964b5b05d9250a24afda812c72a8556468b63e81d48f75291de1f79fa0bb526d"},
-		{vecAdd(512), "06defa18ce003fbc57d3f6739cebc1e57eaf0062b3d1dc8b7704eb8feb0f9ec2"},
-		{sobel(64, 48), "02948bb5df0c91233725b37ed0ef637a7a3f82e5f484726f0da4fd7b6a706b21"},
-		{sobel(64, 64), "4337cbe91b35d4dde26109bc8d719580f32af4bf63d9d2f9dd04c32d49561b9d"},
-		{sobel(256, 256), "fb0f37974083796035dfb6885d70e052ad73587c1edcd5a7aaee0fc47c45d805"},
-		{mxm(48), "7f7cfa89f2b52cc871780b1bac8a9752637fb52c57ed392c469b3b442ab4a67f"},
-		{mxm(96), "f888c673093f33a2b116267f868813bc44aedb26f8e0f471db0f4d2d2be275ad"},
-		{mxm(192), "e95963967d22cc33a1ebe9203d856bad5ca5405e6a6d4d44b0bb64d96d82f716"},
-	} {
-		c := c
-		name := fmt.Sprintf("%s/%dx%d", c.w.Name(), c.w.Units(), c.w.WordsPerUnit())
+	ws := []Workload{vecAdd(4), vecAdd(8), vecAdd(16), vecAdd(24), vecAdd(64), vecAdd(128), vecAdd(512),
+		sobel(64, 48), sobel(64, 64), sobel(256, 256), mxm(48), mxm(96), mxm(192)}
+	lines := make([]string, len(ws))
+	// Checked once every parallel subtest has recorded its line; a subtest
+	// that failed or that -run left out leaves its line empty, and then
+	// the file is neither compared nor rewritten.
+	t.Cleanup(func() {
+		if !slices.Contains(lines, "") {
+			golden.Check(t, "testdata/oracle.sha256", []byte(strings.Join(lines, "")))
+		}
+	})
+	for i, w := range ws {
+		name := fmt.Sprintf("%s/%dx%d", w.Name(), w.Units(), w.WordsPerUnit())
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			out, _, err := Oracle(c.w, "cuda", arch.GTX480())
+			out, _, err := Oracle(w, "cuda", arch.GTX480())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,9 +165,7 @@ func TestOracleDigestsPinned(t *testing.T) {
 				binary.LittleEndian.PutUint32(buf[:], word)
 				h.Write(buf[:])
 			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
-				t.Errorf("output digest %s, want %s", got, c.want)
-			}
+			lines[i] = fmt.Sprintf("%s %x\n", name, h.Sum(nil))
 		})
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -36,10 +35,9 @@ import (
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 	"gpucmp/internal/compiler"
+	"gpucmp/internal/golden"
 	"gpucmp/internal/ptx"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/codegen.digest from the current compiler")
 
 const codegenDigestFile = "testdata/codegen.digest"
 
@@ -172,21 +170,18 @@ func groupSum(ks []digestKernel) string {
 
 func TestCodegenDigest(t *testing.T) {
 	names, groups := digestGroups(t)
-
-	if *update {
-		var b strings.Builder
-		b.WriteString("# Written by `go test ./internal/fuzz -run TestCodegenDigest -update`; see codegen_digest_test.go.\n")
-		for _, g := range names {
-			fmt.Fprintf(&b, "%s sha256 %s\n", g, groupSum(groups[g]))
+	var b strings.Builder
+	b.WriteString("# Written by `go test ./internal/fuzz -run TestCodegenDigest -update`; see codegen_digest_test.go.\n")
+	for _, g := range names {
+		fmt.Fprintf(&b, "%s sha256 %s\n", g, groupSum(groups[g]))
+	}
+	for _, g := range names {
+		for _, k := range groups[g] {
+			fmt.Fprintf(&b, "%s %s %s\n", g, k.id, k.fingerprint())
 		}
-		for _, g := range names {
-			for _, k := range groups[g] {
-				fmt.Fprintf(&b, "%s %s %s\n", g, k.id, k.fingerprint())
-			}
-		}
-		if err := os.WriteFile(codegenDigestFile, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if golden.Check(t, codegenDigestFile, []byte(b.String())) {
+		return
 	}
 
 	// recorded maps "group id" (or "group sha256") to its recorded value.
@@ -200,15 +195,9 @@ func TestCodegenDigest(t *testing.T) {
 			recorded[fs[0]+" "+fs[1]] = fs[2]
 		}
 	}
-
 	for _, g := range names {
-		want, ok := recorded[g+" sha256"]
-		if !ok {
-			t.Errorf("%s: no recorded sum in %s", g, codegenDigestFile)
-			continue
-		}
-		if got := groupSum(groups[g]); got != want {
-			t.Errorf("%s: codegen changed: sha256 %s, recorded %s\n%s", g, got, want, firstDifference(g, groups[g], recorded))
+		if got, want := groupSum(groups[g]), recorded[g+" sha256"]; got != want {
+			t.Errorf("%s: codegen changed: sha256 %s, recorded %q\n%s", g, got, want, firstDifference(g, groups[g], recorded))
 		}
 	}
 }

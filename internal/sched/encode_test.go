@@ -3,7 +3,6 @@ package sched
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,13 +11,14 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
+	"gpucmp/internal/golden"
 	"gpucmp/internal/ptx"
 )
 
-// runSequential executes one grid cell the way a worker does, with the
-// device's compute units run in order: scales with a tail (23) have kernels
-// that read past their buffers (ROADMAP item 1), which is a data race
-// across parallel units and not what this file tests.
+// runSequential executes one grid cell the way a worker does, but with the
+// device's compute units run in order on the calling goroutine, so each
+// cell costs one core. Scale 23's tails no longer read past their buffers
+// (core.TestGridTailsStayInBounds), so the order is about cost, not races.
 func runSequential(t *testing.T, j Job) *bench.Result {
 	t.Helper()
 	spec, err := bench.SpecByName(j.Benchmark)
@@ -71,20 +71,6 @@ func memoised(pk *ptx.Kernel) bool {
 	return pk.Memo(reportKey{}, func() any { return absent }) != absent
 }
 
-// gridDigests is, per scale, the SHA-256 of every grid cell's encoding
-// concatenated in GridJobs order: a change to any result byte at any of
-// these scales, on any device or toolchain, shows here.
-var gridDigests = map[int]string{
-	16: "a4981bc9d9b9578ce3497103f3d7c33c69e8324454df81991006d9c5caf905e8",
-	23: "843cf3721c93abca78a8cc7f62f086dc03212f0da88ea3c2918cb7159b149845",
-	64: "3bbbd28c00368bab7d5008c7b78cc4a9c0a32311461db86e95014c635b861cc0",
-}
-
-// patternDigest is the same fold over patternCells(16). Their transfer
-// and end-to-end seconds come from the pattern plan's uploads, which no
-// grid cell makes.
-const patternDigest = "5490eeb6853e4905d905c360912ee802f6f5e0c3671874f524250306d6f64bc6"
-
 // patternCells are the pattern cells of a paper-grid pass: every
 // pattern-portable benchmark from its canonical schedule on each GPU
 // through OpenCL.
@@ -106,19 +92,23 @@ func patternCells(scale int) []Job {
 
 // TestEncodeMatchesMarshalGrid: every cell of the measurement grid at
 // three scales, one with a tail, and every pattern cell at scale 16,
-// encodes to exactly what Marshal makes of it, the encodings fold to the
-// pinned digests, and the encoding of every report is left on its kernel.
+// encodes to exactly what Marshal makes of it, and the encoding of every
+// report is left on its kernel. testdata/encode.sha256 pins, per input,
+// the SHA-256 of its cells' encodings concatenated in GridJobs order: a
+// change to any result byte at any of these scales, on any device or
+// toolchain, shows there. The pattern cells' transfer and end-to-end
+// seconds come from the pattern plan's uploads, which no grid cell makes.
 func TestEncodeMatchesMarshalGrid(t *testing.T) {
 	type input struct {
-		name   string
-		jobs   []Job
-		digest string
+		name string
+		jobs []Job
 	}
 	var inputs []input
 	for _, scale := range []int{16, 23, 64} {
-		inputs = append(inputs, input{fmt.Sprintf("grid at scale %d", scale), GridJobs(scale), gridDigests[scale]})
+		inputs = append(inputs, input{fmt.Sprintf("grid@%d", scale), GridJobs(scale)})
 	}
-	inputs = append(inputs, input{"pattern cells at scale 16", patternCells(16), patternDigest})
+	inputs = append(inputs, input{"pattern@16", patternCells(16)})
+	var digests bytes.Buffer
 	reports := 0
 	for _, in := range inputs {
 		h := sha256.New()
@@ -133,13 +123,12 @@ func TestEncodeMatchesMarshalGrid(t *testing.T) {
 			}
 			reports += len(res.Kernels)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != in.digest {
-			t.Errorf("%s: digest %s, want %s", in.name, got, in.digest)
-		}
+		fmt.Fprintf(&digests, "%s %x\n", in.name, h.Sum(nil))
 	}
 	if reports == 0 {
 		t.Fatal("the grid produced no kernel reports")
 	}
+	golden.Check(t, "testdata/encode.sha256", digests.Bytes())
 }
 
 // TestHotResultsStaySmall: the results of the cache-hot working set (the

@@ -16,13 +16,14 @@ import (
 type QuotaConfig struct {
 	Rate  float64 // tokens per second per tenant (0 = unlimited)
 	Burst float64 // bucket capacity (defaults to max(Rate, 1))
-	// MaxTenants caps the bucket map so an attacker minting tenant names
-	// cannot grow it without bound (default 1024). When full, the bucket
-	// with the most remaining tokens — the least-throttled tenant — is
-	// evicted, so a throttled tenant cannot launder its own bucket away by
-	// flooding fresh names.
-	MaxTenants int
 }
+
+// maxTenants caps the bucket map so an attacker minting tenant names
+// cannot grow it without bound. When full, the bucket with the most
+// remaining tokens — the least-throttled tenant — is evicted, so a
+// throttled tenant cannot launder its own bucket away by flooding fresh
+// names.
+const maxTenants = 1024
 
 func (c QuotaConfig) withDefaults() QuotaConfig {
 	if c.Burst <= 0 {
@@ -30,9 +31,6 @@ func (c QuotaConfig) withDefaults() QuotaConfig {
 		if c.Burst < 1 {
 			c.Burst = 1
 		}
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 1024
 	}
 	return c
 }
@@ -80,7 +78,7 @@ func (q *TenantQuotas) Allow(tenant string) (bool, time.Duration) {
 	b := q.buckets[tenant]
 	if b == nil {
 		b = &quotaBucket{tokens: q.cfg.Burst, last: now}
-		if len(q.buckets) >= q.cfg.MaxTenants {
+		if len(q.buckets) >= maxTenants {
 			q.evictFullestLocked()
 		}
 		q.buckets[tenant] = b

@@ -132,10 +132,6 @@ type Options struct {
 	// TenantCacheSize caps each tenant's private result cache (default 64;
 	// negative disables tenant caching).
 	TenantCacheSize int
-	// MaxTenantCaches caps how many tenant caches exist at once (default
-	// 1024); beyond it an arbitrary tenant's cache is dropped, bounding
-	// memory against tenant-name flooding.
-	MaxTenantCaches int
 
 	// Clock times every latency stamp, timeout, stall and quota (nil =
 	// the wall clock). It is the seam that puts a worker on the same
@@ -187,9 +183,6 @@ func New(opts Options) *Scheduler {
 	}
 	if opts.TenantCacheSize == 0 {
 		opts.TenantCacheSize = 64
-	}
-	if opts.MaxTenantCaches <= 0 {
-		opts.MaxTenantCaches = 1024
 	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
@@ -425,6 +418,11 @@ func (s *Scheduler) tenantTask(call *Call[any], tenant, metric, key string, fn f
 	}
 }
 
+// maxTenantCaches caps how many tenant caches exist at once; beyond it an
+// arbitrary tenant's cache is dropped, bounding memory against tenant-name
+// flooding.
+const maxTenantCaches = 1024
+
 // tenantCacheLocked returns (creating on demand) the tenant's cache.
 // Caller holds s.mu.
 func (s *Scheduler) tenantCacheLocked(tenant string) *lruCache {
@@ -433,7 +431,7 @@ func (s *Scheduler) tenantCacheLocked(tenant string) *lruCache {
 	}
 	c, ok := s.tenants[tenant]
 	if !ok {
-		if len(s.tenants) >= s.opts.MaxTenantCaches {
+		if len(s.tenants) >= maxTenantCaches {
 			// Bound memory against tenant-name flooding: drop an arbitrary
 			// tenant's cache (map iteration order). Correctness is
 			// unaffected — caches only save recomputation.

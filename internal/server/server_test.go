@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/core"
+	"gpucmp/internal/golden"
 	"gpucmp/internal/sched"
 )
 
@@ -221,44 +223,28 @@ func TestFigureEndpointsAndUnknownFigure(t *testing.T) {
 }
 
 // TestFigureBodiesPinned pins every /figures/{id} body at scale 16 by the
-// SHA-256 of its re-indented bytes (fig3's body is 2.2 MB), and the exact
-// 404 body for an unknown id, re-indented the same way. The bodies are
-// deterministic, so a moved digest means a figure now serves something
-// else; a new entry in core's figure table fails here until its digest is
-// recorded.
+// SHA-256 of its re-indented bytes (fig3's body is 2.2 MB), in
+// testdata/figures.sha256, and the exact 404 body for an unknown id,
+// re-indented the same way, in testdata/figure_unknown.json. The bodies
+// are deterministic, so a moved digest means a figure now serves
+// something else; a new entry in core's figure table fails here until
+// -update records it.
 func TestFigureBodiesPinned(t *testing.T) {
-	digests := map[string]string{
-		"fig1":    "94ebd53ea6981425b4a57ccc481d2629e13765ebdf46d3a0925973e330657fce",
-		"fig2":    "03ef9d4b41d381856a35423e0040d94da89869e4c57bd5d1dc2153332895f3df",
-		"fig3":    "a9327e1edc7e2cffd9360fa732e99680727c973b26232c1f348533badc0222ff",
-		"fig4":    "c7d764e3a298123df2088befd8b97ab9b1e727abb29919993749d35f50278fca",
-		"fig5":    "3e35047a6f473078c5965dc81490c0864b7cd8e3bb63949e4016846895151e6f",
-		"fig6":    "61dcce39732906b6af6d89a12a150825d397d40485a5ef8ca39ee182b660a8a7",
-		"fig7":    "1102d01cba82f0bb22d0436820e292aec0339aada17321d310a41e890c92c949",
-		"fig8":    "03b183fa017e9f77f2098507aa086b363357c837d82f8b3f3721b919a4979ad7",
-		"tableV":  "bb147430c0f9907991e58834f76bd6dac7333bd091b99d062198c68adb3d2561",
-		"tableVI": "1fd1cf1ad3b8eed343bcb7c669bdc4e33c1e4fd52115fbb498697f7c67993a84",
-		"grid":    "a0ffa4e0a7e7a3912d9269758c48adec00998e53984f01fe92af0d492b30c800",
-		"tune":    "227aab243b5781f4583a1c2192529f9109d3c9a3b55555bb21a8eed574558ac2",
-		"pattern": "218492b06eb09e6f37d13b3bc40428d34d2812965c816da879df5bf1faefaf93",
-		"coexec":  "73ba91596bd015c3f4a8ccbe9ae6078ba546fd065f5add5e363993fc4ba2b6a1",
-	}
 	ts, _ := newTestServer(t)
+	var digests bytes.Buffer
 	for _, id := range core.FigureIDs() {
 		resp, body := get(t, ts.URL+"/figures/"+id+"?scale=16")
 		if resp.StatusCode != http.StatusOK {
-			t.Errorf("/figures/%s status = %d: %.200s", id, resp.StatusCode, body)
-			continue
+			t.Fatalf("/figures/%s status = %d: %.200s", id, resp.StatusCode, body)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(reindented(t, body))); got != digests[id] {
-			t.Errorf("/figures/%s body digest = %s, want %q", id, got, digests[id])
-		}
+		fmt.Fprintf(&digests, "%s %x\n", id, sha256.Sum256(reindented(t, body)))
 	}
+	golden.Check(t, "testdata/figures.sha256", digests.Bytes())
 	resp, body := get(t, ts.URL+"/figures/fig99")
-	const want = "{\n  \"error\": \"unknown figure \\\"fig99\\\"; known figures: fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, tableV, tableVI, grid, tune, pattern, coexec\",\n  \"code\": \"not-found\"\n}\n"
-	if resp.StatusCode != http.StatusNotFound || string(reindented(t, body)) != want {
-		t.Errorf("unknown figure: status %d, body %q; want 404, %q", resp.StatusCode, body, want)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown figure: status %d, want 404", resp.StatusCode)
 	}
+	golden.Check(t, "testdata/figure_unknown.json", reindented(t, body))
 }
 
 func TestMetricsExposition(t *testing.T) {

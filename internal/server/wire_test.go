@@ -22,6 +22,7 @@ import (
 
 	"gpucmp/internal/bench"
 	"gpucmp/internal/fault"
+	"gpucmp/internal/golden"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sched"
 )
@@ -341,34 +342,24 @@ func reindented(t *testing.T, body []byte) []byte {
 
 // TestRepliesPinnedAfterIndent pins /run replies (a miss and a hit of
 // three benchmarks) and a /kernels reply by the SHA-256 of their
-// re-indented bytes, so they match only if nothing but whitespace
-// differs. The Reduce digests are those of the two-space-indented replies
-// the service wrote before its replies were compact. The others were
-// recorded when repeated remarks became one entry with a count, with
-// every other field byte-identical and the expanded remarks unchanged.
+// re-indented bytes, in testdata/replies.sha256, so they match only if
+// nothing but whitespace differs. The Reduce digests are those of the
+// two-space-indented replies the service wrote before its replies were
+// compact. The others were recorded when repeated remarks became one
+// entry with a count, with every other field byte-identical and the
+// expanded remarks unchanged.
 func TestRepliesPinnedAfterIndent(t *testing.T) {
-	digests := map[string]string{
-		"Reduce miss": "c4ace8797c9484c52e648d9b4b80007b1256fd432c8b16ade645da386ce60ed4",
-		"Reduce hit":  "4aa5cb406d7f800f4bd401c39ed02ea4f1bbdec5e4822f6843a1761e3ee6dda7",
-		"FFT miss":    "63a7719f331d0704585f0f1db520239ab243b96f7d3cd257e44d14d183ec882f",
-		"FFT hit":     "0790ea265bcb828fb6e7c4389746c1bd94d91f4e826528017c25c3665230e8cf",
-		"BFS miss":    "e244f6f46b2e36f02d18020f8cee377eb3a20a45bda2bfaaf86afdd8e1c7947d",
-		"BFS hit":     "7f254c15bf02f7a5139910d23b9335942307462e7c81f35d3a13582178490aae",
-		"kernels fz1": "4c451ac6fca11170f00a930aed4c99f383cb30055c193f55ca3c9eaba6f16292",
-	}
-	check := func(what string, body []byte) {
-		t.Helper()
-		if got := fmt.Sprintf("%x", sha256.Sum256(reindented(t, body))); got != digests[what] {
-			t.Errorf("%s: re-indented digest = %s, want %q", what, got, digests[what])
-		}
+	var digests bytes.Buffer
+	record := func(what string, body []byte) {
+		fmt.Fprintf(&digests, "%s %x\n", what, sha256.Sum256(reindented(t, body)))
 	}
 	ts, _ := newTestServer(t)
 	for _, name := range []string{"Reduce", "FFT", "BFS"} {
 		job := sched.Job{Benchmark: name, Device: "GeForce GTX480", Toolchain: "opencl", Config: bench.Config{Scale: 16}}
 		_, miss := postRaw(t, ts.URL, job)
 		_, hit := postRaw(t, ts.URL, job)
-		check(name+" miss", miss)
-		check(name+" hit", hit)
+		record(name+"-miss", miss)
+		record(name+"-hit", hit)
 	}
 	body, err := os.ReadFile(filepath.Join(corpusDir, "fz1.json"))
 	if err != nil {
@@ -383,5 +374,6 @@ func TestRepliesPinnedAfterIndent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("kernels fz1", raw)
+	record("kernels-fz1", raw)
+	golden.Check(t, "testdata/replies.sha256", digests.Bytes())
 }

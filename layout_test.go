@@ -2,6 +2,7 @@ package gpucmp
 
 import (
 	"go/ast"
+	"go/doc"
 	"go/parser"
 	"go/token"
 	"os"
@@ -497,5 +498,80 @@ func checkMetricNames(t *testing.T, doc, code string, families []string) {
 		if !found {
 			t.Errorf("%s: `%s` names %s, which no /metrics family is", doc, code, name)
 		}
+	}
+}
+
+// TestPinsAreGoldens: outside benchmark/, a pinned fact is re-recorded one
+// way, by internal/golden's -update. DESIGN.md §5 gives the command that
+// rewrites every golden, so it must name exactly the packages whose tests
+// import internal/golden (a missing one keeps its old pins; an extra one
+// fails on the undefined flag). A 64-hex-digit string literal in a test is
+// a digest pasted by hand, and a decimal fraction in an example's Output
+// block is a price edited by hand: both belong in a golden.
+func TestPinsAreGoldens(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile("(?m)^go test ((?:\\.\\S* )+)-update$").FindSubmatch(design)
+	if m == nil {
+		t.Fatal("DESIGN.md has no `go test <packages> -update` line")
+	}
+	listed := map[string]bool{}
+	for _, p := range strings.Fields(string(m[1])) {
+		listed[p] = true
+	}
+
+	hexDigest := regexp.MustCompile(`[0-9a-fA-F]{64}`)
+	price := regexp.MustCompile(`\d\.\d`)
+	users := map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".")) && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"gpucmp/internal/golden"` {
+				pkg := filepath.ToSlash(filepath.Dir(path))
+				if pkg != "." {
+					pkg = "./" + pkg
+				}
+				users[pkg] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && hexDigest.MatchString(lit.Value) {
+				t.Errorf("%s: a 64-hex-digit literal; pin the digest in a testdata golden", fset.Position(lit.Pos()))
+			}
+			return true
+		})
+		for _, ex := range doc.Examples(f) {
+			if price.MatchString(ex.Output) {
+				t.Errorf("%s: Example%s's Output block holds a decimal fraction; print the relation and pin the price in a golden", path, ex.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range users {
+		if !listed[p] {
+			t.Errorf("%s's tests use internal/golden, but DESIGN.md's -update command leaves it out", p)
+		}
+		delete(listed, p)
+	}
+	for p := range listed {
+		t.Errorf("DESIGN.md's -update command names %s, whose tests do not use internal/golden", p)
 	}
 }

@@ -2,22 +2,18 @@ package gpucmp
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 	"gpucmp/internal/compiler"
+	"gpucmp/internal/golden"
 	"gpucmp/internal/ptx"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/sim"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/ledger.golden with the current counts")
 
 // ledgerCells are the cells of one paper-grid pass at scale 16: the
 // measurement grid, then every pattern-portable benchmark from its
@@ -83,25 +79,7 @@ func TestLedger(t *testing.T) {
 			r.bra, r.bar, r.ret, r.op, r.handBacks, r.uniFallbacks, r.compiles, r.failed)
 	}
 
-	path := filepath.Join("testdata", "ledger.golden")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
-	if len(got) != len(wantLines) {
-		t.Fatalf("%s has %d lines, the ledger %d (run with -update after checking the change)", path, len(wantLines), len(got))
-	}
-	for i := range got {
-		if got[i] != wantLines[i] {
-			t.Errorf("%s line %d moved (run with -update after checking the change)\n got %s\nwant %s", path, i+1, got[i], wantLines[i])
-		}
-	}
+	golden.Check(t, "testdata/ledger.golden", buf.Bytes())
 }
 
 // ledgerCell runs one cell on a fresh sequential device and reads its
