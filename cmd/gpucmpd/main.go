@@ -8,7 +8,7 @@
 // afterwards; kernels are compiled once per front-end, not once per
 // launch. POST /coexec splits one workload across several modelled
 // devices with transfer-inclusive scheduling and survives mid-run
-// device loss (see -inject-transfer-rate / -inject-device-lost-rate).
+// device loss.
 //
 //	gpucmpd -addr :8480 &
 //	curl localhost:8480/healthz
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"gpucmp/internal/cluster"
-	"gpucmp/internal/fault"
 	"gpucmp/internal/sched"
 	"gpucmp/internal/server"
 	"gpucmp/internal/submit"
@@ -80,10 +79,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	coordinator := fs.Bool("coordinator", false, "run as fleet coordinator: admit and route requests to -shards instead of executing locally")
 	shards := fs.String("shards", "", "coordinator mode: comma-separated worker base URLs (e.g. http://127.0.0.1:8481,http://127.0.0.1:8482)")
 	maxInFlight := fs.Int("max-inflight", 512, "coordinator mode: shed with 503 above this many in-flight requests (negative disables)")
-	injectSeed := fs.Uint64("inject-seed", 1, "serving mode: seed of the POST /coexec fault injection")
-	injectTransferRate := fs.Float64("inject-transfer-rate", 0, "serving mode: fraction of POST /coexec shard launches failed with a transfer error (0 disables)")
-	injectDeviceLostRate := fs.Float64("inject-device-lost-rate", 0, "serving mode: fraction of POST /coexec shard launches that kill the whole device (0 disables)")
-	injectMaxPerKey := fs.Int("inject-max-per-key", 3, "serving mode: per-shard cap on injected coexec transfer errors (device losses are never capped)")
 	drainNotice := fs.Duration("drain-notice", 0, "on SIGINT/SIGTERM, hold readiness down this long before closing listeners (lets coordinator probes evict us first: a coordinator probes every second and evicts after three misses, so allow 3s)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -100,18 +95,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	if *coordinator && len(workerURLs) == 0 {
 		return fmt.Errorf("%w: -coordinator requires -shards with at least one worker URL", errUsage)
-	}
-	// Shard-granular faults for the co-execution path: transfer errors
-	// (capped per shard so recovery terminates) and device losses,
-	// deterministic in (seed, device, shard, attempt) and drawn afresh for
-	// every /coexec run.
-	coexecFaults := fault.Schedule{
-		TransferRate:   *injectTransferRate,
-		DeviceLostRate: *injectDeviceLostRate,
-		MaxPerKey:      *injectMaxPerKey,
-	}
-	if err := coexecFaults.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 
 	if *pprofAddr != "" {
@@ -167,11 +150,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		limits.StepBudget = *stepBudget
 	}
 	opts := []server.Option{server.WithFigureScale(*figureScale), server.WithSubmitLimits(limits)}
-	if *injectTransferRate > 0 || *injectDeviceLostRate > 0 {
-		opts = append(opts, server.WithCoexecFaults(*injectSeed, coexecFaults))
-		log.Printf("gpucmpd: injecting coexec faults: %.0f%% transfer errors, %.0f%% device losses (seed %d)",
-			*injectTransferRate*100, *injectDeviceLostRate*100, *injectSeed)
-	}
 	srv := server.New(s, opts...)
 	fmt.Fprintf(stdout, "gpucmpd: serving on %s\n", ln.Addr())
 	return serve(ctx, ln, srv.Handler(), &srv.Readiness, writeTimeout, *drainNotice)

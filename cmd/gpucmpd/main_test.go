@@ -156,10 +156,6 @@ func TestCoordinatorOverWorker(t *testing.T) {
 	if !errors.Is(err, errUsage) {
 		t.Errorf("-coordinator without -shards: %v, want a usage error", err)
 	}
-	err = run(context.Background(), []string{"-inject-transfer-rate", "2", "-addr", "127.0.0.1:0"}, io.Discard)
-	if !errors.Is(err, errUsage) {
-		t.Errorf("-inject-transfer-rate 2: %v, want a usage error", err)
-	}
 }
 
 // TestDrainClosesUnusedConnection: a connection a client dialled and

@@ -19,10 +19,17 @@ import (
 )
 
 // startWorker spins up a real gpucmpd worker (scheduler + HTTP server)
-// with an optional fault injector.
+// with an optional fault injector, on the wall clock.
 func startWorker(t *testing.T, inj *fault.Injector) (*httptest.Server, *server.Server) {
 	t.Helper()
-	s := sched.New(sched.Options{Workers: 4, Injector: inj})
+	return startWorkerOn(t, inj, nil)
+}
+
+// startWorkerOn is startWorker with the scheduler on clk (nil = the wall
+// clock), so an injected stall lasts until the test advances clk.
+func startWorkerOn(t *testing.T, inj *fault.Injector, clk clock.Clock) (*httptest.Server, *server.Server) {
+	t.Helper()
+	s := sched.New(sched.Options{Workers: 4, Injector: inj, Clock: clk})
 	t.Cleanup(s.Close)
 	srv := server.New(s, server.WithFigureScale(64))
 	ts := httptest.NewServer(srv.Handler())
@@ -43,7 +50,12 @@ func startCoordinator(t *testing.T, cfg Config) (*httptest.Server, *Coordinator)
 	c.Start()
 	t.Cleanup(c.Close)
 	ts := httptest.NewServer(c.Handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		// Cut the clients off first, so that requests a failed test left
+		// held by a stall on its Fake are cancelled, not waited for.
+		ts.CloseClientConnections()
+		ts.Close()
+	})
 	return ts, c
 }
 
@@ -116,11 +128,15 @@ func TestClusterRoutingIsSticky(t *testing.T) {
 // requests share one upstream call (coordinator singleflight) on top of
 // the owning worker's own dedup.
 func TestClusterDedupJoinsConcurrentIdentical(t *testing.T) {
-	// Stall launches so the identical requests genuinely overlap.
+	// Every launch stalls on the clock the worker and the coordinator
+	// share, so the upstream call stays in flight until the test moves
+	// the clock.
+	clk := newSimClock()
 	inj := fault.New(3, fault.Schedule{SlowRate: 1.0, SlowDelay: 150 * time.Millisecond})
-	w, _ := startWorker(t, inj)
+	w, _ := startWorkerOn(t, inj, clk)
 	cts, coord := startCoordinator(t, Config{
 		Workers: []string{w.URL},
+		clock:   clk,
 	})
 
 	body := runBody("Scan", 48)
@@ -134,6 +150,10 @@ func TestClusterDedupJoinsConcurrentIdentical(t *testing.T) {
 			}
 		}()
 	}
+	// Release the stall once the other seven have joined the call.
+	clk.wait(func() bool { return clk.has(stallTimer) })
+	waitFor(t, "7 requests joining the call in flight", func() bool { return coord.Metrics().DedupJoined == 7 })
+	clk.advanceTo(clk.Now().Add(150 * time.Millisecond))
 	wg.Wait()
 	if snap := coord.Metrics(); snap.DedupJoined == 0 {
 		t.Error("8 identical concurrent requests never joined an in-flight proxy call")
@@ -144,11 +164,13 @@ func TestClusterDedupJoinsConcurrentIdentical(t *testing.T) {
 // 503 + Retry-After and a machine-readable code — never a hang, never an
 // untyped error.
 func TestClusterShedsTyped(t *testing.T) {
+	clk := newSimClock()
 	inj := fault.New(5, fault.Schedule{SlowRate: 1.0, SlowDelay: 300 * time.Millisecond})
-	w, _ := startWorker(t, inj)
+	w, _ := startWorkerOn(t, inj, clk)
 	cts, coord := startCoordinator(t, Config{
 		Workers:     []string{w.URL},
 		MaxInFlight: 1,
+		clock:       clk,
 	})
 
 	var mu sync.Mutex
@@ -181,6 +203,11 @@ func TestClusterShedsTyped(t *testing.T) {
 			}
 		}(i)
 	}
+	// The admitted request holds the one in-flight slot in its stall;
+	// release it once the other nine have been shed.
+	clk.wait(func() bool { return clk.has(stallTimer) })
+	waitFor(t, "9 requests shed", func() bool { return coord.Metrics().Shed == 9 })
+	clk.advanceTo(clk.Now().Add(300 * time.Millisecond))
 	wg.Wait()
 	if shed == 0 {
 		t.Errorf("10 concurrent requests against MaxInFlight=1 shed none (served %d)", served)

@@ -176,9 +176,6 @@ type patternResult struct {
 	Records []patternCell  `json:"records"`
 }
 
-// patternWorkers is how many schedules of one sweep run at a time.
-const patternWorkers = 4
-
 // patternStudy is the evidence run for the pattern DSL (after Steuwer et
 // al., arXiv:1502.02389): for every benchmark with a pattern program on
 // every device and toolchain it autotunes the rewrite-rule schedule space
@@ -200,7 +197,7 @@ func patternStudy(g regen) (patternResult, error) {
 		winners := map[string]string{}
 		for _, a := range g.devices {
 			for _, tc := range bench.Toolchains(a) {
-				rep, err := tune.TunePatternParallel(g.run, tc.Name, a, name, g.scale, patternWorkers)
+				rep, err := tune.TunePattern(g.run, tc.Name, a, name, g.scale)
 				if err != nil {
 					return o, err
 				}

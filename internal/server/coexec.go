@@ -174,10 +174,9 @@ func (s *Server) handleCoexec(w http.ResponseWriter, r *http.Request) {
 }
 
 // WithCoexecFaults makes every POST /coexec run draw shard faults from a
-// fresh injector on seed and sch — the knob cmd/gpucmpd exposes as
-// -inject-transfer-rate / -inject-device-lost-rate. A fresh injector per
-// run keeps one request's fault draws from moving another's. It panics on
-// an invalid schedule, as fault.New does.
+// fresh injector on seed and sch; the degraded-reply tests serve through
+// it. A fresh injector per run keeps one request's fault draws from moving
+// another's. It panics on an invalid schedule, as fault.New does.
 func WithCoexecFaults(seed uint64, sch fault.Schedule) Option {
 	if err := sch.Validate(); err != nil {
 		panic(err)

@@ -3,115 +3,71 @@
 // general-purpose OpenCL programs to all available specific platforms to
 // fully exploit the hardware."
 //
-// The tuner enumerates the implementation variants a programmer controls in
-// step 4 of the fair-comparison pipeline (texture memory, constant memory,
-// unroll-pragma placement, warp-oriented kernels), measures every variant
-// on the target device, and reports the configuration that maximises the
-// benchmark's Table II metric. Because the knobs interact with
-// architecture features (texture caches, constant caches, wavefront
-// widths), the winning variant differs per device — which is exactly why
-// the paper argues portable code needs an auto-tuner.
+// The tuner searches two variant spaces with one sweep. The knob space is
+// the implementation choices a programmer controls in step 4 of the
+// fair-comparison pipeline (texture memory, constant memory, unroll-pragma
+// placement, warp-oriented kernels); the schedule space is the rewrite-rule
+// schedules of a pattern program (block sizes, fusion, tree reduction,
+// tiling, unrolling, coarsening, constant-memory coefficients). Every
+// candidate is a bench.Config measured on the target device, and the report
+// ranks them by the benchmark's Table II metric. Because the choices
+// interact with architecture features (texture caches, constant caches,
+// wavefront widths), the winning variant differs per device — which is
+// exactly why the paper argues portable code needs an auto-tuner.
 package tune
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"gpucmp/internal/arch"
 	"gpucmp/internal/bench"
 )
 
-// Knob is one tunable implementation choice.
-type Knob int
-
-const (
-	KnobTexture Knob = iota
-	KnobConstant
-	KnobUnrollA
-	KnobUnrollB
-	KnobVectorKernel
-	KnobNaiveTranspose
-)
-
-// String names the knob.
-func (k Knob) String() string {
-	switch k {
-	case KnobTexture:
-		return "texture-memory"
-	case KnobConstant:
-		return "constant-memory"
-	case KnobUnrollA:
-		return "unroll@a"
-	case KnobUnrollB:
-		return "unroll@b"
-	case KnobVectorKernel:
-		return "warp-per-row"
-	case KnobNaiveTranspose:
-		return "naive-transpose"
-	default:
-		return fmt.Sprintf("knob(%d)", int(k))
-	}
+// knobs names every step-4 knob and the Config field it sets, in the order
+// Label prints them.
+var knobs = []struct {
+	name string
+	set  func(*bench.Config, bool)
+}{
+	{"texture-memory", func(c *bench.Config, on bool) { c.UseTexture = on }},
+	{"constant-memory", func(c *bench.Config, on bool) { c.UseConstant = on }},
+	{"unroll@a", func(c *bench.Config, on bool) { c.UnrollA = on }},
+	{"unroll@b", func(c *bench.Config, on bool) { c.UnrollB = on }},
+	{"warp-per-row", func(c *bench.Config, on bool) { c.VectorSPMV = on }},
+	{"naive-transpose", func(c *bench.Config, on bool) { c.NaiveTranspose = on }},
 }
 
-// MarshalText renders the knob by name, so a Point's Settings map JSON-
-// encodes with readable keys.
-func (k Knob) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText parses a knob name (the inverse of MarshalText).
-func (k *Knob) UnmarshalText(text []byte) error {
-	for _, c := range []Knob{KnobTexture, KnobConstant, KnobUnrollA, KnobUnrollB, KnobVectorKernel, KnobNaiveTranspose} {
-		if c.String() == string(text) {
-			*k = c
-			return nil
-		}
-	}
-	return fmt.Errorf("tune: unknown knob %q", text)
-}
-
-// RelevantKnobs returns the variant dimensions a benchmark actually has.
-func RelevantKnobs(benchName string) []Knob {
+// RelevantKnobs returns the names of the knobs a benchmark actually has.
+func RelevantKnobs(benchName string) []string {
 	switch benchName {
 	case "MD":
-		return []Knob{KnobTexture}
+		return []string{"texture-memory"}
 	case "SPMV":
-		return []Knob{KnobTexture, KnobVectorKernel}
+		return []string{"texture-memory", "warp-per-row"}
 	case "Sobel":
-		return []Knob{KnobConstant}
+		return []string{"constant-memory"}
 	case "FDTD":
-		return []Knob{KnobUnrollA, KnobUnrollB}
+		return []string{"unroll@a", "unroll@b"}
 	case "TranP":
-		return []Knob{KnobNaiveTranspose}
+		return []string{"naive-transpose"}
 	default:
 		return nil
-	}
-}
-
-func applyKnob(cfg *bench.Config, k Knob, on bool) {
-	switch k {
-	case KnobTexture:
-		cfg.UseTexture = on
-	case KnobConstant:
-		cfg.UseConstant = on
-	case KnobUnrollA:
-		cfg.UnrollA = on
-	case KnobUnrollB:
-		cfg.UnrollB = on
-	case KnobVectorKernel:
-		cfg.VectorSPMV = on
-	case KnobNaiveTranspose:
-		cfg.NaiveTranspose = on
 	}
 }
 
 // Point is one evaluated configuration: either a knob assignment (Settings)
 // or a pattern schedule (Pattern), never both.
 type Point struct {
-	Settings map[Knob]bool `json:"settings,omitempty"`
-	Pattern  string        `json:"pattern,omitempty"` // schedule mangle (pattern space)
-	Config   bench.Config  `json:"config"`
-	Value    float64       `json:"value,omitempty"` // Table II metric (normalised so higher is better)
-	Raw      float64       `json:"raw,omitempty"`   // the metric as reported
-	Status   string        `json:"status"`          // OK / FL / ABT
+	Settings map[string]bool `json:"settings,omitempty"` // knob name -> on
+	Pattern  string          `json:"pattern,omitempty"`  // schedule mangle (pattern space)
+	Config   bench.Config    `json:"config"`
+	Value    float64         `json:"value,omitempty"` // Table II metric (normalised so higher is better)
+	Raw      float64         `json:"raw,omitempty"`   // the metric as reported
+	Status   string          `json:"status"`          // OK / FL / ABT
 }
 
 // Label renders the settings compactly.
@@ -122,23 +78,17 @@ func (p Point) Label() string {
 	if len(p.Settings) == 0 {
 		return "(no knobs)"
 	}
-	keys := make([]Knob, 0, len(p.Settings))
-	for k := range p.Settings {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	s := ""
-	for _, k := range keys {
-		state := "-"
-		if p.Settings[k] {
-			state = "+"
+	var s []string
+	for _, k := range knobs {
+		if on, ok := p.Settings[k.name]; ok {
+			state := "-"
+			if on {
+				state = "+"
+			}
+			s = append(s, state+k.name)
 		}
-		if s != "" {
-			s += " "
-		}
-		s += state + k.String()
 	}
-	return s
+	return strings.Join(s, " ")
 }
 
 // Report is the outcome of one tuning run.
@@ -166,63 +116,95 @@ func (r *Report) Best() (Point, bool) {
 // scheduler's pool and cache).
 type runner = func(a *arch.Device, toolchain string, spec bench.Spec, cfg bench.Config) (*bench.Result, error)
 
-// measure runs one candidate configuration through run.
-func measure(run runner, toolchain string, a *arch.Device, spec bench.Spec, cfg bench.Config) (Point, error) {
-	res, err := run(a, toolchain, spec, cfg)
-	if err != nil {
-		return Point{}, err
-	}
-	p := Point{Pattern: cfg.Pattern, Config: cfg, Status: res.Status(), Raw: res.Value}
-	if res.Err == nil {
-		p.Value = res.Value
-		if bench.LowerIsBetter(spec.Metric) && res.Value > 0 {
-			p.Value = 1 / res.Value
-		}
-	}
-	return p, nil
-}
-
-// Tune sweeps the benchmark's variant space on one device with the given
+// Tune sweeps the benchmark's knob space on one device with the given
 // toolchain, every candidate through run, and returns every measured
 // point, best first. Texture memory is skipped as a candidate on devices
 // without a texture cache.
 func Tune(run runner, toolchain string, a *arch.Device, benchName string, scale int) (*Report, error) {
+	names := RelevantKnobs(benchName)
+	var cands []Point
+	for mask := 0; mask < 1<<len(names); mask++ {
+		p := Point{Settings: map[string]bool{}, Config: bench.Config{Scale: scale, UnrollB: true}}
+		for i, name := range names {
+			p.Settings[name] = mask&(1<<i) != 0
+		}
+		for _, k := range knobs {
+			if on, ok := p.Settings[k.name]; ok {
+				k.set(&p.Config, on)
+			}
+		}
+		if p.Config.UseTexture && !a.HasTextureCache {
+			continue // no texture path on this device
+		}
+		cands = append(cands, p)
+	}
+	return sweep(run, toolchain, a, benchName, "knobs", cands)
+}
+
+// TunePattern sweeps a pattern-portable benchmark's schedule space
+// (bench.PatternSpace) on one device, every candidate through run, and
+// returns every measured point, best first.
+func TunePattern(run runner, toolchain string, a *arch.Device, benchName string, scale int) (*Report, error) {
+	space := bench.PatternSpace(benchName)
+	if space == nil {
+		return nil, fmt.Errorf("tune: benchmark %q has no pattern program", benchName)
+	}
+	slices.Sort(space) // ties in the report break by mangle
+	cands := make([]Point, len(space))
+	for i, m := range space {
+		cands[i] = Point{Pattern: m, Config: bench.Config{Scale: scale, Pattern: m}}
+	}
+	return sweep(run, toolchain, a, benchName, "pattern", cands)
+}
+
+// fanOut is how many candidates of one sweep run at a time.
+const fanOut = 4
+
+// sweep measures every candidate through run, fanOut at a time, and
+// reports them best first: OK before failed, then Value descending, ties in
+// candidate order. The simulator is a deterministic function of the cell,
+// so the report does not depend on which candidate finishes first.
+func sweep(run runner, toolchain string, a *arch.Device, benchName, space string, cands []Point) (*Report, error) {
 	spec, err := bench.SpecByName(benchName)
 	if err != nil {
 		return nil, err
 	}
-	knobs := RelevantKnobs(benchName)
-	rep := &Report{Benchmark: benchName, Device: a.Name, Toolchain: toolchain, Metric: spec.Metric, Space: "knobs"}
-
-	n := 1 << uint(len(knobs))
-	for mask := 0; mask < n; mask++ {
-		cfg := bench.Config{Scale: scale, UnrollB: true}
-		settings := map[Knob]bool{}
-		skip := false
-		for i, k := range knobs {
-			on := mask&(1<<uint(i)) != 0
-			if k == KnobTexture && on && !a.HasTextureCache {
-				skip = true // no texture path on this device
+	errs := make([]error, len(cands))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, fanOut)
+	for i := range cands {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			p := &cands[i]
+			res, err := run(a, toolchain, spec, p.Config)
+			if err != nil {
+				errs[i] = err
+				return
 			}
-			settings[k] = on
-			applyKnob(&cfg, k, on)
-		}
-		if skip {
-			continue
-		}
-		p, err := measure(run, toolchain, a, spec, cfg)
+			p.Status, p.Raw = res.Status(), res.Value
+			if res.Err == nil {
+				p.Value = res.Value
+				if bench.LowerIsBetter(spec.Metric) && res.Value > 0 {
+					p.Value = 1 / res.Value
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		p.Settings = settings
-		rep.Points = append(rep.Points, p)
 	}
-	sort.SliceStable(rep.Points, func(i, j int) bool {
-		pi, pj := rep.Points[i], rep.Points[j]
+	sort.SliceStable(cands, func(i, j int) bool {
+		pi, pj := cands[i], cands[j]
 		if (pi.Status == "OK") != (pj.Status == "OK") {
 			return pi.Status == "OK"
 		}
 		return pi.Value > pj.Value
 	})
-	return rep, nil
+	return &Report{Benchmark: benchName, Device: a.Name, Toolchain: toolchain, Metric: spec.Metric, Space: space, Points: cands}, nil
 }
