@@ -55,8 +55,8 @@ func runFFTWith(b *testing.B, p compiler.Personality) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tc := perfmodel.ToolchainFor(p.Name)
-	return perfmodel.KernelTime(dev.Arch, tc, tr).Total
+	tc := bench.Toolchain{Costs: perfmodel.ToolchainFor(p.Name)}
+	return bench.Record{Traces: []*sim.Trace{tr}}.Price(dev.Arch, tc).Kernel
 }
 
 // ablate runs base vs. modified and reports the speed ratio.

@@ -164,14 +164,6 @@ func TestTransferParameters(t *testing.T) {
 			t.Errorf("%s link %g GB/s >= CPU %g GB/s", d.Name, d.Transfer.PCIeGBps, cpu.Transfer.PCIeGBps)
 		}
 	}
-	// TransferTime = latency + bytes/bandwidth, checked at a round size.
-	g := GTX480()
-	want := g.Transfer.LatencyS + 1e6/(g.Transfer.PCIeGBps*1e9)
-	almost(t, g.TransferTime(1_000_000), want, 1e-12, "GTX480 TransferTime(1MB)")
-	// Latency must dominate tiny copies, bandwidth large ones.
-	if small := g.TransferTime(4); small < g.Transfer.LatencyS {
-		t.Errorf("TransferTime(4) = %g below link latency", small)
-	}
 }
 
 func TestKindAndMicroarchStrings(t *testing.T) {

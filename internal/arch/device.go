@@ -148,13 +148,6 @@ type Transfer struct {
 	LatencyS float64
 }
 
-// TransferTime returns the link-only time to move n bytes: the fixed
-// per-transfer latency plus the bandwidth term. Runtime (toolchain)
-// overheads are added by perfmodel.TransferTimeOn.
-func (d *Device) TransferTime(bytes int64) float64 {
-	return d.Transfer.LatencyS + float64(bytes)/(d.Transfer.PCIeGBps*1e9)
-}
-
 // TheoreticalPeakBandwidth implements Eq. (2) of the paper:
 //
 //	TP_BW = MC * (MIW/8) * 2 * 1e-9  [GB/s]

@@ -3,12 +3,12 @@
 // written once against the Driver abstraction, and one driver runs every
 // toolchain: Toolchain.Open pairs the value's front-end personality and
 // cost model (launch overhead, transfer link) with a simulated device. A
-// run reports its launch traces and the work its metric counts; Spec.Run
-// prices every run from those, and Spec.Price re-prices one under another
-// toolchain's costs without simulating it again. A run's host side, its
-// generated inputs and the reference its output is checked against,
-// depends only on the problem shape and is built once per shape
-// (hostData).
+// run reports its record of launches and copies and the work its metric
+// counts; Spec.Run prices every run from those, and Spec.Price re-prices
+// one under another toolchain's costs without simulating it again. A
+// run's host side, its generated inputs and the reference its output is
+// checked against, depends only on the problem shape and is built once
+// per shape (hostData).
 // NativeConfig captures the per-toolchain implementation choices the paper
 // documents (texture memory in the CUDA MD/SPMV, constant memory in the
 // OpenCL Sobel, unroll pragma placement in FDTD).
@@ -36,13 +36,14 @@ type Module interface {
 	Kernel(name string) (*ptx.Kernel, error)
 }
 
-// Driver abstracts the host runtime so each benchmark is written once.
+// Driver abstracts the host runtime so each benchmark is written once. It
+// keeps no clock: Record.Price prices what it records.
 type Driver interface {
-	Toolchain() Toolchain // the stack whose costs the driver charges
+	Toolchain() Toolchain // the stack whose costs price the record
 	Arch() *arch.Device
 	Alloc(bytes uint32) (Buf, error)
 	Write(dst Buf, words []uint32) error
-	// Zero writes n zero words to the start of dst, charged as Write of n
+	// Zero writes n zero words to the start of dst, recorded as Write of n
 	// words would be.
 	Zero(dst Buf, n int) error
 	Read(dst []uint32, src Buf) error
@@ -50,9 +51,8 @@ type Driver interface {
 	// Launch runs a kernel on grid x block work-groups (an OpenCL NDRange
 	// of global size grid*block and local size block).
 	Launch(m Module, kernel string, grid, block sim.Dim3, args ...Arg) error
-	KernelTime() float64
-	Elapsed() float64
-	Traces() []*sim.Trace
+	// Record returns the launches and copies since the last ResetTimer.
+	Record() Record
 	ResetTimer()
 }
 
@@ -104,7 +104,8 @@ type Result struct {
 	// per-pass statistics and the remark stream (see KernelReport).
 	Kernels []KernelReport `json:"kernels,omitempty"`
 
-	Traces []*sim.Trace `json:"-"`
+	// Record is the run's launches and copies, which Spec.Price re-prices.
+	Record `json:"-"`
 }
 
 // TransferParams is the per-device host link description echoed in results
@@ -205,7 +206,7 @@ func (s Spec) Run(d Driver, cfg Config) (*Result, error) {
 	res := s.run(d, cfg)
 	res.Benchmark, res.Metric = s.Name, s.Metric
 	if res.Err == nil {
-		res.KernelSeconds, res.Value = s.price(res, d.Arch(), d.Toolchain())
+		s.price(res, d.Arch(), d.Toolchain())
 	}
 	return res, nil
 }
@@ -252,20 +253,18 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("bench: unknown benchmark %q", name)
 }
 
-// result assembles a finished run from the driver: the work its metric
-// counts and whether its output verified. Spec.Run names and prices it.
+// result assembles a finished run from the driver: its record, its work
+// and whether its output verified. Spec.Run names and prices it.
 func result(d Driver, work float64, correct bool) *Result {
 	a := d.Arch()
 	return &Result{
-		Toolchain:       d.Toolchain().Name,
-		Device:          a.Name,
-		EndToEndSeconds: d.Elapsed(),
-		TransferSeconds: TransferSeconds(d),
-		Transfer:        &TransferParams{PCIeGBps: a.Transfer.PCIeGBps, LatencySeconds: a.Transfer.LatencyS},
-		Correct:         correct,
-		Work:            work,
-		Kernels:         KernelReports(d),
-		Traces:          d.Traces(),
+		Toolchain: d.Toolchain().Name,
+		Device:    a.Name,
+		Transfer:  &TransferParams{PCIeGBps: a.Transfer.PCIeGBps, LatencySeconds: a.Transfer.LatencyS},
+		Correct:   correct,
+		Work:      work,
+		Kernels:   KernelReports(d),
+		Record:    d.Record(),
 	}
 }
 

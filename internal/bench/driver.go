@@ -93,19 +93,15 @@ var simCodes = []struct {
 }
 
 // driver is the host runtime of every toolchain: one Toolchain value and
-// one simulated device. The simulated clock, transfer charging (Write,
-// Read, and Zero, which clears a buffer inside device memory at the price
-// of writing its zeros), argument resolution and constant staging are
-// shared; what differs between toolchains is the value's fields.
+// one simulated device. Recording launches and copies (Zero, which clears
+// a buffer inside device memory, as a write of its zeros), argument
+// resolution and constant staging are shared; what differs between
+// toolchains is the value's fields.
 type driver struct {
-	tc  Toolchain
-	dev *sim.Device
-
-	elapsed      float64 // end-to-end simulated seconds
-	kernelTime   float64 // kernel-only simulated seconds
-	transferTime float64 // host<->device copy simulated seconds
-	traces       []*sim.Trace
-	constOffs    map[uint32]uint32 // global address -> constant-segment offset
+	tc        Toolchain
+	dev       *sim.Device
+	rec       Record
+	constOffs map[uint32]uint32 // global address -> constant-segment offset
 
 	// built records every kernel Build compiled, in source order, so
 	// KernelReports can attach the compiler story to the benchmark result.
@@ -155,7 +151,7 @@ func (d *driver) Alloc(bytes uint32) (Buf, error) {
 	return Buf{Addr: addr, Size: bytes}, nil
 }
 
-// Write copies host words to the device and charges the transfer.
+// Write copies host words to the device and records the copy.
 func (d *driver) Write(dst Buf, words []uint32) error {
 	if err := d.fits(dst, len(words)); err != nil {
 		return err
@@ -163,12 +159,12 @@ func (d *driver) Write(dst Buf, words []uint32) error {
 	if err := d.dev.Global.WriteWords(dst.Addr, words); err != nil {
 		return err
 	}
-	d.charge(len(words))
+	d.copied(len(words))
 	return nil
 }
 
-// Zero clears the first n words of dst inside device memory and charges
-// exactly what Write of n zero words charges, so a fresh buffer is
+// Zero clears the first n words of dst inside device memory and records
+// exactly what Write of n zero words records, so a fresh buffer is
 // zero-filled without a host slice of zeros.
 func (d *driver) Zero(dst Buf, n int) error {
 	if err := d.fits(dst, n); err != nil {
@@ -177,7 +173,7 @@ func (d *driver) Zero(dst Buf, n int) error {
 	if err := d.dev.Global.ZeroWords(dst.Addr, n); err != nil {
 		return err
 	}
-	d.charge(n)
+	d.copied(n)
 	return nil
 }
 
@@ -189,7 +185,7 @@ func (d *driver) fits(dst Buf, n int) error {
 	return nil
 }
 
-// Read copies device words to the host and charges the transfer.
+// Read copies device words to the host and records the copy.
 func (d *driver) Read(dst []uint32, src Buf) error {
 	if uint32(4*len(dst)) > src.Size {
 		return d.fail(clInvalidValue, fmt.Errorf("bench: read of %d words overruns a %d-byte buffer", len(dst), src.Size))
@@ -197,15 +193,13 @@ func (d *driver) Read(dst []uint32, src Buf) error {
 	if err := d.dev.Global.ReadWords(src.Addr, dst); err != nil {
 		return err
 	}
-	d.charge(len(dst))
+	d.copied(len(dst))
 	return nil
 }
 
-// charge advances the clock by the copy time of n words.
-func (d *driver) charge(n int) {
-	t := perfmodel.TransferTimeOn(d.dev.Arch, d.tc.Costs, int64(4*n))
-	d.elapsed += t
-	d.transferTime += t
+// copied records a copy of n words after the launches recorded so far.
+func (d *driver) copied(n int) {
+	d.rec.Copies = append(d.rec.Copies, Copy{Launches: len(d.rec.Traces), Bytes: int64(4 * n)})
 }
 
 // Build compiles KIR kernels with the toolchain's front-end, each served
@@ -227,7 +221,7 @@ func (d *driver) Build(kernels ...*kir.Kernel) (Module, error) {
 	return m, nil
 }
 
-// Launch runs a kernel and advances the clock by its modelled time.
+// Launch runs a kernel and records its trace.
 func (d *driver) Launch(m Module, kernel string, grid, block sim.Dim3, args ...Arg) error {
 	k, err := m.Kernel(kernel)
 	if err != nil {
@@ -246,10 +240,7 @@ func (d *driver) Launch(m Module, kernel string, grid, block sim.Dim3, args ...A
 		}
 		return err
 	}
-	t := perfmodel.KernelTime(d.dev.Arch, d.tc.Costs, tr).Total
-	d.traces = append(d.traces, tr)
-	d.elapsed += t
-	d.kernelTime += t
+	d.rec.Traces = append(d.rec.Traces, tr)
 	return nil
 }
 
@@ -309,15 +300,10 @@ func (d *driver) stageConst(b Buf) (uint32, error) {
 	return off, nil
 }
 
-func (d *driver) KernelTime() float64  { return d.kernelTime }
-func (d *driver) Elapsed() float64     { return d.elapsed }
-func (d *driver) Traces() []*sim.Trace { return d.traces }
+func (d *driver) Record() Record { return d.rec }
 
-// ResetTimer clears the simulated clock and the launch history.
-func (d *driver) ResetTimer() {
-	d.elapsed, d.kernelTime, d.transferTime = 0, 0, 0
-	d.traces = nil
-}
+// ResetTimer clears the record.
+func (d *driver) ResetTimer() { d.rec = Record{} }
 
 // SimDevice exposes the simulated device underneath a driver — the seam
 // the scheduler's watchdog uses to cancel a runaway kernel (sim.Device.
@@ -328,14 +314,4 @@ func SimDevice(d Driver) *sim.Device {
 		return dd.dev
 	}
 	return nil
-}
-
-// TransferSeconds exposes the host<->device copy time a driver has
-// accumulated since its last ResetTimer. Zero for drivers that do not
-// track transfers.
-func TransferSeconds(d Driver) float64 {
-	if dd, ok := d.(*driver); ok {
-		return dd.transferTime
-	}
-	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -261,20 +262,21 @@ func TestDriver(t *testing.T) {
 			if d.Toolchain().Name != tc || KernelReports(d)[0].Toolchain != tc {
 				t.Errorf("driver %q built %q kernels, want %q", d.Toolchain().Name, KernelReports(d)[0].Toolchain, tc)
 			}
-			copyTime := 2 * perfmodel.TransferTimeOn(d.Arch(), perfmodel.ToolchainFor(tc), 4*n)
-			if TransferSeconds(d) != copyTime {
-				t.Errorf("TransferSeconds = %g, want two %d-word copies, %g", TransferSeconds(d), n, copyTime)
+			rec := d.Record()
+			if len(rec.Traces) != 1 || !slices.Equal(rec.Copies, []Copy{{0, 4 * n}, {1, 4 * n}}) {
+				t.Errorf("recorded %d launches and copies %v, want the launch between two %d-byte copies",
+					len(rec.Traces), rec.Copies, 4*n)
 			}
-			if d.KernelTime() <= 0 || d.Elapsed() != d.KernelTime()+copyTime {
-				t.Errorf("Elapsed %g, want KernelTime %g + transfers %g", d.Elapsed(), d.KernelTime(), copyTime)
-			}
-			if len(d.Traces()) != 1 || perfmodel.KernelTime(d.Arch(), d.Toolchain().Costs, d.Traces()[0]).Total != d.KernelTime() {
-				t.Error("launch bookkeeping wrong")
+			p := rec.Price(d.Arch(), d.Toolchain())
+			copyTime := perfmodel.TransferTimeOn(d.Arch(), d.Toolchain().Costs, 4*n)
+			kernel := perfmodel.KernelTime(d.Arch(), d.Toolchain().Costs, rec.Traces[0])
+			if p.Transfer != copyTime+copyTime || p.Kernel != kernel.Total || p.Event != kernel.Total-kernel.Launch ||
+				p.EndToEnd != copyTime+kernel.Total+copyTime {
+				t.Errorf("priced %+v, want two %g s copies around a %g s launch", p, copyTime, kernel.Total)
 			}
 			d.ResetTimer()
-			if d.Elapsed() != 0 || d.KernelTime() != 0 || TransferSeconds(d) != 0 ||
-				len(d.Traces()) != 0 {
-				t.Error("ResetTimer did not clear the clock")
+			if rec := d.Record(); len(rec.Traces) != 0 || len(rec.Copies) != 0 {
+				t.Error("ResetTimer did not clear the record")
 			}
 		})
 
@@ -319,7 +321,7 @@ func TestDriver(t *testing.T) {
 			if _, err := m.Kernel("nope"); err == nil {
 				t.Error("unknown kernel found")
 			}
-			if len(d.Traces()) != 0 {
+			if len(d.Record().Traces) != 0 {
 				t.Error("a rejected launch ran")
 			}
 		})
@@ -329,8 +331,8 @@ func TestDriver(t *testing.T) {
 			buf, _ := d.Alloc(16)
 			coded(t, "oversized write", d.Write(buf, make([]uint32, 5)), nil, clInvalidValue)
 			coded(t, "oversized read", d.Read(make([]uint32, 5), buf), nil, clInvalidValue)
-			if TransferSeconds(d) != 0 {
-				t.Error("a rejected copy was charged")
+			if len(d.Record().Copies) != 0 {
+				t.Error("a rejected copy was recorded")
 			}
 			if err := d.Write(buf, make([]uint32, 4)); err != nil {
 				t.Errorf("exact-size write: %v", err)

@@ -97,7 +97,7 @@ func saxpyStudy(relation, priced io.Writer) {
 		d.ResetTimer()
 		check(d.Launch(m, "saxpy", sim.Dim3{X: n / block, Y: 1}, sim.Dim3{X: block, Y: 1},
 			bench.B(x), bench.B(y), bench.V(math.Float32bits(alpha)), bench.V(n)))
-		secs[tc.Name] = d.KernelTime()
+		secs[tc.Name] = d.Record().Price(a, tc).Kernel
 
 		out := make([]uint32, n)
 		check(d.Read(out, y))

@@ -10,14 +10,15 @@ import (
 
 // TestPriceReproducesEveryValue: every registered metric is "sec" or in
 // perfmodel's metric table, and on every benchmark, device and toolchain
-// the priced kernel seconds are the driver's own clock bit for bit, and
-// re-pricing a result under the toolchain that ran it changes no number.
+// re-pricing a result under the toolchain that ran it reproduces all four
+// of its numbers bit for bit, copies included.
 func TestPriceReproducesEveryValue(t *testing.T) {
 	for _, spec := range Registry() {
 		if _, rate := perfmodel.RateUnit(spec.Metric); !rate && spec.Metric != "sec" {
 			t.Errorf("%s: metric %q is neither sec nor a known rate", spec.Name, spec.Metric)
 		}
 	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, a := range arch.All() {
 		for _, tc := range Toolchains(a) {
 			for _, spec := range Registry() {
@@ -33,14 +34,12 @@ func TestPriceReproducesEveryValue(t *testing.T) {
 					continue // the Cell/BE aborts (Table VI): nothing to price
 				}
 				cell := spec.Name + " on " + a.Name + " via " + tc.Name
-				if math.Float64bits(res.KernelSeconds) != math.Float64bits(d.KernelTime()) {
-					t.Errorf("%s: priced %v kernel seconds, the driver clocked %v", cell, res.KernelSeconds, d.KernelTime())
-				}
 				again := spec.Price(res, a, tc)
-				if math.Float64bits(again.Value) != math.Float64bits(res.Value) ||
-					math.Float64bits(again.KernelSeconds) != math.Float64bits(res.KernelSeconds) {
-					t.Errorf("%s: re-priced to %v %s in %v s, ran as %v in %v s",
-						cell, again.Value, res.Metric, again.KernelSeconds, res.Value, res.KernelSeconds)
+				if !same(again.Value, res.Value) || !same(again.KernelSeconds, res.KernelSeconds) ||
+					!same(again.TransferSeconds, res.TransferSeconds) || !same(again.EndToEndSeconds, res.EndToEndSeconds) {
+					t.Errorf("%s: re-priced to %v %s in %v s kernel, %v s transfer, %v s end to end; ran as %v in %v, %v, %v s",
+						cell, again.Value, res.Metric, again.KernelSeconds, again.TransferSeconds, again.EndToEndSeconds,
+						res.Value, res.KernelSeconds, res.TransferSeconds, res.EndToEndSeconds)
 				}
 				if !(res.Value > 0) || math.IsInf(res.Value, 0) {
 					t.Errorf("%s: Value %v %s", cell, res.Value, res.Metric)
@@ -52,9 +51,9 @@ func TestPriceReproducesEveryValue(t *testing.T) {
 
 // TestPriceUnderAnotherToolchain re-prices the OpenCL BFS run on the
 // GTX480 with the CUDA runtime's costs: the same traces cost less, almost
-// all of it launch overhead over BFS's two launches per level; the copy
-// names CUDA and carries no host time, and the run itself is left as it
-// was.
+// all of it launch overhead over BFS's two launches per level, and the
+// same copies cost less too; the copy names CUDA, and the run itself is
+// left as it was.
 func TestPriceUnderAnotherToolchain(t *testing.T) {
 	a := arch.GTX480()
 	d, err := OpenCL().Open(a)
@@ -68,9 +67,13 @@ func TestPriceUnderAnotherToolchain(t *testing.T) {
 	kernel, traces := res.KernelSeconds, len(res.Traces)
 
 	cu := mustSpec("BFS").Price(res, a, CUDA())
-	if cu.Toolchain != "cuda" || cu.EndToEndSeconds != 0 || cu.TransferSeconds != 0 {
-		t.Errorf("re-priced under CUDA: toolchain %q, end-to-end %v s, transfer %v s; want cuda and no host time",
-			cu.Toolchain, cu.EndToEndSeconds, cu.TransferSeconds)
+	if cu.Toolchain != "cuda" {
+		t.Errorf("re-priced under CUDA: toolchain %q", cu.Toolchain)
+	}
+	if !(cu.TransferSeconds > 0 && cu.TransferSeconds < res.TransferSeconds) ||
+		!(cu.EndToEndSeconds > 0 && cu.EndToEndSeconds < res.EndToEndSeconds) {
+		t.Errorf("under CUDA costs BFS copies for %v s and ends after %v s, under OpenCL %v s and %v s",
+			cu.TransferSeconds, cu.EndToEndSeconds, res.TransferSeconds, res.EndToEndSeconds)
 	}
 	if cu.KernelSeconds >= res.KernelSeconds {
 		t.Errorf("under CUDA costs BFS takes %v s, under OpenCL %v s", cu.KernelSeconds, res.KernelSeconds)

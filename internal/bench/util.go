@@ -70,7 +70,7 @@ func allocWrite(d Driver, words []uint32) (Buf, error) {
 }
 
 // allocZero allocates n words and clears them on the device (Driver.Zero),
-// charged as the upload of n zero words it replaces.
+// recorded as the upload of n zero words it replaces.
 func allocZero(d Driver, n int) (Buf, error) {
 	b, err := d.Alloc(uint32(4 * n))
 	if err != nil {

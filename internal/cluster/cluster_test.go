@@ -64,19 +64,27 @@ func runBody(benchmark string, scale int) string {
 }
 
 // post fires one request and returns status, body, and the X-Shard
-// header.
+// header; a transport error fails the test, so off the test goroutine
+// call tryPost.
 func post(t *testing.T, url, body string) (int, []byte, string) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	status, b, shard, err := tryPost(url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, b, resp.Header.Get("X-Shard")
+	return status, b, shard
+}
+
+// tryPost fires one request and returns status, body, the X-Shard header and
+// any transport error.
+func tryPost(url, body string) (int, []byte, string, error) {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		return 0, nil, "", fmt.Errorf("POST %s: %w", url, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, b, resp.Header.Get("X-Shard"), err
 }
 
 // typedRefusal reports whether a non-2xx response carries a machine code
@@ -145,7 +153,11 @@ func TestClusterDedupJoinsConcurrentIdentical(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if status, b, _ := post(t, cts.URL+"/run", body); status != http.StatusOK {
+			status, b, _, err := tryPost(cts.URL+"/run", body)
+			switch {
+			case err != nil:
+				t.Error(err)
+			case status != http.StatusOK:
 				t.Errorf("status %d: %s", status, b)
 			}
 		}()

@@ -227,7 +227,7 @@ func (w *program) NewInstance(toolchain string, dev *arch.Device) (Instance, err
 			return nil, err
 		}
 	}
-	in.setup = d.Elapsed()
+	in.setup = d.Record().Price(dev, d.Toolchain()).EndToEnd
 	return in, nil
 }
 
@@ -255,7 +255,7 @@ func (in *instance) RunUnits(lo, hi int) ([]uint32, Times, error) {
 		return nil, Times{}, err
 	}
 	// A shard's buffers are its slices of the device's, except broadcast
-	// ones; each phase's cost is read off the driver's clock as it ends.
+	// ones; each phase's cost is priced from the driver's record.
 	var t Times
 	in.d.ResetTimer()
 	bufs := make(map[string]bench.Buf, len(l.Bufs))
@@ -271,18 +271,19 @@ func (in *instance) RunUnits(lo, hi int) ([]uint32, Times, error) {
 			}
 		}
 	}
-	t.H2D = bench.TransferSeconds(in.d)
+	a, tc := in.d.Arch(), in.d.Toolchain()
+	t.H2D = in.d.Record().Price(a, tc).Transfer
 	for _, ln := range l.Launches {
 		if err := bench.LaunchOne(in.d, in.mod, bufs, ln); err != nil {
 			return nil, t, err
 		}
 	}
-	t.Kernel = in.d.KernelTime()
 	out := make([]uint32, (hi-lo)*w.wpu)
 	if err := in.d.Read(out, subBuf(in.bufs[l.Out], lo*w.wpu, hi*w.wpu)); err != nil {
 		return nil, t, err
 	}
-	t.D2H = bench.TransferSeconds(in.d) - t.H2D
+	p := in.d.Record().Price(a, tc)
+	t.Kernel, t.D2H = p.Kernel, p.Transfer-t.H2D
 	return out, t, nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,6 +185,65 @@ func TestCorpusEngineEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedAtomicsEngineEquivalence runs what no corpus program does:
+// atomics on shared memory. A kernel zeroes a shared array, applies
+// AtomicAdd, AtomicOr and AtomicMax to three disjoint thirds of it between
+// two barriers (each third sees one commutative operation, so any
+// interleaving gives the same words) and stores it. Under both
+// personalities on the GTX480 and the Cell/BE, both engines must match
+// each other's trace and device memory, and the host interpreter's output.
+func TestSharedAtomicsEngineEquivalence(t *testing.T) {
+	const groups, block, slots = 2, 64, 8
+	b := kir.NewKernel("shared_atomics")
+	out := b.GlobalBuffer("out", kir.U32)
+	sh := b.SharedArray("sh", kir.U32, 3*slots)
+	tid := b.Declare("tid", kir.Bi(kir.TidX))
+	b.If(kir.Lt(tid, kir.U(3*slots)), func() { b.Store(sh, tid, kir.U(0)) })
+	b.Barrier()
+	slot := kir.Rem(tid, kir.U(slots))
+	b.Atomic(sh, slot, kir.AtomicAdd, kir.Add(tid, kir.U(1)))
+	b.Atomic(sh, kir.Add(slot, kir.U(slots)), kir.AtomicOr, kir.Shl(kir.U(1), kir.Rem(tid, kir.U(32))))
+	b.Atomic(sh, kir.Add(slot, kir.U(2*slots)), kir.AtomicMax, kir.Add(kir.Mul(tid, kir.U(7)), kir.Bi(kir.CtaidX)))
+	b.Barrier()
+	b.If(kir.Lt(tid, kir.U(3*slots)), func() {
+		b.Store(out, kir.Add(kir.Mul(kir.Bi(kir.CtaidX), kir.U(3*slots)), tid), b.Load(sh, tid))
+	})
+	p := &Program{Kernel: b.MustBuild(), Grid: groups, Block: block, Out: "out",
+		Buffers: map[string][]uint32{"out": make([]uint32, groups*3*slots)}}
+
+	want, err := Reference(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slot 0 adds tid+1 over tid = 0, 8, ..., 56.
+	if want[0] != 232 {
+		t.Fatalf("host interpreter: out[0] = %d, want 232", want[0])
+	}
+	for _, pers := range Toolchains() {
+		pk, err := compiler.Compile(p.Kernel, pers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []*arch.Device{arch.GTX480(), arch.CellBE()} {
+			ref := runEngineK(t, p, pk, a, sim.EngineReference, false, simStepBudget)
+			got := runEngineK(t, p, pk, a, sim.EngineThreaded, false, simStepBudget)
+			label := pers.Name + "/" + a.Name
+			switch {
+			case ref.err != nil || got.err != nil:
+				t.Fatalf("%s: reference err=%v, threaded err=%v", label, ref.err, got.err)
+			case !reflect.DeepEqual(ref.trace, got.trace):
+				t.Errorf("%s: trace mismatch:\nreference: %s\nthreaded: %s", label, ref.trace.Summary(), got.trace.Summary())
+			case ref.trace.Mem.AtomicOps != 3*groups*block:
+				t.Errorf("%s: %d atomic lane operations, want %d", label, ref.trace.Mem.AtomicOps, 3*groups*block)
+			}
+			if !slices.Equal(ref.global, want) || !slices.Equal(got.global, want) {
+				t.Errorf("%s: device memory differs from the host:\nhost:      %v\nreference: %v\nthreaded:  %v",
+					label, want, ref.global, got.global)
+			}
+		}
 	}
 }
 

@@ -209,15 +209,6 @@ func KernelTime(a *arch.Device, tc *Toolchain, tr *sim.Trace) Breakdown {
 	return b
 }
 
-// TotalTime sums the kernel times of a multi-launch application.
-func TotalTime(a *arch.Device, tc *Toolchain, traces []*sim.Trace) float64 {
-	sum := 0.0
-	for _, tr := range traces {
-		sum += KernelTime(a, tc, tr).Total
-	}
-	return sum
-}
-
 // TransferTimeOn models one host<->device copy of n bytes over a specific
 // device's link: the device contributes its PCIe (or cache-copy) bandwidth
 // and DMA latency, the toolchain contributes its host-side per-call cost

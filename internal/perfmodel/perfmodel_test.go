@@ -193,18 +193,6 @@ func TestTransferTimeOn(t *testing.T) {
 	}
 }
 
-// TestTotalTimeSums.
-func TestTotalTimeSums(t *testing.T) {
-	dev := arch.GTX280()
-	tc := CUDAToolchain()
-	tr := flopsTrace(dev, 64, 100, 100)
-	one := KernelTime(dev, tc, tr).Total
-	sum := TotalTime(dev, tc, []*sim.Trace{tr, tr, tr})
-	if math.Abs(sum-3*one) > 1e-12 {
-		t.Errorf("TotalTime = %g, want %g", sum, 3*one)
-	}
-}
-
 // TestToolchainFor.
 func TestToolchainFor(t *testing.T) {
 	if ToolchainFor("cuda").Name != "cuda" || ToolchainFor("opencl").Name != "opencl" {
