@@ -70,11 +70,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	cacheSize := fs.Int("cache-size", 4096, "result-cache entries (negative disables caching)")
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "per-job execution timeout (0 = unbounded)")
-	figureScale := fs.Int("figure-scale", 4, "default problem-size divisor for /figures/*")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	quotaRate := fs.Float64("quota-rate", 0, "accepted requests per second per X-Tenant: POST /kernels on a worker, every routed request in coordinator mode (0 = unlimited)")
 	quotaBurst := fs.Float64("quota-burst", 0, "per-tenant burst capacity of -quota-rate (0 = max(rate, 1))")
-	tenantCache := fs.Int("tenant-cache-size", 64, "POST /kernels: per-tenant result-cache entries (negative disables)")
 	stepBudget := fs.Uint64("submit-step-budget", 0, "POST /kernels: watchdog warp-instruction budget per work group (0 = default)")
 	coordinator := fs.Bool("coordinator", false, "run as fleet coordinator: admit and route requests to -shards instead of executing locally")
 	shards := fs.String("shards", "", "coordinator mode: comma-separated worker base URLs (e.g. http://127.0.0.1:8481,http://127.0.0.1:8482)")
@@ -130,11 +128,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	s := sched.New(sched.Options{
-		Workers:         *workers,
-		CacheSize:       *cacheSize,
-		JobTimeout:      *jobTimeout,
-		Quota:           sched.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
-		TenantCacheSize: *tenantCache,
+		Workers:    *workers,
+		CacheSize:  *cacheSize,
+		JobTimeout: *jobTimeout,
+		Quota:      sched.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst},
 	})
 	defer s.Close()
 
@@ -149,8 +146,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *stepBudget > 0 {
 		limits.StepBudget = *stepBudget
 	}
-	opts := []server.Option{server.WithFigureScale(*figureScale), server.WithSubmitLimits(limits)}
-	srv := server.New(s, opts...)
+	srv := server.New(s, server.WithSubmitLimits(limits))
 	fmt.Fprintf(stdout, "gpucmpd: serving on %s\n", ln.Addr())
 	return serve(ctx, ln, srv.Handler(), &srv.Readiness, writeTimeout, *drainNotice)
 }

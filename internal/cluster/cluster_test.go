@@ -31,7 +31,7 @@ func startWorkerOn(t *testing.T, inj *fault.Injector, clk clock.Clock) (*httptes
 	t.Helper()
 	s := sched.New(sched.Options{Workers: 4, Injector: inj, Clock: clk})
 	t.Cleanup(s.Close)
-	srv := server.New(s, server.WithFigureScale(64))
+	srv := server.New(s)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv
@@ -354,7 +354,7 @@ func TestCoordinatorRepliesDeclareLength(t *testing.T) {
 		minBytes           int
 	}{
 		{http.MethodPost, "/run", runBody("FFT", 16), 2049},
-		{http.MethodGet, "/figures/fig1", "", 1},
+		{http.MethodGet, "/figures/fig1?scale=64", "", 1},
 	} {
 		hr, err := http.NewRequest(req.method, cts.URL+req.path, strings.NewReader(req.body))
 		if err != nil {

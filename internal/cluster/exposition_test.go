@@ -28,7 +28,7 @@ func populatedFleet(t *testing.T) (worker, coord string) {
 	quota := sched.QuotaConfig{Rate: 1000, Burst: 1000}
 	s := sched.New(sched.Options{Workers: 2, Quota: quota})
 	t.Cleanup(s.Close)
-	w := httptest.NewServer(server.New(s, server.WithFigureScale(64)).Handler())
+	w := httptest.NewServer(server.New(s).Handler())
 	t.Cleanup(w.Close)
 	cts, _ := startCoordinator(t, Config{Workers: []string{w.URL}, Quota: quota})
 

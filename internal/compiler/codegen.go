@@ -96,19 +96,6 @@ func CompileWithConfig(k *kir.Kernel, cfg Config) (*ptx.Kernel, error) {
 	return out, nil
 }
 
-// CompileModule lowers several kernels into one module.
-func CompileModule(name string, kernels []*kir.Kernel, p Personality) (*ptx.Module, error) {
-	m := ptx.NewModule(name)
-	for _, k := range kernels {
-		pk, err := Compile(k, p)
-		if err != nil {
-			return nil, err
-		}
-		m.Add(pk)
-	}
-	return m, nil
-}
-
 func scalarType(t kir.Type) ptx.ScalarType {
 	switch t {
 	case kir.U32:

@@ -413,17 +413,6 @@ func TestMovHeavyCUDA(t *testing.T) {
 	}
 }
 
-func TestCompileModule(t *testing.T) {
-	k := vecAddKernel(t)
-	m, err := CompileModule("m", []*kir.Kernel{k}, CUDA())
-	if err != nil {
-		t.Fatalf("CompileModule: %v", err)
-	}
-	if _, err := m.Kernel("vadd"); err != nil {
-		t.Errorf("module lookup: %v", err)
-	}
-}
-
 func TestRegisterCountsReasonable(t *testing.T) {
 	cu, cl := compileBoth(t, vecAddKernel(t))
 	if cu.NumRegs <= 0 || cu.NumRegs > 64 {

@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"strings"
 
 	"gpucmp/internal/ptx"
 )
@@ -100,25 +99,6 @@ func PassNames(ps []Pass) []string {
 		out[i] = p.Name
 	}
 	return out
-}
-
-// PassesByName resolves names against the standard pass registry,
-// preserving the requested order (which is also the execution order).
-func PassesByName(names []string) ([]Pass, error) {
-	reg := make(map[string]Pass)
-	for _, p := range DefaultPasses() {
-		reg[p.Name] = p
-	}
-	out := make([]Pass, 0, len(names))
-	for _, n := range names {
-		p, ok := reg[n]
-		if !ok {
-			return nil, fmt.Errorf("compiler: unknown pass %q (known: %s)",
-				n, strings.Join(DefaultPassNames(), ", "))
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // WithoutPass returns the pipeline minus every pass of the given name.

@@ -142,21 +142,6 @@ func TestPipelineDebugCatchesBrokenPass(t *testing.T) {
 	}
 }
 
-func TestPassesByName(t *testing.T) {
-	ps, err := PassesByName([]string{PassMadFuse, PassCopyProp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 || ps[0].Name != PassMadFuse || ps[1].Name != PassCopyProp {
-		t.Errorf("requested order not preserved: %v", PassNames(ps))
-	}
-	if _, err := PassesByName([]string{"no-such-pass"}); err == nil {
-		t.Error("unknown pass name accepted")
-	} else if !strings.Contains(err.Error(), "no-such-pass") {
-		t.Errorf("error does not name the unknown pass: %v", err)
-	}
-}
-
 func TestWithoutPass(t *testing.T) {
 	ps := WithoutPass(DefaultPasses(), PassDCE)
 	if got := strings.Join(PassNames(ps), ","); got != PassCopyProp+","+PassMadFuse {

@@ -395,3 +395,39 @@ func TestCheckHangCorpusRunsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestDivergenceReport: a miscompile is reported by Divergence.Error, so
+// the report must carry everything needed to reproduce and read it: the
+// seed, the toolchain and device, the first differing word with both
+// values, the trace summary, the KIR source and the disassembly.
+func TestDivergenceReport(t *testing.T) {
+	p := storeProgram(t, 0)
+	p.Seed = 42
+	gtx480 := arch.GTX480()
+	var calls atomic.Int64
+	plan := map[pair]outcome{{"cuda", gtx480.Name}: endsWrong}
+	res, err := check(p, []*arch.Device{gtx480}, compiler.Compile, planted(plan, &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := res.Divergence
+	if d == nil {
+		t.Fatal("the planted wrong word was not reported")
+	}
+	report := d.Error()
+	for _, want := range []string{
+		"fuzz: seed 42: cuda on " + gtx480.Name + ": out[0] = 0x1, reference 0x0 (1 word(s) differ)\n",
+		"trace: " + d.Trace.Summary() + "\n",
+		"kernel:\n" + d.Source,
+		"disassembly:\n" + d.Disasm,
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	for _, part := range []string{d.Source, d.Disasm} {
+		if !strings.Contains(part, "store") {
+			t.Errorf("source or disassembly does not name the kernel: %q", part)
+		}
+	}
+}

@@ -12,9 +12,6 @@ type Buf struct {
 // Name returns the buffer's declared name.
 func (b Buf) Name() string { return b.name }
 
-// Elem returns the buffer's element type.
-func (b Buf) Elem() Type { return b.t }
-
 // Builder assembles a Kernel with structured-block scoping. Statement
 // methods append to the innermost open block; If/For take closures that
 // populate their bodies.
@@ -22,7 +19,6 @@ type Builder struct {
 	k      *Kernel
 	blocks []*[]Stmt
 	err    error
-	nvar   int
 }
 
 // NewKernel starts building a kernel.
@@ -97,12 +93,6 @@ func (b *Builder) Declare(name string, init Expr) Expr {
 	}
 	*b.cur() = append(*b.cur(), &DeclStmt{Name: name, T: init.Type(), Init: init})
 	return &VarRef{Name: name, T: init.Type()}
-}
-
-// Temp declares a fresh uniquely named variable.
-func (b *Builder) Temp(init Expr) Expr {
-	b.nvar++
-	return b.Declare(fmt.Sprintf("_t%d", b.nvar), init)
 }
 
 // Assign overwrites a declared variable; dst must come from Declare or a

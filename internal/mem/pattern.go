@@ -1,7 +1,5 @@
 package mem
 
-import "math/bits"
-
 // Batched warp-access classification. The reference coalescing routines in
 // coalesce.go dedup with an O(lanes^2) linear-set scan per access; at one
 // global access per handful of warp instructions that scan dominates the
@@ -92,47 +90,6 @@ func CoalesceListFast(addrs []uint32, mask uint64, segBytes uint32, out []uint32
 			}
 		}
 		out[n] = s
-		n++
-		last = s
-	}
-	return n
-}
-
-// CoalesceSegmentsFast is CoalesceSegments with the same monotone fast
-// path as CoalesceListFast.
-func CoalesceSegmentsFast(addrs []uint32, mask uint64, segBytes uint32) int {
-	if segBytes == 0 {
-		segBytes = 64
-	}
-	if len(addrs) > 64 || segBytes&(segBytes-1) != 0 {
-		return CoalesceSegments(addrs, mask, segBytes)
-	}
-	segShift := uint(bits.TrailingZeros32(segBytes))
-	n := 0
-	var last uint32
-	for lane := 0; lane < len(addrs); lane++ {
-		if mask&(1<<uint(lane)) == 0 {
-			continue
-		}
-		s := addrs[lane] >> segShift
-		if n > 0 {
-			if s == last {
-				continue
-			}
-			if s < last {
-				var t dedupTable
-				n = 0
-				for l := 0; l < len(addrs); l++ {
-					if mask&(1<<uint(l)) == 0 {
-						continue
-					}
-					if t.insert(addrs[l] >> segShift) {
-						n++
-					}
-				}
-				return n
-			}
-		}
 		n++
 		last = s
 	}
@@ -342,36 +299,6 @@ func CoalesceListFull(addrs []uint32, segBytes uint32, out []uint32) int {
 		out[n] = s
 		n++
 		last = s
-	}
-	return n
-}
-
-// DistinctAddrsFull is DistinctAddrsFast for a fully-active warp.
-func DistinctAddrsFull(addrs []uint32) int {
-	if len(addrs) > 64 {
-		return DistinctAddrs(addrs, ^uint64(0))
-	}
-	n := 0
-	var last uint32
-	for lane := 0; lane < len(addrs); lane++ {
-		a := addrs[lane]
-		if n > 0 {
-			if a == last {
-				continue
-			}
-			if a < last {
-				var t dedupTable
-				n = 0
-				for _, v := range addrs {
-					if t.insert(v) {
-						n++
-					}
-				}
-				return n
-			}
-		}
-		n++
-		last = a
 	}
 	return n
 }

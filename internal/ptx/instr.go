@@ -150,15 +150,6 @@ func NewInstruction(op Opcode) Instruction {
 		Src: [3]Operand{{Reg: NoReg}, {Reg: NoReg}, {Reg: NoReg}}}
 }
 
-// IsMemory reports whether the instruction touches a memory space.
-func (in *Instruction) IsMemory() bool {
-	switch in.Op {
-	case OpLd, OpSt, OpTex, OpAtom:
-		return true
-	}
-	return false
-}
-
 // Mnemonic returns the dotted PTX-style mnemonic, e.g. "ld.global.f32".
 func (in *Instruction) Mnemonic() string { return string(in.appendMnemonic(nil)) }
 

@@ -129,9 +129,6 @@ type Options struct {
 	// Quota throttles untrusted per-tenant work submitted through DoTask.
 	// The zero value disables throttling.
 	Quota QuotaConfig
-	// TenantCacheSize caps each tenant's private result cache (default 64;
-	// negative disables tenant caching).
-	TenantCacheSize int
 
 	// Clock times every latency stamp, timeout, stall and quota (nil =
 	// the wall clock). It is the seam that puts a worker on the same
@@ -180,9 +177,6 @@ func New(opts Options) *Scheduler {
 	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 4
-	}
-	if opts.TenantCacheSize == 0 {
-		opts.TenantCacheSize = 64
 	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
@@ -410,25 +404,21 @@ func (s *Scheduler) tenantTask(call *Call[any], tenant, metric, key string, fn f
 			}
 			return v, newEntry(key, v, enc), nil
 		},
-		store: func(good *entry) {
-			if c := s.tenantCacheLocked(tenant); c != nil {
-				c.add(good)
-			}
-		},
+		store: func(good *entry) { s.tenantCacheLocked(tenant).add(good) },
 	}
 }
 
-// maxTenantCaches caps how many tenant caches exist at once; beyond it an
-// arbitrary tenant's cache is dropped, bounding memory against tenant-name
-// flooding.
-const maxTenantCaches = 1024
+// tenantCacheSize caps each tenant's private result cache; maxTenantCaches
+// caps how many tenant caches exist at once, and beyond it an arbitrary
+// tenant's cache is dropped, bounding memory against tenant-name flooding.
+const (
+	tenantCacheSize = 64
+	maxTenantCaches = 1024
+)
 
 // tenantCacheLocked returns (creating on demand) the tenant's cache.
 // Caller holds s.mu.
 func (s *Scheduler) tenantCacheLocked(tenant string) *lruCache {
-	if s.opts.TenantCacheSize < 0 {
-		return nil
-	}
 	c, ok := s.tenants[tenant]
 	if !ok {
 		if len(s.tenants) >= maxTenantCaches {
@@ -440,7 +430,7 @@ func (s *Scheduler) tenantCacheLocked(tenant string) *lruCache {
 				break
 			}
 		}
-		c = newLRU(s.opts.TenantCacheSize)
+		c = newLRU(tenantCacheSize)
 		s.tenants[tenant] = c
 	}
 	return c

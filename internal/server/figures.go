@@ -25,7 +25,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("want /figures/{%s}", strings.Join(core.FigureIDs(), ",")))
 		return
 	}
-	scale, err := s.scaleOf(r)
+	scale, err := scaleOf(r)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, codeBadRequest, err)
 		return

@@ -36,11 +36,6 @@ type Server struct {
 
 	Readiness // the drain switch behind /healthz/ready
 
-	// figureScale is the default problem-size divisor for /figures/*
-	// (overridable per request with ?scale=N). The default keeps an
-	// uncached figure regeneration interactive.
-	figureScale int
-
 	unavailable atomic.Uint64 // /run 503s: the live path failed
 
 	// /kernels counters.
@@ -58,15 +53,6 @@ type Server struct {
 // Option customises a Server.
 type Option func(*Server)
 
-// WithFigureScale sets the default /figures/* problem-size divisor.
-func WithFigureScale(scale int) Option {
-	return func(s *Server) {
-		if scale > 0 {
-			s.figureScale = scale
-		}
-	}
-}
-
 // WithSubmitLimits overrides the POST /kernels resource bounds.
 func WithSubmitLimits(lim submit.Limits) Option {
 	return func(s *Server) { s.limits = lim }
@@ -75,7 +61,7 @@ func WithSubmitLimits(lim submit.Limits) Option {
 // New wraps a scheduler in the HTTP service.
 func New(s *sched.Scheduler, opts ...Option) *Server {
 	srv := &Server{
-		sched: s, start: time.Now(), figureScale: 4, limits: submit.DefaultLimits(),
+		sched: s, start: time.Now(), limits: submit.DefaultLimits(),
 		coexecMetrics: coexec.NewMetrics(),
 	}
 	for _, o := range opts {
@@ -282,10 +268,15 @@ func (s *Server) runner(r *http.Request) core.Runner {
 	}
 }
 
-func (s *Server) scaleOf(r *http.Request) (int, error) {
+// defaultFigureScale is the /figures/* problem-size divisor when a
+// request names none with ?scale=N; it keeps an uncached figure
+// regeneration interactive.
+const defaultFigureScale = 4
+
+func scaleOf(r *http.Request) (int, error) {
 	q := r.URL.Query().Get("scale")
 	if q == "" {
-		return s.figureScale, nil
+		return defaultFigureScale, nil
 	}
 	n, err := strconv.Atoi(q)
 	if err != nil || n < 1 {

@@ -22,7 +22,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *sched.Scheduler) {
 	t.Helper()
 	s := sched.New(sched.Options{Workers: 4})
 	t.Cleanup(s.Close)
-	ts := httptest.NewServer(New(s, WithFigureScale(16)).Handler())
+	ts := httptest.NewServer(New(s).Handler())
 	t.Cleanup(ts.Close)
 	return ts, s
 }

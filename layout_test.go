@@ -76,7 +76,7 @@ func TestDesignLayoutNamesEveryDirectory(t *testing.T) {
 // a package-level name, or a method or struct field, which the documents
 // name as `ptx.Validate` for `ptx.Kernel.Validate` (a trailing * makes it
 // a prefix). Every internal/, cmd/ or benchmark/ path in a code span must
-// exist.
+// exist, and so must every such path DESIGN.md names outside code.
 func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 	flags := commandFlags(t)
 	tests := testNames(t)
@@ -108,6 +108,13 @@ func TestDocumentsNameOnlyRealCommands(t *testing.T) {
 			checkGoName(t, doc, code, decls)
 			checkPaths(t, doc, code)
 		}
+	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(prose(string(design)), "\n") {
+		checkPaths(t, "DESIGN.md", line)
 	}
 	ids := map[string]bool{"fair": true, "profile": true, "passes": true}
 	for _, id := range core.FigureIDs() {
@@ -166,6 +173,19 @@ func codeFragments(text string) []string {
 		}
 	}
 	return code
+}
+
+// prose returns a Markdown document with its code removed: the fenced
+// blocks and the inline code spans outside them.
+func prose(text string) string {
+	var b strings.Builder
+	for i, part := range fence.Split(text, -1) {
+		if i%2 == 0 {
+			b.WriteString(inlineCode.ReplaceAllString(part, " "))
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }
 
 // args is a command line's arguments: they end at a shell operator or a
@@ -459,9 +479,10 @@ var repoPath = regexp.MustCompile(`(?:^|[\s(./"'=])((?:internal|cmd|benchmark)/[
 func checkPaths(t *testing.T, doc, code string) {
 	t.Helper()
 	for _, m := range repoPath.FindAllStringSubmatch(code, -1) {
-		matches, err := filepath.Glob(m[1])
+		path := strings.TrimRight(m[1], ".") // a sentence's full stop
+		matches, err := filepath.Glob(path)
 		if err != nil || len(matches) == 0 {
-			t.Errorf("%s: `%s` names %s, which does not exist", doc, code, m[1])
+			t.Errorf("%s: `%s` names %s, which does not exist", doc, code, path)
 		}
 	}
 }
